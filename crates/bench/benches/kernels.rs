@@ -30,9 +30,20 @@
 //! show a wall-clock speedup — gates that only arm when the host actually
 //! has ≥4 hardware threads to shard over (and never under `--smoke`).
 //!
+//! The **translation** section times the address-translation front-end on
+//! its own, in absolute nanoseconds: a thrash stream (~20 % hits) through a
+//! standalone [`Tlb`] at 512 and at 4096 entries, and the same scalar `get`
+//! stream over a `TrackedVec` before and after `mbind` splinters it into
+//! single-page mappings. Its gates are about *shape*, not speed: a lookup
+//! at 4096 entries may cost at most 2x one at 512 (eviction is independent
+//! of capacity), and a `get` on fragmented mappings at most 2x one on
+//! contiguous mappings (the mapping lookup is independent of the mapping
+//! count; what remains is the simulated TLB miss itself).
+//!
 //! `--smoke` runs only the equality half on a reduced graph (no timing, no
 //! speedup gates) so CI can verify Scalar/Bulk equivalence on every push
-//! without inheriting wall-clock flakiness.
+//! without inheriting wall-clock flakiness; the translation section runs
+//! shortened and ungated.
 //!
 //! Every run snapshots its measurements to `BENCH_kernels.json` at the repo
 //! root (override with `--json PATH`).
@@ -41,9 +52,12 @@ use atmem::{Atmem, AtmemConfig};
 use atmem_apps::{
     AccessMode, Bc, Bfs, HmsGraph, Kernel, MemCtx, PageRank, PageRankPull, Spmv, Sssp,
 };
-use atmem_bench::harness::{bench_with_setup, black_box};
+use atmem_bench::harness::{bench, bench_with_setup, black_box};
 use atmem_graph::{rmat, Csr, Dataset};
-use atmem_hms::{MachineStats, Placement, Platform, SimDuration, TrackedVec};
+use atmem_hms::{
+    Machine, MachineStats, Placement, Platform, SimDuration, TierId, Tlb, TrackedVec, VirtRange,
+};
+use atmem_rng::SmallRng;
 
 const SAMPLES: usize = 15;
 
@@ -245,13 +259,13 @@ fn spmv_gather_phase(st: &mut PhaseState, out: &mut Vec<f64>, mode: AccessMode) 
 }
 
 /// Asserts Scalar/Bulk equality of a phase and (unless `smoke`) times it,
-/// returning the bulk-over-scalar host speedup (1.0 under `smoke`).
+/// returning `(scalar_min_ns, bulk_min_ns)`.
 fn compare_phase(
     name: &str,
     csr: &Csr,
     smoke: bool,
     run: impl Fn(&mut PhaseState, AccessMode),
-) -> f64 {
+) -> Option<(f64, f64)> {
     let mut scalar = phase_state(csr);
     run(&mut scalar, AccessMode::Scalar);
     let mut bulk = phase_state(csr);
@@ -276,9 +290,9 @@ fn compare_phase(
         bulk.rt.machine().stats().accesses
     );
     if smoke {
-        return 1.0;
+        return None;
     }
-    let mut results = Vec::new();
+    let mut mins = Vec::new();
     for (label, mode) in [("scalar", AccessMode::Scalar), ("bulk", AccessMode::Bulk)] {
         let r = bench_with_setup(
             &format!("phase/{name}/{label}"),
@@ -289,11 +303,10 @@ fn compare_phase(
                 black_box(st)
             },
         );
-        results.push(r);
+        mins.push(r.min_ns());
     }
-    let speedup = results[0].min_ns() / results[1].min_ns();
-    println!("phase/{name}: bulk speedup {speedup:.2}x\n");
-    speedup
+    println!("phase/{name}: bulk speedup {:.2}x\n", mins[0] / mins[1]);
+    Some((mins[0], mins[1]))
 }
 
 /// Runs `iters` iterations at `cores` simulated cores and returns the
@@ -339,6 +352,70 @@ fn core_sweep(name: &str, csr: &Csr, smoke: bool, make: &Make) -> Option<(f64, f
     Some((mins[0], mins[1]))
 }
 
+/// Host nanoseconds per [`Tlb::access`] on a uniform stream over five
+/// times `entries` distinct keys (so about one lookup in five hits and
+/// every miss evicts), and the hit ratio the TLB reported.
+fn tlb_thrash(entries: usize, lookups: usize) -> (f64, f64) {
+    let mut rng = SmallRng::seed_from_u64(entries as u64);
+    let keys: Vec<u64> = (0..lookups)
+        .map(|_| rng.gen_range(0..5 * entries as u64) << 2)
+        .collect();
+    let mut ratio = 0.0;
+    let r = bench_with_setup(
+        &format!("translation/tlb_thrash/{entries}"),
+        SAMPLES,
+        || Tlb::new(entries),
+        |mut tlb| {
+            for &k in &keys {
+                black_box(tlb.access(k));
+            }
+            ratio = tlb.hits() as f64 / lookups as f64;
+            tlb
+        },
+    );
+    (r.min_ns() / lookups as f64, ratio)
+}
+
+/// Host nanoseconds per scalar `TrackedVec::get` on one random index
+/// stream over an 8 MiB array: on its contiguous huge mappings, then after
+/// `mbind` moved it page by page onto scattered single-page mappings.
+fn fragmented_get(gets: usize) -> (f64, f64) {
+    const LEN: usize = 1 << 20;
+    let mut machine = Machine::new(Platform::nvm_dram());
+    let v = TrackedVec::<u64>::new(&mut machine, LEN, Placement::Slow).expect("alloc");
+    // Real bytes on both sides: untouched host pages would all read the
+    // kernel's one zero page and flatter the contiguous case.
+    v.fill(&mut machine, 1);
+    let mut rng = SmallRng::seed_from_u64(7);
+    let stream: Vec<usize> = (0..gets).map(|_| rng.gen_range(0..LEN)).collect();
+    let time = |label: &str, machine: &mut Machine| {
+        let r = bench(&format!("translation/get/{label}"), SAMPLES, || {
+            for &i in &stream {
+                black_box(v.get(machine, i));
+            }
+        });
+        r.min_ns() / gets as f64
+    };
+    let contiguous = time("contiguous", &mut machine);
+    let pages = VirtRange::new(v.range().start, LEN * 8);
+    machine
+        .migrate_mbind(pages, TierId::FAST)
+        .expect("mbind splinter");
+    let fragmented = time("fragmented", &mut machine);
+    (contiguous, fragmented)
+}
+
+/// First `model name` of `/proc/cpuinfo`, for the snapshot's fingerprint.
+fn cpu_model() -> String {
+    std::fs::read_to_string("/proc/cpuinfo")
+        .ok()
+        .and_then(|info| {
+            let line = info.lines().find(|l| l.starts_with("model name"))?;
+            Some(line.split(':').nth(1)?.trim().to_string())
+        })
+        .unwrap_or_else(|| "unknown".to_string())
+}
+
 /// Hand-rolled JSON snapshot of the run's measurements (no serde in-tree).
 fn write_snapshot(path: &str, smoke: bool, entries: &[(String, f64)]) {
     let mut body = String::from("{\n");
@@ -347,6 +424,13 @@ fn write_snapshot(path: &str, smoke: bool, entries: &[(String, f64)]) {
         "  \"host_parallelism\": {},\n",
         host_parallelism()
     ));
+    body.push_str(&format!("  \"cpu_model\": \"{}\",\n", cpu_model()));
+    let profile = if cfg!(debug_assertions) {
+        "debug"
+    } else {
+        "release"
+    };
+    body.push_str(&format!("  \"profile\": \"{profile}\",\n"));
     body.push_str("  \"measurements\": {\n");
     for (i, (key, value)) in entries.iter().enumerate() {
         let sep = if i + 1 == entries.len() { "" } else { "," };
@@ -392,8 +476,8 @@ fn main() {
     assert_modes_agree("SpMV", &weighted, &make_spmv);
     assert_modes_agree("PR", &plain, &make_pr);
     assert_modes_agree("PR-pull", &plain, &make_prpull);
-    let pr_scatter = compare_phase("PR-scatter", &plain, smoke, pr_scatter_phase);
-    let spmv_gather = compare_phase("SpMV-gather", &weighted, smoke, |st, mode| {
+    let pr_scatter_ns = compare_phase("PR-scatter", &plain, smoke, pr_scatter_phase);
+    let spmv_gather_ns = compare_phase("SpMV-gather", &weighted, smoke, |st, mode| {
         let mut out = Vec::new();
         spmv_gather_phase(st, &mut out, mode);
         black_box(out);
@@ -424,6 +508,18 @@ fn main() {
     let sssp_sweep = core_sweep("SSSP", &trav_weighted, smoke, &make_sssp);
     let bc_sweep = core_sweep("BC", &trav, smoke, &make_bc);
 
+    // Translation front-end, absolute ns (ungated and shortened under
+    // --smoke).
+    let lookups = if smoke { 1 << 14 } else { 1 << 20 };
+    let (tlb_512, tlb_512_hits) = tlb_thrash(512, lookups);
+    let (tlb_4096, tlb_4096_hits) = tlb_thrash(4096, lookups);
+    let (get_contiguous, get_fragmented) = fragmented_get(lookups >> 2);
+    println!(
+        "translation: tlb {tlb_512:.1} ns @512 ({tlb_512_hits:.2} hits), \
+         {tlb_4096:.1} ns @4096 ({tlb_4096_hits:.2} hits); \
+         get {get_contiguous:.1} ns contiguous, {get_fragmented:.1} ns fragmented\n"
+    );
+
     if smoke {
         write_snapshot(&json_path, smoke, &[]);
         println!("smoke run: equivalence checks passed, timing gates skipped");
@@ -433,6 +529,10 @@ fn main() {
 
     let spmv_speedup = compare_modes("SpMV", &weighted, &make_spmv);
     let pr_speedup = compare_modes("PR", &plain, &make_pr);
+    let (pr_scatter_scalar, pr_scatter_bulk) = pr_scatter_ns.expect("timed unless --smoke");
+    let (spmv_gather_scalar, spmv_gather_bulk) = spmv_gather_ns.expect("timed unless --smoke");
+    let pr_scatter = pr_scatter_scalar / pr_scatter_bulk;
+    let spmv_gather = spmv_gather_scalar / spmv_gather_bulk;
 
     // Steady-state plan-vs-window comparison for the plan-migrated kernels.
     let plan_speedups = [
@@ -447,6 +547,15 @@ fn main() {
         ("bulk_speedup_PR".to_string(), pr_speedup),
         ("bulk_speedup_PR_scatter".to_string(), pr_scatter),
         ("bulk_speedup_SpMV_gather".to_string(), spmv_gather),
+        // The ratios' two sides in absolute time: a ratio alone cannot say
+        // whether the window engine or the scalar path moved.
+        ("phase_PR_scatter_scalar_ns".to_string(), pr_scatter_scalar),
+        ("phase_PR_scatter_bulk_ns".to_string(), pr_scatter_bulk),
+        (
+            "phase_SpMV_gather_scalar_ns".to_string(),
+            spmv_gather_scalar,
+        ),
+        ("phase_SpMV_gather_bulk_ns".to_string(), spmv_gather_bulk),
     ];
     for (name, speedup) in plan_speedups {
         entries.push((format!("plan_speedup_{name}"), speedup));
@@ -464,9 +573,27 @@ fn main() {
             entries.push((format!("core_sweep_{name}_speedup"), one / four));
         }
     }
+    entries.extend([
+        ("tlb_thrash_512_ns_per_lookup".to_string(), tlb_512),
+        ("tlb_thrash_512_hit_ratio".to_string(), tlb_512_hits),
+        ("tlb_thrash_4096_ns_per_lookup".to_string(), tlb_4096),
+        ("tlb_thrash_4096_hit_ratio".to_string(), tlb_4096_hits),
+        ("get_contiguous_ns_per_access".to_string(), get_contiguous),
+        ("get_fragmented_ns_per_access".to_string(), get_fragmented),
+    ]);
     write_snapshot(&json_path, smoke, &entries);
     println!("snapshot: {json_path}");
 
+    assert!(
+        tlb_4096 <= 2.0 * tlb_512,
+        "TLB lookup cost must not grow with capacity: {tlb_4096:.1} ns at 4096 \
+         entries vs {tlb_512:.1} ns at 512"
+    );
+    assert!(
+        get_fragmented <= 2.0 * get_contiguous,
+        "scalar get on mbind-splintered mappings must stay within 2x of contiguous: \
+         {get_fragmented:.1} ns vs {get_contiguous:.1} ns"
+    );
     assert!(
         spmv_speedup >= 3.0,
         "SpMV bulk path must be >= 3x faster host-side, got {spmv_speedup:.2}x"

@@ -70,8 +70,7 @@ impl CacheOutcome {
 ///
 /// ## The window side-memo
 ///
-/// Mirrors the TLB's deferred-re-stamp memo (see [`crate::tlb::Tlb`]): the
-/// batched window engine revisits a small set of hot lines, and for those
+/// The batched window engine revisits a small set of hot lines, and for those
 /// the full per-set tag scan only serves to re-stamp an age that is already
 /// known. The memo is a tiny direct-mapped cache, indexed by the low bits
 /// of the *set* index, remembering the line that last probed through each

@@ -684,8 +684,6 @@ impl Machine {
             self.unmap_one(m);
         }
         self.invalidate_tlb_range(full);
-        self.mappings.flush_cache();
-        self.core.map_memo = None;
         Ok(())
     }
 
@@ -1316,8 +1314,6 @@ impl Machine {
                 // Stale huge-unit TLB entries must not survive the demotion.
                 self.invalidate_tlb_range(m.vrange());
             }
-            self.mappings.flush_cache();
-            self.core.map_memo = None;
         }
     }
 
@@ -1374,8 +1370,6 @@ impl Machine {
                     self.mappings.insert(m);
                 }
                 self.invalidate_tlb_range(range);
-                self.mappings.flush_cache();
-                self.core.map_memo = None;
                 Ok(n)
             }
             Err(e) => {
@@ -1405,8 +1399,6 @@ impl Machine {
             self.note_mapped(m.vrange(), m.tier);
             self.mappings.insert(m);
         }
-        self.mappings.flush_cache();
-        self.core.map_memo = None;
     }
 
     pub(crate) fn tier_mut(&mut self, tier: TierId) -> &mut Tier {
@@ -1547,7 +1539,9 @@ impl Machine {
     /// 4. every allocation is fully mapped, and every mapping belongs to a
     ///    live allocation;
     /// 5. every TLB entry decodes to a live mapping of matching
-    ///    granularity (no stale entries after remaps or splinters);
+    ///    granularity (no stale entries after remaps or splinters), the
+    ///    TLB's recency list and hash index describe the same entries, and
+    ///    the mapping table's page index agrees with its mappings;
     /// 6. every resident LLC line references an allocated frame;
     /// 7. monotone counters (time, accesses, hit/miss totals, migrated
     ///    bytes) never run backwards between audits;
@@ -1697,9 +1691,11 @@ impl Machine {
             }
         }
 
-        // Invariant 5: TLB entries decode to live mappings.
-        let keys: Vec<u64> = self.core.tlb.keys().collect();
-        for key in keys {
+        // Invariant 5: the translation structures are self-consistent and
+        // TLB entries decode to live mappings.
+        violations.extend(self.mappings.check());
+        violations.extend(self.core.tlb.check());
+        for key in self.core.tlb.keys() {
             let value = key >> 2;
             let stale = match key & 3 {
                 2 => {
@@ -2518,6 +2514,35 @@ mod tests {
         assert!(
             violations.iter().any(|v| v.contains("stale TLB")),
             "stale TLB entry not flagged: {violations:#?}"
+        );
+    }
+
+    #[test]
+    fn audit_flags_a_corrupt_tlb_index() {
+        let mut m = machine();
+        let r = m.alloc(64 * 1024, Placement::Slow).unwrap();
+        for page in 0..4u64 {
+            m.read::<u64>(r.start.add(page * PAGE_SIZE as u64)).unwrap();
+        }
+        assert_clean(&mut m);
+        m.core.tlb.corrupt_for_test();
+        let violations = m.audit();
+        assert!(
+            violations.iter().any(|v| v.contains("not hashed")),
+            "corrupt TLB index not reported: {violations:#?}"
+        );
+    }
+
+    #[test]
+    fn audit_flags_a_corrupt_page_index() {
+        let mut m = machine();
+        let r = m.alloc(64 * 1024, Placement::Slow).unwrap();
+        assert_clean(&mut m);
+        m.mappings.corrupt_for_test(r.start.page_index() + 3);
+        let violations = m.audit();
+        assert!(
+            violations.iter().any(|v| v.contains("not indexed")),
+            "corrupt page index not reported: {violations:#?}"
         );
     }
 

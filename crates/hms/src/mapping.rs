@@ -12,8 +12,6 @@
 //! *remaps* whole regions to fresh contiguous frames, recreating huge
 //! mappings where alignment permits (§4.4).
 
-use std::collections::BTreeMap;
-
 use crate::addr::{Frame, VirtAddr, VirtRange, HUGE_PAGE_FRAMES, PAGE_SHIFT, PAGE_SIZE};
 use crate::error::{HmsError, Result};
 use crate::tier::TierId;
@@ -128,16 +126,36 @@ impl Mapping {
     }
 }
 
+/// Widest span of virtual pages the page index may cover: 1 TiB of address
+/// space, a 1 GiB index. Far beyond what the bump allocator hands out in any
+/// run that fits host memory, so a mapping this far from the others is a
+/// stray address, not an allocation.
+const MAX_INDEX_PAGES: u64 = 1 << 28;
+
 /// The machine-wide mapping table.
 ///
-/// Keyed by first virtual page; mappings never overlap. A one-entry lookup
-/// cache accelerates the hot translation path (graph kernels touch the same
-/// object repeatedly).
+/// Mappings never overlap and live in a slab; a dense page index
+/// (`vpage - base → slab slot`) makes [`lookup_page`](Self::lookup_page)
+/// two loads however fragmented the table is — after `mbind` splinters a
+/// 64 MiB array into 16 k single-page mappings exactly as before it.
+/// Address order needs no second structure: walking the index and jumping
+/// over each mapping's pages visits the mappings in order.
+///
+/// The index spans the lowest to the highest page ever mapped at 4 bytes
+/// per 4 KiB page (0.1 % of the address span). Virtual addresses come from
+/// the machine's bump allocator, so that span is the sum of all
+/// allocations made plus their 2 MiB guard gaps; it never shrinks, and
+/// `insert` refuses a mapping that would stretch it past 2^28 pages (1 TiB
+/// of addresses, a 1 GiB index).
 #[derive(Debug, Default)]
 pub struct MappingTable {
-    map: BTreeMap<u64, Mapping>,
-    /// Last successfully used mapping (by start page), checked first.
-    cache: Option<Mapping>,
+    /// Mapping slab; vacant slots have `pages == 0` and sit on `free`.
+    slab: Vec<Mapping>,
+    free: Vec<u32>,
+    /// `index[vpage - base]` is the slab slot + 1 of the mapping covering
+    /// `vpage`, 0 where nothing is mapped.
+    index: Vec<u32>,
+    base: u64,
     /// Bumped on every structural change (insert/remove). Compiled access
     /// plans record the generation they were lowered against and are stale —
     /// and must recompile — whenever it moves.
@@ -152,76 +170,129 @@ impl MappingTable {
 
     /// Number of mappings in the table.
     pub fn len(&self) -> usize {
-        self.map.len()
+        self.slab.len() - self.free.len()
     }
 
     /// Whether the table has no mappings.
     pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
+        self.len() == 0
+    }
+
+    /// Grows the page index to span `[lo, hi)`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the index would span more than [`MAX_INDEX_PAGES`].
+    fn cover(&mut self, lo: u64, hi: u64) {
+        let (base, end) = if self.index.is_empty() {
+            (lo, hi)
+        } else {
+            (
+                lo.min(self.base),
+                hi.max(self.base + self.index.len() as u64),
+            )
+        };
+        assert!(
+            end - base <= MAX_INDEX_PAGES,
+            "mapping at vpage {lo:#x} would stretch the page index over {} pages",
+            end - base
+        );
+        if !self.index.is_empty() && base < self.base {
+            let grow = (self.base - base) as usize;
+            self.index.splice(0..0, std::iter::repeat_n(0, grow));
+        }
+        self.base = base;
+        self.index.resize((end - base) as usize, 0);
     }
 
     /// Inserts a mapping.
     ///
     /// # Panics
     ///
-    /// Panics in debug builds if the mapping overlaps an existing one.
+    /// Panics if the mapping is empty or overlaps an existing one — in
+    /// release builds too: a second mapping of a page would silently
+    /// redirect its translations.
     pub fn insert(&mut self, m: Mapping) {
-        debug_assert!(
-            self.lookup_page(m.vpage_start).is_none()
-                && self
-                    .lookup_page(m.vpage_start + m.pages as u64 - 1)
-                    .is_none(),
-            "overlapping mapping inserted"
+        assert!(m.pages > 0, "empty mapping inserted");
+        let end = m.vpage_start + m.pages as u64;
+        assert!(
+            self.walk(m.vpage_start, end - 1).next().is_none(),
+            "overlapping mapping inserted at vpage {:#x}",
+            m.vpage_start
         );
-        self.map.insert(m.vpage_start, m);
-        self.cache = Some(m);
+        self.cover(m.vpage_start, end);
+        let lo = (m.vpage_start - self.base) as usize;
+        let slot = match self.free.pop() {
+            Some(slot) => {
+                self.slab[slot as usize] = m;
+                slot
+            }
+            None => {
+                self.slab.push(m);
+                u32::try_from(self.slab.len() - 1).expect("mapping slab exceeds u32 slots")
+            }
+        };
+        self.index[lo..lo + m.pages as usize].fill(slot + 1);
         self.generation += 1;
     }
 
     /// Removes and returns the mapping starting exactly at `vpage_start`.
     pub fn remove(&mut self, vpage_start: u64) -> Option<Mapping> {
-        if let Some(c) = self.cache {
-            if c.vpage_start == vpage_start {
-                self.cache = None;
-            }
+        let m = *self.lookup_page(vpage_start)?;
+        if m.vpage_start != vpage_start {
+            return None;
         }
-        let removed = self.map.remove(&vpage_start);
-        if removed.is_some() {
-            self.generation += 1;
-        }
-        removed
+        let lo = (vpage_start - self.base) as usize;
+        let slot = self.index[lo] - 1;
+        self.index[lo..lo + m.pages as usize].fill(0);
+        self.slab[slot as usize].pages = 0;
+        self.free.push(slot);
+        self.generation += 1;
+        Some(m)
     }
 
     /// Finds the mapping containing virtual page `vpage`.
+    #[inline]
     pub fn lookup_page(&self, vpage: u64) -> Option<&Mapping> {
-        let (_, m) = self.map.range(..=vpage).next_back()?;
-        if vpage < m.vpage_start + m.pages as u64 {
-            Some(m)
-        } else {
-            None
+        match *self.index.get(vpage.wrapping_sub(self.base) as usize)? {
+            0 => None,
+            slot => Some(&self.slab[slot as usize - 1]),
         }
     }
 
-    /// Finds the mapping containing `va`, updating the lookup cache.
-    pub fn lookup(&mut self, va: VirtAddr) -> Result<Mapping> {
-        let vpage = va.page_index();
-        if let Some(c) = self.cache {
-            if vpage >= c.vpage_start && vpage < c.vpage_start + c.pages as u64 {
-                return Ok(c);
-            }
-        }
-        let m = *self.lookup_page(vpage).ok_or(HmsError::Unmapped(va))?;
-        self.cache = Some(m);
-        Ok(m)
-    }
-
-    /// Finds the mapping containing `va` without touching the lookup cache,
-    /// so concurrent readers (the per-core access engines) can share the
-    /// table behind `&self`. Callers keep their own one-entry memo instead.
-    pub fn lookup_ro(&self, va: VirtAddr) -> Result<Mapping> {
+    /// Finds the mapping containing `va`.
+    ///
+    /// # Errors
+    ///
+    /// [`HmsError::Unmapped`] if no mapping covers `va`.
+    #[inline]
+    pub fn lookup(&self, va: VirtAddr) -> Result<Mapping> {
         self.lookup_page(va.page_index())
             .copied()
             .ok_or(HmsError::Unmapped(va))
+    }
+
+    /// The mappings covering any page in `first..=last`, in address order.
+    fn walk(&self, first: u64, last: u64) -> impl Iterator<Item = &Mapping> {
+        let end = match last.checked_sub(self.base) {
+            Some(d) => d.saturating_add(1).min(self.index.len() as u64),
+            None => 0,
+        };
+        let mut i = first.saturating_sub(self.base);
+        std::iter::from_fn(move || {
+            while i < end {
+                let slot = self.index[i as usize];
+                i += 1;
+                if slot != 0 {
+                    let m = &self.slab[slot as usize - 1];
+                    // Jump over the mapping's remaining pages (never
+                    // backwards, so a corrupt index cannot stall the audit).
+                    i = i.max((m.vpage_start + m.pages as u64).saturating_sub(self.base));
+                    return Some(m);
+                }
+            }
+            None
+        })
     }
 
     /// Returns all mappings overlapping the byte range, in address order.
@@ -229,19 +300,10 @@ impl MappingTable {
         if range.len == 0 {
             return Vec::new();
         }
-        let first_page = range.start.page_index();
-        let last_page = range.end().add(0).raw().wrapping_sub(1) >> PAGE_SHIFT;
-        let mut out = Vec::new();
-        // A mapping starting before `first_page` may still cover it.
-        if let Some(m) = self.lookup_page(first_page) {
-            out.push(*m);
-        }
-        if first_page < last_page {
-            for (_, m) in self.map.range(first_page + 1..=last_page) {
-                out.push(*m);
-            }
-        }
-        out
+        let last_page = (range.end().raw() - 1) >> PAGE_SHIFT;
+        self.walk(range.start.page_index(), last_page)
+            .copied()
+            .collect()
     }
 
     /// Removes every mapping overlapping `range`, returning them.
@@ -267,13 +329,7 @@ impl MappingTable {
 
     /// Iterates over all mappings in address order.
     pub fn iter(&self) -> impl Iterator<Item = &Mapping> {
-        self.map.values()
-    }
-
-    /// Invalidate the lookup cache (after any remap that may have
-    /// changed the cached entry).
-    pub fn flush_cache(&mut self) {
-        self.cache = None;
+        self.walk(self.base, u64::MAX)
     }
 
     /// Current mapping generation. Moves on every insert or remove, so any
@@ -281,6 +337,62 @@ impl MappingTable {
     /// against an older value.
     pub fn generation(&self) -> u64 {
         self.generation
+    }
+
+    /// Structural self-check for [`Machine::audit`](crate::Machine::audit):
+    /// the page index and the slab must describe the same mappings — every
+    /// live mapping indexed on exactly its own pages, every index entry
+    /// naming a live mapping that covers it. Returns the violations found.
+    pub(crate) fn check(&self) -> Vec<String> {
+        let mut violations = Vec::new();
+        let mut live = 0usize;
+        let mut live_pages = 0usize;
+        for (slot, m) in self.slab.iter().enumerate() {
+            if m.pages == 0 {
+                continue;
+            }
+            live += 1;
+            live_pages += m.pages as usize;
+            let indexed = (m.vpage_start..m.vpage_start + m.pages as u64).all(|p| {
+                p.checked_sub(self.base)
+                    .and_then(|i| self.index.get(i as usize))
+                    .is_some_and(|&s| s as usize == slot + 1)
+            });
+            if !indexed {
+                violations.push(format!(
+                    "mapping at vpage {:#x} is not indexed on all of its pages",
+                    m.vpage_start
+                ));
+            }
+        }
+        let indexed_pages = self.index.iter().filter(|&&s| s != 0).count();
+        if indexed_pages != live_pages {
+            violations.push(format!(
+                "page index names {indexed_pages} pages, live mappings cover {live_pages}"
+            ));
+        }
+        if live + self.free.len() != self.slab.len() {
+            violations.push(format!(
+                "mapping slab drift: {live} live + {} vacant of {} slots",
+                self.free.len(),
+                self.slab.len()
+            ));
+        }
+        let walked = self.iter().count();
+        if walked != live {
+            violations.push(format!(
+                "address-order walk visits {walked} mappings, the slab holds {live}"
+            ));
+        }
+        violations
+    }
+
+    /// Points the index entry of `vpage` at nothing, leaving its mapping in
+    /// the slab (the planted fault the audit tests expect
+    /// [`check`](Self::check) to report).
+    #[cfg(test)]
+    pub(crate) fn corrupt_for_test(&mut self, vpage: u64) {
+        self.index[(vpage - self.base) as usize] = 0;
     }
 }
 
@@ -369,6 +481,8 @@ pub fn pages_to_bytes(pages: usize) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use atmem_prop::prelude::*;
+    use std::collections::BTreeMap;
 
     fn m(vpage: u64, pages: u32, frame: u32, kind: PageKind) -> Mapping {
         Mapping {
@@ -538,11 +652,232 @@ mod tests {
     }
 
     #[test]
-    fn cache_invalidation_on_remove() {
+    fn lookup_fails_after_remove() {
         let mut t = MappingTable::new();
         t.insert(m(16, 8, 100, PageKind::Base4K));
         let _ = t.lookup(VirtAddr::new(16 << PAGE_SHIFT)).unwrap();
+        assert_eq!(t.remove(17), None, "remove takes the exact start page");
         t.remove(16);
         assert!(t.lookup(VirtAddr::new(16 << PAGE_SHIFT)).is_err());
+    }
+
+    #[test]
+    #[should_panic(expected = "overlapping mapping inserted")]
+    fn enclosing_mapping_is_rejected() {
+        let mut t = MappingTable::new();
+        t.insert(m(20, 2, 100, PageKind::Base4K));
+        // Neither end page of the new mapping is mapped, only its middle: a
+        // probe of the first and last page alone would let this through.
+        t.insert(m(16, 16, 200, PageKind::Base4K));
+    }
+
+    #[test]
+    fn index_grows_below_its_first_page() {
+        let mut t = MappingTable::new();
+        t.insert(m(1000, 4, 0, PageKind::Base4K));
+        t.insert(m(10, 2, 8, PageKind::Base4K));
+        assert_eq!(t.lookup_page(11).unwrap().frame_start, 8);
+        assert_eq!(t.lookup_page(1003).unwrap().frame_start, 0);
+        assert!(t.lookup_page(9).is_none() && t.lookup_page(12).is_none());
+        let starts: Vec<u64> = t.iter().map(|m| m.vpage_start).collect();
+        assert_eq!(starts, [10, 1000]);
+        assert_eq!(t.check(), Vec::<String>::new());
+    }
+
+    #[test]
+    #[should_panic(expected = "would stretch the page index")]
+    fn stray_far_off_mapping_is_rejected() {
+        let mut t = MappingTable::new();
+        t.insert(m(0x4_0000, 4, 0, PageKind::Base4K));
+        // 4 B of index per page of the gap would be 4 TiB.
+        t.insert(m(1 << 40, 1, 8, PageKind::Base4K));
+    }
+
+    #[test]
+    fn self_check_flags_planted_faults() {
+        let mut t = MappingTable::new();
+        t.insert(m(16, 8, 100, PageKind::Base4K));
+        assert!(t.check().is_empty());
+        t.corrupt_for_test(19);
+        let violations = t.check();
+        assert!(
+            violations.iter().any(|v| v.contains("not indexed")),
+            "planted fault not reported: {violations:?}"
+        );
+    }
+
+    /// The oracle: an ordered map keyed by first page, predecessor search
+    /// per lookup.
+    #[derive(Default)]
+    struct OrderedTable {
+        map: BTreeMap<u64, Mapping>,
+        generation: u64,
+    }
+
+    impl OrderedTable {
+        fn insert(&mut self, m: Mapping) {
+            self.map.insert(m.vpage_start, m);
+            self.generation += 1;
+        }
+
+        fn remove(&mut self, vpage_start: u64) -> Option<Mapping> {
+            let removed = self.map.remove(&vpage_start);
+            self.generation += removed.is_some() as u64;
+            removed
+        }
+
+        fn lookup_page(&self, vpage: u64) -> Option<&Mapping> {
+            let (_, m) = self.map.range(..=vpage).next_back()?;
+            (vpage < m.vpage_start + m.pages as u64).then_some(m)
+        }
+
+        fn overlapping(&self, first: u64, last: u64) -> Vec<Mapping> {
+            let mut out: Vec<Mapping> = self.lookup_page(first).into_iter().copied().collect();
+            if first < last {
+                out.extend(self.map.range(first + 1..=last).map(|(_, m)| *m));
+            }
+            out
+        }
+    }
+
+    /// First page of the scripted span (2 MiB-aligned, like the machine's
+    /// allocations) and its length: four huge units.
+    const SPAN_LO: u64 = 0x4_0000;
+    const SPAN_PAGES: u64 = 4 * HUGE_PAGE_FRAMES as u64;
+
+    fn pages_range(first: u64, pages: u64) -> VirtRange {
+        VirtRange::new(
+            VirtAddr::new(first << PAGE_SHIFT),
+            (pages as usize) << PAGE_SHIFT,
+        )
+    }
+
+    /// `mbind`-style splinter of one mapping into single pages.
+    fn splinter(t: &mut MappingTable, o: &mut OrderedTable, old: Mapping) {
+        assert_eq!(t.remove(old.vpage_start), o.remove(old.vpage_start));
+        for p in 0..old.pages {
+            let page = m(
+                old.vpage_start + p as u64,
+                1,
+                old.frame_start + p,
+                PageKind::Base4K,
+            );
+            t.insert(page);
+            o.insert(page);
+        }
+    }
+
+    /// Applies one scripted operation to both tables. `a`, `b` pick pages
+    /// or mappings; every branch leaves the two tables describing the same
+    /// mappings or the comparison after the step fails.
+    fn apply(t: &mut MappingTable, o: &mut OrderedTable, op: u32, a: u64, b: u64) {
+        let nth = |o: &OrderedTable, pick: u64| -> Option<Mapping> {
+            let n = o.map.len() as u64;
+            (n > 0).then(|| *o.map.values().nth((pick % n) as usize).unwrap())
+        };
+        match op {
+            // Insert a mapping where the span is free: a whole huge unit,
+            // or a short base run.
+            0..=2 => {
+                let unit = HUGE_PAGE_FRAMES as u64;
+                let new = if op == 0 {
+                    let start = SPAN_LO + (a % 4) * unit;
+                    m(start, unit as u32, a as u32, PageKind::Huge2M)
+                } else {
+                    let start = SPAN_LO + a % SPAN_PAGES;
+                    let pages = (1 + b % 40).min(SPAN_LO + SPAN_PAGES - start);
+                    m(start, pages as u32, b as u32, PageKind::Base4K)
+                };
+                let last = new.vpage_start + new.pages as u64 - 1;
+                if o.overlapping(new.vpage_start, last).is_empty() {
+                    t.insert(new);
+                    o.insert(new);
+                }
+            }
+            // Remove by an arbitrary page: only exact starts succeed.
+            3 => {
+                let page = SPAN_LO + a % SPAN_PAGES;
+                assert_eq!(t.remove(page), o.remove(page));
+            }
+            4 => {
+                if let Some(victim) = nth(o, a) {
+                    assert_eq!(t.remove(victim.vpage_start), o.remove(victim.vpage_start));
+                }
+            }
+            // Split a mapping as `Machine::split_mappings_at` does.
+            5..=6 => {
+                if let Some(old) = nth(o, a).filter(|m| m.pages > 1) {
+                    let at = old.vpage_start + 1 + b % (old.pages as u64 - 1);
+                    let (left, right) = split_mapping(&old, at);
+                    assert_eq!(t.remove(old.vpage_start), o.remove(old.vpage_start));
+                    for piece in left.into_iter().chain(right) {
+                        t.insert(piece);
+                        o.insert(piece);
+                    }
+                }
+            }
+            7 => {
+                if let Some(old) = nth(o, a) {
+                    splinter(t, o, old);
+                }
+            }
+            // Take every mapping between two existing ones.
+            _ => {
+                if let (Some(x), Some(y)) = (nth(o, a), nth(o, b)) {
+                    let (x, y) = if x.vpage_start <= y.vpage_start {
+                        (x, y)
+                    } else {
+                        (y, x)
+                    };
+                    let end = y.vpage_start + y.pages as u64;
+                    let want = o.overlapping(x.vpage_start, end - 1);
+                    for w in &want {
+                        o.remove(w.vpage_start);
+                    }
+                    let got = t.take_overlapping(pages_range(x.vpage_start, end - x.vpage_start));
+                    assert_eq!(got, want);
+                }
+            }
+        }
+    }
+
+    fn assert_same(t: &MappingTable, o: &OrderedTable, a: u64, b: u64) {
+        for page in SPAN_LO - 2..SPAN_LO + SPAN_PAGES + 2 {
+            assert_eq!(t.lookup_page(page), o.lookup_page(page), "page {page:#x}");
+        }
+        let first = SPAN_LO - 2 + a % (SPAN_PAGES + 4);
+        let pages = 1 + b % (SPAN_PAGES + 4);
+        assert_eq!(
+            t.overlapping(pages_range(first, pages)),
+            o.overlapping(first, first + pages - 1),
+            "overlapping {first:#x}+{pages}"
+        );
+        assert_eq!(t.generation(), o.generation);
+        assert_eq!(t.len(), o.map.len());
+        assert!(t.iter().eq(o.map.values()), "address-order iteration");
+        assert_eq!(t.check(), Vec::<String>::new());
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        #[test]
+        fn matches_the_ordered_map_oracle(
+            script in prop::collection::vec((0u32..10, 0u64..1 << 20, 0u64..1 << 20), 1..120),
+        ) {
+            let mut t = MappingTable::new();
+            let mut o = OrderedTable::default();
+            for &(op, a, b) in &script {
+                apply(&mut t, &mut o, op, a, b);
+                assert_same(&t, &o, a, b);
+            }
+            // An `mbind`-style splinter of everything that is left.
+            let all: Vec<Mapping> = o.map.values().copied().collect();
+            for old in all {
+                splinter(&mut t, &mut o, old);
+            }
+            assert_same(&t, &o, 0, SPAN_PAGES);
+            prop_assert!(t.iter().all(|m| m.pages == 1));
+        }
     }
 }

@@ -265,7 +265,7 @@ impl CoreHandle<'_> {
                         m
                     }
                     _ => {
-                        let m = self.mappings.lookup_ro(va)?;
+                        let m = self.mappings.lookup(va)?;
                         memo = Some(m);
                         m
                     }
@@ -423,9 +423,9 @@ impl CoreHandle<'_> {
             // `group_elems`).
             let pay_walk = if r.group_elems > 0 {
                 if tlb_pending > 0 {
-                    self.core.tlb.window_settle(cur_key, tlb_pending);
+                    self.core.tlb.rehit(cur_key, tlb_pending);
                 }
-                let tlb_hit = self.core.tlb.window_access_run(r.key, per_elem);
+                let tlb_hit = self.core.tlb.access_run(r.key, per_elem);
                 tlb_pending = (r.group_elems as usize - 1) * per_elem;
                 cur_key = r.key;
                 !tlb_hit
@@ -499,7 +499,7 @@ impl CoreHandle<'_> {
         }
 
         if tlb_pending > 0 {
-            self.core.tlb.window_settle(cur_key, tlb_pending);
+            self.core.tlb.rehit(cur_key, tlb_pending);
         }
         if pending_reads + pending_writes > 0 {
             self.core
@@ -538,7 +538,7 @@ impl CoreHandle<'_> {
         let mut va = range.start;
         let end = range.end();
         while va < end {
-            let mapping = self.mappings.lookup_ro(va)?;
+            let mapping = self.mappings.lookup(va)?;
             let chunk_end = mapping.vrange().end().min(end);
             let chunk_len = chunk_end.offset_from(va) as usize;
             let (frame, offset) = mapping.translate(va);

@@ -115,10 +115,6 @@ pub struct CoreCtx {
     pub(crate) pebs: Pebs,
     pub(crate) tracer: Tracer,
     pub(crate) counters: Counters,
-    /// One-entry memo over the shared mapping table (the per-core analogue
-    /// of [`MappingTable`]'s internal lookup cache, which cores cannot
-    /// share behind `&self`).
-    pub(crate) map_memo: Option<Mapping>,
 }
 
 impl CoreCtx {
@@ -132,7 +128,6 @@ impl CoreCtx {
             pebs: Pebs::new(pebs_seed),
             tracer: Tracer::new(trace_capacity),
             counters: Counters::default(),
-            map_memo: None,
         }
     }
 
@@ -148,7 +143,6 @@ impl CoreCtx {
             pebs: self.pebs.fork(core_id),
             tracer: self.tracer.fork(),
             counters: Counters::default(),
-            map_memo: None,
         }
     }
 
@@ -297,28 +291,13 @@ impl<'a> CoreHandle<'a> {
         self.core.clock.now()
     }
 
-    /// Finds the mapping containing `va` through the core-private one-entry
-    /// memo, falling back to the shared table.
-    #[inline]
-    fn lookup(&mut self, va: VirtAddr) -> Result<Mapping> {
-        let vpage = va.page_index();
-        if let Some(m) = self.core.map_memo {
-            if vpage >= m.vpage_start && vpage < m.vpage_start + m.pages as u64 {
-                return Ok(m);
-            }
-        }
-        let m = self.mappings.lookup_ro(va)?;
-        self.core.map_memo = Some(m);
-        Ok(m)
-    }
-
     /// Performs an accounted access of `len` bytes at `va` and returns the
     /// (tier, storage offset) servicing it. The access must not cross a
     /// page boundary (guaranteed for naturally aligned scalars).
     #[inline]
     fn access(&mut self, va: VirtAddr, len: usize, write: bool) -> Result<(TierId, usize)> {
         debug_assert!(len > 0 && va.page_offset() + len <= PAGE_SIZE);
-        let mapping = self.lookup(va)?;
+        let mapping = self.mappings.lookup(va)?;
         self.core.counters.accesses += 1;
         if write {
             self.core.counters.writes += 1;
@@ -406,7 +385,7 @@ impl<'a> CoreHandle<'a> {
         f: impl FnOnce(T) -> T,
     ) -> Result<T> {
         debug_assert!(va.page_offset() + T::SIZE <= PAGE_SIZE);
-        let mapping = self.lookup(va)?;
+        let mapping = self.mappings.lookup(va)?;
         self.core.counters.accesses += 2;
         self.core.counters.reads += 1;
         self.core.counters.writes += 1;
@@ -470,7 +449,7 @@ impl<'a> CoreHandle<'a> {
     ///
     /// [`HmsError::Unmapped`] if `va` is not mapped.
     pub fn peek<T: Scalar>(&mut self, va: VirtAddr) -> Result<T> {
-        let mapping = self.lookup(va)?;
+        let mapping = self.mappings.lookup(va)?;
         let (frame, offset) = mapping.translate(va);
         let bytes = self
             .tiers
@@ -485,7 +464,7 @@ impl<'a> CoreHandle<'a> {
     ///
     /// [`HmsError::Unmapped`] if `va` is not mapped.
     pub fn poke<T: Scalar>(&mut self, va: VirtAddr, value: T) -> Result<()> {
-        let mapping = self.lookup(va)?;
+        let mapping = self.mappings.lookup(va)?;
         let (frame, offset) = mapping.translate(va);
         let bytes = self
             .tiers
@@ -569,7 +548,7 @@ impl<'a> CoreHandle<'a> {
     /// inside one TLB translation unit, which sits inside one mapping, a
     /// same-line element is a guaranteed TLB hit and a guaranteed LLC hit
     /// in the scalar loop; the engine therefore defers those bumps (counts
-    /// per structure) and flushes them — via [`Tlb::window_settle`] and
+    /// per structure) and flushes them — via [`Tlb::rehit`] and
     /// [`Cache::window_settle`] — immediately before the next *real* probe
     /// of that structure, before returning an error, and at window end.
     /// Between flush points no other TLB/LLC operation happens, so the
@@ -577,11 +556,11 @@ impl<'a> CoreHandle<'a> {
     /// decision is made on exactly the state the scalar loop would have
     /// had. The TLB run additionally extends across lines while the
     /// translation key is unchanged (keys are location-unique), and key
-    /// *changes* probe through the TLB's window side-memo
-    /// ([`Tlb::window_access_run`]); line changes probe through the LLC's
-    /// window side-memo ([`Cache::window_access_slot`]), which skips the
-    /// per-set tag scan for recently probed lines and defers their LRU
-    /// re-stamps until the next eviction decision in that set. Clock,
+    /// *changes* are plain [`Tlb::access_run`] probes; line changes probe
+    /// through the LLC's window side-memo
+    /// ([`Cache::window_access_slot`]), which skips the per-set tag scan
+    /// for recently probed lines and defers their LRU re-stamps until the
+    /// next eviction decision in that set. Clock,
     /// counters, PEBS and trace records are still charged per element, in
     /// order, with the identical f64 cost composition — so all simulated
     /// state ends bit-identical to the scalar loop.
@@ -703,7 +682,7 @@ impl<'a> CoreHandle<'a> {
             let vpage = va.page_index();
             let mapping = match cur {
                 Some(m) if vpage >= m.vpage_start && vpage < m.vpage_start + m.pages as u64 => m,
-                _ => match self.lookup(va) {
+                _ => match self.mappings.lookup(va) {
                     Ok(m) => {
                         cur = Some(m);
                         m
@@ -712,7 +691,7 @@ impl<'a> CoreHandle<'a> {
                         // Flush deferred bumps so partial state matches the
                         // scalar loop's at the failing element.
                         if tlb_pending > 0 {
-                            self.core.tlb.window_settle(run_key, tlb_pending);
+                            self.core.tlb.rehit(run_key, tlb_pending);
                         }
                         if pending_reads + pending_writes > 0 {
                             self.core
@@ -747,10 +726,10 @@ impl<'a> CoreHandle<'a> {
                 false
             } else {
                 if tlb_pending > 0 {
-                    self.core.tlb.window_settle(run_key, tlb_pending);
+                    self.core.tlb.rehit(run_key, tlb_pending);
                     tlb_pending = 0;
                 }
-                let tlb_hit = self.core.tlb.window_access_run(key, tlb_per_elem);
+                let tlb_hit = self.core.tlb.access_run(key, tlb_per_elem);
                 run_key = key;
                 run_key_valid = true;
                 !tlb_hit
@@ -837,11 +816,11 @@ impl<'a> CoreHandle<'a> {
             data(k, bytes);
         }
 
-        // Window end: flush whatever is still deferred. The TLB and LLC
-        // memos' re-stamps stay deferred across windows; any non-window
-        // operation settles them.
+        // Window end: flush whatever is still deferred. The LLC memo's
+        // re-stamps stay deferred across windows; any non-window operation
+        // settles them.
         if tlb_pending > 0 {
-            self.core.tlb.window_settle(run_key, tlb_pending);
+            self.core.tlb.rehit(run_key, tlb_pending);
         }
         if pending_reads + pending_writes > 0 {
             self.core
@@ -897,7 +876,7 @@ impl<'a> CoreHandle<'a> {
         let mut va = range.start;
         let end = range.end();
         while va < end {
-            let mapping = self.lookup(va)?;
+            let mapping = self.mappings.lookup(va)?;
             let chunk_end = mapping.vrange().end().min(end);
             let chunk_len = chunk_end.offset_from(va) as usize;
             let chunk_elems = (chunk_len / elem) as u64;
