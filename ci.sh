@@ -22,17 +22,20 @@ cargo build --release
 echo "==> tier-1: cargo test -q"
 cargo test -q
 
-echo "==> release-mode soundness (window bounds, u32 guards, mapping overlap stay hard checks)"
-# The window engine's bounds and index-width guards and the mapping
-# table's overlap guard are plain asserts, not debug_assert!: they must
-# fire in optimized builds too, where an out-of-range index would
-# otherwise silently alias another element and a second mapping of a page
-# would silently redirect its translations. Run the regression tests under
-# --release so a future debug_assert! demotion fails CI instead of
-# shipping.
+echo "==> release-mode soundness (window bounds, u32 guards, mapping overlap, LLC geometry and tag width stay hard checks)"
+# The window engine's bounds and index-width guards, the mapping table's
+# overlap guard and the LLC's associativity and tag-width guards are plain
+# asserts, not debug_assert!: they must fire in optimized builds too, where
+# an out-of-range index would otherwise silently alias another element, a
+# second mapping of a page would silently redirect its translations, and a
+# truncated LLC tag would silently alias another line. Run the regression
+# tests under --release so a future debug_assert! demotion fails CI instead
+# of shipping.
 cargo test -q --release -p atmem-hms window_bounds_check_is_a_hard_check
 cargo test -q --release -p atmem-hms windows_beyond_u32_index_range_are_rejected
 cargo test -q --release -p atmem-hms enclosing_mapping_is_rejected
+cargo test -q --release -p atmem-hms assoc_above_16_is_rejected
+cargo test -q --release -p atmem-hms oversized_line_tag_is_rejected
 
 echo "==> plan-vs-window bit-identity property sweep"
 # Random access programs (sweeps, gathers, scatters, non-commutative
@@ -94,12 +97,17 @@ echo "==> bench smoke (mode-equivalence + core-sweep invariance, no timing gates
 # checksum, counters and simulated clock must be bit-identical, which is
 # the plan-vs-window equivalence gate on every push — and the --cores
 # {1,2,4} checksum-invariance of PR, SpMV and the frontier-sharded
-# traversal kernels (BFS, SSSP, BC) — plus the translation micro-section
-# (TLB thrash, contiguous vs mbind-splintered get), shortened and with its
-# shape gates off. The smoke snapshot goes to target/
-# so it never clobbers the committed full-run baseline at the repo root
-# (refresh that one deliberately with `cargo bench --bench kernels`).
-cargo bench -p atmem-bench --bench kernels -- --smoke --json target/BENCH_kernels_smoke.json
+# traversal kernels (BFS, SSSP, BC) — plus the translation and llc
+# micro-sections (TLB thrash, contiguous vs mbind-splintered get, LLC
+# probe at three hit ratios), shortened and with their shape gates off.
+# The smoke snapshot goes to target/ so it never clobbers the committed
+# full-run baseline at the repo root (refresh that one deliberately with
+# `cargo bench --bench kernels`). The path is absolute because cargo runs
+# the bench from crates/bench, not from here.
+smoke_json="$PWD/target/BENCH_kernels_smoke.json"
+rm -f "$smoke_json"
+cargo bench -p atmem-bench --bench kernels -- --smoke --json "$smoke_json"
+test -s "$smoke_json" || { echo "bench smoke wrote no snapshot at $smoke_json" >&2; exit 1; }
 
 echo "==> repo benchmark smoke (every BENCHMARK.json metric reported once, finite, with its unit)"
 # Every workload on shrunk graphs with k = 1 (~9 s): fails unless

@@ -1540,16 +1540,17 @@ impl Machine {
     ///    live allocation;
     /// 5. every TLB entry decodes to a live mapping of matching
     ///    granularity (no stale entries after remaps or splinters), the
-    ///    TLB's recency list and hash index describe the same entries, and
-    ///    the mapping table's page index agrees with its mappings;
+    ///    TLB's recency list and hash index describe the same entries, the
+    ///    mapping table's page index agrees with its mappings, and every
+    ///    LLC set's recency word orders exactly its ways (empty ways first);
     /// 6. every resident LLC line references an allocated frame;
     /// 7. monotone counters (time, accesses, hit/miss totals, migrated
     ///    bytes) never run backwards between audits;
     /// 8. the incremental residency cache (per-allocation and per-tag
     ///    resident-byte counters) matches a full mapping rescan.
     ///
-    /// Needs `&mut self` only to settle the LLC window memo and to store
-    /// the counter snapshot for the next monotonicity check.
+    /// Needs `&mut self` only to store the counter snapshot for the next
+    /// monotonicity check.
     pub fn audit(&mut self) -> Vec<String> {
         let mut violations: Vec<String> = Vec::new();
         let coalesce = self.platform.tlb_coalesce.max(1) as u64;
@@ -1691,10 +1692,11 @@ impl Machine {
             }
         }
 
-        // Invariant 5: the translation structures are self-consistent and
-        // TLB entries decode to live mappings.
+        // Invariant 5: the translation structures and the LLC are
+        // self-consistent and TLB entries decode to live mappings.
         violations.extend(self.mappings.check());
         violations.extend(self.core.tlb.check());
+        violations.extend(self.core.llc.check());
         for key in self.core.tlb.keys() {
             let value = key >> 2;
             let stale = match key & 3 {
@@ -2530,6 +2532,20 @@ mod tests {
         assert!(
             violations.iter().any(|v| v.contains("not hashed")),
             "corrupt TLB index not reported: {violations:#?}"
+        );
+    }
+
+    #[test]
+    fn audit_flags_a_corrupt_llc_order() {
+        let mut m = machine();
+        let r = m.alloc(64 * 1024, Placement::Slow).unwrap();
+        let _ = m.read::<u64>(r.start).unwrap();
+        assert_clean(&mut m);
+        m.core.llc.corrupt_for_test();
+        let violations = m.audit();
+        assert!(
+            violations.iter().any(|v| v.contains("not a permutation")),
+            "corrupt LLC recency word not reported: {violations:#?}"
         );
     }
 

@@ -411,9 +411,6 @@ impl CoreHandle<'_> {
 
         let mut cur_key = 0u64;
         let mut tlb_pending = 0usize;
-        let mut cur_slot = 0usize;
-        let mut pending_reads = 0u64;
-        let mut pending_writes = 0u64;
         let mut k = 0usize;
 
         for r in &plan.runs {
@@ -433,20 +430,20 @@ impl CoreHandle<'_> {
                 false
             };
 
-            // LLC: settle the previous line's deferred touches, probe the
-            // new line — the same call sequence as the window engine.
-            if pending_reads + pending_writes > 0 {
-                self.core
-                    .llc
-                    .window_settle(cur_slot, pending_reads, pending_writes);
-                pending_reads = 0;
-                pending_writes = 0;
+            // LLC: probe the line, then count the run's other touches — all
+            // guaranteed hits on the line just probed, which the window
+            // engine flushes before its next probe; they only move
+            // counters, so charging them here is the same.
+            let (outcome, slot) = self.core.llc.access_slot(PhysAddr::new(r.pa), write_probe);
+            let rest = (r.count - 1) as u64;
+            let (reads, writes) = match OP {
+                OP_READ => (rest, 0),
+                OP_WRITE => (0, rest),
+                _ => (rest, rest + 1),
+            };
+            if reads + writes > 0 {
+                self.core.llc.rehit_run(slot, reads, writes);
             }
-            let (outcome, slot) = self
-                .core
-                .llc
-                .window_access_slot(PhysAddr::new(r.pa), write_probe);
-            cur_slot = slot;
 
             // First element of the run: scalar cost composition. PEBS is
             // asserted disabled, so the engine's `on_read_miss` would be a
@@ -462,21 +459,10 @@ impl CoreHandle<'_> {
             }
             self.core.clock.advance(cost);
             if OP == OP_RMW {
-                pending_writes += 1;
                 self.core.clock.advance(rest_cost);
             }
 
-            // Remaining elements: guaranteed hits, deferred exactly as the
-            // engine defers them, one clock advance each (two for RMW).
-            let rest = (r.count - 1) as u64;
-            match OP {
-                OP_READ => pending_reads += rest,
-                OP_WRITE => pending_writes += rest,
-                _ => {
-                    pending_reads += rest;
-                    pending_writes += rest;
-                }
-            }
+            // Remaining elements: one clock advance each (two for RMW).
             for _ in 0..rest {
                 self.core.clock.advance(rest_cost);
                 if OP == OP_RMW {
@@ -500,11 +486,6 @@ impl CoreHandle<'_> {
 
         if tlb_pending > 0 {
             self.core.tlb.rehit(cur_key, tlb_pending);
-        }
-        if pending_reads + pending_writes > 0 {
-            self.core
-                .llc
-                .window_settle(cur_slot, pending_reads, pending_writes);
         }
     }
 

@@ -415,9 +415,9 @@ impl<'a> CoreHandle<'a> {
         }
         self.core.clock.advance(cost);
 
-        // Write half: a guaranteed hit on the just-filled line, so the tag
-        // scan is skipped.
-        self.core.llc.rehit(slot, true);
+        // Write half: a guaranteed hit on the just-probed line, which is
+        // already its set's most recently used way — a counter bump.
+        self.core.llc.rehit_run(slot, 0, 1);
         let mut wcost = SimDuration::ZERO;
         wcost += self.platform.cost.hit_cost();
         self.core.clock.advance(wcost);
@@ -549,21 +549,20 @@ impl<'a> CoreHandle<'a> {
     /// same-line element is a guaranteed TLB hit and a guaranteed LLC hit
     /// in the scalar loop; the engine therefore defers those bumps (counts
     /// per structure) and flushes them — via [`Tlb::rehit`] and
-    /// [`Cache::window_settle`] — immediately before the next *real* probe
+    /// [`Cache::rehit_run`] — immediately before the next *real* probe
     /// of that structure, before returning an error, and at window end.
     /// Between flush points no other TLB/LLC operation happens, so the
-    /// deferred bumps commute with nothing and every replacement / sampling
-    /// decision is made on exactly the state the scalar loop would have
-    /// had. The TLB run additionally extends across lines while the
-    /// translation key is unchanged (keys are location-unique), and key
-    /// *changes* are plain [`Tlb::access_run`] probes; line changes probe
-    /// through the LLC's window side-memo
-    /// ([`Cache::window_access_slot`]), which skips the per-set tag scan
-    /// for recently probed lines and defers their LRU re-stamps until the
-    /// next eviction decision in that set. Clock,
-    /// counters, PEBS and trace records are still charged per element, in
-    /// order, with the identical f64 cost composition — so all simulated
-    /// state ends bit-identical to the scalar loop.
+    /// entry being re-touched is still the most recently used one of its
+    /// structure: re-touching it moves nothing but the hit counters, and
+    /// every replacement / sampling decision is made on exactly the state
+    /// the scalar loop would have had. The TLB run additionally extends
+    /// across lines while the translation key is unchanged (keys are
+    /// location-unique). Key changes and line changes are plain
+    /// [`Tlb::access_run`] / [`Cache::access_slot`] probes — neither
+    /// structure keeps window-private state. Clock, counters, PEBS and
+    /// trace records are still charged per element, in order, with the
+    /// identical f64 cost composition — so all simulated state ends
+    /// bit-identical to the scalar loop.
     ///
     /// `data` is invoked once per element, in order, on the element's
     /// backing storage bytes (after accounting).
@@ -696,7 +695,7 @@ impl<'a> CoreHandle<'a> {
                         if pending_reads + pending_writes > 0 {
                             self.core
                                 .llc
-                                .window_settle(cur_slot, pending_reads, pending_writes);
+                                .rehit_run(cur_slot, pending_reads, pending_writes);
                         }
                         return Err(e);
                     }
@@ -736,18 +735,17 @@ impl<'a> CoreHandle<'a> {
             };
 
             // LLC: flush the deferred same-line touches, then probe the new
-            // line through the window side-memo on exactly the state the
-            // scalar loop would have had.
+            // line on exactly the state the scalar loop would have had.
             if pending_reads + pending_writes > 0 {
                 self.core
                     .llc
-                    .window_settle(cur_slot, pending_reads, pending_writes);
+                    .rehit_run(cur_slot, pending_reads, pending_writes);
                 pending_reads = 0;
                 pending_writes = 0;
             }
             let (frame, offset) = mapping.translate(va);
             let pa = frame.phys_addr(offset).line_aligned();
-            let (outcome, slot) = self.core.llc.window_access_slot(pa, write_probe);
+            let (outcome, slot) = self.core.llc.access_slot(pa, write_probe);
             let hit = outcome.is_hit();
             cur_slot = slot;
             cur_vline = vline;
@@ -816,16 +814,14 @@ impl<'a> CoreHandle<'a> {
             data(k, bytes);
         }
 
-        // Window end: flush whatever is still deferred. The LLC memo's
-        // re-stamps stay deferred across windows; any non-window operation
-        // settles them.
+        // Window end: flush whatever is still deferred.
         if tlb_pending > 0 {
             self.core.tlb.rehit(run_key, tlb_pending);
         }
         if pending_reads + pending_writes > 0 {
             self.core
                 .llc
-                .window_settle(cur_slot, pending_reads, pending_writes);
+                .rehit_run(cur_slot, pending_reads, pending_writes);
         }
         Ok(())
     }
