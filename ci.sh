@@ -37,14 +37,19 @@ cargo test -q --release -p atmem-hms enclosing_mapping_is_rejected
 cargo test -q --release -p atmem-hms assoc_above_16_is_rejected
 cargo test -q --release -p atmem-hms oversized_line_tag_is_rejected
 
-echo "==> plan-vs-window bit-identity property sweep"
+echo "==> access-ladder guard (the compiled-plan rung stays deleted)"
+# PR 15 removed the fourth access rung; any of its names coming back under
+# crates/, tests/ or examples/ fails the gate.
+if grep -rlE 'WindowPlan|SweepPlan|_planned\b|plan_ready|run_plan_|AccessMode::Planned' crates tests examples; then echo "the compiled-plan rung is back in the files above" >&2; exit 1; fi
+
+echo "==> engines-vs-scalar bit-identity property sweep"
 # Random access programs (sweeps, gathers, scatters, non-commutative
-# updates, mid-run migrations, PEBS/trace toggles) through the window
-# engine and the compiled-plan path must agree on every read buffer,
-# counter, the simulated clock, the PEBS/trace streams and the data
-# image. Already part of tier-1 above; dedicated step so a plan-tier
-# divergence is named in CI output (ATMEM_PROP_CASES widens it).
-ATMEM_PROP_CASES="${ATMEM_PROP_CASES:-8}" cargo test -q -p atmem-bench --test plan_prop
+# updates, mid-run migrations, PEBS/trace toggles) through the block and
+# window engines and through per-element get/set loops must agree on
+# every read buffer, counter, the simulated clock, the PEBS/trace streams
+# and the data image. Already part of tier-1 above; dedicated step so an
+# engine divergence is named in CI output (ATMEM_PROP_CASES widens it).
+ATMEM_PROP_CASES="${ATMEM_PROP_CASES:-8}" cargo test -q -p atmem-bench --test access_prop
 
 echo "==> fault-injection smoke (set ATMEM_PROP_CASES to widen the sweep)"
 # Quick pass over the fault-injection property harness: a handful of
@@ -93,9 +98,8 @@ echo "==> analyzer-quality smoke (learned vs paper placement gates)"
 cargo test -q --release -p atmem-bench --test analyzer_quality
 
 echo "==> bench smoke (mode-equivalence + core-sweep invariance, no timing gates)"
-# Covers the kernels' three-way Scalar/Bulk/Planned equivalence —
-# checksum, counters and simulated clock must be bit-identical, which is
-# the plan-vs-window equivalence gate on every push — and the --cores
+# Covers the kernels' two-way Scalar/Bulk equivalence — checksum,
+# counters and simulated clock must be bit-identical — and the --cores
 # {1,2,4} checksum-invariance of PR, SpMV and the frontier-sharded
 # traversal kernels (BFS, SSSP, BC) — plus the translation and llc
 # micro-sections (TLB thrash, contiguous vs mbind-splintered get, LLC

@@ -12,7 +12,10 @@
 //! window engine for irregular index windows — which produce bit-identical
 //! simulated state to [`AccessMode::Scalar`]'s per-element loops (the
 //! fidelity guarantee of `Machine::access_block` and
-//! `Machine::access_window`), at a fraction of the host cost.
+//! `Machine::access_window`), at a fraction of the host cost. Those are
+//! the three rungs of the access ladder — scalar oracle, block engine,
+//! window engine — and there is exactly one `MemCtx` method per operation;
+//! the mode, not the call site, picks the rung.
 //!
 //! ## Sharded execution
 //!
@@ -31,7 +34,7 @@
 //! `Machine::run_cores` guarantees is bit-identical to the pre-sharding
 //! engine.
 
-use atmem_hms::{Machine, MemPort, Scalar, SweepPlan, TrackedVec, WindowPlan};
+use atmem_hms::{Machine, MemPort, Scalar, TrackedVec};
 
 /// How a kernel's accesses are driven through the simulator.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -41,14 +44,6 @@ pub enum AccessMode {
     /// Batched accesses through the bulk fast paths.
     #[default]
     Bulk,
-    /// Like [`Bulk`](AccessMode::Bulk), but kernels that declare whole
-    /// iteration spaces through the `*_planned` helpers additionally cache
-    /// compiled per-tier run plans (`atmem_hms::plan`) and replay them while
-    /// the mapping table is unchanged. Falls back to the window/block
-    /// engines whenever per-access detail is observable (PEBS, tracing,
-    /// fault plans) or a plan goes stale; simulated state is bit-identical
-    /// to `Bulk` in every case.
-    Planned,
 }
 
 /// Accessor context handed to kernels: a memory port plus the access mode
@@ -133,7 +128,7 @@ impl<'a, M: MemPort> MemCtx<'a, M> {
     #[inline]
     pub fn update<T: Scalar>(&mut self, v: &TrackedVec<T>, i: usize, f: impl FnOnce(T) -> T) -> T {
         match self.mode {
-            AccessMode::Bulk | AccessMode::Planned => v.update(self.machine, i, f),
+            AccessMode::Bulk => v.update(self.machine, i, f),
             AccessMode::Scalar => {
                 let old = v.get(self.machine, i);
                 v.set(self.machine, i, f(old));
@@ -149,7 +144,7 @@ impl<'a, M: MemPort> MemCtx<'a, M> {
             return;
         }
         match self.mode {
-            AccessMode::Bulk | AccessMode::Planned => v.read_slice(self.machine, start, out),
+            AccessMode::Bulk => v.read_slice(self.machine, start, out),
             AccessMode::Scalar => {
                 for (k, slot) in out.iter_mut().enumerate() {
                     *slot = v.get(self.machine, start + k);
@@ -165,7 +160,7 @@ impl<'a, M: MemPort> MemCtx<'a, M> {
             return;
         }
         match self.mode {
-            AccessMode::Bulk | AccessMode::Planned => v.write_slice(self.machine, start, values),
+            AccessMode::Bulk => v.write_slice(self.machine, start, values),
             AccessMode::Scalar => {
                 for (k, &value) in values.iter().enumerate() {
                     v.set(self.machine, start + k, value);
@@ -181,7 +176,7 @@ impl<'a, M: MemPort> MemCtx<'a, M> {
             return;
         }
         match self.mode {
-            AccessMode::Bulk | AccessMode::Planned => v.gather(self.machine, indices, out),
+            AccessMode::Bulk => v.gather(self.machine, indices, out),
             AccessMode::Scalar => {
                 for (&i, slot) in indices.iter().zip(out.iter_mut()) {
                     *slot = v.get(self.machine, i as usize);
@@ -197,7 +192,7 @@ impl<'a, M: MemPort> MemCtx<'a, M> {
             return;
         }
         match self.mode {
-            AccessMode::Bulk | AccessMode::Planned => v.scatter(self.machine, indices, values),
+            AccessMode::Bulk => v.scatter(self.machine, indices, values),
             AccessMode::Scalar => {
                 for (&i, &value) in indices.iter().zip(values.iter()) {
                     v.set(self.machine, i as usize, value);
@@ -219,7 +214,7 @@ impl<'a, M: MemPort> MemCtx<'a, M> {
             return;
         }
         match self.mode {
-            AccessMode::Bulk | AccessMode::Planned => v.gather_update(self.machine, indices, f),
+            AccessMode::Bulk => v.gather_update(self.machine, indices, f),
             AccessMode::Scalar => {
                 for (k, &i) in indices.iter().enumerate() {
                     let i = i as usize;
@@ -227,99 +222,6 @@ impl<'a, M: MemPort> MemCtx<'a, M> {
                     v.set(self.machine, i, f(k, old));
                 }
             }
-        }
-    }
-
-    /// [`gather`](MemCtx::gather) with a caller-owned plan slot: in
-    /// [`AccessMode::Planned`] the window is compiled once into `slot` and
-    /// replayed while the mapping table and indices are unchanged; other
-    /// modes ignore `slot` and take their usual path. Simulated state is
-    /// bit-identical across all modes.
-    pub fn gather_planned<T: Scalar>(
-        &mut self,
-        v: &TrackedVec<T>,
-        slot: &mut Option<WindowPlan>,
-        indices: &[u32],
-        out: &mut [T],
-    ) {
-        if indices.is_empty() {
-            return;
-        }
-        match self.mode {
-            AccessMode::Planned => v.gather_planned(self.machine, slot, indices, out),
-            _ => self.gather(v, indices, out),
-        }
-    }
-
-    /// [`scatter`](MemCtx::scatter) with a caller-owned plan slot (see
-    /// [`gather_planned`](MemCtx::gather_planned)).
-    pub fn scatter_planned<T: Scalar>(
-        &mut self,
-        v: &TrackedVec<T>,
-        slot: &mut Option<WindowPlan>,
-        indices: &[u32],
-        values: &[T],
-    ) {
-        if indices.is_empty() {
-            return;
-        }
-        match self.mode {
-            AccessMode::Planned => v.scatter_planned(self.machine, slot, indices, values),
-            _ => self.scatter(v, indices, values),
-        }
-    }
-
-    /// [`gather_update`](MemCtx::gather_update) with a caller-owned plan
-    /// slot (see [`gather_planned`](MemCtx::gather_planned)).
-    pub fn gather_update_planned<T: Scalar>(
-        &mut self,
-        v: &TrackedVec<T>,
-        slot: &mut Option<WindowPlan>,
-        indices: &[u32],
-        f: impl FnMut(usize, T) -> T,
-    ) {
-        if indices.is_empty() {
-            return;
-        }
-        match self.mode {
-            AccessMode::Planned => v.gather_update_planned(self.machine, slot, indices, f),
-            _ => self.gather_update(v, indices, f),
-        }
-    }
-
-    /// [`read_run`](MemCtx::read_run) with a caller-owned sweep-plan slot
-    /// (see [`gather_planned`](MemCtx::gather_planned)).
-    pub fn read_run_planned<T: Scalar>(
-        &mut self,
-        v: &TrackedVec<T>,
-        slot: &mut Option<SweepPlan>,
-        start: usize,
-        out: &mut [T],
-    ) {
-        if out.is_empty() {
-            return;
-        }
-        match self.mode {
-            AccessMode::Planned => v.read_slice_planned(self.machine, slot, start, out),
-            _ => self.read_run(v, start, out),
-        }
-    }
-
-    /// [`write_run`](MemCtx::write_run) with a caller-owned sweep-plan slot
-    /// (see [`gather_planned`](MemCtx::gather_planned)).
-    pub fn write_run_planned<T: Scalar>(
-        &mut self,
-        v: &TrackedVec<T>,
-        slot: &mut Option<SweepPlan>,
-        start: usize,
-        values: &[T],
-    ) {
-        if values.is_empty() {
-            return;
-        }
-        match self.mode {
-            AccessMode::Planned => v.write_slice_planned(self.machine, slot, start, values),
-            _ => self.write_run(v, start, values),
         }
     }
 }

@@ -7,7 +7,7 @@
 //! accumulator entries become the hot region.
 
 use atmem::{Atmem, Result};
-use atmem_hms::{SweepPlan, TrackedVec, WindowPlan};
+use atmem_hms::TrackedVec;
 
 use crate::access::MemCtx;
 use crate::graph_data::HmsGraph;
@@ -31,17 +31,6 @@ pub struct PageRank {
     shares: Vec<f64>,
     accs: Vec<f64>,
     zeros: Vec<f64>,
-    // Compiled-plan slots (`AccessMode::Planned`). The push window's
-    // indices are the whole neighbour array — identical every iteration —
-    // so every stream and the push window compile once and replay until a
-    // migration bumps the mapping generation. Sweep plans are
-    // direction-agnostic, so `rank` and `next` each need one slot for both
-    // their read and write sweeps.
-    plan_bounds: Option<SweepPlan>,
-    plan_nbrs: Option<SweepPlan>,
-    plan_rank: Option<SweepPlan>,
-    plan_next: Option<SweepPlan>,
-    plan_push: Option<WindowPlan>,
 }
 
 impl PageRank {
@@ -66,11 +55,6 @@ impl PageRank {
             shares: vec![0.0; e],
             accs: vec![0.0; n],
             zeros: vec![0.0; n],
-            plan_bounds: None,
-            plan_nbrs: None,
-            plan_rank: None,
-            plan_next: None,
-            plan_push: None,
         })
     }
 
@@ -184,20 +168,18 @@ impl Kernel for PageRank {
         }
         let n = self.graph.num_vertices();
         // Stream phase: row bounds, current ranks, then all neighbour ids.
-        self.graph
-            .bounds_into_planned(ctx, &mut self.plan_bounds, &mut self.bounds);
+        self.graph.bounds_into(ctx, &mut self.bounds);
         self.ranks.resize(n, 0.0);
-        ctx.read_run_planned(&self.rank, &mut self.plan_rank, 0, &mut self.ranks);
+        ctx.read_run(&self.rank, 0, &mut self.ranks);
         self.nbrs.resize(self.graph.num_edges(), 0);
-        self.graph
-            .neighbor_run_planned(ctx, &mut self.plan_nbrs, 0, &mut self.nbrs);
+        self.graph.neighbor_run(ctx, 0, &mut self.nbrs);
         // Push phase: the whole edge list is one scatter-update window over
         // the accumulator, in global edge order, with per-edge shares staged
         // host-side. Each window is bit-identical to its per-element scalar
         // loop, so the historical per-vertex window boundaries were
         // unobservable in simulated state — concatenating them changes
-        // nothing — and the single window's indices never change across
-        // iterations, which is what lets planned mode compile the push once.
+        // nothing, and one window pays the window engine's set-up once per
+        // iteration instead of once per vertex.
         self.shares.resize(self.graph.num_edges(), 0.0);
         for v in 0..n {
             let (start, end) = (self.bounds[v] as usize, self.bounds[v + 1] as usize);
@@ -208,19 +190,17 @@ impl Kernel for PageRank {
             self.shares[start..end].fill(share);
         }
         let shares = &self.shares;
-        ctx.gather_update_planned(&self.next, &mut self.plan_push, &self.nbrs, |k, acc| {
-            acc + shares[k]
-        });
+        ctx.gather_update(&self.next, &self.nbrs, |k, acc| acc + shares[k]);
         // Damping + swap phase: three sequential streams.
         let base = (1.0 - DAMPING) / n as f64;
         self.accs.resize(n, 0.0);
-        ctx.read_run_planned(&self.next, &mut self.plan_next, 0, &mut self.accs);
+        ctx.read_run(&self.next, 0, &mut self.accs);
         for acc in self.accs.iter_mut() {
             *acc = base + DAMPING * *acc;
         }
-        ctx.write_run_planned(&self.rank, &mut self.plan_rank, 0, &self.accs);
+        ctx.write_run(&self.rank, 0, &self.accs);
         self.zeros.resize(n, 0.0);
-        ctx.write_run_planned(&self.next, &mut self.plan_next, 0, &self.zeros);
+        ctx.write_run(&self.next, 0, &self.zeros);
         self.iterations_run += 1;
     }
 

@@ -8,7 +8,7 @@
 
 use atmem::{Atmem, Result};
 use atmem_graph::{transpose, Csr};
-use atmem_hms::{SweepPlan, TrackedVec, WindowPlan};
+use atmem_hms::TrackedVec;
 
 use crate::access::MemCtx;
 use crate::graph_data::HmsGraph;
@@ -36,15 +36,6 @@ pub struct PageRankPull {
     rbuf: Vec<f64>,
     accs: Vec<f64>,
     zeros: Vec<f64>,
-    // Compiled-plan slots (`AccessMode::Planned`). Out-degrees are static,
-    // so the live-source window — and every other iteration space here —
-    // is identical across iterations.
-    plan_bounds: Option<SweepPlan>,
-    plan_nbrs: Option<SweepPlan>,
-    plan_deg: Option<WindowPlan>,
-    plan_rank_window: Option<WindowPlan>,
-    plan_rank_sweep: Option<SweepPlan>,
-    plan_next: Option<SweepPlan>,
 }
 
 impl PageRankPull {
@@ -80,12 +71,6 @@ impl PageRankPull {
             rbuf: Vec::new(),
             accs: Vec::new(),
             zeros: Vec::new(),
-            plan_bounds: None,
-            plan_nbrs: None,
-            plan_deg: None,
-            plan_rank_window: None,
-            plan_rank_sweep: None,
-            plan_next: None,
         })
     }
 
@@ -196,17 +181,15 @@ impl Kernel for PageRankPull {
         let n = self.graph.num_vertices();
         let num_edges = self.graph.num_edges();
         // Stream phase: in-edge row bounds and source ids.
-        self.graph
-            .bounds_into_planned(ctx, &mut self.plan_bounds, &mut self.bounds);
+        self.graph.bounds_into(ctx, &mut self.bounds);
         self.nbrs.resize(num_edges, 0);
-        self.graph
-            .neighbor_run_planned(ctx, &mut self.plan_nbrs, 0, &mut self.nbrs);
+        self.graph.neighbor_run(ctx, 0, &mut self.nbrs);
         // Gather phase, pass 1: the whole in-neighbour list is one degree
         // window (per-row windows concatenate — each window is bit-identical
         // to its scalar loop, so row boundaries are unobservable in
         // simulated state).
         self.dbuf.resize(num_edges, 0);
-        ctx.gather_planned(&self.degree, &mut self.plan_deg, &self.nbrs, &mut self.dbuf);
+        ctx.gather(&self.degree, &self.nbrs, &mut self.dbuf);
         // Host-side live filter: per destination row, the sources with
         // deg > 0, concatenated in row order.
         self.live.clear();
@@ -224,15 +207,9 @@ impl Kernel for PageRankPull {
             self.live_off.push(self.live.len());
         }
         // Gather phase, pass 2: one rank window over the concatenated live
-        // sources. Degrees are static, so this window's indices — and hence
-        // the compiled plan — are identical every iteration.
+        // sources.
         self.rbuf.resize(self.live.len(), 0.0);
-        ctx.gather_planned(
-            &self.rank,
-            &mut self.plan_rank_window,
-            &self.live,
-            &mut self.rbuf,
-        );
+        ctx.gather(&self.rank, &self.live, &mut self.rbuf);
         self.gathered.resize(n, 0.0);
         for v in 0..n {
             let mut acc = 0.0f64;
@@ -241,17 +218,17 @@ impl Kernel for PageRankPull {
             }
             self.gathered[v] = acc;
         }
-        ctx.write_run_planned(&self.next, &mut self.plan_next, 0, &self.gathered);
+        ctx.write_run(&self.next, 0, &self.gathered);
         // Damping + swap phase: three sequential streams.
         let base = (1.0 - DAMPING) / n as f64;
         self.accs.resize(n, 0.0);
-        ctx.read_run_planned(&self.next, &mut self.plan_next, 0, &mut self.accs);
+        ctx.read_run(&self.next, 0, &mut self.accs);
         for acc in self.accs.iter_mut() {
             *acc = base + DAMPING * *acc;
         }
-        ctx.write_run_planned(&self.rank, &mut self.plan_rank_sweep, 0, &self.accs);
+        ctx.write_run(&self.rank, 0, &self.accs);
         self.zeros.resize(n, 0.0);
-        ctx.write_run_planned(&self.next, &mut self.plan_next, 0, &self.zeros);
+        ctx.write_run(&self.next, 0, &self.zeros);
     }
 
     fn checksum(&self, rt: &mut Atmem) -> f64 {

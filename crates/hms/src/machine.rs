@@ -17,7 +17,6 @@ use crate::fault::{FaultPlan, FaultSite};
 use crate::frame::FrameRun;
 use crate::mapping::{huge_eligible, Mapping, MappingTable, PageKind};
 use crate::pebs::{Pebs, SampleRecord};
-use crate::plan::{SweepPlan, WindowPlan};
 use crate::platform::Platform;
 use crate::shard::{BlockSegment, CoreCtx, CoreHandle, MemPort, TiersView, MAX_TIERS};
 use crate::stats::MachineStats;
@@ -831,80 +830,6 @@ impl Machine {
     ) -> Result<()> {
         self.core_handle()
             .gather_update(base, elem_count, indices, f)
-    }
-
-    // ------------------------------------------------------------------
-    // Compiled access plans (see the `plan` module)
-    // ------------------------------------------------------------------
-
-    /// The current mapping-table generation; compiled plans are valid only
-    /// while it is unchanged (see [`crate::plan`]).
-    pub fn mapping_generation(&self) -> u64 {
-        self.mappings.generation()
-    }
-
-    /// Whether compiled-plan replay is currently allowed: `false` whenever
-    /// per-access detail is observable — PEBS sampling enabled, tracing
-    /// enabled, or a fault plan armed — in which case callers must take the
-    /// per-access window path.
-    pub fn plan_ready(&self) -> bool {
-        !self.core.pebs.is_enabled() && !self.core.tracer.is_enabled() && self.fault.is_none()
-    }
-
-    /// Lowers an indexed window into a reusable [`WindowPlan`]
-    /// (see [`CoreHandle::compile_window`]).
-    ///
-    /// # Errors
-    ///
-    /// [`HmsError::Unmapped`] if any element is unmapped; nothing has been
-    /// charged.
-    pub(crate) fn compile_window<T: Scalar>(
-        &mut self,
-        base: VirtAddr,
-        elem_count: u64,
-        indices: &[u32],
-    ) -> Result<WindowPlan> {
-        self.core_handle()
-            .compile_window::<T>(base, elem_count, indices)
-    }
-
-    /// Replays a compiled window as a gather
-    /// (see [`CoreHandle::run_plan_gather`]).
-    pub(crate) fn run_plan_gather<T: Scalar>(&mut self, plan: &WindowPlan, out: &mut [T]) {
-        self.core_handle().run_plan_gather(plan, out)
-    }
-
-    /// Replays a compiled window as a scatter
-    /// (see [`CoreHandle::run_plan_scatter`]).
-    pub(crate) fn run_plan_scatter<T: Scalar>(&mut self, plan: &WindowPlan, values: &[T]) {
-        self.core_handle().run_plan_scatter(plan, values)
-    }
-
-    /// Replays a compiled window as a read-modify-write sweep
-    /// (see [`CoreHandle::run_plan_update`]).
-    pub(crate) fn run_plan_update<T: Scalar>(
-        &mut self,
-        plan: &WindowPlan,
-        f: impl FnMut(usize, T) -> T,
-    ) {
-        self.core_handle().run_plan_update(plan, f)
-    }
-
-    /// Lowers a contiguous element sweep into a reusable [`SweepPlan`]
-    /// (see [`CoreHandle::compile_sweep`]).
-    ///
-    /// # Errors
-    ///
-    /// [`HmsError::Unmapped`] if any byte of the range is unmapped; nothing
-    /// has been charged.
-    pub(crate) fn compile_sweep(&mut self, range: VirtRange, elem: usize) -> Result<SweepPlan> {
-        self.core_handle().compile_sweep(range, elem)
-    }
-
-    /// Replays a compiled sweep's accounting
-    /// (see [`CoreHandle::run_plan_sweep`]).
-    pub(crate) fn run_plan_sweep(&mut self, plan: &SweepPlan, write: bool) {
-        self.core_handle().run_plan_sweep(plan, write)
     }
 
     // ------------------------------------------------------------------
@@ -1877,43 +1802,6 @@ impl MemPort for Machine {
         f: impl FnMut(usize, T) -> T,
     ) -> Result<()> {
         Machine::gather_update(self, base, elem_count, indices, f)
-    }
-
-    fn mapping_generation(&self) -> u64 {
-        Machine::mapping_generation(self)
-    }
-
-    fn plan_ready(&self) -> bool {
-        Machine::plan_ready(self)
-    }
-
-    fn compile_window<T: Scalar>(
-        &mut self,
-        base: VirtAddr,
-        elem_count: u64,
-        indices: &[u32],
-    ) -> Result<WindowPlan> {
-        Machine::compile_window::<T>(self, base, elem_count, indices)
-    }
-
-    fn run_plan_gather<T: Scalar>(&mut self, plan: &WindowPlan, out: &mut [T]) {
-        Machine::run_plan_gather(self, plan, out)
-    }
-
-    fn run_plan_scatter<T: Scalar>(&mut self, plan: &WindowPlan, values: &[T]) {
-        Machine::run_plan_scatter(self, plan, values)
-    }
-
-    fn run_plan_update<T: Scalar>(&mut self, plan: &WindowPlan, f: impl FnMut(usize, T) -> T) {
-        Machine::run_plan_update(self, plan, f)
-    }
-
-    fn compile_sweep(&mut self, range: VirtRange, elem: usize) -> Result<SweepPlan> {
-        Machine::compile_sweep(self, range, elem)
-    }
-
-    fn run_plan_sweep(&mut self, plan: &SweepPlan, write: bool) {
-        Machine::run_plan_sweep(self, plan, write)
     }
 }
 

@@ -156,9 +156,8 @@ pub struct MappingTable {
     /// `vpage`, 0 where nothing is mapped.
     index: Vec<u32>,
     base: u64,
-    /// Bumped on every structural change (insert/remove). Compiled access
-    /// plans record the generation they were lowered against and are stale —
-    /// and must recompile — whenever it moves.
+    /// Bumped on every structural change (insert/remove): anything derived
+    /// from the table under an older value is stale.
     generation: u64,
 }
 
@@ -332,9 +331,9 @@ impl MappingTable {
         self.walk(self.base, u64::MAX)
     }
 
-    /// Current mapping generation. Moves on every insert or remove, so any
-    /// migration, remap, allocation, or free invalidates plans compiled
-    /// against an older value.
+    /// Current mapping generation. Moves on every insert or remove, so a
+    /// reader can fence on it: an unchanged value means no migration,
+    /// remap, allocation or free happened in between.
     pub fn generation(&self) -> u64 {
         self.generation
     }

@@ -54,7 +54,6 @@ use crate::error::{HmsError, Result};
 use crate::machine::Scalar;
 use crate::mapping::{Mapping, MappingTable, PageKind};
 use crate::pebs::Pebs;
-use crate::plan::{SweepPlan, WindowPlan};
 use crate::platform::Platform;
 use crate::tier::{Tier, TierId, TierSpec};
 use crate::tlb::Tlb;
@@ -70,11 +69,11 @@ pub const MAX_TIERS: usize = 8;
 /// loop monomorphizes branch-free. `OP_RMW` is simulated as a read followed
 /// by a guaranteed-hit write of the same line, exactly like
 /// [`CoreHandle::read_modify_write`].
-pub(crate) const OP_READ: u8 = 0;
+const OP_READ: u8 = 0;
 /// Write each element (see [`OP_READ`]).
-pub(crate) const OP_WRITE: u8 = 1;
+const OP_WRITE: u8 = 1;
 /// Read-modify-write each element (see [`OP_READ`]).
-pub(crate) const OP_RMW: u8 = 2;
+const OP_RMW: u8 = 2;
 
 /// Access totals local to one simulated core.
 #[derive(Debug, Default)]
@@ -206,7 +205,7 @@ impl<'a> TiersView<'a> {
     }
 
     /// Number of tiers.
-    pub(crate) fn len(&self) -> usize {
+    fn len(&self) -> usize {
         self.count
     }
 
@@ -218,7 +217,7 @@ impl<'a> TiersView<'a> {
 
     /// The spec of the tier at `index`.
     #[inline]
-    pub(crate) fn spec_at(&self, index: usize) -> &TierSpec {
+    fn spec_at(&self, index: usize) -> &TierSpec {
         debug_assert!(index < self.count);
         // SAFETY: the pointer was taken from a tier borrowed for 'a and the
         // spec is never mutated while mapped (tiers are read-mostly shared
@@ -260,10 +259,10 @@ impl<'a> TiersView<'a> {
 /// resident core.
 #[derive(Debug)]
 pub struct CoreHandle<'a> {
-    pub(crate) core: &'a mut CoreCtx,
-    pub(crate) mappings: &'a MappingTable,
-    pub(crate) platform: &'a Platform,
-    pub(crate) tiers: TiersView<'a>,
+    core: &'a mut CoreCtx,
+    mappings: &'a MappingTable,
+    platform: &'a Platform,
+    tiers: TiersView<'a>,
 }
 
 impl<'a> CoreHandle<'a> {
@@ -993,14 +992,15 @@ impl<'a> CoreHandle<'a> {
 /// Rejects index windows over objects too large for `u32` indices. The
 /// window engine addresses elements through `&[u32]`, so a vec beyond
 /// 2^32 elements would silently truncate indices on the billion-edge path;
-/// such sweeps must go through the `u64`/range-based plan tier instead
-/// (see [`crate::plan`]).
+/// such sweeps must go through the range-based block engine instead
+/// ([`TrackedVec::read_slice`](crate::TrackedVec::read_slice) /
+/// [`TrackedVec::write_slice`](crate::TrackedVec::write_slice)).
 #[inline]
-pub(crate) fn check_window_width(elem_count: usize) {
+fn check_window_width(elem_count: usize) {
     assert!(
         elem_count <= u32::MAX as usize + 1,
         "window over {elem_count} elements exceeds u32 index range; \
-         use the range-based plan tier for large sweeps"
+         use read_slice/write_slice for large sweeps"
     );
 }
 
@@ -1010,7 +1010,7 @@ pub(crate) fn check_window_width(elem_count: usize) {
 /// share one key per group; everything else is per-page. Mirrors the key
 /// logic exactly so `access_block` batches precisely the accesses the
 /// per-element loop would send to the same TLB entry.
-pub(crate) fn tlb_unit_end(mapping: &Mapping, va: VirtAddr, coalesce: usize) -> VirtAddr {
+fn tlb_unit_end(mapping: &Mapping, va: VirtAddr, coalesce: usize) -> VirtAddr {
     let vpage = va.page_index();
     let end_page = match mapping.kind {
         PageKind::Huge2M => (vpage / HUGE_PAGE_FRAMES as u64 + 1) * HUGE_PAGE_FRAMES as u64,
@@ -1138,56 +1138,6 @@ pub trait MemPort {
         indices: &[u32],
         f: impl FnMut(usize, T) -> T,
     ) -> Result<()>;
-
-    /// The current mapping-table generation; compiled plans are valid only
-    /// while it is unchanged (see [`crate::plan`]).
-    fn mapping_generation(&self) -> u64;
-
-    /// Whether compiled-plan replay is currently allowed: `false` whenever
-    /// per-access detail is observable (PEBS sampling, tracing, or an armed
-    /// fault plan), in which case callers must use the window path.
-    fn plan_ready(&self) -> bool;
-
-    /// Lowers an indexed window into a reusable [`WindowPlan`] without
-    /// touching simulated state (see [`crate::plan`]).
-    ///
-    /// # Errors
-    ///
-    /// [`HmsError::Unmapped`] if any element is unmapped; nothing has been
-    /// charged.
-    fn compile_window<T: Scalar>(
-        &mut self,
-        base: VirtAddr,
-        elem_count: u64,
-        indices: &[u32],
-    ) -> Result<WindowPlan>;
-
-    /// Replays a compiled window as a gather — bit-identical to
-    /// [`read_gather`](MemPort::read_gather) over the plan's indices.
-    fn run_plan_gather<T: Scalar>(&mut self, plan: &WindowPlan, out: &mut [T]);
-
-    /// Replays a compiled window as a scatter — bit-identical to
-    /// [`write_scatter`](MemPort::write_scatter) over the plan's indices.
-    fn run_plan_scatter<T: Scalar>(&mut self, plan: &WindowPlan, values: &[T]);
-
-    /// Replays a compiled window as a read-modify-write sweep —
-    /// bit-identical to [`gather_update`](MemPort::gather_update) over the
-    /// plan's indices.
-    fn run_plan_update<T: Scalar>(&mut self, plan: &WindowPlan, f: impl FnMut(usize, T) -> T);
-
-    /// Lowers a contiguous element sweep into a reusable [`SweepPlan`]
-    /// without touching simulated state (see [`crate::plan`]).
-    ///
-    /// # Errors
-    ///
-    /// [`HmsError::Unmapped`] if any byte of the range is unmapped; nothing
-    /// has been charged.
-    fn compile_sweep(&mut self, range: VirtRange, elem: usize) -> Result<SweepPlan>;
-
-    /// Replays a compiled sweep's accounting — bit-identical to
-    /// [`access_block`](MemPort::access_block) over the plan's range; data
-    /// moves through [`SweepPlan::segments`] and the storage-slice APIs.
-    fn run_plan_sweep(&mut self, plan: &SweepPlan, write: bool);
 }
 
 impl MemPort for CoreHandle<'_> {
@@ -1256,43 +1206,6 @@ impl MemPort for CoreHandle<'_> {
         f: impl FnMut(usize, T) -> T,
     ) -> Result<()> {
         CoreHandle::gather_update(self, base, elem_count, indices, f)
-    }
-
-    fn mapping_generation(&self) -> u64 {
-        CoreHandle::mapping_generation(self)
-    }
-
-    fn plan_ready(&self) -> bool {
-        CoreHandle::plan_ready(self)
-    }
-
-    fn compile_window<T: Scalar>(
-        &mut self,
-        base: VirtAddr,
-        elem_count: u64,
-        indices: &[u32],
-    ) -> Result<WindowPlan> {
-        CoreHandle::compile_window::<T>(self, base, elem_count, indices)
-    }
-
-    fn run_plan_gather<T: Scalar>(&mut self, plan: &WindowPlan, out: &mut [T]) {
-        CoreHandle::run_plan_gather(self, plan, out)
-    }
-
-    fn run_plan_scatter<T: Scalar>(&mut self, plan: &WindowPlan, values: &[T]) {
-        CoreHandle::run_plan_scatter(self, plan, values)
-    }
-
-    fn run_plan_update<T: Scalar>(&mut self, plan: &WindowPlan, f: impl FnMut(usize, T) -> T) {
-        CoreHandle::run_plan_update(self, plan, f)
-    }
-
-    fn compile_sweep(&mut self, range: VirtRange, elem: usize) -> Result<SweepPlan> {
-        CoreHandle::compile_sweep(self, range, elem)
-    }
-
-    fn run_plan_sweep(&mut self, plan: &SweepPlan, write: bool) {
-        CoreHandle::run_plan_sweep(self, plan, write)
     }
 }
 
@@ -1384,6 +1297,43 @@ pub fn merge_owner_queues<T>(per_core: Vec<OwnerQueues<T>>) -> Vec<Vec<T>> {
 
 // Silence an unused-import false positive when error docs reference it.
 const _: fn(HmsError) = |_| {};
+
+#[cfg(test)]
+mod tests {
+    use crate::machine::{Machine, Placement};
+    use crate::platform::Platform;
+    use crate::tracked::TrackedVec;
+
+    fn machine() -> Machine {
+        Machine::new(Platform::testing().with_capacities(64 * 1024, 8 * 1024 * 1024))
+    }
+
+    /// The release-mode soundness fix: an out-of-range window index is a
+    /// hard panic in every profile, never a silent alias of a neighboring
+    /// element. (This test is also run under `--release` by ci.sh.)
+    #[test]
+    #[should_panic(expected = "out of bounds")]
+    fn window_bounds_check_is_a_hard_check() {
+        let mut m = machine();
+        let v = TrackedVec::<u32>::new(&mut m, 1024, Placement::Slow).unwrap();
+        // Index 9 is mapped (the vec has 1024 elements) but out of range for
+        // the declared window width of 8 — only the hard check can catch it.
+        let mut out = [0u32; 1];
+        let _ = m.read_gather::<u32>(v.range().start, 8, &[9], &mut out);
+    }
+
+    /// The u32-truncation fix: a window over an object wider than the u32
+    /// index range is rejected at the boundary instead of silently
+    /// truncating indices. (Also run under `--release` by ci.sh.)
+    #[test]
+    #[should_panic(expected = "u32 index range")]
+    fn windows_beyond_u32_index_range_are_rejected() {
+        let mut m = machine();
+        let v = TrackedVec::<u32>::new(&mut m, 1024, Placement::Slow).unwrap();
+        let mut out = [0u32; 1];
+        let _ = m.read_gather::<u32>(v.range().start, (1usize << 32) + 2, &[0], &mut out);
+    }
+}
 
 #[cfg(test)]
 mod owner_queue_tests {

@@ -14,7 +14,6 @@ use std::marker::PhantomData;
 use crate::addr::{VirtAddr, VirtRange};
 use crate::error::Result;
 use crate::machine::{Machine, Placement, Scalar};
-use crate::plan::{SweepPlan, WindowPlan};
 use crate::shard::MemPort;
 
 /// A fixed-length typed array living in simulated memory.
@@ -344,218 +343,6 @@ impl<T: Scalar> TrackedVec<T> {
         machine
             .gather_update::<T>(self.range.start, self.len, indices, f)
             .unwrap_or_else(|e| panic!("tracked vec `{}` unmapped: {e}", self.label()));
-    }
-
-    /// Ensures `slot` holds a [`WindowPlan`] valid for `(self, indices)`
-    /// under the current mapping generation, recompiling if the cached plan
-    /// is stale or describes a different window. Returns `false` — meaning
-    /// the caller must take the per-access window path — when plan replay is
-    /// unavailable (PEBS sampling, tracing, or an armed fault plan) or
-    /// compilation fails (the window engine then reproduces the exact
-    /// partial-charge error semantics).
-    fn ensure_window_plan(
-        &self,
-        machine: &mut impl MemPort,
-        slot: &mut Option<WindowPlan>,
-        indices: &[u32],
-    ) -> bool {
-        if !machine.plan_ready() {
-            return false;
-        }
-        let generation = machine.mapping_generation();
-        if let Some(plan) = slot.as_ref() {
-            if plan.matches(
-                generation,
-                self.range.start,
-                T::SIZE,
-                self.len as u64,
-                indices,
-            ) {
-                return true;
-            }
-        }
-        self.check_window("plan", indices);
-        match machine.compile_window::<T>(self.range.start, self.len as u64, indices) {
-            Ok(plan) => {
-                *slot = Some(plan);
-                true
-            }
-            Err(_) => {
-                *slot = None;
-                false
-            }
-        }
-    }
-
-    /// [`gather`](TrackedVec::gather) through a cached compiled plan.
-    ///
-    /// `slot` persists across calls (e.g. one slot per kernel phase):
-    /// while the mapping generation and the index window are unchanged the
-    /// cached [`WindowPlan`] is replayed directly; otherwise it is
-    /// recompiled first. Falls back to the window engine whenever plan
-    /// replay is unavailable. Simulated state is bit-identical to
-    /// [`gather`](TrackedVec::gather) either way.
-    ///
-    /// # Panics
-    ///
-    /// As [`gather`](TrackedVec::gather).
-    pub fn gather_planned(
-        &self,
-        machine: &mut impl MemPort,
-        slot: &mut Option<WindowPlan>,
-        indices: &[u32],
-        out: &mut [T],
-    ) {
-        if !self.ensure_window_plan(machine, slot, indices) {
-            return self.gather(machine, indices, out);
-        }
-        machine.run_plan_gather::<T>(slot.as_ref().expect("plan just ensured"), out);
-    }
-
-    /// [`scatter`](TrackedVec::scatter) through a cached compiled plan
-    /// (see [`gather_planned`](TrackedVec::gather_planned) for the caching
-    /// and fallback contract).
-    ///
-    /// # Panics
-    ///
-    /// As [`scatter`](TrackedVec::scatter).
-    pub fn scatter_planned(
-        &self,
-        machine: &mut impl MemPort,
-        slot: &mut Option<WindowPlan>,
-        indices: &[u32],
-        values: &[T],
-    ) {
-        if !self.ensure_window_plan(machine, slot, indices) {
-            return self.scatter(machine, indices, values);
-        }
-        machine.run_plan_scatter::<T>(slot.as_ref().expect("plan just ensured"), values);
-    }
-
-    /// [`gather_update`](TrackedVec::gather_update) through a cached
-    /// compiled plan (see [`gather_planned`](TrackedVec::gather_planned)
-    /// for the caching and fallback contract).
-    ///
-    /// # Panics
-    ///
-    /// As [`gather_update`](TrackedVec::gather_update).
-    pub fn gather_update_planned(
-        &self,
-        machine: &mut impl MemPort,
-        slot: &mut Option<WindowPlan>,
-        indices: &[u32],
-        f: impl FnMut(usize, T) -> T,
-    ) {
-        if !self.ensure_window_plan(machine, slot, indices) {
-            return self.gather_update(machine, indices, f);
-        }
-        machine.run_plan_update::<T>(slot.as_ref().expect("plan just ensured"), f);
-    }
-
-    /// Ensures `slot` holds a [`SweepPlan`] valid for `len` elements
-    /// starting at `start` under the current mapping generation (the sweep
-    /// analogue of [`ensure_window_plan`](TrackedVec::ensure_window_plan)).
-    fn ensure_sweep_plan(
-        &self,
-        machine: &mut impl MemPort,
-        slot: &mut Option<SweepPlan>,
-        start: usize,
-        len: usize,
-    ) -> bool {
-        if !machine.plan_ready() {
-            return false;
-        }
-        assert!(
-            start + len <= self.len,
-            "slice [{start}, {}) out of bounds (len {})",
-            start + len,
-            self.len
-        );
-        let range = VirtRange::new(self.addr_of(start), len * T::SIZE);
-        let generation = machine.mapping_generation();
-        if let Some(plan) = slot.as_ref() {
-            if plan.matches(generation, range, T::SIZE) {
-                return true;
-            }
-        }
-        match machine.compile_sweep(range, T::SIZE) {
-            Ok(plan) => {
-                *slot = Some(plan);
-                true
-            }
-            Err(_) => {
-                *slot = None;
-                false
-            }
-        }
-    }
-
-    /// [`read_slice`](TrackedVec::read_slice) through a cached compiled
-    /// sweep plan (see [`gather_planned`](TrackedVec::gather_planned) for
-    /// the caching and fallback contract).
-    ///
-    /// # Panics
-    ///
-    /// As [`read_slice`](TrackedVec::read_slice).
-    pub fn read_slice_planned(
-        &self,
-        machine: &mut impl MemPort,
-        slot: &mut Option<SweepPlan>,
-        start: usize,
-        out: &mut [T],
-    ) {
-        if out.is_empty() {
-            return;
-        }
-        if !self.ensure_sweep_plan(machine, slot, start, out.len()) {
-            return self.read_slice(machine, start, out);
-        }
-        let plan = slot.as_ref().expect("plan just ensured");
-        machine.run_plan_sweep(plan, false);
-        let mut rest = &mut out[..];
-        for seg in plan.segments() {
-            let (head, tail) = rest.split_at_mut(seg.len / T::SIZE);
-            let bytes = machine.storage_slice(seg.tier, seg.offset, seg.len);
-            for (slot, chunk) in head.iter_mut().zip(bytes.chunks_exact(T::SIZE)) {
-                *slot = T::from_le_slice(chunk);
-            }
-            rest = tail;
-        }
-        debug_assert!(rest.is_empty());
-    }
-
-    /// [`write_slice`](TrackedVec::write_slice) through a cached compiled
-    /// sweep plan (see [`gather_planned`](TrackedVec::gather_planned) for
-    /// the caching and fallback contract).
-    ///
-    /// # Panics
-    ///
-    /// As [`write_slice`](TrackedVec::write_slice).
-    pub fn write_slice_planned(
-        &self,
-        machine: &mut impl MemPort,
-        slot: &mut Option<SweepPlan>,
-        start: usize,
-        values: &[T],
-    ) {
-        if values.is_empty() {
-            return;
-        }
-        if !self.ensure_sweep_plan(machine, slot, start, values.len()) {
-            return self.write_slice(machine, start, values);
-        }
-        let plan = slot.as_ref().expect("plan just ensured");
-        machine.run_plan_sweep(plan, true);
-        let mut rest = values;
-        for seg in plan.segments() {
-            let (head, tail) = rest.split_at(seg.len / T::SIZE);
-            let bytes = machine.storage_slice_mut(seg.tier, seg.offset, seg.len);
-            for (&value, chunk) in head.iter().zip(bytes.chunks_exact_mut(T::SIZE)) {
-                value.write_le_slice(chunk);
-            }
-            rest = tail;
-        }
-        debug_assert!(rest.is_empty());
     }
 
     /// **Untracked** read of element `i`: no simulated cost, no TLB/LLC

@@ -1,54 +1,48 @@
-//! Plan-vs-window bit-identity property test — the compiled-plan tier's
-//! central gate.
+//! Block + window engines vs. the per-element scalar oracle, on random
+//! access programs.
 //!
 //! Two identical machines execute the same random access program over the
-//! same random placement: one through the window engine (`gather`,
-//! `scatter`, `read_slice`, ...), one through the compiled-plan helpers
-//! (`gather_planned`, ...) with persistent plan slots. The program mixes
-//! sequential sweeps, random gathers/scatters/updates (duplicates
-//! included), strided windows, mid-run `mbind` migrations (which bump the
-//! mapping generation and force recompiles), and PEBS/trace toggles
-//! (which gate `plan_ready` and force the per-access fallback). The whole
-//! program runs twice so the second pass replays cached plans instead of
-//! compiling fresh ones.
+//! same random placement through the kernel-facing [`MemCtx`] API: one in
+//! [`AccessMode::Bulk`] (`read_slice` / `write_slice` for sweeps, `gather` /
+//! `scatter` / `gather_update` for index windows), one in
+//! [`AccessMode::Scalar`] (per-element `get` / `set` loops — a
+//! read-modify-write is a `get` followed by a `set`, so the oracle shares
+//! none of the engines' run folding). The program mixes sequential sweeps,
+//! random gathers/scatters/updates (duplicates included), strided windows,
+//! mid-run `mbind` migrations (which splinter mappings and move data
+//! between tiers under both machines) and PEBS/trace toggles, so sweeps
+//! and windows interleave across migrations with sampling off as well as
+//! on. The whole program runs twice so the second pass starts from warm
+//! TLB/LLC state and the migrated placement.
 //!
 //! After the program, *everything observable* must match bit-for-bit:
 //! every read buffer, every machine counter, the simulated clock (f64 by
 //! bit pattern), the drained PEBS sample stream, the drained trace
 //! stream, the full data image, and a clean audit on both machines.
 
-use atmem_hms::{
-    Machine, Placement, Platform, SweepPlan, TierId, TrackedVec, VirtRange, WindowPlan,
-};
+use atmem_apps::{AccessMode, MemCtx};
+use atmem_hms::{Machine, Placement, Platform, TierId, TrackedVec, VirtRange};
 use atmem_prop::prelude::*;
 
 const PAGE: usize = 4096;
 const ELEMS_PER_PAGE: usize = PAGE / 8;
 
-/// One machine + vector under a fixed access path.
+/// One machine + vector under a fixed access mode.
 struct Harness {
     m: Machine,
     v: TrackedVec<u64>,
-    wslot: Option<WindowPlan>,
-    sslot: Option<SweepPlan>,
-    planned: bool,
+    mode: AccessMode,
 }
 
 impl Harness {
-    fn new(pages: usize, placement: Placement, planned: bool) -> Self {
+    fn new(pages: usize, placement: Placement, mode: AccessMode) -> Self {
         let len = pages * ELEMS_PER_PAGE;
         let mut m = Machine::new(Platform::testing());
         let v = TrackedVec::<u64>::new(&mut m, len, placement).unwrap();
         for i in 0..len {
             v.poke(&mut m, i, (i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
         }
-        Harness {
-            m,
-            v,
-            wslot: None,
-            sslot: None,
-            planned,
-        }
+        Harness { m, v, mode }
     }
 
     /// Executes one op and returns whatever it read (empty for writes).
@@ -57,60 +51,34 @@ impl Harness {
         match op {
             Op::SweepRead { start, count } => {
                 let mut out = vec![0u64; *count];
-                if self.planned {
-                    self.v
-                        .read_slice_planned(&mut self.m, &mut self.sslot, *start, &mut out);
-                } else {
-                    self.v.read_slice(&mut self.m, *start, &mut out);
-                }
+                MemCtx::new(&mut self.m, self.mode).read_run(&self.v, *start, &mut out);
                 out
             }
             Op::SweepWrite { start, count, salt } => {
                 let vals: Vec<u64> = (0..*count as u64).map(|j| j.wrapping_mul(*salt)).collect();
-                if self.planned {
-                    self.v
-                        .write_slice_planned(&mut self.m, &mut self.sslot, *start, &vals);
-                } else {
-                    self.v.write_slice(&mut self.m, *start, &vals);
-                }
+                MemCtx::new(&mut self.m, self.mode).write_run(&self.v, *start, &vals);
                 Vec::new()
             }
             Op::Gather { indices } => {
                 let mut out = vec![0u64; indices.len()];
-                if self.planned {
-                    self.v
-                        .gather_planned(&mut self.m, &mut self.wslot, indices, &mut out);
-                } else {
-                    self.v.gather(&mut self.m, indices, &mut out);
-                }
+                MemCtx::new(&mut self.m, self.mode).gather(&self.v, indices, &mut out);
                 out
             }
             Op::Scatter { indices, salt } => {
                 let vals: Vec<u64> = (0..indices.len() as u64)
                     .map(|j| j.wrapping_mul(*salt))
                     .collect();
-                if self.planned {
-                    self.v
-                        .scatter_planned(&mut self.m, &mut self.wslot, indices, &vals);
-                } else {
-                    self.v.scatter(&mut self.m, indices, &vals);
-                }
+                MemCtx::new(&mut self.m, self.mode).scatter(&self.v, indices, &vals);
                 Vec::new()
             }
             Op::Update { indices, salt } => {
                 // Non-commutative in (k, x): duplicate indices must apply
                 // in scalar order on both paths.
                 let salt = *salt;
-                let f = move |k: usize, x: u64| {
+                MemCtx::new(&mut self.m, self.mode).gather_update(&self.v, indices, |k, x: u64| {
                     x.wrapping_mul(0x100_0000_01b3)
                         .wrapping_add(k as u64 ^ salt)
-                };
-                if self.planned {
-                    self.v
-                        .gather_update_planned(&mut self.m, &mut self.wslot, indices, f);
-                } else {
-                    self.v.gather_update(&mut self.m, indices, f);
-                }
+                });
                 Vec::new()
             }
             Op::Migrate { page, pages, fast } => {
@@ -242,11 +210,11 @@ fn decode(kind: u32, a: u64, b: u64, len: usize, total_pages: usize) -> Op {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// The compiled-plan access path is bit-identical to the window
-    /// engine on arbitrary access programs, placements, mid-run
+    /// The block and window engines are bit-identical to the per-element
+    /// scalar loops on arbitrary access programs, placements, mid-run
     /// migrations and instrumentation toggles.
     #[test]
-    fn plans_are_bit_identical_to_windows(
+    fn engines_are_bit_identical_to_scalar_loops(
         raw in prop::collection::vec((0u32..9, any::<u64>(), any::<u64>()), 1..24),
         pages in 1usize..5,
         place in 0u32..3,
@@ -261,31 +229,31 @@ proptest! {
             .iter()
             .map(|&(kind, a, b)| decode(kind, a, b, len, pages))
             .collect();
-        let mut window = Harness::new(pages, placement, false);
-        let mut plan = Harness::new(pages, placement, true);
-        // Two passes: the first compiles, the second replays cached plans
-        // (until a migration in the stream invalidates them again).
+        let mut oracle = Harness::new(pages, placement, AccessMode::Scalar);
+        let mut engine = Harness::new(pages, placement, AccessMode::Bulk);
+        // Two passes: the second starts from warm TLB/LLC state and
+        // whatever placement the stream's migrations left behind.
         for pass in 0..2 {
             for (i, op) in ops.iter().enumerate() {
-                let a = window.apply(op);
-                let b = plan.apply(op);
+                let a = oracle.apply(op);
+                let b = engine.apply(op);
                 prop_assert_eq!(a, b, "read divergence at pass {} op {} ({:?})", pass, i, op);
             }
         }
-        prop_assert_eq!(window.m.stats(), plan.m.stats());
+        prop_assert_eq!(oracle.m.stats(), engine.m.stats());
         prop_assert_eq!(
-            window.m.now().as_ns().to_bits(),
-            plan.m.now().as_ns().to_bits(),
+            oracle.m.now().as_ns().to_bits(),
+            engine.m.now().as_ns().to_bits(),
             "clock divergence"
         );
-        prop_assert_eq!(window.m.pebs_drain(), plan.m.pebs_drain());
-        prop_assert_eq!(window.m.trace_drain(), plan.m.trace_drain());
+        prop_assert_eq!(oracle.m.pebs_drain(), engine.m.pebs_drain());
+        prop_assert_eq!(oracle.m.trace_drain(), engine.m.trace_drain());
         prop_assert_eq!(
-            window.v.to_vec(&mut window.m),
-            plan.v.to_vec(&mut plan.m),
+            oracle.v.to_vec(&mut oracle.m),
+            engine.v.to_vec(&mut engine.m),
             "data image divergence"
         );
-        prop_assert!(window.m.audit().is_empty(), "{:?}", window.m.audit());
-        prop_assert!(plan.m.audit().is_empty(), "{:?}", plan.m.audit());
+        prop_assert!(oracle.m.audit().is_empty(), "{:?}", oracle.m.audit());
+        prop_assert!(engine.m.audit().is_empty(), "{:?}", engine.m.audit());
     }
 }
