@@ -22,20 +22,35 @@ cargo build --release
 echo "==> tier-1: cargo test -q"
 cargo test -q
 
-echo "==> release-mode soundness (window bounds, u32 guards, mapping overlap, LLC geometry and tag width stay hard checks)"
+echo "==> release-mode soundness (window bounds, u32 guards, mapping overlap, LLC geometry and tag width, staging ownership stay hard checks)"
 # The window engine's bounds and index-width guards, the mapping table's
 # overlap guard and the LLC's associativity and tag-width guards are plain
 # asserts, not debug_assert!: they must fire in optimized builds too, where
 # an out-of-range index would otherwise silently alias another element, a
 # second mapping of a page would silently redirect its translations, and a
-# truncated LLC tag would silently alias another line. Run the regression
-# tests under --release so a future debug_assert! demotion fails CI instead
-# of shipping.
+# truncated LLC tag would silently alias another line. The staging-run
+# ownership checks of the migration primitives are the same kind: a copy
+# to or from a run that is not outstanding staging, a replay past the
+# staged bytes, and a second free must be refused in optimized builds, or
+# a migration would silently install stale bytes or free a mapped frame.
+# Run the regression tests under --release so a future debug_assert!
+# demotion fails CI instead of shipping.
 cargo test -q --release -p atmem-hms window_bounds_check_is_a_hard_check
 cargo test -q --release -p atmem-hms windows_beyond_u32_index_range_are_rejected
 cargo test -q --release -p atmem-hms enclosing_mapping_is_rejected
 cargo test -q --release -p atmem-hms assoc_above_16_is_rejected
 cargo test -q --release -p atmem-hms oversized_line_tag_is_rejected
+cargo test -q --release -p atmem-hms foreign_run_is_rejected
+cargo test -q --release -p atmem-hms replay_past_staged_bytes_is_rejected
+cargo test -q --release -p atmem-hms double_free_of_staging_panics
+cargo test -q --release -p atmem-hms free_frames_of_a_mapped_frame_panics
+
+echo "==> unsafe guard (the migration copy engine stays safe code)"
+# PR 16 replaced the raw-pointer copy engine with copy_from_slice loops;
+# the one unsafe seam left is shard.rs's TiersView. The only match allowed
+# in these files is the word in config.rs's doc comment on the Direct
+# mechanism.
+if grep -rn 'unsafe' crates/hms/src/machine.rs crates/hms/src/mbind.rs crates/hms/src/tier.rs crates/core/src | grep -v 'crates/core/src/config.rs:.*///'; then echo "unsafe is back in the migration path (lines above)" >&2; exit 1; fi
 
 echo "==> access-ladder guard (the compiled-plan rung stays deleted)"
 # PR 15 removed the fourth access rung; any of its names coming back under
@@ -59,6 +74,14 @@ echo "==> fault-injection smoke (set ATMEM_PROP_CASES to widen the sweep)"
 # this step exists as the dedicated knob: ATMEM_PROP_CASES=1000 ./ci.sh
 # (or any value) widens every property in the harness.
 ATMEM_PROP_CASES="${ATMEM_PROP_CASES:-8}" cargo test -q -p atmem-bench --test faults
+
+echo "==> migration data-image property sweep"
+# Random interleavings of staged / direct / mbind region migrations on
+# fragmented two- and three-tier machines, a scripted fault at each gate
+# of the migration path, checked against a shadow image after every
+# region; the hand-staged regions assert the tier bytes under a staging
+# run never change. Same knob as above.
+ATMEM_PROP_CASES="${ATMEM_PROP_CASES:-8}" cargo test -q -p atmem-bench --test migration_prop
 
 echo "==> serving smoke (multi-tenant scheduler anchors)"
 # The three serving anchors: one-tenant bit-identity with the solo

@@ -207,7 +207,7 @@ fn demote_over_watermarks(
     for t in 0..machine.num_tiers().saturating_sub(1) {
         let tier = TierId::new(t);
         let capacity = machine.capacity(tier) as f64;
-        let used = machine.bytes_used_by_tier()[t] as f64;
+        let used = capacity - machine.free_bytes(tier) as f64;
         if used <= capacity * config.high_watermark {
             continue;
         }

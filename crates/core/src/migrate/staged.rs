@@ -2,13 +2,18 @@
 //!
 //! For each planned region the engine performs three stages:
 //!
-//! 1. **Staging** — multiple threads copy the source region into a staging
-//!    buffer physically located on the *target* tier;
+//! 1. **Staging** — multiple simulated copier threads copy the source region
+//!    into a staging buffer whose frames are on the *target* tier;
 //! 2. **Remapping** — the virtual pages of the region are remapped onto
 //!    fresh frames on the target tier (huge mappings where alignment
 //!    allows), with a single range TLB shootdown; no data moves;
-//! 3. **Moving** — multiple threads copy the staged bytes into the final
-//!    frames (a same-tier copy).
+//! 3. **Moving** — the same simulated threads copy the staged bytes into the
+//!    final frames (a same-tier copy).
+//!
+//! The thread count is a parameter of the simulated copy-time model only:
+//! on the host each physically contiguous segment is one `memcpy`, and the
+//! staged bytes sit in a machine-owned image, not in the target tier's
+//! storage (see [`Machine::alloc_frames`]).
 //!
 //! Data crosses the tier boundary exactly once (stage 1); stage 3 runs at
 //! the target tier's bandwidth. Compared to the `mbind` baseline the engine
@@ -45,6 +50,7 @@
 //! and retries them.
 //!
 //! [`Machine::remap_region`]: atmem_hms::Machine::remap_region
+//! [`Machine::alloc_frames`]: atmem_hms::Machine::alloc_frames
 //! [`Atmem::optimize`]: crate::Atmem::optimize
 
 use atmem_hms::addr::PAGE_SIZE;

@@ -98,7 +98,7 @@ struct TagRow([u32; LANES]);
 /// nibble again changes nothing: that is why the guaranteed-hit re-touches
 /// the batched engines coalesce ([`rehit_run`](Cache::rehit_run), the tail
 /// of [`access_run`](Cache::access_run)) only move counters.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct Cache {
     config: CacheConfig,
     /// One row per set; lanes at and beyond `assoc` stay [`EMPTY`].
@@ -140,6 +140,32 @@ fn move_to_mru(order: u64, way: u64, mru_shift: u32) -> u64 {
     let below = order & ((1 << pos) - 1);
     let above = (order >> pos >> 4) << pos;
     below | above | way << mru_shift
+}
+
+/// Bit `w` set for every lane `w` of `row` that holds `tag` (at most one,
+/// for a resident tag): a sixteen-lane compare with no early exit, which
+/// the compiler vectorises.
+#[inline]
+fn lanes_holding(row: &[u32; LANES], tag: u32) -> u32 {
+    let mut matches = 0u32;
+    for (lane, &t) in row.iter().enumerate() {
+        matches |= ((t == tag) as u32) << lane;
+    }
+    matches
+}
+
+/// The recency word of a set some of whose ways were just emptied: the
+/// empty ways ascending at the LRU end, then the survivors in their old
+/// relative order.
+fn order_after_vacating(row: &TagRow, order: u64, assoc: usize) -> u64 {
+    let empty = (0..assoc).filter(|&w| row.0[w] == EMPTY);
+    let resident = (0..assoc)
+        .map(|p| way_at(order, p))
+        .filter(|&w| row.0[w] != EMPTY);
+    empty
+        .chain(resident)
+        .enumerate()
+        .fold(0, |word, (p, w)| word | (w as u64) << (4 * p))
 }
 
 impl Cache {
@@ -197,10 +223,7 @@ impl Cache {
         );
         let tag = tag as u32;
         let row = &mut self.tags[set].0;
-        let mut matches = 0u32;
-        for (lane, &t) in row.iter().enumerate() {
-            matches |= ((t == tag) as u32) << lane;
-        }
+        let matches = lanes_holding(row, tag);
         let hit = matches != 0;
         let order = self.order[set];
         let way = if hit {
@@ -281,16 +304,41 @@ impl Cache {
                 }
             }
             if vacated {
-                // Empty ways ascending at the LRU end, then the survivors
-                // in their old relative order.
-                let empty = (0..assoc).filter(|&w| row.0[w] == EMPTY);
-                let resident = (0..assoc)
-                    .map(|p| way_at(*order, p))
-                    .filter(|&w| row.0[w] != EMPTY);
-                *order = empty
-                    .chain(resident)
-                    .enumerate()
-                    .fold(0, |word, (p, w)| word | (w as u64) << (4 * p));
+                *order = order_after_vacating(row, *order, assoc);
+            }
+        }
+    }
+
+    /// Evicts every resident line with an id in `first..=last` — exactly
+    /// [`invalidate_where`](Cache::invalidate_where) with that range as the
+    /// predicate, which is the whole of what frame reclamation asks for.
+    ///
+    /// Consecutive line ids map to consecutive sets, so a span no wider
+    /// than the set count names at most one line per set: each is looked up
+    /// in its own set (one tag-row compare) and the other sets are never
+    /// read. The touched set is vacated and reordered by the same rule as
+    /// the scan, and an untouched set is left alone by both, so the cache
+    /// state afterwards is identical. Wider spans take the scan, which then
+    /// costs less than a probe per line.
+    pub fn invalidate_lines(&mut self, first: u64, last: u64) {
+        debug_assert!(first <= last, "empty line span");
+        if last - first >= self.tags.len() as u64 {
+            return self.invalidate_where(|line| (first..=last).contains(&line));
+        }
+        let assoc = self.config.assoc;
+        for line in first..=last {
+            let tag = line >> self.set_bits;
+            // Only tags below EMPTY are ever resident (checked on every
+            // probe); a wider one must not be truncated into a match.
+            if tag >= EMPTY as u64 {
+                continue;
+            }
+            let set = (line & self.set_mask) as usize;
+            let row = &mut self.tags[set];
+            let matches = lanes_holding(&row.0, tag as u32);
+            if matches != 0 {
+                row.0[matches.trailing_zeros() as usize] = EMPTY;
+                self.order[set] = order_after_vacating(row, self.order[set], assoc);
             }
         }
     }
@@ -617,6 +665,89 @@ mod tests {
                         evictions >= 100,
                         "only {evictions} full-set evictions at {assoc} ways x {sets} sets"
                     );
+                }
+            }
+        }
+    }
+
+    /// Fills, `invalidate_lines` on one clone against `invalidate_where`
+    /// over the same id range on the other, at one geometry. After every
+    /// step the two must agree on every tag lane, every recency word, the
+    /// resident lines, the four counters and the self-check.
+    fn run_invalidate_script(assoc: usize, sets: usize, script: &[Step]) {
+        let config = CacheConfig::new(sets * assoc * 64, assoc, 64);
+        let set_bits = sets.trailing_zeros();
+        let mut targeted = Cache::new(config);
+        let mut scanned = targeted.clone();
+        let ways = (sets * assoc) as u64;
+        // Lines of the largest tag that fits a lane: the ids just above
+        // them have tags EMPTY and 2^32 + k, which truncate to "empty way"
+        // and to the low resident tag k.
+        let top = (EMPTY as u64 - 1) << set_bits;
+        let pa = |line: u64| PhysAddr::new(line * 64);
+        for (step, &(op, pick, write, count)) in script.iter().enumerate() {
+            let pick = pick as u64;
+            match op {
+                0..=5 => {
+                    // A burst of fills, mostly low ids, some under `top`.
+                    for k in 0..count as u64 {
+                        let line = pick.wrapping_mul(k + 1) % (2 * ways);
+                        let line = if pick.is_multiple_of(5) {
+                            top + line % sets as u64
+                        } else {
+                            line
+                        };
+                        assert_eq!(
+                            targeted.access(pa(line), write),
+                            scanned.access(pa(line), write)
+                        );
+                    }
+                }
+                _ => {
+                    // Spans below, at and above the set count; starting
+                    // anywhere, so most wrap the set index; some reaching
+                    // past `top`, some aliasing low tags from 2^32 up.
+                    let width = match pick % 4 {
+                        0 => sets as u64,
+                        1 => sets as u64 + 1 + count as u64,
+                        _ => 1 + (pick / 4) % (sets as u64).max(2),
+                    };
+                    let first = match op {
+                        6..=8 => pick % (2 * ways),
+                        9 => top + pick % (sets as u64),
+                        _ => (1u64 << 32 << set_bits) + pick % (2 * ways),
+                    };
+                    let last = first + width - 1;
+                    targeted.invalidate_lines(first, last);
+                    scanned.invalidate_where(|id| (first..=last).contains(&id));
+                }
+            }
+            for set in 0..sets {
+                assert_eq!(
+                    (targeted.tags[set].0, targeted.order[set]),
+                    (scanned.tags[set].0, scanned.order[set]),
+                    "set {set} after step {step}"
+                );
+            }
+            assert_eq!(targeted.live_lines(), scanned.live_lines(), "step {step}");
+            assert_eq!(targeted.counts, scanned.counts, "counters, step {step}");
+            assert_eq!(targeted.check(), Vec::<String>::new(), "step {step}");
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(4))]
+
+        #[test]
+        fn invalidate_lines_matches_the_predicate_scan(
+            script in prop::collection::vec(
+                (0u32..11, 0usize..100_000, any::<bool>(), 1usize..6),
+                300..400,
+            ),
+        ) {
+            for assoc in [1, 2, 4, 8, 16] {
+                for sets in [1, 4, 128] {
+                    run_invalidate_script(assoc, sets, &script);
                 }
             }
         }

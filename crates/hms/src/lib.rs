@@ -18,10 +18,14 @@
 //!   ([`Machine::migrate_mbind`]) plus the low-level primitives the ATMem
 //!   optimizer composes into its multi-stage multi-threaded migration
 //!   ([`Machine::alloc_frames`], [`Machine::copy_region_to_frames`],
-//!   [`Machine::remap_region`], [`Machine::copy_frames_to_region`]).
+//!   [`Machine::remap_region`], [`Machine::copy_frames_to_region`],
+//!   [`Machine::free_frames`]).
 //!
 //! Data written through the simulator actually lives in the tier buffers, so
 //! migrations really move bytes and correctness is externally checkable.
+//! The one exception is a migration's staging run: its frames are held on
+//! the target tier, but the bytes in flight live in a machine-owned image
+//! beside the run, which nothing simulated can address.
 //!
 //! ## Example
 //!

@@ -76,6 +76,18 @@ pub struct MigrationReport {
     pub mappings_after: usize,
 }
 
+/// The host-side bytes of one outstanding staging run.
+#[derive(Debug)]
+struct StagingImage {
+    /// At least the run's size; longer when the buffer was recycled from a
+    /// larger run. Bytes past `staged` are stale.
+    bytes: Vec<u8>,
+    /// Length of the region image the last staging copy left at the front
+    /// of `bytes`; zero until a copy succeeds. A replay may not read past
+    /// it.
+    staged: usize,
+}
+
 /// The simulated machine. See the [crate docs](crate) for an overview.
 ///
 /// Simulated state is split in two: **shared read-mostly state** (platform,
@@ -97,6 +109,15 @@ pub struct Machine {
     /// Staging frame runs handed out by [`Machine::alloc_frames`] and not
     /// yet released — the auditor's account of legitimate unmapped usage.
     staged_runs: Vec<(TierId, FrameRun)>,
+    /// The bytes of each staging run, index for index with `staged_runs`.
+    /// A staging run's *frames* are simulated state (they occupy the tier's
+    /// allocator, so pressure, frame numbers and the physically indexed LLC
+    /// see them); its *bytes* are host state nothing simulated can read, so
+    /// they live here and the tier array under the run is never touched.
+    staged_images: Vec<StagingImage>,
+    /// Buffers of released staging images, reused by the next
+    /// [`Machine::alloc_frames`] so a staging copy writes warm host memory.
+    spare_images: Vec<Vec<u8>>,
     /// Counter snapshot from the previous [`Machine::audit`], for the
     /// monotonicity check.
     last_audit_stats: Option<MachineStats>,
@@ -140,6 +161,8 @@ impl Machine {
             platform,
             fault: None,
             staged_runs: Vec::new(),
+            staged_images: Vec::new(),
+            spare_images: Vec::new(),
             last_audit_stats: None,
             alloc_tag: 0,
             tag_resident: BTreeMap::new(),
@@ -407,16 +430,6 @@ impl Machine {
         TierId::new(self.tiers.len() - 1)
     }
 
-    /// Bytes used (allocated frames) on every tier, hottest first. The
-    /// per-tier generalization of the `fast_bytes_used`/`slow_bytes_used`
-    /// gauges in [`MachineStats`].
-    pub fn bytes_used_by_tier(&self) -> Vec<u64> {
-        self.tiers
-            .iter()
-            .map(|t| (t.frames.used_frames() * PAGE_SIZE) as u64)
-            .collect()
-    }
-
     // ------------------------------------------------------------------
     // Allocation
     // ------------------------------------------------------------------
@@ -656,9 +669,7 @@ impl Machine {
         let hi = lo + run.bytes() as u64;
         let first = self.core.llc.line_id_of(lo);
         let last = self.core.llc.line_id_of(hi - 1);
-        self.core
-            .llc
-            .invalidate_where(|line| (first..=last).contains(&line));
+        self.core.llc.invalidate_lines(first, last);
     }
 
     /// Frees the allocation starting at `range.start`.
@@ -992,6 +1003,10 @@ impl Machine {
     /// outstanding staging until released with [`Machine::free_frames`];
     /// [`Machine::audit`] accounts it as legitimate unmapped usage.
     ///
+    /// The frames are held in the tier's allocator like any others; the
+    /// bytes staged into the run are kept in a machine-owned image beside
+    /// it, so the tier's storage under the run is never written.
+    ///
     /// # Errors
     ///
     /// [`HmsError::OutOfMemory`] / [`HmsError::Fragmented`] on failure.
@@ -1003,20 +1018,35 @@ impl Machine {
             .frames
             .alloc_run(pages)
             .ok_or_else(|| self.oom_error(tier, pages * PAGE_SIZE))?;
+        let mut bytes = self.spare_images.pop().unwrap_or_default();
+        if bytes.len() < run.bytes() {
+            bytes.resize(run.bytes(), 0);
+        }
         self.staged_runs.push((tier, run));
+        self.staged_images.push(StagingImage { bytes, staged: 0 });
         Ok(run)
     }
 
-    /// Frees a frame run previously returned by [`Machine::alloc_frames`]
-    /// (or released by a remap).
+    /// Releases a staging run previously returned by
+    /// [`Machine::alloc_frames`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `(tier, run)` is not an outstanding staging run — a run
+    /// that was never handed out by [`Machine::alloc_frames`], or one
+    /// already freed. Frames backing a mapping are released by
+    /// [`Machine::free`] or a remap, never through here.
     pub fn free_frames(&mut self, tier: TierId, run: FrameRun) {
-        if let Some(pos) = self
-            .staged_runs
-            .iter()
-            .position(|&(t, r)| t == tier && r == run)
-        {
-            self.staged_runs.swap_remove(pos);
-        }
+        let slot = self.staging_slot(tier, run).unwrap_or_else(|| {
+            panic!(
+                "free_frames: frames {}..{} of {tier} are not an outstanding staging run",
+                run.start,
+                run.start + run.count
+            )
+        });
+        self.staged_runs.swap_remove(slot);
+        self.spare_images
+            .push(self.staged_images.swap_remove(slot).bytes);
         self.tiers[tier.index()].frames.free_run(run);
         self.invalidate_llc_frames(tier, run);
     }
@@ -1027,6 +1057,13 @@ impl Machine {
     /// prove staging buffers are never leaked on fault paths.
     pub fn outstanding_staging(&self) -> &[(TierId, FrameRun)] {
         &self.staged_runs
+    }
+
+    /// Index of `(tier, run)` in the outstanding staging list.
+    fn staging_slot(&self, tier: TierId, run: FrameRun) -> Option<usize> {
+        self.staged_runs
+            .iter()
+            .position(|&(t, r)| t == tier && r == run)
     }
 
     /// Allocates one frame destined to back a mapping immediately (the
@@ -1043,15 +1080,53 @@ impl Machine {
             .ok_or_else(|| self.oom_error(tier, PAGE_SIZE))
     }
 
-    /// Copies the page-aligned virtual `range` into the staging frame run
-    /// `dst` on `dst_tier` using `threads` copier threads. Returns the
-    /// simulated copy time. The copy streams past the LLC (non-temporal),
-    /// so cache and TLB state are unaffected.
+    /// Releases the frame a mapping stops using within the same operation
+    /// (the `mbind` per-page path; counterpart of
+    /// [`Machine::alloc_page_frame`]).
+    pub(crate) fn free_page_frame(&mut self, tier: TierId, frame: u32) {
+        let run = FrameRun::new(frame, 1);
+        self.tiers[tier.index()].frames.free_run(run);
+        self.invalidate_llc_frames(tier, run);
+    }
+
+    /// Copies one 4 KiB page from a frame of `src_tier` to a frame of a
+    /// *different* tier (the `mbind` per-page path, which leaves pages
+    /// already on the destination tier in place), without simulated-time
+    /// accounting — the caller accounts it.
+    pub(crate) fn copy_page_frame(
+        &mut self,
+        src_tier: TierId,
+        src_frame: u32,
+        dst_tier: TierId,
+        dst_frame: u32,
+    ) {
+        let (s, d) = (src_tier.index(), dst_tier.index());
+        assert_ne!(s, d, "page copy within one tier");
+        // Two tiers of one array: split it between them.
+        let (lo, hi) = self.tiers.split_at_mut(s.max(d));
+        let (src, dst) = if s < d {
+            (&lo[s], &mut hi[0])
+        } else {
+            (&hi[0], &mut lo[d])
+        };
+        dst.storage
+            .slice_mut((dst_frame as usize) << PAGE_SHIFT, PAGE_SIZE)
+            .copy_from_slice(
+                src.storage
+                    .slice((src_frame as usize) << PAGE_SHIFT, PAGE_SIZE),
+            );
+    }
+
+    /// Copies the page-aligned virtual `range` into the staging run `dst`
+    /// on `dst_tier`, charged as `threads` simulated copier threads.
+    /// Returns the simulated copy time. The copy streams past the LLC
+    /// (non-temporal), so cache and TLB state are unaffected.
     ///
     /// # Errors
     ///
-    /// [`HmsError::InvalidRange`] if `range` is not page-aligned or `dst` is
-    /// too small; [`HmsError::Unmapped`] for holes in `range`;
+    /// [`HmsError::InvalidRange`] if `range` is not page-aligned, `dst` is
+    /// too small, or `(dst_tier, dst)` is not an outstanding staging run;
+    /// [`HmsError::Unmapped`] for holes in `range`;
     /// [`HmsError::FaultInjected`] under an armed [`FaultPlan`] (no bytes
     /// are copied and no state changes in that case).
     pub fn copy_region_to_frames(
@@ -1062,40 +1137,41 @@ impl Machine {
         threads: usize,
     ) -> Result<SimDuration> {
         let segments = self.region_segments(range)?;
-        if dst.bytes() < range.len {
-            return Err(HmsError::InvalidRange {
+        let slot = self
+            .staging_slot(dst_tier, dst)
+            .filter(|_| range.len <= dst.bytes())
+            .ok_or(HmsError::InvalidRange {
                 start: range.start,
                 len: range.len,
-            });
-        }
+            })?;
         if self.fault_fires(FaultSite::Move) {
             return Err(HmsError::FaultInjected(FaultSite::Move));
         }
-        let mut jobs = Vec::with_capacity(segments.len());
-        let mut dst_off = dst.start as usize * PAGE_SIZE;
-        for (src_tier, src_off, len) in segments {
-            jobs.push(CopyJob {
-                src_tier,
-                src_off,
-                dst_tier,
-                dst_off,
-                len,
-            });
-            dst_off += len;
+        let mut ns = 0.0;
+        let image = &mut self.staged_images[slot];
+        let mut staged = 0;
+        for &(src_tier, src_off, len) in &segments {
+            ns += copy_ns(&self.platform, src_tier, dst_tier, len, threads);
+            image.bytes[staged..staged + len]
+                .copy_from_slice(self.tiers[src_tier.index()].storage.slice(src_off, len));
+            staged += len;
         }
-        let time = self.estimate_copy_time(&jobs, threads);
-        self.execute_copies(&jobs, threads);
+        image.staged = staged;
+        let time = SimDuration::from_ns(ns);
         self.core.clock.advance(time);
         Ok(time)
     }
 
-    /// Copies bytes from the staging run `src` on `src_tier` back into the
+    /// Copies the bytes staged in the run `src` on `src_tier` back into the
     /// (re-mapped) virtual `range`. Counterpart of
     /// [`Machine::copy_region_to_frames`].
     ///
     /// # Errors
     ///
-    /// Same conditions as [`Machine::copy_region_to_frames`].
+    /// Same conditions as [`Machine::copy_region_to_frames`], and
+    /// [`HmsError::InvalidRange`] if `range` is longer than what the last
+    /// successful staging copy into `src` left there (nothing, for a fresh
+    /// run).
     pub fn copy_frames_to_region(
         &mut self,
         src_tier: TierId,
@@ -1104,29 +1180,28 @@ impl Machine {
         threads: usize,
     ) -> Result<SimDuration> {
         let segments = self.region_segments(range)?;
-        if src.bytes() < range.len {
-            return Err(HmsError::InvalidRange {
+        let slot = self
+            .staging_slot(src_tier, src)
+            .filter(|&slot| range.len <= self.staged_images[slot].staged)
+            .ok_or(HmsError::InvalidRange {
                 start: range.start,
                 len: range.len,
-            });
-        }
+            })?;
         if self.fault_fires(FaultSite::Move) {
             return Err(HmsError::FaultInjected(FaultSite::Move));
         }
-        let mut jobs = Vec::with_capacity(segments.len());
-        let mut src_off = src.start as usize * PAGE_SIZE;
-        for (dst_tier, dst_off, len) in segments {
-            jobs.push(CopyJob {
-                src_tier,
-                src_off,
-                dst_tier,
-                dst_off,
-                len,
-            });
-            src_off += len;
+        let mut ns = 0.0;
+        let image = &self.staged_images[slot];
+        let mut replayed = 0;
+        for &(dst_tier, dst_off, len) in &segments {
+            ns += copy_ns(&self.platform, src_tier, dst_tier, len, threads);
+            self.tiers[dst_tier.index()]
+                .storage
+                .slice_mut(dst_off, len)
+                .copy_from_slice(&image.bytes[replayed..replayed + len]);
+            replayed += len;
         }
-        let time = self.estimate_copy_time(&jobs, threads);
-        self.execute_copies(&jobs, threads);
+        let time = SimDuration::from_ns(ns);
         self.core.clock.advance(time);
         Ok(time)
     }
@@ -1160,61 +1235,6 @@ impl Machine {
             return Err(HmsError::Unmapped(covered));
         }
         Ok(out)
-    }
-
-    /// Analytic copy-time model: per (src, dst) tier pair, throughput is the
-    /// minimum of the source copy-read and destination copy-write bandwidth
-    /// at the given thread count, further capped by the platform's per-pair
-    /// link bandwidth (infinite on every two-tier preset, so the `min` is
-    /// exact identity there); same-tier copies halve the budget (read and
-    /// write share the channel).
-    fn estimate_copy_time(&self, jobs: &[CopyJob], threads: usize) -> SimDuration {
-        let mut ns = 0.0;
-        for job in jobs {
-            let src = &self.tiers[job.src_tier.index()].spec;
-            let dst = &self.tiers[job.dst_tier.index()].spec;
-            let mut bw = src
-                .copy_read_bw(threads)
-                .min(dst.copy_write_bw(threads))
-                .min(self.platform.link_cap(job.src_tier, job.dst_tier));
-            if job.src_tier == job.dst_tier {
-                bw /= 2.0;
-            }
-            ns += job.len as f64 / bw;
-        }
-        SimDuration::from_ns(ns)
-    }
-
-    /// Executes the copies for real, in parallel across up to `threads`
-    /// OS threads over disjoint byte ranges.
-    fn execute_copies(&mut self, jobs: &[CopyJob], threads: usize) {
-        debug_assert!(jobs_disjoint_dst(jobs), "copy destinations overlap");
-        // Collect raw base pointers per tier. Jobs touch disjoint
-        // destination ranges, and sources are never written concurrently.
-        let bases: Vec<SendPtr> = self
-            .tiers
-            .iter_mut()
-            .map(|t| SendPtr(t.storage.base_ptr()))
-            .collect();
-        let workers = threads.clamp(1, 8).min(jobs.len().max(1));
-        if workers <= 1 || jobs.len() == 1 {
-            for job in jobs {
-                // SAFETY: see `copy_job`.
-                unsafe { copy_job(&bases, job) };
-            }
-            return;
-        }
-        std::thread::scope(|scope| {
-            for chunk in jobs.chunks(jobs.len().div_ceil(workers)) {
-                let bases = &bases;
-                scope.spawn(move || {
-                    for job in chunk {
-                        // SAFETY: see `copy_job`.
-                        unsafe { copy_job(bases, job) };
-                    }
-                });
-            }
-        });
     }
 
     /// Splits any mapping that straddles a boundary of `range`, so that
@@ -1326,10 +1346,6 @@ impl Machine {
         }
     }
 
-    pub(crate) fn tier_mut(&mut self, tier: TierId) -> &mut Tier {
-        &mut self.tiers[tier.index()]
-    }
-
     pub(crate) fn tier_ref(&self, tier: TierId) -> &Tier {
         &self.tiers[tier.index()]
     }
@@ -1417,6 +1433,10 @@ impl Machine {
 
     /// Snapshot of all counters.
     pub fn stats(&self) -> MachineStats {
+        let mut bytes_used = [0u64; MAX_TIERS];
+        for (used, tier) in bytes_used.iter_mut().zip(&self.tiers) {
+            *used = (tier.frames.used_frames() * PAGE_SIZE) as u64;
+        }
         MachineStats {
             time_ns: self.core.clock.now().as_ns(),
             accesses: self.core.counters.accesses,
@@ -1428,12 +1448,7 @@ impl Machine {
             llc_write_misses: self.core.llc.write_misses(),
             tlb_hits: self.core.tlb.hits(),
             tlb_misses: self.core.tlb.misses(),
-            // The two gauges project the tier set onto its extremes: the
-            // hottest tier and the coldest. On a two-tier machine that is
-            // every tier; [`Machine::bytes_used_by_tier`] has the rest.
-            fast_bytes_used: (self.tiers[0].frames.used_frames() * PAGE_SIZE) as u64,
-            slow_bytes_used: (self.tiers[self.tiers.len() - 1].frames.used_frames() * PAGE_SIZE)
-                as u64,
+            bytes_used,
             bytes_migrated: self.core.counters.bytes_migrated,
         }
     }
@@ -1460,7 +1475,9 @@ impl Machine {
     ///    outstanding staging runs are pairwise disjoint (no double
     ///    mapping) and account for *exactly* the allocator's used count
     ///    (no leaks), and the allocator's incremental free counter matches
-    ///    a bitmap popcount (no double free slipped through);
+    ///    a bitmap popcount (no double free slipped through); every
+    ///    outstanding staging run has a byte image at least its size, and
+    ///    no image outlives its run;
     /// 4. every allocation is fully mapped, and every mapping belongs to a
     ///    live allocation;
     /// 5. every TLB entry decodes to a live mapping of matching
@@ -1481,7 +1498,9 @@ impl Machine {
         let coalesce = self.platform.tlb_coalesce.max(1) as u64;
 
         // Invariants 1 + 2, and collection of per-tier frame ownership.
-        let mut owners: Vec<Vec<(u32, u32, String)>> = vec![Vec::new(); self.tiers.len()];
+        // `(frame_start, pages, owning vpage)`, `None` for a staging run;
+        // rendered only inside a violation.
+        let mut owners: Vec<Vec<(u32, u32, Option<u64>)>> = vec![Vec::new(); self.tiers.len()];
         let mut prev_end: Option<u64> = None;
         for m in self.mappings.iter() {
             if let Some(end) = prev_end {
@@ -1523,11 +1542,7 @@ impl Machine {
                     m.vpage_start, m.frame_start, m.pages
                 ));
             }
-            owners[m.tier.index()].push((
-                m.frame_start,
-                m.pages,
-                format!("mapping at vpage {:#x}", m.vpage_start),
-            ));
+            owners[m.tier.index()].push((m.frame_start, m.pages, Some(m.vpage_start)));
         }
         for &(tier, run) in &self.staged_runs {
             let frames = &self.tiers[tier.index()].frames;
@@ -1546,7 +1561,26 @@ impl Machine {
                     self.platform.tier_name(tier)
                 ));
             }
-            owners[tier.index()].push((run.start, run.count, "staging run".into()));
+            owners[tier.index()].push((run.start, run.count, None));
+        }
+        if self.staged_images.len() != self.staged_runs.len() {
+            violations.push(format!(
+                "{} staging images for {} outstanding staging runs",
+                self.staged_images.len(),
+                self.staged_runs.len()
+            ));
+        }
+        for (&(tier, run), image) in self.staged_runs.iter().zip(&self.staged_images) {
+            if image.bytes.len() < run.bytes() || image.staged > image.bytes.len() {
+                violations.push(format!(
+                    "staging run {}..{} on tier {} has a {}-byte image with {} bytes staged",
+                    run.start,
+                    run.start + run.count,
+                    self.platform.tier_name(tier),
+                    image.bytes.len(),
+                    image.staged
+                ));
+            }
         }
 
         // Invariant 3: per-tier frame conservation.
@@ -1554,12 +1588,18 @@ impl Machine {
             let owned = &mut owners[ti];
             owned.sort_by_key(|&(start, _, _)| start);
             for pair in owned.windows(2) {
-                let (a_start, a_count, a_what) = &pair[0];
-                let (b_start, _, b_what) = &pair[1];
-                if a_start + a_count > *b_start {
+                let (a_start, a_count, a_owner) = pair[0];
+                let (b_start, _, b_owner) = pair[1];
+                if a_start + a_count > b_start {
+                    let what = |owner: Option<u64>| match owner {
+                        Some(vpage) => format!("mapping at vpage {vpage:#x}"),
+                        None => "staging run".to_string(),
+                    };
                     violations.push(format!(
                         "{} and {} double-map frames on {}",
-                        a_what, b_what, tier.spec.name
+                        what(a_owner),
+                        what(b_owner),
+                        tier.spec.name
                     ));
                 }
             }
@@ -1805,47 +1845,23 @@ impl MemPort for Machine {
     }
 }
 
-#[derive(Debug, Clone, Copy)]
-struct CopyJob {
-    src_tier: TierId,
-    src_off: usize,
-    dst_tier: TierId,
-    dst_off: usize,
-    len: usize,
-}
-
-fn jobs_disjoint_dst(jobs: &[CopyJob]) -> bool {
-    let mut ranges: Vec<_> = jobs
-        .iter()
-        .map(|j| (j.dst_tier, j.dst_off, j.dst_off + j.len))
-        .collect();
-    ranges.sort_unstable();
-    ranges
-        .windows(2)
-        .all(|w| w[0].0 != w[1].0 || w[0].2 <= w[1].1)
-}
-
-/// A raw pointer that may cross threads. Safe because all concurrent uses
-/// in `execute_copies` touch provably disjoint byte ranges.
-#[derive(Clone, Copy)]
-struct SendPtr(*mut u8);
-unsafe impl Send for SendPtr {}
-unsafe impl Sync for SendPtr {}
-
-/// Executes one copy job.
-///
-/// # Safety
-///
-/// `bases[i].0` must point to the live storage of tier `i`, the job's
-/// source and destination ranges must be in bounds, and no other thread may
-/// concurrently write any byte of the job's source or destination ranges.
-/// `execute_copies` guarantees this: destination ranges are pairwise
-/// disjoint (debug-asserted), staging frames are freshly allocated and thus
-/// never alias a source, and `&mut self` excludes all other machine access.
-unsafe fn copy_job(bases: &[SendPtr], job: &CopyJob) {
-    let src = bases[job.src_tier.index()].0.add(job.src_off) as *const u8;
-    let dst = bases[job.dst_tier.index()].0.add(job.dst_off);
-    std::ptr::copy_nonoverlapping(src, dst, job.len);
+/// Analytic copy-time model for `len` bytes moved from `src` to `dst` by
+/// `threads` simulated copier threads, in nanoseconds: throughput is the
+/// minimum of the source copy-read and destination copy-write bandwidth at
+/// that thread count, further capped by the platform's per-pair link
+/// bandwidth (infinite on every two-tier preset, so the `min` is exact
+/// identity there); a same-tier copy halves the budget (read and write
+/// share the channel). The thread count feeds this model only: the host
+/// copies each segment with one `copy_from_slice`.
+fn copy_ns(platform: &Platform, src: TierId, dst: TierId, len: usize, threads: usize) -> f64 {
+    let mut bw = platform.tiers[src.index()]
+        .copy_read_bw(threads)
+        .min(platform.tiers[dst.index()].copy_write_bw(threads))
+        .min(platform.link_cap(src, dst));
+    if src == dst {
+        bw /= 2.0;
+    }
+    len as f64 / bw
 }
 
 /// Plain little-endian scalar types storable in simulated memory.
@@ -1943,7 +1959,7 @@ mod tests {
             .unwrap_err();
         assert!(matches!(err, HmsError::OutOfMemory { .. }));
         // Rollback: nothing leaked.
-        assert_eq!(m.stats().fast_bytes_used, 0);
+        assert_eq!(m.stats().bytes_used[TierId::FAST.index()], 0);
     }
 
     #[test]
@@ -2378,7 +2394,7 @@ mod tests {
         let _r = m.alloc(64 * 1024, Placement::Fast).unwrap();
         assert_clean(&mut m);
         // Grab frames behind the registry's back: a genuine leak.
-        m.tier_mut(TierId::FAST).frames.alloc_run(4).unwrap();
+        m.tiers[TierId::FAST.index()].frames.alloc_run(4).unwrap();
         let violations = m.audit();
         assert!(
             violations.iter().any(|v| v.contains("frame leak")),
@@ -2510,6 +2526,158 @@ mod tests {
         }
         assert_clean(&mut m);
         assert_eq!(m.fault_plan().unwrap().injected(), &[(FaultSite::Move, 0)]);
+    }
+
+    /// A slow-tier region of `pages` pages holding `salt`-seeded words.
+    fn filled(m: &mut Machine, pages: usize, salt: u64) -> VirtRange {
+        let r = m.alloc(pages * PAGE_SIZE, Placement::Slow).unwrap();
+        for i in 0..(r.len / 8) as u64 {
+            m.poke::<u64>(r.start.add(i * 8), i ^ salt).unwrap();
+        }
+        r
+    }
+
+    fn assert_filled(m: &mut Machine, r: VirtRange, salt: u64) {
+        for i in 0..(r.len / 8) as u64 {
+            assert_eq!(m.peek::<u64>(r.start.add(i * 8)).unwrap(), i ^ salt);
+        }
+    }
+
+    #[test]
+    fn foreign_run_is_rejected() {
+        let mut m = machine();
+        let r = filled(&mut m, 16, 0x11);
+        let staging = m.alloc_frames(TierId::FAST, 16).unwrap();
+        // Never allocated, a sub-run of the staging run, the right frames
+        // on the wrong tier, and the frames backing a mapping: none of
+        // them is an outstanding staging run.
+        let mapped = m.mappings_in(r)[0];
+        let foreign = [
+            (TierId::FAST, FrameRun::new(staging.start + 16, 16)),
+            (TierId::FAST, FrameRun::new(staging.start, 8)),
+            (TierId::SLOW, staging),
+            (mapped.tier, FrameRun::new(mapped.frame_start, 16)),
+        ];
+        // A fault armed at the very next consult must stay unconsumed: a
+        // rejected call reaches no gate and moves no clock.
+        m.set_fault_plan(Some(FaultPlan::new().fail_at(FaultSite::Move, 0)));
+        let before = m.now();
+        for (tier, run) in foreign {
+            assert!(matches!(
+                m.copy_region_to_frames(r, tier, run, 4),
+                Err(HmsError::InvalidRange { .. })
+            ));
+            assert!(matches!(
+                m.copy_frames_to_region(tier, run, r, 4),
+                Err(HmsError::InvalidRange { .. })
+            ));
+        }
+        assert_eq!(m.now(), before);
+        assert_eq!(m.fault_plan().unwrap().consults(FaultSite::Move), 0);
+        m.set_fault_plan(None);
+        m.free_frames(TierId::FAST, staging);
+        assert_filled(&mut m, r, 0x11);
+        assert_clean(&mut m);
+    }
+
+    #[test]
+    fn replay_past_staged_bytes_is_rejected() {
+        let mut m = machine();
+        let big = filled(&mut m, 32, 0x22);
+        let small = filled(&mut m, 8, 0x33);
+        // A fresh run has nothing staged.
+        let staging = m.alloc_frames(TierId::FAST, 32).unwrap();
+        assert!(matches!(
+            m.copy_frames_to_region(TierId::FAST, staging, big, 4),
+            Err(HmsError::InvalidRange { .. })
+        ));
+        m.copy_region_to_frames(big, TierId::FAST, staging, 4)
+            .unwrap();
+        m.free_frames(TierId::FAST, staging);
+        // So has the next one, although its buffer is the one just
+        // released and still holds all 32 pages of `big`.
+        let staging = m.alloc_frames(TierId::FAST, 32).unwrap();
+        assert!(matches!(
+            m.copy_frames_to_region(TierId::FAST, staging, small, 4),
+            Err(HmsError::InvalidRange { .. })
+        ));
+        // After staging 8 pages, 8 pages replay and 32 do not.
+        m.copy_region_to_frames(small, TierId::FAST, staging, 4)
+            .unwrap();
+        assert!(matches!(
+            m.copy_frames_to_region(TierId::FAST, staging, big, 4),
+            Err(HmsError::InvalidRange { .. })
+        ));
+        m.copy_frames_to_region(TierId::FAST, staging, small, 4)
+            .unwrap();
+        m.free_frames(TierId::FAST, staging);
+        assert_filled(&mut m, big, 0x22);
+        assert_filled(&mut m, small, 0x33);
+        assert_clean(&mut m);
+    }
+
+    #[test]
+    #[should_panic(expected = "not an outstanding staging run")]
+    fn double_free_of_staging_panics() {
+        let mut m = machine();
+        let staging = m.alloc_frames(TierId::FAST, 4).unwrap();
+        m.free_frames(TierId::FAST, staging);
+        m.free_frames(TierId::FAST, staging);
+    }
+
+    #[test]
+    #[should_panic(expected = "not an outstanding staging run")]
+    fn free_frames_of_a_mapped_frame_panics() {
+        let mut m = machine();
+        let r = m.alloc(PAGE_SIZE, Placement::Slow).unwrap();
+        let mapped = m.mappings_in(r)[0];
+        m.free_frames(mapped.tier, FrameRun::new(mapped.frame_start, 1));
+    }
+
+    #[test]
+    fn audit_flags_a_staging_image_mismatch() {
+        let mut m = machine();
+        let staging = m.alloc_frames(TierId::FAST, 4).unwrap();
+        assert_clean(&mut m);
+        // An image shorter than its run.
+        m.staged_images[0].bytes.truncate(PAGE_SIZE);
+        let violations = m.audit();
+        assert!(
+            violations.iter().any(|v| v.contains("-byte image")),
+            "short image not flagged: {violations:#?}"
+        );
+        m.staged_images[0].bytes.resize(4 * PAGE_SIZE, 0);
+        assert_clean(&mut m);
+        // An image that outlives its run.
+        m.free_frames(TierId::FAST, staging);
+        m.staged_images.push(StagingImage {
+            bytes: Vec::new(),
+            staged: 0,
+        });
+        let violations = m.audit();
+        assert!(
+            violations
+                .iter()
+                .any(|v| v.contains("1 staging images for 0 outstanding")),
+            "orphan image not flagged: {violations:#?}"
+        );
+    }
+
+    #[test]
+    fn stats_count_every_tier_and_staging_where_it_is_held() {
+        let mut m = Machine::new(Platform::testing_three());
+        let warm = TierId::new(1);
+        let r = m.alloc(8 * PAGE_SIZE, Placement::Tier(warm)).unwrap();
+        let cold = m.alloc(3 * PAGE_SIZE, Placement::Slow).unwrap();
+        let page = PAGE_SIZE as u64;
+        assert_eq!(m.stats().bytes_used[..4], [0, 8 * page, 3 * page, 0]);
+        let staging = m.alloc_frames(warm, 5).unwrap();
+        assert_eq!(m.stats().bytes_used[..4], [0, 13 * page, 3 * page, 0]);
+        m.free_frames(warm, staging);
+        m.remap_region(r, TierId::FAST).unwrap();
+        assert_eq!(m.stats().bytes_used[..4], [8 * page, 0, 3 * page, 0]);
+        m.free(cold).unwrap();
+        assert_eq!(m.stats().bytes_used, [8 * page, 0, 0, 0, 0, 0, 0, 0]);
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! Machine-wide counters and snapshots.
 
 use crate::cost::SimDuration;
+use crate::shard::MAX_TIERS;
 
 /// A point-in-time snapshot of every counter a [`Machine`](crate::Machine)
 /// maintains. Obtained from [`Machine::stats`](crate::Machine::stats);
@@ -28,17 +29,19 @@ pub struct MachineStats {
     pub tlb_hits: u64,
     /// TLB misses.
     pub tlb_misses: u64,
-    /// Bytes currently allocated on the fast tier.
-    pub fast_bytes_used: u64,
-    /// Bytes currently allocated on the slow tier.
-    pub slow_bytes_used: u64,
+    /// Bytes currently allocated on each tier, indexed by
+    /// [`TierId::index`](crate::TierId::index) (hottest first; entries past
+    /// the machine's tier count stay zero). Counts every frame the tier's
+    /// allocator holds: mapped frames, and staging runs on the tier that
+    /// holds them.
+    pub bytes_used: [u64; MAX_TIERS],
     /// Bytes moved by migrations so far.
     pub bytes_migrated: u64,
 }
 
 impl MachineStats {
     /// Component-wise difference `self - earlier` for the monotone counters;
-    /// the occupancy gauges (`*_bytes_used`) keep the later value.
+    /// the occupancy gauge (`bytes_used`) keeps the later value.
     #[must_use]
     pub fn delta(&self, earlier: &MachineStats) -> MachineStats {
         MachineStats {
@@ -52,8 +55,7 @@ impl MachineStats {
             llc_write_misses: self.llc_write_misses - earlier.llc_write_misses,
             tlb_hits: self.tlb_hits - earlier.tlb_hits,
             tlb_misses: self.tlb_misses - earlier.tlb_misses,
-            fast_bytes_used: self.fast_bytes_used,
-            slow_bytes_used: self.slow_bytes_used,
+            bytes_used: self.bytes_used,
             bytes_migrated: self.bytes_migrated - earlier.bytes_migrated,
         }
     }
@@ -94,22 +96,22 @@ mod tests {
             time_ns: 10.0,
             accesses: 5,
             tlb_misses: 1,
-            fast_bytes_used: 100,
+            bytes_used: [100, 0, 7, 0, 0, 0, 0, 0],
             ..MachineStats::default()
         };
         let later = MachineStats {
             time_ns: 25.0,
             accesses: 9,
             tlb_misses: 4,
-            fast_bytes_used: 300,
+            bytes_used: [300, 0, 9, 0, 0, 0, 0, 0],
             ..MachineStats::default()
         };
         let d = later.delta(&earlier);
         assert_eq!(d.accesses, 4);
         assert_eq!(d.tlb_misses, 3);
         assert!((d.time_ns - 15.0).abs() < 1e-12);
-        // Gauges keep the later value.
-        assert_eq!(d.fast_bytes_used, 300);
+        // The gauge keeps the later value, on every tier.
+        assert_eq!(d.bytes_used, later.bytes_used);
     }
 
     #[test]

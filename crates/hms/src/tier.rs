@@ -197,8 +197,9 @@ impl TierStorage {
         &mut self.bytes[offset..offset + len]
     }
 
-    /// Raw pointer to the storage base, for multi-threaded copies over
-    /// provably disjoint ranges (see `Machine::copy_frames_parallel`).
+    /// Raw pointer to the storage base, for the per-core views of a sharded
+    /// phase over provably disjoint ranges (see `shard::TiersView`, the one
+    /// place it is dereferenced).
     pub(crate) fn base_ptr(&mut self) -> *mut u8 {
         self.bytes.as_mut_ptr()
     }

@@ -757,11 +757,11 @@ mod tests {
     #[test]
     fn free_releases() {
         let mut m = machine();
-        let used0 = m.stats().slow_bytes_used;
+        let used0 = m.stats().bytes_used[TierId::SLOW.index()];
         let v = TrackedVec::<u64>::new(&mut m, 4096, Placement::Slow).unwrap();
-        assert!(m.stats().slow_bytes_used > used0);
+        assert!(m.stats().bytes_used[TierId::SLOW.index()] > used0);
         v.free(&mut m).unwrap();
-        assert_eq!(m.stats().slow_bytes_used, used0);
+        assert_eq!(m.stats().bytes_used[TierId::SLOW.index()], used0);
     }
 
     #[test]

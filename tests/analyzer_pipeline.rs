@@ -142,7 +142,7 @@ proptest! {
         let report = rt.optimize().unwrap();
 
         // Budget respected.
-        let fast_used = rt.machine().stats().fast_bytes_used as usize;
+        let fast_used = rt.machine().stats().bytes_used[atmem_hms::TierId::FAST.index()] as usize;
         prop_assert!(fast_used <= rt.machine().capacity(atmem_hms::TierId::FAST));
         prop_assert!(report.data_ratio <= 1.0);
 

@@ -1,0 +1,227 @@
+//! Migration data-image property test.
+//!
+//! Random interleavings of staged, direct and `mbind` region migrations —
+//! plus the staged primitives driven by hand — over one allocation on the
+//! two- and three-tier testing presets, each region under a scripted fault
+//! at one of the migration path's gates (staging allocation, the stage-1
+//! and stage-3 copies, the remap, the per-page frame grab, the per-page
+//! status check). The data is rewritten between regions, so a replay of
+//! stale bytes cannot pass for the live image.
+//!
+//! After every region: the whole allocation reads back equal to a shadow
+//! `Vec<u64>`, no staging run is outstanding, and [`Machine::audit`] is
+//! clean. The hand-driven regions also prove where staged bytes live: the
+//! tier storage under a staging run is bit-identical before
+//! [`Machine::alloc_frames`] and after [`Machine::free_frames`].
+//!
+//! `ATMEM_PROP_CASES` overrides the case count (see `ci.sh`).
+//!
+//! [`Machine::audit`]: atmem_hms::Machine::audit
+//! [`Machine::alloc_frames`]: atmem_hms::Machine::alloc_frames
+//! [`Machine::free_frames`]: atmem_hms::Machine::free_frames
+
+use atmem::migrate::plan::PlannedRegion;
+use atmem::{execute_regions, MigrationConfig, MigrationMechanism, ObjectId};
+use atmem_hms::{FaultPlan, FaultSite, Machine, MemPort, Placement, Platform, TierId, VirtRange};
+use atmem_prop::prelude::*;
+
+const PAGE: usize = 4096;
+const WORDS_PER_PAGE: usize = PAGE / 8;
+
+fn prop_cases(default: u32) -> u32 {
+    std::env::var("ATMEM_PROP_CASES")
+        .ok()
+        .and_then(|v| v.parse().ok())
+        .unwrap_or(default)
+}
+
+/// The scripted fault of one region: `(site, nth consult of that site)`.
+/// A fresh plan is installed per region, so `Move` 0 is the stage-1 copy
+/// and `Move` 1 the stage-3 copy; `FrameAlloc` is consulted by the remap's
+/// mapping build and by every `mbind` page, `PageStatus` by every `mbind`
+/// page.
+const FAULTS: [(FaultSite, u64); 8] = [
+    (FaultSite::StagingAlloc, 0),
+    (FaultSite::Move, 0),
+    (FaultSite::Move, 1),
+    (FaultSite::Remap, 0),
+    (FaultSite::FrameAlloc, 0),
+    (FaultSite::FrameAlloc, 3),
+    (FaultSite::PageStatus, 0),
+    (FaultSite::PageStatus, 2),
+];
+
+/// One machine, one allocation, and the words it must hold.
+struct Image {
+    m: Machine,
+    range: VirtRange,
+    shadow: Vec<u64>,
+}
+
+impl Image {
+    fn new(platform: Platform, pages: usize, seed: u64) -> Self {
+        let tiers = platform.tiers.len();
+        let mut m = Machine::new(platform);
+        let range = m.alloc(pages * PAGE, Placement::Slow).unwrap();
+        // Fragment every tier: fill its free space with pinned 1..8-page
+        // allocations, then release every other one (holes of at most 8
+        // pages) and the first dozen outright (one hole of 50-odd pages).
+        // A staging run then comes out of the large hole, a remap of more
+        // than half of it has to settle for several smaller frame runs —
+        // so regions have several segments on either side of a copy — and
+        // a staging run the large hole cannot hold is a skip.
+        let mut k = seed;
+        for tier in (0..tiers).map(TierId::new) {
+            let mut pins = Vec::new();
+            loop {
+                k = k
+                    .wrapping_mul(6_364_136_223_846_793_005)
+                    .wrapping_add(1_442_695_040_888_963_407);
+                let pin_pages = 1 + (k >> 61) as usize;
+                match m.alloc(pin_pages * PAGE, Placement::Tier(tier)) {
+                    Ok(pin) => pins.push(pin),
+                    Err(_) => break,
+                }
+            }
+            for (i, pin) in pins.into_iter().enumerate() {
+                if i < 12 || i % 2 == 1 {
+                    m.free(pin).unwrap();
+                }
+            }
+        }
+        let shadow: Vec<u64> = (0..(pages * WORDS_PER_PAGE) as u64)
+            .map(|i| i.wrapping_mul(seed | 1))
+            .collect();
+        for (i, &w) in shadow.iter().enumerate() {
+            m.poke::<u64>(range.start.add(i as u64 * 8), w).unwrap();
+        }
+        Image { m, range, shadow }
+    }
+
+    fn pages(&self, start: usize, count: usize) -> VirtRange {
+        VirtRange::new(self.range.start.add((start * PAGE) as u64), count * PAGE)
+    }
+
+    /// Rewrites one word in every page of `start..start + count`.
+    fn scribble(&mut self, start: usize, count: usize, salt: u64) {
+        for page in start..start + count {
+            let word = page * WORDS_PER_PAGE + (salt as usize + page) % WORDS_PER_PAGE;
+            self.shadow[word] = self.shadow[word].rotate_left(7) ^ salt;
+            self.m
+                .poke::<u64>(self.range.start.add(word as u64 * 8), self.shadow[word])
+                .unwrap();
+        }
+    }
+
+    fn check(&mut self, context: &str) {
+        for (i, &want) in self.shadow.iter().enumerate() {
+            let got = self
+                .m
+                .peek::<u64>(self.range.start.add(i as u64 * 8))
+                .unwrap();
+            assert_eq!(
+                got,
+                want,
+                "{context}: word {i} (page {})",
+                i / WORDS_PER_PAGE
+            );
+        }
+        assert!(
+            self.m.outstanding_staging().is_empty(),
+            "{context}: staging leaked {:?}",
+            self.m.outstanding_staging()
+        );
+        let violations = self.m.audit();
+        assert!(violations.is_empty(), "{context}: audit {violations:#?}");
+    }
+
+    /// The three stages by hand, fault-free, watching the tier bytes under
+    /// the staging run.
+    fn stage_by_hand(&mut self, range: VirtRange, dst: TierId, context: &str) {
+        let m = &mut self.m;
+        let tier_before = MemPort::storage_slice(m, dst, 0, m.capacity(dst)).to_vec();
+        let Ok(run) = m.alloc_frames(dst, range.len / PAGE) else {
+            return;
+        };
+        let (lo, hi) = (
+            run.start as usize * PAGE,
+            (run.start + run.count) as usize * PAGE,
+        );
+        // `assert!`, not `assert_eq!`: a failure must not print the run.
+        let untouched = |m: &Machine, stage: &str| {
+            assert!(
+                MemPort::storage_slice(m, dst, lo, hi - lo) == &tier_before[lo..hi],
+                "{context}: tier bytes under the staging run changed by {stage}"
+            );
+        };
+        m.copy_region_to_frames(range, dst, run, 4).unwrap();
+        untouched(m, "the stage-1 copy");
+        if m.remap_region(range, dst).is_ok() {
+            m.copy_frames_to_region(dst, run, range, 4).unwrap();
+        }
+        untouched(m, "the remap and stage-3 copy");
+        m.free_frames(dst, run);
+        untouched(m, "free_frames");
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(prop_cases(24)))]
+
+    #[test]
+    fn migrations_preserve_the_data_image(
+        seed in 1u64..1 << 48,
+        three_tiers in any::<bool>(),
+        pages in 24usize..80,
+        ops in prop::collection::vec(
+            (
+                (0u32..4, 0usize..80, 1usize..40, 0usize..3),
+                (0usize..2 * FAULTS.len(), any::<u64>()),
+            ),
+            4..12,
+        ),
+    ) {
+        let platform = if three_tiers { Platform::testing_three() } else { Platform::testing() };
+        let tiers = platform.tiers.len();
+        let mut image = Image::new(platform, pages, seed);
+        for (step, &((kind, start, count, dst), (fault, salt))) in ops.iter().enumerate() {
+            let start = start % pages;
+            let count = count.min(pages - start);
+            let dst = TierId::new(dst % tiers);
+            let range = image.pages(start, count);
+            let context = format!("step {step}: kind {kind}, pages {start}+{count} -> {dst}");
+            image.scribble(start, count, salt);
+            if kind == 3 {
+                image.stage_by_hand(range, dst, &context);
+                image.check(&context);
+                continue;
+            }
+            let config = MigrationConfig {
+                mechanism: [
+                    MigrationMechanism::Staged,
+                    MigrationMechanism::Direct,
+                    MigrationMechanism::Mbind,
+                ][kind as usize],
+                ..MigrationConfig::default()
+            };
+            // Half the regions run fault-free.
+            let plan = FAULTS.get(fault).map(|&(site, nth)| FaultPlan::new().fail_at(site, nth));
+            image.m.set_fault_plan(plan);
+            let region = PlannedRegion {
+                object: ObjectId::from_index(0),
+                range,
+                priority: 1.0,
+                dst: None,
+            };
+            let (outcome, _) = execute_regions(&mut image.m, &[region], &config, dst)
+                .unwrap_or_else(|e| panic!("{context}: {e}"));
+            image.m.set_fault_plan(None);
+            prop_assert_eq!(
+                outcome.bytes_moved + outcome.bytes_skipped + outcome.bytes_failed,
+                range.len,
+                "{}", context
+            );
+            image.check(&context);
+        }
+    }
+}

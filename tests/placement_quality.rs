@@ -111,7 +111,7 @@ fn capacity_pressure_keeps_placement_within_budget() {
         Mode::Atmem,
     )
     .unwrap();
-    let fast_used = r.second_iter_stats.fast_bytes_used as usize;
+    let fast_used = r.second_iter_stats.bytes_used[TierId::FAST.index()] as usize;
     assert!(
         fast_used <= 1024 * 1024,
         "fast tier overcommitted: {fast_used}"

@@ -86,8 +86,8 @@ fn protocol_digest(platform: Platform, app: App, cores: usize) -> u64 {
         s.llc_write_misses,
         s.tlb_hits,
         s.tlb_misses,
-        s.fast_bytes_used,
-        s.slow_bytes_used,
+        s.bytes_used[0],
+        s.bytes_used[1],
         s.bytes_migrated,
     ] {
         d.push(c);
@@ -137,8 +137,8 @@ fn machine_digest(platform: Platform) -> u64 {
         s.accesses,
         s.llc_read_misses,
         s.tlb_misses,
-        s.fast_bytes_used,
-        s.slow_bytes_used,
+        s.bytes_used[0],
+        s.bytes_used[1],
     ] {
         d.push(c);
     }
