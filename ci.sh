@@ -22,7 +22,7 @@ cargo build --release
 echo "==> tier-1: cargo test -q"
 cargo test -q
 
-echo "==> release-mode soundness (window bounds, u32 guards, mapping overlap, LLC geometry and tag width, staging ownership stay hard checks)"
+echo "==> release-mode soundness (window bounds, u32 guards, mapping overlap, LLC geometry and tag width, staging ownership stay hard checks; the generated datasets stay the pinned ones)"
 # The window engine's bounds and index-width guards, the mapping table's
 # overlap guard and the LLC's associativity and tag-width guards are plain
 # asserts, not debug_assert!: they must fire in optimized builds too, where
@@ -44,6 +44,12 @@ cargo test -q --release -p atmem-hms foreign_run_is_rejected
 cargo test -q --release -p atmem-hms replay_past_staged_bytes_is_rejected
 cargo test -q --release -p atmem-hms double_free_of_staging_panics
 cargo test -q --release -p atmem-hms free_frames_of_a_mapped_frame_panics
+# The branch-free R-MAT descent is the code whose debug and optimised builds
+# differ most (comparisons folded into shifts, f64 expressions the optimiser
+# may contract): the datasets must be the pinned ones, and the descent must
+# match its branchy oracle edge for edge, in the build the figures run on.
+cargo test -q --release -p atmem-graph rmat_outputs_are_pinned
+cargo test -q --release -p atmem-graph descent_matches_the_reference_edge_for_edge
 
 echo "==> unsafe guard (the migration copy engine stays safe code)"
 # PR 16 replaced the raw-pointer copy engine with copy_from_slice loops;
@@ -65,6 +71,21 @@ echo "==> engines-vs-scalar bit-identity property sweep"
 # and the data image. Already part of tier-1 above; dedicated step so an
 # engine divergence is named in CI output (ATMEM_PROP_CASES widens it).
 ATMEM_PROP_CASES="${ATMEM_PROP_CASES:-8}" cargo test -q -p atmem-bench --test access_prop
+
+echo "==> unaccounted data path: counting-sort build vs its comparison-sort oracle"
+# Random edge lists (duplicates, self loops, isolated vertices) through
+# every symmetrize x deduplicate x self-loop x weighted combination must
+# build the very Csr the old stable comparison sort built. Already part of
+# tier-1 above; named so a builder divergence (which would silently change
+# every dataset) is named in CI output. Same knob as the sweeps around it.
+ATMEM_PROP_CASES="${ATMEM_PROP_CASES:-8}" cargo test -q -p atmem-graph --lib counting_sort_matches_the_reference_build
+
+echo "==> unaccounted data path: segment-wise fill/load/copy-out vs poke/peek loops"
+# TrackedVec::{fill_from, fill, fill_with, to_vec, values} against the per-element
+# loops on a contiguous array, across mbind-splintered per-page mappings
+# and through a CoreHandle: equal data images, and counters, clock, TLB/LLC
+# contents, PEBS buffer and trace ring untouched by every bulk call.
+cargo test -q -p atmem-hms --lib bulk_unaccounted_ops_match_poke_peek_loops
 
 echo "==> fault-injection smoke (set ATMEM_PROP_CASES to widen the sweep)"
 # Quick pass over the fault-injection property harness: a handful of

@@ -298,10 +298,7 @@ impl Kernel for Bc {
     }
 
     fn checksum(&self, rt: &mut Atmem) -> f64 {
-        let m = rt.machine_mut();
-        (0..self.graph.num_vertices())
-            .map(|v| self.bc.peek(m, v))
-            .sum()
+        self.bc.values(rt.machine_mut()).sum()
     }
 }
 

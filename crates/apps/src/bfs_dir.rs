@@ -265,10 +265,8 @@ impl Kernel for BfsDir {
     }
 
     fn checksum(&self, rt: &mut Atmem) -> f64 {
-        let m = rt.machine_mut();
         let mut sum = 0.0;
-        for v in 0..self.out_graph.num_vertices() {
-            let d = self.dist.peek(m, v);
+        for d in self.dist.values(rt.machine_mut()) {
             if d != UNREACHED {
                 sum += d as f64;
             }

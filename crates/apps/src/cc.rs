@@ -142,10 +142,7 @@ impl Kernel for Cc {
     }
 
     fn reset(&mut self, rt: &mut Atmem) {
-        let m = rt.machine_mut();
-        for v in 0..self.graph.num_vertices() {
-            self.labels.poke(m, v, v as u32);
-        }
+        self.labels.fill_with(rt.machine_mut(), |v| v as u32);
         self.changed_last = 0;
     }
 
@@ -167,10 +164,7 @@ impl Kernel for Cc {
     }
 
     fn checksum(&self, rt: &mut Atmem) -> f64 {
-        let m = rt.machine_mut();
-        (0..self.graph.num_vertices())
-            .map(|v| self.labels.peek(m, v) as f64)
-            .sum()
+        self.labels.values(rt.machine_mut()).map(f64::from).sum()
     }
 }
 

@@ -150,10 +150,7 @@ impl Kernel for KCore {
     }
 
     fn reset(&mut self, rt: &mut Atmem) {
-        let m = rt.machine_mut();
-        for v in 0..self.graph.num_vertices() {
-            self.core.poke(m, v, 0);
-        }
+        self.core.fill(rt.machine_mut(), 0);
         self.max_core = 0;
     }
 
@@ -172,10 +169,7 @@ impl Kernel for KCore {
     }
 
     fn checksum(&self, rt: &mut Atmem) -> f64 {
-        let m = rt.machine_mut();
-        (0..self.graph.num_vertices())
-            .map(|v| self.core.peek(m, v) as f64)
-            .sum()
+        self.core.values(rt.machine_mut()).map(f64::from).sum()
     }
 }
 

@@ -205,10 +205,7 @@ impl Kernel for PageRank {
     }
 
     fn checksum(&self, rt: &mut Atmem) -> f64 {
-        let m = rt.machine_mut();
-        (0..self.graph.num_vertices())
-            .map(|v| self.rank.peek(m, v))
-            .sum()
+        self.rank.values(rt.machine_mut()).sum()
     }
 }
 

@@ -51,9 +51,7 @@ impl PageRankPull {
         let reversed = transpose(csr);
         let graph = HmsGraph::load(rt, &reversed)?;
         let degree = rt.malloc::<u32>(n, "prpull.degree")?;
-        for v in 0..n {
-            degree.poke(rt.machine_mut(), v, csr.degree(v) as u32);
-        }
+        degree.fill_with(rt.machine_mut(), |v| csr.degree(v) as u32);
         let rank = rt.malloc::<f64>(n, "prpull.rank")?;
         let next = rt.malloc::<f64>(n, "prpull.next")?;
         Ok(PageRankPull {
@@ -232,10 +230,7 @@ impl Kernel for PageRankPull {
     }
 
     fn checksum(&self, rt: &mut Atmem) -> f64 {
-        let m = rt.machine_mut();
-        (0..self.graph.num_vertices())
-            .map(|v| self.rank.peek(m, v))
-            .sum()
+        self.rank.values(rt.machine_mut()).sum()
     }
 }
 

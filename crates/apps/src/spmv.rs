@@ -114,10 +114,8 @@ impl Kernel for Spmv {
 
     fn reset(&mut self, rt: &mut Atmem) {
         let m = rt.machine_mut();
-        for v in 0..self.graph.num_vertices() {
-            self.x.poke(m, v, 1.0 + (v % 7) as f64);
-            self.y.poke(m, v, 0.0);
-        }
+        self.x.fill_with(m, |v| 1.0 + (v % 7) as f64);
+        self.y.fill(m, 0.0);
     }
 
     fn run_iteration(&mut self, ctx: &mut MemCtx) {
@@ -152,10 +150,7 @@ impl Kernel for Spmv {
     }
 
     fn checksum(&self, rt: &mut Atmem) -> f64 {
-        let m = rt.machine_mut();
-        (0..self.graph.num_vertices())
-            .map(|v| self.y.peek(m, v))
-            .sum()
+        self.y.values(rt.machine_mut()).sum()
     }
 }
 

@@ -241,10 +241,8 @@ impl Kernel for Sssp {
     }
 
     fn checksum(&self, rt: &mut Atmem) -> f64 {
-        let m = rt.machine_mut();
         let mut sum = 0.0;
-        for v in 0..self.graph.num_vertices() {
-            let d = self.dist.peek(m, v);
+        for d in self.dist.values(rt.machine_mut()) {
             if d.is_finite() {
                 sum += d as f64;
             }

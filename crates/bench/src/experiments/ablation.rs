@@ -17,7 +17,7 @@ use atmem_apps::{run_protocol, App, Mode};
 use atmem_graph::Dataset;
 use atmem_hms::Platform;
 
-use crate::{build_dataset, emit, ResultTable};
+use crate::{build_dataset, emit, HarnessDataset, ResultTable};
 
 fn bfs_run(config: AtmemConfig, csr: &atmem_graph::Csr) -> atmem::Result<(f64, f64, f64)> {
     let r = run_protocol(Platform::nvm_dram(), config, csr, App::Bfs, Mode::Atmem)?;
@@ -221,19 +221,20 @@ pub fn run_overhead_study() -> atmem::Result<ResultTable> {
         "Overhead (paper 7.4): profiled vs unprofiled first iteration",
         &["unprofiled_ms", "profiled_ms", "overhead_pct"],
     );
+    let graphs = HarnessDataset::build(Dataset::Rmat24);
     for app in App::FIVE {
-        let csr = build_dataset(Dataset::Rmat24, app.needs_weights());
+        let csr = graphs.csr(app.needs_weights());
         let profiled = run_protocol(
             Platform::nvm_dram(),
             AtmemConfig::default(),
-            &csr,
+            csr,
             app,
             Mode::Atmem,
         )?;
         let plain = run_protocol(
             Platform::nvm_dram(),
             AtmemConfig::default(),
-            &csr,
+            csr,
             app,
             Mode::Baseline,
         )?;
@@ -258,19 +259,20 @@ pub fn run_amortization_study() -> atmem::Result<ResultTable> {
         "Amortisation (paper 7.4): one-time cost vs per-iteration gain",
         &["one_time_ms", "gain_per_iter_ms", "iters_to_amortise"],
     );
+    let graphs = HarnessDataset::build(Dataset::Friendster);
     for app in App::FIVE {
-        let csr = build_dataset(Dataset::Friendster, app.needs_weights());
+        let csr = graphs.csr(app.needs_weights());
         let atm = run_protocol(
             Platform::nvm_dram(),
             AtmemConfig::default(),
-            &csr,
+            csr,
             app,
             Mode::Atmem,
         )?;
         let base = run_protocol(
             Platform::nvm_dram(),
             AtmemConfig::default(),
-            &csr,
+            csr,
             app,
             Mode::Baseline,
         )?;

@@ -9,7 +9,7 @@ use atmem::AtmemConfig;
 use atmem_apps::{run_protocol, App, Mode};
 use atmem_hms::Platform;
 
-use crate::{build_dataset, emit, ResultTable};
+use crate::{emit, HarnessDataset, ResultTable};
 use atmem_graph::Dataset;
 
 /// Runs both panels and emits `fig1a.csv` / `fig1b.csv`.
@@ -33,20 +33,21 @@ pub fn run() -> atmem::Result<Vec<ResultTable>> {
     for dataset in Dataset::ALL {
         let mut row_a = Vec::new();
         let mut row_b = Vec::new();
+        let graphs = HarnessDataset::build(dataset);
         for app in apps {
-            let csr = build_dataset(dataset, app.needs_weights());
+            let csr = graphs.csr(app.needs_weights());
             // Panel a: NVM baseline vs DRAM ideal.
             let slow = run_protocol(
                 Platform::nvm_dram(),
                 AtmemConfig::default(),
-                &csr,
+                csr,
                 app,
                 Mode::Baseline,
             )?;
             let fast = run_protocol(
                 Platform::nvm_dram(),
                 AtmemConfig::default(),
-                &csr,
+                csr,
                 app,
                 Mode::Ideal,
             )?;
@@ -55,14 +56,14 @@ pub fn run() -> atmem::Result<Vec<ResultTable>> {
             let dram = run_protocol(
                 Platform::mcdram_dram(),
                 AtmemConfig::default(),
-                &csr,
+                csr,
                 app,
                 Mode::Baseline,
             )?;
             let preferred = run_protocol(
                 Platform::mcdram_dram(),
                 AtmemConfig::default(),
-                &csr,
+                csr,
                 app,
                 Mode::Preferred,
             )?;

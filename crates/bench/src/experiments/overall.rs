@@ -12,7 +12,7 @@ use atmem_apps::{run_protocol, App, Mode, ProtocolResult};
 use atmem_graph::Dataset;
 use atmem_hms::Platform;
 
-use crate::{build_dataset, emit, ResultTable};
+use crate::{emit, HarnessDataset, ResultTable};
 
 /// One (app, dataset) cell of the overall evaluation.
 #[derive(Debug)]
@@ -38,27 +38,29 @@ pub struct OverallCell {
 /// Propagates protocol failures.
 pub fn run_grid(platform: &Platform, reference_mode: Mode) -> atmem::Result<Vec<OverallCell>> {
     let mut cells = Vec::new();
-    for app in App::FIVE {
-        for dataset in Dataset::ALL {
-            let csr = build_dataset(dataset, app.needs_weights());
+    // Dataset-major so each structure is generated once, not once per app.
+    for dataset in Dataset::ALL {
+        let graphs = HarnessDataset::build(dataset);
+        for app in App::FIVE {
+            let csr = graphs.csr(app.needs_weights());
             let baseline = run_protocol(
                 platform.clone(),
                 AtmemConfig::default(),
-                &csr,
+                csr,
                 app,
                 Mode::Baseline,
             )?;
             let atmem = run_protocol(
                 platform.clone(),
                 AtmemConfig::default(),
-                &csr,
+                csr,
                 app,
                 Mode::Atmem,
             )?;
             let reference = run_protocol(
                 platform.clone(),
                 AtmemConfig::default(),
-                &csr,
+                csr,
                 app,
                 reference_mode,
             )?;
@@ -75,6 +77,8 @@ pub fn run_grid(platform: &Platform, reference_mode: Mode) -> atmem::Result<Vec<
             });
         }
     }
+    // The figures list cells app-major (stable: datasets keep their order).
+    cells.sort_by_key(|c| App::FIVE.iter().position(|&a| a == c.app));
     Ok(cells)
 }
 

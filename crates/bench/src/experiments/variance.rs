@@ -12,7 +12,7 @@ use atmem_apps::{run_protocol, App, Mode};
 use atmem_graph::Dataset;
 use atmem_hms::Platform;
 
-use crate::{build_dataset, emit, ResultTable};
+use crate::{emit, HarnessDataset, ResultTable};
 
 /// Number of repetitions (the paper's ten).
 pub const REPEATS: u64 = 10;
@@ -35,15 +35,16 @@ pub fn run() -> atmem::Result<Vec<ResultTable>> {
         "Variance over 10 sampling seeds (NVM-DRAM testbed)",
         &["mean_iter2_ms", "cv_iter2", "mean_ratio", "cv_ratio"],
     );
+    let graphs = [Dataset::Pokec, Dataset::Twitter].map(|d| (d, HarnessDataset::build(d)));
     for app in [App::Bfs, App::PageRank] {
-        for dataset in [Dataset::Pokec, Dataset::Twitter] {
-            let csr = build_dataset(dataset, app.needs_weights());
+        for (dataset, graphs) in &graphs {
+            let csr = graphs.csr(app.needs_weights());
             let mut times = Vec::new();
             let mut ratios = Vec::new();
             for seed in 0..REPEATS {
                 let mut config = AtmemConfig::default();
                 config.sampling.rng_seed = 0x5EED + seed;
-                let r = run_protocol(Platform::nvm_dram(), config, &csr, app, Mode::Atmem)?;
+                let r = run_protocol(Platform::nvm_dram(), config, csr, app, Mode::Atmem)?;
                 times.push(r.second_iter.as_ms());
                 ratios.push(r.data_ratio);
             }

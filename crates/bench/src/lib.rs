@@ -26,13 +26,50 @@ pub fn dataset_shrink() -> u32 {
         .unwrap_or(0)
 }
 
+/// Attaches the harness's edge weights (uniform in `[1, 64)`, seeded like
+/// `Dataset::build_weighted`) to `dataset`'s structure.
+fn with_harness_weights(csr: Csr, dataset: Dataset) -> Csr {
+    csr.with_random_weights(64.0, dataset.seed() ^ 0x57ED5)
+}
+
 /// Builds a dataset stand-in at harness scale, weighted when `weighted`.
 pub fn build_dataset(dataset: Dataset, weighted: bool) -> Csr {
     let csr = dataset.build_small(dataset_shrink());
     if weighted {
-        csr.with_random_weights(64.0, dataset.seed() ^ 0x57ED5)
+        with_harness_weights(csr, dataset)
     } else {
         csr
+    }
+}
+
+/// One dataset stand-in at harness scale in both forms an app can ask for.
+/// The structure is generated once (generation is the slow part of a grid
+/// run); the weighted form is that structure with the weights
+/// [`build_dataset`] would attach, derived on first use.
+#[derive(Debug)]
+pub struct HarnessDataset {
+    dataset: Dataset,
+    plain: Csr,
+    weighted: std::cell::OnceCell<Csr>,
+}
+
+impl HarnessDataset {
+    /// Generates the stand-in for `dataset`.
+    pub fn build(dataset: Dataset) -> Self {
+        HarnessDataset {
+            dataset,
+            plain: build_dataset(dataset, false),
+            weighted: std::cell::OnceCell::new(),
+        }
+    }
+
+    /// The graph [`build_dataset`]`(dataset, weighted)` returns.
+    pub fn csr(&self, weighted: bool) -> &Csr {
+        if !weighted {
+            return &self.plain;
+        }
+        self.weighted
+            .get_or_init(|| with_harness_weights(self.plain.clone(), self.dataset))
     }
 }
 
@@ -207,6 +244,9 @@ mod tests {
         let g = build_dataset(Dataset::Pokec, false);
         assert!(g.num_vertices() >= 1 << 8);
         let w = build_dataset(Dataset::Pokec, true);
+        let both = HarnessDataset::build(Dataset::Pokec);
+        assert_eq!(both.csr(false), &g);
+        assert_eq!(both.csr(true), &w);
         assert!(w.is_weighted());
     }
 }

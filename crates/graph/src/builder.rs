@@ -57,7 +57,13 @@ impl GraphBuilder {
             self.weights.is_none(),
             "cannot mix weighted and unweighted edges"
         );
-        self.edges.extend(edges);
+        if self.edges.is_empty() {
+            // Collecting a `Vec`'s own iterator hands its buffer over
+            // instead of copying a whole generated edge list.
+            self.edges = edges.into_iter().collect();
+        } else {
+            self.edges.extend(edges);
+        }
         self
     }
 
@@ -98,12 +104,127 @@ impl GraphBuilder {
         self
     }
 
-    /// Builds the CSR. Neighbour lists are sorted by destination.
+    /// Builds the CSR. Neighbour lists are sorted by destination; edges
+    /// with equal `(source, destination)` keep the order they were added
+    /// in, each mirrored copy ([`symmetrize`](GraphBuilder::symmetrize))
+    /// after every original.
+    ///
+    /// A counting sort: rows are counted, prefix-summed and filled with one
+    /// stable scatter, then each row is sorted by destination — linear in
+    /// the edge list apart from the per-row sorts, with no per-edge
+    /// temporary.
     ///
     /// # Panics
     ///
     /// Panics if any endpoint is `>= num_vertices`.
     pub fn build(self) -> Csr {
+        let n = self.num_vertices;
+        for &(u, v) in &self.edges {
+            assert!(
+                (u as usize) < n && (v as usize) < n,
+                "edge ({u}, {v}) out of range for {n} vertices"
+            );
+        }
+        let drop_loops = self.self_loops == SelfLoops::Remove;
+        let dropped = |u: u32, v: u32| drop_loops && u == v;
+
+        let mut offsets = vec![0u64; n + 1];
+        for &(u, v) in &self.edges {
+            if dropped(u, v) {
+                continue;
+            }
+            offsets[u as usize + 1] += 1;
+            if self.symmetrize {
+                offsets[v as usize + 1] += 1;
+            }
+        }
+        for i in 0..n {
+            offsets[i + 1] += offsets[i];
+        }
+
+        // Originals first, mirrored copies second, each in input order:
+        // the order a stable sort by source leaves them in.
+        let m = offsets[n] as usize;
+        let mut cursor: Vec<usize> = offsets[..n].iter().map(|&o| o as usize).collect();
+        let mut neighbors = vec![0u32; m];
+        let mut weights = self.weights.as_ref().map(|_| vec![0.0f32; m]);
+        let mut scatter = |mirrored: bool| {
+            for (i, &(u, v)) in self.edges.iter().enumerate() {
+                if dropped(u, v) {
+                    continue;
+                }
+                let (row, nbr) = if mirrored { (v, u) } else { (u, v) };
+                let slot = &mut cursor[row as usize];
+                neighbors[*slot] = nbr;
+                if let (Some(out), Some(ws)) = (&mut weights, &self.weights) {
+                    out[*slot] = ws[i];
+                }
+                *slot += 1;
+            }
+        };
+        scatter(false);
+        if self.symmetrize {
+            scatter(true);
+        }
+
+        let mut pairs: Vec<(u32, f32)> = Vec::new();
+        for row in 0..n {
+            let (lo, hi) = (offsets[row] as usize, offsets[row + 1] as usize);
+            match &mut weights {
+                // Equal destinations are indistinguishable without weights.
+                None => neighbors[lo..hi].sort_unstable(),
+                // With weights they are not: a stable sort keeps duplicate
+                // edges' weights in insertion order.
+                Some(ws) => {
+                    pairs.clear();
+                    pairs.extend(
+                        neighbors[lo..hi]
+                            .iter()
+                            .copied()
+                            .zip(ws[lo..hi].iter().copied()),
+                    );
+                    pairs.sort_by_key(|&(v, _)| v);
+                    for (k, &(v, w)) in pairs.iter().enumerate() {
+                        neighbors[lo + k] = v;
+                        ws[lo + k] = w;
+                    }
+                }
+            }
+        }
+
+        if self.deduplicate {
+            // Compact in place, keeping the first edge (and weight) of each
+            // run of equal destinations within a row.
+            let mut out = 0;
+            let mut lo = 0;
+            for row in 0..n {
+                let hi = offsets[row + 1] as usize;
+                for e in lo..hi {
+                    if e > lo && neighbors[e] == neighbors[e - 1] {
+                        continue;
+                    }
+                    neighbors[out] = neighbors[e];
+                    if let Some(ws) = &mut weights {
+                        ws[out] = ws[e];
+                    }
+                    out += 1;
+                }
+                lo = hi;
+                offsets[row + 1] = out as u64;
+            }
+            neighbors.truncate(out);
+            if let Some(ws) = &mut weights {
+                ws.truncate(out);
+            }
+        }
+        Csr::from_parts(n, offsets, neighbors, weights)
+    }
+
+    /// [`build`](GraphBuilder::build) as one stable comparison sort of
+    /// `(source, destination, weight)` triples: the oracle the counting
+    /// sort is tested against.
+    #[cfg(test)]
+    fn reference_build(self) -> Csr {
         let n = self.num_vertices;
         let mut triples: Vec<(u32, u32, f32)> = self
             .edges
@@ -150,6 +271,8 @@ impl GraphBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use atmem_prop::prelude::*;
+    use atmem_rng::SmallRng;
 
     #[test]
     fn builds_sorted_adjacency() {
@@ -226,5 +349,85 @@ mod tests {
         let g = GraphBuilder::new(5).build();
         assert_eq!(g.num_edges(), 0);
         assert_eq!(g.num_vertices(), 5);
+    }
+
+    /// The range check runs over the edge list alone: nothing sized by the
+    /// vertex count (24 GB of offsets here) is allocated or walked first.
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn out_of_range_edge_panics_before_sizing_anything_by_n() {
+        let _ = GraphBuilder::new(3_000_000_000)
+            .edges([(0, 1), (7, 3_500_000_000)])
+            .build();
+    }
+
+    #[test]
+    fn edges_into_an_empty_builder_takes_the_vec() {
+        let edges = vec![(0u32, 1u32); 1000];
+        let buffer = edges.as_ptr();
+        let b = GraphBuilder::new(2).edges(edges);
+        assert_eq!(b.edges.as_ptr(), buffer, "edge list was copied");
+        // Appending to a non-empty builder still extends.
+        assert_eq!(b.edges([(1, 0)]).build().num_edges(), 1001);
+    }
+
+    fn prop_cases(default: u32) -> u32 {
+        std::env::var("ATMEM_PROP_CASES")
+            .ok()
+            .and_then(|v| v.parse().ok())
+            .unwrap_or(default)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(prop_cases(48)))]
+
+        /// The counting sort returns the very `Csr` the comparison sort
+        /// did, for every option combination, on edge lists with heavy
+        /// duplicates, self loops and isolated vertices.
+        #[test]
+        fn counting_sort_matches_the_reference_build(
+            shape in (0usize..4, 0usize..5_000),
+            seed in any::<u64>(),
+        ) {
+            let n = [1usize, 2, 17, 1000][shape.0];
+            let mut rng = SmallRng::seed_from_u64(seed);
+            // Endpoints from a small hot set (duplicates, self loops) or
+            // the lower half of the range (the upper half stays isolated).
+            let hot = n.min(4) as u32;
+            let half = n.div_ceil(2) as u32;
+            let endpoint = |rng: &mut SmallRng| {
+                if rng.gen_bool(0.5) {
+                    rng.gen_range(0..hot)
+                } else {
+                    rng.gen_range(0..half)
+                }
+            };
+            let edges: Vec<(u32, u32)> = (0..shape.1)
+                .map(|_| (endpoint(&mut rng), endpoint(&mut rng)))
+                .collect();
+            for options in 0..16u32 {
+                let configure = |b: GraphBuilder| {
+                    b.symmetrize(options & 1 != 0)
+                        .deduplicate(options & 2 != 0)
+                        .self_loops(if options & 4 != 0 {
+                            SelfLoops::Keep
+                        } else {
+                            SelfLoops::Remove
+                        })
+                };
+                let b = if options & 8 != 0 {
+                    // Distinct weights, so a duplicate edge that lost its
+                    // place shows.
+                    let weighted = edges
+                        .iter()
+                        .enumerate()
+                        .map(|(i, &(u, v))| (u, v, i as f32));
+                    configure(GraphBuilder::new(n).weighted_edges(weighted))
+                } else {
+                    configure(GraphBuilder::new(n).edges(edges.clone()))
+                };
+                prop_assert_eq!(b.clone().build(), b.reference_build(), "options {:#06b}", options);
+            }
+        }
     }
 }

@@ -19,7 +19,8 @@ pub struct RmatConfig {
     pub scale: u32,
     /// Directed edges generated = `edge_factor << scale`.
     pub edge_factor: usize,
-    /// Quadrant probabilities; must sum to 1 within 1e-6.
+    /// Upper-left quadrant probability. The fourth quadrant gets the
+    /// remainder ([`d`](RmatConfig::d)), so `a + b + c` must not exceed 1.
     pub a: f64,
     /// Upper-right quadrant probability.
     pub b: f64,
@@ -55,19 +56,20 @@ impl RmatConfig {
     ///
     /// # Panics
     ///
-    /// Panics if the probabilities are out of range or `scale` exceeds 31.
+    /// Panics if `scale` is outside `1..=31`, the edge factor is zero, a
+    /// quadrant probability is negative (`a` must be positive; `d` is
+    /// *defined* as the remainder, so "sums to 1" means `a + b + c <= 1`
+    /// within 1e-9), or `noise` is outside `[0, 0.5)`.
     pub fn validate(&self) {
         assert!(
             self.scale >= 1 && self.scale <= 31,
             "scale must be in 1..=31"
         );
         assert!(self.edge_factor > 0, "edge factor must be positive");
-        let d = self.d();
         assert!(
-            self.a > 0.0 && self.b >= 0.0 && self.c >= 0.0 && d >= -1e-9,
+            self.a > 0.0 && self.b >= 0.0 && self.c >= 0.0 && self.d() >= -1e-9,
             "quadrant probabilities must be non-negative with a > 0"
         );
-        assert!((self.a + self.b + self.c + d - 1.0).abs() < 1e-6);
         assert!(
             (0.0..0.5).contains(&self.noise),
             "noise must be in [0, 0.5)"
@@ -103,11 +105,18 @@ pub fn rmat(config: &RmatConfig, seed: u64) -> Csr {
 }
 
 /// Draws one edge by recursive quadrant descent.
+///
+/// The draw sequence *is* the dataset: per level one jitter draw (when
+/// `noise > 0`) then one quadrant draw, never reordered or batched across
+/// levels or edges. The quadrant choice itself is branch-free: `b, c >= 0`
+/// gives `a <= ab <= abc`, so the four-way `if` chain on `r` is three
+/// comparisons shifted into the two ids (the chain's branches are
+/// unpredictable by construction; `tests::reference_rmat_edge` keeps it as
+/// the oracle).
 fn rmat_edge(config: &RmatConfig, rng: &mut SmallRng) -> (u32, u32) {
     let mut src = 0u32;
     let mut dst = 0u32;
-    for level in 0..config.scale {
-        let bit = 1u32 << (config.scale - 1 - level);
+    for _ in 0..config.scale {
         // Per-level noise keeps the distribution from being exactly
         // self-similar, like the Graph500 reference implementation.
         let jitter = if config.noise > 0.0 {
@@ -119,16 +128,12 @@ fn rmat_edge(config: &RmatConfig, rng: &mut SmallRng) -> (u32, u32) {
         let ab = a + config.b;
         let abc = ab + config.c;
         let r: f64 = rng.gen();
-        if r < a {
-            // upper-left: neither bit set
-        } else if r < ab {
-            dst |= bit;
-        } else if r < abc {
-            src |= bit;
-        } else {
-            src |= bit;
-            dst |= bit;
-        }
+        let (ge_a, ge_ab, ge_abc) = (u32::from(r >= a), u32::from(r >= ab), u32::from(r >= abc));
+        // Levels run from the most significant bit down, so shifting the
+        // ids left once per level lands each level's bit where the chain's
+        // `1 << (scale - 1 - level)` put it.
+        src = src << 1 | ge_ab;
+        dst = dst << 1 | ((ge_a ^ ge_ab) | ge_abc);
     }
     (src, dst)
 }
@@ -136,6 +141,7 @@ fn rmat_edge(config: &RmatConfig, rng: &mut SmallRng) -> (u32, u32) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::datasets::Dataset;
     use crate::stats::degree_stats;
 
     #[test]
@@ -200,5 +206,194 @@ mod tests {
     #[should_panic(expected = "scale")]
     fn zero_scale_rejected() {
         rmat(&RmatConfig::graph500(0, 2), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "quadrant probabilities")]
+    fn probabilities_beyond_one_are_rejected() {
+        let c = RmatConfig {
+            a: 0.6,
+            b: 0.3,
+            c: 0.2,
+            ..RmatConfig::graph500(4, 2)
+        };
+        rmat(&c, 0);
+    }
+
+    /// The descent as it was before it went branch-free: the oracle for
+    /// [`rmat_edge`].
+    fn reference_rmat_edge(config: &RmatConfig, rng: &mut SmallRng) -> (u32, u32) {
+        let mut src = 0u32;
+        let mut dst = 0u32;
+        for level in 0..config.scale {
+            let bit = 1u32 << (config.scale - 1 - level);
+            let jitter = if config.noise > 0.0 {
+                1.0 + config.noise * (rng.gen::<f64>() * 2.0 - 1.0)
+            } else {
+                1.0
+            };
+            let a = (config.a * jitter).clamp(0.0, 1.0);
+            let ab = a + config.b;
+            let abc = ab + config.c;
+            let r: f64 = rng.gen();
+            if r < a {
+                // upper-left: neither bit set
+            } else if r < ab {
+                dst |= bit;
+            } else if r < abc {
+                src |= bit;
+            } else {
+                src |= bit;
+                dst |= bit;
+            }
+        }
+        (src, dst)
+    }
+
+    #[test]
+    fn descent_matches_the_reference_edge_for_edge() {
+        let g500 = RmatConfig::graph500(16, 8);
+        let configs = [
+            g500.clone(),
+            Dataset::Pokec.config(),
+            Dataset::Twitter.config(),
+            Dataset::Friendster.config(),
+            RmatConfig {
+                noise: 0.0,
+                ..g500.clone()
+            },
+            RmatConfig {
+                b: 0.0,
+                ..g500.clone()
+            },
+            RmatConfig {
+                c: 0.0,
+                ..g500.clone()
+            },
+            // d within rounding of zero (validate admits d >= -1e-9).
+            RmatConfig {
+                a: 0.6,
+                b: 0.2,
+                c: 0.2,
+                ..g500.clone()
+            },
+            // noise pushes a * jitter past 1 - b - c on some levels.
+            RmatConfig {
+                a: 0.98,
+                b: 0.01,
+                c: 0.01,
+                noise: 0.4,
+                ..g500.clone()
+            },
+            RmatConfig {
+                scale: 1,
+                ..g500.clone()
+            },
+            RmatConfig { scale: 31, ..g500 },
+        ];
+        for (i, config) in configs.iter().enumerate() {
+            config.validate();
+            let mut rng = SmallRng::seed_from_u64(0xED6E + i as u64);
+            let mut oracle = rng.clone();
+            for e in 0..10_000 {
+                assert_eq!(
+                    rmat_edge(config, &mut rng),
+                    reference_rmat_edge(config, &mut oracle),
+                    "edge {e} of {config:?}"
+                );
+                assert_eq!(rng, oracle, "RNG state after edge {e} of {config:?}");
+            }
+        }
+
+        // A draw exactly on a quadrant boundary belongs to the quadrant
+        // above it (`r < a` is false at `r == a`). A random stream lands
+        // there once in 2^53 draws, so the three boundaries are dialled in
+        // as the first draw of an edge.
+        let config = RmatConfig {
+            noise: 0.0,
+            ..RmatConfig::graph500(16, 8)
+        };
+        let ab = config.a + config.b;
+        for (threshold, top_bits) in [(config.a, (0, 1)), (ab, (1, 0)), (ab + config.c, (1, 1))] {
+            // `gen::<f64>()` is `(next_u64() >> 11) * 2^-53`, and with
+            // `s[0] == 0` the next output is `s[3].rotate_left(23)`.
+            let k = (threshold * (1u64 << 53) as f64) as u64;
+            let state = [0, 1, 2, (k << 11).rotate_right(23)];
+            assert_eq!(SmallRng::from_state(state).gen::<f64>(), threshold);
+            let mut rng = SmallRng::from_state(state);
+            let mut oracle = rng.clone();
+            let (src, dst) = rmat_edge(&config, &mut rng);
+            assert_eq!((src, dst), reference_rmat_edge(&config, &mut oracle));
+            assert_eq!(rng, oracle);
+            assert_eq!(
+                (src >> 15, dst >> 15),
+                top_bits,
+                "first draw == {threshold}"
+            );
+        }
+    }
+
+    /// FNV-1a over `offsets ‖ neighbors`, little-endian.
+    fn fnv1a(g: &Csr) -> u64 {
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        let mut eat = |bytes: &[u8]| {
+            for &b in bytes {
+                h ^= u64::from(b);
+                h = h.wrapping_mul(0x100_0000_01b3);
+            }
+        };
+        g.offsets().iter().for_each(|o| eat(&o.to_le_bytes()));
+        g.neighbors().iter().for_each(|v| eat(&v.to_le_bytes()));
+        h
+    }
+
+    /// Every figure in the repo is computed on these graphs, so a
+    /// generator or builder edit that changes one bit of them changes every
+    /// result silently. The constants were taken from the comparison-sort
+    /// builder and the branchy descent (commit 88b1625); update them only
+    /// when changing the datasets on purpose.
+    #[test]
+    fn rmat_outputs_are_pinned() {
+        let pins = [
+            (RmatConfig::graph500(10, 8), 1, 0xb313_cd4b_ea2f_8762),
+            (
+                RmatConfig {
+                    noise: 0.0,
+                    ..RmatConfig::graph500(9, 4)
+                },
+                7,
+                0x6bc2_87c4_c3c0_810b,
+            ),
+            (
+                RmatConfig {
+                    symmetrize: true,
+                    ..RmatConfig::graph500(8, 4)
+                },
+                5,
+                0x6ac6_16c4_9f61_9650,
+            ),
+        ];
+        for (config, seed, pin) in pins {
+            assert_eq!(
+                fnv1a(&rmat(&config, seed)),
+                pin,
+                "rmat({config:?}, {seed:#x}) is no longer the same graph"
+            );
+        }
+        // The five stand-ins, four scale levels down.
+        let small = [
+            0x4d67_ec85_53ff_8908,
+            0x16e4_1794_d95e_3329,
+            0x3b5f_267d_8703_d9b0,
+            0xd1e4_3379_4179_f578,
+            0x8b6d_c0c8_4750_1019,
+        ];
+        for (dataset, pin) in Dataset::ALL.into_iter().zip(small) {
+            assert_eq!(
+                fnv1a(&dataset.build_small(4)),
+                pin,
+                "{dataset} is no longer the same graph"
+            );
+        }
     }
 }

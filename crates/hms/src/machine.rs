@@ -18,7 +18,9 @@ use crate::frame::FrameRun;
 use crate::mapping::{huge_eligible, Mapping, MappingTable, PageKind};
 use crate::pebs::{Pebs, SampleRecord};
 use crate::platform::Platform;
-use crate::shard::{BlockSegment, CoreCtx, CoreHandle, MemPort, TiersView, MAX_TIERS};
+use crate::shard::{
+    resolve_block, BlockSegment, CoreCtx, CoreHandle, MemPort, TiersView, MAX_TIERS,
+};
 use crate::stats::MachineStats;
 use crate::tier::{Tier, TierId};
 use crate::trace::{TraceRecord, Tracer};
@@ -1150,10 +1152,10 @@ impl Machine {
         let mut ns = 0.0;
         let image = &mut self.staged_images[slot];
         let mut staged = 0;
-        for &(src_tier, src_off, len) in &segments {
-            ns += copy_ns(&self.platform, src_tier, dst_tier, len, threads);
+        for &BlockSegment { tier, offset, len } in &segments {
+            ns += copy_ns(&self.platform, tier, dst_tier, len, threads);
             image.bytes[staged..staged + len]
-                .copy_from_slice(self.tiers[src_tier.index()].storage.slice(src_off, len));
+                .copy_from_slice(self.tiers[tier.index()].storage.slice(offset, len));
             staged += len;
         }
         image.staged = staged;
@@ -1193,11 +1195,11 @@ impl Machine {
         let mut ns = 0.0;
         let image = &self.staged_images[slot];
         let mut replayed = 0;
-        for &(dst_tier, dst_off, len) in &segments {
-            ns += copy_ns(&self.platform, src_tier, dst_tier, len, threads);
-            self.tiers[dst_tier.index()]
+        for &BlockSegment { tier, offset, len } in &segments {
+            ns += copy_ns(&self.platform, src_tier, tier, len, threads);
+            self.tiers[tier.index()]
                 .storage
-                .slice_mut(dst_off, len)
+                .slice_mut(offset, len)
                 .copy_from_slice(&image.bytes[replayed..replayed + len]);
             replayed += len;
         }
@@ -1207,8 +1209,8 @@ impl Machine {
     }
 
     /// Decomposes a page-aligned virtual range into physically contiguous
-    /// `(tier, storage offset, len)` segments.
-    fn region_segments(&self, range: VirtRange) -> Result<Vec<(TierId, usize, usize)>> {
+    /// storage segments.
+    fn region_segments(&self, range: VirtRange) -> Result<Vec<BlockSegment>> {
         if range.len == 0 || range.start.page_offset() != 0 || !range.len.is_multiple_of(PAGE_SIZE)
         {
             return Err(HmsError::InvalidRange {
@@ -1216,25 +1218,7 @@ impl Machine {
                 len: range.len,
             });
         }
-        let maps = self.mappings.overlapping(range);
-        let mut covered = range.start;
-        let mut out = Vec::with_capacity(maps.len());
-        for m in maps {
-            let part = m
-                .vrange()
-                .intersect(range)
-                .expect("overlapping() returned a non-overlapping mapping");
-            if part.start != covered {
-                return Err(HmsError::Unmapped(covered));
-            }
-            let (frame, off) = m.translate(part.start);
-            out.push((m.tier, frame.byte_offset() + off, part.len));
-            covered = part.end();
-        }
-        if covered != range.end() {
-            return Err(HmsError::Unmapped(covered));
-        }
-        Ok(out)
+        resolve_block(&self.mappings, range)
     }
 
     /// Splits any mapping that straddles a boundary of `range`, so that
@@ -1804,6 +1788,10 @@ impl MemPort for Machine {
         write: bool,
     ) -> Result<Vec<BlockSegment>> {
         Machine::access_block(self, range, elem, write)
+    }
+
+    fn resolve_block(&self, range: VirtRange) -> Result<Vec<BlockSegment>> {
+        resolve_block(&self.mappings, range)
     }
 
     fn storage_slice(&self, tier: TierId, offset: usize, len: usize) -> &[u8] {

@@ -1034,6 +1034,30 @@ fn tlb_unit_end(mapping: &Mapping, va: VirtAddr, coalesce: usize) -> VirtAddr {
     VirtAddr::new(end_page << PAGE_SHIFT)
 }
 
+/// Resolves `range` to the physically contiguous storage segments backing
+/// it: the mapping walk of [`CoreHandle::access_block`] with nothing
+/// charged (see [`MemPort::resolve_block`]).
+pub(crate) fn resolve_block(
+    mappings: &MappingTable,
+    range: VirtRange,
+) -> Result<Vec<BlockSegment>> {
+    let mut segments = Vec::new();
+    let mut va = range.start;
+    let end = range.end();
+    while va < end {
+        let mapping = mappings.lookup(va)?;
+        let chunk_end = mapping.vrange().end().min(end);
+        let (frame, offset) = mapping.translate(va);
+        segments.push(BlockSegment {
+            tier: frame.tier,
+            offset: frame.byte_offset() + offset,
+            len: chunk_end.offset_from(va) as usize,
+        });
+        va = chunk_end;
+    }
+    Ok(segments)
+}
+
 /// The accounted memory-access surface shared by
 /// [`Machine`](crate::Machine) (the resident single core) and
 /// [`CoreHandle`] (one forked core of a sharded phase). Kernel-side code —
@@ -1090,13 +1114,24 @@ pub trait MemPort {
         write: bool,
     ) -> Result<Vec<BlockSegment>>;
 
+    /// **Unaccounted** counterpart of
+    /// [`access_block`](MemPort::access_block): the same segments, with no
+    /// counter, TLB, LLC, clock, PEBS or trace effect — what
+    /// [`peek`](MemPort::peek) / [`poke`](MemPort::poke) are to `read` /
+    /// `write` (the `TrackedVec` fill / load / copy-out path).
+    ///
+    /// # Errors
+    ///
+    /// [`HmsError::Unmapped`] if any byte of `range` is unmapped.
+    fn resolve_block(&self, range: VirtRange) -> Result<Vec<BlockSegment>>;
+
     /// Borrows `len` bytes of `tier`'s backing storage (bulk data path;
-    /// accounting must already have happened via
+    /// an accounted access must already have been charged via
     /// [`access_block`](MemPort::access_block)).
     fn storage_slice(&self, tier: TierId, offset: usize, len: usize) -> &[u8];
 
     /// Mutably borrows `len` bytes of `tier`'s backing storage (bulk data
-    /// path; accounting must already have happened).
+    /// path; an accounted access must already have been charged).
     fn storage_slice_mut(&mut self, tier: TierId, offset: usize, len: usize) -> &mut [u8];
 
     /// Accounted indexed gather through the batched window engine.
@@ -1168,6 +1203,10 @@ impl MemPort for CoreHandle<'_> {
         write: bool,
     ) -> Result<Vec<BlockSegment>> {
         CoreHandle::access_block(self, range, elem, write)
+    }
+
+    fn resolve_block(&self, range: VirtRange) -> Result<Vec<BlockSegment>> {
+        resolve_block(self.mappings, range)
     }
 
     fn storage_slice(&self, tier: TierId, offset: usize, len: usize) -> &[u8] {

@@ -8,13 +8,21 @@
 //! [`CoreHandle`](crate::shard::CoreHandle) of a sharded phase) — so a
 //! kernel can interleave accesses to many arrays and the same kernel body
 //! runs on the scalar and the sharded engine.
+//!
+//! Outside the measured region — loading inputs, resetting state, copying
+//! results out — the **unaccounted** calls apply: [`TrackedVec::peek`] /
+//! [`TrackedVec::poke`] per element, and [`TrackedVec::fill_from`],
+//! [`TrackedVec::fill`], [`TrackedVec::fill_with`] and
+//! [`TrackedVec::to_vec`] for whole arrays. They change bytes in tier
+//! storage and nothing else: no counter, TLB, LLC, clock, PEBS or trace
+//! effect.
 
 use std::marker::PhantomData;
 
 use crate::addr::{VirtAddr, VirtRange};
 use crate::error::Result;
 use crate::machine::{Machine, Placement, Scalar};
-use crate::shard::MemPort;
+use crate::shard::{BlockSegment, MemPort};
 
 /// A fixed-length typed array living in simulated memory.
 #[derive(Debug)]
@@ -368,28 +376,110 @@ impl<T: Scalar> TrackedVec<T> {
             .expect("tracked element unmapped");
     }
 
-    /// Bulk unaccounted initialisation from a slice.
+    /// The storage segments backing the whole array, resolved without
+    /// accounting.
+    ///
+    /// Segments end only at page boundaries (mappings are page-granular)
+    /// and elements are naturally aligned, so a segment always holds a
+    /// whole number of elements, in index order across segments.
     ///
     /// # Panics
     ///
-    /// Panics if `values.len() != self.len()`.
+    /// Panics (naming the vec) if the array is unmapped (use-after-free).
+    fn resolve(&self, machine: &impl MemPort) -> Vec<BlockSegment> {
+        machine
+            .resolve_block(VirtRange::new(self.range.start, self.len * T::SIZE))
+            .unwrap_or_else(|e| panic!("tracked vec `{}` unmapped: {e}", self.label()))
+    }
+
+    /// Bulk **unaccounted** initialisation: element `i` becomes `f(i)`, for
+    /// `i` ascending. Like every bulk unaccounted call
+    /// ([`fill_from`](TrackedVec::fill_from), [`fill`](TrackedVec::fill),
+    /// [`to_vec`](TrackedVec::to_vec), [`values`](TrackedVec::values)) it leaves the data image exactly as
+    /// the [`poke`](TrackedVec::poke) / [`peek`](TrackedVec::peek) loop
+    /// would and no other trace: no counter, TLB or LLC state, clock, PEBS
+    /// or trace-ring effect. Only the host cost differs — one mapping walk
+    /// per physically contiguous segment instead of one lookup per element.
+    ///
+    /// # Panics
+    ///
+    /// Panics (naming the vec) if the array is unmapped (use-after-free).
+    pub fn fill_with(&self, machine: &mut impl MemPort, mut f: impl FnMut(usize) -> T) {
+        let mut i = 0;
+        for seg in self.resolve(machine) {
+            let bytes = machine.storage_slice_mut(seg.tier, seg.offset, seg.len);
+            for chunk in bytes.chunks_exact_mut(T::SIZE) {
+                f(i).write_le_slice(chunk);
+                i += 1;
+            }
+        }
+        debug_assert_eq!(i, self.len);
+    }
+
+    /// Bulk unaccounted initialisation from a slice (see
+    /// [`fill_with`](TrackedVec::fill_with)).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `values.len() != self.len()`, or (naming the vec) if the
+    /// array is unmapped.
     pub fn fill_from(&self, machine: &mut impl MemPort, values: &[T]) {
         assert_eq!(values.len(), self.len, "length mismatch in fill_from");
-        for (i, v) in values.iter().enumerate() {
-            self.poke(machine, i, *v);
+        let mut rest = values;
+        for seg in self.resolve(machine) {
+            let (head, tail) = rest.split_at(seg.len / T::SIZE);
+            let bytes = machine.storage_slice_mut(seg.tier, seg.offset, seg.len);
+            for (&value, chunk) in head.iter().zip(bytes.chunks_exact_mut(T::SIZE)) {
+                value.write_le_slice(chunk);
+            }
+            rest = tail;
         }
+        debug_assert!(rest.is_empty());
     }
 
-    /// Bulk unaccounted fill with one value.
+    /// Bulk unaccounted fill with one value (see
+    /// [`fill_with`](TrackedVec::fill_with)).
+    ///
+    /// # Panics
+    ///
+    /// Panics (naming the vec) if the array is unmapped.
     pub fn fill(&self, machine: &mut impl MemPort, value: T) {
-        for i in 0..self.len {
-            self.poke(machine, i, value);
-        }
+        self.fill_with(machine, |_| value);
     }
 
-    /// Copies the array out of simulated memory (unaccounted).
+    /// Iterates the elements in index order, unaccounted (see
+    /// [`fill_with`](TrackedVec::fill_with)), straight out of tier storage:
+    /// the way to fold an array (a checksum) without a host copy of it.
+    ///
+    /// # Panics
+    ///
+    /// Panics (naming the vec) if the array is unmapped.
+    pub fn values<'a>(&self, machine: &'a impl MemPort) -> impl Iterator<Item = T> + 'a
+    where
+        T: 'a,
+    {
+        self.resolve(machine).into_iter().flat_map(move |seg| {
+            machine
+                .storage_slice(seg.tier, seg.offset, seg.len)
+                .chunks_exact(T::SIZE)
+                .map(T::from_le_slice)
+        })
+    }
+
+    /// Copies the array out of simulated memory, unaccounted (see
+    /// [`fill_with`](TrackedVec::fill_with)).
+    ///
+    /// # Panics
+    ///
+    /// Panics (naming the vec) if the array is unmapped.
     pub fn to_vec(&self, machine: &mut impl MemPort) -> Vec<T> {
-        (0..self.len).map(|i| self.peek(machine, i)).collect()
+        let mut out = Vec::with_capacity(self.len);
+        for seg in self.resolve(machine) {
+            let bytes = machine.storage_slice(seg.tier, seg.offset, seg.len);
+            out.extend(bytes.chunks_exact(T::SIZE).map(T::from_le_slice));
+        }
+        debug_assert_eq!(out.len(), self.len);
+        out
     }
 
     /// Frees the backing allocation. The vector must not be used afterwards.
@@ -745,6 +835,202 @@ mod tests {
             msg.contains("pr.next") && msg.contains("out of bounds"),
             "panic message should name the vec: {msg}"
         );
+    }
+
+    /// Everything simulated that an access could disturb, read without
+    /// draining: counters and occupancy, the clock, the PEBS unit's event
+    /// count and buffer, the trace ring.
+    fn observables(m: &Machine) -> impl PartialEq + std::fmt::Debug {
+        (
+            m.stats(),
+            m.now(),
+            (
+                m.pebs().events_seen(),
+                m.pebs().samples_taken(),
+                m.pebs().buffered(),
+            ),
+            (m.tracer().len(), m.tracer().dropped()),
+        )
+    }
+
+    /// Runs every bulk unaccounted call on `vb` (through `bulk`) and the
+    /// `poke`/`peek` loop it replaces on `vs` (through `looped`), checking
+    /// the data images agree after each.
+    fn bulk_vs_loops(
+        bulk: &mut Machine,
+        vb: &TrackedVec<u32>,
+        looped: &mut Machine,
+        vs: &TrackedVec<u32>,
+    ) {
+        let n = vb.len();
+        let peeked = |m: &mut Machine, v: &TrackedVec<u32>| -> Vec<u32> {
+            (0..n).map(|i| v.peek(m, i)).collect()
+        };
+        let values: Vec<u32> = (0..n as u32).map(|i| i.wrapping_mul(2654435761)).collect();
+
+        vb.fill_from(bulk, &values);
+        for (i, &x) in values.iter().enumerate() {
+            vs.poke(looped, i, x);
+        }
+        assert_eq!(peeked(bulk, vb), values, "fill_from image");
+        assert!(vb.values(bulk).eq(peeked(looped, vs)), "values");
+        assert_eq!(
+            vb.to_vec(bulk),
+            peeked(looped, vs),
+            "to_vec after fill_from"
+        );
+
+        vb.fill(bulk, 0xA5A5_0001);
+        for i in 0..n {
+            vs.poke(looped, i, 0xA5A5_0001);
+        }
+        assert_eq!(vb.to_vec(bulk), peeked(looped, vs), "fill image");
+
+        let mut order = Vec::with_capacity(n);
+        vb.fill_with(bulk, |i| {
+            order.push(i);
+            !(i as u32)
+        });
+        for i in 0..n {
+            vs.poke(looped, i, !(i as u32));
+        }
+        assert!(order.iter().copied().eq(0..n), "fill_with visits 0..n");
+        assert_eq!(peeked(bulk, vb), peeked(looped, vs), "fill_with image");
+        assert_eq!(
+            vb.to_vec(bulk),
+            peeked(looped, vs),
+            "to_vec after fill_with"
+        );
+    }
+
+    /// "Unaccounted" is checked, not assumed: the segment-wise
+    /// `fill_from` / `fill` / `fill_with` / `to_vec` / `values` produce the
+    /// images of the per-element `poke`/`peek` loops, and leave counters, clock,
+    /// TLB/LLC contents, the PEBS buffer and the trace ring untouched — on
+    /// a fresh contiguous allocation, across `mbind`-splintered per-page
+    /// mappings on two tiers, and through a `CoreHandle` of a sharded phase.
+    #[test]
+    fn bulk_unaccounted_ops_match_poke_peek_loops() {
+        let platform = || Platform::testing().with_capacities(256 * 1024, 8 * 1024 * 1024);
+        let mut bulk = Machine::new(platform());
+        let mut looped = Machine::new(platform());
+        for m in [&mut bulk, &mut looped] {
+            m.pebs_enable(7, 3);
+            m.trace_enable();
+        }
+        // Accounted traffic around the bulk calls: were a bulk call to
+        // touch the TLB or LLC, these sweeps would hit and miss differently
+        // on the two machines.
+        let sweep = |m: &mut Machine, v: &TrackedVec<u32>| {
+            for i in (0..v.len()).step_by(13) {
+                let x = v.get(m, i);
+                v.set(m, i, x.rotate_left(1));
+            }
+        };
+
+        let n = 30_000; // 29.3 pages of u32
+        for splinter in [false, true] {
+            let vb = TrackedVec::<u32>::new(&mut bulk, n, Placement::Slow).unwrap();
+            let vs = TrackedVec::<u32>::new(&mut looped, n, Placement::Slow).unwrap();
+            if splinter {
+                // The middle third moves to the fast tier page by page.
+                for (m, v) in [(&mut bulk, &vb), (&mut looped, &vs)] {
+                    let third = VirtRange::new(v.range().start.add(10 * 4096), 10 * 4096);
+                    m.migrate_mbind(third, TierId::FAST).unwrap();
+                    assert!(
+                        m.mappings_in(v.range()).len() >= 12,
+                        "mbind should leave per-page mappings"
+                    );
+                }
+            }
+            sweep(&mut bulk, &vb);
+            sweep(&mut looped, &vs);
+
+            let before = observables(&bulk);
+            // `looped` is both sides' reference here: the loops are known
+            // unaccounted (`accounted_access_advances_clock_...`).
+            bulk_vs_loops(&mut bulk, &vb, &mut looped, &vs);
+            assert_eq!(observables(&bulk), before, "a bulk call was accounted");
+
+            sweep(&mut bulk, &vb);
+            sweep(&mut looped, &vs);
+            assert_eq!(vb.to_vec(&mut bulk), vs.to_vec(&mut looped));
+        }
+
+        // Through a `CoreHandle`: each simulated core owns one array.
+        let owned = |m: &mut Machine| -> Vec<TrackedVec<u32>> {
+            (0..2)
+                .map(|_| TrackedVec::<u32>::new(m, 5_000, Placement::Slow).unwrap())
+                .collect()
+        };
+        let (cb, cs) = (owned(&mut bulk), owned(&mut looped));
+        bulk.run_cores(2, |core, h| {
+            let v = &cb[core];
+            for i in 0..v.len() {
+                v.set(h, i, i as u32);
+            }
+            let before = h.elapsed();
+            let values: Vec<u32> = (0..v.len() as u32).map(|i| i ^ 0x5555).collect();
+            v.fill_from(h, &values);
+            assert_eq!(v.to_vec(h), values);
+            assert!(v.values(h).eq(values.iter().copied()));
+            v.fill(h, 9);
+            v.fill_with(h, |i| 3 * i as u32);
+            assert_eq!(h.elapsed(), before, "a bulk call advanced a core clock");
+            (0..v.len()).fold(0u64, |acc, i| acc + u64::from(v.get(h, i)))
+        });
+        looped.run_cores(2, |core, h| {
+            let v = &cs[core];
+            for i in 0..v.len() {
+                v.set(h, i, i as u32);
+            }
+            for i in 0..v.len() {
+                v.poke(h, i, i as u32 ^ 0x5555);
+            }
+            for i in 0..v.len() {
+                let _ = v.peek(h, i);
+                v.poke(h, i, 9);
+                v.poke(h, i, 3 * i as u32);
+            }
+            (0..v.len()).fold(0u64, |acc, i| acc + u64::from(v.get(h, i)))
+        });
+        for (vb, vs) in cb.iter().zip(&cs) {
+            assert_eq!(vb.to_vec(&mut bulk), vs.to_vec(&mut looped));
+        }
+
+        assert_eq!(bulk.stats(), looped.stats(), "machine counters diverge");
+        assert_eq!(bulk.now(), looped.now(), "simulated clocks diverge");
+        assert_eq!(
+            bulk.pebs_drain(),
+            looped.pebs_drain(),
+            "PEBS streams diverge"
+        );
+        assert_eq!(
+            bulk.trace_drain(),
+            looped.trace_drain(),
+            "trace streams diverge"
+        );
+        assert_eq!(bulk.audit(), Vec::<String>::new());
+        assert_eq!(looped.audit(), Vec::<String>::new());
+    }
+
+    #[test]
+    #[should_panic(expected = "tracked vec `spmv.y` unmapped")]
+    fn bulk_calls_on_a_freed_array_name_the_vec() {
+        let mut m = machine();
+        let mut v = TrackedVec::<f64>::new(&mut m, 64, Placement::Slow).unwrap();
+        v.set_name("spmv.y");
+        m.free(v.range()).unwrap();
+        for fill in [
+            |v: &TrackedVec<f64>, m: &mut Machine| v.fill(m, 0.0),
+            |v: &TrackedVec<f64>, m: &mut Machine| v.fill_from(m, &[0.0; 64]),
+        ] {
+            let panic = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| fill(&v, &mut m)))
+                .unwrap_err();
+            let msg = panic.downcast_ref::<String>().cloned().unwrap_or_default();
+            assert!(msg.contains("`spmv.y` unmapped"), "anonymous panic: {msg}");
+        }
+        let _ = v.to_vec(&mut m);
     }
 
     #[test]

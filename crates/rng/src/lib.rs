@@ -15,8 +15,9 @@
 
 use std::ops::{Range, RangeInclusive};
 
-/// A small, fast, seedable generator (xoshiro256++).
-#[derive(Debug, Clone)]
+/// A small, fast, seedable generator (xoshiro256++). Two generators are
+/// equal when their whole state is, i.e. when their future streams are.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SmallRng {
     s: [u64; 4],
 }
@@ -34,6 +35,19 @@ impl SmallRng {
             z ^ (z >> 31)
         };
         let s = [next(), next(), next(), next()];
+        SmallRng { s }
+    }
+
+    /// Creates a generator from raw xoshiro256++ state. For tests that need
+    /// one chosen draw (the next output is `(s[0] + s[3]).rotate_left(23) +
+    /// s[0]`); everything else seeds through
+    /// [`seed_from_u64`](SmallRng::seed_from_u64).
+    ///
+    /// # Panics
+    ///
+    /// Panics on the all-zero state, the generator's one fixed point.
+    pub fn from_state(s: [u64; 4]) -> Self {
+        assert!(s != [0; 4], "xoshiro state must not be all zero");
         SmallRng { s }
     }
 

@@ -67,10 +67,7 @@ impl Kernel for WedgeCount {
     }
 
     fn checksum(&self, rt: &mut Atmem) -> f64 {
-        let m = rt.machine_mut();
-        (0..self.graph.num_vertices())
-            .map(|v| self.wedges.peek(m, v))
-            .sum()
+        self.wedges.values(rt.machine_mut()).sum()
     }
 }
 
