@@ -1,12 +1,10 @@
 #!/usr/bin/env bash
 # Full CI gate for the workspace. Tier-1 (build + tests) plus style and
-# lint checks. Run from the repo root.
-#
-# The wall-clock bench gate (benches/kernels.rs) is opt-in because it
-# asserts host-speed ratios that need a release build on a mostly-idle
-# machine: `cargo bench --bench kernels`. CI runs its `--smoke` variant
-# instead: the Scalar/Bulk equivalence assertions on a reduced graph, with
-# the timing gates skipped.
+# lint checks, release-mode soundness reruns, deletion guards, named reruns
+# of the property sweeps, and one smoke run each of an example, every
+# figure driver (`atmem_run all` on shrunk datasets) and the repo benchmark
+# (`benchmark/` + BENCHMARK.json — the one place host speed is measured and
+# compared; nothing here gates on wall-clock). Run from the repo root.
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -63,6 +61,19 @@ echo "==> access-ladder guard (the compiled-plan rung stays deleted)"
 # crates/, tests/ or examples/ fails the gate.
 if grep -rlE 'WindowPlan|SweepPlan|_planned\b|plan_ready|run_plan_|AccessMode::Planned' crates tests examples; then echo "the compiled-plan rung is back in the files above" >&2; exit 1; fi
 
+echo "==> harness guard (one measurement harness, one experiment entry point)"
+# PR 22 retired the micro-bench harness and the per-figure shim binaries:
+# host speed is measured by benchmark/ alone and every figure is
+# `atmem_run <experiment>`.
+for gone in crates/bench/benches crates/bench/src/harness.rs BENCH_kernels.json; do
+  if [ -e "$gone" ]; then echo "$gone is back" >&2; exit 1; fi
+done
+if [ "$(ls crates/bench/src/bin | sort | tr '\n' ' ')" != "atmem_run.rs learned_train.rs validate.rs " ]; then
+  echo "crates/bench/src/bin must hold exactly atmem_run.rs, learned_train.rs, validate.rs:" >&2
+  ls crates/bench/src/bin >&2
+  exit 1
+fi
+
 echo "==> engines-vs-scalar bit-identity property sweep"
 # Random access programs (sweeps, gathers, scatters, non-commutative
 # updates, mid-run migrations, PEBS/trace toggles) through the block and
@@ -116,13 +127,6 @@ echo "==> example smoke (shared_server runs end to end)"
 # internally; a non-zero exit fails the gate.
 cargo run -q --release -p atmem-bench --example shared_server > /dev/null
 
-echo "==> n-tier smoke (atmem beats the autonuma baseline on three tiers)"
-# Runs the same profiled workload under both optimize policies on the
-# HBM-DRAM-CXL preset with a binding hot-tier budget; the example asserts
-# atmem wins the hot-tier data ratio and is no slower, and that the
-# machine audit is clean for both policies.
-cargo run -q --release -p atmem-bench --example ntier_comparison > /dev/null
-
 echo "==> learned-analyzer training gate (committed mini-trace)"
 # Retrains the ranking model from the committed trace and asserts (a) the
 # fresh model generalizes to held-out groups and (b) the shipped
@@ -136,26 +140,24 @@ cargo run -q --release -p atmem-bench --bin learned_train -- --check traces/anal
 
 echo "==> analyzer-quality smoke (learned vs paper placement gates)"
 # The four cross-analyzer gates: kernel-grid parity, the strict win under
-# 50% sample loss, the one-round phase-change re-rank, and multi-round
-# autonuma convergence. Already part of tier-1 above; dedicated step so a
-# quality regression is named in CI output.
+# 50% sample loss, the one-round phase-change re-rank, and the three-tier
+# multi-round protocol (autonuma convergence; atmem there in one round,
+# ahead on hot-tier data ratio and no slower). Already part of tier-1
+# above; dedicated step so a quality regression is named in CI output.
 cargo test -q --release -p atmem-bench --test analyzer_quality
 
-echo "==> bench smoke (mode-equivalence + core-sweep invariance, no timing gates)"
-# Covers the kernels' two-way Scalar/Bulk equivalence — checksum,
-# counters and simulated clock must be bit-identical — and the --cores
-# {1,2,4} checksum-invariance of PR, SpMV and the frontier-sharded
-# traversal kernels (BFS, SSSP, BC) — plus the translation and llc
-# micro-sections (TLB thrash, contiguous vs mbind-splintered get, LLC
-# probe at three hit ratios), shortened and with their shape gates off.
-# The smoke snapshot goes to target/ so it never clobbers the committed
-# full-run baseline at the repo root (refresh that one deliberately with
-# `cargo bench --bench kernels`). The path is absolute because cargo runs
-# the bench from crates/bench, not from here.
-smoke_json="$PWD/target/BENCH_kernels_smoke.json"
-rm -f "$smoke_json"
-cargo bench -p atmem-bench --bench kernels -- --smoke --json "$smoke_json"
-test -s "$smoke_json" || { echo "bench smoke wrote no snapshot at $smoke_json" >&2; exit 1; }
+echo "==> experiment entry-point smoke (atmem_run all writes every CSV tracked under results/)"
+# Every figure and table driver through the one entry point, datasets
+# shrunk by six R-MAT levels (seconds, not the twelve minutes of a full
+# regeneration), into a scratch directory so the committed results/ stay
+# as they are. The path is absolute because the drivers resolve the
+# default relative to crates/bench, not to here.
+smoke_dir="$PWD/target/repro_smoke"
+rm -rf "$smoke_dir"
+ATMEM_BENCH_SHRINK=6 ATMEM_RESULTS_DIR="$smoke_dir" cargo run -q --release -p atmem-bench --bin atmem_run -- all > /dev/null
+for csv in results/*.csv; do
+  test -s "$smoke_dir/${csv#results/}" || { echo "atmem_run all wrote no ${csv#results/} in $smoke_dir" >&2; exit 1; }
+done
 
 echo "==> repo benchmark smoke (every BENCHMARK.json metric reported once, finite, with its unit)"
 # Every workload on shrunk graphs with k = 1 (~9 s): fails unless

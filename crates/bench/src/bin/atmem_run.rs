@@ -1,6 +1,8 @@
-//! `atmem-run` — run one experiment from the command line.
+//! `atmem-run` — regenerate one of the paper's figures or tables, or run one
+//! parameterised protocol, from the command line.
 //!
 //! ```text
+//! atmem_run EXPERIMENT          (fig1 ... table4, ablation, variance, all; --help lists the names)
 //! atmem_run [--app BFS|SSSP|PR|BC|CC|SpMV] [--dataset pokec|rmat24|twitter|rmat27|friendster]
 //!           [--platform nvm|knl|cxl|hbm|quad|testing|testing3]
 //!           [--mode baseline|atmem|ideal|preferred] [--policy atmem|autonuma]
@@ -10,9 +12,12 @@
 //!           [--edge-list PATH] [--heatmap]
 //! ```
 //!
-//! Prints the two iteration times, the data ratio, migration statistics,
-//! a per-object residency report, and (with `--heatmap`) the chunk-level
-//! access heatmap with the analyzer's selection overlaid.
+//! The first form runs a driver of [`atmem_bench::experiments`]: tables on
+//! stdout, CSVs under `results/` (`ATMEM_RESULTS_DIR` overrides), datasets
+//! shrunk by `ATMEM_BENCH_SHRINK` R-MAT levels. The second prints the two
+//! iteration times, the data ratio, migration statistics, a per-object
+//! residency report, and (with `--heatmap`) the chunk-level access heatmap
+//! with the analyzer's selection overlaid.
 
 use std::process::ExitCode;
 
@@ -20,6 +25,7 @@ use atmem::{
     chunk_heatmap, AnalyzerKind, AtmemConfig, MigrationMechanism, OptimizePolicy, ResidencyReport,
 };
 use atmem_apps::{App, HmsGraph, MemCtx, Mode};
+use atmem_bench::experiments;
 use atmem_graph::{Csr, Dataset};
 use atmem_hms::Platform;
 
@@ -39,12 +45,14 @@ struct Options {
 
 fn usage() -> ! {
     eprintln!(
-        "usage: atmem_run [--app BFS|SSSP|PR|BC|CC|SpMV] [--dataset NAME] \
+        "usage: atmem_run EXPERIMENT   (one of: {})\n\
+         usage: atmem_run [--app BFS|SSSP|PR|BC|CC|SpMV] [--dataset NAME] \
          [--platform {}] [--mode baseline|atmem|ideal|preferred] \
          [--policy atmem|autonuma] [--analyzer paper|learned] [--rounds N] \
          [--epsilon F] [--arity M] [--chunks N] [--period P] \
          [--mechanism staged|direct|mbind] [--shrink S] [--cores N] \
          [--edge-list PATH] [--heatmap]",
+        experiments::names(),
         Platform::PRESET_NAMES.join("|")
     );
     std::process::exit(2);
@@ -178,7 +186,34 @@ fn load_graph(opts: &Options) -> Result<Csr, Box<dyn std::error::Error>> {
     })
 }
 
+/// `atmem_run <experiment>`: one figure or table driver, timed.
+fn run_experiment(name: &str) -> ExitCode {
+    let Some(run) = experiments::by_name(name) else {
+        eprintln!("unknown experiment {name}");
+        usage()
+    };
+    let t0 = std::time::Instant::now();
+    match run() {
+        Ok(_) => {
+            eprintln!("{name} done in {:.1}s", t0.elapsed().as_secs_f64());
+            ExitCode::SUCCESS
+        }
+        Err(e) => {
+            eprintln!("error: {e}");
+            ExitCode::FAILURE
+        }
+    }
+}
+
 fn main() -> ExitCode {
+    let mut args = std::env::args().skip(1);
+    if let Some(name) = args.next().filter(|first| !first.starts_with('-')) {
+        if args.next().is_some() {
+            eprintln!("{name}: an experiment takes no options");
+            usage();
+        }
+        return run_experiment(&name);
+    }
     let opts = parse_options();
     let platform = Platform::by_name(&opts.platform_name).unwrap_or_else(|| {
         eprintln!("unknown platform {:?}", opts.platform_name);

@@ -21,13 +21,6 @@ use atmem_apps::{
 use atmem_graph::{Csr, Dataset};
 use atmem_hms::Platform;
 
-fn shrink() -> u32 {
-    std::env::var("ATMEM_BENCH_SHRINK")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(5)
-}
-
 /// Runs `app` under `mode` and returns its output vector.
 fn run_app(csr: &Csr, app: App, mode: Mode) -> atmem::Result<Vec<f64>> {
     let config = AtmemConfig::default().with_placement(match mode {
@@ -120,10 +113,11 @@ fn close(a: f64, b: f64) -> bool {
 fn main() -> ExitCode {
     let mut failures = 0usize;
     let mut checks = 0usize;
+    let shrink = atmem_bench::dataset_shrink(5);
     for app in App::FIVE.into_iter().chain([App::Spmv]) {
         for dataset in Dataset::ALL {
             let csr = {
-                let g = dataset.build_small(shrink());
+                let g = dataset.build_small(shrink);
                 if app.needs_weights() {
                     g.with_random_weights(32.0, 7)
                 } else {

@@ -1,10 +1,11 @@
 //! # atmem-bench — experiment harness for the ATMem reproduction
 //!
-//! Shared plumbing for the per-figure binaries (`fig1`, `fig5_table3`,
-//! `fig6`, `fig7`, `fig8`, `fig9`, `fig10`, `table4`, `ablation`): dataset
-//! sizing, result tables, CSV emission, and summary statistics.
+//! The figure and table drivers ([`experiments`], run as
+//! `atmem_run <experiment>`: `fig1`, `fig5`, `fig6`, `fig9`, `fig10`,
+//! `table4`, `ablation`, `variance`, `all`) and their shared plumbing:
+//! dataset sizing, result tables, CSV emission, and summary statistics.
 //!
-//! Every binary prints a human-readable table to stdout and writes a CSV
+//! Every driver prints a human-readable table to stdout and writes a CSV
 //! with the same series under `results/` (see [`emit`]), so the
 //! figures can be re-plotted from the raw rows.
 
@@ -16,14 +17,27 @@ use std::path::{Path, PathBuf};
 use atmem_graph::{Csr, Dataset};
 
 /// How many R-MAT scale levels to shrink the stand-in datasets for a
-/// harness run. The default 0 uses the full scaled stand-ins (a complete
-/// figure takes minutes); the `ATMEM_BENCH_SHRINK` environment variable
-/// overrides (smoke runs set a larger shrink to finish in seconds).
-pub fn dataset_shrink() -> u32 {
-    std::env::var("ATMEM_BENCH_SHRINK")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(0)
+/// harness run: `ATMEM_BENCH_SHRINK` when set (smoke runs set a large
+/// shrink to finish in seconds), else `default` — 0, the full scaled
+/// stand-ins, for the figure drivers (a complete figure takes minutes).
+/// A value that is not a `u32` ends the process with a message and exit
+/// status 2: a typo must not turn a smoke run into a full-scale one.
+pub fn dataset_shrink(default: u32) -> u32 {
+    let value = std::env::var_os("ATMEM_BENCH_SHRINK").map(|v| v.to_string_lossy().into_owned());
+    parse_shrink(value.as_deref(), default).unwrap_or_else(|message| {
+        eprintln!("{message}");
+        std::process::exit(2)
+    })
+}
+
+/// [`dataset_shrink`] on the variable's value (`None` when unset).
+fn parse_shrink(value: Option<&str>, default: u32) -> Result<u32, String> {
+    match value {
+        None => Ok(default),
+        Some(v) => v
+            .parse()
+            .map_err(|_| format!("ATMEM_BENCH_SHRINK={v:?} is not a u32")),
+    }
 }
 
 /// Attaches the harness's edge weights (uniform in `[1, 64)`, seeded like
@@ -34,7 +48,7 @@ fn with_harness_weights(csr: Csr, dataset: Dataset) -> Csr {
 
 /// Builds a dataset stand-in at harness scale, weighted when `weighted`.
 pub fn build_dataset(dataset: Dataset, weighted: bool) -> Csr {
-    let csr = dataset.build_small(dataset_shrink());
+    let csr = dataset.build_small(dataset_shrink(0));
     if weighted {
         with_harness_weights(csr, dataset)
     } else {
@@ -238,6 +252,20 @@ mod tests {
     }
 
     #[test]
+    fn shrink_is_the_default_only_when_unset() {
+        assert_eq!(parse_shrink(None, 0), Ok(0));
+        assert_eq!(parse_shrink(None, 5), Ok(5));
+        assert_eq!(parse_shrink(Some("3"), 5), Ok(3));
+        for bad in ["six", "", "-1", "3 ", "4294967296"] {
+            let message = parse_shrink(Some(bad), 5).unwrap_err();
+            assert!(
+                message.contains("ATMEM_BENCH_SHRINK") && message.contains(bad),
+                "{message}"
+            );
+        }
+    }
+
+    #[test]
     fn dataset_builders_respect_shrink_env() {
         // Do not mutate the env (tests run in parallel); just exercise the
         // builder at the current shrink.
@@ -252,5 +280,4 @@ mod tests {
 }
 
 pub mod experiments;
-pub mod harness;
 pub mod quality;
