@@ -51,10 +51,21 @@ cargo test -q --release -p atmem-graph descent_matches_the_reference_edge_for_ed
 
 echo "==> unsafe guard (the migration copy engine stays safe code)"
 # PR 16 replaced the raw-pointer copy engine with copy_from_slice loops;
-# the one unsafe seam left is shard.rs's TiersView. The only match allowed
-# in these files is the word in config.rs's doc comment on the Direct
-# mechanism.
-if grep -rn 'unsafe' crates/hms/src/machine.rs crates/hms/src/mbind.rs crates/hms/src/tier.rs crates/core/src | grep -v 'crates/core/src/config.rs:.*///'; then echo "unsafe is back in the migration path (lines above)" >&2; exit 1; fi
+# the one unsafe seam left is shard.rs's TiersView.
+if grep -rn 'unsafe' crates/hms/src/machine.rs crates/hms/src/mbind.rs crates/hms/src/tier.rs crates/core/src; then echo "unsafe is back in the migration path (lines above)" >&2; exit 1; fi
+
+echo "==> surface guard (one way in: hms's crate root is its surface, every access operation declared once and implemented once)"
+# PR 23: `hms` has no public modules (the root re-export list is the
+# surface; `unreachable_pub` under the clippy step above keeps the rest
+# honest), `MemPort` is implemented at exactly two sites and each supplies
+# only the lend (`with_core`), and the Direct migration mechanism — call
+# for call the staged body — stays deleted.
+if grep -n 'pub mod' crates/hms/src/lib.rs; then echo "crates/hms/src/lib.rs has a pub mod again (lines above)" >&2; exit 1; fi
+impls="$(grep -rn 'impl MemPort for' crates tests examples | sed -E 's/:[0-9]+:/: /' | sort)"
+want="crates/hms/src/machine.rs: impl MemPort for Machine {
+crates/hms/src/shard.rs: impl MemPort for CoreHandle<'_> {"
+if [ "$impls" != "$want" ]; then echo "impl MemPort for must appear at exactly the two sanctioned sites, found:" >&2; echo "$impls" >&2; exit 1; fi
+if grep -rnE 'MigrationMechanism::Direct|migrate_region_direct' crates tests examples; then echo "the Direct migration mechanism is back (lines above)" >&2; exit 1; fi
 
 echo "==> access-ladder guard (the compiled-plan rung stays deleted)"
 # PR 15 removed the fourth access rung; any of its names coming back under
@@ -108,7 +119,7 @@ echo "==> fault-injection smoke (set ATMEM_PROP_CASES to widen the sweep)"
 ATMEM_PROP_CASES="${ATMEM_PROP_CASES:-8}" cargo test -q -p atmem-bench --test faults
 
 echo "==> migration data-image property sweep"
-# Random interleavings of staged / direct / mbind region migrations on
+# Random interleavings of staged / mbind region migrations on
 # fragmented two- and three-tier machines, a scripted fault at each gate
 # of the migration path, checked against a shadow image after every
 # region; the hand-staged regions assert the tier bytes under a staging
@@ -118,7 +129,8 @@ ATMEM_PROP_CASES="${ATMEM_PROP_CASES:-8}" cargo test -q -p atmem-bench --test mi
 echo "==> serving smoke (multi-tenant scheduler anchors)"
 # The three serving anchors: one-tenant bit-identity with the solo
 # protocol, contended two-tenant byte conservation + audit-clean quanta,
-# and shared-tier-beats-static-partition. Already part of tier-1 above;
+# and shared-tier-beats-static-partition; plus the round's demotion sized
+# by resident bytes, not region lengths. Already part of tier-1 above;
 # kept as a dedicated step so a serving regression is named in CI output.
 cargo test -q -p atmem-bench --test serving
 

@@ -11,8 +11,8 @@
 //! simulator's batched fast paths — block translation for streams, the
 //! window engine for irregular index windows — which produce bit-identical
 //! simulated state to [`AccessMode::Scalar`]'s per-element loops (the
-//! fidelity guarantee of `Machine::access_block` and
-//! `Machine::access_window`), at a fraction of the host cost. Those are
+//! fidelity guarantee stated once on [`MemPort`]'s operations), at a
+//! fraction of the host cost. Those are
 //! the three rungs of the access ladder — scalar oracle, block engine,
 //! window engine — and there is exactly one `MemCtx` method per operation;
 //! the mode, not the call site, picks the rung.
@@ -20,21 +20,24 @@
 //! ## Sharded execution
 //!
 //! `MemCtx` is generic over any [`MemPort`] — the concrete `Machine` (the
-//! default) or a per-core `CoreHandle` inside a `Machine::run_cores` phase.
-//! The [`par_cores`](MemCtx::par_cores) knob, set once by the runner or
+//! default) or a per-core `CoreHandle` inside a phase. The
+//! [`par_cores`](MemCtx::par_cores) knob, set once by the runner or
 //! harness via [`with_cores`](MemCtx::with_cores), tells sharded-capable
-//! kernels how many simulated cores to partition each phase over. The
+//! kernels how many simulated cores to partition each phase over, and
+//! [`run_cores`](MemCtx::run_cores) runs one such phase, handing every
+//! core a context of the same mode. The
 //! regular kernels split their streaming phases by contiguous range; the
 //! traversal kernels (BFS, BFS-dir, SSSP, BC) partition each frontier
 //! level, routing discovered vertices through per-owner queues
 //! (`atmem_hms::OwnerQueues`) so every property write stays single-writer
 //! and the next frontier is canonical for any core count. Kernels without
 //! a sharded body simply ignore the knob and run scalar. At
-//! `par_cores == 1` every kernel takes its historical scalar path, which
-//! `Machine::run_cores` guarantees is bit-identical to the pre-sharding
-//! engine.
+//! `par_cores == 1` every kernel but `triangles` takes its serial body
+//! (`triangles` has one body: one core is the degenerate partition, which
+//! `Machine::run_cores` runs on the resident core, bit-identical to the
+//! pre-sharding engine).
 
-use atmem_hms::{Machine, MemPort, Scalar, TrackedVec};
+use atmem_hms::{CoreHandle, Machine, MemPort, Scalar, TrackedVec};
 
 /// How a kernel's accesses are driven through the simulator.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -102,7 +105,7 @@ impl<'a, M: MemPort> MemCtx<'a, M> {
     }
 
     /// Escape hatch to the underlying memory port (e.g. for stats
-    /// snapshots, unaccounted peeks mid-kernel, or `run_cores` phases).
+    /// snapshots or unaccounted peeks mid-kernel).
     pub fn machine(&mut self) -> &mut M {
         self.machine
     }
@@ -223,5 +226,21 @@ impl<'a, M: MemPort> MemCtx<'a, M> {
                 }
             }
         }
+    }
+}
+
+impl MemCtx<'_, Machine> {
+    /// Runs one sharded phase over [`par_cores`](MemCtx::par_cores)
+    /// simulated cores: `f(core_id, ctx)` once per core, `ctx` being a
+    /// context of this one's mode over that core. Results come back in core
+    /// order; `Machine::run_cores` states the reduction and partition
+    /// contracts, and runs a one-core phase on the machine's resident core.
+    pub fn run_cores<R: Send>(
+        &mut self,
+        f: impl Fn(usize, MemCtx<'_, CoreHandle<'_>>) -> R + Sync,
+    ) -> Vec<R> {
+        let mode = self.mode;
+        self.machine
+            .run_cores(self.par_cores, |c, h| f(c, MemCtx::new(h, mode)))
     }
 }

@@ -75,9 +75,7 @@ impl Bc {
     fn run_iteration_sharded(&mut self, ctx: &mut MemCtx) {
         let n = self.graph.num_vertices();
         let cores = ctx.par_cores();
-        let mode = ctx.mode();
-        let machine = ctx.machine();
-        let host_bounds = self.graph.host_bounds(machine);
+        let host_bounds = self.graph.host_bounds(ctx.machine());
         let cuts = par::edge_cuts(&host_bounds, cores);
         let fill_cuts = par::even_cuts(n, cores);
         let graph = &self.graph;
@@ -89,8 +87,7 @@ impl Bc {
 
         // Accounted re-init, partitioned, with the source seeded by its
         // owner (same totals as the scalar body's three fills).
-        machine.run_cores(cores, |c, h| {
-            let mut cctx = MemCtx::new(h, mode);
+        ctx.run_cores(|c, mut cctx| {
             let (lo, hi) = (fill_cuts[c], fill_cuts[c + 1]);
             cctx.write_run(sigma, lo, &vec![0.0f64; hi - lo]);
             cctx.write_run(depth, lo, &vec![-1i32; hi - lo]);
@@ -110,8 +107,7 @@ impl Bc {
             level += 1;
             let slices = par::frontier_cuts(&cuts, &frontier);
             let cur = &frontier;
-            let per_core = machine.run_cores(cores, |c, h| {
-                let mut cctx = MemCtx::new(h, mode);
+            let per_core = ctx.run_cores(|c, mut cctx| {
                 let mut queues = OwnerQueues::new(cores);
                 let mut nbrs: Vec<u32> = Vec::new();
                 let mut dbuf: Vec<i32> = Vec::new();
@@ -132,8 +128,7 @@ impl Bc {
             });
             let routed = merge_owner_queues(per_core);
             let routed = &routed;
-            let discovered = machine.run_cores(cores, |c, h| {
-                let mut cctx = MemCtx::new(h, mode);
+            let discovered = ctx.run_cores(|c, mut cctx| {
                 let mut new: Vec<u32> = Vec::new();
                 for &(u, sv) in &routed[c] {
                     let u = u as usize;
@@ -156,8 +151,7 @@ impl Bc {
         // contiguous slab slices with the scalar per-vertex body.
         for slab in levels.iter().rev() {
             let slab_cuts = par::even_cuts(slab.len(), cores);
-            machine.run_cores(cores, |c, h| {
-                let mut cctx = MemCtx::new(h, mode);
+            ctx.run_cores(|c, mut cctx| {
                 let mut nbrs: Vec<u32> = Vec::new();
                 let mut dbuf: Vec<i32> = Vec::new();
                 let mut matched: Vec<u32> = Vec::new();

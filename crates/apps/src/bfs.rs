@@ -82,9 +82,7 @@ impl Bfs {
     fn run_iteration_sharded(&mut self, ctx: &mut MemCtx) {
         let n = self.graph.num_vertices();
         let cores = ctx.par_cores();
-        let mode = ctx.mode();
-        let machine = ctx.machine();
-        let host_bounds = self.graph.host_bounds(machine);
+        let host_bounds = self.graph.host_bounds(ctx.machine());
         let cuts = par::edge_cuts(&host_bounds, cores);
         let fill_cuts = par::even_cuts(n, cores);
         let graph = &self.graph;
@@ -93,8 +91,7 @@ impl Bfs {
 
         // Accounted re-init, partitioned: each core rewrites its slice of
         // the distance array and the source's owner seeds it.
-        machine.run_cores(cores, |c, h| {
-            let mut cctx = MemCtx::new(h, mode);
+        ctx.run_cores(|c, mut cctx| {
             let (lo, hi) = (fill_cuts[c], fill_cuts[c + 1]);
             cctx.write_run(dist, lo, &vec![UNREACHED; hi - lo]);
             if (lo..hi).contains(&src) {
@@ -110,8 +107,7 @@ impl Bfs {
             let slices = par::frontier_cuts(&cuts, &frontier);
             let cur = &frontier;
             // Expand: owned frontier slices -> owner-routed candidates.
-            let per_core = machine.run_cores(cores, |c, h| {
-                let mut cctx = MemCtx::new(h, mode);
+            let per_core = ctx.run_cores(|c, mut cctx| {
                 let mut queues = OwnerQueues::new(cores);
                 let mut nbrs: Vec<u32> = Vec::new();
                 let mut dbuf: Vec<u32> = Vec::new();
@@ -133,8 +129,7 @@ impl Bfs {
             let routed = &routed;
             // Settle: owners dedup first-touch, write the level, and emit
             // their slice of the next frontier in canonical order.
-            let discovered = machine.run_cores(cores, |c, h| {
-                let mut cctx = MemCtx::new(h, mode);
+            let discovered = ctx.run_cores(|c, mut cctx| {
                 let mut seen = std::collections::HashSet::new();
                 let mut new: Vec<u32> = Vec::new();
                 for &u in &routed[c] {

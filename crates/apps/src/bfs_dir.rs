@@ -84,18 +84,15 @@ impl BfsDir {
     fn run_iteration_sharded(&mut self, ctx: &mut MemCtx) {
         let n = self.out_graph.num_vertices();
         let cores = ctx.par_cores();
-        let mode = ctx.mode();
-        let machine = ctx.machine();
-        let out_cuts = par::edge_cuts(&self.out_graph.host_bounds(machine), cores);
-        let in_cuts = par::edge_cuts(&self.in_graph.host_bounds(machine), cores);
+        let out_cuts = par::edge_cuts(&self.out_graph.host_bounds(ctx.machine()), cores);
+        let in_cuts = par::edge_cuts(&self.in_graph.host_bounds(ctx.machine()), cores);
         let fill_cuts = par::even_cuts(n, cores);
         let out_graph = &self.out_graph;
         let in_graph = &self.in_graph;
         let dist = &self.dist;
         let src = self.source as usize;
 
-        machine.run_cores(cores, |c, h| {
-            let mut cctx = MemCtx::new(h, mode);
+        ctx.run_cores(|c, mut cctx| {
             let (lo, hi) = (fill_cuts[c], fill_cuts[c + 1]);
             cctx.write_run(dist, lo, &vec![UNREACHED; hi - lo]);
             if (lo..hi).contains(&src) {
@@ -115,8 +112,7 @@ impl BfsDir {
                 bottom_up_levels += 1;
                 // Scan (reads only): owned in-edge-balanced vertex ranges
                 // probe for parents against the level-start snapshot.
-                let found = machine.run_cores(cores, |c, h| {
-                    let mut cctx = MemCtx::new(h, mode);
+                let found = ctx.run_cores(|c, mut cctx| {
                     let (lo, hi) = (in_cuts[c], in_cuts[c + 1]);
                     let mut mine = vec![0u32; hi - lo];
                     cctx.read_run(dist, lo, &mut mine);
@@ -139,8 +135,7 @@ impl BfsDir {
                 let found = &found;
                 // Claim (owner-only writes): each core stamps the level
                 // into the vertices its own scan discovered.
-                machine.run_cores(cores, |c, h| {
-                    let mut cctx = MemCtx::new(h, mode);
+                ctx.run_cores(|c, mut cctx| {
                     cctx.scatter(dist, &found[c], &vec![level; found[c].len()]);
                 });
                 // Scan ranges are contiguous and ascending, so the found
@@ -150,8 +145,7 @@ impl BfsDir {
                 top_down_levels += 1;
                 let slices = par::frontier_cuts(&out_cuts, &frontier);
                 let cur = &frontier;
-                let per_core = machine.run_cores(cores, |c, h| {
-                    let mut cctx = MemCtx::new(h, mode);
+                let per_core = ctx.run_cores(|c, mut cctx| {
                     let mut queues = OwnerQueues::new(cores);
                     let mut nbrs: Vec<u32> = Vec::new();
                     let mut dbuf: Vec<u32> = Vec::new();
@@ -171,8 +165,7 @@ impl BfsDir {
                 });
                 let routed = merge_owner_queues(per_core);
                 let routed = &routed;
-                let discovered = machine.run_cores(cores, |c, h| {
-                    let mut cctx = MemCtx::new(h, mode);
+                let discovered = ctx.run_cores(|c, mut cctx| {
                     let mut seen = std::collections::HashSet::new();
                     let mut new: Vec<u32> = Vec::new();
                     for &u in &routed[c] {

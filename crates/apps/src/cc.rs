@@ -106,13 +106,10 @@ impl Cc {
     /// core over the reassembled host staging.
     fn run_iteration_sharded(&mut self, ctx: &mut MemCtx) {
         let cores = ctx.par_cores();
-        let mode = ctx.mode();
-        let machine = ctx.machine();
-        let host_bounds = self.graph.host_bounds(machine);
+        let host_bounds = self.graph.host_bounds(ctx.machine());
         let cuts = par::edge_cuts(&host_bounds, cores);
         let graph = &self.graph;
-        let slices: Vec<(Vec<u64>, Vec<u32>)> = machine.run_cores(cores, |c, h| {
-            let mut ctx = MemCtx::new(h, mode);
+        let slices: Vec<(Vec<u64>, Vec<u32>)> = ctx.run_cores(|c, mut ctx| {
             let (lo, hi) = (cuts[c], cuts[c + 1]);
             if lo == hi {
                 return (Vec::new(), Vec::new());

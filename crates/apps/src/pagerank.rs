@@ -85,9 +85,7 @@ impl PageRank {
     fn run_iteration_sharded(&mut self, ctx: &mut MemCtx) {
         let n = self.graph.num_vertices();
         let cores = ctx.par_cores();
-        let mode = ctx.mode();
-        let machine = ctx.machine();
-        let host_bounds = self.graph.host_bounds(machine);
+        let host_bounds = self.graph.host_bounds(ctx.machine());
         let src_cuts = par::edge_cuts(&host_bounds, cores);
         let dst_cuts = par::even_cuts(n, cores);
         let graph = &self.graph;
@@ -95,8 +93,7 @@ impl PageRank {
         let next = &self.next;
 
         // Phase A: partitioned streams + host-side contribution routing.
-        let buckets: Vec<Vec<(Vec<u32>, Vec<f64>)>> = machine.run_cores(cores, |c, h| {
-            let mut ctx = MemCtx::new(h, mode);
+        let buckets: Vec<Vec<(Vec<u32>, Vec<f64>)>> = ctx.run_cores(|c, mut ctx| {
             let (lo, hi) = (src_cuts[c], src_cuts[c + 1]);
             let mut out: Vec<(Vec<u32>, Vec<f64>)> = vec![(Vec::new(), Vec::new()); cores];
             if lo == hi {
@@ -127,8 +124,7 @@ impl PageRank {
         // Phase B: owned accumulation in global edge order, then damping.
         let base = (1.0 - DAMPING) / n as f64;
         let buckets = &buckets;
-        machine.run_cores(cores, |c, h| {
-            let mut ctx = MemCtx::new(h, mode);
+        ctx.run_cores(|c, mut ctx| {
             for per_src in buckets {
                 let (indices, shares) = &per_src[c];
                 ctx.gather_update(next, indices, |k, acc| acc + shares[k]);

@@ -91,9 +91,7 @@ impl PageRankPull {
     fn run_iteration_sharded(&mut self, ctx: &mut MemCtx) {
         let n = self.graph.num_vertices();
         let cores = ctx.par_cores();
-        let mode = ctx.mode();
-        let machine = ctx.machine();
-        let host_bounds = self.graph.host_bounds(machine);
+        let host_bounds = self.graph.host_bounds(ctx.machine());
         let cuts = par::edge_cuts(&host_bounds, cores);
         let vcuts = par::even_cuts(n, cores);
         let graph = &self.graph;
@@ -102,8 +100,7 @@ impl PageRankPull {
         let next = &self.next;
 
         // Phase A: partitioned gather into owned slices of `next`.
-        machine.run_cores(cores, |c, h| {
-            let mut ctx = MemCtx::new(h, mode);
+        ctx.run_cores(|c, mut ctx| {
             let (lo, hi) = (cuts[c], cuts[c + 1]);
             if lo == hi {
                 return;
@@ -143,8 +140,7 @@ impl PageRankPull {
 
         // Phase B: damping + swap over evenly owned slices.
         let base = (1.0 - DAMPING) / n as f64;
-        machine.run_cores(cores, |c, h| {
-            let mut ctx = MemCtx::new(h, mode);
+        ctx.run_cores(|c, mut ctx| {
             let (lo, hi) = (vcuts[c], vcuts[c + 1]);
             if lo == hi {
                 return;

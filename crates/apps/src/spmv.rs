@@ -70,15 +70,12 @@ impl Spmv {
     /// bit-identical for any core count.
     fn run_iteration_sharded(&mut self, ctx: &mut MemCtx) {
         let cores = ctx.par_cores();
-        let mode = ctx.mode();
-        let machine = ctx.machine();
-        let host_bounds = self.graph.host_bounds(machine);
+        let host_bounds = self.graph.host_bounds(ctx.machine());
         let cuts = par::edge_cuts(&host_bounds, cores);
         let graph = &self.graph;
         let x = &self.x;
         let y = &self.y;
-        machine.run_cores(cores, |c, h| {
-            let mut ctx = MemCtx::new(h, mode);
+        ctx.run_cores(|c, mut ctx| {
             let (lo, hi) = (cuts[c], cuts[c + 1]);
             if lo == hi {
                 return;

@@ -78,17 +78,14 @@ impl Sssp {
     fn run_iteration_sharded(&mut self, ctx: &mut MemCtx) {
         let n = self.graph.num_vertices();
         let cores = ctx.par_cores();
-        let mode = ctx.mode();
-        let machine = ctx.machine();
-        let host_bounds = self.graph.host_bounds(machine);
+        let host_bounds = self.graph.host_bounds(ctx.machine());
         let cuts = par::edge_cuts(&host_bounds, cores);
         let fill_cuts = par::even_cuts(n, cores);
         let graph = &self.graph;
         let dist = &self.dist;
         let src = self.source as usize;
 
-        machine.run_cores(cores, |c, h| {
-            let mut cctx = MemCtx::new(h, mode);
+        ctx.run_cores(|c, mut cctx| {
             let (lo, hi) = (fill_cuts[c], fill_cuts[c + 1]);
             cctx.write_run(dist, lo, &vec![f32::INFINITY; hi - lo]);
             if (lo..hi).contains(&src) {
@@ -102,8 +99,7 @@ impl Sssp {
             let slices = par::frontier_cuts(&cuts, &frontier);
             let cur = &frontier;
             // Relax-scan: emit owner-routed improving candidates.
-            let per_core = machine.run_cores(cores, |c, h| {
-                let mut cctx = MemCtx::new(h, mode);
+            let per_core = ctx.run_cores(|c, mut cctx| {
                 let mut queues = OwnerQueues::new(cores);
                 let mut nbrs: Vec<u32> = Vec::new();
                 let mut ws: Vec<f32> = Vec::new();
@@ -130,8 +126,7 @@ impl Sssp {
             let routed = merge_owner_queues(per_core);
             let routed = &routed;
             // Tighten: owners replay their queue single-writer.
-            let settled = machine.run_cores(cores, |c, h| {
-                let mut cctx = MemCtx::new(h, mode);
+            let settled = ctx.run_cores(|c, mut cctx| {
                 let bucket = &routed[c];
                 let idx: Vec<u32> = bucket.iter().map(|&(u, _)| u).collect();
                 let mut dbuf = vec![0.0f32; idx.len()];

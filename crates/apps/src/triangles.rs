@@ -49,28 +49,19 @@ impl Kernel for Triangles {
     }
 
     fn run_iteration(&mut self, ctx: &mut MemCtx) {
-        let n = self.graph.num_vertices();
-        let cores = ctx.par_cores();
-        if cores > 1 {
-            // Read-only kernel: every phase access is a read, so any
-            // partition satisfies the contract. Anchor vertices split into
-            // contiguous edge-balanced ranges, each core intersecting its
-            // own anchors; per-core u64 counts sum in core order (integer
-            // addition is associative, so the count is bit-identical to
-            // the scalar loop for any core count).
-            let mode = ctx.mode();
-            let machine = ctx.machine();
-            let host_bounds = self.graph.host_bounds(machine);
-            let cuts = par::edge_cuts(&host_bounds, cores);
-            let graph = &self.graph;
-            let counts: Vec<u64> = machine.run_cores(cores, |c, h| {
-                let mut ctx = MemCtx::new(h, mode);
-                count_range(graph, &mut ctx, cuts[c], cuts[c + 1])
-            });
-            self.count = counts.iter().sum();
-            return;
-        }
-        self.count = count_range(&self.graph, ctx, 0, n);
+        // Read-only kernel: every phase access is a read, so any partition
+        // satisfies the contract. Anchor vertices split into contiguous
+        // edge-balanced ranges, each core intersecting its own anchors;
+        // per-core u64 counts sum in core order (integer addition is
+        // associative, so the count is bit-identical for any core count).
+        // One core is the degenerate partition: the whole range on the
+        // machine's resident core.
+        let host_bounds = self.graph.host_bounds(ctx.machine());
+        let cuts = par::edge_cuts(&host_bounds, ctx.par_cores());
+        let graph = &self.graph;
+        let counts: Vec<u64> =
+            ctx.run_cores(|c, mut ctx| count_range(graph, &mut ctx, cuts[c], cuts[c + 1]));
+        self.count = counts.iter().sum();
     }
 
     fn checksum(&self, _rt: &mut Atmem) -> f64 {
@@ -78,8 +69,8 @@ impl Kernel for Triangles {
     }
 }
 
-/// Counts triangles anchored at vertices `lo..hi` — the whole graph for
-/// the scalar path, one partition range per core for the sharded path.
+/// Counts triangles anchored at vertices `lo..hi`: one partition range per
+/// core.
 fn count_range<M: atmem_hms::MemPort>(
     graph: &HmsGraph,
     ctx: &mut MemCtx<'_, M>,

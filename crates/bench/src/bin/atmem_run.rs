@@ -8,7 +8,7 @@
 //!           [--mode baseline|atmem|ideal|preferred] [--policy atmem|autonuma]
 //!           [--analyzer paper|learned] [--rounds N]
 //!           [--epsilon F] [--arity M] [--chunks N] [--period P]
-//!           [--mechanism staged|direct|mbind] [--shrink S] [--cores N]
+//!           [--mechanism staged|mbind] [--shrink S] [--cores N]
 //!           [--edge-list PATH] [--heatmap]
 //! ```
 //!
@@ -50,7 +50,7 @@ fn usage() -> ! {
          [--platform {}] [--mode baseline|atmem|ideal|preferred] \
          [--policy atmem|autonuma] [--analyzer paper|learned] [--rounds N] \
          [--epsilon F] [--arity M] [--chunks N] [--period P] \
-         [--mechanism staged|direct|mbind] [--shrink S] [--cores N] \
+         [--mechanism staged|mbind] [--shrink S] [--cores N] \
          [--edge-list PATH] [--heatmap]",
         experiments::names(),
         Platform::PRESET_NAMES.join("|")
@@ -147,7 +147,6 @@ fn parse_options() -> Options {
             "--mechanism" => {
                 opts.config.migration.mechanism = match value("--mechanism").as_str() {
                     "staged" => MigrationMechanism::Staged,
-                    "direct" => MigrationMechanism::Direct,
                     "mbind" => MigrationMechanism::Mbind,
                     _ => usage(),
                 };

@@ -9,7 +9,7 @@
 //! * promotion-tree arity m ∈ {2, 4, 8};
 //! * chunk granularity (target chunks per object);
 //! * sampling period (profiling accuracy vs overhead);
-//! * migration mechanism (staged / direct / mbind) × thread count;
+//! * migration mechanism (staged / mbind) × thread count;
 //! * profiling overhead on the first iteration (§7.4).
 
 use atmem::{AtmemConfig, MigrationMechanism};
@@ -125,10 +125,9 @@ pub fn run_migration_ablation() -> atmem::Result<ResultTable> {
         "Ablation: migration mechanism (PR on rmat24, NVM-DRAM)",
         &["migration_ms", "iter2_ms", "iter2_tlb_misses"],
     );
-    let variants: [(&str, MigrationMechanism, Option<usize>); 4] = [
+    let variants: [(&str, MigrationMechanism, Option<usize>); 3] = [
         ("staged, platform threads", MigrationMechanism::Staged, None),
         ("staged, 1 thread", MigrationMechanism::Staged, Some(1)),
-        ("direct, platform threads", MigrationMechanism::Direct, None),
         ("mbind", MigrationMechanism::Mbind, None),
     ];
     for (label, mechanism, threads) in variants {

@@ -122,11 +122,6 @@ impl MaryTree {
         let end = (start + span).min(self.leaf_count());
         (start, end)
     }
-
-    /// Whether `node` is a leaf.
-    pub fn is_leaf(&self, node: NodeId) -> bool {
-        node.level == 0
-    }
 }
 
 #[cfg(test)]

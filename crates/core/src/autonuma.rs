@@ -29,7 +29,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use atmem_hms::addr::PAGE_SIZE;
+use atmem_hms::PAGE_SIZE;
 use atmem_hms::{HmsError, Machine, SampleRecord, SimDuration, TierId, VirtAddr, VirtRange};
 
 use crate::config::AutonumaConfig;

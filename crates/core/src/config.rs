@@ -179,9 +179,6 @@ pub enum MigrationMechanism {
     /// The paper's three-stage multi-threaded mechanism (§4.4, Figure 4).
     #[default]
     Staged,
-    /// Single-stage direct copy (ablation; unsafe with concurrent readers
-    /// on real hardware, fine in simulation).
-    Direct,
     /// The `mbind` system service (the Table 4 baseline).
     Mbind,
 }

@@ -8,8 +8,7 @@
 //! ranked by priority density, and selected greedily until the fast-tier
 //! budget runs out.
 
-use atmem_hms::addr::PAGE_SIZE;
-use atmem_hms::VirtRange;
+use atmem_hms::{Machine, TierId, VirtRange, PAGE_SIZE};
 
 use crate::analyzer::Analysis;
 use crate::config::MigrationConfig;
@@ -29,7 +28,7 @@ pub struct PlannedRegion {
     /// passed to [`execute_plan`](crate::migrate::execute_plan); `Some`
     /// overrides it — how one hop of a multi-tier demotion cascade routes
     /// its regions without a separate execution entry point.
-    pub dst: Option<atmem_hms::TierId>,
+    pub dst: Option<TierId>,
 }
 
 /// The full plan.
@@ -101,6 +100,20 @@ pub(crate) fn colder_first(a: &PlannedRegion, b: &PlannedRegion) -> std::cmp::Or
         .then(a.range.start.cmp(&b.range.start))
 }
 
+/// Slow-resident bytes the selection behind `candidates` wants on `target`:
+/// what an upcoming promotion will actually move, and therefore what a
+/// demotion ahead of it has to make room for.
+pub(crate) fn promotion_demand(
+    machine: &Machine,
+    candidates: &[PlannedRegion],
+    target: TierId,
+) -> usize {
+    candidates
+        .iter()
+        .map(|r| r.range.len - machine.resident_bytes(r.range, target))
+        .sum()
+}
+
 /// Builds the plan for `analysis` under `budget_bytes` of fast-tier space.
 pub fn build_plan(
     registry: &Registry,
@@ -108,7 +121,16 @@ pub fn build_plan(
     config: &MigrationConfig,
     budget_bytes: usize,
 ) -> MigrationPlan {
-    let mut candidates = promotion_candidates(registry, analysis, config);
+    plan_from(
+        promotion_candidates(registry, analysis, config),
+        budget_bytes,
+    )
+}
+
+/// Ranks `candidates` hottest first and admits them greedily under
+/// `budget_bytes` (the body of [`build_plan`], for a caller that already
+/// holds the candidates).
+pub(crate) fn plan_from(mut candidates: Vec<PlannedRegion>, budget_bytes: usize) -> MigrationPlan {
     candidates.sort_by(hotter_first);
 
     let mut plan = MigrationPlan::default();
@@ -157,37 +179,64 @@ pub fn promotion_budget(free_bytes: usize, config: &MigrationConfig) -> usize {
 /// bytes freed so far) covers `demand_bytes` — the slow-resident bytes the
 /// upcoming promotion wants to move. Warm residue that the new hot set
 /// does not displace stays put, so alternating phases do not thrash the
-/// whole fast tier on every optimize.
-///
-/// Demoting a region frees only the bytes of it *currently resident* on
-/// the fast tier — a candidate run can straddle tiers after a partial or
-/// interrupted earlier migration — so the prospective budget accumulates
-/// `resident_bytes`, not region lengths. Counting full lengths here
-/// under-evicts exactly when residency is partial.
+/// whole fast tier on every optimize. A region counts for the bytes of it
+/// resident on the fast tier, not for its length (`evict_coldest_until`).
 pub fn build_demotion_plan(
     registry: &Registry,
     analysis: &Analysis,
-    machine: &atmem_hms::Machine,
+    machine: &Machine,
     config: &MigrationConfig,
     demand_bytes: usize,
 ) -> MigrationPlan {
-    let mut candidates =
-        demotion_candidates(registry, analysis, machine, config, atmem_hms::TierId::FAST);
-    candidates.sort_by(colder_first);
+    let candidates = demotion_candidates(registry, analysis, machine, config, TierId::FAST);
+    let free = machine.free_bytes(TierId::FAST);
+    let (evict, keep) = evict_coldest_until(
+        machine,
+        TierId::FAST,
+        candidates,
+        |r| r,
+        |freed| promotion_budget(free + freed, config) >= demand_bytes,
+    );
+    demotion_plan_of(evict, &keep)
+}
 
-    let free = machine.free_bytes(atmem_hms::TierId::FAST);
+/// Splits the demotion `candidates` of `src` into the coldest-first prefix
+/// to evict and the rest, which stays put: candidates are taken, coldest
+/// first, until `covered(freed)` holds, where `freed` is what evicting the
+/// prefix so far gives back to `src`.
+///
+/// Demoting a region frees only the bytes of it *currently resident* on
+/// `src` — a candidate run can straddle tiers after a partial or interrupted
+/// earlier migration — so `freed` accumulates `resident_bytes`, not region
+/// lengths. Counting full lengths under-evicts exactly when residency is
+/// partial. This is the one copy of that rule: the solo optimizer's hottest
+/// hop, every middle hop of its cascade and the multi-tenant scheduler's
+/// round all size their eviction here.
+pub(crate) fn evict_coldest_until<T>(
+    machine: &Machine,
+    src: TierId,
+    mut candidates: Vec<T>,
+    region: impl Fn(&T) -> &PlannedRegion,
+    covered: impl Fn(usize) -> bool,
+) -> (Vec<T>, Vec<T>) {
+    candidates.sort_by(|a, b| colder_first(region(a), region(b)));
     let mut freed = 0usize;
-    let mut plan = MigrationPlan::default();
-    for region in candidates {
-        if promotion_budget(free + freed, config) >= demand_bytes {
-            plan.dropped_bytes += region.range.len;
-        } else {
-            freed += machine.resident_bytes(region.range, atmem_hms::TierId::FAST);
-            plan.total_bytes += region.range.len;
-            plan.regions.push(region);
-        }
+    let mut evict = 0;
+    while evict < candidates.len() && !covered(freed) {
+        freed += machine.resident_bytes(region(&candidates[evict]).range, src);
+        evict += 1;
     }
-    plan
+    let keep = candidates.split_off(evict);
+    (candidates, keep)
+}
+
+/// A demotion plan evicting `evict` and leaving `keep` where it is.
+fn demotion_plan_of(evict: Vec<PlannedRegion>, keep: &[PlannedRegion]) -> MigrationPlan {
+    MigrationPlan {
+        total_bytes: evict.iter().map(|r| r.range.len).sum(),
+        dropped_bytes: keep.iter().map(|r| r.range.len).sum(),
+        regions: evict,
+    }
 }
 
 /// Builds the hops of an N-tier demotion cascade, returned in execution
@@ -208,14 +257,14 @@ pub fn build_demotion_plan(
 pub fn build_demotion_cascade(
     registry: &Registry,
     analysis: &Analysis,
-    machine: &atmem_hms::Machine,
+    machine: &Machine,
     config: &MigrationConfig,
     demand_bytes: usize,
 ) -> Vec<MigrationPlan> {
     let num_tiers = machine.num_tiers();
     let mut top = build_demotion_plan(registry, analysis, machine, config, demand_bytes);
     for r in &mut top.regions {
-        r.dst = Some(atmem_hms::TierId::new(1.min(num_tiers - 1)));
+        r.dst = Some(TierId::new(1.min(num_tiers - 1)));
     }
     let mut hops = vec![top];
     // Middle hops: tier k must absorb what hop k-1 demotes into it. Two
@@ -229,9 +278,10 @@ pub fn build_demotion_cascade(
     //   see `promotion_budget`'s sufficiency argument).
     // * Demoting a tier-k region frees only the bytes of it *resident on
     //   tier k*; candidates only need `resident_bytes > 0`, so sizing the
-    //   hop by region lengths under-evicts partially-resident residue.
+    //   hop by region lengths under-evicts partially-resident residue
+    //   (`evict_coldest_until` counts resident bytes).
     for k in 1..num_tiers.saturating_sub(1) {
-        let src = atmem_hms::TierId::new(k);
+        let src = TierId::new(k);
         let above = hops.last().expect("cascade has a hottest hop");
         let staging = above.regions.iter().map(|r| r.range.len).max().unwrap_or(0);
         let incoming = above.total_bytes + staging;
@@ -239,20 +289,13 @@ pub fn build_demotion_cascade(
             break;
         }
         let shortfall = incoming - machine.free_bytes(src);
-        let mut candidates = demotion_candidates(registry, analysis, machine, config, src);
-        candidates.sort_by(colder_first);
-        let mut plan = MigrationPlan::default();
-        let mut freed = 0usize;
-        for mut region in candidates {
-            if freed >= shortfall {
-                plan.dropped_bytes += region.range.len;
-            } else {
-                freed += machine.resident_bytes(region.range, src);
-                region.dst = Some(atmem_hms::TierId::new(k + 1));
-                plan.total_bytes += region.range.len;
-                plan.regions.push(region);
-            }
+        let candidates = demotion_candidates(registry, analysis, machine, config, src);
+        let (mut evict, keep) =
+            evict_coldest_until(machine, src, candidates, |r| r, |freed| freed >= shortfall);
+        for region in &mut evict {
+            region.dst = Some(TierId::new(k + 1));
         }
+        let plan = demotion_plan_of(evict, &keep);
         if plan.is_empty() {
             break;
         }
@@ -268,9 +311,9 @@ pub fn build_demotion_cascade(
 pub(crate) fn demotion_candidates(
     registry: &Registry,
     analysis: &Analysis,
-    machine: &atmem_hms::Machine,
+    machine: &Machine,
     config: &MigrationConfig,
-    src_tier: atmem_hms::TierId,
+    src_tier: TierId,
 ) -> Vec<PlannedRegion> {
     let mut candidates: Vec<PlannedRegion> = Vec::new();
     for oa in &analysis.objects {

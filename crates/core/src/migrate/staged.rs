@@ -53,8 +53,7 @@
 //! [`Machine::alloc_frames`]: atmem_hms::Machine::alloc_frames
 //! [`Atmem::optimize`]: crate::Atmem::optimize
 
-use atmem_hms::addr::PAGE_SIZE;
-use atmem_hms::{HmsError, Machine, SimDuration, TierId, VirtRange};
+use atmem_hms::{HmsError, Machine, SimDuration, TierId, VirtRange, PAGE_SIZE};
 
 use crate::config::{MigrationConfig, MigrationMechanism};
 use crate::error::Result;
@@ -171,9 +170,6 @@ pub fn execute_regions(
         let status = match config.mechanism {
             MigrationMechanism::Staged => {
                 migrate_region_staged(machine, region.range, dst, threads)?
-            }
-            MigrationMechanism::Direct => {
-                migrate_region_direct(machine, region.range, dst, threads)?
             }
             MigrationMechanism::Mbind => match machine.migrate_mbind(region.range, dst) {
                 // migrate_mbind already accounts bytes and time.
@@ -315,74 +311,12 @@ fn rollback_after_move_fault(
     result
 }
 
-/// Ablation variant: a single-stage direct copy into freshly mapped target
-/// frames. One copy instead of two, but on real hardware the region would
-/// be unreadable during the remap window; the simulator has no concurrent
-/// readers, so this bounds the cost of the staging design. Shares the
-/// staged engine's per-stage recovery protocol.
-fn migrate_region_direct(
-    machine: &mut Machine,
-    range: VirtRange,
-    dst_tier: TierId,
-    threads: usize,
-) -> Result<RegionStatus> {
-    let src_tier = machine.tier_of(range.start)?;
-    let pages = range.len / PAGE_SIZE;
-    let fresh = match machine.alloc_frames(dst_tier, pages) {
-        Ok(run) => run,
-        Err(HmsError::OutOfMemory { .. }) | Err(HmsError::Fragmented { .. }) => {
-            return Ok(RegionStatus::Skipped)
-        }
-        Err(e) => return Err(e.into()),
-    };
-    // Copy source -> fresh frames, then remap and immediately copy the
-    // fresh frames into the (newly mapped) region. The second copy is
-    // within-tier and frame-identical, so we emulate "adopting" the fresh
-    // frames by copying into whatever frames the remap chose; the extra
-    // cost versus true adoption is the same-tier copy, which we do charge.
-    match machine.copy_region_to_frames(range, dst_tier, fresh, threads) {
-        Ok(_) => {}
-        Err(HmsError::FaultInjected(_)) => {
-            machine.free_frames(dst_tier, fresh);
-            return Ok(RegionStatus::Failed);
-        }
-        Err(e) => {
-            machine.free_frames(dst_tier, fresh);
-            return Err(e.into());
-        }
-    }
-    match machine.remap_region(range, dst_tier) {
-        Ok(_) => {}
-        Err(HmsError::OutOfMemory { .. }) | Err(HmsError::Fragmented { .. }) => {
-            machine.free_frames(dst_tier, fresh);
-            return Ok(RegionStatus::Failed);
-        }
-        Err(e) => {
-            machine.free_frames(dst_tier, fresh);
-            return Err(e.into());
-        }
-    }
-    machine.advance_clock(SimDuration::from_ns(2_000.0));
-    let outcome = match machine.copy_frames_to_region(dst_tier, fresh, range, threads) {
-        Ok(_) => Ok(RegionStatus::Moved),
-        Err(HmsError::FaultInjected(_)) => {
-            rollback_after_move_fault(machine, range, src_tier, dst_tier, fresh, threads)
-        }
-        Err(e) => {
-            let _ = rollback_after_move_fault(machine, range, src_tier, dst_tier, fresh, threads);
-            Err(e.into())
-        }
-    };
-    machine.free_frames(dst_tier, fresh);
-    outcome
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::migrate::plan::{promotion_budget, PlannedRegion};
     use crate::object::ObjectId;
-    use atmem_hms::{FaultPlan, FaultSite, Placement, Platform, VirtRange};
+    use atmem_hms::{FaultPlan, FaultSite, MemPort, Placement, Platform, VirtRange};
 
     fn plan_for(range: VirtRange) -> MigrationPlan {
         MigrationPlan {
@@ -574,36 +508,6 @@ mod tests {
         .unwrap();
         assert_eq!(out.regions_skipped, 1);
         assert_eq!(out.bytes_skipped, range.len);
-        assert_source_intact(&mut m, range);
-    }
-
-    #[test]
-    fn direct_variant_also_preserves_data() {
-        let (mut m, range) = setup(1024 * 1024);
-        let config = MigrationConfig {
-            mechanism: MigrationMechanism::Direct,
-            ..MigrationConfig::default()
-        };
-        let out = execute_plan(&mut m, &plan_for(range), &config, TierId::FAST).unwrap();
-        assert_eq!(out.regions, 1);
-        for i in 0..(range.len / 8) as u64 {
-            assert_eq!(
-                m.peek::<u64>(range.start.add(i * 8)).unwrap(),
-                i.wrapping_mul(0x9E37_79B9)
-            );
-        }
-    }
-
-    #[test]
-    fn direct_variant_rolls_back_on_move_fault() {
-        let (mut m, range) = setup(1024 * 1024);
-        let config = MigrationConfig {
-            mechanism: MigrationMechanism::Direct,
-            ..MigrationConfig::default()
-        };
-        m.set_fault_plan(Some(FaultPlan::new().fail_at(FaultSite::Move, 1)));
-        let out = execute_plan(&mut m, &plan_for(range), &config, TierId::FAST).unwrap();
-        assert_eq!(out.regions_failed, 1);
         assert_source_intact(&mut m, range);
     }
 

@@ -126,7 +126,7 @@ mod tests {
     use super::*;
     use crate::chunk::chunk_geometry;
     use crate::config::ChunkConfig;
-    use atmem_hms::{Placement, Platform};
+    use atmem_hms::{MemPort, Placement, Platform};
 
     fn setup() -> (Machine, Registry) {
         let mut machine = Machine::new(Platform::testing());

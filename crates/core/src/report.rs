@@ -84,23 +84,6 @@ impl ResidencyReport {
     pub fn total_fast_bytes(&self) -> usize {
         self.objects.iter().map(|o| o.fast_bytes).sum()
     }
-
-    /// Total resident bytes per tier across objects, hottest first. Empty
-    /// when the report holds no objects.
-    pub fn total_per_tier(&self) -> Vec<usize> {
-        let tiers = self.objects.iter().map(|o| o.per_tier.len()).max();
-        let Some(tiers) = tiers else {
-            return Vec::new();
-        };
-        (0..tiers)
-            .map(|t| {
-                self.objects
-                    .iter()
-                    .map(|o| o.per_tier.get(t).copied().unwrap_or(0))
-                    .sum()
-            })
-            .collect()
-    }
 }
 
 impl fmt::Display for ResidencyReport {

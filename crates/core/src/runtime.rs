@@ -22,9 +22,9 @@ use crate::autonuma;
 use crate::chunk::chunk_geometry;
 use crate::config::{AtmemConfig, OptimizePolicy};
 use crate::error::{AtmemError, Result};
+use crate::migrate::plan::{plan_from, promotion_candidates, promotion_demand};
 use crate::migrate::{
-    build_demotion_cascade, build_plan, execute_plan, promotion_budget, MigrationOutcome,
-    MigrationPlan,
+    build_demotion_cascade, execute_plan, promotion_budget, MigrationOutcome, MigrationPlan,
 };
 use crate::profiler::{ProfileSummary, Profiler};
 use crate::registry::Registry;
@@ -327,6 +327,13 @@ impl Atmem {
     fn optimize_atmem(&mut self) -> Result<OptimizeReport> {
         let analysis = analyze(&self.tenant.registry, &self.tenant.config.analyzer);
         let target = self.promotion_target();
+        // Planned once: the candidates depend on the analysis alone, so the
+        // demotion's demand and the promotion plan share them.
+        let wanted = promotion_candidates(
+            &self.tenant.registry,
+            &analysis,
+            &self.tenant.config.migration,
+        );
         // Phase adaptivity (extension): evict regions that are no longer
         // critical, making room for the new selection. The cascade is
         // demand-driven: the hottest hop frees only enough space (a
@@ -335,17 +342,7 @@ impl Atmem {
         // what the hop above it pushes down. On two tiers this is a single
         // fast-to-slow demotion.
         let demotion = if self.tenant.config.migration.allow_demotion {
-            let wanted = build_plan(
-                &self.tenant.registry,
-                &analysis,
-                &self.tenant.config.migration,
-                usize::MAX,
-            );
-            let demand: usize = wanted
-                .regions
-                .iter()
-                .map(|r| r.range.len - self.machine.resident_bytes(r.range, target))
-                .sum();
+            let demand = promotion_demand(&self.machine, &wanted, target);
             let hops = build_demotion_cascade(
                 &self.tenant.registry,
                 &analysis,
@@ -379,12 +376,7 @@ impl Atmem {
             self.machine.free_bytes(target),
             &self.tenant.config.migration,
         );
-        let plan = build_plan(
-            &self.tenant.registry,
-            &analysis,
-            &self.tenant.config.migration,
-            budget,
-        );
+        let plan = plan_from(wanted, budget);
         let migration = execute_plan(
             &mut self.machine,
             &plan,
@@ -448,12 +440,6 @@ impl Atmem {
     /// Current simulated time (convenience passthrough).
     pub fn now(&self) -> SimDuration {
         self.machine.now()
-    }
-
-    /// Consumes the runtime, returning the machine (for post-mortem
-    /// inspection in tests and harnesses).
-    pub fn into_machine(self) -> Machine {
-        self.machine
     }
 }
 

@@ -36,8 +36,8 @@ use crate::analyzer::{analyze, Analysis};
 use crate::config::{AtmemConfig, MigrationConfig};
 use crate::error::{AtmemError, Result};
 use crate::migrate::plan::{
-    colder_first, demotion_candidates, hotter_first, promotion_budget, promotion_candidates,
-    PlannedRegion,
+    demotion_candidates, evict_coldest_until, hotter_first, promotion_budget, promotion_candidates,
+    promotion_demand, PlannedRegion,
 };
 use crate::migrate::{execute_regions, MigrationOutcome, RegionStatus};
 use crate::runtime::{fast_ratio_of, Atmem, TenantRt};
@@ -212,12 +212,13 @@ impl Scheduler {
             // Server-wide demand: slow-resident bytes the union of all
             // tenants' selections wants on the fast tier.
             let demand: usize = (0..n)
-                .flat_map(|i| {
-                    promotion_candidates(&tenant(i).registry, &analyses[i], &self.migration)
+                .map(|i| {
+                    let wanted =
+                        promotion_candidates(&tenant(i).registry, &analyses[i], &self.migration);
+                    promotion_demand(machine, &wanted, TierId::FAST)
                 })
-                .map(|r| r.range.len - machine.resident_bytes(r.range, TierId::FAST))
                 .sum();
-            let mut candidates = owned_candidates(&|i| {
+            let candidates = owned_candidates(&|i| {
                 demotion_candidates(
                     &tenant(i).registry,
                     &analyses[i],
@@ -226,17 +227,14 @@ impl Scheduler {
                     TierId::FAST,
                 )
             });
-            candidates.sort_by(|a, b| colder_first(&a.1, &b.1));
             let free = machine.free_bytes(TierId::FAST);
-            let mut admitted: Vec<(usize, PlannedRegion)> = Vec::new();
-            let mut freed = 0usize;
-            for (owner, region) in candidates {
-                if promotion_budget(free + freed, &self.migration) >= demand {
-                    break;
-                }
-                freed += region.range.len;
-                admitted.push((owner, region));
-            }
+            let (admitted, _kept) = evict_coldest_until(
+                machine,
+                TierId::FAST,
+                candidates,
+                |(_, region)| region,
+                |freed| promotion_budget(free + freed, &self.migration) >= demand,
+            );
             let regions: Vec<PlannedRegion> = admitted.iter().map(|(_, r)| *r).collect();
             // The round demotes one hop down from the hottest tier; unlike
             // the solo optimizer it runs no cascade — on an N-tier machine
@@ -382,12 +380,6 @@ impl Scheduler {
         let mut violations = self.machine_mut().audit();
         violations.extend(self.conservation_violations());
         violations
-    }
-
-    /// Consumes the scheduler, returning the machine for post-mortem
-    /// inspection.
-    pub fn into_machine(self) -> Machine {
-        self.machine.expect("machine checked out")
     }
 }
 

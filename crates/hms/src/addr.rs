@@ -2,14 +2,14 @@
 //!
 //! The simulator uses 4 KiB base pages and *scaled* huge mappings of 64
 //! base pages (256 KiB). Real x86-64 huge pages cover 512 pages (2 MiB);
-//! since every capacity in the simulator is scaled down ~1000x relative to
-//! the paper's testbeds (see `platform::CAPACITY_SCALE`), keeping 2 MiB
-//! huge pages would make hugeness unreachable for the scaled datasets and
-//! hide the TLB economics of Table 4. Scaling the huge unit with the rest
-//! of the machine preserves the ratio of huge-page reach to data size. Physical locations are expressed as
-//! (tier, frame index) pairs; a synthetic flat physical address is derived
-//! for cache indexing so that migrating a page changes its cache footprint,
-//! just as on real hardware.
+//! since every capacity in the simulator is scaled down 1024x relative to
+//! the paper's testbeds (see the `Platform` presets), keeping 2 MiB huge
+//! pages would make hugeness unreachable for the scaled datasets and hide
+//! the TLB economics of Table 4. Scaling the huge unit with the rest of the
+//! machine preserves the ratio of huge-page reach to data size. Physical
+//! locations are expressed as (tier, frame index) pairs; a synthetic flat
+//! physical address is derived for cache indexing so that migrating a page
+//! changes its cache footprint, just as on real hardware.
 
 use std::fmt;
 
@@ -18,19 +18,17 @@ use crate::tier::TierId;
 /// Size of a base page in bytes (4 KiB).
 pub const PAGE_SIZE: usize = 4096;
 /// log2 of [`PAGE_SIZE`].
-pub const PAGE_SHIFT: u32 = 12;
+pub(crate) const PAGE_SHIFT: u32 = 12;
 /// Number of base pages covered by one huge mapping (scaled; see the
 /// module docs — real hardware uses 512).
-pub const HUGE_PAGE_FRAMES: usize = 64;
-/// Size of a huge mapping in bytes (256 KiB scaled; 2 MiB on real x86-64).
-pub const HUGE_PAGE_SIZE: usize = PAGE_SIZE * HUGE_PAGE_FRAMES;
+pub(crate) const HUGE_PAGE_FRAMES: usize = 64;
 /// Cache-line size in bytes, used by the LLC model and the cost model.
-pub const LINE_SIZE: usize = 64;
+pub(crate) const LINE_SIZE: usize = 64;
 
 /// A virtual address in the simulated address space.
 ///
 /// ```
-/// use atmem_hms::addr::VirtAddr;
+/// use atmem_hms::VirtAddr;
 /// let va = VirtAddr::new(0x1000_0040);
 /// assert_eq!(va.page_index(), 0x1000_0040 >> 12);
 /// assert_eq!(va.page_offset(), 0x40);
@@ -224,7 +222,6 @@ mod tests {
     #[test]
     fn page_geometry() {
         assert_eq!(PAGE_SIZE, 1 << PAGE_SHIFT);
-        assert_eq!(HUGE_PAGE_SIZE, PAGE_SIZE * HUGE_PAGE_FRAMES);
     }
 
     #[test]

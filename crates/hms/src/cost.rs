@@ -77,23 +77,23 @@ impl fmt::Display for SimDuration {
 
 /// Monotone simulated clock.
 #[derive(Debug, Default)]
-pub struct SimClock {
+pub(crate) struct SimClock {
     now_ns: f64,
 }
 
 impl SimClock {
     /// Creates a clock at time zero.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         SimClock::default()
     }
 
     /// Current simulated time since machine creation.
-    pub fn now(&self) -> SimDuration {
+    pub(crate) fn now(&self) -> SimDuration {
         SimDuration(self.now_ns)
     }
 
     /// Advances the clock.
-    pub fn advance(&mut self, d: SimDuration) {
+    pub(crate) fn advance(&mut self, d: SimDuration) {
         self.now_ns += d.as_ns();
     }
 }

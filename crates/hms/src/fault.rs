@@ -183,11 +183,6 @@ impl FaultPlan {
         self.suspended = false;
     }
 
-    /// Whether injection is currently masked.
-    pub fn is_suspended(&self) -> bool {
-        self.suspended
-    }
-
     /// Consults the plan at `site`: advances the site's counter and reports
     /// whether this crossing must fail. Called by `Machine` internals.
     pub fn should_fail(&mut self, site: FaultSite) -> bool {

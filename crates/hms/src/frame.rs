@@ -7,7 +7,7 @@
 
 /// Bitmap allocator over the frames of one tier.
 #[derive(Debug, Clone)]
-pub struct FrameAllocator {
+pub(crate) struct FrameAllocator {
     /// One bit per frame; set = allocated.
     bits: Vec<u64>,
     total: usize,
@@ -39,7 +39,7 @@ impl FrameRun {
 
 impl FrameAllocator {
     /// Creates an allocator managing `total` free frames.
-    pub fn new(total: usize) -> Self {
+    pub(crate) fn new(total: usize) -> Self {
         FrameAllocator {
             bits: vec![0u64; total.div_ceil(64)],
             total,
@@ -49,17 +49,17 @@ impl FrameAllocator {
     }
 
     /// Number of frames managed.
-    pub fn total(&self) -> usize {
+    pub(crate) fn total(&self) -> usize {
         self.total
     }
 
     /// Number of currently free frames.
-    pub fn free_frames(&self) -> usize {
+    pub(crate) fn free_frames(&self) -> usize {
         self.free
     }
 
     /// Number of currently allocated frames.
-    pub fn used_frames(&self) -> usize {
+    pub(crate) fn used_frames(&self) -> usize {
         self.total - self.free
     }
 
@@ -78,13 +78,8 @@ impl FrameAllocator {
         self.bits[i / 64] &= !(1 << (i % 64));
     }
 
-    /// Allocates one frame anywhere, returning its index.
-    pub fn alloc_one(&mut self) -> Option<u32> {
-        self.alloc_run_aligned(1, 1).map(|r| r.start)
-    }
-
     /// Allocates `count` contiguous frames with no alignment constraint.
-    pub fn alloc_run(&mut self, count: usize) -> Option<FrameRun> {
+    pub(crate) fn alloc_run(&mut self, count: usize) -> Option<FrameRun> {
         self.alloc_run_aligned(count, 1)
     }
 
@@ -94,7 +89,7 @@ impl FrameAllocator {
     /// # Panics
     ///
     /// Panics if `count` is zero or `align` is not a power of two.
-    pub fn alloc_run_aligned(&mut self, count: usize, align: usize) -> Option<FrameRun> {
+    pub(crate) fn alloc_run_aligned(&mut self, count: usize, align: usize) -> Option<FrameRun> {
         assert!(count > 0, "cannot allocate an empty run");
         assert!(align.is_power_of_two(), "alignment must be a power of two");
         if count > self.free {
@@ -142,7 +137,7 @@ impl FrameAllocator {
     ///
     /// Panics if any frame in the run is out of bounds or already free
     /// (double free).
-    pub fn free_run(&mut self, run: FrameRun) {
+    pub(crate) fn free_run(&mut self, run: FrameRun) {
         let start = run.start as usize;
         let count = run.count as usize;
         assert!(start + count <= self.total, "free out of bounds");
@@ -156,7 +151,7 @@ impl FrameAllocator {
     }
 
     /// Whether the frame at `index` is currently allocated.
-    pub fn is_allocated(&self, index: u32) -> bool {
+    pub(crate) fn is_allocated(&self, index: u32) -> bool {
         let i = index as usize;
         i < self.total && self.is_set(i)
     }
@@ -164,7 +159,7 @@ impl FrameAllocator {
     /// Allocated-frame count recomputed from the bitmap (a popcount), for
     /// auditing the incrementally maintained `free` counter against ground
     /// truth.
-    pub fn bitmap_used_frames(&self) -> usize {
+    pub(crate) fn bitmap_used_frames(&self) -> usize {
         self.bits.iter().map(|w| w.count_ones() as usize).sum()
     }
 }
@@ -195,7 +190,7 @@ mod tests {
     fn exhaustion_returns_none() {
         let mut a = FrameAllocator::new(8);
         assert!(a.alloc_run(8).is_some());
-        assert!(a.alloc_one().is_none());
+        assert!(a.alloc_run(1).is_none());
     }
 
     #[test]
@@ -234,5 +229,61 @@ mod tests {
     #[test]
     fn run_bytes() {
         assert_eq!(FrameRun::new(0, 2).bytes(), 8192);
+    }
+
+    mod properties {
+        use super::*;
+        use atmem_prop::prelude::*;
+
+        proptest! {
+            /// The frame allocator never double-allocates, never loses frames, and
+            /// frees restore capacity exactly.
+            #[test]
+            fn frame_allocator_conserves_frames(
+                ops in prop::collection::vec((1usize..32, any::<bool>()), 1..60),
+            ) {
+                let total = 512;
+                let mut alloc = FrameAllocator::new(total);
+                let mut live: Vec<FrameRun> = Vec::new();
+                let mut occupied: Vec<bool> = vec![false; total];
+                for (count, free_one) in ops {
+                    if free_one && !live.is_empty() {
+                        let run = live.swap_remove(0);
+                        for i in run.start..run.start + run.count {
+                            prop_assert!(occupied[i as usize]);
+                            occupied[i as usize] = false;
+                        }
+                        alloc.free_run(run);
+                    } else if let Some(run) = alloc.alloc_run(count) {
+                        prop_assert_eq!(run.count as usize, count);
+                        for i in run.start..run.start + run.count {
+                            prop_assert!(!occupied[i as usize], "double allocation of {i}");
+                            occupied[i as usize] = true;
+                        }
+                        live.push(run);
+                    }
+                    let used: usize = occupied.iter().filter(|&&b| b).count();
+                    prop_assert_eq!(alloc.used_frames(), used);
+                    prop_assert_eq!(alloc.free_frames(), total - used);
+                }
+            }
+
+            /// Aligned allocations are aligned, whatever came before them.
+            #[test]
+            fn aligned_runs_are_aligned(
+                noise in prop::collection::vec(1usize..7, 0..10),
+                align_pow in 1u32..7,
+                count_units in 1usize..4,
+            ) {
+                let align = 1usize << align_pow;
+                let mut alloc = FrameAllocator::new(1024);
+                for n in noise {
+                    let _ = alloc.alloc_run(n);
+                }
+                if let Some(run) = alloc.alloc_run_aligned(count_units * align, align) {
+                    prop_assert_eq!(run.start as usize % align, 0);
+                }
+            }
+        }
     }
 }

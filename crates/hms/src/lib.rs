@@ -12,7 +12,7 @@
 //!   allocator, a mapping table, and an LRU **TLB** ([`Tlb`]);
 //! * a set-associative, physically-indexed **last-level cache** ([`Cache`]);
 //! * a **cost model** translating every access into simulated nanoseconds
-//!   ([`CostModel`], [`SimClock`]);
+//!   ([`CostModel`], [`SimDuration`]);
 //! * **PEBS-like precise address sampling** of LLC read misses ([`Pebs`]);
 //! * an `mbind`-style **system migration service** baseline
 //!   ([`Machine::migrate_mbind`]) plus the low-level primitives the ATMem
@@ -40,7 +40,7 @@
 //!
 //! // Migrate the array to the fast tier with the system service.
 //! let report = machine.migrate_mbind(
-//!     atmem_hms::addr::VirtRange::new(v.range().start, v.range().len.next_multiple_of(4096)),
+//!     atmem_hms::VirtRange::new(v.range().start, v.range().len.next_multiple_of(4096)),
 //!     TierId::FAST,
 //! )?;
 //! assert!(report.time.as_ns() > 0.0);
@@ -51,40 +51,42 @@
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
+#![warn(unreachable_pub)]
 
-pub mod addr;
-pub mod cache;
-pub mod cost;
-pub mod error;
-pub mod fault;
-pub mod frame;
-pub mod machine;
-pub mod mapping;
+mod addr;
+mod cache;
+mod cost;
+mod error;
+mod fault;
+mod frame;
+mod machine;
+mod mapping;
 mod mbind;
-pub mod pebs;
-pub mod platform;
-pub mod shard;
-pub mod stats;
-pub mod tier;
-pub mod tlb;
-pub mod trace;
-pub mod tracked;
+mod pebs;
+mod platform;
+mod shard;
+mod stats;
+mod tier;
+mod tlb;
+mod trace;
+mod tracked;
 
-pub use addr::{Frame, PhysAddr, VirtAddr, VirtRange};
+// The crate root is the surface: what another crate, an integration test, an
+// example or the repo benchmark names, plus what those items' public fields
+// and signatures reach. Modules stay private (`ci.sh` checks).
+pub use addr::{PhysAddr, VirtAddr, VirtRange, PAGE_SIZE};
 pub use cache::{Cache, CacheConfig, CacheOutcome};
-pub use cost::{CostModel, SimClock, SimDuration};
+pub use cost::{CostModel, SimDuration};
 pub use error::{HmsError, Result};
 pub use fault::{FaultPlan, FaultSite, FAULT_SITES};
-pub use frame::{FrameAllocator, FrameRun};
+pub use frame::FrameRun;
 pub use machine::{AllocationInfo, Machine, MigrationReport, Placement, Scalar};
-pub use mapping::{Mapping, MappingTable, PageKind};
+pub use mapping::{Mapping, PageKind};
 pub use pebs::{Pebs, SampleRecord};
 pub use platform::Platform;
-pub use shard::{
-    merge_owner_queues, BlockSegment, CoreCtx, CoreHandle, MemPort, OwnerQueues, MAX_TIERS,
-};
+pub use shard::{merge_owner_queues, CoreHandle, MemPort, OwnerQueues, MAX_TIERS};
 pub use stats::MachineStats;
-pub use tier::{TierId, TierSpec, TierStorage};
+pub use tier::{TierId, TierSpec};
 pub use tlb::Tlb;
 pub use trace::{AccessKind, TraceRecord, Tracer};
 pub use tracked::TrackedVec;

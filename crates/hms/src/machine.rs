@@ -2,10 +2,10 @@
 //!
 //! [`Machine`] is the single entry point applications use: allocate regions
 //! with a [`Placement`] policy, read and write scalars through the full
-//! virtual-memory + TLB + LLC + cost-model path, and migrate regions between
-//! tiers. Mutable access state (clock, counters, PEBS buffer) lives in the
-//! machine's resident [`CoreCtx`]; the access engine itself lives in
-//! [`shard`](crate::shard) and can also run one instance per simulated core
+//! virtual-memory + TLB + LLC + cost-model path ([`MemPort`]), and migrate
+//! regions between tiers. Mutable access state (clock, counters, PEBS
+//! buffer) lives in the machine's resident core; the access engine itself
+//! lives on [`CoreHandle`] and can also run one instance per simulated core
 //! ([`Machine::run_cores`]).
 
 use std::collections::BTreeMap;
@@ -95,9 +95,9 @@ struct StagingImage {
 /// Simulated state is split in two: **shared read-mostly state** (platform,
 /// tiers, mapping table, allocation registry) lives directly on the
 /// machine, while everything the access path mutates lives in one resident
-/// [`CoreCtx`]. Every access method below routes through a [`CoreHandle`]
-/// over that resident core, making the scalar engine the n=1 special case
-/// of the sharded engine ([`Machine::run_cores`]).
+/// core. The machine is a [`MemPort`] by lending a [`CoreHandle`] over that
+/// core, making the scalar engine the n=1 special case of the sharded
+/// engine ([`Machine::run_cores`]).
 #[derive(Debug)]
 pub struct Machine {
     platform: Platform,
@@ -251,12 +251,6 @@ impl Machine {
         self.fault = plan;
     }
 
-    /// Removes and returns the installed fault plan, leaving the machine
-    /// fault-free.
-    pub fn take_fault_plan(&mut self) -> Option<FaultPlan> {
-        self.fault.take()
-    }
-
     /// The installed fault plan, for inspecting consult counters and the
     /// injected-fault log.
     pub fn fault_plan(&self) -> Option<&FaultPlan> {
@@ -300,26 +294,15 @@ impl Machine {
         self.core.clock.advance(d);
     }
 
-    /// A [`CoreHandle`] over the machine's resident core. All scalar access
-    /// methods below delegate here.
-    fn core_handle(&mut self) -> CoreHandle<'_> {
-        CoreHandle::new(
-            &mut self.core,
-            &self.mappings,
-            &self.platform,
-            TiersView::new(&mut self.tiers),
-        )
-    }
-
     // ------------------------------------------------------------------
     // Sharded execution
     // ------------------------------------------------------------------
 
     /// Forks `n` per-core contexts off the resident core: cold TLB and LLC,
     /// clock at zero, independent deterministic PEBS jitter streams, empty
-    /// trace rings. Pair with [`Machine::join_cores`]; most callers want
-    /// [`Machine::run_cores`], which does both around a thread scope.
-    pub fn fork_cores(&mut self, n: usize) -> Vec<CoreCtx> {
+    /// trace rings. Paired with [`Machine::join_cores`] by
+    /// [`Machine::run_cores`].
+    fn fork_cores(&mut self, n: usize) -> Vec<CoreCtx> {
         assert!(n > 0, "core count must be positive");
         (0..n)
             .map(|id| self.core.fork(&self.platform, id))
@@ -327,13 +310,8 @@ impl Machine {
     }
 
     /// Merges forked cores back into the resident core under the
-    /// deterministic reduction contract (see the [`shard`](crate::shard)
-    /// module docs): in **core order**, access counters and TLB/LLC totals
-    /// are summed and PEBS/trace streams are concatenated; then the machine
-    /// clock advances by the maximum per-core elapsed time plus one
-    /// [`barrier_cost`](crate::cost::CostModel::barrier_cost) over `n`
-    /// cores.
-    pub fn join_cores(&mut self, cores: Vec<CoreCtx>) {
+    /// deterministic reduction contract (see [`Machine::run_cores`]).
+    fn join_cores(&mut self, cores: Vec<CoreCtx>) {
         let n = cores.len();
         assert!(n > 0, "joining zero cores");
         let mut max_elapsed = SimDuration::ZERO;
@@ -354,23 +332,30 @@ impl Machine {
         self.core.clock.advance(self.platform.cost.barrier_cost(n));
     }
 
-    /// Runs one simulation phase on `cores` simulated cores.
+    /// Runs one simulation phase on `cores` simulated cores — the only way
+    /// to get more than the resident one.
     ///
     /// `f(core_id, handle)` is invoked once per core — on the caller's
     /// thread for `cores == 1`, on one OS thread per core under
     /// [`std::thread::scope`] otherwise — and may drive any partition of
-    /// the workload through the handle's accounted access methods. Results
-    /// are returned in core order and per-core state is merged under the
-    /// deterministic reduction contract ([`Machine::join_cores`]).
+    /// the workload through the handle ([`MemPort`]). Results are returned
+    /// in core order. Forked cores start with cold TLB and LLC, and their
+    /// state is merged under the **deterministic reduction contract**, in
+    /// core order regardless of OS scheduling: access counters and TLB/LLC
+    /// totals are summed, PEBS and trace streams are concatenated, and the
+    /// machine clock advances by the maximum per-core elapsed time plus one
+    /// modeled phase barrier over `cores` cores.
     ///
     /// With `cores == 1` the closure runs against the machine's resident
     /// core and no fork, merge or barrier happens at all: stats, clock,
-    /// PEBS stream and traces end bit-identical to calling the machine's
-    /// scalar access methods directly.
+    /// PEBS stream and traces end bit-identical to driving the machine
+    /// itself as the port.
     ///
-    /// Callers must respect the partition contract (see the
-    /// [`shard`](crate::shard) module docs): bytes written by one core
-    /// during the phase must not be accessed by any other core.
+    /// Callers must respect the **partition contract**: cores may read any
+    /// mapped byte concurrently, but bytes written by one core during the
+    /// phase must not be read or written by any other core in that phase
+    /// (kernels partition their output ranges, merging cross-core
+    /// contributions at phase barriers).
     ///
     /// # Panics
     ///
@@ -382,8 +367,7 @@ impl Machine {
     {
         assert!(cores > 0, "core count must be positive");
         if cores == 1 {
-            let mut h = self.core_handle();
-            return vec![f(0, &mut h)];
+            return vec![self.with_core(|h| f(0, h))];
         }
         let mut ctxs = self.fork_cores(cores);
         let results: Vec<R> = {
@@ -710,245 +694,29 @@ impl Machine {
     }
 
     // ------------------------------------------------------------------
-    // Accounted access path (delegates to the resident core's engine in
-    // [`shard`](crate::shard))
-    // ------------------------------------------------------------------
-
-    /// Reads a little-endian scalar through the full accounted path.
-    ///
-    /// # Errors
-    ///
-    /// [`HmsError::Unmapped`] if `va` is not mapped.
-    #[inline]
-    pub fn read<T: Scalar>(&mut self, va: VirtAddr) -> Result<T> {
-        self.core_handle().read(va)
-    }
-
-    /// Writes a little-endian scalar through the full accounted path.
-    ///
-    /// # Errors
-    ///
-    /// [`HmsError::Unmapped`] if `va` is not mapped.
-    #[inline]
-    pub fn write<T: Scalar>(&mut self, va: VirtAddr, value: T) -> Result<()> {
-        self.core_handle().write(va, value)
-    }
-
-    /// Accounted read-modify-write of one scalar: simulated exactly as a
-    /// [`read`](Machine::read) followed by a [`write`](Machine::write) of
-    /// the same address, but with one address translation and one storage
-    /// round-trip on the host. Returns the *old* value.
-    ///
-    /// The write half is a guaranteed TLB and LLC hit (the read just
-    /// touched both), so all counters, the PEBS stream and the clock end
-    /// bit-identical to the two-call sequence. This is the fast path for
-    /// scatter updates like `next[u] += share`.
-    ///
-    /// # Errors
-    ///
-    /// [`HmsError::Unmapped`] if `va` is not mapped.
-    #[inline]
-    pub fn read_modify_write<T: Scalar>(
-        &mut self,
-        va: VirtAddr,
-        f: impl FnOnce(T) -> T,
-    ) -> Result<T> {
-        self.core_handle().read_modify_write(va, f)
-    }
-
-    /// Accounted indexed gather: reads element `indices[k]` of an array of
-    /// `elem_count` `T`s based at `base` into `out[k]`, for every `k`.
-    ///
-    /// Runs on the batched window engine ([`access_window`]
-    /// [Machine::access_window]), so simulated state ends **bit-identical**
-    /// to the equivalent [`read`](Machine::read) loop — on the success path
-    /// and, since counters are charged per element after each translation
-    /// resolves, on the error path as well.
-    ///
-    /// # Errors
-    ///
-    /// [`HmsError::Unmapped`] if any accessed address is unmapped. Elements
-    /// before the failing one have been charged exactly as the scalar loop
-    /// would have charged them; the failing element has not.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `indices` and `out` differ in length, or on an index out of
-    /// bounds (`>= elem_count`) — an out-of-range index would otherwise
-    /// silently alias a neighboring element.
-    pub(crate) fn read_gather<T: Scalar>(
-        &mut self,
-        base: VirtAddr,
-        elem_count: usize,
-        indices: &[u32],
-        out: &mut [T],
-    ) -> Result<()> {
-        self.core_handle()
-            .read_gather(base, elem_count, indices, out)
-    }
-
-    /// Accounted indexed scatter: writes `values[k]` into element
-    /// `indices[k]` of an array of `elem_count` `T`s based at `base`, for
-    /// every `k`, in index order.
-    ///
-    /// Runs on the batched window engine, so simulated state ends
-    /// **bit-identical** to the equivalent [`write`](Machine::write) loop.
-    ///
-    /// # Errors
-    ///
-    /// [`HmsError::Unmapped`] if any accessed address is unmapped; partial
-    /// state matches the scalar loop (see [`read_gather`]
-    /// [Machine::read_gather]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `indices` and `values` differ in length, or on an
-    /// out-of-bounds index.
-    pub(crate) fn write_scatter<T: Scalar>(
-        &mut self,
-        base: VirtAddr,
-        elem_count: usize,
-        indices: &[u32],
-        values: &[T],
-    ) -> Result<()> {
-        self.core_handle()
-            .write_scatter(base, elem_count, indices, values)
-    }
-
-    /// Accounted indexed read-modify-write window: for every `k` in index
-    /// order, replaces element `indices[k]` with `f(k, old)`, where `old` is
-    /// the element's current value. Duplicate indices observe earlier
-    /// updates from the same window, exactly like the per-element loop.
-    ///
-    /// Runs on the batched window engine, so simulated state ends
-    /// **bit-identical** to the equivalent [`read_modify_write`]
-    /// [Machine::read_modify_write] loop (which is itself bit-identical to a
-    /// read + write pair per element).
-    ///
-    /// # Errors
-    ///
-    /// [`HmsError::Unmapped`] if any accessed address is unmapped; partial
-    /// state matches the scalar loop (see [`read_gather`]
-    /// [Machine::read_gather]).
-    ///
-    /// # Panics
-    ///
-    /// Panics on an out-of-bounds index.
-    pub(crate) fn gather_update<T: Scalar>(
-        &mut self,
-        base: VirtAddr,
-        elem_count: usize,
-        indices: &[u32],
-        f: impl FnMut(usize, T) -> T,
-    ) -> Result<()> {
-        self.core_handle()
-            .gather_update(base, elem_count, indices, f)
-    }
-
-    // ------------------------------------------------------------------
-    // Accounted bulk access (the TrackedVec slice fast path)
-    // ------------------------------------------------------------------
-
-    /// Performs an accounted bulk access over `range`, simulated as
-    /// `range.len / elem` consecutive scalar accesses of `elem` bytes each,
-    /// and returns the physically contiguous storage segments backing the
-    /// range in address order.
-    ///
-    /// This is the fast path behind the `TrackedVec` slice APIs: the mapping
-    /// table is consulted once per mapping chunk, the TLB once per
-    /// translation unit and the LLC once per cache line, instead of once per
-    /// element. Simulated state nevertheless ends **bit-identical** to the
-    /// equivalent per-element [`read`](Machine::read)/[`write`](Machine::write)
-    /// loop — TLB and LLC counters and replacement state, access counters,
-    /// the PEBS stream (including RNG state and sample costs), trace records
-    /// and the simulated clock. The key observation is that within a
-    /// sequential run only the *first* access to a translation unit or cache
-    /// line can miss; the batched update replays the exact counter updates
-    /// of the scalar path, and advances the clock once per element with the
-    /// identically composed cost (f64 accumulation order matters).
-    ///
-    /// `elem` must divide [`LINE_SIZE`] and `range` must be `elem`-aligned
-    /// at both ends, so that no element straddles a cache line — the bulk
-    /// analogue of the scalar path's no-page-straddle invariant.
-    ///
-    /// # Errors
-    ///
-    /// [`HmsError::Unmapped`] if any byte of `range` is unmapped. Chunks
-    /// before the first unmapped page have already been charged, exactly as
-    /// the per-element loop would have charged them before erroring.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `elem` does not divide [`LINE_SIZE`] or `range` is not
-    /// `elem`-aligned.
-    pub(crate) fn access_block(
-        &mut self,
-        range: VirtRange,
-        elem: usize,
-        write: bool,
-    ) -> Result<Vec<BlockSegment>> {
-        self.core_handle().access_block(range, elem, write)
-    }
-
-    /// Borrows `len` bytes of `tier`'s backing storage. Bulk data path only:
-    /// accounting must already have happened via [`Machine::access_block`].
-    pub(crate) fn storage_slice(&self, tier: TierId, offset: usize, len: usize) -> &[u8] {
-        self.tiers[tier.index()].storage.slice(offset, len)
-    }
-
-    /// Mutably borrows `len` bytes of `tier`'s backing storage. Bulk data
-    /// path only: accounting must already have happened via
-    /// [`Machine::access_block`].
-    pub(crate) fn storage_slice_mut(
-        &mut self,
-        tier: TierId,
-        offset: usize,
-        len: usize,
-    ) -> &mut [u8] {
-        self.tiers[tier.index()].storage.slice_mut(offset, len)
-    }
-
-    // ------------------------------------------------------------------
-    // Unaccounted access (setup / verification)
-    // ------------------------------------------------------------------
-
-    /// Reads a scalar without advancing the clock or touching TLB/cache.
-    /// Intended for test assertions and bulk initialisation.
-    ///
-    /// # Errors
-    ///
-    /// [`HmsError::Unmapped`] if `va` is not mapped.
-    pub fn peek<T: Scalar>(&mut self, va: VirtAddr) -> Result<T> {
-        let mapping = self.mappings.lookup(va)?;
-        let (frame, offset) = mapping.translate(va);
-        let bytes = self.tiers[frame.tier.index()]
-            .storage
-            .slice(frame.byte_offset() + offset, T::SIZE);
-        Ok(T::from_le_slice(bytes))
-    }
-
-    /// Writes a scalar without advancing the clock or touching TLB/cache.
-    ///
-    /// # Errors
-    ///
-    /// [`HmsError::Unmapped`] if `va` is not mapped.
-    pub fn poke<T: Scalar>(&mut self, va: VirtAddr, value: T) -> Result<()> {
-        let mapping = self.mappings.lookup(va)?;
-        let (frame, offset) = mapping.translate(va);
-        let bytes = self.tiers[frame.tier.index()]
-            .storage
-            .slice_mut(frame.byte_offset() + offset, T::SIZE);
-        value.write_le_slice(bytes);
-        Ok(())
-    }
-
-    // ------------------------------------------------------------------
     // Introspection for analyzers / migration engines
     // ------------------------------------------------------------------
 
     /// The mappings overlapping `range`, in address order.
     pub fn mappings_in(&self, range: VirtRange) -> Vec<Mapping> {
         self.mappings.overlapping(range)
+    }
+
+    /// The mapping table, for unaccounted whole-array reads
+    /// ([`TrackedVec::values`](crate::TrackedVec::values)).
+    pub(crate) fn mappings(&self) -> &MappingTable {
+        &self.mappings
+    }
+
+    /// Borrows `len` bytes of `tier`'s backing storage at byte `offset`, as
+    /// they are: no translation, no accounting. For verification (what do
+    /// the frames under a staging run hold?) and unaccounted copy-out.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the range exceeds the tier's capacity.
+    pub fn storage_slice(&self, tier: TierId, offset: usize, len: usize) -> &[u8] {
+        self.tiers[tier.index()].storage.slice(offset, len)
     }
 
     /// The tier currently backing `va`.
@@ -1760,76 +1528,17 @@ impl Machine {
     }
 }
 
+/// The machine is a port by lending a handle over its resident core: every
+/// [`MemPort`] operation on a `Machine` is that operation on the core.
 impl MemPort for Machine {
-    fn read<T: Scalar>(&mut self, va: VirtAddr) -> Result<T> {
-        Machine::read(self, va)
-    }
-
-    fn write<T: Scalar>(&mut self, va: VirtAddr, value: T) -> Result<()> {
-        Machine::write(self, va, value)
-    }
-
-    fn read_modify_write<T: Scalar>(&mut self, va: VirtAddr, f: impl FnOnce(T) -> T) -> Result<T> {
-        Machine::read_modify_write(self, va, f)
-    }
-
-    fn peek<T: Scalar>(&mut self, va: VirtAddr) -> Result<T> {
-        Machine::peek(self, va)
-    }
-
-    fn poke<T: Scalar>(&mut self, va: VirtAddr, value: T) -> Result<()> {
-        Machine::poke(self, va, value)
-    }
-
-    fn access_block(
-        &mut self,
-        range: VirtRange,
-        elem: usize,
-        write: bool,
-    ) -> Result<Vec<BlockSegment>> {
-        Machine::access_block(self, range, elem, write)
-    }
-
-    fn resolve_block(&self, range: VirtRange) -> Result<Vec<BlockSegment>> {
-        resolve_block(&self.mappings, range)
-    }
-
-    fn storage_slice(&self, tier: TierId, offset: usize, len: usize) -> &[u8] {
-        Machine::storage_slice(self, tier, offset, len)
-    }
-
-    fn storage_slice_mut(&mut self, tier: TierId, offset: usize, len: usize) -> &mut [u8] {
-        Machine::storage_slice_mut(self, tier, offset, len)
-    }
-
-    fn read_gather<T: Scalar>(
-        &mut self,
-        base: VirtAddr,
-        elem_count: usize,
-        indices: &[u32],
-        out: &mut [T],
-    ) -> Result<()> {
-        Machine::read_gather(self, base, elem_count, indices, out)
-    }
-
-    fn write_scatter<T: Scalar>(
-        &mut self,
-        base: VirtAddr,
-        elem_count: usize,
-        indices: &[u32],
-        values: &[T],
-    ) -> Result<()> {
-        Machine::write_scatter(self, base, elem_count, indices, values)
-    }
-
-    fn gather_update<T: Scalar>(
-        &mut self,
-        base: VirtAddr,
-        elem_count: usize,
-        indices: &[u32],
-        f: impl FnMut(usize, T) -> T,
-    ) -> Result<()> {
-        Machine::gather_update(self, base, elem_count, indices, f)
+    #[inline]
+    fn with_core<R>(&mut self, f: impl FnOnce(&mut CoreHandle<'_>) -> R) -> R {
+        f(&mut CoreHandle::new(
+            &mut self.core,
+            &self.mappings,
+            &self.platform,
+            TiersView::new(&mut self.tiers),
+        ))
     }
 }
 

@@ -12,7 +12,7 @@
 //! *remaps* whole regions to fresh contiguous frames, recreating huge
 //! mappings where alignment permits (§4.4).
 
-use crate::addr::{Frame, VirtAddr, VirtRange, HUGE_PAGE_FRAMES, PAGE_SHIFT, PAGE_SIZE};
+use crate::addr::{Frame, VirtAddr, VirtRange, HUGE_PAGE_FRAMES, PAGE_SHIFT};
 use crate::error::{HmsError, Result};
 use crate::tier::TierId;
 
@@ -148,7 +148,7 @@ const MAX_INDEX_PAGES: u64 = 1 << 28;
 /// `insert` refuses a mapping that would stretch it past 2^28 pages (1 TiB
 /// of addresses, a 1 GiB index).
 #[derive(Debug, Default)]
-pub struct MappingTable {
+pub(crate) struct MappingTable {
     /// Mapping slab; vacant slots have `pages == 0` and sit on `free`.
     slab: Vec<Mapping>,
     free: Vec<u32>,
@@ -156,24 +156,23 @@ pub struct MappingTable {
     /// `vpage`, 0 where nothing is mapped.
     index: Vec<u32>,
     base: u64,
-    /// Bumped on every structural change (insert/remove): anything derived
-    /// from the table under an older value is stale.
-    generation: u64,
 }
 
 impl MappingTable {
     /// Creates an empty table.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         MappingTable::default()
     }
 
     /// Number of mappings in the table.
-    pub fn len(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
         self.slab.len() - self.free.len()
     }
 
     /// Whether the table has no mappings.
-    pub fn is_empty(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_empty(&self) -> bool {
         self.len() == 0
     }
 
@@ -211,7 +210,7 @@ impl MappingTable {
     /// Panics if the mapping is empty or overlaps an existing one — in
     /// release builds too: a second mapping of a page would silently
     /// redirect its translations.
-    pub fn insert(&mut self, m: Mapping) {
+    pub(crate) fn insert(&mut self, m: Mapping) {
         assert!(m.pages > 0, "empty mapping inserted");
         let end = m.vpage_start + m.pages as u64;
         assert!(
@@ -232,11 +231,10 @@ impl MappingTable {
             }
         };
         self.index[lo..lo + m.pages as usize].fill(slot + 1);
-        self.generation += 1;
     }
 
     /// Removes and returns the mapping starting exactly at `vpage_start`.
-    pub fn remove(&mut self, vpage_start: u64) -> Option<Mapping> {
+    pub(crate) fn remove(&mut self, vpage_start: u64) -> Option<Mapping> {
         let m = *self.lookup_page(vpage_start)?;
         if m.vpage_start != vpage_start {
             return None;
@@ -246,13 +244,12 @@ impl MappingTable {
         self.index[lo..lo + m.pages as usize].fill(0);
         self.slab[slot as usize].pages = 0;
         self.free.push(slot);
-        self.generation += 1;
         Some(m)
     }
 
     /// Finds the mapping containing virtual page `vpage`.
     #[inline]
-    pub fn lookup_page(&self, vpage: u64) -> Option<&Mapping> {
+    pub(crate) fn lookup_page(&self, vpage: u64) -> Option<&Mapping> {
         match *self.index.get(vpage.wrapping_sub(self.base) as usize)? {
             0 => None,
             slot => Some(&self.slab[slot as usize - 1]),
@@ -265,7 +262,7 @@ impl MappingTable {
     ///
     /// [`HmsError::Unmapped`] if no mapping covers `va`.
     #[inline]
-    pub fn lookup(&self, va: VirtAddr) -> Result<Mapping> {
+    pub(crate) fn lookup(&self, va: VirtAddr) -> Result<Mapping> {
         self.lookup_page(va.page_index())
             .copied()
             .ok_or(HmsError::Unmapped(va))
@@ -295,7 +292,7 @@ impl MappingTable {
     }
 
     /// Returns all mappings overlapping the byte range, in address order.
-    pub fn overlapping(&self, range: VirtRange) -> Vec<Mapping> {
+    pub(crate) fn overlapping(&self, range: VirtRange) -> Vec<Mapping> {
         if range.len == 0 {
             return Vec::new();
         }
@@ -313,7 +310,7 @@ impl MappingTable {
     /// # Panics
     ///
     /// Panics if an overlapping mapping extends outside `range`.
-    pub fn take_overlapping(&mut self, range: VirtRange) -> Vec<Mapping> {
+    pub(crate) fn take_overlapping(&mut self, range: VirtRange) -> Vec<Mapping> {
         let found = self.overlapping(range);
         for m in &found {
             assert!(
@@ -327,15 +324,8 @@ impl MappingTable {
     }
 
     /// Iterates over all mappings in address order.
-    pub fn iter(&self) -> impl Iterator<Item = &Mapping> {
+    pub(crate) fn iter(&self) -> impl Iterator<Item = &Mapping> {
         self.walk(self.base, u64::MAX)
-    }
-
-    /// Current mapping generation. Moves on every insert or remove, so a
-    /// reader can fence on it: an unchanged value means no migration,
-    /// remap, allocation or free happened in between.
-    pub fn generation(&self) -> u64 {
-        self.generation
     }
 
     /// Structural self-check for [`Machine::audit`](crate::Machine::audit):
@@ -407,7 +397,7 @@ impl MappingTable {
 /// # Panics
 ///
 /// Panics if `at_vpage` is not strictly inside the mapping.
-pub fn split_mapping(m: &Mapping, at_vpage: u64) -> (Vec<Mapping>, Vec<Mapping>) {
+pub(crate) fn split_mapping(m: &Mapping, at_vpage: u64) -> (Vec<Mapping>, Vec<Mapping>) {
     assert!(
         at_vpage > m.vpage_start && at_vpage < m.vpage_start + m.pages as u64,
         "split point {at_vpage} not inside mapping"
@@ -460,26 +450,16 @@ pub fn split_mapping(m: &Mapping, at_vpage: u64) -> (Vec<Mapping>, Vec<Mapping>)
     }
 }
 
-/// Splits a page count into the maximal huge-mapping prefix and 4 KiB tail,
-/// assuming the first page is 2 MiB-aligned. Returns `(huge_units, tail_pages)`.
-pub fn split_huge_tail(pages: usize) -> (usize, usize) {
-    (pages / HUGE_PAGE_FRAMES, pages % HUGE_PAGE_FRAMES)
-}
-
 /// Returns true when a region of `pages` pages starting at virtual page
 /// `vpage_start` can use at least one huge mapping.
-pub fn huge_eligible(vpage_start: u64, pages: usize) -> bool {
+pub(crate) fn huge_eligible(vpage_start: u64, pages: usize) -> bool {
     vpage_start.is_multiple_of(HUGE_PAGE_FRAMES as u64) && pages >= HUGE_PAGE_FRAMES
-}
-
-/// Bytes covered by `pages` 4 KiB pages.
-pub fn pages_to_bytes(pages: usize) -> usize {
-    pages * PAGE_SIZE
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::addr::PAGE_SIZE;
     use atmem_prop::prelude::*;
     use std::collections::BTreeMap;
 
@@ -584,8 +564,6 @@ mod tests {
         assert!(huge_eligible(unit as u64, 2 * unit));
         assert!(!huge_eligible(1, unit));
         assert!(!huge_eligible(0, unit - 1));
-        assert_eq!(split_huge_tail(2 * unit + 6), (2, 6));
-        assert_eq!(pages_to_bytes(3), 3 * PAGE_SIZE);
     }
 
     #[test]
@@ -710,19 +688,15 @@ mod tests {
     #[derive(Default)]
     struct OrderedTable {
         map: BTreeMap<u64, Mapping>,
-        generation: u64,
     }
 
     impl OrderedTable {
         fn insert(&mut self, m: Mapping) {
             self.map.insert(m.vpage_start, m);
-            self.generation += 1;
         }
 
         fn remove(&mut self, vpage_start: u64) -> Option<Mapping> {
-            let removed = self.map.remove(&vpage_start);
-            self.generation += removed.is_some() as u64;
-            removed
+            self.map.remove(&vpage_start)
         }
 
         fn lookup_page(&self, vpage: u64) -> Option<&Mapping> {
@@ -851,7 +825,6 @@ mod tests {
             o.overlapping(first, first + pages - 1),
             "overlapping {first:#x}+{pages}"
         );
-        assert_eq!(t.generation(), o.generation);
         assert_eq!(t.len(), o.map.len());
         assert!(t.iter().eq(o.map.values()), "address-order iteration");
         assert_eq!(t.check(), Vec::<String>::new());

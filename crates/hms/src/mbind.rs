@@ -166,6 +166,7 @@ mod tests {
     use super::*;
     use crate::machine::Placement;
     use crate::platform::Platform;
+    use crate::shard::MemPort;
 
     fn setup(bytes: usize) -> (Machine, VirtRange) {
         let mut m = Machine::new(Platform::testing());

@@ -2,9 +2,12 @@
 //!
 //! Every constant is taken from, or derived from, numbers the paper reports
 //! (§2.1, §6 Table 1, §7.3) and public spec sheets it cites. Capacities are
-//! scaled down together with the graph datasets (see
-//! `atmem-graph::datasets`) so a full figure sweep runs on a laptop; the
-//! *ratios* between tiers — which drive every placement decision — are kept.
+//! scaled down 1024x (`CAPACITY_SCALE` in the comments below) together with
+//! the graph datasets (see `atmem-graph::datasets`) so a full figure sweep
+//! runs on a laptop: the real machines have 96 GiB DRAM / 768 GiB NVM
+//! (Optane testbed) and 16 GiB MCDRAM / 96 GiB DRAM (KNL). The *ratios*
+//! between tiers — which drive every placement decision — and capacity
+//! pressure (which graphs fit in the fast tier) are kept.
 //!
 //! A platform is an **ordered set of tiers**, hottest first: `tiers[0]` is
 //! the small high-performance tier, `tiers[len - 1]` the large cold one.
@@ -20,13 +23,6 @@
 use crate::cache::CacheConfig;
 use crate::cost::CostModel;
 use crate::tier::{TierId, TierSpec};
-
-/// Scale factor applied to tier capacities relative to the real testbeds.
-/// The real machines have 96 GiB DRAM / 768 GiB NVM (Optane testbed) and
-/// 16 GiB MCDRAM / 96 GiB DRAM (KNL). Datasets are scaled by roughly the
-/// same factor, so capacity pressure (which graphs fit in the fast tier)
-/// is preserved.
-pub const CAPACITY_SCALE: usize = 1024;
 
 /// A complete description of a simulated heterogeneous memory machine.
 #[derive(Debug, Clone, PartialEq)]
@@ -430,6 +426,7 @@ mod tests {
 
     #[test]
     fn capacity_scale_matches_real_machines() {
+        const CAPACITY_SCALE: usize = 1024;
         let p = Platform::nvm_dram();
         assert_eq!(p.fast().capacity * CAPACITY_SCALE, 96 * 1024 * 1024 * 1024);
         let k = Platform::mcdram_dram();

@@ -3,19 +3,20 @@
 //! The simulated machine is split into **shared read-mostly state** (tiers
 //! and their byte storage, the frame allocators, the mapping table, the
 //! allocation registry, the platform description) and **per-core state**
-//! ([`CoreCtx`]: private TLB, private LLC, local clock, local counters,
+//! (`CoreCtx`: private TLB, private LLC, local clock, local counters,
 //! local PEBS sampler, local trace ring). A [`CoreHandle`] bundles one
 //! core's mutable context with shared borrows of everything else and owns
 //! the *entire* accounted access engine — the scalar path, the batched
-//! window engine and the bulk block engine. [`Machine`](crate::Machine)
-//! itself keeps one resident `CoreCtx` and routes every access through a
-//! handle over it, so the single-core simulator is the n=1 special case of
-//! the sharded one by construction.
+//! window engine and the bulk block engine — behind the one declaration of
+//! those operations, [`MemPort`]. [`Machine`](crate::Machine) itself keeps
+//! one resident `CoreCtx` and is a `MemPort` only by lending a handle over
+//! it, so the single-core simulator is the n=1 special case of the sharded
+//! one by construction.
 //!
 //! ## The deterministic reduction contract
 //!
 //! [`Machine::run_cores`](crate::Machine::run_cores) forks `n` cold
-//! [`CoreCtx`]s, runs one closure per core under [`std::thread::scope`],
+//! `CoreCtx`s, runs one closure per core under [`std::thread::scope`],
 //! and merges in **core order** regardless of OS scheduling:
 //!
 //! * access counters and TLB/LLC hit/miss totals are **summed**;
@@ -86,9 +87,10 @@ pub(crate) struct Counters {
 
 /// One physically contiguous piece of a bulk access: `len` bytes starting
 /// at byte `offset` of `tier`'s storage. Produced by
-/// [`MemPort::access_block`]; consumed by the `TrackedVec` slice APIs.
+/// [`CoreHandle::access_block`] and [`resolve_block`]; consumed by the
+/// `TrackedVec` bulk calls and the migration copies.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BlockSegment {
+pub(crate) struct BlockSegment {
     /// Tier whose storage backs this piece.
     pub tier: TierId,
     /// Byte offset into the tier storage.
@@ -107,7 +109,7 @@ pub struct BlockSegment {
 /// engine (see the module docs); counters, streams and the clock still
 /// merge deterministically.
 #[derive(Debug)]
-pub struct CoreCtx {
+pub(crate) struct CoreCtx {
     pub(crate) tlb: Tlb,
     pub(crate) llc: Cache,
     pub(crate) clock: SimClock,
@@ -143,11 +145,6 @@ impl CoreCtx {
             tracer: self.tracer.fork(),
             counters: Counters::default(),
         }
-    }
-
-    /// This core's phase-local elapsed simulated time.
-    pub fn elapsed(&self) -> SimDuration {
-        self.clock.now()
     }
 }
 
@@ -251,12 +248,13 @@ impl<'a> TiersView<'a> {
 }
 
 /// One simulated core's access engine: a mutable borrow of that core's
-/// [`CoreCtx`] plus shared borrows of the machine's read-mostly state.
+/// private state (TLB, LLC, clock, counters, PEBS sampler, trace ring) plus
+/// shared borrows of the machine's read-mostly state.
 ///
 /// Obtained from [`Machine::run_cores`](crate::Machine::run_cores) (one per
-/// core, on its own OS thread) — or implicitly: every access method on
-/// [`Machine`](crate::Machine) routes through a handle over the machine's
-/// resident core.
+/// core, on its own OS thread) — or implicitly: [`Machine`](crate::Machine)
+/// is a [`MemPort`] by lending a handle over its resident core. Every
+/// [`MemPort`] operation has its one body here.
 #[derive(Debug)]
 pub struct CoreHandle<'a> {
     core: &'a mut CoreCtx,
@@ -280,13 +278,9 @@ impl<'a> CoreHandle<'a> {
         }
     }
 
-    /// The platform the machine was built from.
-    pub fn platform(&self) -> &Platform {
-        self.platform
-    }
-
     /// This core's phase-local elapsed simulated time.
-    pub fn elapsed(&self) -> SimDuration {
+    #[cfg(test)]
+    pub(crate) fn elapsed(&self) -> SimDuration {
         self.core.clock.now()
     }
 
@@ -337,52 +331,26 @@ impl<'a> CoreHandle<'a> {
         Ok((frame.tier, frame.byte_offset() + offset))
     }
 
-    /// Reads a little-endian scalar through the full accounted path (see
-    /// [`Machine::read`](crate::Machine::read)).
-    ///
-    /// # Errors
-    ///
-    /// [`HmsError::Unmapped`] if `va` is not mapped.
+    /// [`MemPort::read`].
     #[inline]
-    pub fn read<T: Scalar>(&mut self, va: VirtAddr) -> Result<T> {
+    fn read<T: Scalar>(&mut self, va: VirtAddr) -> Result<T> {
         let (tier, off) = self.access(va, T::SIZE, false)?;
         let bytes = self.tiers.bytes(tier, off, T::SIZE);
         Ok(T::from_le_slice(bytes))
     }
 
-    /// Writes a little-endian scalar through the full accounted path (see
-    /// [`Machine::write`](crate::Machine::write)).
-    ///
-    /// # Errors
-    ///
-    /// [`HmsError::Unmapped`] if `va` is not mapped.
+    /// [`MemPort::write`].
     #[inline]
-    pub fn write<T: Scalar>(&mut self, va: VirtAddr, value: T) -> Result<()> {
+    fn write<T: Scalar>(&mut self, va: VirtAddr, value: T) -> Result<()> {
         let (tier, off) = self.access(va, T::SIZE, true)?;
         let bytes = self.tiers.bytes_mut(tier, off, T::SIZE);
         value.write_le_slice(bytes);
         Ok(())
     }
 
-    /// Accounted read-modify-write of one scalar: simulated exactly as a
-    /// [`read`](CoreHandle::read) followed by a [`write`](CoreHandle::write)
-    /// of the same address, but with one address translation and one
-    /// storage round-trip on the host. Returns the *old* value.
-    ///
-    /// The write half is a guaranteed TLB and LLC hit (the read just
-    /// touched both), so all counters, the PEBS stream and the clock end
-    /// bit-identical to the two-call sequence. This is the fast path for
-    /// scatter updates like `next[u] += share`.
-    ///
-    /// # Errors
-    ///
-    /// [`HmsError::Unmapped`] if `va` is not mapped.
+    /// [`MemPort::read_modify_write`].
     #[inline]
-    pub fn read_modify_write<T: Scalar>(
-        &mut self,
-        va: VirtAddr,
-        f: impl FnOnce(T) -> T,
-    ) -> Result<T> {
+    fn read_modify_write<T: Scalar>(&mut self, va: VirtAddr, f: impl FnOnce(T) -> T) -> Result<T> {
         debug_assert!(va.page_offset() + T::SIZE <= PAGE_SIZE);
         let mapping = self.mappings.lookup(va)?;
         self.core.counters.accesses += 2;
@@ -441,13 +409,8 @@ impl<'a> CoreHandle<'a> {
         Ok(old)
     }
 
-    /// Reads a scalar without advancing the clock or touching TLB/cache
-    /// (see [`Machine::peek`](crate::Machine::peek)).
-    ///
-    /// # Errors
-    ///
-    /// [`HmsError::Unmapped`] if `va` is not mapped.
-    pub fn peek<T: Scalar>(&mut self, va: VirtAddr) -> Result<T> {
+    /// [`MemPort::peek`].
+    fn peek<T: Scalar>(&mut self, va: VirtAddr) -> Result<T> {
         let mapping = self.mappings.lookup(va)?;
         let (frame, offset) = mapping.translate(va);
         let bytes = self
@@ -456,13 +419,8 @@ impl<'a> CoreHandle<'a> {
         Ok(T::from_le_slice(bytes))
     }
 
-    /// Writes a scalar without advancing the clock or touching TLB/cache
-    /// (see [`Machine::poke`](crate::Machine::poke)).
-    ///
-    /// # Errors
-    ///
-    /// [`HmsError::Unmapped`] if `va` is not mapped.
-    pub fn poke<T: Scalar>(&mut self, va: VirtAddr, value: T) -> Result<()> {
+    /// [`MemPort::poke`].
+    fn poke<T: Scalar>(&mut self, va: VirtAddr, value: T) -> Result<()> {
         let mapping = self.mappings.lookup(va)?;
         let (frame, offset) = mapping.translate(va);
         let bytes = self
@@ -472,15 +430,8 @@ impl<'a> CoreHandle<'a> {
         Ok(())
     }
 
-    /// Accounted indexed gather (see
-    /// [`MemPort::read_gather`]).
-    ///
-    /// # Errors
-    ///
-    /// [`HmsError::Unmapped`] if any accessed address is unmapped. Elements
-    /// before the failing one have been charged exactly as the scalar loop
-    /// would have charged them; the failing element has not.
-    pub(crate) fn read_gather<T: Scalar>(
+    /// [`MemPort::read_gather`].
+    fn read_gather<T: Scalar>(
         &mut self,
         base: VirtAddr,
         elem_count: usize,
@@ -494,13 +445,8 @@ impl<'a> CoreHandle<'a> {
         })
     }
 
-    /// Accounted indexed scatter (see [`MemPort::write_scatter`]).
-    ///
-    /// # Errors
-    ///
-    /// [`HmsError::Unmapped`] if any accessed address is unmapped; partial
-    /// state matches the scalar loop.
-    pub(crate) fn write_scatter<T: Scalar>(
+    /// [`MemPort::write_scatter`].
+    fn write_scatter<T: Scalar>(
         &mut self,
         base: VirtAddr,
         elem_count: usize,
@@ -514,14 +460,8 @@ impl<'a> CoreHandle<'a> {
         })
     }
 
-    /// Accounted indexed read-modify-write window (see
-    /// [`MemPort::gather_update`]).
-    ///
-    /// # Errors
-    ///
-    /// [`HmsError::Unmapped`] if any accessed address is unmapped; partial
-    /// state matches the scalar loop.
-    pub(crate) fn gather_update<T: Scalar>(
+    /// [`MemPort::gather_update`].
+    fn gather_update<T: Scalar>(
         &mut self,
         base: VirtAddr,
         elem_count: usize,
@@ -825,8 +765,27 @@ impl<'a> CoreHandle<'a> {
         Ok(())
     }
 
-    /// Performs an accounted bulk access over `range` (see
-    /// [`MemPort::access_block`]).
+    /// Performs an accounted bulk access over `range`, simulated as
+    /// `range.len / elem` consecutive scalar accesses of `elem` bytes each,
+    /// and returns the physically contiguous storage segments backing the
+    /// range in address order.
+    ///
+    /// This is the fast path behind the `TrackedVec` slice APIs: the mapping
+    /// table is consulted once per mapping chunk, the TLB once per
+    /// translation unit and the LLC once per cache line, instead of once per
+    /// element. Simulated state nevertheless ends **bit-identical** to the
+    /// equivalent per-element [`read`](MemPort::read)/[`write`](MemPort::write)
+    /// loop — TLB and LLC counters and replacement state, access counters,
+    /// the PEBS stream (including RNG state and sample costs), trace records
+    /// and the simulated clock. The key observation is that within a
+    /// sequential run only the *first* access to a translation unit or cache
+    /// line can miss; the batched update replays the exact counter updates
+    /// of the scalar path, and advances the clock once per element with the
+    /// identically composed cost (f64 accumulation order matters).
+    ///
+    /// `elem` must divide [`LINE_SIZE`] and `range` must be `elem`-aligned
+    /// at both ends, so that no element straddles a cache line — the bulk
+    /// analogue of the scalar path's no-page-straddle invariant.
     ///
     /// # Errors
     ///
@@ -969,16 +928,21 @@ impl<'a> CoreHandle<'a> {
         Ok(segments)
     }
 
+    /// The mapping table, for the unaccounted counterpart of
+    /// [`access_block`](CoreHandle::access_block): [`resolve_block`].
+    pub(crate) fn mappings(&self) -> &MappingTable {
+        self.mappings
+    }
+
     /// Borrows `len` bytes of `tier`'s backing storage. Bulk data path
-    /// only: accounting must already have happened via
-    /// [`access_block`](CoreHandle::access_block).
+    /// only: the access must already have been charged via
+    /// [`access_block`](CoreHandle::access_block), or be an unaccounted one
+    /// ([`resolve_block`]).
     pub(crate) fn storage_slice(&self, tier: TierId, offset: usize, len: usize) -> &[u8] {
         self.tiers.bytes(tier, offset, len)
     }
 
-    /// Mutably borrows `len` bytes of `tier`'s backing storage. Bulk data
-    /// path only: accounting must already have happened via
-    /// [`access_block`](CoreHandle::access_block).
+    /// Mutable counterpart of [`storage_slice`](CoreHandle::storage_slice).
     pub(crate) fn storage_slice_mut(
         &mut self,
         tier: TierId,
@@ -1035,8 +999,14 @@ fn tlb_unit_end(mapping: &Mapping, va: VirtAddr, coalesce: usize) -> VirtAddr {
 }
 
 /// Resolves `range` to the physically contiguous storage segments backing
-/// it: the mapping walk of [`CoreHandle::access_block`] with nothing
-/// charged (see [`MemPort::resolve_block`]).
+/// it: the mapping walk of [`CoreHandle::access_block`] with nothing charged
+/// — no counter, TLB, LLC, clock, PEBS or trace effect. What
+/// [`MemPort::peek`] / [`MemPort::poke`] are to `read` / `write` (the
+/// `TrackedVec` fill / load / copy-out path, and the migration copies).
+///
+/// # Errors
+///
+/// [`HmsError::Unmapped`] if any byte of `range` is unmapped.
 pub(crate) fn resolve_block(
     mappings: &MappingTable,
     range: VirtRange,
@@ -1058,193 +1028,170 @@ pub(crate) fn resolve_block(
     Ok(segments)
 }
 
-/// The accounted memory-access surface shared by
-/// [`Machine`](crate::Machine) (the resident single core) and
-/// [`CoreHandle`] (one forked core of a sharded phase). Kernel-side code —
-/// `TrackedVec`, `MemCtx`, the graph kernels — is generic over this trait,
-/// so the same kernel body runs unchanged on the scalar engine and inside
-/// a core partition.
+/// The memory-access surface kernel-side code is written against:
+/// `TrackedVec`, `MemCtx` and the graph kernels take any `&mut impl MemPort`,
+/// so the same kernel body runs on the [`Machine`](crate::Machine) and
+/// inside a core partition.
+///
+/// Every operation is declared here and implemented once, on
+/// [`CoreHandle`]. A port is anything that can lend a core
+/// ([`with_core`](MemPort::with_core), the one required item): a
+/// `CoreHandle` lends itself, a `Machine` lends a handle over its resident
+/// core — which is why the single-core simulator is the n=1 case of the
+/// sharded one by construction.
 pub trait MemPort {
-    /// Reads a little-endian scalar through the full accounted path.
+    /// Runs `f` on the core this port reaches memory through.
+    fn with_core<R>(&mut self, f: impl FnOnce(&mut CoreHandle<'_>) -> R) -> R;
+
+    /// Reads a little-endian scalar through the full accounted path:
+    /// mapping lookup, TLB, LLC, cost model, PEBS, trace.
     ///
     /// # Errors
     ///
     /// [`HmsError::Unmapped`] if `va` is not mapped.
-    fn read<T: Scalar>(&mut self, va: VirtAddr) -> Result<T>;
+    #[inline]
+    fn read<T: Scalar>(&mut self, va: VirtAddr) -> Result<T> {
+        self.with_core(|core| core.read(va))
+    }
 
     /// Writes a little-endian scalar through the full accounted path.
     ///
     /// # Errors
     ///
     /// [`HmsError::Unmapped`] if `va` is not mapped.
-    fn write<T: Scalar>(&mut self, va: VirtAddr, value: T) -> Result<()>;
+    #[inline]
+    fn write<T: Scalar>(&mut self, va: VirtAddr, value: T) -> Result<()> {
+        self.with_core(|core| core.write(va, value))
+    }
 
-    /// Accounted read-modify-write of one scalar, returning the old value.
+    /// Accounted read-modify-write of one scalar: simulated exactly as a
+    /// [`read`](MemPort::read) followed by a [`write`](MemPort::write) of
+    /// the same address, but with one address translation and one storage
+    /// round-trip on the host. Returns the *old* value.
+    ///
+    /// The write half is a guaranteed TLB and LLC hit (the read just
+    /// touched both), so all counters, the PEBS stream and the clock end
+    /// bit-identical to the two-call sequence. This is the fast path for
+    /// scatter updates like `next[u] += share`.
     ///
     /// # Errors
     ///
     /// [`HmsError::Unmapped`] if `va` is not mapped.
-    fn read_modify_write<T: Scalar>(&mut self, va: VirtAddr, f: impl FnOnce(T) -> T) -> Result<T>;
+    #[inline]
+    fn read_modify_write<T: Scalar>(&mut self, va: VirtAddr, f: impl FnOnce(T) -> T) -> Result<T> {
+        self.with_core(|core| core.read_modify_write(va, f))
+    }
 
-    /// Unaccounted scalar read (setup/verification only).
+    /// Reads a scalar without advancing the clock or touching TLB/cache.
+    /// Intended for test assertions and initialisation outside the measured
+    /// region.
     ///
     /// # Errors
     ///
     /// [`HmsError::Unmapped`] if `va` is not mapped.
-    fn peek<T: Scalar>(&mut self, va: VirtAddr) -> Result<T>;
+    fn peek<T: Scalar>(&mut self, va: VirtAddr) -> Result<T> {
+        self.with_core(|core| core.peek(va))
+    }
 
-    /// Unaccounted scalar write (setup/verification only).
+    /// Writes a scalar without advancing the clock or touching TLB/cache.
     ///
     /// # Errors
     ///
     /// [`HmsError::Unmapped`] if `va` is not mapped.
-    fn poke<T: Scalar>(&mut self, va: VirtAddr, value: T) -> Result<()>;
+    fn poke<T: Scalar>(&mut self, va: VirtAddr, value: T) -> Result<()> {
+        self.with_core(|core| core.poke(va, value))
+    }
 
-    /// Accounted bulk access over `range`, returning the physically
-    /// contiguous storage segments backing it (the `TrackedVec` slice fast
-    /// path).
+    /// Accounted indexed gather: reads element `indices[k]` of an array of
+    /// `elem_count` `T`s based at `base` into `out[k]`, for every `k`.
+    ///
+    /// Runs on the batched window engine, so simulated state ends
+    /// **bit-identical** to the equivalent [`read`](MemPort::read) loop — on
+    /// the success path and, since counters are charged per element after
+    /// each translation resolves, on the error path as well.
     ///
     /// # Errors
     ///
-    /// [`HmsError::Unmapped`] if any byte of `range` is unmapped.
-    fn access_block(
-        &mut self,
-        range: VirtRange,
-        elem: usize,
-        write: bool,
-    ) -> Result<Vec<BlockSegment>>;
-
-    /// **Unaccounted** counterpart of
-    /// [`access_block`](MemPort::access_block): the same segments, with no
-    /// counter, TLB, LLC, clock, PEBS or trace effect — what
-    /// [`peek`](MemPort::peek) / [`poke`](MemPort::poke) are to `read` /
-    /// `write` (the `TrackedVec` fill / load / copy-out path).
+    /// [`HmsError::Unmapped`] if any accessed address is unmapped. Elements
+    /// before the failing one have been charged exactly as the scalar loop
+    /// would have charged them; the failing element has not.
     ///
-    /// # Errors
+    /// # Panics
     ///
-    /// [`HmsError::Unmapped`] if any byte of `range` is unmapped.
-    fn resolve_block(&self, range: VirtRange) -> Result<Vec<BlockSegment>>;
-
-    /// Borrows `len` bytes of `tier`'s backing storage (bulk data path;
-    /// an accounted access must already have been charged via
-    /// [`access_block`](MemPort::access_block)).
-    fn storage_slice(&self, tier: TierId, offset: usize, len: usize) -> &[u8];
-
-    /// Mutably borrows `len` bytes of `tier`'s backing storage (bulk data
-    /// path; an accounted access must already have been charged).
-    fn storage_slice_mut(&mut self, tier: TierId, offset: usize, len: usize) -> &mut [u8];
-
-    /// Accounted indexed gather through the batched window engine.
-    ///
-    /// # Errors
-    ///
-    /// [`HmsError::Unmapped`] if any accessed address is unmapped.
+    /// Panics if `indices` and `out` differ in length, or on an index out of
+    /// bounds (`>= elem_count`) — an out-of-range index would otherwise
+    /// silently alias a neighboring element.
     fn read_gather<T: Scalar>(
         &mut self,
         base: VirtAddr,
         elem_count: usize,
         indices: &[u32],
         out: &mut [T],
-    ) -> Result<()>;
+    ) -> Result<()> {
+        self.with_core(|core| core.read_gather(base, elem_count, indices, out))
+    }
 
-    /// Accounted indexed scatter through the batched window engine.
+    /// Accounted indexed scatter: writes `values[k]` into element
+    /// `indices[k]` of an array of `elem_count` `T`s based at `base`, for
+    /// every `k`, in index order.
+    ///
+    /// Runs on the batched window engine, so simulated state ends
+    /// **bit-identical** to the equivalent [`write`](MemPort::write) loop.
     ///
     /// # Errors
     ///
-    /// [`HmsError::Unmapped`] if any accessed address is unmapped.
+    /// [`HmsError::Unmapped`] if any accessed address is unmapped; partial
+    /// state matches the scalar loop (see
+    /// [`read_gather`](MemPort::read_gather)).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `indices` and `values` differ in length, or on an
+    /// out-of-bounds index.
     fn write_scatter<T: Scalar>(
         &mut self,
         base: VirtAddr,
         elem_count: usize,
         indices: &[u32],
         values: &[T],
-    ) -> Result<()>;
+    ) -> Result<()> {
+        self.with_core(|core| core.write_scatter(base, elem_count, indices, values))
+    }
 
-    /// Accounted indexed read-modify-write window through the batched
-    /// window engine.
+    /// Accounted indexed read-modify-write window: for every `k` in index
+    /// order, replaces element `indices[k]` with `f(k, old)`, where `old` is
+    /// the element's current value. Duplicate indices observe earlier
+    /// updates from the same window, exactly like the per-element loop.
+    ///
+    /// Runs on the batched window engine, so simulated state ends
+    /// **bit-identical** to the equivalent
+    /// [`read_modify_write`](MemPort::read_modify_write) loop (which is
+    /// itself bit-identical to a read + write pair per element).
     ///
     /// # Errors
     ///
-    /// [`HmsError::Unmapped`] if any accessed address is unmapped.
+    /// [`HmsError::Unmapped`] if any accessed address is unmapped; partial
+    /// state matches the scalar loop (see
+    /// [`read_gather`](MemPort::read_gather)).
+    ///
+    /// # Panics
+    ///
+    /// Panics on an out-of-bounds index.
     fn gather_update<T: Scalar>(
         &mut self,
         base: VirtAddr,
         elem_count: usize,
         indices: &[u32],
         f: impl FnMut(usize, T) -> T,
-    ) -> Result<()>;
+    ) -> Result<()> {
+        self.with_core(|core| core.gather_update(base, elem_count, indices, f))
+    }
 }
 
 impl MemPort for CoreHandle<'_> {
-    fn read<T: Scalar>(&mut self, va: VirtAddr) -> Result<T> {
-        CoreHandle::read(self, va)
-    }
-
-    fn write<T: Scalar>(&mut self, va: VirtAddr, value: T) -> Result<()> {
-        CoreHandle::write(self, va, value)
-    }
-
-    fn read_modify_write<T: Scalar>(&mut self, va: VirtAddr, f: impl FnOnce(T) -> T) -> Result<T> {
-        CoreHandle::read_modify_write(self, va, f)
-    }
-
-    fn peek<T: Scalar>(&mut self, va: VirtAddr) -> Result<T> {
-        CoreHandle::peek(self, va)
-    }
-
-    fn poke<T: Scalar>(&mut self, va: VirtAddr, value: T) -> Result<()> {
-        CoreHandle::poke(self, va, value)
-    }
-
-    fn access_block(
-        &mut self,
-        range: VirtRange,
-        elem: usize,
-        write: bool,
-    ) -> Result<Vec<BlockSegment>> {
-        CoreHandle::access_block(self, range, elem, write)
-    }
-
-    fn resolve_block(&self, range: VirtRange) -> Result<Vec<BlockSegment>> {
-        resolve_block(self.mappings, range)
-    }
-
-    fn storage_slice(&self, tier: TierId, offset: usize, len: usize) -> &[u8] {
-        CoreHandle::storage_slice(self, tier, offset, len)
-    }
-
-    fn storage_slice_mut(&mut self, tier: TierId, offset: usize, len: usize) -> &mut [u8] {
-        CoreHandle::storage_slice_mut(self, tier, offset, len)
-    }
-
-    fn read_gather<T: Scalar>(
-        &mut self,
-        base: VirtAddr,
-        elem_count: usize,
-        indices: &[u32],
-        out: &mut [T],
-    ) -> Result<()> {
-        CoreHandle::read_gather(self, base, elem_count, indices, out)
-    }
-
-    fn write_scatter<T: Scalar>(
-        &mut self,
-        base: VirtAddr,
-        elem_count: usize,
-        indices: &[u32],
-        values: &[T],
-    ) -> Result<()> {
-        CoreHandle::write_scatter(self, base, elem_count, indices, values)
-    }
-
-    fn gather_update<T: Scalar>(
-        &mut self,
-        base: VirtAddr,
-        elem_count: usize,
-        indices: &[u32],
-        f: impl FnMut(usize, T) -> T,
-    ) -> Result<()> {
-        CoreHandle::gather_update(self, base, elem_count, indices, f)
+    #[inline]
+    fn with_core<R>(&mut self, f: impl FnOnce(&mut CoreHandle<'_>) -> R) -> R {
+        f(self)
     }
 }
 
@@ -1341,6 +1288,7 @@ const _: fn(HmsError) = |_| {};
 mod tests {
     use crate::machine::{Machine, Placement};
     use crate::platform::Platform;
+    use crate::shard::MemPort;
     use crate::tracked::TrackedVec;
 
     fn machine() -> Machine {

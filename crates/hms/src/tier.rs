@@ -162,20 +162,20 @@ impl TierSpec {
 /// *actually lives here*, so migration really moves bytes and correctness is
 /// observable from the outside.
 #[derive(Debug)]
-pub struct TierStorage {
+pub(crate) struct TierStorage {
     bytes: Box<[u8]>,
 }
 
 impl TierStorage {
     /// Allocates zeroed storage of `capacity` bytes.
-    pub fn new(capacity: usize) -> Self {
+    pub(crate) fn new(capacity: usize) -> Self {
         TierStorage {
             bytes: vec![0u8; capacity].into_boxed_slice(),
         }
     }
 
     /// Total capacity in bytes.
-    pub fn capacity(&self) -> usize {
+    pub(crate) fn capacity(&self) -> usize {
         self.bytes.len()
     }
 
@@ -184,7 +184,7 @@ impl TierStorage {
     /// # Panics
     ///
     /// Panics if the range exceeds the capacity.
-    pub fn slice(&self, offset: usize, len: usize) -> &[u8] {
+    pub(crate) fn slice(&self, offset: usize, len: usize) -> &[u8] {
         &self.bytes[offset..offset + len]
     }
 
@@ -193,7 +193,7 @@ impl TierStorage {
     /// # Panics
     ///
     /// Panics if the range exceeds the capacity.
-    pub fn slice_mut(&mut self, offset: usize, len: usize) -> &mut [u8] {
+    pub(crate) fn slice_mut(&mut self, offset: usize, len: usize) -> &mut [u8] {
         &mut self.bytes[offset..offset + len]
     }
 

@@ -5,7 +5,7 @@
 //! PEBS), so access patterns drive both simulated time and the profiler.
 //! The vector does not borrow the machine — accessors take any
 //! `&mut impl `[`MemPort`] explicitly (the [`Machine`] itself, or one
-//! [`CoreHandle`](crate::shard::CoreHandle) of a sharded phase) — so a
+//! [`CoreHandle`](crate::CoreHandle) of a sharded phase) — so a
 //! kernel can interleave accesses to many arrays and the same kernel body
 //! runs on the scalar and the sharded engine.
 //!
@@ -22,7 +22,8 @@ use std::marker::PhantomData;
 use crate::addr::{VirtAddr, VirtRange};
 use crate::error::Result;
 use crate::machine::{Machine, Placement, Scalar};
-use crate::shard::{BlockSegment, MemPort};
+use crate::mapping::MappingTable;
+use crate::shard::{resolve_block, BlockSegment, MemPort};
 
 /// A fixed-length typed array living in simulated memory.
 #[derive(Debug)]
@@ -47,23 +48,6 @@ impl<T: Scalar> TrackedVec<T> {
             name: None,
             _marker: PhantomData,
         })
-    }
-
-    /// Wraps an existing allocation (used by the ATMem runtime, which
-    /// performs registration itself).
-    ///
-    /// The allocation must be at least `len * T::SIZE` bytes.
-    pub fn from_range(range: VirtRange, len: usize) -> Self {
-        assert!(
-            range.len >= len * T::SIZE,
-            "range too small for {len} elements"
-        );
-        TrackedVec {
-            range,
-            len,
-            name: None,
-            _marker: PhantomData,
-        }
     }
 
     /// Attaches a display name, used in panic messages for out-of-bounds
@@ -164,7 +148,7 @@ impl<T: Scalar> TrackedVec<T> {
     }
 
     /// Accounted bulk read of `out.len()` consecutive elements starting at
-    /// element `start`, through [`Machine::access_block`]'s fast path.
+    /// element `start`, through the block engine's fast path.
     ///
     /// Simulated state (counters, TLB/LLC contents, PEBS stream, clock) ends
     /// bit-identical to the equivalent [`get`](TrackedVec::get) loop; only
@@ -185,23 +169,25 @@ impl<T: Scalar> TrackedVec<T> {
             return;
         }
         let range = VirtRange::new(self.addr_of(start), out.len() * T::SIZE);
-        let segments = machine
-            .access_block(range, T::SIZE, false)
-            .expect("tracked range unmapped");
-        let mut rest = &mut out[..];
-        for seg in segments {
-            let (head, tail) = rest.split_at_mut(seg.len / T::SIZE);
-            let bytes = machine.storage_slice(seg.tier, seg.offset, seg.len);
-            for (slot, chunk) in head.iter_mut().zip(bytes.chunks_exact(T::SIZE)) {
-                *slot = T::from_le_slice(chunk);
+        machine.with_core(|core| {
+            let segments = core
+                .access_block(range, T::SIZE, false)
+                .expect("tracked range unmapped");
+            let mut rest = &mut out[..];
+            for seg in segments {
+                let (head, tail) = rest.split_at_mut(seg.len / T::SIZE);
+                let bytes = core.storage_slice(seg.tier, seg.offset, seg.len);
+                for (slot, chunk) in head.iter_mut().zip(bytes.chunks_exact(T::SIZE)) {
+                    *slot = T::from_le_slice(chunk);
+                }
+                rest = tail;
             }
-            rest = tail;
-        }
-        debug_assert!(rest.is_empty());
+            debug_assert!(rest.is_empty());
+        });
     }
 
     /// Accounted bulk write of `values` to consecutive elements starting at
-    /// element `start`, through [`Machine::access_block`]'s fast path.
+    /// element `start`, through the block engine's fast path.
     ///
     /// Simulated state ends bit-identical to the equivalent
     /// [`set`](TrackedVec::set) loop; only host wall-clock time differs.
@@ -221,24 +207,26 @@ impl<T: Scalar> TrackedVec<T> {
             return;
         }
         let range = VirtRange::new(self.addr_of(start), values.len() * T::SIZE);
-        let segments = machine
-            .access_block(range, T::SIZE, true)
-            .expect("tracked range unmapped");
-        let mut rest = values;
-        for seg in segments {
-            let (head, tail) = rest.split_at(seg.len / T::SIZE);
-            let bytes = machine.storage_slice_mut(seg.tier, seg.offset, seg.len);
-            for (&value, chunk) in head.iter().zip(bytes.chunks_exact_mut(T::SIZE)) {
-                value.write_le_slice(chunk);
+        machine.with_core(|core| {
+            let segments = core
+                .access_block(range, T::SIZE, true)
+                .expect("tracked range unmapped");
+            let mut rest = values;
+            for seg in segments {
+                let (head, tail) = rest.split_at(seg.len / T::SIZE);
+                let bytes = core.storage_slice_mut(seg.tier, seg.offset, seg.len);
+                for (&value, chunk) in head.iter().zip(bytes.chunks_exact_mut(T::SIZE)) {
+                    value.write_le_slice(chunk);
+                }
+                rest = tail;
             }
-            rest = tail;
-        }
-        debug_assert!(rest.is_empty());
+            debug_assert!(rest.is_empty());
+        });
     }
 
     /// Accounted bulk scan: calls `f(index, value)` for `len` consecutive
-    /// elements starting at element `start`, through
-    /// [`Machine::access_block`]'s fast path.
+    /// elements starting at element `start`, through the block engine's fast
+    /// path.
     ///
     /// Simulated state ends bit-identical to the equivalent
     /// [`get`](TrackedVec::get) loop; only host wall-clock time differs.
@@ -266,24 +254,26 @@ impl<T: Scalar> TrackedVec<T> {
             return;
         }
         let range = VirtRange::new(self.addr_of(start), len * T::SIZE);
-        let segments = machine
-            .access_block(range, T::SIZE, false)
-            .expect("tracked range unmapped");
-        let mut i = start;
-        for seg in segments {
-            for bytes in machine
-                .storage_slice(seg.tier, seg.offset, seg.len)
-                .chunks_exact(T::SIZE)
-            {
-                f(i, T::from_le_slice(bytes));
-                i += 1;
+        machine.with_core(|core| {
+            let segments = core
+                .access_block(range, T::SIZE, false)
+                .expect("tracked range unmapped");
+            let mut i = start;
+            for seg in segments {
+                for bytes in core
+                    .storage_slice(seg.tier, seg.offset, seg.len)
+                    .chunks_exact(T::SIZE)
+                {
+                    f(i, T::from_le_slice(bytes));
+                    i += 1;
+                }
             }
-        }
-        debug_assert_eq!(i, start + len);
+            debug_assert_eq!(i, start + len);
+        });
     }
 
     /// Accounted indexed gather: reads element `indices[k]` into `out[k]`
-    /// for every `k`, in order, through [`Machine::read_gather`].
+    /// for every `k`, in order, through [`MemPort::read_gather`].
     ///
     /// Simulated state ends bit-identical to the equivalent
     /// [`get`](TrackedVec::get) loop; only per-call host overhead is hoisted
@@ -304,7 +294,7 @@ impl<T: Scalar> TrackedVec<T> {
     }
 
     /// Accounted indexed scatter: writes `values[k]` to element `indices[k]`
-    /// for every `k`, in order, through [`Machine::write_scatter`]'s batched
+    /// for every `k`, in order, through [`MemPort::write_scatter`]'s batched
     /// window engine. Duplicate indices are written in order (the last value
     /// wins), exactly like the per-element loop.
     ///
@@ -326,7 +316,7 @@ impl<T: Scalar> TrackedVec<T> {
 
     /// Accounted indexed read-modify-write window: for every `k` in order,
     /// replaces element `indices[k]` with `f(k, old)` where `old` is the
-    /// element's current value, through [`Machine::gather_update`]'s batched
+    /// element's current value, through [`MemPort::gather_update`]'s batched
     /// window engine. Duplicate indices observe earlier updates from the
     /// same window, exactly like an [`update`](TrackedVec::update) loop.
     ///
@@ -386,9 +376,9 @@ impl<T: Scalar> TrackedVec<T> {
     /// # Panics
     ///
     /// Panics (naming the vec) if the array is unmapped (use-after-free).
-    fn resolve(&self, machine: &impl MemPort) -> Vec<BlockSegment> {
-        machine
-            .resolve_block(VirtRange::new(self.range.start, self.len * T::SIZE))
+    fn resolve(&self, mappings: &MappingTable) -> Vec<BlockSegment> {
+        let range = VirtRange::new(self.range.start, self.len * T::SIZE);
+        resolve_block(mappings, range)
             .unwrap_or_else(|e| panic!("tracked vec `{}` unmapped: {e}", self.label()))
     }
 
@@ -405,15 +395,17 @@ impl<T: Scalar> TrackedVec<T> {
     ///
     /// Panics (naming the vec) if the array is unmapped (use-after-free).
     pub fn fill_with(&self, machine: &mut impl MemPort, mut f: impl FnMut(usize) -> T) {
-        let mut i = 0;
-        for seg in self.resolve(machine) {
-            let bytes = machine.storage_slice_mut(seg.tier, seg.offset, seg.len);
-            for chunk in bytes.chunks_exact_mut(T::SIZE) {
-                f(i).write_le_slice(chunk);
-                i += 1;
+        machine.with_core(|core| {
+            let mut i = 0;
+            for seg in self.resolve(core.mappings()) {
+                let bytes = core.storage_slice_mut(seg.tier, seg.offset, seg.len);
+                for chunk in bytes.chunks_exact_mut(T::SIZE) {
+                    f(i).write_le_slice(chunk);
+                    i += 1;
+                }
             }
-        }
-        debug_assert_eq!(i, self.len);
+            debug_assert_eq!(i, self.len);
+        });
     }
 
     /// Bulk unaccounted initialisation from a slice (see
@@ -425,16 +417,18 @@ impl<T: Scalar> TrackedVec<T> {
     /// array is unmapped.
     pub fn fill_from(&self, machine: &mut impl MemPort, values: &[T]) {
         assert_eq!(values.len(), self.len, "length mismatch in fill_from");
-        let mut rest = values;
-        for seg in self.resolve(machine) {
-            let (head, tail) = rest.split_at(seg.len / T::SIZE);
-            let bytes = machine.storage_slice_mut(seg.tier, seg.offset, seg.len);
-            for (&value, chunk) in head.iter().zip(bytes.chunks_exact_mut(T::SIZE)) {
-                value.write_le_slice(chunk);
+        machine.with_core(|core| {
+            let mut rest = values;
+            for seg in self.resolve(core.mappings()) {
+                let (head, tail) = rest.split_at(seg.len / T::SIZE);
+                let bytes = core.storage_slice_mut(seg.tier, seg.offset, seg.len);
+                for (&value, chunk) in head.iter().zip(bytes.chunks_exact_mut(T::SIZE)) {
+                    value.write_le_slice(chunk);
+                }
+                rest = tail;
             }
-            rest = tail;
-        }
-        debug_assert!(rest.is_empty());
+            debug_assert!(rest.is_empty());
+        });
     }
 
     /// Bulk unaccounted fill with one value (see
@@ -450,15 +444,18 @@ impl<T: Scalar> TrackedVec<T> {
     /// Iterates the elements in index order, unaccounted (see
     /// [`fill_with`](TrackedVec::fill_with)), straight out of tier storage:
     /// the way to fold an array (a checksum) without a host copy of it.
+    /// Takes the machine, not any port: the iterator borrows tier storage
+    /// for as long as it lives, which a core lent for one call cannot give.
     ///
     /// # Panics
     ///
     /// Panics (naming the vec) if the array is unmapped.
-    pub fn values<'a>(&self, machine: &'a impl MemPort) -> impl Iterator<Item = T> + 'a
+    pub fn values<'a>(&self, machine: &'a Machine) -> impl Iterator<Item = T> + 'a
     where
         T: 'a,
     {
-        self.resolve(machine).into_iter().flat_map(move |seg| {
+        let segments = self.resolve(machine.mappings());
+        segments.into_iter().flat_map(move |seg| {
             machine
                 .storage_slice(seg.tier, seg.offset, seg.len)
                 .chunks_exact(T::SIZE)
@@ -474,10 +471,12 @@ impl<T: Scalar> TrackedVec<T> {
     /// Panics (naming the vec) if the array is unmapped.
     pub fn to_vec(&self, machine: &mut impl MemPort) -> Vec<T> {
         let mut out = Vec::with_capacity(self.len);
-        for seg in self.resolve(machine) {
-            let bytes = machine.storage_slice(seg.tier, seg.offset, seg.len);
-            out.extend(bytes.chunks_exact(T::SIZE).map(T::from_le_slice));
-        }
+        machine.with_core(|core| {
+            for seg in self.resolve(core.mappings()) {
+                let bytes = core.storage_slice(seg.tier, seg.offset, seg.len);
+                out.extend(bytes.chunks_exact(T::SIZE).map(T::from_le_slice));
+            }
+        });
         debug_assert_eq!(out.len(), self.len);
         out
     }
@@ -973,7 +972,6 @@ mod tests {
             let values: Vec<u32> = (0..v.len() as u32).map(|i| i ^ 0x5555).collect();
             v.fill_from(h, &values);
             assert_eq!(v.to_vec(h), values);
-            assert!(v.values(h).eq(values.iter().copied()));
             v.fill(h, 9);
             v.fill_with(h, |i| 3 * i as u32);
             assert_eq!(h.elapsed(), before, "a bulk call advanced a core clock");

@@ -1,61 +1,11 @@
 //! Property-based tests of the memory-system invariants.
 
-use atmem_hms::addr::PAGE_SIZE;
 use atmem_hms::{
-    FrameAllocator, FrameRun, Machine, Placement, Platform, TierId, TrackedVec, VirtAddr,
+    Machine, MemPort, Placement, Platform, TierId, TrackedVec, VirtAddr, VirtRange, PAGE_SIZE,
 };
 use atmem_prop::prelude::*;
 
 proptest! {
-    /// The frame allocator never double-allocates, never loses frames, and
-    /// frees restore capacity exactly.
-    #[test]
-    fn frame_allocator_conserves_frames(
-        ops in prop::collection::vec((1usize..32, any::<bool>()), 1..60),
-    ) {
-        let total = 512;
-        let mut alloc = FrameAllocator::new(total);
-        let mut live: Vec<FrameRun> = Vec::new();
-        let mut occupied: Vec<bool> = vec![false; total];
-        for (count, free_one) in ops {
-            if free_one && !live.is_empty() {
-                let run = live.swap_remove(0);
-                for i in run.start..run.start + run.count {
-                    prop_assert!(occupied[i as usize]);
-                    occupied[i as usize] = false;
-                }
-                alloc.free_run(run);
-            } else if let Some(run) = alloc.alloc_run(count) {
-                prop_assert_eq!(run.count as usize, count);
-                for i in run.start..run.start + run.count {
-                    prop_assert!(!occupied[i as usize], "double allocation of {i}");
-                    occupied[i as usize] = true;
-                }
-                live.push(run);
-            }
-            let used: usize = occupied.iter().filter(|&&b| b).count();
-            prop_assert_eq!(alloc.used_frames(), used);
-            prop_assert_eq!(alloc.free_frames(), total - used);
-        }
-    }
-
-    /// Aligned allocations are aligned, whatever came before them.
-    #[test]
-    fn aligned_runs_are_aligned(
-        noise in prop::collection::vec(1usize..7, 0..10),
-        align_pow in 1u32..7,
-        count_units in 1usize..4,
-    ) {
-        let align = 1usize << align_pow;
-        let mut alloc = FrameAllocator::new(1024);
-        for n in noise {
-            let _ = alloc.alloc_run(n);
-        }
-        if let Some(run) = alloc.alloc_run_aligned(count_units * align, align) {
-            prop_assert_eq!(run.start as usize % align, 0);
-        }
-    }
-
     /// Every byte written through the accounted path reads back through
     /// both the accounted and unaccounted paths, across arbitrary
     /// allocation sizes and placements.
@@ -103,7 +53,7 @@ proptest! {
         machine.poke::<u64>(a.start, 0xAAAA).unwrap();
         machine.poke::<u64>(b.start, 0xBBBB).unwrap();
         let dst = if migrate_to_fast { TierId::FAST } else { TierId::SLOW };
-        let full_a = atmem_hms::VirtRange::new(a.start, pages_a * PAGE_SIZE);
+        let full_a = VirtRange::new(a.start, pages_a * PAGE_SIZE);
         machine.migrate_mbind(full_a, dst).unwrap();
         prop_assert_eq!(machine.peek::<u64>(a.start).unwrap(), 0xAAAA);
         prop_assert_eq!(machine.peek::<u64>(b.start).unwrap(), 0xBBBB);

@@ -28,7 +28,8 @@ use atmem::{
 use atmem_apps::{App, Bfs, HmsGraph, Kernel, MemCtx};
 use atmem_graph::{Dataset, GraphBuilder, SelfLoops};
 use atmem_hms::{
-    FaultPlan, FaultSite, Machine, Placement, Platform, TierId, TrackedVec, VirtRange, FAULT_SITES,
+    FaultPlan, FaultSite, Machine, MemPort, Placement, Platform, TierId, TrackedVec, VirtRange,
+    FAULT_SITES,
 };
 use atmem_prop::prelude::*;
 
@@ -126,16 +127,12 @@ proptest! {
         cuts in prop::collection::vec((0usize..56, 1usize..10), 1..4),
         scripted in prop::collection::vec((0usize..4, 0u64..6), 0..4),
         rate in 0.0f64..0.35,
-        direct in any::<bool>(),
     ) {
         let (mut faulted, r1) = filled_machine(pages, seed);
         let (mut clean, r2) = filled_machine(pages, seed);
         let ranges1 = disjoint_ranges(r1, pages, &cuts);
         let ranges2 = disjoint_ranges(r2, pages, &cuts);
-        let config = MigrationConfig {
-            mechanism: if direct { MigrationMechanism::Direct } else { MigrationMechanism::Staged },
-            ..MigrationConfig::default()
-        };
+        let config = MigrationConfig::default();
 
         let mut plan = FaultPlan::seeded(seed);
         for &(site, nth) in &scripted {

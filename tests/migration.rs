@@ -4,10 +4,10 @@ use atmem::analyzer::local::LocalSelection;
 use atmem::migrate::plan::{MigrationPlan, PlannedRegion};
 use atmem::migrate::staged::execute_plan;
 use atmem::{
-    build_demotion_cascade, chunk_geometry, Analysis, ChunkConfig, MigrationConfig,
-    MigrationMechanism, ObjectAnalysis, ObjectId, Registry,
+    build_demotion_cascade, chunk_geometry, Analysis, ChunkConfig, MigrationConfig, ObjectAnalysis,
+    ObjectId, Registry,
 };
-use atmem_hms::{Machine, Placement, Platform, TierId, VirtRange};
+use atmem_hms::{Machine, MemPort, Placement, Platform, TierId, VirtRange};
 use atmem_prop::prelude::*;
 
 const PAGE: usize = 4096;
@@ -402,7 +402,6 @@ proptest! {
     fn arbitrary_subregion_migration_preserves_data(
         // (start_page, page_count) pairs within a 64-page allocation.
         cuts in prop::collection::vec((0usize..60, 1usize..8), 1..4),
-        staged in any::<bool>(),
     ) {
         let pages = 64usize;
         let (mut m, r) = filled_machine(pages * PAGE, 11);
@@ -419,11 +418,8 @@ proptest! {
             .iter()
             .map(|&(s, e)| VirtRange::new(r.start.add((s * PAGE) as u64), (e - s) * PAGE))
             .collect();
-        let config = MigrationConfig {
-            mechanism: if staged { MigrationMechanism::Staged } else { MigrationMechanism::Direct },
-            ..MigrationConfig::default()
-        };
-        execute_plan(&mut m, &plan_of(&ranges), &config, TierId::FAST).unwrap();
+        execute_plan(&mut m, &plan_of(&ranges), &MigrationConfig::default(), TierId::FAST)
+            .unwrap();
         for i in 0..(r.len / 8) as u64 {
             let v = m.peek::<u64>(r.start.add(i * 8)).unwrap();
             prop_assert_eq!(v, i.wrapping_mul(11));

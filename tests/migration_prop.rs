@@ -1,6 +1,6 @@
 //! Migration data-image property test.
 //!
-//! Random interleavings of staged, direct and `mbind` region migrations —
+//! Random interleavings of staged and `mbind` region migrations —
 //! plus the staged primitives driven by hand — over one allocation on the
 //! two- and three-tier testing presets, each region under a scripted fault
 //! at one of the migration path's gates (staging allocation, the stage-1
@@ -139,7 +139,7 @@ impl Image {
     /// the staging run.
     fn stage_by_hand(&mut self, range: VirtRange, dst: TierId, context: &str) {
         let m = &mut self.m;
-        let tier_before = MemPort::storage_slice(m, dst, 0, m.capacity(dst)).to_vec();
+        let tier_before = m.storage_slice(dst, 0, m.capacity(dst)).to_vec();
         let Ok(run) = m.alloc_frames(dst, range.len / PAGE) else {
             return;
         };
@@ -150,7 +150,7 @@ impl Image {
         // `assert!`, not `assert_eq!`: a failure must not print the run.
         let untouched = |m: &Machine, stage: &str| {
             assert!(
-                MemPort::storage_slice(m, dst, lo, hi - lo) == &tier_before[lo..hi],
+                m.storage_slice(dst, lo, hi - lo) == &tier_before[lo..hi],
                 "{context}: tier bytes under the staging run changed by {stage}"
             );
         };
@@ -175,7 +175,7 @@ proptest! {
         pages in 24usize..80,
         ops in prop::collection::vec(
             (
-                (0u32..4, 0usize..80, 1usize..40, 0usize..3),
+                (0u32..3, 0usize..80, 1usize..40, 0usize..3),
                 (0usize..2 * FAULTS.len(), any::<u64>()),
             ),
             4..12,
@@ -191,17 +191,13 @@ proptest! {
             let range = image.pages(start, count);
             let context = format!("step {step}: kind {kind}, pages {start}+{count} -> {dst}");
             image.scribble(start, count, salt);
-            if kind == 3 {
+            if kind == 2 {
                 image.stage_by_hand(range, dst, &context);
                 image.check(&context);
                 continue;
             }
             let config = MigrationConfig {
-                mechanism: [
-                    MigrationMechanism::Staged,
-                    MigrationMechanism::Direct,
-                    MigrationMechanism::Mbind,
-                ][kind as usize],
+                mechanism: [MigrationMechanism::Staged, MigrationMechanism::Mbind][kind as usize],
                 ..MigrationConfig::default()
             };
             // Half the regions run fault-free.

@@ -11,11 +11,14 @@
 //! 3. on a contended scenario, one shared fast tier arbitrated globally
 //!    **beats a static per-tenant partition** of the same capacity on
 //!    aggregate fast-data ratio — the paper's §1 server motivation.
+//!
+//! Plus one regression on the round's own sizing rule: demotion is sized by
+//! the bytes it frees, not by the lengths of the regions it moves.
 
-use atmem::{AtmemConfig, MigrationConfig};
+use atmem::{AtmemConfig, ChunkConfig, MigrationConfig, Scheduler};
 use atmem_apps::{run_protocol_cores, serve_protocols, App, Mode, TenantSpec};
 use atmem_graph::{erdos_renyi, Csr, Dataset};
-use atmem_hms::Platform;
+use atmem_hms::{Platform, TierId, VirtRange};
 
 fn one_tenant<'a>(csr: &'a Csr, app: App, config: AtmemConfig, queries: usize) -> TenantSpec<'a> {
     TenantSpec {
@@ -208,4 +211,79 @@ fn shared_tier_beats_a_static_partition() {
         shared_ratio > solo_ratio,
         "shared tier should beat the static partition: {shared_ratio:.4} vs {solo_ratio:.4}"
     );
+}
+
+/// A round whose only demotion candidates are *half* resident on the fast
+/// tier (the serving-side twin of
+/// `cascade_sizes_middle_hop_by_resident_bytes_and_staging_headroom` in
+/// `tests/migration.rs`).
+///
+/// One tenant on a 128 KiB fast tier. `cold`, never read, is 192 KiB in
+/// 16 KiB chunks with the first two pages of every chunk `mbind`'d up: 96 KiB
+/// of fast residue, 32 KiB free, and every 16 KiB demotion region gives back
+/// only 8 KiB. `hot`, 64 KiB on the slow tier, is read uniformly, so the
+/// round wants all of it promoted. That takes a budget of 64 KiB, i.e.
+/// `0.9 * free - 16 KiB >= 64 KiB`, i.e. 57 KiB freed: eight regions by
+/// resident bytes. Sized by region lengths the round stops at four, ends
+/// with 64 KiB free, a 41.6 KiB budget, and drops half of `hot`.
+#[test]
+fn round_sizes_demotion_by_resident_bytes() {
+    const KIB: usize = 1024;
+    let platform = Platform::testing().with_capacities(128 * KIB, 8 * 1024 * KIB);
+    let migration = MigrationConfig {
+        allow_demotion: true,
+        max_region_bytes: 16 * KIB,
+        ..MigrationConfig::default()
+    };
+    let config = AtmemConfig {
+        chunks: ChunkConfig {
+            target_chunks: 1024,
+            min_chunk_bytes: 16 * KIB,
+        },
+        migration,
+        ..AtmemConfig::default()
+    };
+    let mut sched = Scheduler::new(platform, migration);
+    let t = sched.add_tenant(config).unwrap();
+    let (cold, hot) = sched.run_quantum(t, |rt| {
+        (
+            rt.malloc::<u64>(192 * KIB / 8, "cold").unwrap(),
+            rt.malloc::<u64>(64 * KIB / 8, "hot").unwrap(),
+        )
+    });
+    for chunk in 0..12u64 {
+        let head = VirtRange::new(cold.range().start.add(chunk * 16 * KIB as u64), 8 * KIB);
+        sched
+            .machine_mut()
+            .migrate_mbind(head, TierId::FAST)
+            .unwrap();
+    }
+    assert_eq!(
+        sched.machine().free_bytes(TierId::FAST),
+        32 * KIB,
+        "fixture drifted"
+    );
+    sched.run_quantum(t, |rt| {
+        rt.profiling_start().unwrap();
+        for i in 0..200_000usize {
+            let _ = hot.get(rt.machine_mut(), (i * 7919) % hot.len());
+        }
+        rt.profiling_stop().unwrap();
+    });
+
+    let round = sched.optimize_round().unwrap();
+    let demotion = round.demotion.expect("demotion is on");
+    assert_eq!(demotion.regions, 8, "{demotion:?}");
+    assert_eq!(
+        demotion.regions_skipped + demotion.regions_failed,
+        0,
+        "{demotion:?}"
+    );
+    assert_eq!(round.dropped_bytes, 0, "promotion lost bytes: {round:?}");
+    assert_eq!(round.tenants[t].bytes_promoted, 64 * KIB);
+    assert_eq!(
+        sched.machine().resident_bytes(hot.range(), TierId::FAST),
+        64 * KIB
+    );
+    assert!(sched.audit().is_empty(), "{:?}", sched.audit());
 }

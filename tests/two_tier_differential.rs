@@ -18,7 +18,7 @@
 use atmem::AtmemConfig;
 use atmem_apps::{runner::run_protocol_cores, App, Mode};
 use atmem_graph::Dataset;
-use atmem_hms::{Machine, Placement, Platform};
+use atmem_hms::{Machine, MemPort, Placement, Platform};
 
 /// FNV-1a over a stream of u64 words.
 struct Digest(u64);
