@@ -20,7 +20,7 @@ cargo build --release
 echo "==> tier-1: cargo test -q"
 cargo test -q
 
-echo "==> release-mode soundness (window bounds, u32 guards, mapping overlap, LLC geometry and tag width, staging ownership stay hard checks; the generated datasets stay the pinned ones)"
+echo "==> release-mode soundness (window bounds, u32 guards, chunk bounds, mapping overlap, LLC geometry and tag width, staging ownership stay hard checks; the generated datasets stay the pinned ones)"
 # The window engine's bounds and index-width guards, the mapping table's
 # overlap guard and the LLC's associativity and tag-width guards are plain
 # asserts, not debug_assert!: they must fire in optimized builds too, where
@@ -31,9 +31,15 @@ echo "==> release-mode soundness (window bounds, u32 guards, mapping overlap, LL
 # to or from a run that is not outstanding staging, a replay past the
 # staged bytes, and a second free must be refused in optimized builds, or
 # a migration would silently install stale bytes or free a mapped frame.
+# Tier storage is 256 KiB chunks of host memory that exist only under mapped
+# frames: an access to a chunk nothing backs, or a slice running off the
+# end of one into its neighbour in the slab, must panic in optimized builds
+# — it is the check the one unsafe seam's pointer arithmetic rests on.
 # Run the regression tests under --release so a future debug_assert!
 # demotion fails CI instead of shipping.
 cargo test -q --release -p atmem-hms window_bounds_check_is_a_hard_check
+cargo test -q --release -p atmem-hms unbacked_chunk_access_is_a_hard_check
+cargo test -q --release -p atmem-hms chunk_crossing_slice_is_a_hard_check
 cargo test -q --release -p atmem-hms windows_beyond_u32_index_range_are_rejected
 cargo test -q --release -p atmem-hms enclosing_mapping_is_rejected
 cargo test -q --release -p atmem-hms assoc_above_16_is_rejected
@@ -49,9 +55,10 @@ cargo test -q --release -p atmem-hms free_frames_of_a_mapped_frame_panics
 cargo test -q --release -p atmem-graph rmat_outputs_are_pinned
 cargo test -q --release -p atmem-graph descent_matches_the_reference_edge_for_edge
 
-echo "==> unsafe guard (the migration copy engine stays safe code)"
+echo "==> unsafe guard (the migration copy engine and the chunk pool stay safe code)"
 # PR 16 replaced the raw-pointer copy engine with copy_from_slice loops;
-# the one unsafe seam left is shard.rs's TiersView.
+# the one unsafe seam left is shard.rs's TiersView and the Chunk it reads
+# (tier.rs's chunk table, pool and mapped-frame counts are safe code).
 if grep -rn 'unsafe' crates/hms/src/machine.rs crates/hms/src/mbind.rs crates/hms/src/tier.rs crates/core/src; then echo "unsafe is back in the migration path (lines above)" >&2; exit 1; fi
 
 echo "==> surface guard (one way in: hms's crate root is its surface, every access operation declared once and implemented once)"
@@ -108,6 +115,16 @@ echo "==> unaccounted data path: segment-wise fill/load/copy-out vs poke/peek lo
 # and through a CoreHandle: equal data images, and counters, clock, TLB/LLC
 # contents, PEBS buffer and trace ring untouched by every bulk call.
 cargo test -q -p atmem-hms --lib bulk_unaccounted_ops_match_poke_peek_loops
+
+echo "==> tier storage: chunked, recycled backing vs a flat byte array per tier"
+# Random programs (allocations, frees, scalar / block / window writes,
+# hand-staged and mbind migrations, sharded phases) on tiers that end in a
+# partial chunk, run once on the chunk pool as it is and once on a pool just
+# filled with another machine's 0xA5 bytes: equal data images (and equal to a flat
+# Vec<u8> per tier), equal counters, clock and PEBS stream, audit clean.
+# Already part of tier-1 above; named so a backing bug is named in CI
+# output. Same knob as the sweeps around it.
+ATMEM_PROP_CASES="${ATMEM_PROP_CASES:-8}" cargo test -q -p atmem-hms --test storage chunked_storage_matches_a_flat_shadow
 
 echo "==> fault-injection smoke (set ATMEM_PROP_CASES to widen the sweep)"
 # Quick pass over the fault-injection property harness: a handful of

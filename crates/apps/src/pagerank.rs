@@ -17,6 +17,17 @@ use crate::par;
 /// Damping factor (the classic 0.85).
 pub const DAMPING: f64 = 0.85;
 
+/// The contributions one source core routes to one destination owner:
+/// destination ids in edge order, and their shares run-length encoded — one
+/// `(end, share)` run per source vertex that reached the owner, `share`
+/// being the share of the elements from the previous run's `end` up to this
+/// one's (8 bytes per edge less than a share per element).
+#[derive(Debug, Clone, Default)]
+struct Bucket {
+    indices: Vec<u32>,
+    runs: Vec<(usize, f64)>,
+}
+
 /// PageRank kernel state.
 #[derive(Debug)]
 pub struct PageRank {
@@ -28,7 +39,6 @@ pub struct PageRank {
     bounds: Vec<u64>,
     nbrs: Vec<u32>,
     ranks: Vec<f64>,
-    shares: Vec<f64>,
     accs: Vec<f64>,
     zeros: Vec<f64>,
 }
@@ -52,7 +62,6 @@ impl PageRank {
             bounds: vec![0; n + 1],
             nbrs: vec![0; e],
             ranks: vec![0.0; n],
-            shares: vec![0.0; e],
             accs: vec![0.0; n],
             zeros: vec![0.0; n],
         })
@@ -75,8 +84,8 @@ impl PageRank {
     /// edge-balanced ranges: each core streams its row bounds, ranks and
     /// neighbour ids through its own accounted core, then buckets the
     /// resulting `(dest, share)` contributions by destination owner
-    /// (host-side, unaccounted routing). **Phase B** gives each core a
-    /// contiguous slice of the accumulator: it applies the buckets routed
+    /// (host-side, unaccounted routing, a [`Bucket`] per owner). **Phase B**
+    /// gives each core a contiguous slice of the accumulator: it applies the buckets routed
     /// to it — source cores in core order, each bucket already in edge
     /// order, so every accumulator entry folds in **global edge order**
     /// (f64 addition is non-associative; this ordering is what keeps the
@@ -93,9 +102,9 @@ impl PageRank {
         let next = &self.next;
 
         // Phase A: partitioned streams + host-side contribution routing.
-        let buckets: Vec<Vec<(Vec<u32>, Vec<f64>)>> = ctx.run_cores(|c, mut ctx| {
+        let buckets: Vec<Vec<Bucket>> = ctx.run_cores(|c, mut ctx| {
             let (lo, hi) = (src_cuts[c], src_cuts[c + 1]);
-            let mut out: Vec<(Vec<u32>, Vec<f64>)> = vec![(Vec::new(), Vec::new()); cores];
+            let mut out = vec![Bucket::default(); cores];
             if lo == hi {
                 return out;
             }
@@ -113,9 +122,14 @@ impl PageRank {
                 }
                 let share = ranks[v - lo] / (e - s) as f64;
                 for &u in &nbrs[s - es..e - es] {
-                    let owner = par::owner(&dst_cuts, u as usize);
-                    out[owner].0.push(u);
-                    out[owner].1.push(share);
+                    out[par::owner(&dst_cuts, u as usize)].indices.push(u);
+                }
+                // Close this vertex's run in every bucket it reached.
+                for Bucket { indices, runs } in &mut out {
+                    let routed = runs.last().map_or(0, |&(end, _)| end);
+                    if indices.len() > routed {
+                        runs.push((indices.len(), share));
+                    }
                 }
             }
             out
@@ -126,8 +140,16 @@ impl PageRank {
         let buckets = &buckets;
         ctx.run_cores(|c, mut ctx| {
             for per_src in buckets {
-                let (indices, shares) = &per_src[c];
-                ctx.gather_update(next, indices, |k, acc| acc + shares[k]);
+                // Element `k` only increases, so a cursor over the runs
+                // finds its share.
+                let Bucket { indices, runs } = &per_src[c];
+                let mut run = 0;
+                ctx.gather_update(next, indices, |k, acc| {
+                    while runs[run].0 <= k {
+                        run += 1;
+                    }
+                    acc + runs[run].1
+                });
             }
             let (lo, hi) = (dst_cuts[c], dst_cuts[c + 1]);
             if lo == hi {
@@ -170,23 +192,25 @@ impl Kernel for PageRank {
         self.nbrs.resize(self.graph.num_edges(), 0);
         self.graph.neighbor_run(ctx, 0, &mut self.nbrs);
         // Push phase: the whole edge list is one scatter-update window over
-        // the accumulator, in global edge order, with per-edge shares staged
-        // host-side. Each window is bit-identical to its per-element scalar
-        // loop, so the historical per-vertex window boundaries were
-        // unobservable in simulated state — concatenating them changes
-        // nothing, and one window pays the window engine's set-up once per
-        // iteration instead of once per vertex.
-        self.shares.resize(self.graph.num_edges(), 0.0);
-        for v in 0..n {
-            let (start, end) = (self.bounds[v] as usize, self.bounds[v + 1] as usize);
-            if start == end {
-                continue;
+        // the accumulator, in global edge order. Each window is bit-identical
+        // to its per-element scalar loop, so the historical per-vertex window
+        // boundaries were unobservable in simulated state — concatenating
+        // them changes nothing, and one window pays the window engine's
+        // set-up once per iteration instead of once per vertex. Edge `k`
+        // only increases, so a vertex cursor that only moves forward finds
+        // each edge's share without a per-edge array of them.
+        let (bounds, ranks) = (&self.bounds, &self.ranks);
+        let (mut v, mut end, mut share) = (0, 0, 0.0);
+        ctx.gather_update(&self.next, &self.nbrs, |k, acc| {
+            if k as u64 >= end {
+                while bounds[v + 1] <= k as u64 {
+                    v += 1;
+                }
+                end = bounds[v + 1];
+                share = ranks[v] / (end - bounds[v]) as f64;
             }
-            let share = self.ranks[v] / (end - start) as f64;
-            self.shares[start..end].fill(share);
-        }
-        let shares = &self.shares;
-        ctx.gather_update(&self.next, &self.nbrs, |k, acc| acc + shares[k]);
+            acc + share
+        });
         // Damping + swap phase: three sequential streams.
         let base = (1.0 - DAMPING) / n as f64;
         self.accs.resize(n, 0.0);

@@ -22,7 +22,7 @@ use crate::shard::{
     resolve_block, BlockSegment, CoreCtx, CoreHandle, MemPort, TiersView, MAX_TIERS,
 };
 use crate::stats::MachineStats;
-use crate::tier::{Tier, TierId};
+use crate::tier::{Tier, TierId, TierStorage};
 use crate::trace::{TraceRecord, Tracer};
 
 /// Where an allocation's physical frames should come from.
@@ -102,6 +102,8 @@ struct StagingImage {
 pub struct Machine {
     platform: Platform,
     tiers: Vec<Tier>,
+    /// Host backing of the tiers' mapped frames.
+    storage: TierStorage,
     mappings: MappingTable,
     allocations: BTreeMap<u64, AllocationInfo>,
     next_vaddr: u64,
@@ -152,6 +154,7 @@ impl Machine {
             "link_bw matrix must be tier-count square"
         );
         let tiers: Vec<Tier> = platform.tiers.iter().cloned().map(Tier::new).collect();
+        let storage = TierStorage::new(&platform.tiers);
         let core = CoreCtx::resident(&platform, 0xA7_3E3, 1 << 24);
         Machine {
             core,
@@ -160,6 +163,7 @@ impl Machine {
             // Arbitrary non-zero base, 2 MiB aligned.
             next_vaddr: 0x4000_0000,
             tiers,
+            storage,
             platform,
             fault: None,
             staged_runs: Vec::new(),
@@ -373,7 +377,7 @@ impl Machine {
         let results: Vec<R> = {
             let mappings = &self.mappings;
             let platform = &self.platform;
-            let tiers = TiersView::new(&mut self.tiers);
+            let tiers = TiersView::new(&self.tiers, &mut self.storage);
             std::thread::scope(|scope| {
                 let handles: Vec<_> = ctxs
                     .iter_mut()
@@ -509,6 +513,9 @@ impl Machine {
             },
         );
         for m in created {
+            // Fresh memory reads zero, whatever the chunk under it held.
+            self.storage
+                .zero_frames(m.tier, FrameRun::new(m.frame_start, m.pages));
             self.note_mapped(m.vrange(), m.tier);
             self.mappings.insert(m);
         }
@@ -545,13 +552,7 @@ impl Machine {
                         let run = self
                             .try_alloc_base_run(tier, head)
                             .ok_or_else(|| self.oom_error(tier, head * PAGE_SIZE))?;
-                        out.push(Mapping {
-                            vpage_start: vpage,
-                            pages: run.count,
-                            tier,
-                            frame_start: run.start,
-                            kind: PageKind::Base4K,
-                        });
+                        out.push(self.back_mapping(vpage, tier, run, PageKind::Base4K));
                         vpage += run.count as u64;
                         pages -= run.count as usize;
                         continue;
@@ -564,13 +565,7 @@ impl Machine {
                 // one mapping; fall back unit-by-unit, then to base pages.
                 if let Some(run) = self.try_alloc_huge_run(tier, units) {
                     let mapped_pages = run.count as usize;
-                    out.push(Mapping {
-                        vpage_start: vpage,
-                        pages: run.count,
-                        tier,
-                        frame_start: run.start,
-                        kind: PageKind::Huge2M,
-                    });
+                    out.push(self.back_mapping(vpage, tier, run, PageKind::Huge2M));
                     vpage += mapped_pages as u64;
                     pages -= mapped_pages;
                     continue;
@@ -582,17 +577,24 @@ impl Machine {
             let run = self
                 .try_alloc_base_run(tier, want)
                 .ok_or_else(|| self.oom_error(tier, pages * PAGE_SIZE))?;
-            out.push(Mapping {
-                vpage_start: vpage,
-                pages: run.count,
-                tier,
-                frame_start: run.start,
-                kind: PageKind::Base4K,
-            });
+            out.push(self.back_mapping(vpage, tier, run, PageKind::Base4K));
             vpage += run.count as u64;
             pages -= run.count as usize;
         }
         Ok(())
+    }
+
+    /// The mapping of `run.count` pages from `vpage` onto `run`, its frames
+    /// backed by host memory (undone by [`Machine::unmap_one`]).
+    fn back_mapping(&mut self, vpage: u64, tier: TierId, run: FrameRun, kind: PageKind) -> Mapping {
+        self.storage.map_frames(tier, run);
+        Mapping {
+            vpage_start: vpage,
+            pages: run.count,
+            tier,
+            frame_start: run.start,
+            kind,
+        }
     }
 
     /// Tries to allocate `units` aligned huge units as one run, halving on
@@ -643,6 +645,7 @@ impl Machine {
     fn unmap_one(&mut self, m: &Mapping) {
         let run = FrameRun::new(m.frame_start, m.pages);
         self.tiers[m.tier.index()].frames.free_run(run);
+        self.storage.unmap_frames(m.tier, run);
         self.invalidate_llc_frames(m.tier, run);
     }
 
@@ -708,15 +711,30 @@ impl Machine {
         &self.mappings
     }
 
-    /// Borrows `len` bytes of `tier`'s backing storage at byte `offset`, as
-    /// they are: no translation, no accounting. For verification (what do
-    /// the frames under a staging run hold?) and unaccounted copy-out.
+    /// Borrows `len` bytes of `tier`'s backing storage at byte `offset`,
+    /// inside one backed chunk (a segment of
+    /// [`resolve_block`](crate::shard::resolve_block)), for
+    /// [`TrackedVec::values`](crate::TrackedVec::values).
+    pub(crate) fn storage_slice(&self, tier: TierId, offset: usize, len: usize) -> &[u8] {
+        self.storage.slice(tier, offset, len)
+    }
+
+    /// Copies `len` bytes of `tier`'s backing storage at byte `offset` out,
+    /// as they are: no translation, no accounting. For verification (what
+    /// do the frames under a staging run hold?). Only mapped frames have
+    /// bytes of their own: a chunk of the tier (256 KiB) in which no frame is
+    /// mapped reads as zero, an unmapped frame beside a mapped one as
+    /// whatever was last left there.
     ///
     /// # Panics
     ///
     /// Panics if the range exceeds the tier's capacity.
-    pub fn storage_slice(&self, tier: TierId, offset: usize, len: usize) -> &[u8] {
-        self.tiers[tier.index()].storage.slice(offset, len)
+    pub fn storage_to_vec(&self, tier: TierId, offset: usize, len: usize) -> Vec<u8> {
+        assert!(
+            offset + len <= self.capacity(tier),
+            "tier storage range out of bounds"
+        );
+        self.storage.to_vec(tier, offset, len)
     }
 
     /// The tier currently backing `va`.
@@ -775,7 +793,8 @@ impl Machine {
     ///
     /// The frames are held in the tier's allocator like any others; the
     /// bytes staged into the run are kept in a machine-owned image beside
-    /// it, so the tier's storage under the run is never written.
+    /// it: the run's frames are never backed by tier storage, let alone
+    /// written.
     ///
     /// # Errors
     ///
@@ -844,10 +863,12 @@ impl Machine {
         if self.fault_fires(FaultSite::FrameAlloc) {
             return Err(self.oom_error(tier, PAGE_SIZE));
         }
-        self.tiers[tier.index()]
+        let run = self.tiers[tier.index()]
             .frames
             .alloc_run(1)
-            .ok_or_else(|| self.oom_error(tier, PAGE_SIZE))
+            .ok_or_else(|| self.oom_error(tier, PAGE_SIZE))?;
+        self.storage.map_frames(tier, run);
+        Ok(run)
     }
 
     /// Releases the frame a mapping stops using within the same operation
@@ -856,6 +877,7 @@ impl Machine {
     pub(crate) fn free_page_frame(&mut self, tier: TierId, frame: u32) {
         let run = FrameRun::new(frame, 1);
         self.tiers[tier.index()].frames.free_run(run);
+        self.storage.unmap_frames(tier, run);
         self.invalidate_llc_frames(tier, run);
     }
 
@@ -870,21 +892,9 @@ impl Machine {
         dst_tier: TierId,
         dst_frame: u32,
     ) {
-        let (s, d) = (src_tier.index(), dst_tier.index());
-        assert_ne!(s, d, "page copy within one tier");
-        // Two tiers of one array: split it between them.
-        let (lo, hi) = self.tiers.split_at_mut(s.max(d));
-        let (src, dst) = if s < d {
-            (&lo[s], &mut hi[0])
-        } else {
-            (&hi[0], &mut lo[d])
-        };
-        dst.storage
-            .slice_mut((dst_frame as usize) << PAGE_SHIFT, PAGE_SIZE)
-            .copy_from_slice(
-                src.storage
-                    .slice((src_frame as usize) << PAGE_SHIFT, PAGE_SIZE),
-            );
+        assert_ne!(src_tier, dst_tier, "page copy within one tier");
+        self.storage
+            .copy_page((src_tier, src_frame), (dst_tier, dst_frame));
     }
 
     /// Copies the page-aligned virtual `range` into the staging run `dst`
@@ -920,11 +930,13 @@ impl Machine {
         let mut ns = 0.0;
         let image = &mut self.staged_images[slot];
         let mut staged = 0;
-        for &BlockSegment { tier, offset, len } in &segments {
-            ns += copy_ns(&self.platform, tier, dst_tier, len, threads);
-            image.bytes[staged..staged + len]
-                .copy_from_slice(self.tiers[tier.index()].storage.slice(offset, len));
-            staged += len;
+        for segment in &segments {
+            ns += copy_ns(&self.platform, segment.tier, dst_tier, segment.len, threads);
+            for BlockSegment { tier, offset, len } in segment.chunks() {
+                image.bytes[staged..staged + len]
+                    .copy_from_slice(self.storage.slice(tier, offset, len));
+                staged += len;
+            }
         }
         image.staged = staged;
         let time = SimDuration::from_ns(ns);
@@ -963,13 +975,14 @@ impl Machine {
         let mut ns = 0.0;
         let image = &self.staged_images[slot];
         let mut replayed = 0;
-        for &BlockSegment { tier, offset, len } in &segments {
-            ns += copy_ns(&self.platform, src_tier, tier, len, threads);
-            self.tiers[tier.index()]
-                .storage
-                .slice_mut(offset, len)
-                .copy_from_slice(&image.bytes[replayed..replayed + len]);
-            replayed += len;
+        for segment in &segments {
+            ns += copy_ns(&self.platform, src_tier, segment.tier, segment.len, threads);
+            for BlockSegment { tier, offset, len } in segment.chunks() {
+                self.storage
+                    .slice_mut(tier, offset, len)
+                    .copy_from_slice(&image.bytes[replayed..replayed + len]);
+                replayed += len;
+            }
         }
         let time = SimDuration::from_ns(ns);
         self.core.clock.advance(time);
@@ -1241,7 +1254,11 @@ impl Machine {
     /// 7. monotone counters (time, accesses, hit/miss totals, migrated
     ///    bytes) never run backwards between audits;
     /// 8. the incremental residency cache (per-allocation and per-tag
-    ///    resident-byte counters) matches a full mapping rescan.
+    ///    resident-byte counters) matches a full mapping rescan;
+    /// 9. host backing follows the mappings: every chunk's mapped-frame
+    ///    count equals the frames the mapping table places in it, a chunk is
+    ///    backed exactly while that count is non-zero, and so no mapped
+    ///    frame is unbacked (and no staging run backed on its own account).
     ///
     /// Needs `&mut self` only to store the counter snapshot for the next
     /// monotonicity check.
@@ -1334,6 +1351,17 @@ impl Machine {
                 ));
             }
         }
+
+        // Invariant 9: chunks are backed by, and only by, mapped frames.
+        violations.extend(
+            self.storage
+                .check(owners.iter().enumerate().flat_map(|(ti, owned)| {
+                    let mapped = owned.iter().filter(|(_, _, vpage)| vpage.is_some());
+                    mapped.map(move |&(start, count, _)| {
+                        (TierId::new(ti), FrameRun::new(start, count))
+                    })
+                })),
+        );
 
         // Invariant 3: per-tier frame conservation.
         for (ti, tier) in self.tiers.iter().enumerate() {
@@ -1537,7 +1565,7 @@ impl MemPort for Machine {
             &mut self.core,
             &self.mappings,
             &self.platform,
-            TiersView::new(&mut self.tiers),
+            TiersView::new(&self.tiers, &mut self.storage),
         ))
     }
 }
@@ -1549,7 +1577,9 @@ impl MemPort for Machine {
 /// bandwidth (infinite on every two-tier preset, so the `min` is exact
 /// identity there); a same-tier copy halves the budget (read and write
 /// share the channel). The thread count feeds this model only: the host
-/// copies each segment with one `copy_from_slice`.
+/// copies each segment with one `copy_from_slice` per chunk of host memory
+/// it spans (charged per segment, not per chunk: the callers' `f64` sum is
+/// not associative).
 fn copy_ns(platform: &Platform, src: TierId, dst: TierId, len: usize, threads: usize) -> f64 {
     let mut bw = platform.tiers[src.index()]
         .copy_read_bw(threads)
@@ -2097,6 +2127,38 @@ mod tests {
             violations.iter().any(|v| v.contains("frame leak")),
             "leak not flagged: {violations:#?}"
         );
+    }
+
+    #[test]
+    fn audit_flags_planted_chunk_faults() {
+        let mut m = machine();
+        let r = m.alloc(64 * 1024, Placement::Fast).unwrap();
+        assert_clean(&mut m);
+        // A chunk backed behind the mapping table's back...
+        let stray = FrameRun::new(1024, 4);
+        m.storage.map_frames(TierId::SLOW, stray);
+        let violations = m.audit();
+        assert!(
+            violations
+                .iter()
+                .any(|v| v.contains("counts 4 mapped frames, the mappings place 0")),
+            "stray backing not flagged: {violations:#?}"
+        );
+        m.storage.unmap_frames(TierId::SLOW, stray);
+        assert_clean(&mut m);
+        // ...and mapped frames whose chunk was released.
+        let mapped = m.mappings_in(r)[0];
+        let run = FrameRun::new(mapped.frame_start, mapped.pages);
+        m.storage.unmap_frames(mapped.tier, run);
+        let violations = m.audit();
+        assert!(
+            violations
+                .iter()
+                .any(|v| v.contains("counts 0 mapped frames, the mappings place 16")),
+            "unbacked mapping not flagged: {violations:#?}"
+        );
+        m.storage.map_frames(mapped.tier, run);
+        assert_clean(&mut m);
     }
 
     #[test]

@@ -44,7 +44,7 @@
 //! Violating the contract is a data race on simulated memory — the same
 //! bug it would be on real hardware.
 
-use std::marker::PhantomData;
+use std::ptr::NonNull;
 
 use crate::addr::{
     PhysAddr, VirtAddr, VirtRange, HUGE_PAGE_FRAMES, LINE_SIZE, PAGE_SHIFT, PAGE_SIZE,
@@ -56,7 +56,7 @@ use crate::machine::Scalar;
 use crate::mapping::{Mapping, MappingTable, PageKind};
 use crate::pebs::Pebs;
 use crate::platform::Platform;
-use crate::tier::{Tier, TierId, TierSpec};
+use crate::tier::{Tier, TierId, TierSpec, TierStorage};
 use crate::tlb::Tlb;
 use crate::trace::{AccessKind, Tracer};
 
@@ -97,6 +97,22 @@ pub(crate) struct BlockSegment {
     pub offset: usize,
     /// Length in bytes.
     pub len: usize,
+}
+
+impl BlockSegment {
+    /// The segment split at [`CHUNK_SIZE`] boundaries of the tier: frames
+    /// are contiguous within a mapping, host memory only within a chunk.
+    pub(crate) fn chunks(mut self) -> impl Iterator<Item = BlockSegment> {
+        std::iter::from_fn(move || {
+            (self.len > 0).then(|| {
+                let len = self.len.min(CHUNK_SIZE - (self.offset & (CHUNK_SIZE - 1)));
+                let piece = BlockSegment { len, ..self };
+                self.offset += len;
+                self.len -= len;
+                piece
+            })
+        })
+    }
 }
 
 /// The private state of one simulated core.
@@ -148,62 +164,110 @@ impl CoreCtx {
     }
 }
 
-/// A raw-pointer view of one tier's spec and backing storage.
-#[derive(Debug, Clone, Copy)]
-struct TierView {
-    spec: *const TierSpec,
-    base: *mut u8,
-    cap: usize,
+/// log2 of [`CHUNK_SIZE`].
+pub(crate) const CHUNK_SHIFT: u32 = PAGE_SHIFT + HUGE_PAGE_FRAMES.trailing_zeros();
+/// Size of one [`Chunk`] of host backing: 256 KiB, the frames of one
+/// simulated huge page. A chunk kept alive by one mapped frame is resident
+/// whole once it has been recycled: at 2 MiB the unmapped remainders — the
+/// holes freed staging runs leave between migrated regions — cost
+/// `regular_sweep` and `sharded_2core` 14–17 % of resident memory.
+pub(crate) const CHUNK_SIZE: usize = 1 << CHUNK_SHIFT;
+
+/// Chunks are carved from allocations this large: glibc serves a request of
+/// 32 MiB or more with an `mmap` of its own whatever its adaptive threshold
+/// has drifted to, so chunk memory is lazily zeroed pages that never sit in
+/// the allocator's heap. (Chunks allocated one by one land in that heap once
+/// the program has freed its first large buffer, and long-lived chunks
+/// between short-lived buffers pinned 17 MiB of freed heap on
+/// `regular_sweep`.)
+const SLAB_SIZE: usize = 32 << 20;
+
+/// One [`CHUNK_SIZE`] block of host memory backing simulated frames: an
+/// exclusive stretch of a slab that lives as long as the process.
+///
+/// The block is held as a raw pointer rather than a `&'static mut [u8]` so
+/// that the per-core [`TiersView`]s and the owner's own
+/// [`bytes`](Chunk::bytes) / [`bytes_mut`](Chunk::bytes_mut) all derive from
+/// one root pointer: a view stays valid however often safe code has
+/// borrowed the chunk in between.
+#[derive(Debug)]
+pub(crate) struct Chunk {
+    /// Start of `CHUNK_SIZE` bytes of a leaked slab that no other chunk
+    /// covers (chunks are made by [`Chunk::slab`] alone and are not `Clone`).
+    ptr: NonNull<u8>,
 }
 
-/// A `Copy`, thread-shareable view of the tier array: specs and raw
-/// storage pointers, no frame allocators (cores never allocate).
+// SAFETY: a chunk is the only handle to its bytes (no other owner, no
+// thread-affine state), so moving it to another thread moves plain bytes.
+unsafe impl Send for Chunk {}
+// SAFETY: `&Chunk` exposes reads only (`bytes`). The one way to write through
+// a shared chunk is `TiersView::bytes_mut`, which exists only while the
+// owning storage is mutably borrowed for the view and is governed by the
+// partition contract (module docs).
+unsafe impl Sync for Chunk {}
+
+impl Chunk {
+    /// Allocates a slab of zero bytes (left to the allocator to zero
+    /// lazily) for the life of the process and cuts it into chunks.
+    pub(crate) fn slab() -> impl Iterator<Item = Chunk> {
+        let slab: &'static mut [u8] = Box::leak(vec![0u8; SLAB_SIZE].into_boxed_slice());
+        slab.chunks_exact_mut(CHUNK_SIZE).map(|bytes| Chunk {
+            ptr: NonNull::from(bytes).cast(),
+        })
+    }
+
+    /// The chunk's bytes.
+    pub(crate) fn bytes(&self) -> &[u8] {
+        // SAFETY: `ptr` starts CHUNK_SIZE bytes of a leaked allocation that
+        // only `self` covers. The only writer through a shared chunk is a
+        // `TiersView`, and one exists only while the owning storage is
+        // mutably borrowed for it, so no `&Chunk` from outside this module
+        // coexists with one.
+        unsafe { std::slice::from_raw_parts(self.ptr.as_ptr(), CHUNK_SIZE) }
+    }
+
+    /// The chunk's bytes, mutably.
+    pub(crate) fn bytes_mut(&mut self) -> &mut [u8] {
+        // SAFETY: as `bytes`, and `&mut self` is exclusive.
+        unsafe { std::slice::from_raw_parts_mut(self.ptr.as_ptr(), CHUNK_SIZE) }
+    }
+}
+
+/// A `Copy`, thread-shareable view of the tiers: their specs and the chunk
+/// table of the machine's [`TierStorage`], no frame allocators (cores never
+/// allocate).
 ///
 /// # Safety
 ///
-/// The view borrows the tiers mutably for `'a`, so no other code can touch
-/// tier storage while any copy of the view is live. Concurrent use across
-/// cores is governed by the partition contract (module docs): concurrent
-/// reads of any byte are fine; bytes written by one core in a phase must
-/// not be accessed by another. `bytes`/`bytes_mut` materialise references
-/// only over the exact requested range, so disjoint accesses never create
-/// aliasing references.
+/// The view borrows the storage mutably for `'a`, so no other code can touch
+/// tier bytes (or back and release chunks) while any copy of the view is
+/// live. Concurrent use across cores is governed by the partition contract
+/// (module docs): concurrent reads of any byte are fine; bytes written by
+/// one core in a phase must not be accessed by another. `bytes`/`bytes_mut`
+/// materialise references only over the exact requested range, so disjoint
+/// accesses never create aliasing references.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct TiersView<'a> {
-    views: [TierView; MAX_TIERS],
-    count: usize,
-    _marker: PhantomData<&'a mut [Tier]>,
+    tiers: &'a [Tier],
+    /// [`TierStorage::table`]: slot `tier * stride + (offset >> CHUNK_SHIFT)`
+    /// holds the chunk backing that stretch of the tier, if any.
+    table: &'a [Option<Chunk>],
+    stride: usize,
 }
 
-// SAFETY: see the struct docs — the underlying storage outlives 'a and all
-// cross-thread access is restricted by the partition contract.
-unsafe impl Send for TiersView<'_> {}
-unsafe impl Sync for TiersView<'_> {}
-
 impl<'a> TiersView<'a> {
-    pub(crate) fn new(tiers: &'a mut [Tier]) -> Self {
-        assert!(tiers.len() <= MAX_TIERS, "more tiers than the view holds");
-        let mut views = [TierView {
-            spec: std::ptr::null(),
-            base: std::ptr::null_mut(),
-            cap: 0,
-        }; MAX_TIERS];
-        let count = tiers.len();
-        for (v, t) in views.iter_mut().zip(tiers.iter_mut()) {
-            v.spec = &t.spec;
-            v.cap = t.storage.capacity();
-            v.base = t.storage.base_ptr();
-        }
+    pub(crate) fn new(tiers: &'a [Tier], storage: &'a mut TierStorage) -> Self {
+        let storage: &'a TierStorage = storage;
         TiersView {
-            views,
-            count,
-            _marker: PhantomData,
+            tiers,
+            table: storage.table(),
+            stride: storage.stride(),
         }
     }
 
     /// Number of tiers.
     fn len(&self) -> usize {
-        self.count
+        self.tiers.len()
     }
 
     /// The spec of `tier`.
@@ -215,21 +279,54 @@ impl<'a> TiersView<'a> {
     /// The spec of the tier at `index`.
     #[inline]
     fn spec_at(&self, index: usize) -> &TierSpec {
-        debug_assert!(index < self.count);
-        // SAFETY: the pointer was taken from a tier borrowed for 'a and the
-        // spec is never mutated while mapped (tiers are read-mostly shared
-        // state).
-        unsafe { &*self.views[index].spec }
+        &self.tiers[index].spec
+    }
+
+    /// Host address of byte `offset` of `tier`, checked — in release builds
+    /// too — to lie, with the `len - 1` bytes after it, inside one backed
+    /// chunk of that tier: an access that fails the check would read or
+    /// write host memory no simulated frame owns.
+    #[inline]
+    fn ptr(&self, tier: TierId, offset: usize, len: usize) -> *mut u8 {
+        let (chunk, within) = (offset >> CHUNK_SHIFT, offset & (CHUNK_SIZE - 1));
+        // `chunk < stride`, or an offset past the tier's end would land in
+        // the next tier's slots.
+        if within + len <= CHUNK_SIZE && chunk < self.stride {
+            if let Some(Some(backing)) = self.table.get(tier.index() * self.stride + chunk) {
+                // SAFETY: `within + len <= CHUNK_SIZE` (checked), so the
+                // offset pointer stays inside the chunk's allocation.
+                return unsafe { backing.ptr.as_ptr().add(within) };
+            }
+        }
+        self.bad_access(tier, offset, len)
+    }
+
+    /// The panic of a failed [`ptr`](TiersView::ptr) check, out of line: one
+    /// cold call is all the accessors carry, so they stay small enough to
+    /// inline into the access engines.
+    #[cold]
+    #[inline(never)]
+    fn bad_access(&self, tier: TierId, offset: usize, len: usize) -> ! {
+        let (chunk, within) = (offset >> CHUNK_SHIFT, offset & (CHUNK_SIZE - 1));
+        if within + len > CHUNK_SIZE {
+            panic!(
+                "tier storage access crosses a chunk boundary: {len} bytes at {offset} of {tier}"
+            );
+        }
+        if chunk >= self.stride || tier.index() >= self.tiers.len() {
+            panic!("tier storage access beyond the tier: byte {offset} of {tier}");
+        }
+        panic!("tier storage access to an unbacked chunk: byte {offset} of {tier}");
     }
 
     /// Borrows `len` bytes of `tier`'s storage starting at `offset`.
     #[inline]
     pub(crate) fn bytes(&self, tier: TierId, offset: usize, len: usize) -> &[u8] {
-        let v = &self.views[tier.index()];
-        assert!(offset + len <= v.cap, "tier storage slice out of bounds");
-        // SAFETY: in bounds (checked), storage outlives 'a, and the
-        // partition contract forbids concurrent writes to these bytes.
-        unsafe { std::slice::from_raw_parts(v.base.add(offset), len) }
+        let ptr = self.ptr(tier, offset, len);
+        // SAFETY: `ptr..ptr + len` lies inside a live chunk (checked by
+        // `ptr`), the storage outlives 'a, and the partition contract
+        // forbids concurrent writes to these bytes.
+        unsafe { std::slice::from_raw_parts(ptr, len) }
     }
 
     /// Mutably borrows `len` bytes of `tier`'s storage starting at
@@ -237,13 +334,13 @@ impl<'a> TiersView<'a> {
     #[allow(clippy::mut_from_ref)] // the view is a shared window over storage owned elsewhere
     #[inline]
     pub(crate) fn bytes_mut(&self, tier: TierId, offset: usize, len: usize) -> &mut [u8] {
-        let v = &self.views[tier.index()];
-        assert!(offset + len <= v.cap, "tier storage slice out of bounds");
-        // SAFETY: in bounds (checked), storage outlives 'a, and the
-        // partition contract guarantees no other core touches bytes this
+        let ptr = self.ptr(tier, offset, len);
+        // SAFETY: `ptr..ptr + len` lies inside a live chunk (checked by
+        // `ptr`), the storage outlives 'a and is mutably borrowed for it, and
+        // the partition contract guarantees no other core touches bytes this
         // core writes during a phase; the reference covers only the
         // requested range, so disjoint ranges never alias.
-        unsafe { std::slice::from_raw_parts_mut(v.base.add(offset), len) }
+        unsafe { std::slice::from_raw_parts_mut(ptr, len) }
     }
 }
 
@@ -767,8 +864,8 @@ impl<'a> CoreHandle<'a> {
 
     /// Performs an accounted bulk access over `range`, simulated as
     /// `range.len / elem` consecutive scalar accesses of `elem` bytes each,
-    /// and returns the physically contiguous storage segments backing the
-    /// range in address order.
+    /// and returns the storage segments backing the range in address order,
+    /// each physically contiguous and inside one chunk of host memory.
     ///
     /// This is the fast path behind the `TrackedVec` slice APIs: the mapping
     /// table is consulted once per mapping chunk, the TLB once per
@@ -846,11 +943,12 @@ impl<'a> CoreHandle<'a> {
             // virtual address for the rest of the chunk.
             let (frame, offset) = mapping.translate(va);
             let pa_base = frame.phys_addr(offset).raw();
-            segments.push(BlockSegment {
+            let piece = BlockSegment {
                 tier: frame.tier,
                 offset: frame.byte_offset() + offset,
                 len: chunk_len,
-            });
+            };
+            segments.extend(piece.chunks());
             let miss_cost = self
                 .platform
                 .cost
@@ -999,7 +1097,8 @@ fn tlb_unit_end(mapping: &Mapping, va: VirtAddr, coalesce: usize) -> VirtAddr {
 }
 
 /// Resolves `range` to the physically contiguous storage segments backing
-/// it: the mapping walk of [`CoreHandle::access_block`] with nothing charged
+/// it, one per mapping met — split each with [`BlockSegment::chunks`] before
+/// touching its bytes: the mapping walk of [`CoreHandle::access_block`] with nothing charged
 /// — no counter, TLB, LLC, clock, PEBS or trace effect. What
 /// [`MemPort::peek`] / [`MemPort::poke`] are to `read` / `write` (the
 /// `TrackedVec` fill / load / copy-out path, and the migration copies).
@@ -1288,7 +1387,8 @@ const _: fn(HmsError) = |_| {};
 mod tests {
     use crate::machine::{Machine, Placement};
     use crate::platform::Platform;
-    use crate::shard::MemPort;
+    use crate::shard::{MemPort, CHUNK_SIZE};
+    use crate::tier::TierId;
     use crate::tracked::TrackedVec;
 
     fn machine() -> Machine {
@@ -1307,6 +1407,30 @@ mod tests {
         // the declared window width of 8 — only the hard check can catch it.
         let mut out = [0u32; 1];
         let _ = m.read_gather::<u32>(v.range().start, 8, &[9], &mut out);
+    }
+
+    /// Host memory exists only under mapped frames: reaching for a chunk
+    /// nothing is mapped in is a hard panic in every profile, not a read of
+    /// whatever the table slot points at. (Also run under `--release` by
+    /// ci.sh.)
+    #[test]
+    #[should_panic(expected = "unbacked chunk")]
+    fn unbacked_chunk_access_is_a_hard_check() {
+        let mut m = machine();
+        let _v = TrackedVec::<u32>::new(&mut m, 1024, Placement::Slow).unwrap();
+        m.with_core(|core| core.storage_slice(TierId::SLOW, 2 * CHUNK_SIZE, 4).len());
+    }
+
+    /// Consecutive chunks of a tier are anywhere in host memory: a slice
+    /// that runs off the end of one is a hard panic in every profile,
+    /// although the chunk after it is backed too. (Also run under
+    /// `--release` by ci.sh.)
+    #[test]
+    #[should_panic(expected = "crosses a chunk boundary")]
+    fn chunk_crossing_slice_is_a_hard_check() {
+        let mut m = machine();
+        let _v = TrackedVec::<u8>::new(&mut m, 2 * CHUNK_SIZE, Placement::Slow).unwrap();
+        m.with_core(|core| core.storage_slice(TierId::SLOW, CHUNK_SIZE - 8, 16).len());
     }
 
     /// The u32-truncation fix: a window over an object wider than the u32

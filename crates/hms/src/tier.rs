@@ -1,8 +1,12 @@
 //! Memory tiers: identifiers, performance specifications, and backing storage.
 
 use std::fmt;
+use std::ops::Range;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
-use crate::addr::PAGE_SIZE;
+use crate::addr::{PAGE_SHIFT, PAGE_SIZE};
+use crate::frame::FrameRun;
+use crate::shard::{BlockSegment, Chunk, CHUNK_SHIFT, CHUNK_SIZE};
 
 /// Identifier of a memory tier on a [`Machine`](crate::Machine).
 ///
@@ -158,70 +162,295 @@ impl TierSpec {
     }
 }
 
-/// Byte storage backing one tier. Data written through the simulator
-/// *actually lives here*, so migration really moves bytes and correctness is
-/// observable from the outside.
+/// Chunks no machine is using. Chunks carry no tier and no offset, and a new
+/// slab is cut only while the pool is empty, so the process never holds
+/// more than the peak number of chunks live at once, rounded up to a slab.
+/// One pool for the process, not one per thread: slab memory is never
+/// returned to the allocator, so a pool that died with its thread would
+/// strand it.
+static POOL: Mutex<Pool> = Mutex::new(Pool {
+    recycled: Vec::new(),
+    fresh: Vec::new(),
+});
+
+#[derive(Debug)]
+struct Pool {
+    /// Released by a machine: holding whatever their last frames held, and
+    /// already touched — handed out first.
+    recycled: Vec<Chunk>,
+    /// Cut from a slab and never handed out: known zero.
+    fresh: Vec<Chunk>,
+}
+
+/// The pool, whether or not a thread panicked holding it: a `Vec` push or
+/// pop leaves it valid at every step.
+fn pool() -> MutexGuard<'static, Pool> {
+    POOL.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// Takes a chunk out of the pool, and whether it may hold non-zero bytes.
+fn acquire() -> (Chunk, bool) {
+    let mut pool = pool();
+    if let Some(chunk) = pool.recycled.pop() {
+        return (chunk, true);
+    }
+    if pool.fresh.is_empty() {
+        pool.fresh.extend(Chunk::slab());
+    }
+    (pool.fresh.pop().expect("a slab holds chunks"), false)
+}
+
+/// Returns chunks to the pool.
+fn release(chunks: impl IntoIterator<Item = Chunk>) {
+    pool().recycled.extend(chunks);
+}
+
+/// Bookkeeping of one chunk slot of a [`TierStorage`].
+#[derive(Debug, Clone, Copy, Default)]
+struct ChunkState {
+    /// Frames of the chunk that back a mapping. The chunk is backed exactly
+    /// while this is non-zero.
+    mapped: u32,
+    /// Whether an unmapped frame of the backed chunk may hold non-zero
+    /// bytes: set for a recycled chunk and by every unmap. A fresh
+    /// allocation zeroes the frames it takes from a dirty chunk only, so a
+    /// slab's lazily zeroed memory is never touched just to clear it.
+    dirty: bool,
+}
+
+/// Splits `run` on `tier` at chunk boundaries: the table slot and the byte
+/// range within the chunk, for every chunk the run touches.
+fn pieces(
+    stride: usize,
+    tier: TierId,
+    run: FrameRun,
+) -> impl Iterator<Item = (usize, Range<usize>)> {
+    let bytes = BlockSegment {
+        tier,
+        offset: (run.start as usize) << PAGE_SHIFT,
+        len: run.bytes(),
+    };
+    bytes.chunks().map(move |piece| {
+        let within = piece.offset & (CHUNK_SIZE - 1);
+        let slot = tier.index() * stride + (piece.offset >> CHUNK_SHIFT);
+        (slot, within..within + piece.len)
+    })
+}
+
+/// Host backing of every tier of one machine. Data written through the
+/// simulator *actually lives here*, so migration really moves bytes and
+/// correctness is observable from the outside.
+///
+/// Frame numbers are the simulated address space; chunks are host memory.
+/// A tier is a row of chunk slots ([`CHUNK_SIZE`] each), and a slot holds a [`Chunk`]
+/// exactly while a frame in it backs a mapping: the first mapped frame
+/// takes a chunk from the pool, the last unmapped frame returns it,
+/// dropping the machine returns the rest. A
+/// staging run's frames are never mapped, hence never backed.
 #[derive(Debug)]
 pub(crate) struct TierStorage {
-    bytes: Box<[u8]>,
+    /// Slot `tier * stride + chunk index within the tier`; the slots past
+    /// a tier's last chunk stay empty. The per-core views read it directly
+    /// (`shard::TiersView`).
+    table: Vec<Option<Chunk>>,
+    /// Index for index with `table`.
+    state: Vec<ChunkState>,
+    /// Slots per tier: the widest tier's chunk count.
+    stride: usize,
 }
 
 impl TierStorage {
-    /// Allocates zeroed storage of `capacity` bytes.
-    pub(crate) fn new(capacity: usize) -> Self {
+    /// Storage for the given tiers, nothing backed yet.
+    pub(crate) fn new(specs: &[TierSpec]) -> Self {
+        let chunks = specs.iter().map(|s| s.capacity.div_ceil(CHUNK_SIZE));
+        let stride = chunks.max().unwrap_or(0);
+        let slots = specs.len() * stride;
         TierStorage {
-            bytes: vec![0u8; capacity].into_boxed_slice(),
+            table: (0..slots).map(|_| None).collect(),
+            state: vec![ChunkState::default(); slots],
+            stride,
         }
     }
 
-    /// Total capacity in bytes.
-    pub(crate) fn capacity(&self) -> usize {
-        self.bytes.len()
+    /// The chunk table (see the field docs).
+    pub(crate) fn table(&self) -> &[Option<Chunk>] {
+        &self.table
     }
 
-    /// Immutable view of the byte range `[offset, offset + len)`.
+    /// The table's slots per tier.
+    pub(crate) fn stride(&self) -> usize {
+        self.stride
+    }
+
+    /// Notes that the frames of `run` now back a mapping, backing every
+    /// chunk that had no mapped frame. Their bytes are unspecified (see
+    /// [`zero_frames`](TierStorage::zero_frames)).
+    pub(crate) fn map_frames(&mut self, tier: TierId, run: FrameRun) {
+        for (slot, bytes) in pieces(self.stride, tier, run) {
+            let state = &mut self.state[slot];
+            if state.mapped == 0 {
+                let (chunk, dirty) = acquire();
+                state.dirty = dirty;
+                self.table[slot] = Some(chunk);
+            }
+            state.mapped += (bytes.len() >> PAGE_SHIFT) as u32;
+        }
+    }
+
+    /// Notes that the frames of `run` no longer back a mapping, releasing
+    /// every chunk left without a mapped frame.
     ///
     /// # Panics
     ///
-    /// Panics if the range exceeds the capacity.
-    pub(crate) fn slice(&self, offset: usize, len: usize) -> &[u8] {
-        &self.bytes[offset..offset + len]
+    /// Panics if more frames are unmapped from a chunk than were mapped.
+    pub(crate) fn unmap_frames(&mut self, tier: TierId, run: FrameRun) {
+        for (slot, bytes) in pieces(self.stride, tier, run) {
+            let state = &mut self.state[slot];
+            state.mapped = state
+                .mapped
+                .checked_sub((bytes.len() >> PAGE_SHIFT) as u32)
+                .expect("unmapped more frames than the chunk had mapped");
+            state.dirty = true;
+            if state.mapped == 0 {
+                release(self.table[slot].take());
+            }
+        }
     }
 
-    /// Mutable view of the byte range `[offset, offset + len)`.
+    /// Makes the mapped frames of `run` read zero: what a fresh allocation
+    /// owes its caller, and a migration destination (whose caller copies
+    /// data in) does not.
+    pub(crate) fn zero_frames(&mut self, tier: TierId, run: FrameRun) {
+        for (slot, bytes) in pieces(self.stride, tier, run) {
+            if self.state[slot].dirty {
+                let chunk = self.table[slot].as_mut().expect("mapped frames are backed");
+                chunk.bytes_mut()[bytes].fill(0);
+            }
+        }
+    }
+
+    /// Table slot of the chunk holding byte `offset` of `tier`, and the
+    /// byte's offset within the chunk.
+    fn locate(&self, tier: TierId, offset: usize) -> (usize, usize) {
+        let chunk = offset >> CHUNK_SHIFT;
+        assert!(chunk < self.stride, "offset {offset} is beyond {tier}");
+        (
+            tier.index() * self.stride + chunk,
+            offset & (CHUNK_SIZE - 1),
+        )
+    }
+
+    /// Immutable view of the byte range `[offset, offset + len)` of `tier`.
     ///
     /// # Panics
     ///
-    /// Panics if the range exceeds the capacity.
-    pub(crate) fn slice_mut(&mut self, offset: usize, len: usize) -> &mut [u8] {
-        &mut self.bytes[offset..offset + len]
+    /// Panics if the range crosses a chunk boundary or its chunk is not
+    /// backed.
+    pub(crate) fn slice(&self, tier: TierId, offset: usize, len: usize) -> &[u8] {
+        let (slot, within) = self.locate(tier, offset);
+        let chunk = self.table[slot]
+            .as_ref()
+            .expect("tier storage access to an unbacked chunk");
+        &chunk.bytes()[within..within + len]
     }
 
-    /// Raw pointer to the storage base, for the per-core views of a sharded
-    /// phase over provably disjoint ranges (see `shard::TiersView`, the one
-    /// place it is dereferenced).
-    pub(crate) fn base_ptr(&mut self) -> *mut u8 {
-        self.bytes.as_mut_ptr()
+    /// Mutable view of the byte range `[offset, offset + len)` of `tier`.
+    ///
+    /// # Panics
+    ///
+    /// As [`slice`](TierStorage::slice).
+    pub(crate) fn slice_mut(&mut self, tier: TierId, offset: usize, len: usize) -> &mut [u8] {
+        let (slot, within) = self.locate(tier, offset);
+        let chunk = self.table[slot]
+            .as_mut()
+            .expect("tier storage access to an unbacked chunk");
+        &mut chunk.bytes_mut()[within..within + len]
+    }
+
+    /// Copies one page from frame `src` to frame `dst`, each a `(tier,
+    /// frame)` pair, of two different chunks.
+    pub(crate) fn copy_page(&mut self, src: (TierId, u32), dst: (TierId, u32)) {
+        let at = |(tier, frame): (TierId, u32)| (tier, (frame as usize) << PAGE_SHIFT);
+        let ((src_tier, src_offset), (dst_tier, dst_offset)) = (at(src), at(dst));
+        // Lift the destination chunk out of the table for the copy: one
+        // `&mut` chunk beside a `&` to the rest.
+        let (slot, within) = self.locate(dst_tier, dst_offset);
+        let mut chunk = self.table[slot]
+            .take()
+            .expect("tier storage access to an unbacked chunk");
+        chunk.bytes_mut()[within..within + PAGE_SIZE]
+            .copy_from_slice(self.slice(src_tier, src_offset, PAGE_SIZE));
+        self.table[slot] = Some(chunk);
+    }
+
+    /// Copies the byte range `[offset, offset + len)` of `tier` out, across
+    /// chunks; an unbacked chunk reads as zero.
+    pub(crate) fn to_vec(&self, tier: TierId, offset: usize, len: usize) -> Vec<u8> {
+        let mut out = vec![0u8; len];
+        let mut done = 0;
+        for piece in (BlockSegment { tier, offset, len }).chunks() {
+            let (slot, within) = self.locate(tier, piece.offset);
+            if let Some(chunk) = &self.table[slot] {
+                out[done..done + piece.len]
+                    .copy_from_slice(&chunk.bytes()[within..within + piece.len]);
+            }
+            done += piece.len;
+        }
+        out
+    }
+
+    /// Checks the chunk invariants against `mapped`, every in-bounds frame
+    /// run a mapping owns: each chunk's mapped-frame count equals the
+    /// frames the mappings place in it, and a chunk is backed exactly when
+    /// that count is non-zero — so no mapped frame is unbacked. Returns the
+    /// violations.
+    pub(crate) fn check(&self, mapped: impl Iterator<Item = (TierId, FrameRun)>) -> Vec<String> {
+        let mut placed = vec![0u32; self.state.len()];
+        for (tier, run) in mapped {
+            for (slot, bytes) in pieces(self.stride, tier, run) {
+                placed[slot] += (bytes.len() >> PAGE_SHIFT) as u32;
+            }
+        }
+        let mut violations = Vec::new();
+        for (slot, (state, placed)) in self.state.iter().zip(placed).enumerate() {
+            let (tier, chunk) = (TierId::new(slot / self.stride), slot % self.stride);
+            let backed = self.table[slot].is_some();
+            if state.mapped != placed {
+                violations.push(format!(
+                    "chunk {chunk} of {tier} counts {} mapped frames, the mappings place {placed} in it",
+                    state.mapped
+                ));
+            }
+            if backed != (state.mapped > 0) {
+                violations.push(format!(
+                    "chunk {chunk} of {tier} is {} with {} mapped frames counted",
+                    if backed { "backed" } else { "unbacked" },
+                    state.mapped
+                ));
+            }
+        }
+        violations
     }
 }
 
-/// A tier assembled from its spec and storage, plus its frame allocator.
+impl Drop for TierStorage {
+    fn drop(&mut self) {
+        release(self.table.drain(..).flatten());
+    }
+}
+
+/// A tier assembled from its spec and its frame allocator. Its bytes live
+/// in the machine's [`TierStorage`].
 #[derive(Debug)]
 pub(crate) struct Tier {
     pub(crate) spec: TierSpec,
-    pub(crate) storage: TierStorage,
     pub(crate) frames: crate::frame::FrameAllocator,
 }
 
 impl Tier {
     pub(crate) fn new(spec: TierSpec) -> Self {
-        let storage = TierStorage::new(spec.capacity);
         let frames = crate::frame::FrameAllocator::new(spec.frame_count());
-        Tier {
-            spec,
-            storage,
-            frames,
-        }
+        Tier { spec, frames }
     }
 }
 
@@ -266,11 +495,95 @@ mod tests {
         let _ = TierSpec::new("t", PAGE_SIZE + 1, 80.0, 104.0, 80.0, 6.0);
     }
 
+    fn storage() -> TierStorage {
+        let fast = TierSpec::new("f", 3 * CHUNK_SIZE / 2, 80.0, 104.0, 80.0, 6.0);
+        let slow = TierSpec::new("s", 5 * CHUNK_SIZE, 80.0, 104.0, 80.0, 6.0);
+        TierStorage::new(&[fast, slow])
+    }
+
     #[test]
     fn storage_round_trips_bytes() {
-        let mut s = TierStorage::new(2 * PAGE_SIZE);
-        s.slice_mut(100, 4).copy_from_slice(&[1, 2, 3, 4]);
-        assert_eq!(s.slice(100, 4), &[1, 2, 3, 4]);
-        assert_eq!(s.capacity(), 2 * PAGE_SIZE);
+        let mut s = storage();
+        s.map_frames(TierId::SLOW, FrameRun::new(0, 2));
+        s.slice_mut(TierId::SLOW, 100, 4)
+            .copy_from_slice(&[1, 2, 3, 4]);
+        assert_eq!(s.slice(TierId::SLOW, 100, 4), &[1, 2, 3, 4]);
+        assert_eq!(s.to_vec(TierId::SLOW, 98, 8), [0, 0, 1, 2, 3, 4, 0, 0]);
+    }
+
+    #[test]
+    fn chunks_are_backed_by_their_first_frame_and_released_by_their_last() {
+        let mut s = storage();
+        let frames = (CHUNK_SIZE / PAGE_SIZE) as u32;
+        let backed = |s: &TierStorage| s.table.iter().filter(|c| c.is_some()).count();
+        // A run over the tail of chunk 0 and the head of the fast tier's
+        // partial chunk 1.
+        let run = FrameRun::new(frames - 3, 5);
+        s.map_frames(TierId::FAST, run);
+        assert_eq!(backed(&s), 2);
+        s.map_frames(TierId::FAST, FrameRun::new(0, 1));
+        s.unmap_frames(TierId::FAST, run);
+        assert_eq!(backed(&s), 1, "frame 0 keeps chunk 0");
+        assert!(s
+            .check([(TierId::FAST, FrameRun::new(0, 1))].into_iter())
+            .is_empty());
+        s.unmap_frames(TierId::FAST, FrameRun::new(0, 1));
+        assert_eq!(backed(&s), 0);
+        assert!(s.check(std::iter::empty()).is_empty());
+    }
+
+    #[test]
+    fn a_dirty_chunk_is_zeroed_where_asked_and_only_there() {
+        let mut s = storage();
+        s.map_frames(TierId::SLOW, FrameRun::new(0, 3));
+        s.slice_mut(TierId::SLOW, 0, 3 * PAGE_SIZE).fill(0xA5);
+        // Frame 1 goes and comes back while its neighbours keep the chunk.
+        s.unmap_frames(TierId::SLOW, FrameRun::new(1, 1));
+        s.map_frames(TierId::SLOW, FrameRun::new(1, 1));
+        let page = |s: &TierStorage, frame: usize| {
+            let bytes = s.slice(TierId::SLOW, frame * PAGE_SIZE, PAGE_SIZE);
+            (bytes[0], bytes.iter().all(|&b| b == bytes[0]))
+        };
+        assert_eq!(
+            page(&s, 1),
+            (0xA5, true),
+            "a re-mapped frame is as it was left"
+        );
+        s.zero_frames(TierId::SLOW, FrameRun::new(1, 1));
+        assert_eq!(page(&s, 1), (0, true));
+        assert_eq!((page(&s, 0), page(&s, 2)), ((0xA5, true), (0xA5, true)));
+    }
+
+    #[test]
+    fn copy_out_spans_chunks_and_reads_unbacked_ones_as_zero() {
+        let mut s = storage();
+        let frames = (CHUNK_SIZE / PAGE_SIZE) as u32;
+        s.map_frames(TierId::SLOW, FrameRun::new(frames - 1, 1));
+        s.map_frames(TierId::SLOW, FrameRun::new(2 * frames, 1));
+        s.slice_mut(TierId::SLOW, CHUNK_SIZE - 2, 2).fill(7);
+        s.slice_mut(TierId::SLOW, 2 * CHUNK_SIZE, 2).fill(9);
+        let out = s.to_vec(TierId::SLOW, CHUNK_SIZE - 2, CHUNK_SIZE + 4);
+        assert_eq!(out[..2], [7, 7]);
+        assert!(out[2..CHUNK_SIZE + 2].iter().all(|&b| b == 0));
+        assert_eq!(out[CHUNK_SIZE + 2..], [9, 9]);
+    }
+
+    #[test]
+    #[should_panic(expected = "unbacked chunk")]
+    fn slice_of_an_unbacked_chunk_panics() {
+        let _ = storage().slice(TierId::SLOW, CHUNK_SIZE, 8);
+    }
+
+    #[test]
+    fn copy_page_moves_one_page_between_tiers() {
+        let mut s = storage();
+        s.map_frames(TierId::SLOW, FrameRun::new(5, 1));
+        s.map_frames(TierId::FAST, FrameRun::new(2, 1));
+        s.slice_mut(TierId::SLOW, 5 * PAGE_SIZE, PAGE_SIZE).fill(3);
+        s.copy_page((TierId::SLOW, 5), (TierId::FAST, 2));
+        assert!(s
+            .slice(TierId::FAST, 2 * PAGE_SIZE, PAGE_SIZE)
+            .iter()
+            .all(|&b| b == 3));
     }
 }

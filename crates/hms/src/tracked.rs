@@ -366,8 +366,8 @@ impl<T: Scalar> TrackedVec<T> {
             .expect("tracked element unmapped");
     }
 
-    /// The storage segments backing the whole array, resolved without
-    /// accounting.
+    /// The storage segments backing the whole array, each inside one chunk of
+    /// host memory, resolved without accounting.
     ///
     /// Segments end only at page boundaries (mappings are page-granular)
     /// and elements are naturally aligned, so a segment always holds a
@@ -380,6 +380,9 @@ impl<T: Scalar> TrackedVec<T> {
         let range = VirtRange::new(self.range.start, self.len * T::SIZE);
         resolve_block(mappings, range)
             .unwrap_or_else(|e| panic!("tracked vec `{}` unmapped: {e}", self.label()))
+            .into_iter()
+            .flat_map(BlockSegment::chunks)
+            .collect()
     }
 
     /// Bulk **unaccounted** initialisation: element `i` becomes `f(i)`, for

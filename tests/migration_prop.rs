@@ -12,7 +12,8 @@
 //! `Vec<u64>`, no staging run is outstanding, and [`Machine::audit`] is
 //! clean. The hand-driven regions also prove where staged bytes live: the
 //! tier storage under a staging run is bit-identical before
-//! [`Machine::alloc_frames`] and after [`Machine::free_frames`].
+//! [`Machine::alloc_frames`] and after [`Machine::free_frames`] wherever the
+//! tier has storage at all, and the run itself never gives it any.
 //!
 //! `ATMEM_PROP_CASES` overrides the case count (see `ci.sh`).
 //!
@@ -27,6 +28,28 @@ use atmem_prop::prelude::*;
 
 const PAGE: usize = 4096;
 const WORDS_PER_PAGE: usize = PAGE / 8;
+/// Tier storage's unit of host backing (DESIGN.md "Tier storage").
+const CHUNK: usize = 256 << 10;
+
+/// Per chunk of `tier`, whether a mapping has a frame in it — which is when,
+/// and only when, the tier has bytes there.
+fn backed_chunks(m: &Machine, tier: TierId) -> Vec<bool> {
+    let mut backed = vec![false; m.capacity(tier).div_ceil(CHUNK)];
+    let allocated: Vec<VirtRange> = m
+        .allocations()
+        .map(|a| VirtRange::new(a.range.start, a.pages * PAGE))
+        .collect();
+    for mapping in allocated.into_iter().flat_map(|r| m.mappings_in(r)) {
+        if mapping.tier == tier {
+            let frames =
+                mapping.frame_start as usize..(mapping.frame_start + mapping.pages) as usize;
+            for frame in frames {
+                backed[frame * PAGE / CHUNK] = true;
+            }
+        }
+    }
+    backed
+}
 
 fn prop_cases(default: u32) -> u32 {
     std::env::var("ATMEM_PROP_CASES")
@@ -139,20 +162,34 @@ impl Image {
     /// the staging run.
     fn stage_by_hand(&mut self, range: VirtRange, dst: TierId, context: &str) {
         let m = &mut self.m;
-        let tier_before = m.storage_slice(dst, 0, m.capacity(dst)).to_vec();
+        let tier_before = m.storage_to_vec(dst, 0, m.capacity(dst));
+        let backed_before = backed_chunks(m, dst);
         let Ok(run) = m.alloc_frames(dst, range.len / PAGE) else {
             return;
         };
-        let (lo, hi) = (
-            run.start as usize * PAGE,
-            (run.start + run.count) as usize * PAGE,
-        );
-        // `assert!`, not `assert_eq!`: a failure must not print the run.
-        let untouched = |m: &Machine, stage: &str| {
+        // A tier has bytes only where a chunk of it is backed, and a chunk
+        // is backed only by a *mapped* frame in it — never by the staging
+        // run (the audit, mid-flight, checks exactly that). So wherever the
+        // tier has bytes under the run both before and after a stage, they
+        // must be the same bytes; where it has none, a write would have
+        // panicked. `assert!`, not `assert_eq!`: a failure must not print
+        // the run.
+        let untouched = |m: &mut Machine, stage: &str| {
+            let violations = m.audit();
             assert!(
-                m.storage_slice(dst, lo, hi - lo) == &tier_before[lo..hi],
-                "{context}: tier bytes under the staging run changed by {stage}"
+                violations.is_empty(),
+                "{context}: audit after {stage}: {violations:#?}"
             );
+            let backed_now = backed_chunks(m, dst);
+            for frame in run.start as usize..(run.start + run.count) as usize {
+                let chunk = frame * PAGE / CHUNK;
+                let at = frame * PAGE;
+                assert!(
+                    !(backed_before[chunk] && backed_now[chunk])
+                        || m.storage_to_vec(dst, at, PAGE) == tier_before[at..at + PAGE],
+                    "{context}: tier bytes under the staging run changed by {stage}"
+                );
+            }
         };
         m.copy_region_to_frames(range, dst, run, 4).unwrap();
         untouched(m, "the stage-1 copy");
