@@ -52,14 +52,25 @@ cargo test -q --release -p atmem-hms free_frames_of_a_mapped_frame_panics
 # differ most (comparisons folded into shifts, f64 expressions the optimiser
 # may contract): the datasets must be the pinned ones, and the descent must
 # match its branchy oracle edge for edge, in the build the figures run on.
+# Generation runs on every host core, each worker jumping its copy of the
+# one stream to where its edges start: the jump must equal stepping (and
+# the published 2^128 jump, and the characteristic polynomial it rests on
+# must be the generator's), and the graph must not depend on the worker
+# count, at a size that really splits.
 cargo test -q --release -p atmem-graph rmat_outputs_are_pinned
 cargo test -q --release -p atmem-graph descent_matches_the_reference_edge_for_edge
+cargo test -q --release -p atmem-rng advance_
+cargo test -q --release -p atmem-rng characteristic_polynomial_is_rederived
+cargo test -q --release -p atmem-graph rmat_does_not_depend_on_the_worker_count
+cargo test -q --release -p atmem-graph split_size_output_is_pinned
 
-echo "==> unsafe guard (the migration copy engine and the chunk pool stay safe code)"
+echo "==> unsafe guard (the migration copy engine, the chunk pool and the generators stay safe code)"
 # PR 16 replaced the raw-pointer copy engine with copy_from_slice loops;
 # the one unsafe seam left is shard.rs's TiersView and the Chunk it reads
 # (tier.rs's chunk table, pool and mapped-frame counts are safe code).
-if grep -rn 'unsafe' crates/hms/src/machine.rs crates/hms/src/mbind.rs crates/hms/src/tier.rs crates/core/src; then echo "unsafe is back in the migration path (lines above)" >&2; exit 1; fi
+# The generator's workers write disjoint parts of one buffer through
+# split_at_mut under thread::scope: safe code too.
+if grep -rn 'unsafe' crates/hms/src/machine.rs crates/hms/src/mbind.rs crates/hms/src/tier.rs crates/core/src crates/graph/src crates/rng/src; then echo "unsafe is back in the migration path or the generators (lines above)" >&2; exit 1; fi
 
 echo "==> surface guard (one way in: hms's crate root is its surface, every access operation declared once and implemented once)"
 # PR 23: `hms` has no public modules (the root re-export list is the

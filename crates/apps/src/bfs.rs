@@ -175,6 +175,10 @@ impl Kernel for Bfs {
         let mut nbrs: Vec<u32> = Vec::new();
         let mut all_nbrs: Vec<u32> = Vec::new();
         let mut dbuf: Vec<u32> = Vec::new();
+        // Whether a vertex was discovered. Once it has been, the gather
+        // reads its level, never `UNREACHED` again, so the flag needs no
+        // clearing between levels.
+        let mut touched = vec![false; n];
         // Level-synchronous expansion (the scalar mirror of the sharded
         // expand/settle split): stream the level's adjacency runs, check
         // all candidate distances in one gather window, dedup first-touch
@@ -193,10 +197,10 @@ impl Kernel for Bfs {
             }
             dbuf.resize(all_nbrs.len(), 0);
             ctx.gather(&self.dist, &all_nbrs, &mut dbuf);
-            let mut seen = std::collections::HashSet::new();
             let mut next = Vec::new();
             for (&u, &du) in all_nbrs.iter().zip(&dbuf) {
-                if du == UNREACHED && seen.insert(u) {
+                if du == UNREACHED && !touched[u as usize] {
+                    touched[u as usize] = true;
                     next.push(u);
                 }
             }

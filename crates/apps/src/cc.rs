@@ -11,6 +11,7 @@ use atmem_hms::TrackedVec;
 use crate::access::MemCtx;
 use crate::graph_data::HmsGraph;
 use crate::kernel::Kernel;
+use crate::overlay::WindowOverlay;
 use crate::par;
 
 /// CC kernel state.
@@ -68,8 +69,9 @@ impl Cc {
         let mut lbuf: Vec<u32> = Vec::new();
         let mut widx: Vec<u32> = Vec::new();
         let mut wvals: Vec<u32> = Vec::new();
-        let mut overlay: std::collections::HashMap<u32, u32> = std::collections::HashMap::new();
-        for v in 0..self.graph.num_vertices() {
+        let n = self.graph.num_vertices();
+        let mut overlay = WindowOverlay::<u32>::new(n);
+        for v in 0..n {
             let (start, end) = (bounds[v] as usize, bounds[v + 1] as usize);
             if start == end {
                 continue;
@@ -80,14 +82,14 @@ impl Cc {
             ctx.gather(&self.labels, window, &mut lbuf);
             widx.clear();
             wvals.clear();
-            overlay.clear();
+            overlay.next_window();
             for (&u, &read) in window.iter().zip(&lbuf) {
-                let lu = overlay.get(&u).copied().unwrap_or(read);
+                let lu = overlay.get(u).unwrap_or(read);
                 if lu < lv {
                     lv = lu;
                     changed += 1;
                 } else if lv < lu {
-                    overlay.insert(u, lv);
+                    overlay.set(u, lv);
                     widx.push(u);
                     wvals.push(lv);
                     changed += 1;
@@ -154,7 +156,7 @@ impl Kernel for Cc {
         self.graph.neighbor_run(ctx, 0, &mut nbrs);
         // Propagation phase: each vertex's neighbour labels are gathered as
         // one window, the min/lower decisions replay host-side (an overlay
-        // map makes duplicate neighbours observe in-window lowerings), and
+        // makes duplicate neighbours observe in-window lowerings), and
         // the accepted lowerings scatter back in decision order — one read
         // per edge and one write per lowering, like the per-element loop.
         self.propagate(ctx, &bounds, &nbrs);

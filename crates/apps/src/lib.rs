@@ -39,6 +39,7 @@ pub mod cc;
 pub mod graph_data;
 pub mod kcore;
 pub mod kernel;
+mod overlay;
 pub mod pagerank;
 pub mod pagerank_pull;
 pub mod par;

@@ -11,6 +11,7 @@ use atmem_hms::{merge_owner_queues, OwnerQueues, TrackedVec};
 use crate::access::MemCtx;
 use crate::graph_data::HmsGraph;
 use crate::kernel::Kernel;
+use crate::overlay::WindowOverlay;
 use crate::par;
 
 /// SSSP kernel state.
@@ -192,10 +193,12 @@ impl Kernel for Sssp {
         let mut dbuf: Vec<f32> = Vec::new();
         let mut widx: Vec<u32> = Vec::new();
         let mut wvals: Vec<f32> = Vec::new();
-        let mut overlay: std::collections::HashMap<u32, f32> = std::collections::HashMap::new();
+        let mut overlay = WindowOverlay::<f32>::new(n);
+        // One window per level: whether a vertex is in the next frontier.
+        let mut in_next = WindowOverlay::<()>::new(n);
         while !frontier.is_empty() {
             let mut next = Vec::new();
-            let mut in_next = std::collections::HashSet::new();
+            in_next.next_window();
             for &v in &frontier {
                 let dv = ctx.get(&self.dist, v as usize);
                 let (start, end) = self.graph.edge_bounds(ctx, v as usize);
@@ -206,7 +209,7 @@ impl Kernel for Sssp {
                 self.graph.weight_run(ctx, start, &mut ws);
                 // Relaxation: gather the neighbour distances as one window,
                 // replay the compare-and-tighten decisions host-side (an
-                // overlay map makes duplicate targets observe the in-window
+                // overlay makes duplicate targets observe the in-window
                 // writes before them), then scatter the accepted writes in
                 // decision order — one read per edge and one write per
                 // relaxation, exactly like the per-element loop.
@@ -214,16 +217,17 @@ impl Kernel for Sssp {
                 ctx.gather(&self.dist, &nbrs, &mut dbuf);
                 widx.clear();
                 wvals.clear();
-                overlay.clear();
+                overlay.next_window();
                 for ((&u, &w), &du) in nbrs.iter().zip(&ws).zip(&dbuf) {
-                    let cur = overlay.get(&u).copied().unwrap_or(du);
+                    let cur = overlay.get(u).unwrap_or(du);
                     let candidate = dv + w;
                     if candidate < cur {
-                        overlay.insert(u, candidate);
+                        overlay.set(u, candidate);
                         widx.push(u);
                         wvals.push(candidate);
                         relaxations += 1;
-                        if in_next.insert(u) {
+                        if in_next.get(u).is_none() {
+                            in_next.set(u, ());
                             next.push(u);
                         }
                     }

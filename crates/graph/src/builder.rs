@@ -1,6 +1,7 @@
 //! Edge-list to CSR construction.
 
 use crate::csr::Csr;
+use crate::par;
 
 /// Policy for self-loop edges (`u -> u`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -112,12 +113,20 @@ impl GraphBuilder {
     /// A counting sort: rows are counted, prefix-summed and filled with one
     /// stable scatter, then each row is sorted by destination — linear in
     /// the edge list apart from the per-row sorts, with no per-edge
-    /// temporary.
+    /// temporary. The row sorts run on every host core, each worker over a
+    /// contiguous range of rows holding about an equal share of the edges.
     ///
     /// # Panics
     ///
     /// Panics if any endpoint is `>= num_vertices`.
     pub fn build(self) -> Csr {
+        let workers = par::workers(self.edges.len());
+        self.build_on(workers)
+    }
+
+    /// [`build`](GraphBuilder::build) with its row sorts on `workers` host
+    /// threads; the result does not depend on `workers`.
+    pub(crate) fn build_on(self, workers: usize) -> Csr {
         let n = self.num_vertices;
         for &(u, v) in &self.edges {
             assert!(
@@ -167,30 +176,28 @@ impl GraphBuilder {
             scatter(true);
         }
 
-        let mut pairs: Vec<(u32, f32)> = Vec::new();
-        for row in 0..n {
-            let (lo, hi) = (offsets[row] as usize, offsets[row + 1] as usize);
-            match &mut weights {
-                // Equal destinations are indistinguishable without weights.
-                None => neighbors[lo..hi].sort_unstable(),
-                // With weights they are not: a stable sort keeps duplicate
-                // edges' weights in insertion order.
-                Some(ws) => {
-                    pairs.clear();
-                    pairs.extend(
-                        neighbors[lo..hi]
-                            .iter()
-                            .copied()
-                            .zip(ws[lo..hi].iter().copied()),
-                    );
-                    pairs.sort_by_key(|&(v, _)| v);
-                    for (k, &(v, w)) in pairs.iter().enumerate() {
-                        neighbors[lo + k] = v;
-                        ws[lo + k] = w;
-                    }
-                }
-            }
-        }
+        // Worker `k` sorts rows `row_cuts[k]..row_cuts[k + 1]`: the rows
+        // where the `k`-th equal share of the edges starts and ends.
+        let mut row_cuts: Vec<usize> = par::even_cuts(m, workers)
+            .into_iter()
+            .map(|e| offsets.partition_point(|&o| (o as usize) < e))
+            .collect();
+        row_cuts[workers] = n;
+        let edge_cuts: Vec<usize> = row_cuts.iter().map(|&r| offsets[r] as usize).collect();
+        let weight_parts: Vec<Option<&mut [f32]>> = match &mut weights {
+            Some(ws) => par::split_at_cuts(ws, &edge_cuts)
+                .into_iter()
+                .map(Some)
+                .collect(),
+            None => (0..workers).map(|_| None).collect(),
+        };
+        let parts: Vec<_> = row_cuts
+            .windows(2)
+            .map(|rows| &offsets[rows[0]..=rows[1]])
+            .zip(par::split_at_cuts(&mut neighbors, &edge_cuts))
+            .zip(weight_parts)
+            .collect();
+        par::run_parts(parts, |((bounds, nbrs), ws)| sort_rows(bounds, nbrs, ws));
 
         if self.deduplicate {
             // Compact in place, keeping the first edge (and weight) of each
@@ -265,6 +272,35 @@ impl GraphBuilder {
             .is_some()
             .then(|| triples.iter().map(|&(_, _, w)| w).collect());
         Csr::from_parts(n, offsets, neighbors, weights)
+    }
+}
+
+/// Sorts every row of one worker's share by destination. `bounds` are the
+/// share's row offsets; `nbrs` and `weights` hold its edges, starting at
+/// `bounds[0]`.
+fn sort_rows(bounds: &[u64], nbrs: &mut [u32], weights: Option<&mut [f32]>) {
+    let base = bounds[0];
+    let rows = bounds
+        .windows(2)
+        .map(|b| (b[0] - base) as usize..(b[1] - base) as usize);
+    match weights {
+        // Equal destinations are indistinguishable without weights.
+        None => rows.for_each(|r| nbrs[r].sort_unstable()),
+        // With weights they are not: a stable sort keeps duplicate edges'
+        // weights in insertion order.
+        Some(ws) => {
+            let mut pairs: Vec<(u32, f32)> = Vec::new();
+            for r in rows {
+                let (row_nbrs, row_ws) = (&mut nbrs[r.clone()], &mut ws[r]);
+                pairs.clear();
+                pairs.extend(row_nbrs.iter().copied().zip(row_ws.iter().copied()));
+                pairs.sort_by_key(|&(v, _)| v);
+                for (k, &(v, w)) in pairs.iter().enumerate() {
+                    row_nbrs[k] = v;
+                    row_ws[k] = w;
+                }
+            }
+        }
     }
 }
 
@@ -371,19 +407,13 @@ mod tests {
         assert_eq!(b.edges([(1, 0)]).build().num_edges(), 1001);
     }
 
-    fn prop_cases(default: u32) -> u32 {
-        std::env::var("ATMEM_PROP_CASES")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(default)
-    }
-
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(prop_cases(48)))]
 
         /// The counting sort returns the very `Csr` the comparison sort
-        /// did, for every option combination, on edge lists with heavy
-        /// duplicates, self loops and isolated vertices.
+        /// did, for every option combination and any number of row-sort
+        /// workers, on edge lists with heavy duplicates, self loops and
+        /// isolated vertices.
         #[test]
         fn counting_sort_matches_the_reference_build(
             shape in (0usize..4, 0usize..5_000),
@@ -426,7 +456,16 @@ mod tests {
                 } else {
                     configure(GraphBuilder::new(n).edges(edges.clone()))
                 };
-                prop_assert_eq!(b.clone().build(), b.reference_build(), "options {:#06b}", options);
+                let reference = b.clone().reference_build();
+                for workers in [1, 2, 3, 8] {
+                    prop_assert_eq!(
+                        b.clone().build_on(workers),
+                        reference,
+                        "options {:#06b} on {} workers",
+                        options,
+                        workers
+                    );
+                }
             }
         }
     }

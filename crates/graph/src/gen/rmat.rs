@@ -11,6 +11,7 @@ use atmem_rng::SmallRng;
 
 use crate::builder::GraphBuilder;
 use crate::csr::Csr;
+use crate::par;
 
 /// Parameters of an R-MAT generation run.
 #[derive(Debug, Clone, PartialEq)]
@@ -89,30 +90,53 @@ impl RmatConfig {
 
 /// Generates an R-MAT graph. Self loops are removed and duplicates kept
 /// (multi-edges are normal in Graph500 inputs and harmless to the kernels).
-/// Deterministic for a fixed `seed`.
+/// Deterministic for a fixed `seed`, and the same graph on any number of
+/// host cores.
 pub fn rmat(config: &RmatConfig, seed: u64) -> Csr {
     config.validate();
-    let mut rng = SmallRng::seed_from_u64(seed);
-    let n_edges = config.num_edges();
-    let mut edges = Vec::with_capacity(n_edges);
-    for _ in 0..n_edges {
-        edges.push(rmat_edge(config, &mut rng));
-    }
+    rmat_on(config, seed, par::workers(config.num_edges()))
+}
+
+/// [`rmat`] on `workers` host threads, for drawing and for the build.
+fn rmat_on(config: &RmatConfig, seed: u64, workers: usize) -> Csr {
     GraphBuilder::new(config.num_vertices())
-        .edges(edges)
+        .edges(rmat_edges(config, seed, workers))
         .symmetrize(config.symmetrize)
-        .build()
+        .build_on(workers)
+}
+
+/// The edge list of [`rmat`], drawn by `workers` host threads. Each draws a
+/// contiguous range of edges from its own copy of the one stream, jumped
+/// past every draw of the edges before its range, so every edge is the one
+/// the serial loop draws.
+fn rmat_edges(config: &RmatConfig, seed: u64, workers: usize) -> Vec<(u32, u32)> {
+    let draws_per_edge = u128::from(config.scale) * if config.noise > 0.0 { 2 } else { 1 };
+    let mut edges = vec![(0, 0); config.num_edges()];
+    let cuts = par::even_cuts(edges.len(), workers);
+    let parts: Vec<_> = cuts
+        .iter()
+        .zip(par::split_at_cuts(&mut edges, &cuts))
+        .collect();
+    par::run_parts(parts, |(&start, part)| {
+        let mut rng = SmallRng::seed_from_u64(seed);
+        rng.advance(start as u128 * draws_per_edge);
+        for edge in part {
+            *edge = rmat_edge(config, &mut rng);
+        }
+    });
+    edges
 }
 
 /// Draws one edge by recursive quadrant descent.
 ///
 /// The draw sequence *is* the dataset: per level one jitter draw (when
 /// `noise > 0`) then one quadrant draw, never reordered or batched across
-/// levels or edges. The quadrant choice itself is branch-free: `b, c >= 0`
-/// gives `a <= ab <= abc`, so the four-way `if` chain on `r` is three
-/// comparisons shifted into the two ids (the chain's branches are
-/// unpredictable by construction; `tests::reference_rmat_edge` keeps it as
-/// the oracle).
+/// levels or edges — so every edge takes the same number of draws, which is
+/// what lets [`rmat_edges`] split the stream. The quadrant choice itself is
+/// branch-free: `b, c >= 0` gives `a <= ab <= abc`, so the four-way `if`
+/// chain on `r` is three comparisons shifted into the two ids (the chain's
+/// branches are unpredictable by construction;
+/// `tests::reference_rmat_edge` keeps it as the oracle).
 fn rmat_edge(config: &RmatConfig, rng: &mut SmallRng) -> (u32, u32) {
     let mut src = 0u32;
     let mut dst = 0u32;
@@ -143,6 +167,7 @@ mod tests {
     use super::*;
     use crate::datasets::Dataset;
     use crate::stats::degree_stats;
+    use atmem_prop::prelude::*;
 
     #[test]
     fn generates_requested_sizes() {
@@ -394,6 +419,55 @@ mod tests {
                 pin,
                 "{dataset} is no longer the same graph"
             );
+        }
+    }
+
+    /// A graph big enough to take several workers, pinned by the digest
+    /// the single-threaded generator gave it (commit 1bc1d76).
+    #[test]
+    fn split_size_output_is_pinned() {
+        let config = RmatConfig {
+            symmetrize: true,
+            ..RmatConfig::graph500(15, 8)
+        };
+        assert!(config.num_edges() >= 4 * par::MIN_EDGES_PER_WORKER);
+        let pin = 0x2df1_9ec4_79e5_2f79;
+        assert_eq!(fnv1a(&rmat(&config, 0x5EED)), pin);
+        for workers in [2, 3, 4] {
+            assert_eq!(
+                fnv1a(&rmat_on(&config, 0x5EED, workers)),
+                pin,
+                "{workers} workers"
+            );
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(prop_cases(16)))]
+
+        /// Every edge, and so the graph, is the one the serial stream
+        /// draws, for any number of workers: jitter on and off (two draws
+        /// per level or one), directed and symmetrized.
+        #[test]
+        fn rmat_does_not_depend_on_the_worker_count(
+            shape in (1u32..13, 1usize..9),
+            flags in (any::<bool>(), any::<bool>()),
+            seed in any::<u64>(),
+        ) {
+            let config = RmatConfig {
+                noise: if flags.0 { 0.05 } else { 0.0 },
+                symmetrize: flags.1,
+                ..RmatConfig::graph500(shape.0, shape.1)
+            };
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let serial: Vec<(u32, u32)> = (0..config.num_edges())
+                .map(|_| rmat_edge(&config, &mut rng))
+                .collect();
+            let graph = rmat_on(&config, seed, 1);
+            for workers in [1, 2, 3, 8] {
+                prop_assert_eq!(&rmat_edges(&config, seed, workers), &serial, "{} workers", workers);
+                prop_assert_eq!(&rmat_on(&config, seed, workers), &graph, "{} workers", workers);
+            }
         }
     }
 }

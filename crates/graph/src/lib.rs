@@ -29,6 +29,7 @@ pub mod gen {
     pub mod rmat;
 }
 pub mod io;
+mod par;
 pub mod stats;
 pub mod transform;
 

@@ -25,13 +25,6 @@ fn platform() -> Platform {
     Platform::testing().with_capacities(CAPACITIES.0, CAPACITIES.1)
 }
 
-fn prop_cases(default: u32) -> u32 {
-    std::env::var("ATMEM_PROP_CASES")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
-
 fn assert_clean(m: &mut Machine, context: &str) {
     let violations = m.audit();
     assert!(violations.is_empty(), "{context}: audit {violations:#?}");

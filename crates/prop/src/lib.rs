@@ -23,7 +23,18 @@ pub use atmem_rng::SmallRng;
 
 /// Everything a property-test file needs, mirroring `proptest::prelude`.
 pub mod prelude {
-    pub use crate::{any, prop, prop_assert, prop_assert_eq, proptest, ProptestConfig, Strategy};
+    pub use crate::{
+        any, prop, prop_assert, prop_assert_eq, prop_cases, proptest, ProptestConfig, Strategy,
+    };
+}
+
+/// Cases per property: `ATMEM_PROP_CASES` when it is set to a number, else
+/// `default`. One variable narrows or widens every sweep in the workspace.
+pub fn prop_cases(default: u32) -> u32 {
+    std::env::var("ATMEM_PROP_CASES")
+        .ok()
+        .and_then(|v| v.parse().ok())
+        .unwrap_or(default)
 }
 
 /// Run configuration for one `proptest!` block.

@@ -35,14 +35,6 @@ use atmem_prop::prelude::*;
 
 const PAGE: usize = 4096;
 
-/// Per-property case count: `default`, overridden by `ATMEM_PROP_CASES`.
-fn prop_cases(default: u32) -> u32 {
-    std::env::var("ATMEM_PROP_CASES")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
-
 /// A slow-tier allocation of `pages` pages filled with a seeded pattern.
 fn filled_machine(pages: usize, seed: u64) -> (Machine, VirtRange) {
     let bytes = pages * PAGE;

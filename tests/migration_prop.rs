@@ -51,13 +51,6 @@ fn backed_chunks(m: &Machine, tier: TierId) -> Vec<bool> {
     backed
 }
 
-fn prop_cases(default: u32) -> u32 {
-    std::env::var("ATMEM_PROP_CASES")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
-
 /// The scripted fault of one region: `(site, nth consult of that site)`.
 /// A fresh plan is installed per region, so `Move` 0 is the stage-1 copy
 /// and `Move` 1 the stage-3 copy; `FrameAlloc` is consulted by the remap's
