@@ -85,6 +85,13 @@ crates/hms/src/shard.rs: impl MemPort for CoreHandle<'_> {"
 if [ "$impls" != "$want" ]; then echo "impl MemPort for must appear at exactly the two sanctioned sites, found:" >&2; echo "$impls" >&2; exit 1; fi
 if grep -rnE 'MigrationMechanism::Direct|migrate_region_direct' crates tests examples; then echo "the Direct migration mechanism is back (lines above)" >&2; exit 1; fi
 
+echo "==> one optimize body guard (the solo optimizer and the server's round share migrate::optimize_tenants)"
+# The optimize decision (plan, demotion cascade, admission, execution) is
+# written once, in crates/core/src/migrate/optimize.rs: Atmem::optimize is
+# its one-tenant call and Scheduler::optimize_round its N-tenant call. Any
+# of its building blocks called from either facade is a second copy.
+if grep -nE 'build_demotion_cascade\(|evict_coldest_until\(|plan_from\(|execute_regions\(|fn optimize_atmem' crates/core/src/runtime.rs crates/core/src/serve.rs; then echo "runtime.rs or serve.rs plans, cascades, admits or executes on its own again (lines above)" >&2; exit 1; fi
+
 echo "==> access-ladder guard (the compiled-plan rung stays deleted)"
 # PR 15 removed the fourth access rung; any of its names coming back under
 # crates/, tests/ or examples/ fails the gate.

@@ -72,7 +72,9 @@ pub struct TenantReport {
     pub total_bytes: usize,
     /// Tenant bytes on the fast tier at the end (tag counters).
     pub fast_bytes: usize,
-    /// Tenant bytes on the slow tier at the end (tag counters).
+    /// Tenant bytes on every tier below the fast one at the end (tag
+    /// counters), so `fast_bytes + slow_bytes == total_bytes` on any
+    /// number of tiers.
     pub slow_bytes: usize,
     /// Bytes promoted for this tenant by the optimize round.
     pub bytes_promoted: usize,
@@ -209,7 +211,9 @@ pub fn serve_protocols(
             fast_data_ratio: sched.fast_data_ratio(idx),
             total_bytes: sched.tenant_total_bytes(idx),
             fast_bytes: sched.tenant_resident(idx, TierId::FAST),
-            slow_bytes: sched.tenant_resident(idx, TierId::SLOW),
+            slow_bytes: (1..sched.machine().num_tiers())
+                .map(|t| sched.tenant_resident(idx, TierId::new(t)))
+                .sum(),
             bytes_promoted: round.tenants[idx].bytes_promoted,
             bytes_demoted: round.tenants[idx].bytes_demoted,
             queries: stats.latencies.len(),
@@ -229,40 +233,71 @@ pub fn serve_protocols(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use atmem::PlacementPolicy;
     use atmem_graph::Dataset;
 
     #[test]
     fn two_tenants_serve_cleanly() {
         let a = Dataset::Twitter.build_small(6);
         let b = Dataset::Pokec.build_small(6);
-        let specs = [
-            TenantSpec {
-                csr: &a,
-                app: App::PageRank,
-                config: AtmemConfig::default(),
-                arrival_seed: 11,
-                queries: 3,
-                mean_gap_ns: 50_000.0,
-            },
-            TenantSpec {
-                csr: &b,
-                app: App::Bfs,
-                config: AtmemConfig::default(),
-                arrival_seed: 22,
-                queries: 3,
-                mean_gap_ns: 80_000.0,
-            },
+        // Two tiers under the paper's one-shot policy; then three tiers,
+        // tenants placed hottest-first and a server that demotes, so the
+        // round cascades and `slow_bytes` spans both colder tiers.
+        let cases = [
+            (
+                Platform::testing(),
+                MigrationConfig::default(),
+                PlacementPolicy::AllSlow,
+            ),
+            (
+                Platform::testing_three().with_tier_capacities(&[96 << 10, 160 << 10, 32 << 20]),
+                MigrationConfig {
+                    allow_demotion: true,
+                    max_region_bytes: 4096,
+                    ..MigrationConfig::default()
+                },
+                PlacementPolicy::PreferFast,
+            ),
         ];
-        let report =
-            serve_protocols(Platform::testing(), MigrationConfig::default(), &specs).unwrap();
-        assert!(report.audit.is_empty(), "{:?}", report.audit);
-        for t in &report.tenants {
-            assert_eq!(t.queries, 3);
-            assert_eq!(t.fast_bytes + t.slow_bytes, t.total_bytes);
-            assert!(t.p50_latency.as_ns() > 0.0);
-            assert!(t.p99_latency.as_ns() >= t.p50_latency.as_ns());
+        for (platform, migration, default_placement) in cases {
+            let config = AtmemConfig {
+                default_placement,
+                ..AtmemConfig::default()
+            };
+            let specs = [
+                TenantSpec {
+                    csr: &a,
+                    app: App::PageRank,
+                    config: config.clone(),
+                    arrival_seed: 11,
+                    queries: 3,
+                    mean_gap_ns: 50_000.0,
+                },
+                TenantSpec {
+                    csr: &b,
+                    app: App::Bfs,
+                    config,
+                    arrival_seed: 22,
+                    queries: 3,
+                    mean_gap_ns: 80_000.0,
+                },
+            ];
+            let tiers = platform.tiers.len();
+            let demotes = migration.allow_demotion;
+            let report = serve_protocols(platform, migration, &specs).unwrap();
+            assert!(report.audit.is_empty(), "{tiers} tiers: {:?}", report.audit);
+            for t in &report.tenants {
+                assert_eq!(t.queries, 3);
+                assert_eq!(t.fast_bytes + t.slow_bytes, t.total_bytes, "{tiers} tiers");
+                assert!(t.p50_latency.as_ns() > 0.0);
+                assert!(t.p99_latency.as_ns() >= t.p50_latency.as_ns());
+            }
+            assert!(report.round.promotion.bytes_moved > 0, "{tiers} tiers");
+            let demoted: usize = report.tenants.iter().map(|t| t.bytes_demoted).sum();
+            let demotion = report.round.demotion.map_or(0, |d| d.bytes_moved);
+            assert_eq!(demoted, demotion, "{tiers} tiers");
+            assert_eq!(demotion > 0, demotes, "{tiers} tiers");
         }
-        assert!(report.round.promotion.bytes_moved > 0);
     }
 
     #[test]

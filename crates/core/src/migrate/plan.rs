@@ -51,8 +51,8 @@ impl MigrationPlan {
 
 /// All candidate promotion regions of one (registry, analysis) pair:
 /// coalesced runs of critical chunks, page-aligned and split at the cap.
-/// Unsorted — callers rank and admit (the solo optimizer against its own
-/// budget, the multi-tenant scheduler against the shared tier globally).
+/// Unsorted — the optimizer concatenates every tenant's candidates and
+/// ranks and admits them together ([`plan_from`]).
 pub(crate) fn promotion_candidates(
     registry: &Registry,
     analysis: &Analysis,
@@ -84,7 +84,7 @@ pub(crate) fn promotion_candidates(
 /// Hottest-first region order: priority density descending, ties broken by
 /// address for determinism. Virtual addresses are globally unique, so the
 /// order is total even across tenants sharing one machine.
-pub(crate) fn hotter_first(a: &PlannedRegion, b: &PlannedRegion) -> std::cmp::Ordering {
+fn hotter_first(a: &PlannedRegion, b: &PlannedRegion) -> std::cmp::Ordering {
     b.priority
         .partial_cmp(&a.priority)
         .expect("priorities are finite")
@@ -93,7 +93,7 @@ pub(crate) fn hotter_first(a: &PlannedRegion, b: &PlannedRegion) -> std::cmp::Or
 
 /// Coldest-first region order (the demotion rank), with the same address
 /// tiebreak as [`hotter_first`].
-pub(crate) fn colder_first(a: &PlannedRegion, b: &PlannedRegion) -> std::cmp::Ordering {
+fn colder_first(a: &PlannedRegion, b: &PlannedRegion) -> std::cmp::Ordering {
     a.priority
         .partial_cmp(&b.priority)
         .expect("priorities are finite")
@@ -168,38 +168,6 @@ pub fn promotion_budget(free_bytes: usize, config: &MigrationConfig) -> usize {
     headroom - staging_reserve
 }
 
-/// Builds a *demotion* plan: regions of currently-fast-resident chunks
-/// that the latest analysis no longer classifies as critical. Executing it
-/// with the slow tier as destination frees fast-tier space for a shifted
-/// hot set — the phase-adaptivity extension the paper leaves as future
-/// work (§9).
-///
-/// Candidates are ordered coldest-first and taken only until the
-/// prospective promotion budget (computed over current free space plus the
-/// bytes freed so far) covers `demand_bytes` — the slow-resident bytes the
-/// upcoming promotion wants to move. Warm residue that the new hot set
-/// does not displace stays put, so alternating phases do not thrash the
-/// whole fast tier on every optimize. A region counts for the bytes of it
-/// resident on the fast tier, not for its length (`evict_coldest_until`).
-pub fn build_demotion_plan(
-    registry: &Registry,
-    analysis: &Analysis,
-    machine: &Machine,
-    config: &MigrationConfig,
-    demand_bytes: usize,
-) -> MigrationPlan {
-    let candidates = demotion_candidates(registry, analysis, machine, config, TierId::FAST);
-    let free = machine.free_bytes(TierId::FAST);
-    let (evict, keep) = evict_coldest_until(
-        machine,
-        TierId::FAST,
-        candidates,
-        |r| r,
-        |freed| promotion_budget(free + freed, config) >= demand_bytes,
-    );
-    demotion_plan_of(evict, &keep)
-}
-
 /// Splits the demotion `candidates` of `src` into the coldest-first prefix
 /// to evict and the rest, which stays put: candidates are taken, coldest
 /// first, until `covered(freed)` holds, where `freed` is what evicting the
@@ -209,29 +177,34 @@ pub fn build_demotion_plan(
 /// `src` — a candidate run can straddle tiers after a partial or interrupted
 /// earlier migration — so `freed` accumulates `resident_bytes`, not region
 /// lengths. Counting full lengths under-evicts exactly when residency is
-/// partial. This is the one copy of that rule: the solo optimizer's hottest
-/// hop, every middle hop of its cascade and the multi-tenant scheduler's
-/// round all size their eviction here.
-pub(crate) fn evict_coldest_until<T>(
+/// partial. This is the one copy of that rule: every hop of the cascade
+/// sizes its eviction here.
+fn evict_coldest_until(
     machine: &Machine,
     src: TierId,
-    mut candidates: Vec<T>,
-    region: impl Fn(&T) -> &PlannedRegion,
+    mut candidates: Vec<PlannedRegion>,
     covered: impl Fn(usize) -> bool,
-) -> (Vec<T>, Vec<T>) {
-    candidates.sort_by(|a, b| colder_first(region(a), region(b)));
+) -> (Vec<PlannedRegion>, Vec<PlannedRegion>) {
+    candidates.sort_by(colder_first);
     let mut freed = 0usize;
     let mut evict = 0;
     while evict < candidates.len() && !covered(freed) {
-        freed += machine.resident_bytes(region(&candidates[evict]).range, src);
+        freed += machine.resident_bytes(candidates[evict].range, src);
         evict += 1;
     }
     let keep = candidates.split_off(evict);
     (candidates, keep)
 }
 
-/// A demotion plan evicting `evict` and leaving `keep` where it is.
-fn demotion_plan_of(evict: Vec<PlannedRegion>, keep: &[PlannedRegion]) -> MigrationPlan {
+/// A demotion hop evicting `evict` to `dst` and leaving `keep` where it is.
+fn demotion_hop(
+    mut evict: Vec<PlannedRegion>,
+    keep: &[PlannedRegion],
+    dst: TierId,
+) -> MigrationPlan {
+    for region in &mut evict {
+        region.dst = Some(dst);
+    }
     MigrationPlan {
         total_bytes: evict.iter().map(|r| r.range.len).sum(),
         dropped_bytes: keep.iter().map(|r| r.range.len).sum(),
@@ -239,34 +212,55 @@ fn demotion_plan_of(evict: Vec<PlannedRegion>, keep: &[PlannedRegion]) -> Migrat
     }
 }
 
-/// Builds the hops of an N-tier demotion cascade, returned in execution
-/// order: coldest pair first, the hottest pair (the [`build_demotion_plan`]
-/// result) last.
+/// Builds the hops of an N-tier demotion cascade over the stale residue of
+/// every tenant in `tenants` (each a registry and its latest analysis),
+/// returned in execution order: coldest pair first, the hottest pair last.
+/// Stale residue is the runs of chunks the latest analysis no longer
+/// classifies as critical; demoting it frees room for a shifted hot set —
+/// the phase-adaptivity extension the paper leaves as future work (§9).
 ///
 /// The hottest hop frees top-tier space for `demand_bytes` of incoming
-/// promotion. Each colder hop `k → k+1` is sized *from the hop above it*:
+/// promotion (the slow-resident bytes the upcoming promotion wants to
+/// move): candidates are taken coldest-first only until the prospective
+/// promotion budget, over current free space plus the bytes freed so far,
+/// covers the demand. Warm residue the new hot set does not displace stays
+/// put, so alternating phases do not thrash the whole fast tier on every
+/// optimize. Each colder hop `k → k+1` is sized *from the hop above it*:
 /// it evicts just enough non-critical tier-`k` residue (coldest first) that
 /// tier `k` can absorb the bytes the hotter hop will push down. Hops are
 /// computed hottest-pair-first (each feeds the demand of the next) but must
 /// execute coldest-pair-first so the room exists when the bytes arrive —
 /// hence the reversed order of the returned vector. Every hop's regions
-/// carry their destination in [`PlannedRegion::dst`].
+/// carry their destination in [`PlannedRegion::dst`]; a region counts for
+/// the bytes of it resident on the tier being freed, not for its length
+/// (`evict_coldest_until`).
 ///
-/// On a two-tier machine this degenerates to exactly one hop, the
-/// [`build_demotion_plan`] plan with the slow tier as destination.
+/// On a two-tier machine this degenerates to exactly one hop, fast to slow.
 pub fn build_demotion_cascade(
-    registry: &Registry,
-    analysis: &Analysis,
+    tenants: &[(&Registry, &Analysis)],
     machine: &Machine,
     config: &MigrationConfig,
     demand_bytes: usize,
 ) -> Vec<MigrationPlan> {
+    let candidates = |src: TierId| -> Vec<PlannedRegion> {
+        tenants
+            .iter()
+            .flat_map(|(registry, analysis)| {
+                demotion_candidates(registry, analysis, machine, config, src)
+            })
+            .collect()
+    };
     let num_tiers = machine.num_tiers();
-    let mut top = build_demotion_plan(registry, analysis, machine, config, demand_bytes);
-    for r in &mut top.regions {
-        r.dst = Some(TierId::new(1.min(num_tiers - 1)));
-    }
-    let mut hops = vec![top];
+    let free = machine.free_bytes(TierId::FAST);
+    let (evict, keep) =
+        evict_coldest_until(machine, TierId::FAST, candidates(TierId::FAST), |freed| {
+            promotion_budget(free + freed, config) >= demand_bytes
+        });
+    let mut hops = vec![demotion_hop(
+        evict,
+        &keep,
+        TierId::new(1.min(num_tiers - 1)),
+    )];
     // Middle hops: tier k must absorb what hop k-1 demotes into it. Two
     // accounting subtleties, both flushed out by the overcommitted-middle-
     // tier scenario test in `tests/migration.rs`:
@@ -289,17 +283,13 @@ pub fn build_demotion_cascade(
             break;
         }
         let shortfall = incoming - machine.free_bytes(src);
-        let candidates = demotion_candidates(registry, analysis, machine, config, src);
-        let (mut evict, keep) =
-            evict_coldest_until(machine, src, candidates, |r| r, |freed| freed >= shortfall);
-        for region in &mut evict {
-            region.dst = Some(TierId::new(k + 1));
-        }
-        let plan = demotion_plan_of(evict, &keep);
-        if plan.is_empty() {
+        let (evict, keep) =
+            evict_coldest_until(machine, src, candidates(src), |freed| freed >= shortfall);
+        let hop = demotion_hop(evict, &keep, TierId::new(k + 1));
+        if hop.is_empty() {
             break;
         }
-        hops.push(plan);
+        hops.push(hop);
     }
     hops.reverse();
     hops
@@ -308,7 +298,7 @@ pub fn build_demotion_cascade(
 /// All candidate demotion regions of one (registry, analysis) pair: runs
 /// of non-critical chunks with any bytes resident on `src_tier`. Unsorted,
 /// like [`promotion_candidates`].
-pub(crate) fn demotion_candidates(
+fn demotion_candidates(
     registry: &Registry,
     analysis: &Analysis,
     machine: &Machine,
@@ -534,6 +524,19 @@ mod tests {
         (registry, analysis, m)
     }
 
+    /// The cascade on the two-tier fixture machine: its one hop.
+    fn demotion_plan(
+        r: &Registry,
+        a: &Analysis,
+        m: &atmem_hms::Machine,
+        config: &MigrationConfig,
+        demand: usize,
+    ) -> MigrationPlan {
+        let mut hops = build_demotion_cascade(&[(r, a)], m, config, demand);
+        assert_eq!(hops.len(), 1, "two tiers, one hop: {hops:?}");
+        hops.pop().unwrap()
+    }
+
     /// Per-chunk regions so ordering is observable.
     fn chunk_granular() -> MigrationConfig {
         MigrationConfig {
@@ -548,7 +551,7 @@ mod tests {
         let (r, a, m) = machine_fixture(8, vec![false; 8], priorities, atmem_hms::Placement::Fast);
         let config = chunk_granular();
         let demand = 4096;
-        let plan = build_demotion_plan(&r, &a, &m, &config, demand);
+        let plan = demotion_plan(&r, &a, &m, &config, demand);
         assert!(!plan.is_empty(), "stale bytes must be freed for demand");
         // Coldest first.
         let prios: Vec<f64> = plan.regions.iter().map(|p| p.priority).collect();
@@ -571,7 +574,7 @@ mod tests {
     fn demotion_is_empty_without_promotion_demand() {
         let (r, a, m) =
             machine_fixture(8, vec![false; 8], vec![0.0; 8], atmem_hms::Placement::Fast);
-        let plan = build_demotion_plan(&r, &a, &m, &chunk_granular(), 0);
+        let plan = demotion_plan(&r, &a, &m, &chunk_granular(), 0);
         assert!(plan.is_empty(), "no demand, nothing to evict: {plan:?}");
         assert_eq!(plan.total_bytes, 0);
     }
@@ -585,7 +588,7 @@ mod tests {
             vec![0.9, 0.1, 0.2, 0.8],
             atmem_hms::Placement::Fast,
         );
-        let plan = build_demotion_plan(&r, &a, &m, &chunk_granular(), usize::MAX / 2);
+        let plan = demotion_plan(&r, &a, &m, &chunk_granular(), usize::MAX / 2);
         assert_eq!(plan.regions.len(), 2);
         let obj_start = r.iter().next().unwrap().range().start;
         for p in &plan.regions {
@@ -595,7 +598,7 @@ mod tests {
         // A slow-resident object offers no candidates at all.
         let (r, a, m) =
             machine_fixture(4, vec![false; 4], vec![0.5; 4], atmem_hms::Placement::Slow);
-        let plan = build_demotion_plan(&r, &a, &m, &chunk_granular(), usize::MAX / 2);
+        let plan = demotion_plan(&r, &a, &m, &chunk_granular(), usize::MAX / 2);
         assert!(plan.is_empty());
     }
 

@@ -13,7 +13,9 @@
 //! The runtime owns the simulated [`Machine`]; applications allocate their
 //! data structures through it (registering them as data objects), run one
 //! iteration under profiling, call [`Atmem::optimize`], and keep running —
-//! the paper's experimental protocol (§6).
+//! the paper's experimental protocol (§6). Under the paper's policy,
+//! `optimize` is the one-tenant call of the optimize body a multi-tenant
+//! [`Scheduler`](crate::serve::Scheduler) round runs for all its tenants.
 
 use atmem_hms::{Machine, Platform, Scalar, SimDuration, TierId, TrackedVec, VirtRange};
 
@@ -22,10 +24,7 @@ use crate::autonuma;
 use crate::chunk::chunk_geometry;
 use crate::config::{AtmemConfig, OptimizePolicy};
 use crate::error::{AtmemError, Result};
-use crate::migrate::plan::{plan_from, promotion_candidates, promotion_demand};
-use crate::migrate::{
-    build_demotion_cascade, execute_plan, promotion_budget, MigrationOutcome, MigrationPlan,
-};
+use crate::migrate::{optimize_tenants, MigrationOutcome, MigrationPlan};
 use crate::profiler::{ProfileSummary, Profiler};
 use crate::registry::Registry;
 
@@ -285,8 +284,12 @@ impl Atmem {
 
     /// Analyzes the profile and migrates critical regions toward the hot
     /// end of the tier order (`atmem_optimize`), under the configured
-    /// [`OptimizePolicy`] — the paper's protocol by default, the AutoNUMA
-    /// OS-tiering baseline when selected.
+    /// [`OptimizePolicy`]. The paper's protocol, by default, is the
+    /// one-tenant call of the optimize body a
+    /// [`Scheduler`](crate::serve::Scheduler) round makes for all its
+    /// tenants: plan, demotion cascade on N tiers, admission under the
+    /// promotion target's budget, staged migration. The AutoNUMA
+    /// OS-tiering baseline runs when selected.
     ///
     /// # Errors
     ///
@@ -296,94 +299,34 @@ impl Atmem {
         if self.tenant.profiler.is_active() {
             return Err(AtmemError::ProfilingActive);
         }
-        match self.tenant.config.policy {
-            OptimizePolicy::Atmem => self.optimize_atmem(),
-            OptimizePolicy::Autonuma => self.optimize_autonuma(),
-        }
-    }
-
-    /// The tier promotion aims at: the hottest tier whose prospective
-    /// budget admits anything. With demotion enabled the answer is always
-    /// the hottest tier — the cascade exists to make room there. On a
-    /// two-tier machine the answer is the fast tier in every case.
-    fn promotion_target(&self) -> TierId {
-        if self.tenant.config.migration.allow_demotion {
-            return TierId::FAST;
-        }
-        for i in 0..self.machine.num_tiers().saturating_sub(1) {
-            let tier = TierId::new(i);
-            let budget =
-                promotion_budget(self.machine.free_bytes(tier), &self.tenant.config.migration);
-            if budget > 0 {
-                return tier;
-            }
-        }
-        TierId::FAST
-    }
-
-    /// The paper's protocol: analyze, plan, staged migration — generalized
-    /// to N tiers (multi-hop demotion cascade, tier-aware promotion
-    /// target).
-    fn optimize_atmem(&mut self) -> Result<OptimizeReport> {
-        let analysis = analyze(&self.tenant.registry, &self.tenant.config.analyzer);
-        let target = self.promotion_target();
-        // Planned once: the candidates depend on the analysis alone, so the
-        // demotion's demand and the promotion plan share them.
-        let wanted = promotion_candidates(
-            &self.tenant.registry,
-            &analysis,
-            &self.tenant.config.migration,
-        );
-        // Phase adaptivity (extension): evict regions that are no longer
-        // critical, making room for the new selection. The cascade is
-        // demand-driven: the hottest hop frees only enough space (a
-        // coldest-first prefix of the stale residue) to admit the bytes the
-        // new selection actually wants to move, and each colder hop absorbs
-        // what the hop above it pushes down. On two tiers this is a single
-        // fast-to-slow demotion.
-        let demotion = if self.tenant.config.migration.allow_demotion {
-            let demand = promotion_demand(&self.machine, &wanted, target);
-            let hops = build_demotion_cascade(
-                &self.tenant.registry,
-                &analysis,
-                &self.machine,
-                &self.tenant.config.migration,
-                demand,
-            );
-            let coldest = self.machine.coldest_tier();
-            let mut merged: Option<MigrationOutcome> = None;
-            for hop in &hops {
-                // Each hop's regions carry their own destination; the
-                // call-level tier is only the fallback.
-                let out = execute_plan(
+        let tenant = &self.tenant;
+        let (analysis, plan, migration, demotion) = match tenant.config.policy {
+            OptimizePolicy::Atmem => {
+                let analysis = analyze(&tenant.registry, &tenant.config.analyzer);
+                let out = optimize_tenants(
                     &mut self.machine,
-                    hop,
-                    &self.tenant.config.migration,
-                    coldest,
+                    &[(&tenant.registry, &analysis)],
+                    &tenant.config.migration,
                 )?;
-                merged = Some(match merged {
-                    Some(acc) => acc.merged(out),
-                    None => out,
-                });
+                (analysis, out.plan, out.promotion, out.demotion)
             }
-            merged
-        } else {
-            None
+            // Page-granular promote-on-second-touch from the raw sample
+            // stream, then watermark demotion, both through `mbind` (see
+            // [`OptimizePolicy::Autonuma`]). The OS baseline has no chunk
+            // analysis; the report carries an empty one.
+            OptimizePolicy::Autonuma => {
+                let out = autonuma::run(
+                    &mut self.machine,
+                    &tenant.registry,
+                    tenant.profiler.last_records(),
+                    &tenant.config.autonuma,
+                )?;
+                let analysis = Analysis {
+                    objects: Vec::new(),
+                };
+                (analysis, out.plan, out.promotion, out.demotion)
+            }
         };
-        // The budget covers the final placement; the staging transient is
-        // bounded separately by max_region_bytes.
-        let budget = promotion_budget(
-            self.machine.free_bytes(target),
-            &self.tenant.config.migration,
-        );
-        let plan = plan_from(wanted, budget);
-        let migration = execute_plan(
-            &mut self.machine,
-            &plan,
-            &self.tenant.config.migration,
-            target,
-        )?;
-        let total_bytes = self.tenant.registry.total_bytes();
         Ok(OptimizeReport {
             data_ratio: self.fast_data_ratio(),
             data_ratio_vector: self.data_ratio_vector(),
@@ -391,35 +334,7 @@ impl Atmem {
             plan,
             migration,
             demotion,
-            total_bytes,
-            profile: self.tenant.profiler.last_summary(),
-        })
-    }
-
-    /// The AutoNUMA baseline: page-granular promote-on-second-touch from
-    /// the raw sample stream, then watermark demotion, both through
-    /// `mbind` (see [`crate::config::OptimizePolicy::Autonuma`]).
-    fn optimize_autonuma(&mut self) -> Result<OptimizeReport> {
-        let records = self.tenant.profiler.last_records().to_vec();
-        let outcome = autonuma::run(
-            &mut self.machine,
-            &self.tenant.registry,
-            &records,
-            &self.tenant.config.autonuma,
-        )?;
-        let total_bytes = self.tenant.registry.total_bytes();
-        Ok(OptimizeReport {
-            data_ratio: self.fast_data_ratio(),
-            data_ratio_vector: self.data_ratio_vector(),
-            // The OS baseline has no chunk analysis; the report carries an
-            // empty one.
-            analysis: Analysis {
-                objects: Vec::new(),
-            },
-            plan: outcome.plan,
-            migration: outcome.promotion,
-            demotion: outcome.demotion,
-            total_bytes,
+            total_bytes: self.tenant.registry.total_bytes(),
             profile: self.tenant.profiler.last_summary(),
         })
     }
@@ -427,14 +342,15 @@ impl Atmem {
     /// Fraction of registered bytes currently resident on the fast tier,
     /// served from the machine's incremental residency counters.
     pub fn fast_data_ratio(&self) -> f64 {
-        fast_ratio_of(&self.machine, &self.tenant.registry)
+        residency_ratio(&self.machine, &self.tenant.registry, TierId::FAST)
     }
 
     /// Fraction of registered bytes resident on each tier, hottest first.
-    /// Element 0 is computed exactly like [`Atmem::fast_data_ratio`] (same
-    /// accumulation order).
+    /// Element 0 is [`Atmem::fast_data_ratio`], bit for bit.
     pub fn data_ratio_vector(&self) -> Vec<f64> {
-        ratio_vector_of(&self.machine, &self.tenant.registry)
+        (0..self.machine.num_tiers())
+            .map(|t| residency_ratio(&self.machine, &self.tenant.registry, TierId::new(t)))
+            .collect()
     }
 
     /// Current simulated time (convenience passthrough).
@@ -443,49 +359,25 @@ impl Atmem {
     }
 }
 
-/// Fraction of `registry`'s bytes resident on the fast tier. Each object
-/// is answered from the machine's incremental per-allocation residency
-/// counter (constant-time); the page rescan remains only as a fallback for
-/// ranges the cache does not cover, so per-tenant per-quantum ratio
-/// queries no longer walk the mapping table.
-pub(crate) fn fast_ratio_of(machine: &Machine, registry: &Registry) -> f64 {
+/// Fraction of `registry`'s bytes resident on `tier` (0 for an empty
+/// registry). Each object is answered from the machine's incremental
+/// per-allocation residency counter (constant-time); the page rescan
+/// remains only as a fallback for ranges the cache does not cover, so
+/// per-tenant per-quantum ratio queries never walk the mapping table.
+pub(crate) fn residency_ratio(machine: &Machine, registry: &Registry, tier: TierId) -> f64 {
     let total = registry.total_bytes();
     if total == 0 {
         return 0.0;
     }
-    let fast: usize = registry
+    let bytes: usize = registry
         .iter()
         .map(|o| {
             machine
-                .allocation_resident(o.range().start, TierId::FAST)
-                .unwrap_or_else(|| machine.resident_bytes(o.range(), TierId::FAST))
+                .allocation_resident(o.range().start, tier)
+                .unwrap_or_else(|| machine.resident_bytes(o.range(), tier))
         })
         .sum();
-    fast as f64 / total as f64
-}
-
-/// Per-tier generalization of [`fast_ratio_of`]: one residency fraction
-/// per tier, hottest first. Each element is accumulated in the same object
-/// order as the fast ratio, so element 0 is bit-identical to it.
-pub(crate) fn ratio_vector_of(machine: &Machine, registry: &Registry) -> Vec<f64> {
-    let total = registry.total_bytes();
-    if total == 0 {
-        return vec![0.0; machine.num_tiers()];
-    }
-    (0..machine.num_tiers())
-        .map(|t| {
-            let tier = TierId::new(t);
-            let bytes: usize = registry
-                .iter()
-                .map(|o| {
-                    machine
-                        .allocation_resident(o.range().start, tier)
-                        .unwrap_or_else(|| machine.resident_bytes(o.range(), tier))
-                })
-                .sum();
-            bytes as f64 / total as f64
-        })
-        .collect()
+    bytes as f64 / total as f64
 }
 
 #[cfg(test)]

@@ -13,18 +13,20 @@
 //!   The machine's allocation tagging attributes every byte the quantum
 //!   touches to the tenant, so per-tenant residency queries are
 //!   constant-time reads of the incremental counters.
-//! * **Shared-tier arbitration** — [`Scheduler::optimize_round`]
-//!   generalizes the solo optimizer server-wide: each tenant's profile is
-//!   analyzed with *its own* analyzer configuration (Eq. 1–5 are
-//!   per-tenant statistics), then all candidate regions compete for the
-//!   one fast tier in a single gain-per-byte order. A hot tenant can take
-//!   fast bytes a mild co-tenant would strand under a static partition.
+//! * **Shared-tier arbitration** — [`Scheduler::optimize_round`] is the
+//!   solo optimizer's one body run for every tenant at once: each tenant's
+//!   profile is analyzed with *its own* analyzer configuration (Eq. 1–5
+//!   are per-tenant statistics), then the demotion cascade evicts stale
+//!   residue across all tenants and all candidate regions compete for the
+//!   promotion target in a single gain-per-byte order. A hot tenant can
+//!   take fast bytes a mild co-tenant would strand under a static
+//!   partition.
 //! * **Determinism** — candidate order is total (priority density, ties
 //!   broken by virtual address, which is globally unique across tenants),
 //!   quanta are explicit, and the simulated clock only advances inside
 //!   quanta or via [`Scheduler::advance_clock`]. With one tenant the
-//!   round reduces *bit-identically* to [`Atmem::optimize`]: same
-//!   candidates, same order, same budget, same execution path.
+//!   round *is* [`Atmem::optimize`] — the same body on the same inputs —
+//!   so it is bit-identical to it on every platform.
 //!
 //! Accounting lives in [`TenantStats`] (migration traffic plus the
 //! simulated latency of every recorded query, with nearest-rank
@@ -33,21 +35,19 @@
 use atmem_hms::{Machine, Platform, SimDuration, TierId};
 
 use crate::analyzer::{analyze, Analysis};
-use crate::config::{AtmemConfig, MigrationConfig};
+use crate::config::{AtmemConfig, MigrationConfig, OptimizePolicy};
 use crate::error::{AtmemError, Result};
-use crate::migrate::plan::{
-    demotion_candidates, evict_coldest_until, hotter_first, promotion_budget, promotion_candidates,
-    promotion_demand, PlannedRegion,
-};
-use crate::migrate::{execute_regions, MigrationOutcome, RegionStatus};
-use crate::runtime::{fast_ratio_of, Atmem, TenantRt};
+use crate::migrate::{optimize_tenants, MigrationOutcome};
+use crate::registry::Registry;
+use crate::runtime::{residency_ratio, Atmem, TenantRt};
 
 /// Cumulative per-tenant accounting across a serving session.
 #[derive(Debug, Clone, Default)]
 pub struct TenantStats {
-    /// Bytes this tenant promoted to the fast tier across all rounds.
+    /// Bytes this tenant had promoted across all rounds.
     pub bytes_promoted: usize,
-    /// Bytes this tenant had demoted to make room, across all rounds.
+    /// Bytes this tenant had demoted to make room, across all rounds
+    /// (every hop of a cascade counts).
     pub bytes_demoted: usize,
     /// Planned regions that did not move (skipped or rolled back).
     pub regions_not_moved: usize,
@@ -75,9 +75,10 @@ impl TenantStats {
 /// One tenant's slice of a [`RoundReport`].
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct TenantRound {
-    /// Bytes moved to the fast tier for this tenant this round.
+    /// Bytes promoted for this tenant this round.
     pub bytes_promoted: usize,
-    /// Bytes evicted to the slow tier for this tenant this round.
+    /// Bytes demoted for this tenant this round, summed over the hops of
+    /// the cascade.
     pub bytes_demoted: usize,
     /// Fraction of the tenant's registered bytes fast-resident after the
     /// round.
@@ -129,8 +130,17 @@ impl Scheduler {
     ///
     /// # Errors
     ///
-    /// [`AtmemError::InvalidConfig`] if `config` fails validation.
+    /// [`AtmemError::InvalidConfig`] if `config` fails validation, or if
+    /// it asks for an optimize policy other than
+    /// [`OptimizePolicy::Atmem`] — the one the server's round runs.
     pub fn add_tenant(&mut self, config: AtmemConfig) -> Result<usize> {
+        if config.policy != OptimizePolicy::Atmem {
+            return Err(AtmemError::InvalidConfig {
+                what: "policy",
+                reason: "the server's optimize round runs the atmem policy for every tenant; \
+                         leave the policy at the default to add a tenant",
+            });
+        }
         let idx = self.tenants.len();
         let tenant = TenantRt::new(config, idx as u32 + 1)?;
         self.tenants.push(Some(tenant));
@@ -160,141 +170,59 @@ impl Scheduler {
     }
 
     /// One server-wide optimize round. Per tenant, the profile is
-    /// analyzed under the tenant's own analyzer config; the resulting
-    /// candidate regions then compete globally:
+    /// analyzed under the tenant's own analyzer config; then the optimize
+    /// body that [`Atmem::optimize`] calls for its one tenant runs once for
+    /// all of them, under the server's migration policy:
     ///
-    /// 1. if the server allows demotion, stale fast residue across *all*
-    ///    tenants is evicted coldest-first, but only until the prospective
-    ///    budget covers the total promotion demand;
+    /// 1. if the server allows demotion, stale residue across *all*
+    ///    tenants is demoted coldest-first by the demand-driven cascade,
+    ///    only until the prospective budget covers the total promotion
+    ///    demand;
     /// 2. all promotion candidates are admitted hottest-first into the
-    ///    shared budget ([`promotion_budget`] over the machine's free
-    ///    fast bytes), regardless of owner.
+    ///    shared budget of the promotion target, regardless of owner.
     ///
-    /// Moved bytes are attributed to their tenants from the per-region
-    /// execution statuses.
+    /// Each region's outcome is attributed to the tenant that owns its
+    /// address.
     ///
     /// # Errors
     ///
     /// [`AtmemError::ProfilingActive`] if any tenant is mid-profiling;
     /// migration failures otherwise.
     pub fn optimize_round(&mut self) -> Result<RoundReport> {
-        if self
+        let tenants: Vec<&TenantRt> = self
             .tenants
             .iter()
-            .flatten()
-            .any(|t| t.profiler.is_active())
-        {
+            .map(|t| t.as_ref().expect("tenant checked out"))
+            .collect();
+        if tenants.iter().any(|t| t.profiler.is_active()) {
             return Err(AtmemError::ProfilingActive);
         }
-        let analyses: Vec<Analysis> = self
-            .tenants
+        let analyses: Vec<Analysis> = tenants
             .iter()
-            .map(|t| {
-                let t = t.as_ref().expect("tenant checked out");
-                analyze(&t.registry, &t.config.analyzer)
-            })
+            .map(|t| analyze(&t.registry, &t.config.analyzer))
+            .collect();
+        let views: Vec<(&Registry, &Analysis)> = tenants
+            .iter()
+            .zip(&analyses)
+            .map(|(t, analysis)| (&t.registry, analysis))
             .collect();
         let machine = self.machine.as_mut().expect("machine checked out");
-        let n = self.tenants.len();
-        let mut rounds = vec![TenantRound::default(); n];
-
-        // Tag each candidate with its owner; ordering ignores the tag (the
-        // address tiebreak is already total across tenants).
-        let owned_candidates =
-            |f: &dyn Fn(usize) -> Vec<PlannedRegion>| -> Vec<(usize, PlannedRegion)> {
-                (0..n)
-                    .flat_map(|i| f(i).into_iter().map(move |r| (i, r)))
-                    .collect()
-            };
-        let tenant = |i: usize| self.tenants[i].as_ref().expect("tenant checked out");
-
-        let demotion = if self.migration.allow_demotion {
-            // Server-wide demand: slow-resident bytes the union of all
-            // tenants' selections wants on the fast tier.
-            let demand: usize = (0..n)
-                .map(|i| {
-                    let wanted =
-                        promotion_candidates(&tenant(i).registry, &analyses[i], &self.migration);
-                    promotion_demand(machine, &wanted, TierId::FAST)
-                })
-                .sum();
-            let candidates = owned_candidates(&|i| {
-                demotion_candidates(
-                    &tenant(i).registry,
-                    &analyses[i],
-                    machine,
-                    &self.migration,
-                    TierId::FAST,
-                )
+        let out = optimize_tenants(machine, &views, &self.migration)?;
+        let mut rounds = Vec::with_capacity(tenants.len());
+        for ((tenant, moves), stats) in tenants.iter().zip(&out.tenants).zip(&mut self.stats) {
+            stats.bytes_promoted += moves.bytes_promoted;
+            stats.bytes_demoted += moves.bytes_demoted;
+            stats.regions_not_moved += moves.regions_not_moved;
+            rounds.push(TenantRound {
+                bytes_promoted: moves.bytes_promoted,
+                bytes_demoted: moves.bytes_demoted,
+                fast_data_ratio: residency_ratio(machine, &tenant.registry, TierId::FAST),
             });
-            let free = machine.free_bytes(TierId::FAST);
-            let (admitted, _kept) = evict_coldest_until(
-                machine,
-                TierId::FAST,
-                candidates,
-                |(_, region)| region,
-                |freed| promotion_budget(free + freed, &self.migration) >= demand,
-            );
-            let regions: Vec<PlannedRegion> = admitted.iter().map(|(_, r)| *r).collect();
-            // The round demotes one hop down from the hottest tier; unlike
-            // the solo optimizer it runs no cascade — on an N-tier machine
-            // pressure on the middle tiers surfaces as skipped regions, and
-            // the next round retries them.
-            let demote_to = TierId::FAST
-                .colder(machine.num_tiers())
-                .unwrap_or(TierId::FAST);
-            let (outcome, statuses) =
-                execute_regions(machine, &regions, &self.migration, demote_to)?;
-            for ((owner, region), status) in admitted.iter().zip(&statuses) {
-                match status {
-                    RegionStatus::Moved => rounds[*owner].bytes_demoted += region.range.len,
-                    RegionStatus::Skipped | RegionStatus::Failed => {
-                        self.stats[*owner].regions_not_moved += 1
-                    }
-                }
-            }
-            Some(outcome)
-        } else {
-            None
-        };
-
-        let budget = promotion_budget(machine.free_bytes(TierId::FAST), &self.migration);
-        let mut candidates = owned_candidates(&|i| {
-            promotion_candidates(&tenant(i).registry, &analyses[i], &self.migration)
-        });
-        candidates.sort_by(|a, b| hotter_first(&a.1, &b.1));
-        let mut admitted: Vec<(usize, PlannedRegion)> = Vec::new();
-        let mut total = 0usize;
-        let mut dropped_bytes = 0usize;
-        for (owner, region) in candidates {
-            if total + region.range.len <= budget {
-                total += region.range.len;
-                admitted.push((owner, region));
-            } else {
-                dropped_bytes += region.range.len;
-            }
-        }
-        let regions: Vec<PlannedRegion> = admitted.iter().map(|(_, r)| *r).collect();
-        let (promotion, statuses) =
-            execute_regions(machine, &regions, &self.migration, TierId::FAST)?;
-        for ((owner, region), status) in admitted.iter().zip(&statuses) {
-            match status {
-                RegionStatus::Moved => rounds[*owner].bytes_promoted += region.range.len,
-                RegionStatus::Skipped | RegionStatus::Failed => {
-                    self.stats[*owner].regions_not_moved += 1
-                }
-            }
-        }
-
-        for (i, round) in rounds.iter_mut().enumerate() {
-            round.fast_data_ratio = fast_ratio_of(machine, &tenant(i).registry);
-            self.stats[i].bytes_promoted += round.bytes_promoted;
-            self.stats[i].bytes_demoted += round.bytes_demoted;
         }
         Ok(RoundReport {
-            demotion,
-            promotion,
-            dropped_bytes,
+            demotion: out.demotion,
+            promotion: out.promotion,
+            dropped_bytes: out.plan.dropped_bytes,
             tenants: rounds,
         })
     }
@@ -337,7 +265,7 @@ impl Scheduler {
 
     /// Fraction of tenant `idx`'s registered bytes on the fast tier.
     pub fn fast_data_ratio(&self, idx: usize) -> f64 {
-        fast_ratio_of(self.machine(), &self.tenant(idx).registry)
+        residency_ratio(self.machine(), &self.tenant(idx).registry, TierId::FAST)
     }
 
     /// Total bytes tenant `idx` has registered.
@@ -386,7 +314,8 @@ impl Scheduler {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use atmem_hms::TrackedVec;
+    use crate::config::PlacementPolicy;
+    use atmem_hms::{TrackedVec, VirtRange};
 
     fn skewed_reads(rt: &mut Atmem, v: &TrackedVec<u64>, reads: usize, hot_frac: f64) {
         let n = v.len();
@@ -401,34 +330,125 @@ mod tests {
         }
     }
 
+    /// A cold pad on the hottest tier, a 2 MiB array spilling below it and
+    /// a profile that reads only the array's last 256 KiB. The pad's 512
+    /// KiB fill the three-tier platform's hottest tier and leave 256 KiB
+    /// of the two-tier one free; freeing a 256 KiB gap placed after the pad
+    /// leaves that much room on the tier below the pad. Returns the array.
+    fn pad_and_hot_tail(rt: &mut Atmem) -> VirtRange {
+        const KIB: usize = 1024;
+        rt.malloc::<u64>(512 * KIB / 8, "pad").unwrap();
+        let gap = rt.malloc::<u64>(256 * KIB / 8, "gap").unwrap();
+        let data = rt.malloc::<u64>(2048 * KIB / 8, "data").unwrap();
+        rt.free(gap).unwrap();
+        let tail = data.len() - 256 * KIB / 8;
+        rt.profiling_start().unwrap();
+        for pass in 0..10 {
+            for i in (tail + pass..data.len()).step_by(8) {
+                let _ = data.get(rt.machine_mut(), i);
+            }
+        }
+        rt.profiling_stop().unwrap();
+        data.range()
+    }
+
     #[test]
     fn single_tenant_round_matches_solo_optimize() {
-        // The same profile driven through a solo runtime and through a
-        // one-tenant scheduler must produce the identical placement.
-        let config = AtmemConfig::default();
-        let migration = config.migration;
+        // The same program driven through a solo runtime and through a
+        // one-tenant scheduler must produce the identical outcome, on two
+        // and three tiers, with and without demotion. On three tiers the
+        // hottest tier is full, so without demotion promotion aims at the
+        // middle tier, and with demotion the pad's eviction overruns the
+        // middle tier's room: a two-hop cascade.
+        const KIB: usize = 1024;
+        let platforms = [
+            Platform::testing().with_capacities(768 * KIB, 32 * 1024 * KIB),
+            Platform::testing_three().with_tier_capacities(&[
+                512 * KIB,
+                1024 * KIB,
+                32 * 1024 * KIB,
+            ]),
+        ];
+        for platform in platforms {
+            for allow_demotion in [false, true] {
+                let case = format!("{} tiers, demotion {allow_demotion}", platform.tiers.len());
+                let config = AtmemConfig {
+                    default_placement: PlacementPolicy::PreferFast,
+                    migration: MigrationConfig {
+                        allow_demotion,
+                        max_region_bytes: 64 * KIB,
+                        ..MigrationConfig::default()
+                    },
+                    ..AtmemConfig::default()
+                };
 
-        let mut solo = Atmem::new(Platform::testing(), config.clone()).unwrap();
-        let v = solo.malloc::<u64>(256 * 1024, "data").unwrap();
-        solo.profiling_start().unwrap();
-        skewed_reads(&mut solo, &v, 120_000, 0.1);
-        solo.profiling_stop().unwrap();
-        let solo_report = solo.optimize().unwrap();
+                let mut solo = Atmem::new(platform.clone(), config.clone()).unwrap();
+                let data = pad_and_hot_tail(&mut solo);
+                let middle = TierId::new(1);
+                let data_on_middle = solo.machine().resident_bytes(data, middle);
+                let solo_report = solo.optimize().unwrap();
 
-        let mut sched = Scheduler::new(Platform::testing(), migration);
-        let t = sched.add_tenant(config).unwrap();
-        sched.run_quantum(t, |rt| {
-            let v = rt.malloc::<u64>(256 * 1024, "data").unwrap();
-            rt.profiling_start().unwrap();
-            skewed_reads(rt, &v, 120_000, 0.1);
-            rt.profiling_stop().unwrap();
-        });
-        let round = sched.optimize_round().unwrap();
+                let mut sched = Scheduler::new(platform.clone(), config.migration);
+                let t = sched.add_tenant(config).unwrap();
+                sched.run_quantum(t, pad_and_hot_tail);
+                let round = sched.optimize_round().unwrap();
 
-        assert_eq!(round.promotion, solo_report.migration);
-        assert_eq!(round.dropped_bytes, solo_report.plan.dropped_bytes);
-        assert_eq!(round.tenants[0].fast_data_ratio, solo_report.data_ratio);
-        assert!(sched.audit().is_empty());
+                assert!(
+                    solo_report.migration.bytes_moved > 0,
+                    "{case}: {solo_report}"
+                );
+                if platform.tiers.len() == 3 {
+                    let now_on_middle = solo.machine().resident_bytes(data, middle);
+                    if allow_demotion {
+                        // The middle hop ran: part of the array's head
+                        // left the middle tier.
+                        assert!(now_on_middle < data_on_middle, "{case}: no middle hop");
+                    } else {
+                        let on_top = solo.machine().resident_bytes(data, TierId::FAST);
+                        assert!(
+                            now_on_middle > data_on_middle && on_top == 0,
+                            "{case}: promotion missed the middle tier"
+                        );
+                    }
+                }
+                assert_eq!(round.promotion, solo_report.migration, "{case}");
+                assert_eq!(round.demotion, solo_report.demotion, "{case}");
+                assert_eq!(
+                    round.dropped_bytes, solo_report.plan.dropped_bytes,
+                    "{case}"
+                );
+                assert_eq!(
+                    round.tenants[0].fast_data_ratio, solo_report.data_ratio,
+                    "{case}"
+                );
+                assert_eq!(
+                    sched.run_quantum(t, |rt| rt.data_ratio_vector()),
+                    solo_report.data_ratio_vector,
+                    "{case}"
+                );
+                assert_eq!(
+                    sched.now().as_ns().to_bits(),
+                    solo.now().as_ns().to_bits(),
+                    "{case}"
+                );
+                assert!(solo.machine_mut().audit().is_empty(), "{case}");
+                assert!(sched.audit().is_empty(), "{case}: {:?}", sched.audit());
+            }
+        }
+    }
+
+    #[test]
+    fn add_tenant_rejects_a_policy_the_round_would_ignore() {
+        let mut sched = Scheduler::new(Platform::testing(), MigrationConfig::default());
+        let config = AtmemConfig {
+            policy: OptimizePolicy::Autonuma,
+            ..AtmemConfig::default()
+        };
+        assert!(matches!(
+            sched.add_tenant(config),
+            Err(AtmemError::InvalidConfig { what: "policy", .. })
+        ));
+        assert_eq!(sched.num_tenants(), 0);
     }
 
     #[test]

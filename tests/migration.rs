@@ -306,7 +306,7 @@ fn cascade_sizes_middle_hop_by_resident_bytes_and_staging_headroom() {
         ..MigrationConfig::default()
     };
 
-    let hops = build_demotion_cascade(&registry, &analysis, &m, &config, usize::MAX / 2);
+    let hops = build_demotion_cascade(&[(&registry, &analysis)], &m, &config, usize::MAX / 2);
     assert_eq!(hops.len(), 2, "middle tier is overcommitted: {hops:?}");
     // The middle hop (executed first) must take TWO of B's regions: each
     // 32 KiB region frees only 16 KiB of middle-tier residue.
