@@ -92,10 +92,18 @@ echo "==> one optimize body guard (the solo optimizer and the server's round sha
 # of its building blocks called from either facade is a second copy.
 if grep -nE 'build_demotion_cascade\(|evict_coldest_until\(|plan_from\(|execute_regions\(|fn optimize_atmem' crates/core/src/runtime.rs crates/core/src/serve.rs; then echo "runtime.rs or serve.rs plans, cascades, admits or executes on its own again (lines above)" >&2; exit 1; fi
 
-echo "==> access-ladder guard (the compiled-plan rung stays deleted)"
+echo "==> access-ladder guard (the compiled-plan rung and the access mode stay deleted, one body per regular kernel)"
 # PR 15 removed the fourth access rung; any of its names coming back under
 # crates/, tests/ or examples/ fails the gate.
 if grep -rlE 'WindowPlan|SweepPlan|_planned\b|plan_ready|run_plan_|AccessMode::Planned' crates tests examples; then echo "the compiled-plan rung is back in the files above" >&2; exit 1; fi
+# MemCtx is a port plus a core count: every operation calls its TrackedVec
+# engine, and no mode selects a per-element rung. The per-element loops
+# live only in tests/access_prop.rs, as the oracle.
+if grep -rnE 'AccessMode|MemCtx::scalar' crates tests examples; then echo "an access mode is back in the kernel API (lines above)" >&2; exit 1; fi
+# PageRank, SpMV, CC, k-core and triangle counting have one body each: one
+# core is the degenerate partition of their run_cores body, not a second
+# serial body behind a core-count branch.
+if grep -nE 'run_iteration_sharded|par_cores\(\) > 1' crates/apps/src/{spmv,pagerank,cc,kcore,triangles}.rs; then echo "a regular kernel has a second body again (lines above)" >&2; exit 1; fi
 
 echo "==> harness guard (one measurement harness, one experiment entry point)"
 # PR 22 retired the micro-bench harness and the per-figure shim binaries:
@@ -112,11 +120,14 @@ fi
 
 echo "==> engines-vs-scalar bit-identity property sweep"
 # Random access programs (sweeps, gathers, scatters, non-commutative
-# updates, mid-run migrations, PEBS/trace toggles) through the block and
-# window engines and through per-element get/set loops must agree on
-# every read buffer, counter, the simulated clock, the PEBS/trace streams
-# and the data image. Already part of tier-1 above; dedicated step so an
-# engine divergence is named in CI output (ATMEM_PROP_CASES widens it).
+# updates, mid-run migrations, PEBS/trace toggles) on base-page and huge
+# mappings, with TLB coalescing 1 and 8, through MemCtx (the block and
+# window engines every kernel runs on) and through the per-element
+# TrackedVec get/set loops written out in tests/access_prop.rs (the one
+# place the scalar oracle lives) must agree on every read buffer, counter,
+# the simulated clock, the PEBS/trace streams and the data image. Already
+# part of tier-1 above; dedicated step so an engine divergence is named in
+# CI output (ATMEM_PROP_CASES widens it).
 ATMEM_PROP_CASES="${ATMEM_PROP_CASES:-8}" cargo test -q -p atmem-bench --test access_prop
 
 echo "==> unaccounted data path: counting-sort build vs its comparison-sort oracle"

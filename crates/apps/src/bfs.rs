@@ -82,8 +82,7 @@ impl Bfs {
     fn run_iteration_sharded(&mut self, ctx: &mut MemCtx) {
         let n = self.graph.num_vertices();
         let cores = ctx.par_cores();
-        let host_bounds = self.graph.host_bounds(ctx.machine());
-        let cuts = par::edge_cuts(&host_bounds, cores);
+        let cuts = self.graph.edge_cuts(ctx.machine(), cores);
         let fill_cuts = par::even_cuts(n, cores);
         let graph = &self.graph;
         let dist = &self.dist;

@@ -84,8 +84,8 @@ impl BfsDir {
     fn run_iteration_sharded(&mut self, ctx: &mut MemCtx) {
         let n = self.out_graph.num_vertices();
         let cores = ctx.par_cores();
-        let out_cuts = par::edge_cuts(&self.out_graph.host_bounds(ctx.machine()), cores);
-        let in_cuts = par::edge_cuts(&self.in_graph.host_bounds(ctx.machine()), cores);
+        let out_cuts = self.out_graph.edge_cuts(ctx.machine(), cores);
+        let in_cuts = self.in_graph.edge_cuts(ctx.machine(), cores);
         let fill_cuts = par::even_cuts(n, cores);
         let out_graph = &self.out_graph;
         let in_graph = &self.in_graph;

@@ -12,7 +12,6 @@ use crate::access::MemCtx;
 use crate::graph_data::HmsGraph;
 use crate::kernel::Kernel;
 use crate::overlay::WindowOverlay;
-use crate::par;
 
 /// CC kernel state.
 #[derive(Debug)]
@@ -20,6 +19,14 @@ pub struct Cc {
     graph: HmsGraph,
     labels: TrackedVec<u32>,
     changed_last: u64,
+    staging: Vec<Staging>,
+}
+
+/// One core's slice of the CSR streams, reused across iterations.
+#[derive(Debug, Default)]
+struct Staging {
+    bounds: Vec<u64>,
+    nbrs: Vec<u32>,
 }
 
 impl Cc {
@@ -34,6 +41,7 @@ impl Cc {
             graph,
             labels,
             changed_last: 0,
+            staging: Vec::new(),
         })
     }
 
@@ -58,80 +66,58 @@ impl Cc {
         self.labels.to_vec(rt.machine_mut())
     }
 
-    /// The propagation phase over pre-staged bounds/neighbour data. Label
-    /// lowering is Gauss–Seidel: every vertex observes lowerings made
+    /// The propagation phase over the staged streams, vertex by vertex in
+    /// ascending order (core `c`'s staging holds `cuts[c]..cuts[c + 1]`).
+    /// Label lowering is Gauss–Seidel: every vertex observes lowerings made
     /// earlier *in the same pass*, a sequential dependency chain that
     /// admits no deterministic partition — so this phase always runs on
-    /// one core and both the scalar and sharded paths share it verbatim
-    /// (which is what keeps the output bit-identical across core counts).
-    fn propagate(&mut self, ctx: &mut MemCtx, bounds: &[u64], nbrs: &[u32]) {
+    /// the resident core (which is what keeps the output bit-identical
+    /// across core counts). Each vertex's neighbour labels are gathered as
+    /// one window, the min/lower decisions replay host-side (an overlay
+    /// makes duplicate neighbours observe in-window lowerings), and the
+    /// accepted lowerings scatter back in decision order — one read per
+    /// edge and one write per lowering, like the per-element loop.
+    fn propagate(&mut self, ctx: &mut MemCtx, cuts: &[usize]) {
         let mut changed = 0u64;
         let mut lbuf: Vec<u32> = Vec::new();
         let mut widx: Vec<u32> = Vec::new();
         let mut wvals: Vec<u32> = Vec::new();
-        let n = self.graph.num_vertices();
-        let mut overlay = WindowOverlay::<u32>::new(n);
-        for v in 0..n {
-            let (start, end) = (bounds[v] as usize, bounds[v + 1] as usize);
-            if start == end {
-                continue;
-            }
-            let window = &nbrs[start..end];
-            let mut lv = ctx.get(&self.labels, v);
-            lbuf.resize(window.len(), 0);
-            ctx.gather(&self.labels, window, &mut lbuf);
-            widx.clear();
-            wvals.clear();
-            overlay.next_window();
-            for (&u, &read) in window.iter().zip(&lbuf) {
-                let lu = overlay.get(u).unwrap_or(read);
-                if lu < lv {
-                    lv = lu;
-                    changed += 1;
-                } else if lv < lu {
-                    overlay.set(u, lv);
-                    widx.push(u);
-                    wvals.push(lv);
-                    changed += 1;
+        let mut overlay = WindowOverlay::<u32>::new(self.graph.num_vertices());
+        for (Staging { bounds, nbrs }, range) in self.staging.iter().zip(cuts.windows(2)) {
+            let lo = range[0];
+            for v in lo..range[1] {
+                let es = bounds[0];
+                let (start, end) = (
+                    (bounds[v - lo] - es) as usize,
+                    (bounds[v - lo + 1] - es) as usize,
+                );
+                if start == end {
+                    continue;
                 }
+                let window = &nbrs[start..end];
+                let mut lv = ctx.get(&self.labels, v);
+                lbuf.resize(window.len(), 0);
+                ctx.gather(&self.labels, window, &mut lbuf);
+                widx.clear();
+                wvals.clear();
+                overlay.next_window();
+                for (&u, &read) in window.iter().zip(&lbuf) {
+                    let lu = overlay.get(u).unwrap_or(read);
+                    if lu < lv {
+                        lv = lu;
+                        changed += 1;
+                    } else if lv < lu {
+                        overlay.set(u, lv);
+                        widx.push(u);
+                        wvals.push(lv);
+                        changed += 1;
+                    }
+                }
+                ctx.scatter(&self.labels, &widx, &wvals);
+                ctx.set(&self.labels, v, lv);
             }
-            ctx.scatter(&self.labels, &widx, &wvals);
-            ctx.set(&self.labels, v, lv);
         }
         self.changed_last = changed;
-    }
-
-    /// One pass with the CSR streams partitioned over `ctx.par_cores()`
-    /// simulated cores (each core reads its edge-balanced slice of the
-    /// bounds and neighbour arrays through its own accounted core), then
-    /// the sequential [`propagate`](Cc::propagate) phase on the resident
-    /// core over the reassembled host staging.
-    fn run_iteration_sharded(&mut self, ctx: &mut MemCtx) {
-        let cores = ctx.par_cores();
-        let host_bounds = self.graph.host_bounds(ctx.machine());
-        let cuts = par::edge_cuts(&host_bounds, cores);
-        let graph = &self.graph;
-        let slices: Vec<(Vec<u64>, Vec<u32>)> = ctx.run_cores(|c, mut ctx| {
-            let (lo, hi) = (cuts[c], cuts[c + 1]);
-            if lo == hi {
-                return (Vec::new(), Vec::new());
-            }
-            let mut b = vec![0u64; hi - lo + 1];
-            graph.bounds_run(&mut ctx, lo, &mut b);
-            let (es, ee) = (b[0] as usize, b[hi - lo] as usize);
-            let mut nbrs = vec![0u32; ee - es];
-            graph.neighbor_run(&mut ctx, es as u64, &mut nbrs);
-            (b, nbrs)
-        });
-        let mut bounds = vec![0u64; self.graph.num_vertices() + 1];
-        let mut nbrs = Vec::with_capacity(self.graph.num_edges());
-        for (c, (b, ns)) in slices.into_iter().enumerate() {
-            if !b.is_empty() {
-                bounds[cuts[c]..=cuts[c + 1]].copy_from_slice(&b);
-            }
-            nbrs.extend_from_slice(&ns);
-        }
-        self.propagate(ctx, &bounds, &nbrs);
     }
 }
 
@@ -145,21 +131,28 @@ impl Kernel for Cc {
         self.changed_last = 0;
     }
 
+    /// One pass with the CSR streams partitioned over `ctx.par_cores()`
+    /// simulated cores (each core reads its edge-balanced slice of the
+    /// bounds and neighbour arrays through its own accounted core), then
+    /// the sequential [`propagate`](Cc::propagate) phase on the resident
+    /// core over the staged slices. One core is the degenerate partition:
+    /// both streams whole, on the resident core.
     fn run_iteration(&mut self, ctx: &mut MemCtx) {
-        if ctx.par_cores() > 1 {
-            self.run_iteration_sharded(ctx);
-            return;
-        }
-        // Stream phase: row bounds and neighbour ids.
-        let bounds = self.graph.bounds(ctx);
-        let mut nbrs = vec![0u32; self.graph.num_edges()];
-        self.graph.neighbor_run(ctx, 0, &mut nbrs);
-        // Propagation phase: each vertex's neighbour labels are gathered as
-        // one window, the min/lower decisions replay host-side (an overlay
-        // makes duplicate neighbours observe in-window lowerings), and
-        // the accepted lowerings scatter back in decision order — one read
-        // per edge and one write per lowering, like the per-element loop.
-        self.propagate(ctx, &bounds, &nbrs);
+        let cores = ctx.par_cores();
+        let cuts = self.graph.edge_cuts(ctx.machine(), cores);
+        let graph = &self.graph;
+        ctx.run_cores_with(&mut self.staging, |c, mut ctx, s| {
+            let (lo, hi) = (cuts[c], cuts[c + 1]);
+            if lo == hi {
+                return;
+            }
+            s.bounds.resize(hi - lo + 1, 0);
+            graph.bounds_run(&mut ctx, lo, &mut s.bounds);
+            let (es, ee) = (s.bounds[0] as usize, s.bounds[hi - lo] as usize);
+            s.nbrs.resize(ee - es, 0);
+            graph.neighbor_run(&mut ctx, es as u64, &mut s.nbrs);
+        });
+        self.propagate(ctx, &cuts);
     }
 
     fn checksum(&self, rt: &mut Atmem) -> f64 {

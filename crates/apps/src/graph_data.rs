@@ -11,6 +11,7 @@ use atmem_graph::Csr;
 use atmem_hms::{MemPort, TrackedVec};
 
 use crate::access::MemCtx;
+use crate::par;
 
 /// A CSR graph whose arrays live in simulated memory.
 #[derive(Debug)]
@@ -96,16 +97,9 @@ impl HmsGraph {
         ctx.get(w, e as usize)
     }
 
-    /// Accounted sequential read of all `n + 1` CSR row bounds.
-    pub fn bounds<M: MemPort>(&self, ctx: &mut MemCtx<'_, M>) -> Vec<u64> {
-        let mut out = Vec::new();
-        self.bounds_into(ctx, &mut out);
-        out
-    }
-
-    /// Like [`bounds`](HmsGraph::bounds), but reuses `out`'s allocation
-    /// (kernels that stream the offsets every iteration keep one scratch
-    /// buffer instead of reallocating).
+    /// Accounted sequential read of all `n + 1` CSR row bounds into `out`,
+    /// reusing its allocation (kernels that stream the offsets every
+    /// iteration keep one scratch buffer instead of reallocating).
     pub fn bounds_into<M: MemPort>(&self, ctx: &mut MemCtx<'_, M>, out: &mut Vec<u64>) {
         out.resize(self.num_vertices + 1, 0);
         ctx.read_run(&self.offsets, 0, out);
@@ -118,12 +112,15 @@ impl HmsGraph {
         ctx.read_run(&self.offsets, start, out);
     }
 
-    /// Unaccounted host copy of all row bounds. Partitioning metadata for
-    /// the sharded kernels: the split points must be known *before* the
-    /// cores fork, and the cores then re-read their own slices through the
-    /// accounted path ([`bounds_run`](HmsGraph::bounds_run)).
-    pub fn host_bounds(&self, machine: &mut impl MemPort) -> Vec<u64> {
-        self.offsets.to_vec(machine)
+    /// The edge-balanced split of the vertex range over `cores`
+    /// ([`par::edge_cuts`]), binary-searched over unaccounted peeks of the
+    /// row bounds: no simulated effect and no host copy of the offsets.
+    /// Partitioning metadata for the kernels: the split points must be
+    /// known *before* the cores fork, and the cores then re-read their own
+    /// slices through the accounted path
+    /// ([`bounds_run`](HmsGraph::bounds_run)).
+    pub(crate) fn edge_cuts(&self, machine: &mut impl MemPort, cores: usize) -> Vec<usize> {
+        par::edge_cuts(self.num_vertices, |i| self.offsets.peek(machine, i), cores)
     }
 
     /// Accounted sequential read of `buf.len()` neighbour ids starting at

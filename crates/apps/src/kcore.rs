@@ -13,7 +13,6 @@ use atmem_hms::TrackedVec;
 use crate::access::MemCtx;
 use crate::graph_data::HmsGraph;
 use crate::kernel::Kernel;
-use crate::par;
 
 /// k-core kernel state. The graph should be symmetrised (undirected
 /// degrees) for the classic definition.
@@ -56,9 +55,9 @@ impl KCore {
     /// The peeling phase over pre-staged bounds. Each removal immediately
     /// decrements live neighbours' degrees, and those decrements gate what
     /// the frontier admits next — a data-dependent sequential chain that
-    /// admits no deterministic partition — so this phase always runs on one
-    /// core and both the scalar and sharded paths share it verbatim (which
-    /// is what keeps the output bit-identical across core counts).
+    /// admits no deterministic partition — so this phase always runs on the
+    /// resident core (which is what keeps the output bit-identical across
+    /// core counts).
     fn peel(&mut self, ctx: &mut MemCtx, bounds: &[u64]) {
         let n = self.graph.num_vertices();
         let mut alive = n;
@@ -109,15 +108,28 @@ impl KCore {
         }
         self.max_core = k;
     }
+}
+
+impl Kernel for KCore {
+    fn name(&self) -> &'static str {
+        "kCore"
+    }
+
+    fn reset(&mut self, rt: &mut Atmem) {
+        self.core.fill(rt.machine_mut(), 0);
+        self.max_core = 0;
+    }
 
     /// One decomposition with the degree initialisation partitioned over
     /// `ctx.par_cores()` simulated cores (each core streams its
     /// edge-balanced bounds slice and writes its owned degree slice), then
     /// the sequential [`peel`](KCore::peel) phase on the resident core.
-    fn run_iteration_sharded(&mut self, ctx: &mut MemCtx) {
+    /// The degree initialisation is accounted (part of the work). One core
+    /// is the degenerate partition: one bounds stream in, one degree
+    /// stream out, on the resident core.
+    fn run_iteration(&mut self, ctx: &mut MemCtx) {
         let cores = ctx.par_cores();
-        let host_bounds = self.graph.host_bounds(ctx.machine());
-        let cuts = par::edge_cuts(&host_bounds, cores);
+        let cuts = self.graph.edge_cuts(ctx.machine(), cores);
         let graph = &self.graph;
         let degree = &self.degree;
         let slices: Vec<Vec<u64>> = ctx.run_cores(|c, mut ctx| {
@@ -137,31 +149,6 @@ impl KCore {
                 bounds[cuts[c]..=cuts[c + 1]].copy_from_slice(&b);
             }
         }
-        self.peel(ctx, &bounds);
-    }
-}
-
-impl Kernel for KCore {
-    fn name(&self) -> &'static str {
-        "kCore"
-    }
-
-    fn reset(&mut self, rt: &mut Atmem) {
-        self.core.fill(rt.machine_mut(), 0);
-        self.max_core = 0;
-    }
-
-    fn run_iteration(&mut self, ctx: &mut MemCtx) {
-        if ctx.par_cores() > 1 {
-            self.run_iteration_sharded(ctx);
-            return;
-        }
-        let n = self.graph.num_vertices();
-        // Initialise degrees through the accounted path (part of the work):
-        // one bounds stream in, one degree stream out.
-        let bounds = self.graph.bounds(ctx);
-        let degrees: Vec<u32> = (0..n).map(|v| (bounds[v + 1] - bounds[v]) as u32).collect();
-        ctx.write_run(&self.degree, 0, &degrees);
         self.peel(ctx, &bounds);
     }
 

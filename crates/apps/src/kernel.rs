@@ -24,9 +24,9 @@ pub trait Kernel {
     /// Unaccounted (happens outside the measured region).
     fn reset(&mut self, rt: &mut Atmem);
 
-    /// Runs one iteration through the accounted access path. The access
-    /// mode lives in the context, chosen once by the runner or harness —
-    /// kernels carry no mode state of their own.
+    /// Runs one iteration through the accounted access path, partitioned
+    /// over the context's [`par_cores`](MemCtx::par_cores) simulated cores
+    /// (chosen once by the runner or harness).
     fn run_iteration(&mut self, ctx: &mut MemCtx);
 
     /// A checksum over the kernel's output arrays, for correctness

@@ -50,7 +50,7 @@ pub mod sssp;
 pub mod synth;
 pub mod triangles;
 
-pub use access::{AccessMode, MemCtx};
+pub use access::MemCtx;
 pub use bc::Bc;
 pub use bfs::Bfs;
 pub use bfs_dir::BfsDir;

@@ -28,6 +28,24 @@ struct Bucket {
     runs: Vec<(usize, f64)>,
 }
 
+/// One source core's phase-A staging and the contributions it routed, one
+/// [`Bucket`] per destination owner; reused across iterations.
+#[derive(Debug, Default)]
+struct Routing {
+    bounds: Vec<u64>,
+    ranks: Vec<f64>,
+    nbrs: Vec<u32>,
+    buckets: Vec<Bucket>,
+}
+
+/// One destination core's phase-B staging for the damping sweep; reused
+/// across iterations (`zeros` is only ever grown with zeros).
+#[derive(Debug, Default)]
+struct Sweep {
+    accs: Vec<f64>,
+    zeros: Vec<f64>,
+}
+
 /// PageRank kernel state.
 #[derive(Debug)]
 pub struct PageRank {
@@ -35,12 +53,8 @@ pub struct PageRank {
     rank: TrackedVec<f64>,
     next: TrackedVec<f64>,
     iterations_run: usize,
-    // Host-side staging buffers, reused across iterations.
-    bounds: Vec<u64>,
-    nbrs: Vec<u32>,
-    ranks: Vec<f64>,
-    accs: Vec<f64>,
-    zeros: Vec<f64>,
+    routing: Vec<Routing>,
+    sweep: Vec<Sweep>,
 }
 
 impl PageRank {
@@ -51,7 +65,6 @@ impl PageRank {
     /// Allocation failures for the rank accumulators.
     pub fn new(rt: &mut Atmem, graph: HmsGraph) -> Result<Self> {
         let n = graph.num_vertices();
-        let e = graph.num_edges();
         let rank = rt.malloc::<f64>(n, "pr.rank")?;
         let next = rt.malloc::<f64>(n, "pr.next")?;
         Ok(PageRank {
@@ -59,11 +72,8 @@ impl PageRank {
             rank,
             next,
             iterations_run: 0,
-            bounds: vec![0; n + 1],
-            nbrs: vec![0; e],
-            ranks: vec![0.0; n],
-            accs: vec![0.0; n],
-            zeros: vec![0.0; n],
+            routing: Vec::new(),
+            sweep: Vec::new(),
         })
     }
 
@@ -75,95 +85,6 @@ impl PageRank {
     /// Copies the rank vector out of simulated memory (unaccounted).
     pub fn ranks(&self, rt: &mut Atmem) -> Vec<f64> {
         self.rank.to_vec(rt.machine_mut())
-    }
-
-    /// One power iteration partitioned over `ctx.par_cores()` simulated
-    /// cores, in two `run_cores` phases.
-    ///
-    /// **Phase A** splits the *source* vertices into contiguous
-    /// edge-balanced ranges: each core streams its row bounds, ranks and
-    /// neighbour ids through its own accounted core, then buckets the
-    /// resulting `(dest, share)` contributions by destination owner
-    /// (host-side, unaccounted routing, a [`Bucket`] per owner). **Phase B**
-    /// gives each core a contiguous slice of the accumulator: it applies the buckets routed
-    /// to it — source cores in core order, each bucket already in edge
-    /// order, so every accumulator entry folds in **global edge order**
-    /// (f64 addition is non-associative; this ordering is what keeps the
-    /// output bit-identical to the scalar body for any core count) — and
-    /// finishes with the damping sweep over the same owned slice.
-    fn run_iteration_sharded(&mut self, ctx: &mut MemCtx) {
-        let n = self.graph.num_vertices();
-        let cores = ctx.par_cores();
-        let host_bounds = self.graph.host_bounds(ctx.machine());
-        let src_cuts = par::edge_cuts(&host_bounds, cores);
-        let dst_cuts = par::even_cuts(n, cores);
-        let graph = &self.graph;
-        let rank = &self.rank;
-        let next = &self.next;
-
-        // Phase A: partitioned streams + host-side contribution routing.
-        let buckets: Vec<Vec<Bucket>> = ctx.run_cores(|c, mut ctx| {
-            let (lo, hi) = (src_cuts[c], src_cuts[c + 1]);
-            let mut out = vec![Bucket::default(); cores];
-            if lo == hi {
-                return out;
-            }
-            let mut b = vec![0u64; hi - lo + 1];
-            graph.bounds_run(&mut ctx, lo, &mut b);
-            let mut ranks = vec![0.0f64; hi - lo];
-            ctx.read_run(rank, lo, &mut ranks);
-            let (es, ee) = (b[0] as usize, b[hi - lo] as usize);
-            let mut nbrs = vec![0u32; ee - es];
-            graph.neighbor_run(&mut ctx, es as u64, &mut nbrs);
-            for v in lo..hi {
-                let (s, e) = (b[v - lo] as usize, b[v - lo + 1] as usize);
-                if s == e {
-                    continue;
-                }
-                let share = ranks[v - lo] / (e - s) as f64;
-                for &u in &nbrs[s - es..e - es] {
-                    out[par::owner(&dst_cuts, u as usize)].indices.push(u);
-                }
-                // Close this vertex's run in every bucket it reached.
-                for Bucket { indices, runs } in &mut out {
-                    let routed = runs.last().map_or(0, |&(end, _)| end);
-                    if indices.len() > routed {
-                        runs.push((indices.len(), share));
-                    }
-                }
-            }
-            out
-        });
-
-        // Phase B: owned accumulation in global edge order, then damping.
-        let base = (1.0 - DAMPING) / n as f64;
-        let buckets = &buckets;
-        ctx.run_cores(|c, mut ctx| {
-            for per_src in buckets {
-                // Element `k` only increases, so a cursor over the runs
-                // finds its share.
-                let Bucket { indices, runs } = &per_src[c];
-                let mut run = 0;
-                ctx.gather_update(next, indices, |k, acc| {
-                    while runs[run].0 <= k {
-                        run += 1;
-                    }
-                    acc + runs[run].1
-                });
-            }
-            let (lo, hi) = (dst_cuts[c], dst_cuts[c + 1]);
-            if lo == hi {
-                return;
-            }
-            let mut accs = vec![0.0f64; hi - lo];
-            ctx.read_run(next, lo, &mut accs);
-            for acc in accs.iter_mut() {
-                *acc = base + DAMPING * *acc;
-            }
-            ctx.write_run(rank, lo, &accs);
-            ctx.write_run(next, lo, &vec![0.0f64; hi - lo]);
-        });
-        self.iterations_run += 1;
     }
 }
 
@@ -179,48 +100,102 @@ impl Kernel for PageRank {
         self.iterations_run = 0;
     }
 
+    /// One power iteration partitioned over `ctx.par_cores()` simulated
+    /// cores, in two `run_cores` phases.
+    ///
+    /// **Phase A** splits the *source* vertices into contiguous
+    /// edge-balanced ranges: each core streams its row bounds, ranks and
+    /// neighbour ids through its own accounted core, then buckets the
+    /// resulting `(dest, share)` contributions by destination owner
+    /// (host-side, unaccounted routing, a [`Bucket`] per owner). **Phase B**
+    /// gives each core a contiguous slice of the accumulator: it applies the buckets routed
+    /// to it — source cores in core order, each bucket already in edge
+    /// order, so every accumulator entry folds in **global edge order**
+    /// (f64 addition is non-associative; this ordering is what keeps the
+    /// output bit-identical for any core count) — and finishes with the
+    /// damping sweep over the same owned slice. One core is the degenerate
+    /// partition: one bucket holding the whole edge list, applied as one
+    /// scatter-update window on the machine's resident core.
     fn run_iteration(&mut self, ctx: &mut MemCtx) {
-        if ctx.par_cores() > 1 {
-            self.run_iteration_sharded(ctx);
-            return;
-        }
         let n = self.graph.num_vertices();
-        // Stream phase: row bounds, current ranks, then all neighbour ids.
-        self.graph.bounds_into(ctx, &mut self.bounds);
-        self.ranks.resize(n, 0.0);
-        ctx.read_run(&self.rank, 0, &mut self.ranks);
-        self.nbrs.resize(self.graph.num_edges(), 0);
-        self.graph.neighbor_run(ctx, 0, &mut self.nbrs);
-        // Push phase: the whole edge list is one scatter-update window over
-        // the accumulator, in global edge order. Each window is bit-identical
-        // to its per-element scalar loop, so the historical per-vertex window
-        // boundaries were unobservable in simulated state — concatenating
-        // them changes nothing, and one window pays the window engine's
-        // set-up once per iteration instead of once per vertex. Edge `k`
-        // only increases, so a vertex cursor that only moves forward finds
-        // each edge's share without a per-edge array of them.
-        let (bounds, ranks) = (&self.bounds, &self.ranks);
-        let (mut v, mut end, mut share) = (0, 0, 0.0);
-        ctx.gather_update(&self.next, &self.nbrs, |k, acc| {
-            if k as u64 >= end {
-                while bounds[v + 1] <= k as u64 {
-                    v += 1;
-                }
-                end = bounds[v + 1];
-                share = ranks[v] / (end - bounds[v]) as f64;
+        let cores = ctx.par_cores();
+        let src_cuts = self.graph.edge_cuts(ctx.machine(), cores);
+        let dst_cuts = par::even_cuts(n, cores);
+        let (graph, rank, next) = (&self.graph, &self.rank, &self.next);
+
+        // Phase A: partitioned streams + host-side contribution routing.
+        ctx.run_cores_with(&mut self.routing, |c, mut ctx, r| {
+            let Routing {
+                bounds,
+                ranks,
+                nbrs,
+                buckets,
+            } = r;
+            buckets.resize_with(cores, Bucket::default);
+            for Bucket { indices, runs } in buckets.iter_mut() {
+                indices.clear();
+                runs.clear();
             }
-            acc + share
+            let (lo, hi) = (src_cuts[c], src_cuts[c + 1]);
+            if lo == hi {
+                return;
+            }
+            bounds.resize(hi - lo + 1, 0);
+            graph.bounds_run(&mut ctx, lo, bounds);
+            ranks.resize(hi - lo, 0.0);
+            ctx.read_run(rank, lo, ranks);
+            let (es, ee) = (bounds[0] as usize, bounds[hi - lo] as usize);
+            nbrs.resize(ee - es, 0);
+            graph.neighbor_run(&mut ctx, es as u64, nbrs);
+            for v in lo..hi {
+                let (s, e) = (bounds[v - lo] as usize, bounds[v - lo + 1] as usize);
+                if s == e {
+                    continue;
+                }
+                let share = ranks[v - lo] / (e - s) as f64;
+                for &u in &nbrs[s - es..e - es] {
+                    buckets[par::owner(&dst_cuts, u as usize)].indices.push(u);
+                }
+                // Close this vertex's run in every bucket it reached.
+                for Bucket { indices, runs } in buckets.iter_mut() {
+                    let routed = runs.last().map_or(0, |&(end, _)| end);
+                    if indices.len() > routed {
+                        runs.push((indices.len(), share));
+                    }
+                }
+            }
         });
-        // Damping + swap phase: three sequential streams.
+
+        // Phase B: owned accumulation in global edge order, then damping.
         let base = (1.0 - DAMPING) / n as f64;
-        self.accs.resize(n, 0.0);
-        ctx.read_run(&self.next, 0, &mut self.accs);
-        for acc in self.accs.iter_mut() {
-            *acc = base + DAMPING * *acc;
-        }
-        ctx.write_run(&self.rank, 0, &self.accs);
-        self.zeros.resize(n, 0.0);
-        ctx.write_run(&self.next, 0, &self.zeros);
+        let routing = &self.routing;
+        ctx.run_cores_with(&mut self.sweep, |c, mut ctx, s| {
+            for src in routing {
+                // Element `k` only increases, so a cursor over the runs
+                // finds its share.
+                let Bucket { indices, runs } = &src.buckets[c];
+                let mut run = 0;
+                ctx.gather_update(next, indices, |k, acc| {
+                    while runs[run].0 <= k {
+                        run += 1;
+                    }
+                    acc + runs[run].1
+                });
+            }
+            let (lo, hi) = (dst_cuts[c], dst_cuts[c + 1]);
+            if lo == hi {
+                return;
+            }
+            let Sweep { accs, zeros } = s;
+            accs.resize(hi - lo, 0.0);
+            ctx.read_run(next, lo, accs);
+            for acc in accs.iter_mut() {
+                *acc = base + DAMPING * *acc;
+            }
+            ctx.write_run(rank, lo, accs);
+            zeros.resize(hi - lo, 0.0);
+            ctx.write_run(next, lo, zeros);
+        });
         self.iterations_run += 1;
     }
 

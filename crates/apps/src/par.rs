@@ -32,28 +32,39 @@ pub fn even_cuts(n: usize, cores: usize) -> Vec<usize> {
     (0..=cores).map(|c| n * c / cores).collect()
 }
 
-/// Splits the vertex range of a CSR prefix array `bounds` (length
-/// `n + 1`, monotone) into `cores` contiguous ranges of near-equal
-/// **edge** count: each cut lands on the first vertex at or past the next
-/// `total_edges / cores` quantile.
+/// Splits the vertex range `0..n` of a CSR prefix array into `cores`
+/// contiguous ranges of near-equal **edge** count: each cut lands on the
+/// first vertex at or past the next `total_edges / cores` quantile.
+/// `bound(i)` reads entry `i` (`0..=n`) of the monotone prefix array. Each
+/// cut is one binary search, so a caller can read the entries on demand
+/// (`HmsGraph` peeks them in simulated memory) rather than copy the array
+/// out; one core reads only the two ends.
 ///
 /// # Panics
 ///
-/// Panics if `cores == 0` or `bounds` is empty.
-pub fn edge_cuts(bounds: &[u64], cores: usize) -> Vec<usize> {
+/// Panics if `cores == 0`.
+pub fn edge_cuts(n: usize, mut bound: impl FnMut(usize) -> u64, cores: usize) -> Vec<usize> {
     assert!(cores >= 1, "core count must be positive");
-    assert!(!bounds.is_empty(), "bounds must hold at least one entry");
-    let n = bounds.len() - 1;
-    let total = bounds[n] - bounds[0];
+    let first = bound(0);
+    let total = bound(n) - first;
     let mut cuts = Vec::with_capacity(cores + 1);
     cuts.push(0usize);
     for c in 1..cores {
         // The quantile product can exceed u64 for edge counts near
         // u64::MAX / cores, so widen before multiplying.
-        let target = bounds[0] + (u128::from(total) * c as u128 / cores as u128) as u64;
-        let cut = bounds.partition_point(|&b| b < target).min(n);
+        let target = first + (u128::from(total) * c as u128 / cores as u128) as u64;
+        // The first entry at or past `target` (a `partition_point`).
+        let (mut lo, mut hi) = (0, n + 1);
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            if bound(mid) < target {
+                lo = mid + 1;
+            } else {
+                hi = mid;
+            }
+        }
         let prev = *cuts.last().expect("cuts is non-empty");
-        cuts.push(cut.max(prev));
+        cuts.push(lo.min(n).max(prev));
     }
     cuts.push(n);
     cuts
@@ -103,6 +114,32 @@ pub fn frontier_cuts(cuts: &[usize], frontier: &[u32]) -> Vec<usize> {
 mod tests {
     use super::*;
 
+    fn cuts_of(bounds: &[u64], cores: usize) -> Vec<usize> {
+        edge_cuts(bounds.len() - 1, |i| bounds[i], cores)
+    }
+
+    #[test]
+    fn edge_cuts_match_a_linear_scan() {
+        // Monotone prefix arrays with runs of equal entries (empty rows):
+        // every cut is the first entry at or past its quantile, clamped to
+        // `n` and kept monotone.
+        for len in 1..40u64 {
+            let bounds: Vec<u64> = (0..len).map(|v| (v * v / 7) * 3).collect();
+            let n = bounds.len() - 1;
+            for cores in 1..6 {
+                let total = bounds[n] - bounds[0];
+                let mut want = vec![0];
+                for c in 1..cores {
+                    let target = bounds[0] + total * c as u64 / cores as u64;
+                    let cut = bounds.iter().position(|&b| b >= target).unwrap_or(n);
+                    want.push(cut.min(n).max(*want.last().unwrap()));
+                }
+                want.push(n);
+                assert_eq!(cuts_of(&bounds, cores), want, "n {n}, {cores} cores");
+            }
+        }
+    }
+
     #[test]
     fn even_cuts_cover_and_balance() {
         let cuts = even_cuts(10, 4);
@@ -125,7 +162,7 @@ mod tests {
         // Vertex 0 holds 90 of 100 edges: it gets its own range and the
         // remaining vertices split the tail.
         let bounds = [0u64, 90, 92, 94, 96, 98, 100];
-        let cuts = edge_cuts(&bounds, 2);
+        let cuts = cuts_of(&bounds, 2);
         assert_eq!(cuts.first(), Some(&0));
         assert_eq!(cuts.last(), Some(&6));
         assert_eq!(cuts[1], 1, "the hub alone exceeds the per-core quota");
@@ -134,7 +171,7 @@ mod tests {
     #[test]
     fn edge_cuts_handle_empty_graph() {
         let bounds = [0u64, 0, 0, 0];
-        let cuts = edge_cuts(&bounds, 3);
+        let cuts = cuts_of(&bounds, 3);
         assert_eq!(cuts.first(), Some(&0));
         assert_eq!(cuts.last(), Some(&3));
         for w in cuts.windows(2) {
@@ -157,7 +194,7 @@ mod tests {
         // quantile math the hub vertex still takes the first range and the
         // remaining cuts stay monotone.
         let bounds = [0u64, u64::MAX / 2, u64::MAX - 1];
-        let cuts = edge_cuts(&bounds, 3);
+        let cuts = cuts_of(&bounds, 3);
         assert_eq!(cuts, vec![0, 1, 2, 2]);
     }
 
@@ -201,7 +238,7 @@ mod tests {
     #[test]
     fn every_index_has_exactly_one_owner() {
         let bounds: Vec<u64> = (0..=17u64).map(|v| v * v).collect();
-        let cuts = edge_cuts(&bounds, 4);
+        let cuts = cuts_of(&bounds, 4);
         let mut counts = [0usize; 17];
         for (c, w) in cuts.windows(2).enumerate() {
             for (i, count) in counts.iter_mut().enumerate().take(w[1]).skip(w[0]) {

@@ -104,7 +104,7 @@ pub fn run_protocol(
 /// each frontier level with owner-routed next-frontier queues, all under
 /// the deterministic reduction contract. The
 /// profiler consumes the merged (core-order-concatenated) PEBS stream
-/// exactly as it consumes the scalar one, and `par_cores == 1` is
+/// exactly as it consumes a one-core one, and `par_cores == 1` is
 /// bit-identical to [`run_protocol`].
 ///
 /// # Errors

@@ -12,7 +12,6 @@ use atmem_hms::TrackedVec;
 use crate::access::MemCtx;
 use crate::graph_data::HmsGraph;
 use crate::kernel::Kernel;
-use crate::par;
 
 /// SpMV kernel state.
 #[derive(Debug)]
@@ -20,12 +19,17 @@ pub struct Spmv {
     graph: HmsGraph,
     x: TrackedVec<f64>,
     y: TrackedVec<f64>,
-    // Host-side staging buffers, reused across iterations.
+    staging: Vec<Staging>,
+}
+
+/// One core's host staging, reused across iterations.
+#[derive(Debug, Default)]
+struct Staging {
     bounds: Vec<u64>,
     cols: Vec<u32>,
     vals: Vec<f32>,
     xs: Vec<f64>,
-    ybuf: Vec<f64>,
+    ys: Vec<f64>,
 }
 
 impl Spmv {
@@ -41,66 +45,19 @@ impl Spmv {
     pub fn new(rt: &mut Atmem, graph: HmsGraph) -> Result<Self> {
         assert!(graph.is_weighted(), "SpMV requires matrix values (weights)");
         let n = graph.num_vertices();
-        let e = graph.num_edges();
         let x = rt.malloc::<f64>(n, "spmv.x")?;
         let y = rt.malloc::<f64>(n, "spmv.y")?;
         Ok(Spmv {
             graph,
             x,
             y,
-            bounds: vec![0; n + 1],
-            cols: vec![0; e],
-            vals: vec![0.0; e],
-            xs: vec![0.0; e],
-            ybuf: vec![0.0; n],
+            staging: Vec::new(),
         })
     }
 
     /// Copies the output vector out of simulated memory (unaccounted).
     pub fn output(&self, rt: &mut Atmem) -> Vec<f64> {
         self.y.to_vec(rt.machine_mut())
-    }
-
-    /// One multiply partitioned over `ctx.par_cores()` simulated cores in a
-    /// single `run_cores` phase: rows split into contiguous edge-balanced
-    /// ranges, each core streaming its bounds/column/value slices, gathering
-    /// `x[col]` (read-only, so shared reads are safe under the partition
-    /// contract) and writing its owned slice of `y`. Each row reduces in
-    /// edge order exactly as the scalar body does, so the output is
-    /// bit-identical for any core count.
-    fn run_iteration_sharded(&mut self, ctx: &mut MemCtx) {
-        let cores = ctx.par_cores();
-        let host_bounds = self.graph.host_bounds(ctx.machine());
-        let cuts = par::edge_cuts(&host_bounds, cores);
-        let graph = &self.graph;
-        let x = &self.x;
-        let y = &self.y;
-        ctx.run_cores(|c, mut ctx| {
-            let (lo, hi) = (cuts[c], cuts[c + 1]);
-            if lo == hi {
-                return;
-            }
-            let mut b = vec![0u64; hi - lo + 1];
-            graph.bounds_run(&mut ctx, lo, &mut b);
-            let (es, ee) = (b[0] as usize, b[hi - lo] as usize);
-            let mut cols = vec![0u32; ee - es];
-            let mut vals = vec![0.0f32; ee - es];
-            let mut xs = vec![0.0f64; ee - es];
-            if ee > es {
-                graph.neighbor_run(&mut ctx, es as u64, &mut cols);
-                graph.weight_run(&mut ctx, es as u64, &mut vals);
-                ctx.gather(x, &cols, &mut xs);
-            }
-            let mut ybuf = vec![0.0f64; hi - lo];
-            for (row, y_row) in ybuf.iter_mut().enumerate() {
-                let mut acc = 0.0f64;
-                for e in (b[row] as usize - es)..(b[row + 1] as usize - es) {
-                    acc += vals[e] as f64 * xs[e];
-                }
-                *y_row = acc;
-            }
-            ctx.write_run(y, lo, &ybuf);
-        });
     }
 }
 
@@ -115,35 +72,49 @@ impl Kernel for Spmv {
         self.y.fill(m, 0.0);
     }
 
+    /// One multiply partitioned over `ctx.par_cores()` simulated cores in a
+    /// single `run_cores` phase: rows split into contiguous edge-balanced
+    /// ranges, each core streaming its bounds/column/value slices, gathering
+    /// `x[col]` (read-only, so shared reads are safe under the partition
+    /// contract) and writing its owned slice of `y`. Each row reduces in
+    /// edge order, so the output is bit-identical for any core count; one
+    /// core is the degenerate partition, the whole matrix on the machine's
+    /// resident core.
     fn run_iteration(&mut self, ctx: &mut MemCtx) {
-        if ctx.par_cores() > 1 {
-            self.run_iteration_sharded(ctx);
-            return;
-        }
-        let n = self.graph.num_vertices();
-        // Stream phase: row bounds, column indices, matrix values.
-        self.graph.bounds_into(ctx, &mut self.bounds);
-        let num_edges = self.graph.num_edges();
-        self.cols.resize(num_edges, 0);
-        self.graph.neighbor_run(ctx, 0, &mut self.cols);
-        self.vals.resize(num_edges, 0.0);
-        self.graph.weight_run(ctx, 0, &mut self.vals);
-        // Gather phase: x[col] accesses follow the neighbour distribution —
-        // one simulated access per edge in order, batched by the window
-        // engine in bulk mode; the row reduction then runs host-side on the
-        // staged values.
-        self.xs.resize(num_edges, 0.0);
-        ctx.gather(&self.x, &self.cols, &mut self.xs);
-        self.ybuf.resize(n, 0.0);
-        for (row, y_row) in self.ybuf.iter_mut().enumerate() {
-            let mut acc = 0.0f64;
-            for e in self.bounds[row] as usize..self.bounds[row + 1] as usize {
-                acc += self.vals[e] as f64 * self.xs[e];
+        let cores = ctx.par_cores();
+        let cuts = self.graph.edge_cuts(ctx.machine(), cores);
+        let (graph, x, y) = (&self.graph, &self.x, &self.y);
+        ctx.run_cores_with(&mut self.staging, |c, mut ctx, s| {
+            let (lo, hi) = (cuts[c], cuts[c + 1]);
+            if lo == hi {
+                return;
             }
-            *y_row = acc;
-        }
-        // Store phase: one sequential stream into y.
-        ctx.write_run(&self.y, 0, &self.ybuf);
+            let Staging {
+                bounds,
+                cols,
+                vals,
+                xs,
+                ys,
+            } = s;
+            bounds.resize(hi - lo + 1, 0);
+            graph.bounds_run(&mut ctx, lo, bounds);
+            let (es, ee) = (bounds[0] as usize, bounds[hi - lo] as usize);
+            cols.resize(ee - es, 0);
+            vals.resize(ee - es, 0.0);
+            xs.resize(ee - es, 0.0);
+            graph.neighbor_run(&mut ctx, es as u64, cols);
+            graph.weight_run(&mut ctx, es as u64, vals);
+            ctx.gather(x, cols, xs);
+            ys.resize(hi - lo, 0.0);
+            for (row, y_row) in ys.iter_mut().enumerate() {
+                let mut acc = 0.0f64;
+                for e in (bounds[row] as usize - es)..(bounds[row + 1] as usize - es) {
+                    acc += vals[e] as f64 * xs[e];
+                }
+                *y_row = acc;
+            }
+            ctx.write_run(y, lo, ys);
+        });
     }
 
     fn checksum(&self, rt: &mut Atmem) -> f64 {

@@ -11,7 +11,6 @@ use atmem::{Atmem, Result};
 use crate::access::MemCtx;
 use crate::graph_data::HmsGraph;
 use crate::kernel::Kernel;
-use crate::par;
 
 /// Triangle-counting kernel state.
 #[derive(Debug)]
@@ -56,8 +55,8 @@ impl Kernel for Triangles {
         // associative, so the count is bit-identical for any core count).
         // One core is the degenerate partition: the whole range on the
         // machine's resident core.
-        let host_bounds = self.graph.host_bounds(ctx.machine());
-        let cuts = par::edge_cuts(&host_bounds, ctx.par_cores());
+        let cores = ctx.par_cores();
+        let cuts = self.graph.edge_cuts(ctx.machine(), cores);
         let graph = &self.graph;
         let counts: Vec<u64> =
             ctx.run_cores(|c, mut ctx| count_range(graph, &mut ctx, cuts[c], cuts[c + 1]));

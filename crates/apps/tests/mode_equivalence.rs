@@ -1,24 +1,46 @@
-//! Scalar vs. bulk access-mode equivalence for every kernel.
+//! Pinned kernel digests: one per kernel, for all ten kernels.
 //!
-//! The bulk fast paths must be *invisible* in simulation space: for each of
-//! the ten kernels, running the same workload under [`AccessMode::Scalar`]
-//! and [`AccessMode::Bulk`] contexts has to produce identical outputs and
-//! bit-identical machine state — counters, simulated clock, and the
-//! PEBS/trace streams (which are order-sensitive, so they catch reorderings
-//! the aggregate counters would miss). Any divergence means a block walk or
-//! the window engine mishandles some boundary case the per-element loop
-//! gets right.
+//! Each digest folds a kernel's checksum, every `MachineStats` counter, the
+//! simulated clock and the drained PEBS stream (order-sensitive, so it
+//! catches reorderings the aggregate counters would miss) after a fixed
+//! number of iterations at one simulated core, PEBS on at period 7 with
+//! jitter 3. The table was captured while the kernels still had a
+//! per-element scalar access mode, on the commit where that mode was proved
+//! bit-identical to the bulk engines for each of these ten runs; it then
+//! held unchanged while the serial PR/SpMV/CC/kCore bodies were folded
+//! into their one-core partitions and the mode was deleted. So each test
+//! says the kernel's one body, on the engines, still produces the stream
+//! the per-element loop produced. (The test names keep their historical
+//! `_modes_agree` form.)
+//!
+//! kCore runs in no benchmark workload and in no other pinned digest: this
+//! table is what pins it. Regenerate with `print_current_digests` only when
+//! an intentional simulation change lands, and say so in the changelog.
 
 use atmem::{Atmem, AtmemConfig};
 use atmem_apps::{
-    AccessMode, Bc, Bfs, BfsDir, Cc, HmsGraph, KCore, Kernel, MemCtx, PageRank, PageRankPull, Spmv,
-    Sssp, Triangles,
+    Bc, Bfs, BfsDir, Cc, HmsGraph, KCore, Kernel, MemCtx, PageRank, PageRankPull, Spmv, Sssp,
+    Triangles,
 };
 use atmem_graph::{rmat, Csr, Dataset};
-use atmem_hms::{MachineStats, Platform, SampleRecord, SimDuration};
+use atmem_hms::Platform;
 
-fn runtime() -> Atmem {
-    Atmem::new(Platform::testing(), AtmemConfig::default()).unwrap()
+/// FNV-1a over a stream of u64 words.
+struct Digest(u64);
+
+impl Digest {
+    fn new() -> Self {
+        Digest(0xcbf2_9ce4_8422_2325)
+    }
+
+    fn push(&mut self, word: u64) {
+        let mut h = self.0;
+        for byte in word.to_le_bytes() {
+            h ^= byte as u64;
+            h = h.wrapping_mul(0x1000_0000_01b3);
+        }
+        self.0 = h;
+    }
 }
 
 fn plain_graph() -> Csr {
@@ -36,135 +58,189 @@ fn symmetric_graph() -> Csr {
     rmat(&config, 11)
 }
 
-/// Runs `iters` iterations of the kernel `build` constructs with a context
-/// in `mode`, and returns the checksum plus every piece of simulated state
-/// a divergent fast path could disturb.
-fn run_mode(
-    csr: &Csr,
-    mode: AccessMode,
-    iters: usize,
-    build: impl FnOnce(&mut Atmem, &Csr) -> Box<dyn Kernel>,
-) -> (f64, MachineStats, SimDuration, Vec<SampleRecord>) {
-    let mut rt = runtime();
-    let mut kernel = build(&mut rt, csr);
-    kernel.reset(&mut rt);
-    rt.machine_mut().pebs_enable(7, 3);
-    for _ in 0..iters {
-        kernel.run_iteration(&mut MemCtx::new(rt.machine_mut(), mode));
-    }
-    let sum = kernel.checksum(&mut rt);
-    let stats = rt.machine().stats();
-    let now = rt.now();
-    let pebs = rt.machine_mut().pebs_drain();
-    (sum, stats, now, pebs)
-}
-
-/// Asserts both modes agree on output, counters, clock and PEBS stream.
-fn assert_modes_agree(
-    name: &str,
-    csr: &Csr,
-    iters: usize,
-    build: impl Fn(&mut Atmem, &Csr) -> Box<dyn Kernel>,
-) {
-    let (scalar_sum, scalar_stats, scalar_now, scalar_pebs) =
-        run_mode(csr, AccessMode::Scalar, iters, &build);
-    let (bulk_sum, bulk_stats, bulk_now, bulk_pebs) =
-        run_mode(csr, AccessMode::Bulk, iters, &build);
-    assert_eq!(scalar_sum, bulk_sum, "{name}: checksums diverge");
-    assert_eq!(
-        scalar_stats, bulk_stats,
-        "{name}: machine counters diverge between access modes"
-    );
-    assert_eq!(
-        scalar_now, bulk_now,
-        "{name}: simulated clocks diverge between access modes"
-    );
-    assert_eq!(
-        scalar_pebs, bulk_pebs,
-        "{name}: PEBS sample streams diverge between access modes"
-    );
-    assert!(scalar_stats.accesses > 0, "{name} performed no work");
-    assert!(!scalar_pebs.is_empty(), "{name} produced no PEBS samples");
-}
-
 fn load(rt: &mut Atmem, csr: &Csr) -> HmsGraph {
     HmsGraph::load(rt, csr).unwrap()
 }
 
+type Build = fn(&mut Atmem, &Csr) -> Box<dyn Kernel>;
+
+/// The ten kernels: name, input graph, iterations, constructor.
+fn kernels() -> Vec<(&'static str, Csr, usize, Build)> {
+    vec![
+        ("PR", plain_graph(), 2, |rt, csr| {
+            let g = load(rt, csr);
+            Box::new(PageRank::new(rt, g).unwrap())
+        }),
+        ("PR-pull", plain_graph(), 2, |rt, csr| {
+            Box::new(PageRankPull::new(rt, csr).unwrap())
+        }),
+        ("SpMV", weighted_graph(), 2, |rt, csr| {
+            let g = load(rt, csr);
+            Box::new(Spmv::new(rt, g).unwrap())
+        }),
+        ("BFS", plain_graph(), 1, |rt, csr| {
+            let g = load(rt, csr);
+            Box::new(Bfs::new(rt, g, 0).unwrap())
+        }),
+        ("BFS-dir", symmetric_graph(), 1, |rt, csr| {
+            Box::new(BfsDir::new(rt, csr, 0).unwrap())
+        }),
+        ("SSSP", weighted_graph(), 1, |rt, csr| {
+            let g = load(rt, csr);
+            Box::new(Sssp::new(rt, g, 0).unwrap())
+        }),
+        ("CC", plain_graph(), 2, |rt, csr| {
+            let g = load(rt, csr);
+            Box::new(Cc::new(rt, g).unwrap())
+        }),
+        ("BC", plain_graph(), 2, |rt, csr| {
+            let g = load(rt, csr);
+            Box::new(Bc::new(rt, g, 0).unwrap())
+        }),
+        ("kCore", symmetric_graph(), 1, |rt, csr| {
+            let g = load(rt, csr);
+            Box::new(KCore::new(rt, g).unwrap())
+        }),
+        ("TC", symmetric_graph(), 1, |rt, csr| {
+            let g = load(rt, csr);
+            Box::new(Triangles::new(rt, g).unwrap())
+        }),
+    ]
+}
+
+/// Runs `iters` iterations of the kernel `build` constructs on one core
+/// and digests the checksum, counters, clock and PEBS stream.
+fn kernel_digest(csr: &Csr, iters: usize, build: Build) -> u64 {
+    let mut rt = Atmem::new(Platform::testing(), AtmemConfig::default()).unwrap();
+    let mut kernel = build(&mut rt, csr);
+    kernel.reset(&mut rt);
+    rt.machine_mut().pebs_enable(7, 3);
+    for _ in 0..iters {
+        kernel.run_iteration(&mut MemCtx::bulk(rt.machine_mut()));
+    }
+    let sum = kernel.checksum(&mut rt);
+    let s = rt.machine().stats();
+    let now = rt.now();
+    let pebs = rt.machine_mut().pebs_drain();
+    assert!(s.accesses > 0, "kernel performed no work");
+    assert!(!pebs.is_empty(), "kernel produced no PEBS samples");
+
+    let mut d = Digest::new();
+    d.push(sum.to_bits());
+    d.push(now.as_ns().to_bits());
+    d.push(s.time_ns.to_bits());
+    for c in [
+        s.accesses,
+        s.reads,
+        s.writes,
+        s.llc_read_hits,
+        s.llc_read_misses,
+        s.llc_write_hits,
+        s.llc_write_misses,
+        s.tlb_hits,
+        s.tlb_misses,
+        s.bytes_migrated,
+    ] {
+        d.push(c);
+    }
+    for b in s.bytes_used {
+        d.push(b);
+    }
+    d.push(pebs.len() as u64);
+    for rec in pebs {
+        d.push(rec.vaddr.raw());
+    }
+    d.0
+}
+
+/// Digests captured while the per-element scalar mode still existed and
+/// equalled the bulk engines on each of these runs (see the module docs).
+const PINNED: &[(&str, u64)] = &[
+    ("PR", 0xbbb68869abd42b9f),
+    ("PR-pull", 0x7e57f118f8a9e093),
+    ("SpMV", 0xb8417390216c13c8),
+    ("BFS", 0x373967533f635d57),
+    ("BFS-dir", 0x67f1dec1f928210d),
+    ("SSSP", 0xe0ecfc52c99fd76a),
+    ("CC", 0x57805b5f4308fee3),
+    ("BC", 0xe4bbbf6c46d7d70a),
+    ("kCore", 0x73afca7e5fde5a6d),
+    ("TC", 0x8208653a5d77ca9b),
+];
+
+/// Prints the digests of the current build (capture helper; always passes).
+#[test]
+#[ignore = "capture helper: run with --ignored --nocapture to regenerate PINNED"]
+fn print_current_digests() {
+    for (name, csr, iters, build) in kernels() {
+        let d = kernel_digest(&csr, iters, build);
+        println!("    (\"{name}\", 0x{d:016x}),");
+    }
+}
+
+fn assert_pinned(name: &str) {
+    let (_, csr, iters, build) = kernels()
+        .into_iter()
+        .find(|k| k.0 == name)
+        .unwrap_or_else(|| panic!("no kernel named {name}"));
+    let pinned = PINNED
+        .iter()
+        .find(|p| p.0 == name)
+        .unwrap_or_else(|| panic!("no pinned digest for {name}"))
+        .1;
+    let d = kernel_digest(&csr, iters, build);
+    assert_eq!(
+        d, pinned,
+        "{name}: kernel digest diverged (0x{d:016x} != 0x{pinned:016x})"
+    );
+}
+
 #[test]
 fn pagerank_modes_agree() {
-    assert_modes_agree("PR", &plain_graph(), 2, |rt, csr| {
-        let g = load(rt, csr);
-        Box::new(PageRank::new(rt, g).unwrap())
-    });
+    assert_pinned("PR");
 }
 
 #[test]
 fn pagerank_pull_modes_agree() {
-    assert_modes_agree("PR-pull", &plain_graph(), 2, |rt, csr| {
-        Box::new(PageRankPull::new(rt, csr).unwrap())
-    });
+    assert_pinned("PR-pull");
 }
 
 #[test]
 fn spmv_modes_agree() {
-    assert_modes_agree("SpMV", &weighted_graph(), 2, |rt, csr| {
-        let g = load(rt, csr);
-        Box::new(Spmv::new(rt, g).unwrap())
-    });
+    assert_pinned("SpMV");
 }
 
 #[test]
 fn bfs_modes_agree() {
-    assert_modes_agree("BFS", &plain_graph(), 1, |rt, csr| {
-        let g = load(rt, csr);
-        Box::new(Bfs::new(rt, g, 0).unwrap())
-    });
+    assert_pinned("BFS");
 }
 
 #[test]
 fn bfs_dir_modes_agree() {
-    assert_modes_agree("BFS-dir", &symmetric_graph(), 1, |rt, csr| {
-        Box::new(BfsDir::new(rt, csr, 0).unwrap())
-    });
+    assert_pinned("BFS-dir");
 }
 
 #[test]
 fn sssp_modes_agree() {
-    assert_modes_agree("SSSP", &weighted_graph(), 1, |rt, csr| {
-        let g = load(rt, csr);
-        Box::new(Sssp::new(rt, g, 0).unwrap())
-    });
+    assert_pinned("SSSP");
 }
 
 #[test]
 fn cc_modes_agree() {
-    assert_modes_agree("CC", &plain_graph(), 2, |rt, csr| {
-        let g = load(rt, csr);
-        Box::new(Cc::new(rt, g).unwrap())
-    });
+    assert_pinned("CC");
 }
 
 #[test]
 fn bc_modes_agree() {
-    assert_modes_agree("BC", &plain_graph(), 2, |rt, csr| {
-        let g = load(rt, csr);
-        Box::new(Bc::new(rt, g, 0).unwrap())
-    });
+    assert_pinned("BC");
 }
 
 #[test]
 fn kcore_modes_agree() {
-    assert_modes_agree("kCore", &symmetric_graph(), 1, |rt, csr| {
-        let g = load(rt, csr);
-        Box::new(KCore::new(rt, g).unwrap())
-    });
+    assert_pinned("kCore");
 }
 
 #[test]
 fn triangles_modes_agree() {
-    assert_modes_agree("TC", &symmetric_graph(), 1, |rt, csr| {
-        let g = load(rt, csr);
-        Box::new(Triangles::new(rt, g).unwrap())
-    });
+    assert_pinned("TC");
 }

@@ -1,48 +1,57 @@
-//! Block + window engines vs. the per-element scalar oracle, on random
-//! access programs.
+//! Block + window engines vs. the per-element oracle, on random access
+//! programs.
 //!
 //! Two identical machines execute the same random access program over the
-//! same random placement through the kernel-facing [`MemCtx`] API: one in
-//! [`AccessMode::Bulk`] (`read_slice` / `write_slice` for sweeps, `gather` /
-//! `scatter` / `gather_update` for index windows), one in
-//! [`AccessMode::Scalar`] (per-element `get` / `set` loops — a
-//! read-modify-write is a `get` followed by a `set`, so the oracle shares
-//! none of the engines' run folding). The program mixes sequential sweeps,
-//! random gathers/scatters/updates (duplicates included), strided windows,
-//! mid-run `mbind` migrations (which splinter mappings and move data
-//! between tiers under both machines) and PEBS/trace toggles, so sweeps
-//! and windows interleave across migrations with sampling off as well as
-//! on. The whole program runs twice so the second pass starts from warm
-//! TLB/LLC state and the migrated placement.
+//! same random placement: one through the kernel-facing [`MemCtx`] API
+//! (`read_run` / `write_run` for sweeps, `gather` / `scatter` /
+//! `gather_update` for index windows — the engines every kernel runs on),
+//! one through plain per-element `TrackedVec::get` / `set` loops written
+//! out in this file (a read-modify-write is a `get` followed by a `set`,
+//! so the oracle shares none of the engines' run folding). The program
+//! mixes sequential sweeps, random gathers/scatters/updates (duplicates
+//! included), strided windows, mid-run `mbind` migrations (which splinter
+//! mappings and move data between tiers under both machines) and
+//! PEBS/trace toggles, so sweeps and windows interleave across migrations
+//! with sampling off as well as on. Arrays span a few base pages or one
+//! or two huge-page units (plus a base-page tail), on a TLB that coalesces
+//! 1 or 8 base pages per entry. The whole program runs twice so
+//! the second pass starts from warm TLB/LLC state and the migrated
+//! placement.
 //!
 //! After the program, *everything observable* must match bit-for-bit:
 //! every read buffer, every machine counter, the simulated clock (f64 by
 //! bit pattern), the drained PEBS sample stream, the drained trace
 //! stream, the full data image, and a clean audit on both machines.
 
-use atmem_apps::{AccessMode, MemCtx};
-use atmem_hms::{Machine, Placement, Platform, TierId, TrackedVec, VirtRange};
+use atmem_apps::MemCtx;
+use atmem_hms::{Machine, PageKind, Placement, Platform, TierId, TrackedVec, VirtRange};
 use atmem_prop::prelude::*;
 
 const PAGE: usize = 4096;
 const ELEMS_PER_PAGE: usize = PAGE / 8;
 
-/// One machine + vector under a fixed access mode.
+/// Base pages per huge-page unit (the simulator's `HUGE_PAGE_FRAMES`): an
+/// aligned array of at least this many pages is mapped `PageKind::Huge2M`.
+const HUGE_PAGES: usize = 64;
+
+/// One machine + vector, driven through the engines or the oracle loops.
 struct Harness {
     m: Machine,
     v: TrackedVec<u64>,
-    mode: AccessMode,
+    oracle: bool,
 }
 
 impl Harness {
-    fn new(pages: usize, placement: Placement, mode: AccessMode) -> Self {
+    fn new(pages: usize, placement: Placement, tlb_coalesce: usize, oracle: bool) -> Self {
         let len = pages * ELEMS_PER_PAGE;
-        let mut m = Machine::new(Platform::testing());
+        let mut platform = Platform::testing();
+        platform.tlb_coalesce = tlb_coalesce;
+        let mut m = Machine::new(platform);
         let v = TrackedVec::<u64>::new(&mut m, len, placement).unwrap();
         for i in 0..len {
             v.poke(&mut m, i, (i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
         }
-        Harness { m, v, mode }
+        Harness { m, v, oracle }
     }
 
     /// Executes one op and returns whatever it read (empty for writes).
@@ -51,34 +60,65 @@ impl Harness {
         match op {
             Op::SweepRead { start, count } => {
                 let mut out = vec![0u64; *count];
-                MemCtx::new(&mut self.m, self.mode).read_run(&self.v, *start, &mut out);
+                if self.oracle {
+                    for (k, slot) in out.iter_mut().enumerate() {
+                        *slot = self.v.get(&mut self.m, start + k);
+                    }
+                } else {
+                    MemCtx::bulk(&mut self.m).read_run(&self.v, *start, &mut out);
+                }
                 out
             }
             Op::SweepWrite { start, count, salt } => {
                 let vals: Vec<u64> = (0..*count as u64).map(|j| j.wrapping_mul(*salt)).collect();
-                MemCtx::new(&mut self.m, self.mode).write_run(&self.v, *start, &vals);
+                if self.oracle {
+                    for (k, &x) in vals.iter().enumerate() {
+                        self.v.set(&mut self.m, start + k, x);
+                    }
+                } else {
+                    MemCtx::bulk(&mut self.m).write_run(&self.v, *start, &vals);
+                }
                 Vec::new()
             }
             Op::Gather { indices } => {
                 let mut out = vec![0u64; indices.len()];
-                MemCtx::new(&mut self.m, self.mode).gather(&self.v, indices, &mut out);
+                if self.oracle {
+                    for (&i, slot) in indices.iter().zip(out.iter_mut()) {
+                        *slot = self.v.get(&mut self.m, i as usize);
+                    }
+                } else {
+                    MemCtx::bulk(&mut self.m).gather(&self.v, indices, &mut out);
+                }
                 out
             }
             Op::Scatter { indices, salt } => {
                 let vals: Vec<u64> = (0..indices.len() as u64)
                     .map(|j| j.wrapping_mul(*salt))
                     .collect();
-                MemCtx::new(&mut self.m, self.mode).scatter(&self.v, indices, &vals);
+                if self.oracle {
+                    for (&i, &x) in indices.iter().zip(&vals) {
+                        self.v.set(&mut self.m, i as usize, x);
+                    }
+                } else {
+                    MemCtx::bulk(&mut self.m).scatter(&self.v, indices, &vals);
+                }
                 Vec::new()
             }
             Op::Update { indices, salt } => {
                 // Non-commutative in (k, x): duplicate indices must apply
-                // in scalar order on both paths.
-                let salt = *salt;
-                MemCtx::new(&mut self.m, self.mode).gather_update(&self.v, indices, |k, x: u64| {
+                // in window order on both paths.
+                let f = |k: usize, x: u64| {
                     x.wrapping_mul(0x100_0000_01b3)
                         .wrapping_add(k as u64 ^ salt)
-                });
+                };
+                if self.oracle {
+                    for (k, &i) in indices.iter().enumerate() {
+                        let old = self.v.get(&mut self.m, i as usize);
+                        self.v.set(&mut self.m, i as usize, f(k, old));
+                    }
+                } else {
+                    MemCtx::bulk(&mut self.m).gather_update(&self.v, indices, f);
+                }
                 Vec::new()
             }
             Op::Migrate { page, pages, fast } => {
@@ -208,15 +248,18 @@ fn decode(kind: u32, a: u64, b: u64, len: usize, total_pages: usize) -> Op {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
+    #![proptest_config(ProptestConfig::with_cases(prop_cases(24)))]
 
     /// The block and window engines are bit-identical to the per-element
-    /// scalar loops on arbitrary access programs, placements, mid-run
-    /// migrations and instrumentation toggles.
+    /// `get`/`set` loops on arbitrary access programs, placements, array
+    /// sizes (base-page and huge mappings), TLB coalescing factors,
+    /// mid-run migrations and instrumentation toggles.
     #[test]
     fn engines_are_bit_identical_to_scalar_loops(
         raw in prop::collection::vec((0u32..9, any::<u64>(), any::<u64>()), 1..24),
-        pages in 1usize..5,
+        small in 1usize..5,
+        huge_units in 0usize..3,
+        coalesce_8 in any::<bool>(),
         place in 0u32..3,
     ) {
         let placement = match place {
@@ -224,13 +267,24 @@ proptest! {
             1 => Placement::Slow,
             _ => Placement::Preferred(TierId::FAST),
         };
+        // 1..=4 base pages, or 64..=67 / 128..=131: one or two huge units
+        // plus a base-page tail.
+        let pages = if huge_units == 0 { small } else { huge_units * HUGE_PAGES + small - 1 };
+        let tlb_coalesce = if coalesce_8 { 8 } else { 1 };
         let len = pages * ELEMS_PER_PAGE;
         let ops: Vec<Op> = raw
             .iter()
             .map(|&(kind, a, b)| decode(kind, a, b, len, pages))
             .collect();
-        let mut oracle = Harness::new(pages, placement, AccessMode::Scalar);
-        let mut engine = Harness::new(pages, placement, AccessMode::Bulk);
+        let mut oracle = Harness::new(pages, placement, tlb_coalesce, true);
+        let mut engine = Harness::new(pages, placement, tlb_coalesce, false);
+        if huge_units > 0 {
+            let maps = engine.m.mappings_in(engine.v.range());
+            prop_assert!(
+                maps.iter().filter(|mp| mp.kind == PageKind::Huge2M).count() >= 1,
+                "{} pages are not huge-mapped: {:?}", pages, maps
+            );
+        }
         // Two passes: the second starts from warm TLB/LLC state and
         // whatever placement the stream's migrations left behind.
         for pass in 0..2 {

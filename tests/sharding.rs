@@ -1,19 +1,17 @@
 //! Determinism and bit-identity gates for the sharded simulation engine.
 //!
-//! Three contracts from the sharded-engine design are enforced here, at the
+//! Two contracts from the sharded-engine design are enforced here, at the
 //! kernel level (the hms crate tests the same contracts at the machine
-//! level):
+//! level, including `run_cores_n1_is_bit_identical_to_scalar` for the
+//! one-core phase):
 //!
 //! 1. **Run-to-run determinism** — same seed, same core count, same input
 //!    ⇒ bit-identical simulated clocks, counters and checksums across two
 //!    independent runs, threads notwithstanding.
-//! 2. **Core-count invariance of kernel output** — every sharded kernel's
-//!    output arrays (hence checksums) are bit-identical for 1, 2 and 4
+//! 2. **Core-count invariance of kernel output** — every kernel's output
+//!    arrays are bit-identical, element by element, for 1, 2, 4 and 8
 //!    simulated cores. For the f64 kernels this is only true because the
-//!    sharded bodies fold contributions in global edge order.
-//! 3. **`par_cores == 1` is the scalar engine** — a context with one core
-//!    drives the identical code path as the pre-sharding engine: stats,
-//!    clock, PEBS stream and trace ring all match bit-for-bit.
+//!    partitioned bodies fold contributions in global edge order.
 
 use atmem::{Atmem, AtmemConfig};
 use atmem_apps::{
@@ -61,15 +59,54 @@ fn assert_core_count_invariant(
     iters: usize,
     make: &dyn Fn(&mut Atmem, &Csr) -> Box<dyn Kernel>,
 ) {
-    let scalar = checksum_at_cores(csr, make, 1, iters);
+    let one = checksum_at_cores(csr, make, 1, iters);
     for cores in [2usize, 4, 8] {
         let sharded = checksum_at_cores(csr, make, cores, iters);
         assert_eq!(
-            scalar.to_bits(),
+            one.to_bits(),
             sharded.to_bits(),
-            "{name}: checksum diverges at {cores} cores ({scalar} vs {sharded})"
+            "{name}: checksum diverges at {cores} cores ({one} vs {sharded})"
         );
     }
+}
+
+/// Runs `iters` iterations of a freshly instantiated kernel at `cores`
+/// simulated cores and returns its output array, bit patterns included.
+fn output_at_cores<K: Kernel, T>(
+    csr: &Csr,
+    make: impl Fn(&mut Atmem, &Csr) -> K,
+    output: impl Fn(&K, &mut Atmem) -> Vec<T>,
+    cores: usize,
+    iters: usize,
+) -> Vec<T> {
+    let mut rt = runtime();
+    let mut kernel = make(&mut rt, csr);
+    kernel.reset(&mut rt);
+    for _ in 0..iters {
+        kernel.run_iteration(&mut MemCtx::bulk(rt.machine_mut()).with_cores(cores));
+    }
+    output(&kernel, &mut rt)
+}
+
+/// Asserts a kernel's output array is element-wise identical at 2, 4 and
+/// 8 cores to its one-core output.
+fn assert_output_core_count_invariant<K: Kernel, T: PartialEq + std::fmt::Debug>(
+    name: &str,
+    csr: &Csr,
+    iters: usize,
+    make: impl Fn(&mut Atmem, &Csr) -> K,
+    output: impl Fn(&K, &mut Atmem) -> Vec<T>,
+) {
+    let one = output_at_cores(csr, &make, &output, 1, iters);
+    assert!(!one.is_empty(), "{name} produced no output");
+    for cores in [2usize, 4, 8] {
+        let got = output_at_cores(csr, &make, &output, cores, iters);
+        assert!(one == got, "{name}: output diverges at {cores} cores");
+    }
+}
+
+fn f64_bits(xs: Vec<f64>) -> Vec<u64> {
+    xs.into_iter().map(f64::to_bits).collect()
 }
 
 #[test]
@@ -78,25 +115,53 @@ fn kernel_outputs_are_core_count_invariant() {
     let weighted = skewed.clone().with_random_weights(16.0, 1);
     let symmetric = symmetric_graph();
 
-    assert_core_count_invariant("PR-push", &skewed, 3, &|rt, csr| {
-        let g = HmsGraph::load(rt, csr).unwrap();
-        Box::new(PageRank::new(rt, g).unwrap())
-    });
-    assert_core_count_invariant("PR-pull", &skewed, 3, &|rt, csr| {
-        Box::new(PageRankPull::new(rt, csr).unwrap())
-    });
-    assert_core_count_invariant("SpMV", &weighted, 2, &|rt, csr| {
-        let g = HmsGraph::load(rt, csr).unwrap();
-        Box::new(Spmv::new(rt, g).unwrap())
-    });
-    assert_core_count_invariant("CC", &skewed, 3, &|rt, csr| {
-        let g = HmsGraph::load(rt, csr).unwrap();
-        Box::new(Cc::new(rt, g).unwrap())
-    });
-    assert_core_count_invariant("kCore", &symmetric, 1, &|rt, csr| {
-        let g = HmsGraph::load(rt, csr).unwrap();
-        Box::new(KCore::new(rt, g).unwrap())
-    });
+    assert_output_core_count_invariant(
+        "PR-push",
+        &skewed,
+        3,
+        |rt, csr| {
+            let g = HmsGraph::load(rt, csr).unwrap();
+            PageRank::new(rt, g).unwrap()
+        },
+        |pr, rt| f64_bits(pr.ranks(rt)),
+    );
+    assert_output_core_count_invariant(
+        "PR-pull",
+        &skewed,
+        3,
+        |rt, csr| PageRankPull::new(rt, csr).unwrap(),
+        |pr, rt| f64_bits(pr.ranks(rt)),
+    );
+    assert_output_core_count_invariant(
+        "SpMV",
+        &weighted,
+        2,
+        |rt, csr| {
+            let g = HmsGraph::load(rt, csr).unwrap();
+            Spmv::new(rt, g).unwrap()
+        },
+        |spmv, rt| f64_bits(spmv.output(rt)),
+    );
+    assert_output_core_count_invariant(
+        "CC",
+        &skewed,
+        3,
+        |rt, csr| {
+            let g = HmsGraph::load(rt, csr).unwrap();
+            Cc::new(rt, g).unwrap()
+        },
+        |cc, rt| cc.labels(rt),
+    );
+    assert_output_core_count_invariant(
+        "kCore",
+        &symmetric,
+        1,
+        |rt, csr| {
+            let g = HmsGraph::load(rt, csr).unwrap();
+            KCore::new(rt, g).unwrap()
+        },
+        |kc, rt| kc.core_numbers(rt),
+    );
     assert_core_count_invariant("TC", &symmetric, 1, &|rt, csr| {
         let g = HmsGraph::load(rt, csr).unwrap();
         Box::new(Triangles::new(rt, g).unwrap())
@@ -127,7 +192,7 @@ fn traversal_outputs_are_core_count_invariant() {
 
 /// Element-wise (not just checksum) bit-identity of every traversal
 /// kernel's output arrays across core counts, with `par_cores == 1`
-/// (the scalar body) as the reference — the frontier partition must not
+/// (the one-core body) as the reference — the frontier partition must not
 /// change a single distance, phase count or centrality bit.
 #[test]
 fn traversal_outputs_match_scalar_elementwise() {
@@ -250,42 +315,6 @@ fn sharded_protocol_is_deterministic_across_runs() {
         ob.migration.time.as_ns().to_bits()
     );
     assert!(a.audit.is_empty(), "audit: {:?}", a.audit);
-}
-
-#[test]
-fn one_core_context_is_bit_identical_to_the_scalar_engine() {
-    let csr = skewed_graph();
-    // Two identical runtimes; one drives the kernel through the historical
-    // scalar context, the other through `with_cores(1)`. PEBS sampling and
-    // tracing are both on so the comparison covers every per-core stream.
-    let run = |cores: Option<usize>| {
-        let mut rt = runtime();
-        let g = HmsGraph::load(&mut rt, &csr).unwrap();
-        let mut pr = PageRank::new(&mut rt, g).unwrap();
-        pr.reset(&mut rt);
-        rt.machine_mut().pebs_enable(64, 16);
-        rt.machine_mut().trace_enable();
-        for _ in 0..2 {
-            let mut ctx = MemCtx::bulk(rt.machine_mut());
-            if let Some(n) = cores {
-                ctx = ctx.with_cores(n);
-            }
-            pr.run_iteration(&mut ctx);
-        }
-        let stats = rt.machine().stats();
-        let now = rt.machine().now().as_ns().to_bits();
-        let pebs = rt.machine_mut().pebs_drain();
-        let trace = rt.machine_mut().trace_drain();
-        let ranks: Vec<u64> = pr.ranks(&mut rt).into_iter().map(|r| r.to_bits()).collect();
-        (stats, now, pebs, trace, ranks)
-    };
-    let scalar = run(None);
-    let one_core = run(Some(1));
-    assert_eq!(scalar.0, one_core.0, "stats diverge");
-    assert_eq!(scalar.1, one_core.1, "clocks diverge");
-    assert_eq!(scalar.2, one_core.2, "PEBS streams diverge");
-    assert_eq!(scalar.3, one_core.3, "traces diverge");
-    assert_eq!(scalar.4, one_core.4, "outputs diverge");
 }
 
 #[test]
