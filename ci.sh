@@ -105,6 +105,29 @@ if grep -rnE 'AccessMode|MemCtx::scalar' crates tests examples; then echo "an ac
 # serial body behind a core-count branch.
 if grep -nE 'run_iteration_sharded|par_cores\(\) > 1' crates/apps/src/{spmv,pagerank,cc,kcore,triangles}.rs; then echo "a regular kernel has a second body again (lines above)" >&2; exit 1; fi
 
+echo "==> tracer guard (PEBS is the one per-access recorder)"
+# The full access-trace recorder is deleted: PEBS at period 1, jitter 0 is
+# the exact in-order read-miss stream, and the only per-access observer an
+# accounted access feeds. (benchmark/ has a host-time Tracer of its own,
+# outside this scope.)
+if grep -rnE '\b(Tracer|TraceRecord|AccessKind|trace_enable|trace_disable|trace_drain)\b|\.tracer\(\)' crates tests examples; then echo "the access tracer is back (lines above)" >&2; exit 1; fi
+if [ -e crates/hms/src/trace.rs ]; then echo "crates/hms/src/trace.rs is back" >&2; exit 1; fi
+
+echo "==> line ratchet (non-test lines per crate stay under their ceilings)"
+# Lines of crates/<crate>/src/**/*.rs before each file's first column-0
+# #[cfg(test)]: what a crate ships, without its unit tests. A change that
+# must grow a crate raises its ceiling here, in its own diff, and gives the
+# reason in its change log.
+ratchet_ok=1
+for entry in hms:6897 core:4178 apps:3505 graph:1332 bench:1939 rng:307 prop:261; do
+  crate="${entry%%:*}"
+  ceiling="${entry#*:}"
+  lines="$(find "crates/$crate/src" -name '*.rs' -exec awk 'FNR == 1 { skip = 0 } /^#\[cfg\(test\)\]/ { skip = 1 } !skip { n++ } END { print n + 0 }' {} + | awk '{ s += $1 } END { print s + 0 }')"
+  echo "    $crate: $lines non-test lines (ceiling $ceiling)"
+  if [ "$lines" -gt "$ceiling" ]; then echo "crates/$crate/src grew past its ceiling: $lines > $ceiling" >&2; ratchet_ok=0; fi
+done
+[ "$ratchet_ok" = 1 ] || exit 1
+
 echo "==> harness guard (one measurement harness, one experiment entry point)"
 # PR 22 retired the micro-bench harness and the per-figure shim binaries:
 # host speed is measured by benchmark/ alone and every figure is
@@ -120,12 +143,13 @@ fi
 
 echo "==> engines-vs-scalar bit-identity property sweep"
 # Random access programs (sweeps, gathers, scatters, non-commutative
-# updates, mid-run migrations, PEBS/trace toggles) on base-page and huge
-# mappings, with TLB coalescing 1 and 8, through MemCtx (the block and
-# window engines every kernel runs on) and through the per-element
-# TrackedVec get/set loops written out in tests/access_prop.rs (the one
-# place the scalar oracle lives) must agree on every read buffer, counter,
-# the simulated clock, the PEBS/trace streams and the data image. Already
+# updates, mid-run migrations, PEBS off / period 64 / period 1) on
+# base-page and huge mappings, with TLB coalescing 1 and 8, through MemCtx
+# (the block and window engines every kernel runs on) and through the
+# per-element TrackedVec get/set loops written out in tests/access_prop.rs
+# (the one place the scalar oracle lives) must agree on every read buffer,
+# counter and the simulated clock after every op, and on the PEBS stream
+# (at period 1: every read miss, in order) and the data image. Already
 # part of tier-1 above; dedicated step so an engine divergence is named in
 # CI output (ATMEM_PROP_CASES widens it).
 ATMEM_PROP_CASES="${ATMEM_PROP_CASES:-8}" cargo test -q -p atmem-bench --test access_prop
@@ -142,7 +166,7 @@ echo "==> unaccounted data path: segment-wise fill/load/copy-out vs poke/peek lo
 # TrackedVec::{fill_from, fill, fill_with, to_vec, values} against the per-element
 # loops on a contiguous array, across mbind-splintered per-page mappings
 # and through a CoreHandle: equal data images, and counters, clock, TLB/LLC
-# contents, PEBS buffer and trace ring untouched by every bulk call.
+# contents and the PEBS buffer untouched by every bulk call.
 cargo test -q -p atmem-hms --lib bulk_unaccounted_ops_match_poke_peek_loops
 
 echo "==> tier storage: chunked, recycled backing vs a flat byte array per tier"
@@ -180,10 +204,13 @@ echo "==> serving smoke (multi-tenant scheduler anchors)"
 # kept as a dedicated step so a serving regression is named in CI output.
 cargo test -q -p atmem-bench --test serving
 
-echo "==> example smoke (shared_server runs end to end)"
-# The example asserts audit cleanliness and per-tenant byte conservation
-# internally; a non-zero exit fails the gate.
+echo "==> example smoke (shared_server and offline_analysis run end to end)"
+# shared_server asserts audit cleanliness and per-tenant byte conservation
+# internally; offline_analysis asserts that the exact read-miss profile
+# (PEBS at period 1) and ATMem's sampled one pick the same hottest object.
+# A non-zero exit fails the gate.
 cargo run -q --release -p atmem-bench --example shared_server > /dev/null
+cargo run -q --release -p atmem-bench --example offline_analysis > /dev/null
 
 echo "==> learned-analyzer training gate (committed mini-trace)"
 # Retrains the ranking model from the committed trace and asserts (a) the

@@ -115,16 +115,6 @@ impl ResultTable {
         self.rows.push((label.into(), cells));
     }
 
-    /// The table title.
-    pub fn title(&self) -> &str {
-        &self.title
-    }
-
-    /// The rows appended so far.
-    pub fn rows(&self) -> &[(String, Vec<f64>)] {
-        &self.rows
-    }
-
     /// Renders an aligned text table.
     pub fn render(&self) -> String {
         let mut out = String::new();

@@ -52,13 +52,11 @@ pub enum FaultSite {
     ///
     /// [`Machine::migrate_mbind`]: crate::Machine::migrate_mbind
     PageStatus,
-    /// A sampled record crossing [`Machine::pebs_drain`] or
-    /// [`Machine::trace_drain`] (the simulated analogue of a PEBS buffer
-    /// overwrite or a lost perf event). A firing silently drops that
-    /// record, starving the analyzer of one sample.
+    /// A sampled record crossing [`Machine::pebs_drain`] (the simulated
+    /// analogue of a PEBS buffer overwrite or a lost perf event). A firing
+    /// silently drops that record, starving the analyzer of one sample.
     ///
     /// [`Machine::pebs_drain`]: crate::Machine::pebs_drain
-    /// [`Machine::trace_drain`]: crate::Machine::trace_drain
     SampleLoss,
 }
 

@@ -69,7 +69,6 @@ mod shard;
 mod stats;
 mod tier;
 mod tlb;
-mod trace;
 mod tracked;
 
 // The crate root is the surface: what another crate, an integration test, an
@@ -89,5 +88,4 @@ pub use shard::{merge_owner_queues, CoreHandle, MemPort, OwnerQueues, MAX_TIERS}
 pub use stats::MachineStats;
 pub use tier::{TierId, TierSpec};
 pub use tlb::Tlb;
-pub use trace::{AccessKind, TraceRecord, Tracer};
 pub use tracked::TrackedVec;

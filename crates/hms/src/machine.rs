@@ -23,7 +23,6 @@ use crate::shard::{
 };
 use crate::stats::MachineStats;
 use crate::tier::{Tier, TierId, TierStorage};
-use crate::trace::{TraceRecord, Tracer};
 
 /// Where an allocation's physical frames should come from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -155,7 +154,7 @@ impl Machine {
         );
         let tiers: Vec<Tier> = platform.tiers.iter().cloned().map(Tier::new).collect();
         let storage = TierStorage::new(&platform.tiers);
-        let core = CoreCtx::resident(&platform, 0xA7_3E3, 1 << 24);
+        let core = CoreCtx::resident(&platform, 0xA7_3E3);
         Machine {
             core,
             mappings: MappingTable::new(),
@@ -187,21 +186,11 @@ impl Machine {
         self.alloc_tag = tag;
     }
 
-    /// The tag currently stamped onto new allocations.
-    pub fn alloc_tag(&self) -> u32 {
-        self.alloc_tag
-    }
-
     /// Bytes resident on `tier` across all live allocations stamped with
     /// `tag`, answered from the incremental residency cache — O(log n),
     /// no mapping rescan.
     pub fn resident_bytes_by_tag(&self, tag: u32, tier: TierId) -> usize {
         self.tag_resident.get(&tag).map_or(0, |r| r[tier.index()])
-    }
-
-    /// Total live allocated bytes stamped with `tag` (both tiers).
-    pub fn tagged_bytes(&self, tag: u32) -> usize {
-        self.tag_resident.get(&tag).map_or(0, |r| r.iter().sum())
     }
 
     /// Cached bytes of the allocation starting at `start` resident on
@@ -303,9 +292,8 @@ impl Machine {
     // ------------------------------------------------------------------
 
     /// Forks `n` per-core contexts off the resident core: cold TLB and LLC,
-    /// clock at zero, independent deterministic PEBS jitter streams, empty
-    /// trace rings. Paired with [`Machine::join_cores`] by
-    /// [`Machine::run_cores`].
+    /// clock at zero, independent deterministic PEBS jitter streams. Paired
+    /// with [`Machine::join_cores`] by [`Machine::run_cores`].
     fn fork_cores(&mut self, n: usize) -> Vec<CoreCtx> {
         assert!(n > 0, "core count must be positive");
         (0..n)
@@ -327,7 +315,6 @@ impl Machine {
             self.core.tlb.absorb_counters(&c.tlb);
             self.core.llc.absorb_counters(&c.llc);
             self.core.pebs.absorb(c.pebs);
-            self.core.tracer.absorb(c.tracer);
             if c.clock.now() > max_elapsed {
                 max_elapsed = c.clock.now();
             }
@@ -346,14 +333,14 @@ impl Machine {
     /// in core order. Forked cores start with cold TLB and LLC, and their
     /// state is merged under the **deterministic reduction contract**, in
     /// core order regardless of OS scheduling: access counters and TLB/LLC
-    /// totals are summed, PEBS and trace streams are concatenated, and the
-    /// machine clock advances by the maximum per-core elapsed time plus one
-    /// modeled phase barrier over `cores` cores.
+    /// totals are summed, PEBS streams are concatenated, and the machine
+    /// clock advances by the maximum per-core elapsed time plus one modeled
+    /// phase barrier over `cores` cores.
     ///
     /// With `cores == 1` the closure runs against the machine's resident
-    /// core and no fork, merge or barrier happens at all: stats, clock,
-    /// PEBS stream and traces end bit-identical to driving the machine
-    /// itself as the port.
+    /// core and no fork, merge or barrier happens at all: stats, clock and
+    /// PEBS stream end bit-identical to driving the machine itself as the
+    /// port.
     ///
     /// Callers must respect the **partition contract**: cores may read any
     /// mapped byte concurrently, but bytes written by one core during the
@@ -758,7 +745,7 @@ impl Machine {
     }
 
     /// Invalidates every TLB entry covering `range`.
-    pub fn invalidate_tlb_range(&mut self, range: VirtRange) {
+    pub(crate) fn invalidate_tlb_range(&mut self, range: VirtRange) {
         if range.len == 0 {
             return;
         }
@@ -1007,7 +994,7 @@ impl Machine {
     /// it. Splitting a huge mapping at an unaligned point demotes the
     /// broken 2 MiB unit to base pages (and invalidates its TLB entries),
     /// as a real kernel would.
-    pub fn split_mappings_at(&mut self, range: VirtRange) {
+    pub(crate) fn split_mappings_at(&mut self, range: VirtRange) {
         debug_assert_eq!(range.start.page_offset(), 0);
         debug_assert_eq!(range.len % PAGE_SIZE, 0);
         for boundary in [range.start.page_index(), range.end().page_index()] {
@@ -1145,9 +1132,9 @@ impl Machine {
         self.apply_sample_loss(records)
     }
 
-    /// Filters drained profiling records through the
-    /// [`FaultSite::SampleLoss`] gate (one consultation per record).
-    fn apply_sample_loss<T>(&mut self, records: Vec<T>) -> Vec<T> {
+    /// Filters drained PEBS records through the [`FaultSite::SampleLoss`]
+    /// gate (one consultation per record).
+    fn apply_sample_loss(&mut self, records: Vec<SampleRecord>) -> Vec<SampleRecord> {
         if self.fault.is_none() {
             return records;
         }
@@ -1160,36 +1147,6 @@ impl Machine {
     /// The sampling unit, for inspection.
     pub fn pebs(&self) -> &Pebs {
         &self.core.pebs
-    }
-
-    // ------------------------------------------------------------------
-    // Tracing (offline-profiling instrument; see [`Tracer`])
-    // ------------------------------------------------------------------
-
-    /// Starts full access-trace recording. Strictly observational: no
-    /// effect on simulated time or cache/TLB state.
-    pub fn trace_enable(&mut self) {
-        self.core.tracer.enable();
-    }
-
-    /// Stops trace recording (keeps buffered records).
-    pub fn trace_disable(&mut self) {
-        self.core.tracer.disable();
-    }
-
-    /// Drains buffered trace records.
-    ///
-    /// Like [`Machine::pebs_drain`], each record crosses the
-    /// [`FaultSite::SampleLoss`] gate, so trace-based (offline-oracle)
-    /// analysis can be stress-tested under record loss too.
-    pub fn trace_drain(&mut self) -> Vec<TraceRecord> {
-        let records = self.core.tracer.drain();
-        self.apply_sample_loss(records)
-    }
-
-    /// The tracer, for inspection.
-    pub fn tracer(&self) -> &Tracer {
-        &self.core.tracer
     }
 
     // ------------------------------------------------------------------
@@ -1842,83 +1799,46 @@ mod tests {
         assert_eq!(new_misses, 1, "exactly the invalidated group refills");
     }
 
-    #[test]
-    fn tracing_is_observationally_neutral() {
-        let run = |trace: bool| {
-            let mut m = machine();
-            let r = m.alloc(256 * 1024, Placement::Slow).unwrap();
-            if trace {
-                m.trace_enable();
-            }
-            for i in 0..2048u64 {
-                let _ = m
-                    .read::<u64>(r.start.add((i * 320) % (256 * 1024)))
-                    .unwrap();
-            }
-            (
-                m.now().as_ns(),
-                m.stats().llc_read_misses,
-                m.trace_drain().len(),
-            )
-        };
-        let (t0, m0, n0) = run(false);
-        let (t1, m1, n1) = run(true);
-        assert_eq!(t0, t1, "tracing must not change simulated time");
-        assert_eq!(m0, m1);
-        assert_eq!(n0, 0);
-        assert_eq!(n1, 2048);
-    }
-
-    #[test]
-    fn trace_classifies_access_kinds() {
-        let mut m = machine();
-        let r = m.alloc(4096, Placement::Slow).unwrap();
-        m.trace_enable();
-        m.write::<u64>(r.start, 1).unwrap(); // write miss
-        let _ = m.read::<u64>(r.start).unwrap(); // read hit (same line)
-        let records = m.trace_drain();
-        assert_eq!(records[0].kind, crate::trace::AccessKind::WriteMiss);
-        assert_eq!(records[1].kind, crate::trace::AccessKind::ReadHit);
-    }
-
+    /// At period 1 the PEBS stream is every read miss in order; the drawn
+    /// period checks that unsampled misses are not charged the sample cost.
     #[test]
     fn run_cores_n1_is_bit_identical_to_scalar() {
-        let drive_scalar = |m: &mut Machine, r: VirtRange| {
-            for i in 0..4096u64 {
-                let _ = m
-                    .read::<u64>(r.start.add((i * 192) % (512 * 1024)))
-                    .unwrap();
-                m.write::<u64>(r.start.add((i * 64) % (512 * 1024)), i)
-                    .unwrap();
-            }
-        };
-        let setup = || {
-            let mut m = machine();
-            let r = m.alloc(512 * 1024, Placement::Slow).unwrap();
-            m.pebs_enable(16, 8);
-            m.trace_enable();
-            (m, r)
-        };
+        for (period, jitter) in [(16, 8), (1, 0)] {
+            let drive_scalar = |m: &mut Machine, r: VirtRange| {
+                for i in 0..4096u64 {
+                    let _ = m
+                        .read::<u64>(r.start.add((i * 192) % (512 * 1024)))
+                        .unwrap();
+                    m.write::<u64>(r.start.add((i * 64) % (512 * 1024)), i)
+                        .unwrap();
+                }
+            };
+            let setup = || {
+                let mut m = machine();
+                let r = m.alloc(512 * 1024, Placement::Slow).unwrap();
+                m.pebs_enable(period, jitter);
+                (m, r)
+            };
 
-        let (mut a, ra) = setup();
-        drive_scalar(&mut a, ra);
-        let (mut b, rb) = setup();
-        b.run_cores(1, |id, h| {
-            assert_eq!(id, 0);
-            for i in 0..4096u64 {
-                let _ = h
-                    .read::<u64>(rb.start.add((i * 192) % (512 * 1024)))
-                    .unwrap();
-                h.write::<u64>(rb.start.add((i * 64) % (512 * 1024)), i)
-                    .unwrap();
-            }
-        });
+            let (mut a, ra) = setup();
+            drive_scalar(&mut a, ra);
+            let (mut b, rb) = setup();
+            b.run_cores(1, |id, h| {
+                assert_eq!(id, 0);
+                for i in 0..4096u64 {
+                    let _ = h
+                        .read::<u64>(rb.start.add((i * 192) % (512 * 1024)))
+                        .unwrap();
+                    h.write::<u64>(rb.start.add((i * 64) % (512 * 1024)), i)
+                        .unwrap();
+                }
+            });
 
-        assert_eq!(a.stats(), b.stats());
-        assert_eq!(a.now().as_ns().to_bits(), b.now().as_ns().to_bits());
-        assert_eq!(a.pebs_drain(), b.pebs_drain());
-        assert_eq!(a.trace_drain(), b.trace_drain());
-        let _ = ra;
+            assert_eq!(a.stats(), b.stats());
+            assert_eq!(a.now().as_ns().to_bits(), b.now().as_ns().to_bits());
+            assert_eq!(a.pebs_drain(), b.pebs_drain());
+            let _ = ra;
+        }
     }
 
     #[test]
@@ -2056,6 +1976,11 @@ mod tests {
 
     #[test]
     fn residency_cache_tracks_tags_and_tiers() {
+        let tagged = |m: &Machine, tag| -> usize {
+            (0..m.num_tiers())
+                .map(|t| m.resident_bytes_by_tag(tag, TierId::new(t)))
+                .sum()
+        };
         let mut m = machine();
         m.set_alloc_tag(7);
         let a = m.alloc(96 * 1024, Placement::Slow).unwrap();
@@ -2064,7 +1989,7 @@ mod tests {
         assert_eq!(m.resident_bytes_by_tag(7, TierId::SLOW), 96 * 1024);
         assert_eq!(m.resident_bytes_by_tag(7, TierId::FAST), 0);
         assert_eq!(m.resident_bytes_by_tag(9, TierId::FAST), 32 * 1024);
-        assert_eq!(m.tagged_bytes(7), 96 * 1024);
+        assert_eq!(tagged(&m, 7), 96 * 1024);
         assert_clean(&mut m);
         m.remap_region(a, TierId::FAST).unwrap();
         assert_eq!(m.resident_bytes_by_tag(7, TierId::FAST), 96 * 1024);
@@ -2075,7 +2000,7 @@ mod tests {
         );
         assert_clean(&mut m);
         m.free(b).unwrap();
-        assert_eq!(m.tagged_bytes(9), 0);
+        assert_eq!(tagged(&m, 9), 0);
         assert_eq!(m.resident_bytes_by_tag(9, TierId::FAST), 0);
         assert_clean(&mut m);
     }

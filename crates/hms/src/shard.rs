@@ -4,8 +4,8 @@
 //! and their byte storage, the frame allocators, the mapping table, the
 //! allocation registry, the platform description) and **per-core state**
 //! (`CoreCtx`: private TLB, private LLC, local clock, local counters,
-//! local PEBS sampler, local trace ring). A [`CoreHandle`] bundles one
-//! core's mutable context with shared borrows of everything else and owns
+//! local PEBS sampler). A [`CoreHandle`] bundles one core's mutable
+//! context with shared borrows of everything else and owns
 //! the *entire* accounted access engine — the scalar path, the batched
 //! window engine and the bulk block engine — behind the one declaration of
 //! those operations, [`MemPort`]. [`Machine`](crate::Machine) itself keeps
@@ -24,8 +24,6 @@
 //!   has an independent jitter RNG derived from the machine seed and its
 //!   core id, so the merged stream is a pure function of seed, core count
 //!   and partition);
-//! * per-core traces are concatenated in core order, bounded by the parent
-//!   tracer's capacity;
 //! * the machine clock advances by the **maximum** per-core elapsed time
 //!   plus one modeled phase-barrier cost
 //!   ([`CostModel::barrier_cost`](crate::cost::CostModel::barrier_cost)).
@@ -58,7 +56,6 @@ use crate::pebs::Pebs;
 use crate::platform::Platform;
 use crate::tier::{Tier, TierId, TierSpec, TierStorage};
 use crate::tlb::Tlb;
-use crate::trace::{AccessKind, Tracer};
 
 /// Maximum number of tiers a machine (and the window engine's cost table,
 /// the residency caches, and a [`TiersView`]) can carry. Platform presets
@@ -130,35 +127,32 @@ pub(crate) struct CoreCtx {
     pub(crate) llc: Cache,
     pub(crate) clock: SimClock,
     pub(crate) pebs: Pebs,
-    pub(crate) tracer: Tracer,
     pub(crate) counters: Counters,
 }
 
 impl CoreCtx {
     /// Builds the machine's resident core: cold TLB/LLC sized from the
     /// platform, clock at zero, a PEBS sampler with the given seed.
-    pub(crate) fn resident(platform: &Platform, pebs_seed: u64, trace_capacity: usize) -> Self {
+    pub(crate) fn resident(platform: &Platform, pebs_seed: u64) -> Self {
         CoreCtx {
             tlb: Tlb::new(platform.tlb_entries),
             llc: Cache::new(platform.llc),
             clock: SimClock::new(),
             pebs: Pebs::new(pebs_seed),
-            tracer: Tracer::new(trace_capacity),
             counters: Counters::default(),
         }
     }
 
     /// Forks the per-core context for simulated core `core_id`: cold
     /// TLB/LLC, clock at zero (it will measure this core's phase-local
-    /// elapsed time), a PEBS sampler with an independent deterministic
-    /// stream, and an empty trace ring.
+    /// elapsed time) and a PEBS sampler with an independent deterministic
+    /// stream.
     pub(crate) fn fork(&self, platform: &Platform, core_id: usize) -> CoreCtx {
         CoreCtx {
             tlb: Tlb::new(platform.tlb_entries),
             llc: Cache::new(platform.llc),
             clock: SimClock::new(),
             pebs: self.pebs.fork(core_id),
-            tracer: self.tracer.fork(),
             counters: Counters::default(),
         }
     }
@@ -345,7 +339,7 @@ impl<'a> TiersView<'a> {
 }
 
 /// One simulated core's access engine: a mutable borrow of that core's
-/// private state (TLB, LLC, clock, counters, PEBS sampler, trace ring) plus
+/// private state (TLB, LLC, clock, counters, PEBS sampler) plus
 /// shared borrows of the machine's read-mostly state.
 ///
 /// Obtained from [`Machine::run_cores`](crate::Machine::run_cores) (one per
@@ -405,8 +399,7 @@ impl<'a> CoreHandle<'a> {
         }
         let (frame, offset) = mapping.translate(va);
         let pa = frame.phys_addr(offset).line_aligned();
-        let hit = self.core.llc.access(pa, write).is_hit();
-        if hit {
+        if self.core.llc.access(pa, write).is_hit() {
             cost += self.platform.cost.hit_cost();
         } else {
             let spec = self.tiers.spec(frame.tier);
@@ -414,15 +407,6 @@ impl<'a> CoreHandle<'a> {
             if !write && self.core.pebs.on_read_miss(va) {
                 cost += self.platform.cost.sample_cost();
             }
-        }
-        if self.core.tracer.is_enabled() {
-            let kind = match (write, hit) {
-                (false, true) => AccessKind::ReadHit,
-                (false, false) => AccessKind::ReadMiss,
-                (true, true) => AccessKind::WriteHit,
-                (true, false) => AccessKind::WriteMiss,
-            };
-            self.core.tracer.record(va, kind);
         }
         self.core.clock.advance(cost);
         Ok((frame.tier, frame.byte_offset() + offset))
@@ -467,8 +451,7 @@ impl<'a> CoreHandle<'a> {
             cost += self.platform.cost.walk_cost();
         }
         let (outcome, slot) = self.core.llc.access_slot(pa, false);
-        let hit = outcome.is_hit();
-        if hit {
+        if outcome.is_hit() {
             cost += self.platform.cost.hit_cost();
         } else {
             let spec = self.tiers.spec(frame.tier);
@@ -485,18 +468,6 @@ impl<'a> CoreHandle<'a> {
         let mut wcost = SimDuration::ZERO;
         wcost += self.platform.cost.hit_cost();
         self.core.clock.advance(wcost);
-
-        if self.core.tracer.is_enabled() {
-            self.core.tracer.record(
-                va,
-                if hit {
-                    AccessKind::ReadHit
-                } else {
-                    AccessKind::ReadMiss
-                },
-            );
-            self.core.tracer.record(va, AccessKind::WriteHit);
-        }
 
         let bytes = self
             .tiers
@@ -595,10 +566,10 @@ impl<'a> CoreHandle<'a> {
     /// across lines while the translation key is unchanged (keys are
     /// location-unique). Key changes and line changes are plain
     /// [`Tlb::access_run`] / [`Cache::access_slot`] probes — neither
-    /// structure keeps window-private state. Clock, counters, PEBS and
-    /// trace records are still charged per element, in order, with the
-    /// identical f64 cost composition — so all simulated state ends
-    /// bit-identical to the scalar loop.
+    /// structure keeps window-private state. Clock, counters and PEBS are
+    /// still charged per element, in order, with the identical f64 cost
+    /// composition — so all simulated state ends bit-identical to the
+    /// scalar loop.
     ///
     /// `data` is invoked once per element, in order, on the element's
     /// backing storage bytes (after accounting).
@@ -628,7 +599,6 @@ impl<'a> CoreHandle<'a> {
                 .cost
                 .miss_cost(self.tiers.spec_at(i), write_probe);
         }
-        let tracing = self.core.tracer.is_enabled();
         // Guaranteed-hit element cost, composed once exactly as the scalar
         // loop composes it per element (`ZERO + hit_cost`).
         let mut rest_cost = SimDuration::ZERO;
@@ -673,9 +643,6 @@ impl<'a> CoreHandle<'a> {
                         self.core.counters.reads += 1;
                         tlb_pending += 1;
                         pending_reads += 1;
-                        if tracing {
-                            self.core.tracer.record(va, AccessKind::ReadHit);
-                        }
                         self.core.clock.advance(rest_cost);
                     }
                     OP_WRITE => {
@@ -683,9 +650,6 @@ impl<'a> CoreHandle<'a> {
                         self.core.counters.writes += 1;
                         tlb_pending += 1;
                         pending_writes += 1;
-                        if tracing {
-                            self.core.tracer.record(va, AccessKind::WriteHit);
-                        }
                         self.core.clock.advance(rest_cost);
                     }
                     _ => {
@@ -697,10 +661,6 @@ impl<'a> CoreHandle<'a> {
                         pending_writes += 1;
                         self.core.clock.advance(rest_cost);
                         self.core.clock.advance(rest_cost);
-                        if tracing {
-                            self.core.tracer.record(va, AccessKind::ReadHit);
-                            self.core.tracer.record(va, AccessKind::WriteHit);
-                        }
                     }
                 }
                 let (frame, offset) = mapping.translate(va);
@@ -782,7 +742,6 @@ impl<'a> CoreHandle<'a> {
             let (frame, offset) = mapping.translate(va);
             let pa = frame.phys_addr(offset).line_aligned();
             let (outcome, slot) = self.core.llc.access_slot(pa, write_probe);
-            let hit = outcome.is_hit();
             cur_slot = slot;
             cur_vline = vline;
             line_valid = true;
@@ -792,7 +751,7 @@ impl<'a> CoreHandle<'a> {
             if pay_walk {
                 cost += walk_cost;
             }
-            if hit {
+            if outcome.is_hit() {
                 cost += hit_cost;
             } else {
                 cost += tier_miss[frame.tier.index()];
@@ -801,48 +760,11 @@ impl<'a> CoreHandle<'a> {
                 }
             }
             self.core.clock.advance(cost);
-            match OP {
-                OP_READ => {
-                    if tracing {
-                        self.core.tracer.record(
-                            va,
-                            if hit {
-                                AccessKind::ReadHit
-                            } else {
-                                AccessKind::ReadMiss
-                            },
-                        );
-                    }
-                }
-                OP_WRITE => {
-                    if tracing {
-                        self.core.tracer.record(
-                            va,
-                            if hit {
-                                AccessKind::WriteHit
-                            } else {
-                                AccessKind::WriteMiss
-                            },
-                        );
-                    }
-                }
-                _ => {
-                    // Write half: a guaranteed rehit of the just-probed
-                    // line — deferred like any other same-line touch.
-                    pending_writes += 1;
-                    self.core.clock.advance(rest_cost);
-                    if tracing {
-                        self.core.tracer.record(
-                            va,
-                            if hit {
-                                AccessKind::ReadHit
-                            } else {
-                                AccessKind::ReadMiss
-                            },
-                        );
-                        self.core.tracer.record(va, AccessKind::WriteHit);
-                    }
-                }
+            if OP == OP_RMW {
+                // Write half: a guaranteed rehit of the just-probed line —
+                // deferred like any other same-line touch.
+                pending_writes += 1;
+                self.core.clock.advance(rest_cost);
             }
             let bytes = self
                 .tiers
@@ -873,8 +795,8 @@ impl<'a> CoreHandle<'a> {
     /// element. Simulated state nevertheless ends **bit-identical** to the
     /// equivalent per-element [`read`](MemPort::read)/[`write`](MemPort::write)
     /// loop — TLB and LLC counters and replacement state, access counters,
-    /// the PEBS stream (including RNG state and sample costs), trace records
-    /// and the simulated clock. The key observation is that within a
+    /// the PEBS stream (including RNG state and sample costs) and the
+    /// simulated clock. The key observation is that within a
     /// sequential run only the *first* access to a translation unit or cache
     /// line can miss; the batched update replays the exact counter updates
     /// of the scalar path, and advances the clock once per element with the
@@ -917,7 +839,6 @@ impl<'a> CoreHandle<'a> {
         let walk_cost = self.platform.cost.walk_cost();
         let hit_cost = self.platform.cost.hit_cost();
         let sample_cost = self.platform.cost.sample_cost();
-        let tracing = self.core.tracer.is_enabled();
         // Non-first elements of a line run each cost exactly one LLC hit;
         // composed once here, identically to the scalar loop's
         // `ZERO + hit_cost` per element.
@@ -995,26 +916,6 @@ impl<'a> CoreHandle<'a> {
                     // scalar loop performs them.
                     for _ in 1..count {
                         self.core.clock.advance(rest_cost);
-                    }
-
-                    if tracing {
-                        let first_kind = match (write, hit) {
-                            (false, true) => AccessKind::ReadHit,
-                            (false, false) => AccessKind::ReadMiss,
-                            (true, true) => AccessKind::WriteHit,
-                            (true, false) => AccessKind::WriteMiss,
-                        };
-                        self.core.tracer.record(line_va, first_kind);
-                        let rest_kind = if write {
-                            AccessKind::WriteHit
-                        } else {
-                            AccessKind::ReadHit
-                        };
-                        for i in 1..count {
-                            self.core
-                                .tracer
-                                .record(line_va.add((i * elem) as u64), rest_kind);
-                        }
                     }
                     line_va = line_end;
                     pa = PhysAddr::new(pa.raw() + LINE_SIZE as u64);
@@ -1099,7 +1000,7 @@ fn tlb_unit_end(mapping: &Mapping, va: VirtAddr, coalesce: usize) -> VirtAddr {
 /// Resolves `range` to the physically contiguous storage segments backing
 /// it, one per mapping met — split each with [`BlockSegment::chunks`] before
 /// touching its bytes: the mapping walk of [`CoreHandle::access_block`] with nothing charged
-/// — no counter, TLB, LLC, clock, PEBS or trace effect. What
+/// — no counter, TLB, LLC, clock or PEBS effect. What
 /// [`MemPort::peek`] / [`MemPort::poke`] are to `read` / `write` (the
 /// `TrackedVec` fill / load / copy-out path, and the migration copies).
 ///
@@ -1143,7 +1044,7 @@ pub trait MemPort {
     fn with_core<R>(&mut self, f: impl FnOnce(&mut CoreHandle<'_>) -> R) -> R;
 
     /// Reads a little-endian scalar through the full accounted path:
-    /// mapping lookup, TLB, LLC, cost model, PEBS, trace.
+    /// mapping lookup, TLB, LLC, cost model, PEBS.
     ///
     /// # Errors
     ///
@@ -1348,7 +1249,7 @@ impl<T> OwnerQueues<T> {
     }
 
     /// Consumes the queues, yielding one `Vec` per owner.
-    pub fn into_queues(self) -> Vec<Vec<T>> {
+    pub(crate) fn into_queues(self) -> Vec<Vec<T>> {
         self.queues
     }
 }

@@ -14,8 +14,7 @@
 //! [`TrackedVec::poke`] per element, and [`TrackedVec::fill_from`],
 //! [`TrackedVec::fill`], [`TrackedVec::fill_with`] and
 //! [`TrackedVec::to_vec`] for whole arrays. They change bytes in tier
-//! storage and nothing else: no counter, TLB, LLC, clock, PEBS or trace
-//! effect.
+//! storage and nothing else: no counter, TLB, LLC, clock or PEBS effect.
 
 use std::marker::PhantomData;
 
@@ -390,8 +389,8 @@ impl<T: Scalar> TrackedVec<T> {
     /// ([`fill_from`](TrackedVec::fill_from), [`fill`](TrackedVec::fill),
     /// [`to_vec`](TrackedVec::to_vec), [`values`](TrackedVec::values)) it leaves the data image exactly as
     /// the [`poke`](TrackedVec::poke) / [`peek`](TrackedVec::peek) loop
-    /// would and no other trace: no counter, TLB or LLC state, clock, PEBS
-    /// or trace-ring effect. Only the host cost differs — one mapping walk
+    /// would and no other trace: no counter, TLB or LLC state, clock or
+    /// PEBS effect. Only the host cost differs — one mapping walk
     /// per physically contiguous segment instead of one lookup per element.
     ///
     /// # Panics
@@ -538,96 +537,100 @@ mod tests {
     }
 
     /// The tentpole guarantee: the bulk slice path leaves every piece of
-    /// simulated state — counters, clock, PEBS sample stream, trace stream —
-    /// bit-identical to the per-element loop it replaces.
+    /// simulated state — counters, clock, PEBS sample stream — bit-identical
+    /// to the per-element loop it replaces. At period 1 the drained PEBS
+    /// stream is every read miss in order; the drawn period checks that
+    /// unsampled misses are not charged the sample cost.
     #[test]
     fn bulk_access_is_bit_identical_to_the_scalar_loop() {
-        // Fast tier too small for the whole array: Preferred(FAST) spills
-        // to SLOW mid-range, so the bulk path crosses mapping (and tier)
-        // chunk boundaries.
-        let platform = || Platform::testing().with_capacities(64 * 1024, 8 * 1024 * 1024);
-        let mut bulk = Machine::new(platform());
-        let mut scalar = Machine::new(platform());
-        for m in [&mut bulk, &mut scalar] {
-            m.pebs_enable(7, 3);
-            m.trace_enable();
-        }
-        let n = 40_000; // 160 000 bytes of u32: spills past the fast tier.
-        let vb = TrackedVec::<u32>::new(&mut bulk, n, Placement::Preferred(TierId::FAST)).unwrap();
-        let vs =
-            TrackedVec::<u32>::new(&mut scalar, n, Placement::Preferred(TierId::FAST)).unwrap();
+        for (period, jitter) in [(7, 3), (1, 0)] {
+            // Fast tier too small for the whole array: Preferred(FAST) spills
+            // to SLOW mid-range, so the bulk path crosses mapping (and tier)
+            // chunk boundaries.
+            let platform = || Platform::testing().with_capacities(64 * 1024, 8 * 1024 * 1024);
+            let mut bulk = Machine::new(platform());
+            let mut scalar = Machine::new(platform());
+            for m in [&mut bulk, &mut scalar] {
+                m.pebs_enable(period, jitter);
+            }
+            let n = 40_000; // 160 000 bytes of u32: spills past the fast tier.
+            let vb =
+                TrackedVec::<u32>::new(&mut bulk, n, Placement::Preferred(TierId::FAST)).unwrap();
+            let vs =
+                TrackedVec::<u32>::new(&mut scalar, n, Placement::Preferred(TierId::FAST)).unwrap();
 
-        let values: Vec<u32> = (0..n as u32).map(|i| i.wrapping_mul(2654435761)).collect();
+            let values: Vec<u32> = (0..n as u32).map(|i| i.wrapping_mul(2654435761)).collect();
 
-        // Full write.
-        vb.write_slice(&mut bulk, 0, &values);
-        for (i, &x) in values.iter().enumerate() {
-            vs.set(&mut scalar, i, x);
-        }
-        // Full read, now with warm TLB/LLC state.
-        let mut out = vec![0u32; n];
-        vb.read_slice(&mut bulk, 0, &mut out);
-        for (i, &x) in values.iter().enumerate() {
-            assert_eq!(vs.get(&mut scalar, i), x);
-        }
-        assert_eq!(out, values, "bulk read returned wrong data");
+            // Full write.
+            vb.write_slice(&mut bulk, 0, &values);
+            for (i, &x) in values.iter().enumerate() {
+                vs.set(&mut scalar, i, x);
+            }
+            // Full read, now with warm TLB/LLC state.
+            let mut out = vec![0u32; n];
+            vb.read_slice(&mut bulk, 0, &mut out);
+            for (i, &x) in values.iter().enumerate() {
+                assert_eq!(vs.get(&mut scalar, i), x);
+            }
+            assert_eq!(out, values, "bulk read returned wrong data");
 
-        // Interior, cache-line-unaligned scan (element 3 = byte 12).
-        let (start, len) = (3, 12_345);
-        let mut sum_b = 0u64;
-        vb.scan(&mut bulk, start, len, |_, x| sum_b += u64::from(x));
-        let mut sum_s = 0u64;
-        for i in start..start + len {
-            sum_s += u64::from(vs.get(&mut scalar, i));
-        }
-        assert_eq!(sum_b, sum_s);
+            // Interior, cache-line-unaligned scan (element 3 = byte 12).
+            let (start, len) = (3, 12_345);
+            let mut sum_b = 0u64;
+            vb.scan(&mut bulk, start, len, |_, x| sum_b += u64::from(x));
+            let mut sum_s = 0u64;
+            for i in start..start + len {
+                sum_s += u64::from(vs.get(&mut scalar, i));
+            }
+            assert_eq!(sum_b, sum_s);
 
-        // Interior overwrite at an odd offset.
-        let patch: Vec<u32> = (0..4_321u32).collect();
-        vb.write_slice(&mut bulk, 777, &patch);
-        for (k, &x) in patch.iter().enumerate() {
-            vs.set(&mut scalar, 777 + k, x);
-        }
+            // Interior overwrite at an odd offset.
+            let patch: Vec<u32> = (0..4_321u32).collect();
+            vb.write_slice(&mut bulk, 777, &patch);
+            for (k, &x) in patch.iter().enumerate() {
+                vs.set(&mut scalar, 777 + k, x);
+            }
 
-        // Random scatter via read-modify-write vs get-then-set.
-        let mut state = 0x9e3779b97f4a7c15u64;
-        for _ in 0..5_000 {
-            state = state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            let i = (state >> 33) as usize % n;
-            let old_b = vb.update(&mut bulk, i, |x| x.wrapping_add(7));
-            let old_s = vs.get(&mut scalar, i);
-            vs.set(&mut scalar, i, old_s.wrapping_add(7));
-            assert_eq!(old_b, old_s);
-        }
-
-        // Indexed gather vs the per-element read loop.
-        let indices: Vec<u32> = (0..8_000)
-            .map(|_| {
+            // Random scatter via read-modify-write vs get-then-set.
+            let mut state = 0x9e3779b97f4a7c15u64;
+            for _ in 0..5_000 {
                 state = state
                     .wrapping_mul(6364136223846793005)
                     .wrapping_add(1442695040888963407);
-                (state >> 33) as u32 % n as u32
-            })
-            .collect();
-        let mut gathered = vec![0u32; indices.len()];
-        vb.gather(&mut bulk, &indices, &mut gathered);
-        for (&i, &got) in indices.iter().zip(&gathered) {
-            assert_eq!(vs.get(&mut scalar, i as usize), got, "gather at {i}");
-        }
+                let i = (state >> 33) as usize % n;
+                let old_b = vb.update(&mut bulk, i, |x| x.wrapping_add(7));
+                let old_s = vs.get(&mut scalar, i);
+                vs.set(&mut scalar, i, old_s.wrapping_add(7));
+                assert_eq!(old_b, old_s);
+            }
 
-        assert_eq!(bulk.stats(), scalar.stats(), "machine counters diverge");
-        assert_eq!(
-            bulk.pebs_drain(),
-            scalar.pebs_drain(),
-            "PEBS streams diverge"
-        );
-        assert_eq!(
-            bulk.trace_drain(),
-            scalar.trace_drain(),
-            "trace streams diverge"
-        );
+            // Indexed gather vs the per-element read loop.
+            let indices: Vec<u32> = (0..8_000)
+                .map(|_| {
+                    state = state
+                        .wrapping_mul(6364136223846793005)
+                        .wrapping_add(1442695040888963407);
+                    (state >> 33) as u32 % n as u32
+                })
+                .collect();
+            let mut gathered = vec![0u32; indices.len()];
+            vb.gather(&mut bulk, &indices, &mut gathered);
+            for (&i, &got) in indices.iter().zip(&gathered) {
+                assert_eq!(vs.get(&mut scalar, i as usize), got, "gather at {i}");
+            }
+
+            assert_eq!(bulk.stats(), scalar.stats(), "machine counters diverge");
+            assert_eq!(
+                bulk.now().as_ns().to_bits(),
+                scalar.now().as_ns().to_bits(),
+                "simulated clocks diverge"
+            );
+            assert_eq!(
+                bulk.pebs_drain(),
+                scalar.pebs_drain(),
+                "PEBS streams diverge"
+            );
+        }
     }
 
     /// Builds an index window that exercises every path of the window
@@ -676,71 +679,68 @@ mod tests {
     /// page and huge-mapping boundaries.
     #[test]
     fn window_engine_is_bit_identical_to_the_scalar_loop() {
-        // Preferred(FAST) spills to SLOW mid-array: windows cross mapping
-        // chunks, the tier boundary, base pages and coalescing groups.
-        let platform = || Platform::testing().with_capacities(64 * 1024, 8 * 1024 * 1024);
-        let mut bulk = Machine::new(platform());
-        let mut scalar = Machine::new(platform());
-        for m in [&mut bulk, &mut scalar] {
-            m.pebs_enable(5, 2);
-            m.trace_enable();
-        }
-        let n = 40_000;
-        let vb = TrackedVec::<u32>::new(&mut bulk, n, Placement::Preferred(TierId::FAST)).unwrap();
-        let vs =
-            TrackedVec::<u32>::new(&mut scalar, n, Placement::Preferred(TierId::FAST)).unwrap();
-        let init: Vec<u32> = (0..n as u32).collect();
-        vb.fill_from(&mut bulk, &init);
-        vs.fill_from(&mut scalar, &init);
+        for (period, jitter) in [(5, 2), (1, 0)] {
+            // Preferred(FAST) spills to SLOW mid-array: windows cross mapping
+            // chunks, the tier boundary, base pages and coalescing groups.
+            let platform = || Platform::testing().with_capacities(64 * 1024, 8 * 1024 * 1024);
+            let mut bulk = Machine::new(platform());
+            let mut scalar = Machine::new(platform());
+            for m in [&mut bulk, &mut scalar] {
+                m.pebs_enable(period, jitter);
+            }
+            let n = 40_000;
+            let vb =
+                TrackedVec::<u32>::new(&mut bulk, n, Placement::Preferred(TierId::FAST)).unwrap();
+            let vs =
+                TrackedVec::<u32>::new(&mut scalar, n, Placement::Preferred(TierId::FAST)).unwrap();
+            let init: Vec<u32> = (0..n as u32).collect();
+            vb.fill_from(&mut bulk, &init);
+            vs.fill_from(&mut scalar, &init);
 
-        let mut state = 0xd1b54a32d192ed03u64;
-        // Scatter vs the per-element set loop.
-        let widx = mixed_window(n, 6_000, &mut state);
-        let wvals: Vec<u32> = (0..widx.len() as u32).map(|k| k.wrapping_mul(97)).collect();
-        vb.scatter(&mut bulk, &widx, &wvals);
-        for (&i, &x) in widx.iter().zip(&wvals) {
-            vs.set(&mut scalar, i as usize, x);
-        }
+            let mut state = 0xd1b54a32d192ed03u64;
+            // Scatter vs the per-element set loop.
+            let widx = mixed_window(n, 6_000, &mut state);
+            let wvals: Vec<u32> = (0..widx.len() as u32).map(|k| k.wrapping_mul(97)).collect();
+            vb.scatter(&mut bulk, &widx, &wvals);
+            for (&i, &x) in widx.iter().zip(&wvals) {
+                vs.set(&mut scalar, i as usize, x);
+            }
 
-        // Gather-update vs the per-element update loop (which PR 1 proved
-        // bit-identical to get + set). Duplicate indices must observe the
-        // in-window updates before them.
-        let uidx = mixed_window(n, 6_000, &mut state);
-        let mut olds_b = Vec::with_capacity(uidx.len());
-        vb.gather_update(&mut bulk, &uidx, |k, x| {
-            olds_b.push(x);
-            x.wrapping_add(k as u32)
-        });
-        for (k, &i) in uidx.iter().enumerate() {
-            let old = vs.update(&mut scalar, i as usize, |x| x.wrapping_add(k as u32));
-            assert_eq!(olds_b[k], old, "RMW old value diverges at window slot {k}");
-        }
+            // Gather-update vs the per-element update loop (itself
+            // bit-identical to get + set). Duplicate indices must observe the
+            // in-window updates before them.
+            let uidx = mixed_window(n, 6_000, &mut state);
+            let mut olds_b = Vec::with_capacity(uidx.len());
+            vb.gather_update(&mut bulk, &uidx, |k, x| {
+                olds_b.push(x);
+                x.wrapping_add(k as u32)
+            });
+            for (k, &i) in uidx.iter().enumerate() {
+                let old = vs.update(&mut scalar, i as usize, |x| x.wrapping_add(k as u32));
+                assert_eq!(olds_b[k], old, "RMW old value diverges at window slot {k}");
+            }
 
-        // Gather sees the combined result through the same engine.
-        let gidx = mixed_window(n, 6_000, &mut state);
-        let mut got_b = vec![0u32; gidx.len()];
-        vb.gather(&mut bulk, &gidx, &mut got_b);
-        for (&i, &got) in gidx.iter().zip(&got_b) {
-            assert_eq!(vs.get(&mut scalar, i as usize), got, "gather at {i}");
-        }
+            // Gather sees the combined result through the same engine.
+            let gidx = mixed_window(n, 6_000, &mut state);
+            let mut got_b = vec![0u32; gidx.len()];
+            vb.gather(&mut bulk, &gidx, &mut got_b);
+            for (&i, &got) in gidx.iter().zip(&got_b) {
+                assert_eq!(vs.get(&mut scalar, i as usize), got, "gather at {i}");
+            }
 
-        assert_eq!(bulk.stats(), scalar.stats(), "machine counters diverge");
-        assert_eq!(bulk.now(), scalar.now(), "simulated clocks diverge");
-        assert_eq!(
-            bulk.pebs_drain(),
-            scalar.pebs_drain(),
-            "PEBS streams diverge"
-        );
-        assert_eq!(
-            bulk.trace_drain(),
-            scalar.trace_drain(),
-            "trace streams diverge"
-        );
-        assert_eq!(
-            vb.to_vec(&mut bulk),
-            vs.to_vec(&mut scalar),
-            "data diverges"
-        );
+            assert_eq!(bulk.stats(), scalar.stats(), "machine counters diverge");
+            assert_eq!(bulk.now(), scalar.now(), "simulated clocks diverge");
+            assert_eq!(
+                bulk.pebs_drain(),
+                scalar.pebs_drain(),
+                "PEBS streams diverge"
+            );
+            assert_eq!(
+                vb.to_vec(&mut bulk),
+                vs.to_vec(&mut scalar),
+                "data diverges"
+            );
+        }
     }
 
     /// Same guarantee across a huge-mapping / base-page boundary: a large
@@ -748,36 +748,36 @@ mod tests {
     /// pages for the tail, and windows jump across the seam.
     #[test]
     fn window_engine_crosses_huge_mapping_boundaries() {
-        let platform = || Platform::testing().with_capacities(64 * 1024, 16 * 1024 * 1024);
-        let mut bulk = Machine::new(platform());
-        let mut scalar = Machine::new(platform());
-        for m in [&mut bulk, &mut scalar] {
-            m.pebs_enable(11, 4);
-            m.trace_enable();
-        }
-        // 5 MiB of u64: two full 2 MiB huge units plus a base-page tail.
-        let n = (5 * 1024 * 1024) / 8;
-        let vb = TrackedVec::<u64>::new(&mut bulk, n, Placement::Slow).unwrap();
-        let vs = TrackedVec::<u64>::new(&mut scalar, n, Placement::Slow).unwrap();
+        for (period, jitter) in [(11, 4), (1, 0)] {
+            let platform = || Platform::testing().with_capacities(64 * 1024, 16 * 1024 * 1024);
+            let mut bulk = Machine::new(platform());
+            let mut scalar = Machine::new(platform());
+            for m in [&mut bulk, &mut scalar] {
+                m.pebs_enable(period, jitter);
+            }
+            // 5 MiB of u64: two full 2 MiB huge units plus a base-page tail.
+            let n = (5 * 1024 * 1024) / 8;
+            let vb = TrackedVec::<u64>::new(&mut bulk, n, Placement::Slow).unwrap();
+            let vs = TrackedVec::<u64>::new(&mut scalar, n, Placement::Slow).unwrap();
 
-        let mut state = 0x2545f4914f6cdd1du64;
-        let widx = mixed_window(n, 4_000, &mut state);
-        let wvals: Vec<u64> = (0..widx.len() as u64).collect();
-        vb.scatter(&mut bulk, &widx, &wvals);
-        for (&i, &x) in widx.iter().zip(&wvals) {
-            vs.set(&mut scalar, i as usize, x);
-        }
+            let mut state = 0x2545f4914f6cdd1du64;
+            let widx = mixed_window(n, 4_000, &mut state);
+            let wvals: Vec<u64> = (0..widx.len() as u64).collect();
+            vb.scatter(&mut bulk, &widx, &wvals);
+            for (&i, &x) in widx.iter().zip(&wvals) {
+                vs.set(&mut scalar, i as usize, x);
+            }
 
-        let uidx = mixed_window(n, 4_000, &mut state);
-        vb.gather_update(&mut bulk, &uidx, |_, x| x ^ 0x5a5a);
-        for &i in &uidx {
-            vs.update(&mut scalar, i as usize, |x| x ^ 0x5a5a);
-        }
+            let uidx = mixed_window(n, 4_000, &mut state);
+            vb.gather_update(&mut bulk, &uidx, |_, x| x ^ 0x5a5a);
+            for &i in &uidx {
+                vs.update(&mut scalar, i as usize, |x| x ^ 0x5a5a);
+            }
 
-        assert_eq!(bulk.stats(), scalar.stats(), "machine counters diverge");
-        assert_eq!(bulk.now(), scalar.now(), "simulated clocks diverge");
-        assert_eq!(bulk.pebs_drain(), scalar.pebs_drain());
-        assert_eq!(bulk.trace_drain(), scalar.trace_drain());
+            assert_eq!(bulk.stats(), scalar.stats(), "machine counters diverge");
+            assert_eq!(bulk.now(), scalar.now(), "simulated clocks diverge");
+            assert_eq!(bulk.pebs_drain(), scalar.pebs_drain());
+        }
     }
 
     /// The error path charges exactly what the scalar loop charges: elements
@@ -785,42 +785,42 @@ mod tests {
     /// (this is the ROADMAP-noted `read_gather` drift fix).
     #[test]
     fn window_error_path_matches_the_scalar_loop() {
-        let mut bulk = machine();
-        let mut scalar = machine();
-        for m in [&mut bulk, &mut scalar] {
-            m.pebs_enable(3, 1);
-            m.trace_enable();
-        }
-        // Only `live` elements are mapped; the machine-level call is told
-        // the array is `n` elements long, so indices past the mapping hit
-        // unmapped memory mid-window.
-        let n = 4096;
-        let live = 1024;
-        let vb = TrackedVec::<u32>::new(&mut bulk, live, Placement::Slow).unwrap();
-        let vs = TrackedVec::<u32>::new(&mut scalar, live, Placement::Slow).unwrap();
-        let base_b = vb.range().start;
-        let base_s = vs.range().start;
+        for (period, jitter) in [(3, 1), (1, 0)] {
+            let mut bulk = machine();
+            let mut scalar = machine();
+            for m in [&mut bulk, &mut scalar] {
+                m.pebs_enable(period, jitter);
+            }
+            // Only `live` elements are mapped; the machine-level call is told
+            // the array is `n` elements long, so indices past the mapping hit
+            // unmapped memory mid-window.
+            let n = 4096;
+            let live = 1024;
+            let vb = TrackedVec::<u32>::new(&mut bulk, live, Placement::Slow).unwrap();
+            let vs = TrackedVec::<u32>::new(&mut scalar, live, Placement::Slow).unwrap();
+            let base_b = vb.range().start;
+            let base_s = vs.range().start;
 
-        // A window that walks some live lines then steps off the mapping.
-        let indices: Vec<u32> = [0u32, 1, 2, 64, 64, 700, 701, 2048, 3].to_vec();
-        let mut out = vec![0u32; indices.len()];
-        let err_b = bulk.read_gather::<u32>(base_b, n, &indices, &mut out);
-        assert!(err_b.is_err(), "gather should hit the unmapped tail");
-        let mut scalar_failed = false;
-        for &i in &indices {
-            match scalar.read::<u32>(base_s.add((i as usize * 4) as u64)) {
-                Ok(_) => {}
-                Err(_) => {
-                    scalar_failed = true;
-                    break;
+            // A window that walks some live lines then steps off the mapping.
+            let indices: Vec<u32> = [0u32, 1, 2, 64, 64, 700, 701, 2048, 3].to_vec();
+            let mut out = vec![0u32; indices.len()];
+            let err_b = bulk.read_gather::<u32>(base_b, n, &indices, &mut out);
+            assert!(err_b.is_err(), "gather should hit the unmapped tail");
+            let mut scalar_failed = false;
+            for &i in &indices {
+                match scalar.read::<u32>(base_s.add((i as usize * 4) as u64)) {
+                    Ok(_) => {}
+                    Err(_) => {
+                        scalar_failed = true;
+                        break;
+                    }
                 }
             }
+            assert!(scalar_failed);
+            assert_eq!(bulk.stats(), scalar.stats(), "error-path totals diverge");
+            assert_eq!(bulk.now(), scalar.now(), "error-path clocks diverge");
+            assert_eq!(bulk.pebs_drain(), scalar.pebs_drain());
         }
-        assert!(scalar_failed);
-        assert_eq!(bulk.stats(), scalar.stats(), "error-path totals diverge");
-        assert_eq!(bulk.now(), scalar.now(), "error-path clocks diverge");
-        assert_eq!(bulk.pebs_drain(), scalar.pebs_drain());
-        assert_eq!(bulk.trace_drain(), scalar.trace_drain());
     }
 
     #[test]
@@ -841,7 +841,7 @@ mod tests {
 
     /// Everything simulated that an access could disturb, read without
     /// draining: counters and occupancy, the clock, the PEBS unit's event
-    /// count and buffer, the trace ring.
+    /// count and buffer.
     fn observables(m: &Machine) -> impl PartialEq + std::fmt::Debug {
         (
             m.stats(),
@@ -851,7 +851,6 @@ mod tests {
                 m.pebs().samples_taken(),
                 m.pebs().buffered(),
             ),
-            (m.tracer().len(), m.tracer().dropped()),
         )
     }
 
@@ -908,111 +907,106 @@ mod tests {
     /// "Unaccounted" is checked, not assumed: the segment-wise
     /// `fill_from` / `fill` / `fill_with` / `to_vec` / `values` produce the
     /// images of the per-element `poke`/`peek` loops, and leave counters, clock,
-    /// TLB/LLC contents, the PEBS buffer and the trace ring untouched — on
-    /// a fresh contiguous allocation, across `mbind`-splintered per-page
+    /// TLB/LLC contents and the PEBS buffer untouched — on a fresh contiguous allocation, across `mbind`-splintered per-page
     /// mappings on two tiers, and through a `CoreHandle` of a sharded phase.
     #[test]
     fn bulk_unaccounted_ops_match_poke_peek_loops() {
-        let platform = || Platform::testing().with_capacities(256 * 1024, 8 * 1024 * 1024);
-        let mut bulk = Machine::new(platform());
-        let mut looped = Machine::new(platform());
-        for m in [&mut bulk, &mut looped] {
-            m.pebs_enable(7, 3);
-            m.trace_enable();
-        }
-        // Accounted traffic around the bulk calls: were a bulk call to
-        // touch the TLB or LLC, these sweeps would hit and miss differently
-        // on the two machines.
-        let sweep = |m: &mut Machine, v: &TrackedVec<u32>| {
-            for i in (0..v.len()).step_by(13) {
-                let x = v.get(m, i);
-                v.set(m, i, x.rotate_left(1));
+        for (period, jitter) in [(7, 3), (1, 0)] {
+            let platform = || Platform::testing().with_capacities(256 * 1024, 8 * 1024 * 1024);
+            let mut bulk = Machine::new(platform());
+            let mut looped = Machine::new(platform());
+            for m in [&mut bulk, &mut looped] {
+                m.pebs_enable(period, jitter);
             }
-        };
-
-        let n = 30_000; // 29.3 pages of u32
-        for splinter in [false, true] {
-            let vb = TrackedVec::<u32>::new(&mut bulk, n, Placement::Slow).unwrap();
-            let vs = TrackedVec::<u32>::new(&mut looped, n, Placement::Slow).unwrap();
-            if splinter {
-                // The middle third moves to the fast tier page by page.
-                for (m, v) in [(&mut bulk, &vb), (&mut looped, &vs)] {
-                    let third = VirtRange::new(v.range().start.add(10 * 4096), 10 * 4096);
-                    m.migrate_mbind(third, TierId::FAST).unwrap();
-                    assert!(
-                        m.mappings_in(v.range()).len() >= 12,
-                        "mbind should leave per-page mappings"
-                    );
+            // Accounted traffic around the bulk calls: were a bulk call to
+            // touch the TLB or LLC, these sweeps would hit and miss differently
+            // on the two machines.
+            let sweep = |m: &mut Machine, v: &TrackedVec<u32>| {
+                for i in (0..v.len()).step_by(13) {
+                    let x = v.get(m, i);
+                    v.set(m, i, x.rotate_left(1));
                 }
+            };
+
+            let n = 30_000; // 29.3 pages of u32
+            for splinter in [false, true] {
+                let vb = TrackedVec::<u32>::new(&mut bulk, n, Placement::Slow).unwrap();
+                let vs = TrackedVec::<u32>::new(&mut looped, n, Placement::Slow).unwrap();
+                if splinter {
+                    // The middle third moves to the fast tier page by page.
+                    for (m, v) in [(&mut bulk, &vb), (&mut looped, &vs)] {
+                        let third = VirtRange::new(v.range().start.add(10 * 4096), 10 * 4096);
+                        m.migrate_mbind(third, TierId::FAST).unwrap();
+                        assert!(
+                            m.mappings_in(v.range()).len() >= 12,
+                            "mbind should leave per-page mappings"
+                        );
+                    }
+                }
+                sweep(&mut bulk, &vb);
+                sweep(&mut looped, &vs);
+
+                let before = observables(&bulk);
+                // `looped` is both sides' reference here: the loops are known
+                // unaccounted (`accounted_access_advances_clock_...`).
+                bulk_vs_loops(&mut bulk, &vb, &mut looped, &vs);
+                assert_eq!(observables(&bulk), before, "a bulk call was accounted");
+
+                sweep(&mut bulk, &vb);
+                sweep(&mut looped, &vs);
+                assert_eq!(vb.to_vec(&mut bulk), vs.to_vec(&mut looped));
             }
-            sweep(&mut bulk, &vb);
-            sweep(&mut looped, &vs);
 
-            let before = observables(&bulk);
-            // `looped` is both sides' reference here: the loops are known
-            // unaccounted (`accounted_access_advances_clock_...`).
-            bulk_vs_loops(&mut bulk, &vb, &mut looped, &vs);
-            assert_eq!(observables(&bulk), before, "a bulk call was accounted");
+            // Through a `CoreHandle`: each simulated core owns one array.
+            let owned = |m: &mut Machine| -> Vec<TrackedVec<u32>> {
+                (0..2)
+                    .map(|_| TrackedVec::<u32>::new(m, 5_000, Placement::Slow).unwrap())
+                    .collect()
+            };
+            let (cb, cs) = (owned(&mut bulk), owned(&mut looped));
+            bulk.run_cores(2, |core, h| {
+                let v = &cb[core];
+                for i in 0..v.len() {
+                    v.set(h, i, i as u32);
+                }
+                let before = h.elapsed();
+                let values: Vec<u32> = (0..v.len() as u32).map(|i| i ^ 0x5555).collect();
+                v.fill_from(h, &values);
+                assert_eq!(v.to_vec(h), values);
+                v.fill(h, 9);
+                v.fill_with(h, |i| 3 * i as u32);
+                assert_eq!(h.elapsed(), before, "a bulk call advanced a core clock");
+                (0..v.len()).fold(0u64, |acc, i| acc + u64::from(v.get(h, i)))
+            });
+            looped.run_cores(2, |core, h| {
+                let v = &cs[core];
+                for i in 0..v.len() {
+                    v.set(h, i, i as u32);
+                }
+                for i in 0..v.len() {
+                    v.poke(h, i, i as u32 ^ 0x5555);
+                }
+                for i in 0..v.len() {
+                    let _ = v.peek(h, i);
+                    v.poke(h, i, 9);
+                    v.poke(h, i, 3 * i as u32);
+                }
+                (0..v.len()).fold(0u64, |acc, i| acc + u64::from(v.get(h, i)))
+            });
+            for (vb, vs) in cb.iter().zip(&cs) {
+                assert_eq!(vb.to_vec(&mut bulk), vs.to_vec(&mut looped));
+            }
 
-            sweep(&mut bulk, &vb);
-            sweep(&mut looped, &vs);
-            assert_eq!(vb.to_vec(&mut bulk), vs.to_vec(&mut looped));
+            assert_eq!(bulk.stats(), looped.stats(), "machine counters diverge");
+            assert_eq!(bulk.now(), looped.now(), "simulated clocks diverge");
+            assert_eq!(
+                bulk.pebs_drain(),
+                looped.pebs_drain(),
+                "PEBS streams diverge"
+            );
+            assert_eq!(bulk.audit(), Vec::<String>::new());
+            assert_eq!(looped.audit(), Vec::<String>::new());
         }
-
-        // Through a `CoreHandle`: each simulated core owns one array.
-        let owned = |m: &mut Machine| -> Vec<TrackedVec<u32>> {
-            (0..2)
-                .map(|_| TrackedVec::<u32>::new(m, 5_000, Placement::Slow).unwrap())
-                .collect()
-        };
-        let (cb, cs) = (owned(&mut bulk), owned(&mut looped));
-        bulk.run_cores(2, |core, h| {
-            let v = &cb[core];
-            for i in 0..v.len() {
-                v.set(h, i, i as u32);
-            }
-            let before = h.elapsed();
-            let values: Vec<u32> = (0..v.len() as u32).map(|i| i ^ 0x5555).collect();
-            v.fill_from(h, &values);
-            assert_eq!(v.to_vec(h), values);
-            v.fill(h, 9);
-            v.fill_with(h, |i| 3 * i as u32);
-            assert_eq!(h.elapsed(), before, "a bulk call advanced a core clock");
-            (0..v.len()).fold(0u64, |acc, i| acc + u64::from(v.get(h, i)))
-        });
-        looped.run_cores(2, |core, h| {
-            let v = &cs[core];
-            for i in 0..v.len() {
-                v.set(h, i, i as u32);
-            }
-            for i in 0..v.len() {
-                v.poke(h, i, i as u32 ^ 0x5555);
-            }
-            for i in 0..v.len() {
-                let _ = v.peek(h, i);
-                v.poke(h, i, 9);
-                v.poke(h, i, 3 * i as u32);
-            }
-            (0..v.len()).fold(0u64, |acc, i| acc + u64::from(v.get(h, i)))
-        });
-        for (vb, vs) in cb.iter().zip(&cs) {
-            assert_eq!(vb.to_vec(&mut bulk), vs.to_vec(&mut looped));
-        }
-
-        assert_eq!(bulk.stats(), looped.stats(), "machine counters diverge");
-        assert_eq!(bulk.now(), looped.now(), "simulated clocks diverge");
-        assert_eq!(
-            bulk.pebs_drain(),
-            looped.pebs_drain(),
-            "PEBS streams diverge"
-        );
-        assert_eq!(
-            bulk.trace_drain(),
-            looped.trace_drain(),
-            "trace streams diverge"
-        );
-        assert_eq!(bulk.audit(), Vec::<String>::new());
-        assert_eq!(looped.audit(), Vec::<String>::new());
     }
 
     #[test]

@@ -60,8 +60,8 @@ proptest! {
     }
 
     /// The batched window engine (`gather` / `scatter` / `gather_update`)
-    /// leaves all simulated state — counters, clock, PEBS and trace streams
-    /// — bit-identical to the per-element loop, for arbitrary index windows
+    /// leaves all simulated state — counters, clock, PEBS stream —
+    /// bit-identical to the per-element loop, for arbitrary index windows
     /// (duplicates, runs and random jumps included) over an array that
     /// spills across the tier boundary.
     #[test]
@@ -69,6 +69,7 @@ proptest! {
         raw in prop::collection::vec((0u32..5_000, 1usize..5), 1..120),
         ops in prop::collection::vec(0u32..3, 1..6),
         period in 2u64..9,
+        exact in any::<bool>(),
     ) {
         // Expand (start, run) pairs into a window with natural line runs.
         let n = 5_000usize; // u64 array: 40 000 B, spills a 16 KiB fast tier.
@@ -79,9 +80,12 @@ proptest! {
         let platform = || Platform::testing().with_capacities(16 * 1024, 4 * 1024 * 1024);
         let mut bulk = Machine::new(platform());
         let mut scalar = Machine::new(platform());
+        // Period 1, jitter 0 samples every read miss: the drained stream is
+        // the full in-order read-miss address stream. A drawn period > 1
+        // checks that unsampled misses are not charged the sample cost.
+        let (period, jitter) = if exact { (1, 0) } else { (period, period / 2) };
         for m in [&mut bulk, &mut scalar] {
-            m.pebs_enable(period, period / 2);
-            m.trace_enable();
+            m.pebs_enable(period, jitter);
         }
         let vb = TrackedVec::<u64>::new(&mut bulk, n, Placement::Preferred(TierId::FAST)).unwrap();
         let vs =
@@ -120,7 +124,6 @@ proptest! {
             prop_assert_eq!(bulk.now(), scalar.now());
         }
         prop_assert_eq!(bulk.pebs_drain(), scalar.pebs_drain());
-        prop_assert_eq!(bulk.trace_drain(), scalar.trace_drain());
     }
 
     /// Simulated time is monotone under any access sequence.

@@ -3,53 +3,64 @@
 //! The related work the ATMem paper compares against ([9] Dulloor et al.,
 //! [30] Shen et al.) profiles applications *offline* with full memory
 //! traces. This example reproduces that workflow on the simulator: record
-//! every access of a PageRank iteration with the machine's tracer, build
+//! every LLC read miss of a PageRank iteration with PEBS at period 1, build
 //! an exact per-chunk miss histogram offline, and compare it with what
-//! ATMem's online sampling saw — then show both lead to the same placement
-//! decision for the hot object.
+//! ATMem's online sampling saw in a second run of the same iteration —
+//! then show both lead to the same placement decision for the hot object.
 //!
 //! Run with: `cargo run -p atmem-bench --release --example offline_analysis`
 
 use std::collections::HashMap;
 
 use atmem::{Atmem, AtmemConfig, ObjectId};
-use atmem_apps::{App, HmsGraph, MemCtx};
-use atmem_graph::Dataset;
+use atmem_apps::{App, HmsGraph, Kernel, MemCtx};
+use atmem_graph::{Csr, Dataset};
 use atmem_hms::Platform;
+
+/// A runtime with the graph loaded and a reset PageRank kernel on it.
+fn setup(csr: &Csr) -> atmem::Result<(Atmem, Box<dyn Kernel>)> {
+    let mut rt = Atmem::new(Platform::nvm_dram(), AtmemConfig::default())?;
+    let graph = HmsGraph::load(&mut rt, csr)?;
+    let mut kernel = App::PageRank.instantiate(&mut rt, graph)?;
+    kernel.reset(&mut rt);
+    Ok((rt, kernel))
+}
 
 fn main() -> atmem::Result<()> {
     let csr = Dataset::Twitter.build_small(4);
-    let mut rt = Atmem::new(Platform::nvm_dram(), AtmemConfig::default())?;
-    let graph = HmsGraph::load(&mut rt, &csr)?;
-    let mut kernel = App::PageRank.instantiate(&mut rt, graph)?;
-    kernel.reset(&mut rt);
 
-    // Record BOTH ways at once: the full trace (offline) and PEBS samples
-    // (online). Tracing is observationally neutral, so the comparison is
-    // apples-to-apples.
-    rt.machine_mut().trace_enable();
+    // Offline run: PEBS at period 1 with no jitter records every LLC read
+    // miss in order — the full read-miss trace.
+    let (mut offline, mut kernel) = setup(&csr)?;
+    let accesses_before = offline.machine().stats().accesses;
+    offline.machine_mut().pebs_enable(1, 0);
+    kernel.run_iteration(&mut MemCtx::bulk(offline.machine_mut()));
+    offline.machine_mut().pebs_disable();
+    let misses = offline.machine_mut().pebs_drain();
+    let events = offline.machine().stats().accesses - accesses_before;
+
+    // Online run: the same iteration under ATMem's sampled profiling.
+    // Sampling changes the simulated clock, never the access or miss
+    // stream, so both runs see the same misses.
+    let (mut rt, mut kernel) = setup(&csr)?;
     rt.profiling_start()?;
     kernel.run_iteration(&mut MemCtx::bulk(rt.machine_mut()));
     let profile = rt.profiling_stop()?;
-    rt.machine_mut().trace_disable();
-    let trace = rt.machine_mut().trace_drain();
 
     println!(
         "recorded {} trace events; online sampling kept {} ({}x reduction)\n",
-        trace.len(),
+        events,
         profile.samples,
-        trace.len() as u64 / profile.samples.max(1)
+        events / profile.samples.max(1)
     );
 
     // Offline pass: exact read-miss histogram per (object, chunk).
     let mut exact: HashMap<(ObjectId, usize), u64> = HashMap::new();
-    for rec in &trace {
-        if rec.kind == atmem_hms::AccessKind::ReadMiss {
-            if let Some(id) = rt.registry().object_at(rec.vaddr) {
-                let obj = rt.registry().get(id).expect("live object");
-                if let Some(chunk) = obj.chunk_of(rec.vaddr) {
-                    *exact.entry((id, chunk)).or_insert(0) += 1;
-                }
+    for rec in &misses {
+        if let Some(id) = offline.registry().object_at(rec.vaddr) {
+            let obj = offline.registry().get(id).expect("live object");
+            if let Some(chunk) = obj.chunk_of(rec.vaddr) {
+                *exact.entry((id, chunk)).or_insert(0) += 1;
             }
         }
     }

@@ -10,18 +10,30 @@
 //! so the oracle shares none of the engines' run folding). The program
 //! mixes sequential sweeps, random gathers/scatters/updates (duplicates
 //! included), strided windows, mid-run `mbind` migrations (which splinter
-//! mappings and move data between tiers under both machines) and
-//! PEBS/trace toggles, so sweeps and windows interleave across migrations
-//! with sampling off as well as on. Arrays span a few base pages or one
-//! or two huge-page units (plus a base-page tail), on a TLB that coalesces
-//! 1 or 8 base pages per entry. The whole program runs twice so
-//! the second pass starts from warm TLB/LLC state and the migrated
-//! placement.
+//! mappings and move data between tiers under both machines) and PEBS
+//! switches — off, a jittered period of 64, and period 1 with no jitter —
+//! so sweeps and windows interleave across migrations with sampling off,
+//! sparse and exhaustive. Arrays span a few base pages or one or two
+//! huge-page units (plus a base-page tail), on a TLB that coalesces 1 or
+//! 8 base pages per entry. The whole program runs twice so the second
+//! pass starts from warm TLB/LLC state and the migrated placement.
 //!
-//! After the program, *everything observable* must match bit-for-bit:
-//! every read buffer, every machine counter, the simulated clock (f64 by
-//! bit pattern), the drained PEBS sample stream, the drained trace
-//! stream, the full data image, and a clean audit on both machines.
+//! After every op, the read buffer, every machine counter and the
+//! simulated clock (f64 by bit pattern) must match. After the program, so
+//! must the drained PEBS stream, the full data image and a clean audit on
+//! both machines. At period 1 the PEBS stream is every LLC read miss's
+//! address in order, so a read miss charged at the wrong element or in
+//! the wrong order shows.
+//!
+//! What no stream here records is the order of LLC hits and write misses
+//! inside one op; the per-op counters pin only how many of each there
+//! were. Two things cover the order. The clock: each element adds its own
+//! cost (a hit, or a miss at its tier) to an f64 clock in element order,
+//! and f64 addition is not associative, so the same costs in another
+//! order usually end on other clock bits — and the clock is compared after
+//! every op. The warm second pass: a hit or write miss charged to the
+//! wrong line leaves other LLC and TLB contents behind, which pass 2's
+//! counters, clock and read-miss stream then expose.
 
 use atmem_apps::MemCtx;
 use atmem_hms::{Machine, PageKind, Placement, Platform, TierId, TrackedVec, VirtRange};
@@ -130,19 +142,10 @@ impl Harness {
                 self.m.migrate_mbind(range, tier).unwrap();
                 Vec::new()
             }
-            Op::Pebs(on) => {
-                if *on {
-                    self.m.pebs_enable(64, 16);
-                } else {
-                    self.m.pebs_disable();
-                }
-                Vec::new()
-            }
-            Op::Trace(on) => {
-                if *on {
-                    self.m.trace_enable();
-                } else {
-                    self.m.trace_disable();
+            Op::Pebs(setting) => {
+                match *setting {
+                    Some((period, jitter)) => self.m.pebs_enable(period, jitter),
+                    None => self.m.pebs_disable(),
                 }
                 Vec::new()
             }
@@ -188,8 +191,8 @@ enum Op {
         pages: usize,
         fast: bool,
     },
-    Pebs(bool),
-    Trace(bool),
+    /// `Some((period, jitter))` enables sampling, `None` disables it.
+    Pebs(Option<(u64, u64)>),
 }
 
 /// Decodes one raw `(kind, a, b)` tuple into an in-bounds op.
@@ -242,8 +245,8 @@ fn decode(kind: u32, a: u64, b: u64, len: usize, total_pages: usize) -> Op {
                 fast: a & 1 == 0,
             }
         }
-        7 => Op::Pebs(a & 1 == 0),
-        _ => Op::Trace(a & 1 == 0),
+        7 => Op::Pebs((a & 1 == 0).then_some((64, 16))),
+        _ => Op::Pebs(Some((1, 0))),
     }
 }
 
@@ -253,7 +256,7 @@ proptest! {
     /// The block and window engines are bit-identical to the per-element
     /// `get`/`set` loops on arbitrary access programs, placements, array
     /// sizes (base-page and huge mappings), TLB coalescing factors,
-    /// mid-run migrations and instrumentation toggles.
+    /// mid-run migrations and PEBS settings.
     #[test]
     fn engines_are_bit_identical_to_scalar_loops(
         raw in prop::collection::vec((0u32..9, any::<u64>(), any::<u64>()), 1..24),
@@ -292,16 +295,19 @@ proptest! {
                 let a = oracle.apply(op);
                 let b = engine.apply(op);
                 prop_assert_eq!(a, b, "read divergence at pass {} op {} ({:?})", pass, i, op);
+                prop_assert_eq!(
+                    oracle.m.stats(),
+                    engine.m.stats(),
+                    "counter divergence at pass {} op {} ({:?})", pass, i, op
+                );
+                prop_assert_eq!(
+                    oracle.m.now().as_ns().to_bits(),
+                    engine.m.now().as_ns().to_bits(),
+                    "clock divergence at pass {} op {} ({:?})", pass, i, op
+                );
             }
         }
-        prop_assert_eq!(oracle.m.stats(), engine.m.stats());
-        prop_assert_eq!(
-            oracle.m.now().as_ns().to_bits(),
-            engine.m.now().as_ns().to_bits(),
-            "clock divergence"
-        );
         prop_assert_eq!(oracle.m.pebs_drain(), engine.m.pebs_drain());
-        prop_assert_eq!(oracle.m.trace_drain(), engine.m.trace_drain());
         prop_assert_eq!(
             oracle.v.to_vec(&mut oracle.m),
             engine.v.to_vec(&mut engine.m),
