@@ -31,6 +31,9 @@ echo "==> release-mode soundness (window bounds, u32 guards, chunk bounds, mappi
 # to or from a run that is not outstanding staging, a replay past the
 # staged bytes, and a second free must be refused in optimized builds, or
 # a migration would silently install stale bytes or free a mapped frame.
+# A staged region's source frames stay pinned until the replay moves them
+# off: a fresh allocation or an mbind page copy landing on one must panic
+# in optimized builds, or it would silently overwrite the staged bytes.
 # Tier storage is 256 KiB chunks of host memory that exist only under mapped
 # frames: an access to a chunk nothing backs, or a slice running off the
 # end of one into its neighbour in the slab, must panic in optimized builds
@@ -48,6 +51,8 @@ cargo test -q --release -p atmem-hms foreign_run_is_rejected
 cargo test -q --release -p atmem-hms replay_past_staged_bytes_is_rejected
 cargo test -q --release -p atmem-hms double_free_of_staging_panics
 cargo test -q --release -p atmem-hms free_frames_of_a_mapped_frame_panics
+cargo test -q --release -p atmem-hms fresh_alloc_over_a_pinned_frame_panics
+cargo test -q --release -p atmem-hms mbind_copy_onto_a_pinned_frame_panics
 # The branch-free R-MAT descent is the code whose debug and optimised builds
 # differ most (comparisons folded into shifts, f64 expressions the optimiser
 # may contract): the datasets must be the pinned ones, and the descent must
@@ -119,7 +124,7 @@ echo "==> line ratchet (non-test lines per crate stay under their ceilings)"
 # must grow a crate raises its ceiling here, in its own diff, and gives the
 # reason in its change log.
 ratchet_ok=1
-for entry in hms:6897 core:4178 apps:3505 graph:1332 bench:1939 rng:307 prop:261; do
+for entry in hms:7075 core:4178 apps:3505 graph:1332 bench:1939 rng:307 prop:261; do
   crate="${entry%%:*}"
   ceiling="${entry#*:}"
   lines="$(find "crates/$crate/src" -name '*.rs' -exec awk 'FNR == 1 { skip = 0 } /^#\[cfg\(test\)\]/ { skip = 1 } !skip { n++ } END { print n + 0 }' {} + | awk '{ s += $1 } END { print s + 0 }')"
@@ -231,18 +236,25 @@ echo "==> analyzer-quality smoke (learned vs paper placement gates)"
 # above; dedicated step so a quality regression is named in CI output.
 cargo test -q --release -p atmem-bench --test analyzer_quality
 
-echo "==> experiment entry-point smoke (atmem_run all writes every CSV tracked under results/)"
+echo "==> experiment entry-point smoke and drift detector (atmem_run all at shrink 6 reproduces results/shrink6/ byte for byte)"
 # Every figure and table driver through the one entry point, datasets
 # shrunk by six R-MAT levels (seconds, not the twelve minutes of a full
 # regeneration), into a scratch directory so the committed results/ stay
 # as they are. The path is absolute because the drivers resolve the
-# default relative to crates/bench, not to here.
+# default relative to crates/bench, not to here. The run is deterministic,
+# so its CSVs must equal the committed shrink-6 snapshot: a change that
+# moves a figure regenerates results/shrink6/ in its own diff.
 smoke_dir="$PWD/target/repro_smoke"
 rm -rf "$smoke_dir"
 ATMEM_BENCH_SHRINK=6 ATMEM_RESULTS_DIR="$smoke_dir" cargo run -q --release -p atmem-bench --bin atmem_run -- all > /dev/null
 for csv in results/*.csv; do
   test -s "$smoke_dir/${csv#results/}" || { echo "atmem_run all wrote no ${csv#results/} in $smoke_dir" >&2; exit 1; }
 done
+if ! diff -r results/shrink6 "$smoke_dir"; then
+  echo "atmem_run all at shrink 6 no longer reproduces results/shrink6/ (diff above); if the change is meant to move a figure, regenerate the snapshot with:" >&2
+  echo "  ATMEM_BENCH_SHRINK=6 ATMEM_RESULTS_DIR=\$PWD/results/shrink6 cargo run --release -p atmem-bench --bin atmem_run -- all" >&2
+  exit 1
+fi
 
 echo "==> repo benchmark smoke (every BENCHMARK.json metric reported once, finite, with its unit)"
 # Every workload on shrunk graphs with k = 1 (~9 s): fails unless

@@ -10,10 +10,10 @@
 //! 3. **Moving** — the same simulated threads copy the staged bytes into the
 //!    final frames (a same-tier copy).
 //!
-//! The thread count is a parameter of the simulated copy-time model only:
-//! on the host each physically contiguous segment is one `memcpy`, and the
-//! staged bytes sit in a machine-owned image, not in the target tier's
-//! storage (see [`Machine::alloc_frames`]).
+//! The thread count is a parameter of the simulated copy-time model only.
+//! On the host, stage 1 pins the source frames instead of copying them and
+//! stage 3 hands whole 256 KiB chunks of them to the new mapping, copying
+//! only the rest (see [`Machine::copy_frames_to_region`]).
 //!
 //! Data crosses the tier boundary exactly once (stage 1); stage 3 runs at
 //! the target tier's bandwidth. Compared to the `mbind` baseline the engine
@@ -35,8 +35,8 @@
 //! * **remap** (stage 2) fails → [`Machine::remap_region`] restores the old
 //!   mappings itself; the engine frees the staging buffer → *failed*;
 //! * **move** (stage 3) fails → the region is currently mapped on the
-//!   target tier with *uninitialised* frames, but the staging buffer holds
-//!   the complete pre-migration image. The engine suspends fault injection
+//!   target tier with *uninitialised* frames, but the staging run still
+//!   holds the complete pre-migration image (its pinned source frames). The engine suspends fault injection
 //!   (a rollback must not itself be faulted), remaps the region back onto
 //!   the source tier, replays the staged bytes into it, and frees the
 //!   staging buffer → *failed*. If the remap-back itself hits pressure
@@ -50,7 +50,7 @@
 //! and retries them.
 //!
 //! [`Machine::remap_region`]: atmem_hms::Machine::remap_region
-//! [`Machine::alloc_frames`]: atmem_hms::Machine::alloc_frames
+//! [`Machine::copy_frames_to_region`]: atmem_hms::Machine::copy_frames_to_region
 //! [`Atmem::optimize`]: crate::Atmem::optimize
 
 use atmem_hms::{HmsError, Machine, SimDuration, TierId, VirtRange, PAGE_SIZE};

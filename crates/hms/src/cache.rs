@@ -753,6 +753,50 @@ mod tests {
         }
     }
 
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(8))]
+
+        /// Vacating commutes: invalidating line spans one at a time, in any
+        /// order, leaves the same tags, recency words and counters as one
+        /// `invalidate_where` pass over their union. (A set's recency word
+        /// after a vacate is a function of which ways are empty and the
+        /// survivors' old order.) This is what lets `mbind` back-invalidate
+        /// every frame it freed in one pass at the end of the call.
+        #[test]
+        fn invalidating_spans_in_any_order_matches_one_pass_over_their_union(
+            fills in prop::collection::vec((0u64..4096, any::<bool>()), 300..900),
+            spans in prop::collection::vec((0u64..4096, 0u64..160), 1..16),
+            keys in prop::collection::vec(any::<u64>(), 16..17),
+        ) {
+            // Spans applied in the order of their (random) keys.
+            let mut order: Vec<usize> = (0..spans.len()).collect();
+            order.sort_by_key(|&i| keys[i]);
+            for (assoc, sets) in [(1, 4), (2, 32), (8, 128), (16, 128)] {
+                let mut one_by_one = Cache::new(CacheConfig::new(sets * assoc * 64, assoc, 64));
+                for &(line, write) in &fills {
+                    one_by_one.access(PhysAddr::new(line * 64), write);
+                }
+                let mut union = one_by_one.clone();
+                for &i in &order {
+                    let (first, width) = spans[i];
+                    one_by_one.invalidate_lines(first, first + width);
+                }
+                union.invalidate_where(|line| {
+                    spans.iter().any(|&(first, width)| (first..=first + width).contains(&line))
+                });
+                for set in 0..sets {
+                    prop_assert_eq!(
+                        (one_by_one.tags[set].0, one_by_one.order[set]),
+                        (union.tags[set].0, union.order[set]),
+                        "set {} at {} ways x {} sets", set, assoc, sets
+                    );
+                }
+                prop_assert_eq!(one_by_one.counts, union.counts);
+                prop_assert!(one_by_one.check().is_empty());
+            }
+        }
+    }
+
     fn small() -> Cache {
         // 4 sets x 2 ways x 64B lines = 512 B.
         Cache::new(CacheConfig::new(512, 2, 64))

@@ -21,12 +21,12 @@
 //!   [`Machine::remap_region`], [`Machine::copy_frames_to_region`],
 //!   [`Machine::free_frames`]).
 //!
-//! Data written through the simulator actually lives in tier storage (2 MiB
-//! chunks of host memory under the mapped frames, recycled across machines),
-//! so migrations really move bytes and correctness is externally checkable.
-//! The one exception is a migration's staging run: its frames are held on
-//! the target tier, but the bytes in flight live in a machine-owned image
-//! beside the run, which nothing simulated can address.
+//! Data written through the simulator actually lives in tier storage
+//! (256 KiB chunks of host memory under the mapped frames, recycled across
+//! machines), so migrations really move bytes and correctness is externally
+//! checkable. The one exception is a migration's staging run: its frames
+//! are held on the target tier but hold no bytes; the bytes in flight stay
+//! in the region's own source frames, pinned until the replay moves them.
 //!
 //! ## Example
 //!

@@ -77,18 +77,6 @@ pub struct MigrationReport {
     pub mappings_after: usize,
 }
 
-/// The host-side bytes of one outstanding staging run.
-#[derive(Debug)]
-struct StagingImage {
-    /// At least the run's size; longer when the buffer was recycled from a
-    /// larger run. Bytes past `staged` are stale.
-    bytes: Vec<u8>,
-    /// Length of the region image the last staging copy left at the front
-    /// of `bytes`; zero until a copy succeeds. A replay may not read past
-    /// it.
-    staged: usize,
-}
-
 /// The simulated machine. See the [crate docs](crate) for an overview.
 ///
 /// Simulated state is split in two: **shared read-mostly state** (platform,
@@ -112,15 +100,12 @@ pub struct Machine {
     /// Staging frame runs handed out by [`Machine::alloc_frames`] and not
     /// yet released — the auditor's account of legitimate unmapped usage.
     staged_runs: Vec<(TierId, FrameRun)>,
-    /// The bytes of each staging run, index for index with `staged_runs`.
-    /// A staging run's *frames* are simulated state (they occupy the tier's
-    /// allocator, so pressure, frame numbers and the physically indexed LLC
-    /// see them); its *bytes* are host state nothing simulated can read, so
-    /// they live here and the tier array under the run is never touched.
-    staged_images: Vec<StagingImage>,
-    /// Buffers of released staging images, reused by the next
-    /// [`Machine::alloc_frames`] so a staging copy writes warm host memory.
-    spare_images: Vec<Vec<u8>>,
+    /// What each staging run has staged, index for index with
+    /// `staged_runs`: the region's storage pieces (one per chunk a segment
+    /// touches) in region order, pinned until a replay consumes them or the
+    /// run is freed; empty while nothing is staged. The run's own frames
+    /// hold no bytes.
+    staged_sources: Vec<Vec<BlockSegment>>,
     /// Counter snapshot from the previous [`Machine::audit`], for the
     /// monotonicity check.
     last_audit_stats: Option<MachineStats>,
@@ -166,8 +151,7 @@ impl Machine {
             platform,
             fault: None,
             staged_runs: Vec::new(),
-            staged_images: Vec::new(),
-            spare_images: Vec::new(),
+            staged_sources: Vec::new(),
             last_audit_stats: None,
             alloc_tag: 0,
             tag_resident: BTreeMap::new(),
@@ -501,8 +485,9 @@ impl Machine {
         );
         for m in created {
             // Fresh memory reads zero, whatever the chunk under it held.
-            self.storage
-                .zero_frames(m.tier, FrameRun::new(m.frame_start, m.pages));
+            let run = FrameRun::new(m.frame_start, m.pages);
+            self.assert_unpinned(m.tier, run, "a fresh allocation");
+            self.storage.zero_frames(m.tier, run);
             self.note_mapped(m.vrange(), m.tier);
             self.mappings.insert(m);
         }
@@ -633,19 +618,38 @@ impl Machine {
         let run = FrameRun::new(m.frame_start, m.pages);
         self.tiers[m.tier.index()].frames.free_run(run);
         self.storage.unmap_frames(m.tier, run);
-        self.invalidate_llc_frames(m.tier, run);
+        self.invalidate_llc_frames(&[(m.tier, run)]);
     }
 
-    /// Back-invalidates every LLC line caching bytes of a freed frame run,
-    /// so no resident line ever references a frame that may be handed out
-    /// again. Counters are unaffected; the vacated ways become preferred
+    /// Back-invalidates every LLC line caching bytes of the freed frame
+    /// runs, so no resident line ever references a frame that may be handed
+    /// out again. Counters are unaffected; the vacated ways become preferred
     /// eviction victims.
-    fn invalidate_llc_frames(&mut self, tier: TierId, run: FrameRun) {
-        let lo = Frame::new(tier, run.start).phys_addr(0).raw();
-        let hi = lo + run.bytes() as u64;
-        let first = self.core.llc.line_id_of(lo);
-        let last = self.core.llc.line_id_of(hi - 1);
-        self.core.llc.invalidate_lines(first, last);
+    ///
+    /// One pass for all runs (vacating commutes): fewer lines than sets are
+    /// probed line by line, more take one scan against the sorted spans.
+    pub(crate) fn invalidate_llc_frames(&mut self, freed: &[(TierId, FrameRun)]) {
+        let llc = &mut self.core.llc;
+        let mut spans: Vec<(u64, u64)> = freed
+            .iter()
+            .map(|&(tier, run)| {
+                let lo = Frame::new(tier, run.start).phys_addr(0).raw();
+                let hi = lo + run.bytes() as u64;
+                (llc.line_id_of(lo), llc.line_id_of(hi - 1))
+            })
+            .collect();
+        spans.sort_unstable();
+        let lines: u64 = spans.iter().map(|&(first, last)| last - first + 1).sum();
+        if lines < llc.config().sets() as u64 {
+            for &(first, last) in &spans {
+                llc.invalidate_lines(first, last);
+            }
+        } else {
+            llc.invalidate_where(|line| {
+                let at = spans.partition_point(|&(_, last)| last < line);
+                spans.get(at).is_some_and(|&(first, _)| first <= line)
+            });
+        }
     }
 
     /// Frees the allocation starting at `range.start`.
@@ -708,10 +712,11 @@ impl Machine {
 
     /// Copies `len` bytes of `tier`'s backing storage at byte `offset` out,
     /// as they are: no translation, no accounting. For verification (what
-    /// do the frames under a staging run hold?). Only mapped frames have
-    /// bytes of their own: a chunk of the tier (256 KiB) in which no frame is
-    /// mapped reads as zero, an unmapped frame beside a mapped one as
-    /// whatever was last left there.
+    /// do the frames under a staging run hold?). Only mapped frames, and
+    /// the pinned source of a staged region, have bytes of their own: a
+    /// chunk of the tier (256 KiB) in which no frame is mapped or pinned
+    /// reads as zero, an unmapped frame beside one as whatever was last
+    /// left there.
     ///
     /// # Panics
     ///
@@ -778,10 +783,11 @@ impl Machine {
     /// outstanding staging until released with [`Machine::free_frames`];
     /// [`Machine::audit`] accounts it as legitimate unmapped usage.
     ///
-    /// The frames are held in the tier's allocator like any others; the
-    /// bytes staged into the run are kept in a machine-owned image beside
-    /// it: the run's frames are never backed by tier storage, let alone
-    /// written.
+    /// The frames are held in the tier's allocator like any others, which
+    /// is what makes staging compete for capacity and decides the frames a
+    /// later remap gets. Their bytes are never backed, let alone written:
+    /// a staging copy records and pins the region's own frames instead
+    /// ([`Machine::copy_region_to_frames`]).
     ///
     /// # Errors
     ///
@@ -794,17 +800,13 @@ impl Machine {
             .frames
             .alloc_run(pages)
             .ok_or_else(|| self.oom_error(tier, pages * PAGE_SIZE))?;
-        let mut bytes = self.spare_images.pop().unwrap_or_default();
-        if bytes.len() < run.bytes() {
-            bytes.resize(run.bytes(), 0);
-        }
         self.staged_runs.push((tier, run));
-        self.staged_images.push(StagingImage { bytes, staged: 0 });
+        self.staged_sources.push(Vec::new());
         Ok(run)
     }
 
     /// Releases a staging run previously returned by
-    /// [`Machine::alloc_frames`].
+    /// [`Machine::alloc_frames`], unpinning whatever it still has staged.
     ///
     /// # Panics
     ///
@@ -821,10 +823,11 @@ impl Machine {
             )
         });
         self.staged_runs.swap_remove(slot);
-        self.spare_images
-            .push(self.staged_images.swap_remove(slot).bytes);
+        for piece in self.staged_sources.swap_remove(slot) {
+            self.storage.unpin(piece);
+        }
         self.tiers[tier.index()].frames.free_run(run);
-        self.invalidate_llc_frames(tier, run);
+        self.invalidate_llc_frames(&[(tier, run)]);
     }
 
     /// Staging frame runs currently outstanding (allocated via
@@ -840,6 +843,38 @@ impl Machine {
         self.staged_runs
             .iter()
             .position(|&(t, r)| t == tier && r == run)
+    }
+
+    /// The staging runs (by slot) that have pinned a byte of `bytes`.
+    fn pinning_runs(&self, bytes: BlockSegment) -> impl Iterator<Item = usize> + '_ {
+        let end = bytes.offset + bytes.len;
+        let overlaps = move |p: &BlockSegment| {
+            p.tier == bytes.tier && p.offset < end && bytes.offset < p.offset + p.len
+        };
+        let runs = self.staged_sources.iter().enumerate();
+        runs.filter_map(move |(slot, pieces)| pieces.iter().any(overlaps).then_some(slot))
+    }
+
+    /// The contract that keeps staged bytes: a pinned frame is written only
+    /// by its own replay.
+    ///
+    /// # Panics
+    ///
+    /// Panics, naming `writer`, if a frame of `run` is pinned.
+    fn assert_unpinned(&self, tier: TierId, run: FrameRun, writer: &str) {
+        let offset = (run.start as usize) << PAGE_SHIFT;
+        let bytes = BlockSegment {
+            tier,
+            offset,
+            len: run.bytes(),
+        };
+        assert!(
+            self.pinning_runs(bytes).next().is_none(),
+            "{writer} would overwrite pinned frames {}..{} of {tier}: \
+             an outstanding staging run is yet to replay them",
+            run.start,
+            run.start + run.count
+        );
     }
 
     /// Allocates one frame destined to back a mapping immediately (the
@@ -860,18 +895,24 @@ impl Machine {
 
     /// Releases the frame a mapping stops using within the same operation
     /// (the `mbind` per-page path; counterpart of
-    /// [`Machine::alloc_page_frame`]).
+    /// [`Machine::alloc_page_frame`]). Its LLC lines stay: the caller
+    /// back-invalidates every frame it freed in one
+    /// [`invalidate_llc_frames`](Machine::invalidate_llc_frames) pass before
+    /// the LLC is used again.
     pub(crate) fn free_page_frame(&mut self, tier: TierId, frame: u32) {
         let run = FrameRun::new(frame, 1);
         self.tiers[tier.index()].frames.free_run(run);
         self.storage.unmap_frames(tier, run);
-        self.invalidate_llc_frames(tier, run);
     }
 
     /// Copies one 4 KiB page from a frame of `src_tier` to a frame of a
     /// *different* tier (the `mbind` per-page path, which leaves pages
     /// already on the destination tier in place), without simulated-time
     /// accounting — the caller accounts it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the destination frame is pinned by a staging run.
     pub(crate) fn copy_page_frame(
         &mut self,
         src_tier: TierId,
@@ -880,22 +921,37 @@ impl Machine {
         dst_frame: u32,
     ) {
         assert_ne!(src_tier, dst_tier, "page copy within one tier");
-        self.storage
-            .copy_page((src_tier, src_frame), (dst_tier, dst_frame));
+        self.assert_unpinned(dst_tier, FrameRun::new(dst_frame, 1), "an mbind page copy");
+        let at = |frame: u32| (frame as usize) << PAGE_SHIFT;
+        self.storage.copy(
+            (src_tier, at(src_frame)),
+            (dst_tier, at(dst_frame)),
+            PAGE_SIZE,
+        );
     }
 
-    /// Copies the page-aligned virtual `range` into the staging run `dst`
-    /// on `dst_tier`, charged as `threads` simulated copier threads.
-    /// Returns the simulated copy time. The copy streams past the LLC
-    /// (non-temporal), so cache and TLB state are unaffected.
+    /// Stage 1 of a staged migration: stages the page-aligned virtual
+    /// `range` for the staging run `dst` on `dst_tier`, charged as a copy
+    /// by `threads` simulated copier threads. Returns the simulated copy
+    /// time. The copy streams past the LLC (non-temporal), so cache and TLB
+    /// state are unaffected.
+    ///
+    /// On the host nothing is copied: the run records the frames under
+    /// `range` and pins them, so their bytes stay in place, backed, through
+    /// a remap that frees them, until
+    /// [`copy_frames_to_region`](Machine::copy_frames_to_region) moves them
+    /// or [`free_frames`](Machine::free_frames) drops them. Staging again
+    /// into the same run replaces what it held. A pinned frame is written
+    /// by nothing but that replay: a fresh allocation or an `mbind` page
+    /// copy that would land on one panics.
     ///
     /// # Errors
     ///
     /// [`HmsError::InvalidRange`] if `range` is not page-aligned, `dst` is
     /// too small, or `(dst_tier, dst)` is not an outstanding staging run;
     /// [`HmsError::Unmapped`] for holes in `range`;
-    /// [`HmsError::FaultInjected`] under an armed [`FaultPlan`] (no bytes
-    /// are copied and no state changes in that case).
+    /// [`HmsError::FaultInjected`] under an armed [`FaultPlan`] (nothing is
+    /// staged and no state changes in that case).
     pub fn copy_region_to_frames(
         &mut self,
         range: VirtRange,
@@ -915,32 +971,44 @@ impl Machine {
             return Err(HmsError::FaultInjected(FaultSite::Move));
         }
         let mut ns = 0.0;
-        let image = &mut self.staged_images[slot];
-        let mut staged = 0;
         for segment in &segments {
             ns += copy_ns(&self.platform, segment.tier, dst_tier, segment.len, threads);
-            for BlockSegment { tier, offset, len } in segment.chunks() {
-                image.bytes[staged..staged + len]
-                    .copy_from_slice(self.storage.slice(tier, offset, len));
-                staged += len;
-            }
         }
-        image.staged = staged;
+        let sources: Vec<BlockSegment> = segments.iter().flat_map(|s| s.chunks()).collect();
+        // Pin before unpinning what the run held, so a chunk both share is
+        // never released in between.
+        for &piece in &sources {
+            self.storage.pin(piece);
+        }
+        for piece in std::mem::replace(&mut self.staged_sources[slot], sources) {
+            self.storage.unpin(piece);
+        }
         let time = SimDuration::from_ns(ns);
         self.core.clock.advance(time);
         Ok(time)
     }
 
-    /// Copies the bytes staged in the run `src` on `src_tier` back into the
-    /// (re-mapped) virtual `range`. Counterpart of
-    /// [`Machine::copy_region_to_frames`].
+    /// Stage 3 of a staged migration: replays the bytes staged for the run
+    /// `src` on `src_tier` into the (re-mapped) virtual `range`.
+    /// Counterpart of [`Machine::copy_region_to_frames`].
+    ///
+    /// The bytes replayed are those the staged frames hold *now*, at the
+    /// replay, not at staging time: the simulated copy happens at stage 1,
+    /// but ATMem migrates with the application stopped, so nothing writes
+    /// the region in between. A replay consumes what was staged (the pins
+    /// go), so replaying the run again is refused. Whole 256 KiB chunks the
+    /// remap freed are handed to the destination instead of copied.
     ///
     /// # Errors
     ///
     /// Same conditions as [`Machine::copy_region_to_frames`], and
     /// [`HmsError::InvalidRange`] if `range` is longer than what the last
-    /// successful staging copy into `src` left there (nothing, for a fresh
-    /// run).
+    /// successful staging copy into `src` recorded (nothing, for a fresh
+    /// or already replayed run).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `range` lands on frames another staging run has pinned.
     pub fn copy_frames_to_region(
         &mut self,
         src_tier: TierId,
@@ -951,7 +1019,7 @@ impl Machine {
         let segments = self.region_segments(range)?;
         let slot = self
             .staging_slot(src_tier, src)
-            .filter(|&slot| range.len <= self.staged_images[slot].staged)
+            .filter(|&slot| range.len <= self.staged_sources[slot].iter().map(|p| p.len).sum())
             .ok_or(HmsError::InvalidRange {
                 start: range.start,
                 len: range.len,
@@ -960,16 +1028,22 @@ impl Machine {
             return Err(HmsError::FaultInjected(FaultSite::Move));
         }
         let mut ns = 0.0;
-        let image = &self.staged_images[slot];
-        let mut replayed = 0;
+        let mut bounce = false;
         for segment in &segments {
             ns += copy_ns(&self.platform, src_tier, segment.tier, segment.len, threads);
-            for BlockSegment { tier, offset, len } in segment.chunks() {
-                self.storage
-                    .slice_mut(tier, offset, len)
-                    .copy_from_slice(&image.bytes[replayed..replayed + len]);
-                replayed += len;
+            for owner in self.pinning_runs(*segment) {
+                assert_eq!(
+                    owner, slot,
+                    "a replay would overwrite pinned frames of another staging run"
+                );
+                bounce = true;
             }
+        }
+        let sources = std::mem::take(&mut self.staged_sources[slot]);
+        let targets: Vec<BlockSegment> = segments.iter().flat_map(|s| s.chunks()).collect();
+        self.storage.replay(&sources, &targets, bounce);
+        for piece in sources {
+            self.storage.unpin(piece);
         }
         let time = SimDuration::from_ns(ns);
         self.core.clock.advance(time);
@@ -1197,9 +1271,7 @@ impl Machine {
     ///    outstanding staging runs are pairwise disjoint (no double
     ///    mapping) and account for *exactly* the allocator's used count
     ///    (no leaks), and the allocator's incremental free counter matches
-    ///    a bitmap popcount (no double free slipped through); every
-    ///    outstanding staging run has a byte image at least its size, and
-    ///    no image outlives its run;
+    ///    a bitmap popcount (no double free slipped through);
     /// 4. every allocation is fully mapped, and every mapping belongs to a
     ///    live allocation;
     /// 5. every TLB entry decodes to a live mapping of matching
@@ -1212,9 +1284,11 @@ impl Machine {
     ///    bytes) never run backwards between audits;
     /// 8. the incremental residency cache (per-allocation and per-tag
     ///    resident-byte counters) matches a full mapping rescan;
-    /// 9. host backing follows the mappings: every chunk's mapped-frame
-    ///    count equals the frames the mapping table places in it, a chunk is
-    ///    backed exactly while that count is non-zero, and so no mapped
+    /// 9. host backing follows the mappings and the staged sources: every
+    ///    chunk's mapped-frame count equals the frames the mapping table
+    ///    places in it, its pinned-frame count the frames the outstanding
+    ///    staging runs' recorded sources place in it, and a chunk is backed
+    ///    exactly while one of the two is non-zero — so no mapped or pinned
     ///    frame is unbacked (and no staging run backed on its own account).
     ///
     /// Needs `&mut self` only to store the counter snapshot for the next
@@ -1289,36 +1363,15 @@ impl Machine {
             }
             owners[tier.index()].push((run.start, run.count, None));
         }
-        if self.staged_images.len() != self.staged_runs.len() {
-            violations.push(format!(
-                "{} staging images for {} outstanding staging runs",
-                self.staged_images.len(),
-                self.staged_runs.len()
-            ));
-        }
-        for (&(tier, run), image) in self.staged_runs.iter().zip(&self.staged_images) {
-            if image.bytes.len() < run.bytes() || image.staged > image.bytes.len() {
-                violations.push(format!(
-                    "staging run {}..{} on tier {} has a {}-byte image with {} bytes staged",
-                    run.start,
-                    run.start + run.count,
-                    self.platform.tier_name(tier),
-                    image.bytes.len(),
-                    image.staged
-                ));
-            }
-        }
-
-        // Invariant 9: chunks are backed by, and only by, mapped frames.
-        violations.extend(
-            self.storage
-                .check(owners.iter().enumerate().flat_map(|(ti, owned)| {
-                    let mapped = owned.iter().filter(|(_, _, vpage)| vpage.is_some());
-                    mapped.map(move |&(start, count, _)| {
-                        (TierId::new(ti), FrameRun::new(start, count))
-                    })
-                })),
-        );
+        // Invariant 9: chunks are backed by, and only by, mapped and
+        // pinned frames.
+        violations.extend(self.storage.check(
+            owners.iter().enumerate().flat_map(|(ti, owned)| {
+                let mapped = owned.iter().filter(|(_, _, vpage)| vpage.is_some());
+                mapped.map(move |&(start, count, _)| (TierId::new(ti), FrameRun::new(start, count)))
+            }),
+            self.staged_sources.iter().flatten().copied(),
+        ));
 
         // Invariant 3: per-tier frame conservation.
         for (ti, tier) in self.tiers.iter().enumerate() {
@@ -2319,32 +2372,151 @@ mod tests {
     }
 
     #[test]
-    fn audit_flags_a_staging_image_mismatch() {
+    fn audit_flags_a_pinned_count_mismatch() {
         let mut m = machine();
-        let staging = m.alloc_frames(TierId::FAST, 4).unwrap();
+        let r = filled(&mut m, 16, 0x44);
+        let other = filled(&mut m, 4, 0x45);
+        let staging = m.alloc_frames(TierId::FAST, 16).unwrap();
+        m.copy_region_to_frames(r, TierId::FAST, staging, 4)
+            .unwrap();
         assert_clean(&mut m);
-        // An image shorter than its run.
-        m.staged_images[0].bytes.truncate(PAGE_SIZE);
-        let violations = m.audit();
-        assert!(
-            violations.iter().any(|v| v.contains("-byte image")),
-            "short image not flagged: {violations:#?}"
-        );
-        m.staged_images[0].bytes.resize(4 * PAGE_SIZE, 0);
-        assert_clean(&mut m);
-        // An image that outlives its run.
-        m.free_frames(TierId::FAST, staging);
-        m.staged_images.push(StagingImage {
-            bytes: Vec::new(),
-            staged: 0,
-        });
+        // A pin dropped behind the run's back (the frames are still mapped,
+        // so the chunk stays backed)...
+        let source = m.staged_sources[0][0];
+        m.storage.unpin(source);
         let violations = m.audit();
         assert!(
             violations
                 .iter()
-                .any(|v| v.contains("1 staging images for 0 outstanding")),
-            "orphan image not flagged: {violations:#?}"
+                .any(|v| v.contains("counts 0 pinned frames, the staged sources place 16")),
+            "dropped pin not flagged: {violations:#?}"
         );
+        m.storage.pin(source);
+        assert_clean(&mut m);
+        // ...and a pin no run recorded.
+        let stray = resolve_block(&m.mappings, other).unwrap()[0];
+        m.storage.pin(stray);
+        let violations = m.audit();
+        assert!(
+            violations
+                .iter()
+                .any(|v| v.contains("counts 20 pinned frames, the staged sources place 16")),
+            "stray pin not flagged: {violations:#?}"
+        );
+        m.storage.unpin(stray);
+        m.remap_region(r, TierId::FAST).unwrap();
+        assert_clean(&mut m);
+        m.copy_frames_to_region(TierId::FAST, staging, r, 4)
+            .unwrap();
+        m.free_frames(TierId::FAST, staging);
+        assert_filled(&mut m, r, 0x44);
+        assert_filled(&mut m, other, 0x45);
+        assert_clean(&mut m);
+    }
+
+    #[test]
+    fn a_replay_consumes_the_staged_bytes() {
+        let mut m = machine();
+        let r = filled(&mut m, 16, 0x55);
+        let staging = m.alloc_frames(TierId::FAST, 16).unwrap();
+        m.copy_region_to_frames(r, TierId::FAST, staging, 4)
+            .unwrap();
+        m.remap_region(r, TierId::FAST).unwrap();
+        m.copy_frames_to_region(TierId::FAST, staging, r, 4)
+            .unwrap();
+        let before = m.now();
+        assert!(matches!(
+            m.copy_frames_to_region(TierId::FAST, staging, r, 4),
+            Err(HmsError::InvalidRange { .. })
+        ));
+        assert_eq!(m.now(), before);
+        m.free_frames(TierId::FAST, staging);
+        assert_filled(&mut m, r, 0x55);
+        assert_clean(&mut m);
+    }
+
+    #[test]
+    fn a_replay_carries_the_bytes_the_source_holds_at_replay_time() {
+        let mut m = machine();
+        let r = filled(&mut m, 16, 0x56);
+        let staging = m.alloc_frames(TierId::FAST, 16).unwrap();
+        m.copy_region_to_frames(r, TierId::FAST, staging, 4)
+            .unwrap();
+        // A write after staging (which ATMem, migrating with the
+        // application stopped, never makes) reaches the destination.
+        m.poke::<u64>(r.start.add(8), 0xFEED).unwrap();
+        m.remap_region(r, TierId::FAST).unwrap();
+        m.copy_frames_to_region(TierId::FAST, staging, r, 4)
+            .unwrap();
+        m.free_frames(TierId::FAST, staging);
+        assert_eq!(m.peek::<u64>(r.start.add(8)).unwrap(), 0xFEED);
+        m.poke::<u64>(r.start.add(8), 1 ^ 0x56).unwrap();
+        assert_filled(&mut m, r, 0x56);
+        assert_clean(&mut m);
+    }
+
+    /// A machine with a one-chunk (64-frame) slow tier.
+    fn small_slow_tier() -> Machine {
+        Machine::new(Platform::testing().with_tier_capacities(&[4 << 20, 64 * PAGE_SIZE]))
+    }
+
+    #[test]
+    fn rollback_onto_the_pinned_source_at_an_offset_keeps_the_data() {
+        let mut m = small_slow_tier();
+        let pad = m.alloc(PAGE_SIZE, Placement::Slow).unwrap();
+        let r = filled(&mut m, 8, 0x77);
+        let _rest = m.alloc(55 * PAGE_SIZE, Placement::Slow).unwrap();
+        m.free(pad).unwrap();
+        assert_eq!(m.mappings_in(r)[0].frame_start, 1);
+        let staging = m.alloc_frames(TierId::FAST, 8).unwrap();
+        m.copy_region_to_frames(r, TierId::FAST, staging, 4)
+            .unwrap();
+        m.remap_region(r, TierId::FAST).unwrap();
+        // Stage 3 faults, and the rollback's remap lands one frame below
+        // the pinned source: frames 0..8 for a source at 1..9.
+        m.set_fault_plan(Some(FaultPlan::new().fail_at(FaultSite::Move, 0)));
+        assert_eq!(
+            m.copy_frames_to_region(TierId::FAST, staging, r, 4),
+            Err(HmsError::FaultInjected(FaultSite::Move))
+        );
+        m.set_fault_plan(None);
+        m.remap_region(r, TierId::SLOW).unwrap();
+        let back = m.mappings_in(r);
+        assert_eq!((back.len(), back[0].frame_start), (1, 0));
+        assert_clean(&mut m);
+        m.copy_frames_to_region(TierId::FAST, staging, r, 4)
+            .unwrap();
+        m.free_frames(TierId::FAST, staging);
+        assert_filled(&mut m, r, 0x77);
+        assert_clean(&mut m);
+    }
+
+    /// A machine whose slow tier is full but for the frames of a region
+    /// staged to the fast tier and remapped there: free, and pinned.
+    fn pinned_slow_frames() -> Machine {
+        let mut m = small_slow_tier();
+        let r = filled(&mut m, 8, 0x88);
+        let _rest = m.alloc(56 * PAGE_SIZE, Placement::Slow).unwrap();
+        let staging = m.alloc_frames(TierId::FAST, 8).unwrap();
+        m.copy_region_to_frames(r, TierId::FAST, staging, 4)
+            .unwrap();
+        m.remap_region(r, TierId::FAST).unwrap();
+        m
+    }
+
+    #[test]
+    #[should_panic(expected = "a fresh allocation would overwrite pinned frames")]
+    fn fresh_alloc_over_a_pinned_frame_panics() {
+        let mut m = pinned_slow_frames();
+        let _ = m.alloc(PAGE_SIZE, Placement::Slow);
+    }
+
+    #[test]
+    #[should_panic(expected = "an mbind page copy would overwrite pinned frames")]
+    fn mbind_copy_onto_a_pinned_frame_panics() {
+        let mut m = pinned_slow_frames();
+        let q = m.alloc(PAGE_SIZE, Placement::Fast).unwrap();
+        let _ = m.migrate_mbind(q, TierId::SLOW);
     }
 
     #[test]

@@ -15,6 +15,7 @@
 use crate::addr::{VirtRange, PAGE_SIZE};
 use crate::cost::SimDuration;
 use crate::error::{HmsError, Result};
+use crate::frame::FrameRun;
 use crate::machine::{Machine, MigrationReport};
 use crate::mapping::{Mapping, PageKind};
 use crate::tier::TierId;
@@ -60,6 +61,11 @@ impl Machine {
         let mut moved_pages = 0usize;
         let mut moved_bytes = 0usize;
         let mut mappings_after = 0usize;
+        // Source frames freed so far, back-invalidated in the LLC in one
+        // pass before the call returns: nothing touches the LLC in between,
+        // and vacating lines commutes, so the cache ends as if each page
+        // had been invalidated as it went.
+        let mut freed: Vec<(TierId, FrameRun)> = Vec::new();
 
         for mapping in maps {
             let src_tier = mapping.tier;
@@ -100,6 +106,7 @@ impl Machine {
                             });
                         }
                         self.finish_mbind_mapping(&mapping, new_maps, &mut mappings_after);
+                        self.invalidate_llc_frames(&freed);
                         // Earlier mappings were already splintered, so the
                         // error path needs the same range shootdown as the
                         // happy path — stale huge/coalesced TLB entries must
@@ -112,6 +119,7 @@ impl Machine {
                 };
                 self.copy_page_frame(src_tier, src_frame, dst_tier, dst_frame);
                 self.free_page_frame(src_tier, src_frame);
+                freed.push((src_tier, FrameRun::new(src_frame, 1)));
                 new_maps.push(Mapping {
                     vpage_start: vpage,
                     pages: 1,
@@ -137,6 +145,7 @@ impl Machine {
             self.finish_mbind_mapping(&mapping, new_maps, &mut mappings_after);
         }
 
+        self.invalidate_llc_frames(&freed);
         // One shootdown per page unit (included in page_overhead) plus the
         // final range invalidation.
         self.invalidate_tlb_range(range);

@@ -205,17 +205,29 @@ fn release(chunks: impl IntoIterator<Item = Chunk>) {
     pool().recycled.extend(chunks);
 }
 
+/// Frames per chunk.
+const CHUNK_FRAMES: u32 = (CHUNK_SIZE >> PAGE_SHIFT) as u32;
+
 /// Bookkeeping of one chunk slot of a [`TierStorage`].
 #[derive(Debug, Clone, Copy, Default)]
 struct ChunkState {
-    /// Frames of the chunk that back a mapping. The chunk is backed exactly
-    /// while this is non-zero.
+    /// Frames of the chunk that back a mapping.
     mapped: u32,
+    /// Frames of the chunk whose bytes an outstanding staging run is yet to
+    /// replay (see [`TierStorage::pin`]). The chunk is backed exactly while
+    /// `mapped` or `pinned` is non-zero.
+    pinned: u32,
     /// Whether an unmapped frame of the backed chunk may hold non-zero
     /// bytes: set for a recycled chunk and by every unmap. A fresh
     /// allocation zeroes the frames it takes from a dirty chunk only, so a
     /// slab's lazily zeroed memory is never touched just to clear it.
     dirty: bool,
+}
+
+impl ChunkState {
+    fn backed(self) -> bool {
+        self.mapped > 0 || self.pinned > 0
+    }
 }
 
 /// Splits `run` on `tier` at chunk boundaries: the table slot and the byte
@@ -245,8 +257,10 @@ fn pieces(
 /// A tier is a row of chunk slots ([`CHUNK_SIZE`] each), and a slot holds a [`Chunk`]
 /// exactly while a frame in it backs a mapping: the first mapped frame
 /// takes a chunk from the pool, the last unmapped frame returns it,
-/// dropping the machine returns the rest. A
-/// staging run's frames are never mapped, hence never backed.
+/// dropping the machine returns the rest. A staged region's source frames
+/// are *pinned* until their bytes are replayed, and keep their chunk backed
+/// after a remap unmaps them. A staging run's own frames are never mapped
+/// or pinned, hence never backed.
 #[derive(Debug)]
 pub(crate) struct TierStorage {
     /// Slot `tier * stride + chunk index within the tier`; the slots past
@@ -283,12 +297,12 @@ impl TierStorage {
     }
 
     /// Notes that the frames of `run` now back a mapping, backing every
-    /// chunk that had no mapped frame. Their bytes are unspecified (see
+    /// chunk that was not backed. Their bytes are unspecified (see
     /// [`zero_frames`](TierStorage::zero_frames)).
     pub(crate) fn map_frames(&mut self, tier: TierId, run: FrameRun) {
         for (slot, bytes) in pieces(self.stride, tier, run) {
             let state = &mut self.state[slot];
-            if state.mapped == 0 {
+            if !state.backed() {
                 let (chunk, dirty) = acquire();
                 state.dirty = dirty;
                 self.table[slot] = Some(chunk);
@@ -298,7 +312,7 @@ impl TierStorage {
     }
 
     /// Notes that the frames of `run` no longer back a mapping, releasing
-    /// every chunk left without a mapped frame.
+    /// every chunk left with neither a mapped nor a pinned frame.
     ///
     /// # Panics
     ///
@@ -311,9 +325,42 @@ impl TierStorage {
                 .checked_sub((bytes.len() >> PAGE_SHIFT) as u32)
                 .expect("unmapped more frames than the chunk had mapped");
             state.dirty = true;
-            if state.mapped == 0 {
+            if !state.backed() {
                 release(self.table[slot].take());
             }
+        }
+    }
+
+    /// Pins the frames of `piece`, a page-aligned segment within one chunk
+    /// whose frames back a mapping: their chunk stays backed, bytes and
+    /// all, until [`unpin`](TierStorage::unpin), whether or not they stay
+    /// mapped.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the chunk is not backed.
+    pub(crate) fn pin(&mut self, piece: BlockSegment) {
+        let (slot, _) = self.locate(piece.tier, piece.offset);
+        let state = &mut self.state[slot];
+        assert!(state.backed(), "pinned frames of an unbacked chunk");
+        state.pinned += (piece.len >> PAGE_SHIFT) as u32;
+    }
+
+    /// Undoes one [`pin`](TierStorage::pin) of `piece`, releasing its chunk
+    /// if that leaves it with neither a mapped nor a pinned frame.
+    ///
+    /// # Panics
+    ///
+    /// Panics if more frames are unpinned from a chunk than were pinned.
+    pub(crate) fn unpin(&mut self, piece: BlockSegment) {
+        let (slot, _) = self.locate(piece.tier, piece.offset);
+        let state = &mut self.state[slot];
+        state.pinned = state
+            .pinned
+            .checked_sub((piece.len >> PAGE_SHIFT) as u32)
+            .expect("unpinned more frames than the chunk had pinned");
+        if !state.backed() {
+            release(self.table[slot].take());
         }
     }
 
@@ -367,20 +414,73 @@ impl TierStorage {
         &mut chunk.bytes_mut()[within..within + len]
     }
 
-    /// Copies one page from frame `src` to frame `dst`, each a `(tier,
-    /// frame)` pair, of two different chunks.
-    pub(crate) fn copy_page(&mut self, src: (TierId, u32), dst: (TierId, u32)) {
-        let at = |(tier, frame): (TierId, u32)| (tier, (frame as usize) << PAGE_SHIFT);
-        let ((src_tier, src_offset), (dst_tier, dst_offset)) = (at(src), at(dst));
+    /// Copies `len` bytes from byte `src` to byte `dst`, each a `(tier,
+    /// offset)` pair whose range lies within one backed chunk. Within one
+    /// chunk the two ranges may overlap (memmove).
+    pub(crate) fn copy(&mut self, src: (TierId, usize), dst: (TierId, usize), len: usize) {
+        let (src_slot, from) = self.locate(src.0, src.1);
+        let (dst_slot, to) = self.locate(dst.0, dst.1);
         // Lift the destination chunk out of the table for the copy: one
         // `&mut` chunk beside a `&` to the rest.
-        let (slot, within) = self.locate(dst_tier, dst_offset);
-        let mut chunk = self.table[slot]
+        let mut chunk = self.table[dst_slot]
             .take()
             .expect("tier storage access to an unbacked chunk");
-        chunk.bytes_mut()[within..within + PAGE_SIZE]
-            .copy_from_slice(self.slice(src_tier, src_offset, PAGE_SIZE));
-        self.table[slot] = Some(chunk);
+        if src_slot == dst_slot {
+            chunk.bytes_mut().copy_within(from..from + len, to);
+        } else {
+            chunk.bytes_mut()[to..to + len].copy_from_slice(self.slice(src.0, src.1, len));
+        }
+        self.table[dst_slot] = Some(chunk);
+    }
+
+    /// Moves the bytes of `src` into `dst`, in order: two lists of
+    /// page-aligned pieces, each within one chunk, `dst` no longer in total.
+    ///
+    /// A whole destination chunk whose bytes are a whole source chunk that
+    /// nothing maps and only this move pins takes that chunk: the two table
+    /// slots swap. Other pieces are copied. With `bounce` (the destination
+    /// overlaps the source, whose pages it may permute in a cycle no copy
+    /// order resolves) the whole source is read before anything is written.
+    pub(crate) fn replay(&mut self, src: &[BlockSegment], dst: &[BlockSegment], bounce: bool) {
+        if bounce {
+            let mut image = Vec::new();
+            for s in src {
+                image.extend_from_slice(self.slice(s.tier, s.offset, s.len));
+            }
+            let mut done = 0;
+            for d in dst {
+                self.slice_mut(d.tier, d.offset, d.len)
+                    .copy_from_slice(&image[done..done + d.len]);
+                done += d.len;
+            }
+            return;
+        }
+        // The source piece under the cursor and the bytes of it consumed.
+        let (mut at, mut used) = (0, 0);
+        for d in dst {
+            let s = src[at];
+            if used == 0 && d.len == CHUNK_SIZE && s.len == CHUNK_SIZE {
+                let (from, _) = self.locate(s.tier, s.offset);
+                let (to, _) = self.locate(d.tier, d.offset);
+                let (source, target) = (self.state[from], self.state[to]);
+                if source.mapped == 0 && source.pinned == CHUNK_FRAMES && target.pinned == 0 {
+                    self.table.swap(from, to);
+                    at += 1;
+                    continue;
+                }
+            }
+            let mut done = 0;
+            while done < d.len {
+                let s = src[at];
+                let len = (s.len - used).min(d.len - done);
+                self.copy((s.tier, s.offset + used), (d.tier, d.offset + done), len);
+                done += len;
+                used += len;
+                if used == s.len {
+                    (at, used) = (at + 1, 0);
+                }
+            }
+        }
     }
 
     /// Copies the byte range `[offset, offset + len)` of `tier` out, across
@@ -400,32 +500,48 @@ impl TierStorage {
     }
 
     /// Checks the chunk invariants against `mapped`, every in-bounds frame
-    /// run a mapping owns: each chunk's mapped-frame count equals the
-    /// frames the mappings place in it, and a chunk is backed exactly when
-    /// that count is non-zero — so no mapped frame is unbacked. Returns the
-    /// violations.
-    pub(crate) fn check(&self, mapped: impl Iterator<Item = (TierId, FrameRun)>) -> Vec<String> {
-        let mut placed = vec![0u32; self.state.len()];
+    /// run a mapping owns, and `pinned`, every segment the outstanding
+    /// staging runs have pinned: each chunk's mapped-frame and pinned-frame
+    /// counts equal the frames those place in it, and a chunk is backed
+    /// exactly when one of the counts is non-zero — so no mapped or pinned
+    /// frame is unbacked. Returns the violations.
+    pub(crate) fn check(
+        &self,
+        mapped: impl Iterator<Item = (TierId, FrameRun)>,
+        pinned: impl Iterator<Item = BlockSegment>,
+    ) -> Vec<String> {
+        let mut placed = vec![ChunkState::default(); self.state.len()];
         for (tier, run) in mapped {
             for (slot, bytes) in pieces(self.stride, tier, run) {
-                placed[slot] += (bytes.len() >> PAGE_SHIFT) as u32;
+                placed[slot].mapped += (bytes.len() >> PAGE_SHIFT) as u32;
             }
+        }
+        for piece in pinned {
+            placed[self.locate(piece.tier, piece.offset).0].pinned +=
+                (piece.len >> PAGE_SHIFT) as u32;
         }
         let mut violations = Vec::new();
         for (slot, (state, placed)) in self.state.iter().zip(placed).enumerate() {
             let (tier, chunk) = (TierId::new(slot / self.stride), slot % self.stride);
             let backed = self.table[slot].is_some();
-            if state.mapped != placed {
+            if state.mapped != placed.mapped {
                 violations.push(format!(
-                    "chunk {chunk} of {tier} counts {} mapped frames, the mappings place {placed} in it",
-                    state.mapped
+                    "chunk {chunk} of {tier} counts {} mapped frames, the mappings place {} in it",
+                    state.mapped, placed.mapped
                 ));
             }
-            if backed != (state.mapped > 0) {
+            if state.pinned != placed.pinned {
                 violations.push(format!(
-                    "chunk {chunk} of {tier} is {} with {} mapped frames counted",
+                    "chunk {chunk} of {tier} counts {} pinned frames, the staged sources place {} in it",
+                    state.pinned, placed.pinned
+                ));
+            }
+            if backed != state.backed() {
+                violations.push(format!(
+                    "chunk {chunk} of {tier} is {} with {} mapped and {} pinned frames counted",
                     if backed { "backed" } else { "unbacked" },
-                    state.mapped
+                    state.mapped,
+                    state.pinned
                 ));
             }
         }
@@ -505,6 +621,9 @@ mod tests {
     fn storage_round_trips_bytes() {
         let mut s = storage();
         s.map_frames(TierId::SLOW, FrameRun::new(0, 2));
+        // A mapped frame's bytes are unspecified until zeroed: the chunk
+        // may come back from another test through the pool.
+        s.zero_frames(TierId::SLOW, FrameRun::new(0, 2));
         s.slice_mut(TierId::SLOW, 100, 4)
             .copy_from_slice(&[1, 2, 3, 4]);
         assert_eq!(s.slice(TierId::SLOW, 100, 4), &[1, 2, 3, 4]);
@@ -525,11 +644,14 @@ mod tests {
         s.unmap_frames(TierId::FAST, run);
         assert_eq!(backed(&s), 1, "frame 0 keeps chunk 0");
         assert!(s
-            .check([(TierId::FAST, FrameRun::new(0, 1))].into_iter())
+            .check(
+                [(TierId::FAST, FrameRun::new(0, 1))].into_iter(),
+                [].into_iter()
+            )
             .is_empty());
         s.unmap_frames(TierId::FAST, FrameRun::new(0, 1));
         assert_eq!(backed(&s), 0);
-        assert!(s.check(std::iter::empty()).is_empty());
+        assert!(s.check([].into_iter(), [].into_iter()).is_empty());
     }
 
     #[test]
@@ -580,10 +702,117 @@ mod tests {
         s.map_frames(TierId::SLOW, FrameRun::new(5, 1));
         s.map_frames(TierId::FAST, FrameRun::new(2, 1));
         s.slice_mut(TierId::SLOW, 5 * PAGE_SIZE, PAGE_SIZE).fill(3);
-        s.copy_page((TierId::SLOW, 5), (TierId::FAST, 2));
+        s.copy(
+            (TierId::SLOW, 5 * PAGE_SIZE),
+            (TierId::FAST, 2 * PAGE_SIZE),
+            PAGE_SIZE,
+        );
         assert!(s
             .slice(TierId::FAST, 2 * PAGE_SIZE, PAGE_SIZE)
             .iter()
             .all(|&b| b == 3));
+    }
+
+    #[test]
+    fn copy_within_one_chunk_is_a_memmove() {
+        let mut s = storage();
+        s.map_frames(TierId::SLOW, FrameRun::new(5, 1));
+        let ramp: Vec<u8> = (0..16).collect();
+        s.slice_mut(TierId::SLOW, 5 * PAGE_SIZE, 16)
+            .copy_from_slice(&ramp);
+        s.copy(
+            (TierId::SLOW, 5 * PAGE_SIZE),
+            (TierId::SLOW, 5 * PAGE_SIZE + 4),
+            12,
+        );
+        assert_eq!(s.slice(TierId::SLOW, 5 * PAGE_SIZE + 4, 12), &ramp[..12]);
+    }
+
+    /// `pages` frames from `frame` of `tier` as one segment.
+    fn segment(tier: TierId, frame: usize, pages: usize) -> BlockSegment {
+        BlockSegment {
+            tier,
+            offset: frame * PAGE_SIZE,
+            len: pages * PAGE_SIZE,
+        }
+    }
+
+    #[test]
+    fn a_pinned_chunk_outlives_its_mappings_until_unpinned() {
+        let mut s = storage();
+        s.map_frames(TierId::SLOW, FrameRun::new(0, 4));
+        s.slice_mut(TierId::SLOW, PAGE_SIZE, PAGE_SIZE).fill(7);
+        let pinned = segment(TierId::SLOW, 1, 2);
+        s.pin(pinned);
+        s.unmap_frames(TierId::SLOW, FrameRun::new(0, 4));
+        assert_eq!(s.slice(TierId::SLOW, PAGE_SIZE, 2), [7, 7], "still backed");
+        assert!(s.check([].into_iter(), [pinned].into_iter()).is_empty());
+        let violations = s.check([].into_iter(), [].into_iter());
+        assert!(
+            violations
+                .iter()
+                .any(|v| v.contains("counts 2 pinned frames, the staged sources place 0")),
+            "{violations:#?}"
+        );
+        s.unpin(pinned);
+        assert!(s.table.iter().all(Option::is_none));
+        assert!(s.check([].into_iter(), [].into_iter()).is_empty());
+    }
+
+    #[test]
+    fn replay_hands_over_whole_free_chunks_and_copies_the_rest() {
+        let mut s = storage();
+        let frames = CHUNK_SIZE / PAGE_SIZE;
+        // A source of a whole chunk plus two pages, unmapped but pinned...
+        let src = [
+            segment(TierId::SLOW, 0, frames),
+            segment(TierId::SLOW, 3 * frames, 2),
+        ];
+        s.map_frames(TierId::SLOW, FrameRun::new(0, frames as u32));
+        s.map_frames(TierId::SLOW, FrameRun::new(3 * frames as u32, 2));
+        s.slice_mut(TierId::SLOW, 0, CHUNK_SIZE).fill(1);
+        s.slice_mut(TierId::SLOW, 3 * CHUNK_SIZE, 2 * PAGE_SIZE)
+            .fill(2);
+        for piece in src {
+            s.pin(piece);
+        }
+        s.unmap_frames(TierId::SLOW, FrameRun::new(0, frames as u32));
+        s.unmap_frames(TierId::SLOW, FrameRun::new(3 * frames as u32, 2));
+        // ...into a whole fast chunk and two pages of the next one.
+        let dst = [
+            segment(TierId::FAST, 0, frames),
+            segment(TierId::FAST, frames, 2),
+        ];
+        s.map_frames(TierId::FAST, FrameRun::new(0, frames as u32 + 2));
+        let whole = s.table[0].as_ref().map(|c| c.bytes().as_ptr());
+        let source = s.table[s.stride].as_ref().map(|c| c.bytes().as_ptr());
+        s.replay(&src, &dst, false);
+        assert_eq!(s.table[0].as_ref().map(|c| c.bytes().as_ptr()), source);
+        assert_eq!(
+            s.table[s.stride].as_ref().map(|c| c.bytes().as_ptr()),
+            whole
+        );
+        let image = s.to_vec(TierId::FAST, 0, CHUNK_SIZE + 2 * PAGE_SIZE);
+        assert!(image[..CHUNK_SIZE].iter().all(|&b| b == 1));
+        assert!(image[CHUNK_SIZE..].iter().all(|&b| b == 2));
+        for piece in src {
+            s.unpin(piece);
+        }
+        let mapped = [(TierId::FAST, FrameRun::new(0, frames as u32 + 2))];
+        assert!(s.check(mapped.into_iter(), [].into_iter()).is_empty());
+    }
+
+    #[test]
+    fn a_bounced_replay_resolves_a_cycle() {
+        let mut s = storage();
+        // Pages 0 and 1 trade places: no copy order does that in place.
+        s.map_frames(TierId::FAST, FrameRun::new(0, 2));
+        s.slice_mut(TierId::FAST, 0, PAGE_SIZE).fill(1);
+        s.slice_mut(TierId::FAST, PAGE_SIZE, PAGE_SIZE).fill(2);
+        let src = [segment(TierId::FAST, 1, 1), segment(TierId::FAST, 0, 1)];
+        s.replay(&src, &[segment(TierId::FAST, 0, 2)], true);
+        let image = s.to_vec(TierId::FAST, 0, 2 * PAGE_SIZE);
+        assert!(image[..PAGE_SIZE].iter().all(|&b| b == 2));
+        assert!(image[PAGE_SIZE..].iter().all(|&b| b == 1));
     }
 }
