@@ -20,7 +20,7 @@ cargo build --release
 echo "==> tier-1: cargo test -q"
 cargo test -q
 
-echo "==> release-mode soundness (window bounds, u32 guards, chunk bounds, mapping overlap, LLC geometry and tag width, staging ownership stay hard checks; the generated datasets stay the pinned ones)"
+echo "==> release-mode soundness (window and scalar bounds, u32 guards, chunk bounds, mapping overlap, LLC geometry and tag width, staging ownership stay hard checks; the generated datasets stay the pinned ones)"
 # The window engine's bounds and index-width guards, the mapping table's
 # overlap guard and the LLC's associativity and tag-width guards are plain
 # asserts, not debug_assert!: they must fire in optimized builds too, where
@@ -38,6 +38,10 @@ echo "==> release-mode soundness (window bounds, u32 guards, chunk bounds, mappi
 # frames: an access to a chunk nothing backs, or a slice running off the
 # end of one into its neighbour in the slab, must panic in optimized builds
 # — it is the check the one unsafe seam's pointer arithmetic rests on.
+# A scalar TrackedVec access (get, set, update, peek, poke) past the end,
+# and an unaccounted run read past it, must panic naming the vec in
+# optimized builds too: the allocation is whole pages, so the address would
+# otherwise land in its tail padding and be charged without an error.
 # Run the regression tests under --release so a future debug_assert!
 # demotion fails CI instead of shipping.
 cargo test -q --release -p atmem-hms window_bounds_check_is_a_hard_check
@@ -53,6 +57,8 @@ cargo test -q --release -p atmem-hms double_free_of_staging_panics
 cargo test -q --release -p atmem-hms free_frames_of_a_mapped_frame_panics
 cargo test -q --release -p atmem-hms fresh_alloc_over_a_pinned_frame_panics
 cargo test -q --release -p atmem-hms mbind_copy_onto_a_pinned_frame_panics
+cargo test -q --release -p atmem-hms scalar_index_past_the_end_
+cargo test -q --release -p atmem-hms peek_run_past_the_end_is_a_hard_check
 # The branch-free R-MAT descent is the code whose debug and optimised builds
 # differ most (comparisons folded into shifts, f64 expressions the optimiser
 # may contract): the datasets must be the pinned ones, and the descent must
@@ -110,6 +116,13 @@ if grep -rnE 'AccessMode|MemCtx::scalar' crates tests examples; then echo "an ac
 # serial body behind a core-count branch.
 if grep -nE 'run_iteration_sharded|par_cores\(\) > 1' crates/apps/src/{spmv,pagerank,cc,kcore,triangles}.rs; then echo "a regular kernel has a second body again (lines above)" >&2; exit 1; fi
 
+echo "==> streaming guard (SpMV, PageRank and CC hold no host copy that grows with the edge count)"
+# Their edge streams are charged once (MemCtx::charge_run) and read back
+# unaccounted in EDGE_CHUNK pieces (TrackedVec::peek_run). neighbor_run and
+# weight_run copy a whole run into the caller's buffer: in these kernels
+# that is a whole partition's edges.
+if grep -nE 'neighbor_run\(|weight_run\(' crates/apps/src/{spmv,pagerank,cc}.rs; then echo "a streaming kernel stages a whole edge run again (lines above)" >&2; exit 1; fi
+
 echo "==> tracer guard (PEBS is the one per-access recorder)"
 # The full access-trace recorder is deleted: PEBS at period 1, jitter 0 is
 # the exact in-order read-miss stream, and the only per-access observer an
@@ -124,7 +137,7 @@ echo "==> line ratchet (non-test lines per crate stay under their ceilings)"
 # must grow a crate raises its ceiling here, in its own diff, and gives the
 # reason in its change log.
 ratchet_ok=1
-for entry in hms:7075 core:4178 apps:3505 graph:1332 bench:1939 rng:307 prop:261; do
+for entry in hms:7118 core:4178 apps:3550 graph:1332 bench:1939 rng:307 prop:261; do
   crate="${entry%%:*}"
   ceiling="${entry#*:}"
   lines="$(find "crates/$crate/src" -name '*.rs' -exec awk 'FNR == 1 { skip = 0 } /^#\[cfg\(test\)\]/ { skip = 1 } !skip { n++ } END { print n + 0 }' {} + | awk '{ s += $1 } END { print s + 0 }')"
@@ -168,7 +181,7 @@ echo "==> unaccounted data path: counting-sort build vs its comparison-sort orac
 ATMEM_PROP_CASES="${ATMEM_PROP_CASES:-8}" cargo test -q -p atmem-graph --lib counting_sort_matches_the_reference_build
 
 echo "==> unaccounted data path: segment-wise fill/load/copy-out vs poke/peek loops"
-# TrackedVec::{fill_from, fill, fill_with, to_vec, values} against the per-element
+# TrackedVec::{fill_from, fill, fill_with, to_vec, values, peek_run} against the per-element
 # loops on a contiguous array, across mbind-splintered per-page mappings
 # and through a CoreHandle: equal data images, and counters, clock, TLB/LLC
 # contents and the PEBS buffer untouched by every bulk call.

@@ -32,6 +32,7 @@
 //! degenerate partition, which `Machine::run_cores` runs on the resident
 //! core with no fork, merge or barrier.
 
+use std::ops::Range;
 use std::sync::Mutex;
 
 use atmem_hms::{CoreHandle, Machine, MemPort, Scalar, TrackedVec};
@@ -112,6 +113,13 @@ impl<'a, M: MemPort> MemCtx<'a, M> {
         if !values.is_empty() {
             v.write_slice(self.machine, start, values);
         }
+    }
+
+    /// Accounted read of the elements `range`, keeping no copy: the charge
+    /// of a [`read_run`](MemCtx::read_run), for a stream the caller reads
+    /// back in bounded chunks with [`TrackedVec::peek_run`].
+    pub(crate) fn charge_run<T: Scalar>(&mut self, v: &TrackedVec<T>, range: Range<usize>) {
+        v.scan(self.machine, range.start, range.len(), |_, _| {});
     }
 
     /// Accounted indexed gather: reads element `indices[k]` into `out[k]`,

@@ -98,6 +98,11 @@ impl Bfs {
             }
         });
 
+        // Per owner, whether each vertex of its range was discovered; as in
+        // the one-core body, the flags need no clearing between levels.
+        let mut touched: Vec<Vec<bool>> = (0..cores)
+            .map(|c| vec![false; cuts[c + 1] - cuts[c]])
+            .collect();
         let mut frontier = vec![self.source];
         let mut level = 0u32;
         let mut reached = 1usize;
@@ -128,11 +133,13 @@ impl Bfs {
             let routed = &routed;
             // Settle: owners dedup first-touch, write the level, and emit
             // their slice of the next frontier in canonical order.
-            let discovered = ctx.run_cores(|c, mut cctx| {
-                let mut seen = std::collections::HashSet::new();
+            let discovered = ctx.run_cores_with(&mut touched, |c, mut cctx, seen| {
+                let lo = cuts[c];
                 let mut new: Vec<u32> = Vec::new();
                 for &u in &routed[c] {
-                    if seen.insert(u) {
+                    let flag = &mut seen[u as usize - lo];
+                    if !*flag {
+                        *flag = true;
                         new.push(u);
                     }
                 }

@@ -9,7 +9,7 @@ use atmem::{Atmem, Result};
 use atmem_hms::TrackedVec;
 
 use crate::access::MemCtx;
-use crate::graph_data::HmsGraph;
+use crate::graph_data::{HmsGraph, EDGE_CHUNK};
 use crate::kernel::Kernel;
 use crate::overlay::WindowOverlay;
 
@@ -19,14 +19,12 @@ pub struct Cc {
     graph: HmsGraph,
     labels: TrackedVec<u32>,
     changed_last: u64,
-    staging: Vec<Staging>,
-}
-
-/// One core's slice of the CSR streams, reused across iterations.
-#[derive(Debug, Default)]
-struct Staging {
-    bounds: Vec<u64>,
-    nbrs: Vec<u32>,
+    /// Each core's slice of the row bounds, reused across iterations.
+    bounds: Vec<Vec<u64>>,
+    /// The propagation phase's buffers, reused across iterations: one
+    /// `EDGE_CHUNK` of neighbour ids, the labels gathered for a part of it,
+    /// and one vertex's accepted lowerings (indices, values).
+    staging: [Vec<u32>; 4],
 }
 
 impl Cc {
@@ -41,7 +39,8 @@ impl Cc {
             graph,
             labels,
             changed_last: 0,
-            staging: Vec::new(),
+            bounds: Vec::new(),
+            staging: Default::default(),
         })
     }
 
@@ -66,55 +65,67 @@ impl Cc {
         self.labels.to_vec(rt.machine_mut())
     }
 
-    /// The propagation phase over the staged streams, vertex by vertex in
-    /// ascending order (core `c`'s staging holds `cuts[c]..cuts[c + 1]`).
-    /// Label lowering is Gauss–Seidel: every vertex observes lowerings made
-    /// earlier *in the same pass*, a sequential dependency chain that
-    /// admits no deterministic partition — so this phase always runs on
-    /// the resident core (which is what keeps the output bit-identical
-    /// across core counts). Each vertex's neighbour labels are gathered as
-    /// one window, the min/lower decisions replay host-side (an overlay
-    /// makes duplicate neighbours observe in-window lowerings), and the
-    /// accepted lowerings scatter back in decision order — one read per
-    /// edge and one write per lowering, like the per-element loop.
+    /// The propagation phase, vertex by vertex in ascending order (core
+    /// `c`'s bounds hold `cuts[c]..cuts[c + 1]`). Label lowering is
+    /// Gauss–Seidel: every vertex observes lowerings made earlier *in the
+    /// same pass*, a sequential dependency chain that admits no
+    /// deterministic partition — so this phase always runs on the resident
+    /// core (which is what keeps the output bit-identical across core
+    /// counts). Each vertex's neighbour labels are gathered as one window
+    /// (consecutive sub-windows where its edges cross an `EDGE_CHUNK` of the
+    /// ids read back unaccounted: the same accesses in the same order),
+    /// the min/lower decisions replay host-side (an overlay makes duplicate
+    /// neighbours observe in-window lowerings), and the accepted lowerings
+    /// scatter back in decision order — one read per edge and one write per
+    /// lowering, like the per-element loop.
     fn propagate(&mut self, ctx: &mut MemCtx, cuts: &[usize]) {
         let mut changed = 0u64;
-        let mut lbuf: Vec<u32> = Vec::new();
-        let mut widx: Vec<u32> = Vec::new();
-        let mut wvals: Vec<u32> = Vec::new();
+        let labels = &self.labels;
+        let [nbrs, lbuf, widx, wvals] = &mut self.staging;
         let mut overlay = WindowOverlay::<u32>::new(self.graph.num_vertices());
-        for (Staging { bounds, nbrs }, range) in self.staging.iter().zip(cuts.windows(2)) {
+        for (bounds, range) in self.bounds.iter().zip(cuts.windows(2)) {
             let lo = range[0];
+            if lo == range[1] {
+                continue;
+            }
+            // The ids of edges `held..held + nbrs.len()`.
+            let (mut held, range_end) = (bounds[0] as usize, bounds[range[1] - lo] as usize);
+            nbrs.clear();
             for v in lo..range[1] {
-                let es = bounds[0];
-                let (start, end) = (
-                    (bounds[v - lo] - es) as usize,
-                    (bounds[v - lo + 1] - es) as usize,
-                );
+                let (start, end) = (bounds[v - lo] as usize, bounds[v - lo + 1] as usize);
                 if start == end {
                     continue;
                 }
-                let window = &nbrs[start..end];
-                let mut lv = ctx.get(&self.labels, v);
-                lbuf.resize(window.len(), 0);
-                ctx.gather(&self.labels, window, &mut lbuf);
+                let mut lv = ctx.get(labels, v);
                 widx.clear();
                 wvals.clear();
                 overlay.next_window();
-                for (&u, &read) in window.iter().zip(&lbuf) {
-                    let lu = overlay.get(u).unwrap_or(read);
-                    if lu < lv {
-                        lv = lu;
-                        changed += 1;
-                    } else if lv < lu {
-                        overlay.set(u, lv);
-                        widx.push(u);
-                        wvals.push(lv);
-                        changed += 1;
+                let mut e = start;
+                while e < end {
+                    if e == held + nbrs.len() {
+                        held = e;
+                        nbrs.resize(EDGE_CHUNK.min(range_end - e), 0);
+                        self.graph.neighbors.peek_run(ctx.machine(), e, nbrs);
                     }
+                    let window = &nbrs[e - held..(end - held).min(nbrs.len())];
+                    lbuf.resize(window.len(), 0);
+                    ctx.gather(labels, window, lbuf);
+                    for (&u, &read) in window.iter().zip(lbuf.iter()) {
+                        let lu = overlay.get(u).unwrap_or(read);
+                        if lu < lv {
+                            lv = lu;
+                            changed += 1;
+                        } else if lv < lu {
+                            overlay.set(u, lv);
+                            widx.push(u);
+                            wvals.push(lv);
+                            changed += 1;
+                        }
+                    }
+                    e += window.len();
                 }
-                ctx.scatter(&self.labels, &widx, &wvals);
-                ctx.set(&self.labels, v, lv);
+                ctx.scatter(labels, widx, wvals);
+                ctx.set(labels, v, lv);
             }
         }
         self.changed_last = changed;
@@ -133,24 +144,24 @@ impl Kernel for Cc {
 
     /// One pass with the CSR streams partitioned over `ctx.par_cores()`
     /// simulated cores (each core reads its edge-balanced slice of the
-    /// bounds and neighbour arrays through its own accounted core), then
-    /// the sequential [`propagate`](Cc::propagate) phase on the resident
-    /// core over the staged slices. One core is the degenerate partition:
-    /// both streams whole, on the resident core.
+    /// bounds and neighbour arrays through its own accounted core, keeping
+    /// the bounds), then the sequential [`propagate`](Cc::propagate) phase
+    /// on the resident core, which reads the neighbour ids back
+    /// unaccounted. One core is the degenerate partition: both streams
+    /// whole, on the resident core.
     fn run_iteration(&mut self, ctx: &mut MemCtx) {
         let cores = ctx.par_cores();
         let cuts = self.graph.edge_cuts(ctx.machine(), cores);
         let graph = &self.graph;
-        ctx.run_cores_with(&mut self.staging, |c, mut ctx, s| {
+        ctx.run_cores_with(&mut self.bounds, |c, mut ctx, bounds| {
             let (lo, hi) = (cuts[c], cuts[c + 1]);
             if lo == hi {
                 return;
             }
-            s.bounds.resize(hi - lo + 1, 0);
-            graph.bounds_run(&mut ctx, lo, &mut s.bounds);
-            let (es, ee) = (s.bounds[0] as usize, s.bounds[hi - lo] as usize);
-            s.nbrs.resize(ee - es, 0);
-            graph.neighbor_run(&mut ctx, es as u64, &mut s.nbrs);
+            bounds.resize(hi - lo + 1, 0);
+            graph.bounds_run(&mut ctx, lo, bounds);
+            let edges = bounds[0] as usize..bounds[hi - lo] as usize;
+            ctx.charge_run(&graph.neighbors, edges);
         });
         self.propagate(ctx, &cuts);
     }
@@ -241,5 +252,28 @@ mod tests {
         cc.run_to_convergence(&mut ctx, 10);
         cc.run_iteration(&mut ctx);
         assert_eq!(cc.changed_last(), 0);
+    }
+
+    /// No staging buffer grows with the edge count: on a graph of six
+    /// chunks of edges, at one and two cores, every buffer stays within
+    /// the vertex count or one chunk (and the labels are the same).
+    #[test]
+    fn staging_is_bounded_by_vertices_or_one_chunk() {
+        let csr = crate::graph_data::dense_graph(1024, 96);
+        assert!(csr.num_edges() > 4 * EDGE_CHUNK);
+        let bound = (csr.num_vertices() + 1).max(EDGE_CHUNK);
+        let mut outputs = Vec::new();
+        for cores in [1, 2] {
+            let mut rt = runtime();
+            let g = HmsGraph::load(&mut rt, &csr).unwrap();
+            let mut cc = Cc::new(&mut rt, g).unwrap();
+            cc.reset(&mut rt);
+            cc.run_iteration(&mut MemCtx::bulk(rt.machine_mut()).with_cores(cores));
+            outputs.push(cc.labels(&mut rt));
+            let mut caps: Vec<usize> = cc.bounds.iter().map(Vec::capacity).collect();
+            caps.extend(cc.staging.iter().map(Vec::capacity));
+            assert!(caps.iter().all(|&c| c <= bound), "{cores} cores: {caps:?}");
+        }
+        assert_eq!(outputs[0], outputs[1]);
     }
 }

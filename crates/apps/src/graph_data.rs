@@ -6,6 +6,8 @@
 //! graphs are exactly the "massive data structures with skewed access
 //! patterns" the paper targets.
 
+use std::ops::Range;
+
 use atmem::{Atmem, Result};
 use atmem_graph::Csr;
 use atmem_hms::{MemPort, TrackedVec};
@@ -13,14 +15,29 @@ use atmem_hms::{MemPort, TrackedVec};
 use crate::access::MemCtx;
 use crate::par;
 
+/// Edges per chunk in which SpMV, PageRank and CC read an edge array back
+/// from tier storage: the bound on their edge-indexed host buffers.
+pub(crate) const EDGE_CHUNK: usize = 1 << 14;
+
+/// `edges` cut into consecutive chunks of at most [`EDGE_CHUNK`] edges.
+pub(crate) fn edge_chunks(edges: Range<usize>) -> impl Iterator<Item = Range<usize>> {
+    let end = edges.end;
+    edges
+        .step_by(EDGE_CHUNK)
+        .map(move |s| s..(s + EDGE_CHUNK).min(end))
+}
+
 /// A CSR graph whose arrays live in simulated memory.
 #[derive(Debug)]
 pub struct HmsGraph {
     num_vertices: usize,
     num_edges: usize,
     offsets: TrackedVec<u64>,
-    neighbors: TrackedVec<u32>,
-    weights: Option<TrackedVec<f32>>,
+    /// Neighbour ids; SpMV, PageRank and CC stream it in [`EDGE_CHUNK`]s
+    /// ([`MemCtx::charge_run`], then [`TrackedVec::peek_run`]).
+    pub(crate) neighbors: TrackedVec<u32>,
+    /// Edge weights, if loaded (streamed like `neighbors` by SpMV).
+    pub(crate) weights: Option<TrackedVec<f32>>,
 }
 
 impl HmsGraph {
@@ -146,6 +163,17 @@ impl HmsGraph {
             + self.neighbors.range().len
             + self.weights.as_ref().map_or(0, |w| w.range().len)
     }
+}
+
+/// A graph of `n` vertices with `degree` distinct out-neighbours each, no
+/// self loops: `n * degree` edges spread over every vertex, for the tests
+/// that need many chunks of edges on a small vertex set.
+#[cfg(test)]
+pub(crate) fn dense_graph(n: u32, degree: u32) -> Csr {
+    assert!(degree * 10 < n, "neighbours would repeat");
+    atmem_graph::GraphBuilder::new(n as usize)
+        .edges((0..n).flat_map(|v| (0..degree).map(move |j| (v, (v + 1 + 10 * j) % n))))
+        .build()
 }
 
 #[cfg(test)]

@@ -10,38 +10,29 @@ use atmem::{Atmem, Result};
 use atmem_hms::TrackedVec;
 
 use crate::access::MemCtx;
-use crate::graph_data::HmsGraph;
+use crate::graph_data::{edge_chunks, HmsGraph};
 use crate::kernel::Kernel;
 use crate::par;
 
 /// Damping factor (the classic 0.85).
 pub const DAMPING: f64 = 0.85;
 
-/// The contributions one source core routes to one destination owner:
-/// destination ids in edge order, and their shares run-length encoded — one
-/// `(end, share)` run per source vertex that reached the owner, `share`
-/// being the share of the elements from the previous run's `end` up to this
-/// one's (8 bytes per edge less than a share per element).
-#[derive(Debug, Clone, Default)]
-struct Bucket {
-    indices: Vec<u32>,
-    runs: Vec<(usize, f64)>,
-}
-
-/// One source core's phase-A staging and the contributions it routed, one
-/// [`Bucket`] per destination owner; reused across iterations.
+/// One source core's phase-A staging, reused across iterations: the row
+/// bounds of its vertex range and each vertex's share, `rank / degree`.
 #[derive(Debug, Default)]
-struct Routing {
+struct Source {
     bounds: Vec<u64>,
-    ranks: Vec<f64>,
-    nbrs: Vec<u32>,
-    buckets: Vec<Bucket>,
+    shares: Vec<f64>,
 }
 
-/// One destination core's phase-B staging for the damping sweep; reused
-/// across iterations (`zeros` is only ever grown with zeros).
+/// One destination core's phase-B staging, reused across iterations: one
+/// `EDGE_CHUNK` of neighbour ids, the contributions among them it owns, and
+/// its damping sweep (`zeros` is only ever grown with zeros).
 #[derive(Debug, Default)]
 struct Sweep {
+    nbrs: Vec<u32>,
+    indices: Vec<u32>,
+    shares: Vec<f64>,
     accs: Vec<f64>,
     zeros: Vec<f64>,
 }
@@ -53,7 +44,7 @@ pub struct PageRank {
     rank: TrackedVec<f64>,
     next: TrackedVec<f64>,
     iterations_run: usize,
-    routing: Vec<Routing>,
+    sources: Vec<Source>,
     sweep: Vec<Sweep>,
 }
 
@@ -72,7 +63,7 @@ impl PageRank {
             rank,
             next,
             iterations_run: 0,
-            routing: Vec::new(),
+            sources: Vec::new(),
             sweep: Vec::new(),
         })
     }
@@ -105,17 +96,19 @@ impl Kernel for PageRank {
     ///
     /// **Phase A** splits the *source* vertices into contiguous
     /// edge-balanced ranges: each core streams its row bounds, ranks and
-    /// neighbour ids through its own accounted core, then buckets the
-    /// resulting `(dest, share)` contributions by destination owner
-    /// (host-side, unaccounted routing, a [`Bucket`] per owner). **Phase B**
-    /// gives each core a contiguous slice of the accumulator: it applies the buckets routed
-    /// to it — source cores in core order, each bucket already in edge
-    /// order, so every accumulator entry folds in **global edge order**
-    /// (f64 addition is non-associative; this ordering is what keeps the
-    /// output bit-identical for any core count) — and finishes with the
-    /// damping sweep over the same owned slice. One core is the degenerate
-    /// partition: one bucket holding the whole edge list, applied as one
-    /// scatter-update window on the machine's resident core.
+    /// neighbour ids through its own accounted core and keeps each
+    /// vertex's share, `rank / degree`. **Phase B** gives each core a
+    /// contiguous slice of the accumulator: it reads every source range's
+    /// neighbour ids back unaccounted, one `EDGE_CHUNK` at a time, keeps
+    /// the edges landing in its slice and applies their shares as one
+    /// scatter-update window per chunk — source ranges in core order, edges
+    /// in edge order, so every accumulator entry folds in **global edge
+    /// order** (f64 addition is non-associative; this ordering is what
+    /// keeps the output bit-identical for any core count) — and finishes
+    /// with the damping sweep over the same owned slice. One core is the
+    /// degenerate partition: every edge is owned, and the windows are the
+    /// whole edge list cut into consecutive chunks, which the window engine
+    /// simulates exactly as one window.
     fn run_iteration(&mut self, ctx: &mut MemCtx) {
         let n = self.graph.num_vertices();
         let cores = ctx.par_cores();
@@ -123,78 +116,73 @@ impl Kernel for PageRank {
         let dst_cuts = par::even_cuts(n, cores);
         let (graph, rank, next) = (&self.graph, &self.rank, &self.next);
 
-        // Phase A: partitioned streams + host-side contribution routing.
-        ctx.run_cores_with(&mut self.routing, |c, mut ctx, r| {
-            let Routing {
-                bounds,
-                ranks,
-                nbrs,
-                buckets,
-            } = r;
-            buckets.resize_with(cores, Bucket::default);
-            for Bucket { indices, runs } in buckets.iter_mut() {
-                indices.clear();
-                runs.clear();
-            }
+        // Phase A: partitioned streams, shares per source vertex.
+        ctx.run_cores_with(&mut self.sources, |c, mut ctx, src| {
             let (lo, hi) = (src_cuts[c], src_cuts[c + 1]);
             if lo == hi {
                 return;
             }
+            let Source { bounds, shares } = src;
             bounds.resize(hi - lo + 1, 0);
             graph.bounds_run(&mut ctx, lo, bounds);
-            ranks.resize(hi - lo, 0.0);
-            ctx.read_run(rank, lo, ranks);
-            let (es, ee) = (bounds[0] as usize, bounds[hi - lo] as usize);
-            nbrs.resize(ee - es, 0);
-            graph.neighbor_run(&mut ctx, es as u64, nbrs);
-            for v in lo..hi {
-                let (s, e) = (bounds[v - lo] as usize, bounds[v - lo + 1] as usize);
-                if s == e {
-                    continue;
-                }
-                let share = ranks[v - lo] / (e - s) as f64;
-                for &u in &nbrs[s - es..e - es] {
-                    buckets[par::owner(&dst_cuts, u as usize)].indices.push(u);
-                }
-                // Close this vertex's run in every bucket it reached.
-                for Bucket { indices, runs } in buckets.iter_mut() {
-                    let routed = runs.last().map_or(0, |&(end, _)| end);
-                    if indices.len() > routed {
-                        runs.push((indices.len(), share));
-                    }
+            shares.resize(hi - lo, 0.0);
+            ctx.read_run(rank, lo, shares);
+            for (share, b) in shares.iter_mut().zip(bounds.windows(2)) {
+                if b[0] != b[1] {
+                    *share /= (b[1] - b[0]) as f64;
                 }
             }
+            let edges = bounds[0] as usize..bounds[hi - lo] as usize;
+            ctx.charge_run(&graph.neighbors, edges);
         });
 
         // Phase B: owned accumulation in global edge order, then damping.
         let base = (1.0 - DAMPING) / n as f64;
-        let routing = &self.routing;
+        let sources = &self.sources;
         ctx.run_cores_with(&mut self.sweep, |c, mut ctx, s| {
-            for src in routing {
-                // Element `k` only increases, so a cursor over the runs
-                // finds its share.
-                let Bucket { indices, runs } = &src.buckets[c];
-                let mut run = 0;
-                ctx.gather_update(next, indices, |k, acc| {
-                    while runs[run].0 <= k {
-                        run += 1;
+            let Sweep {
+                nbrs,
+                indices,
+                shares,
+                accs,
+                zeros,
+            } = s;
+            let owned = dst_cuts[c]..dst_cuts[c + 1];
+            for (src, range) in sources.iter().zip(src_cuts.windows(2)) {
+                let len = range[1] - range[0];
+                if len == 0 {
+                    continue;
+                }
+                let bounds = &src.bounds;
+                let mut v = 0;
+                for chunk in edge_chunks(bounds[0] as usize..bounds[len] as usize) {
+                    nbrs.resize(chunk.len(), 0);
+                    graph.neighbors.peek_run(ctx.machine(), chunk.start, nbrs);
+                    indices.clear();
+                    shares.clear();
+                    for (e, &u) in chunk.zip(nbrs.iter()) {
+                        while bounds[v + 1] as usize <= e {
+                            v += 1;
+                        }
+                        if owned.contains(&(u as usize)) {
+                            indices.push(u);
+                            shares.push(src.shares[v]);
+                        }
                     }
-                    acc + runs[run].1
-                });
+                    ctx.gather_update(next, indices, |k, acc| acc + shares[k]);
+                }
             }
-            let (lo, hi) = (dst_cuts[c], dst_cuts[c + 1]);
-            if lo == hi {
+            if owned.is_empty() {
                 return;
             }
-            let Sweep { accs, zeros } = s;
-            accs.resize(hi - lo, 0.0);
-            ctx.read_run(next, lo, accs);
+            accs.resize(owned.len(), 0.0);
+            ctx.read_run(next, owned.start, accs);
             for acc in accs.iter_mut() {
                 *acc = base + DAMPING * *acc;
             }
-            ctx.write_run(rank, lo, accs);
-            zeros.resize(hi - lo, 0.0);
-            ctx.write_run(next, lo, zeros);
+            ctx.write_run(rank, owned.start, accs);
+            zeros.resize(owned.len(), 0.0);
+            ctx.write_run(next, owned.start, zeros);
         });
         self.iterations_run += 1;
     }
@@ -232,6 +220,7 @@ pub fn reference_pagerank(csr: &atmem_graph::Csr, iterations: usize) -> Vec<f64>
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::graph_data::EDGE_CHUNK;
     use atmem::AtmemConfig;
     use atmem_graph::{Dataset, GraphBuilder};
     use atmem_hms::Platform;
@@ -286,5 +275,39 @@ mod tests {
         }
         let ranks = pr.ranks(&mut rt);
         assert!(ranks[0] > ranks[2] * 2.0, "hub rank {:?}", ranks);
+    }
+
+    /// No staging buffer grows with the edge count: on a graph of six
+    /// chunks of edges, at one and two cores, every buffer stays within
+    /// the vertex count or one chunk (and the ranks are the same).
+    #[test]
+    fn staging_is_bounded_by_vertices_or_one_chunk() {
+        let csr = crate::graph_data::dense_graph(1024, 96);
+        assert!(csr.num_edges() > 4 * EDGE_CHUNK);
+        let bound = (csr.num_vertices() + 1).max(EDGE_CHUNK);
+        let mut outputs = Vec::new();
+        for cores in [1, 2] {
+            let mut rt = runtime();
+            let g = HmsGraph::load(&mut rt, &csr).unwrap();
+            let mut pr = PageRank::new(&mut rt, g).unwrap();
+            pr.reset(&mut rt);
+            pr.run_iteration(&mut MemCtx::bulk(rt.machine_mut()).with_cores(cores));
+            outputs.push(pr.ranks(&mut rt));
+            let mut caps = Vec::new();
+            for s in &pr.sources {
+                caps.extend([s.bounds.capacity(), s.shares.capacity()]);
+            }
+            for s in &pr.sweep {
+                caps.extend([
+                    s.nbrs.capacity(),
+                    s.indices.capacity(),
+                    s.shares.capacity(),
+                    s.accs.capacity(),
+                    s.zeros.capacity(),
+                ]);
+            }
+            assert!(caps.iter().all(|&c| c <= bound), "{cores} cores: {caps:?}");
+        }
+        assert_eq!(outputs[0], outputs[1]);
     }
 }

@@ -10,7 +10,7 @@ use atmem::{Atmem, Result};
 use atmem_hms::TrackedVec;
 
 use crate::access::MemCtx;
-use crate::graph_data::HmsGraph;
+use crate::graph_data::{edge_chunks, HmsGraph};
 use crate::kernel::Kernel;
 
 /// SpMV kernel state.
@@ -22,7 +22,8 @@ pub struct Spmv {
     staging: Vec<Staging>,
 }
 
-/// One core's host staging, reused across iterations.
+/// One core's host staging, reused across iterations: its rows' bounds and
+/// outputs, and one `EDGE_CHUNK` of its edge streams.
 #[derive(Debug, Default)]
 struct Staging {
     bounds: Vec<u64>,
@@ -80,6 +81,9 @@ impl Kernel for Spmv {
     /// edge order, so the output is bit-identical for any core count; one
     /// core is the degenerate partition, the whole matrix on the machine's
     /// resident core.
+    /// The column and value streams are charged whole, then read back
+    /// unaccounted one `EDGE_CHUNK` at a time, so the gather is consecutive
+    /// sub-windows: the same accesses in the same order as one window.
     fn run_iteration(&mut self, ctx: &mut MemCtx) {
         let cores = ctx.par_cores();
         let cuts = self.graph.edge_cuts(ctx.machine(), cores);
@@ -98,20 +102,27 @@ impl Kernel for Spmv {
             } = s;
             bounds.resize(hi - lo + 1, 0);
             graph.bounds_run(&mut ctx, lo, bounds);
-            let (es, ee) = (bounds[0] as usize, bounds[hi - lo] as usize);
-            cols.resize(ee - es, 0);
-            vals.resize(ee - es, 0.0);
-            xs.resize(ee - es, 0.0);
-            graph.neighbor_run(&mut ctx, es as u64, cols);
-            graph.weight_run(&mut ctx, es as u64, vals);
-            ctx.gather(x, cols, xs);
+            let edges = bounds[0] as usize..bounds[hi - lo] as usize;
+            let nbrs = &graph.neighbors;
+            let weights = graph.weights.as_ref().expect("SpMV runs weighted");
+            ctx.charge_run(nbrs, edges.clone());
+            ctx.charge_run(weights, edges.clone());
+            ys.clear();
             ys.resize(hi - lo, 0.0);
-            for (row, y_row) in ys.iter_mut().enumerate() {
-                let mut acc = 0.0f64;
-                for e in (bounds[row] as usize - es)..(bounds[row + 1] as usize - es) {
-                    acc += vals[e] as f64 * xs[e];
+            let mut row = 0;
+            for chunk in edge_chunks(edges) {
+                cols.resize(chunk.len(), 0);
+                vals.resize(chunk.len(), 0.0);
+                xs.resize(chunk.len(), 0.0);
+                nbrs.peek_run(ctx.machine(), chunk.start, cols);
+                weights.peek_run(ctx.machine(), chunk.start, vals);
+                ctx.gather(x, cols, xs);
+                for (e, (&a, &xe)) in chunk.zip(vals.iter().zip(xs.iter())) {
+                    while bounds[row + 1] as usize <= e {
+                        row += 1;
+                    }
+                    ys[row] += a as f64 * xe;
                 }
-                *y_row = acc;
             }
             ctx.write_run(y, lo, ys);
         });
@@ -141,6 +152,7 @@ pub fn reference_spmv(csr: &atmem_graph::Csr, x: &[f64]) -> Vec<f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::graph_data::EDGE_CHUNK;
     use atmem::AtmemConfig;
     use atmem_graph::{Dataset, GraphBuilder};
     use atmem_hms::Platform;
@@ -178,5 +190,35 @@ mod tests {
         for (got, want) in spmv.output(&mut rt).iter().zip(&expect) {
             assert!((got - want).abs() < 1e-6, "{got} vs {want}");
         }
+    }
+
+    /// No staging buffer grows with the edge count: on a graph of six
+    /// chunks of edges, at one and two cores, every buffer stays within
+    /// the vertex count or one chunk (and the output is the same).
+    #[test]
+    fn staging_is_bounded_by_vertices_or_one_chunk() {
+        let csr = crate::graph_data::dense_graph(1024, 96).with_random_weights(8.0, 5);
+        assert!(csr.num_edges() > 4 * EDGE_CHUNK);
+        let bound = (csr.num_vertices() + 1).max(EDGE_CHUNK);
+        let mut outputs = Vec::new();
+        for cores in [1, 2] {
+            let mut rt = runtime();
+            let g = HmsGraph::load(&mut rt, &csr).unwrap();
+            let mut spmv = Spmv::new(&mut rt, g).unwrap();
+            spmv.reset(&mut rt);
+            spmv.run_iteration(&mut MemCtx::bulk(rt.machine_mut()).with_cores(cores));
+            outputs.push(spmv.output(&mut rt));
+            for s in &spmv.staging {
+                let caps = [
+                    s.bounds.capacity(),
+                    s.cols.capacity(),
+                    s.vals.capacity(),
+                    s.xs.capacity(),
+                    s.ys.capacity(),
+                ];
+                assert!(caps.iter().all(|&c| c <= bound), "{cores} cores: {caps:?}");
+            }
+        }
+        assert_eq!(outputs[0], outputs[1]);
     }
 }

@@ -1,4 +1,5 @@
-//! Pinned kernel digests: one per kernel, for all ten kernels.
+//! Pinned kernel digests: one per kernel, for all ten kernels, plus three
+//! multi-chunk runs of the streaming kernels.
 //!
 //! Each digest folds a kernel's checksum, every `MachineStats` counter, the
 //! simulated clock and the drained PEBS stream (order-sensitive, so it
@@ -12,6 +13,12 @@
 //! says the kernel's one body, on the engines, still produces the stream
 //! the per-element loop produced. (The test names keep their historical
 //! `_modes_agree` form.)
+//!
+//! The three `-chunks` rows run PageRank, SpMV and CC on a graph of many
+//! 2^14-edge chunks. They were captured on the commit before those kernels
+//! streamed their edge arrays in chunks, when each still copied its whole
+//! edge streams to the host, and say the streaming bodies produce the same
+//! stream across chunk boundaries.
 //!
 //! kCore runs in no benchmark workload and in no other pinned digest: this
 //! table is what pins it. Regenerate with `print_current_digests` only when
@@ -49,6 +56,12 @@ fn plain_graph() -> Csr {
 
 fn weighted_graph() -> Csr {
     plain_graph().with_random_weights(16.0, 1)
+}
+
+/// Many times the 2^14 edges SpMV, PageRank and CC stream per chunk, so
+/// their windows are cut into sub-windows and rows straddle chunks.
+fn multi_chunk_graph() -> Csr {
+    Dataset::Twitter.build_small(4) // 16384 vertices, skewed
 }
 
 fn symmetric_graph() -> Csr {
@@ -104,6 +117,23 @@ fn kernels() -> Vec<(&'static str, Csr, usize, Build)> {
         ("TC", symmetric_graph(), 1, |rt, csr| {
             let g = load(rt, csr);
             Box::new(Triangles::new(rt, g).unwrap())
+        }),
+        ("PR-chunks", multi_chunk_graph(), 1, |rt, csr| {
+            let g = load(rt, csr);
+            Box::new(PageRank::new(rt, g).unwrap())
+        }),
+        (
+            "SpMV-chunks",
+            multi_chunk_graph().with_random_weights(16.0, 1),
+            1,
+            |rt, csr| {
+                let g = load(rt, csr);
+                Box::new(Spmv::new(rt, g).unwrap())
+            },
+        ),
+        ("CC-chunks", multi_chunk_graph(), 1, |rt, csr| {
+            let g = load(rt, csr);
+            Box::new(Cc::new(rt, g).unwrap())
         }),
     ]
 }
@@ -166,6 +196,9 @@ const PINNED: &[(&str, u64)] = &[
     ("BC", 0xe4bbbf6c46d7d70a),
     ("kCore", 0x73afca7e5fde5a6d),
     ("TC", 0x8208653a5d77ca9b),
+    ("PR-chunks", 0x39b5889fbb132c5a),
+    ("SpMV-chunks", 0xa43e7a419de5d18b),
+    ("CC-chunks", 0xd851154d4eb1bd3f),
 ];
 
 /// Prints the digests of the current build (capture helper; always passes).
@@ -243,4 +276,12 @@ fn kcore_modes_agree() {
 #[test]
 fn triangles_modes_agree() {
     assert_pinned("TC");
+}
+
+#[test]
+fn streamed_kernels_agree_across_chunks() {
+    assert!(multi_chunk_graph().num_edges() > 4 << 14);
+    for name in ["PR-chunks", "SpMV-chunks", "CC-chunks"] {
+        assert_pinned(name);
+    }
 }

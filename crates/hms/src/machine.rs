@@ -137,7 +137,11 @@ impl Machine {
                     .all(|r| r.len() == platform.tiers.len()),
             "link_bw matrix must be tier-count square"
         );
-        let tiers: Vec<Tier> = platform.tiers.iter().cloned().map(Tier::new).collect();
+        let tiers: Vec<Tier> = platform
+            .tiers
+            .iter()
+            .map(|spec| Tier::new(spec.clone(), &platform.cost))
+            .collect();
         let storage = TierStorage::new(&platform.tiers);
         let core = CoreCtx::resident(&platform, 0xA7_3E3);
         Machine {

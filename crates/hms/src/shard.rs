@@ -54,12 +54,12 @@ use crate::machine::Scalar;
 use crate::mapping::{Mapping, MappingTable, PageKind};
 use crate::pebs::Pebs;
 use crate::platform::Platform;
-use crate::tier::{Tier, TierId, TierSpec, TierStorage};
+use crate::tier::{Tier, TierId, TierStorage};
 use crate::tlb::Tlb;
 
-/// Maximum number of tiers a machine (and the window engine's cost table,
-/// the residency caches, and a [`TiersView`]) can carry. Platform presets
-/// range from two (the paper testbeds) to four (HBM-DRAM-CXL-NVM).
+/// Maximum number of tiers a machine (and the residency caches, and a
+/// [`TiersView`]) can carry. Platform presets range from two (the paper
+/// testbeds) to four (HBM-DRAM-CXL-NVM).
 pub const MAX_TIERS: usize = 8;
 
 /// What each element of a batched index window does, for
@@ -259,21 +259,11 @@ impl<'a> TiersView<'a> {
         }
     }
 
-    /// Number of tiers.
-    fn len(&self) -> usize {
-        self.tiers.len()
-    }
-
-    /// The spec of `tier`.
+    /// The cost of an LLC miss serviced by `tier` (a write miss if
+    /// `write`), from the machine's per-tier table.
     #[inline]
-    pub(crate) fn spec(&self, tier: TierId) -> &TierSpec {
-        self.spec_at(tier.index())
-    }
-
-    /// The spec of the tier at `index`.
-    #[inline]
-    fn spec_at(&self, index: usize) -> &TierSpec {
-        &self.tiers[index].spec
+    fn miss_cost(&self, tier: TierId, write: bool) -> SimDuration {
+        self.tiers[tier.index()].miss[usize::from(write)]
     }
 
     /// Host address of byte `offset` of `tier`, checked — in release builds
@@ -402,8 +392,7 @@ impl<'a> CoreHandle<'a> {
         if self.core.llc.access(pa, write).is_hit() {
             cost += self.platform.cost.hit_cost();
         } else {
-            let spec = self.tiers.spec(frame.tier);
-            cost += self.platform.cost.miss_cost(spec, write);
+            cost += self.tiers.miss_cost(frame.tier, write);
             if !write && self.core.pebs.on_read_miss(va) {
                 cost += self.platform.cost.sample_cost();
             }
@@ -454,8 +443,7 @@ impl<'a> CoreHandle<'a> {
         if outcome.is_hit() {
             cost += self.platform.cost.hit_cost();
         } else {
-            let spec = self.tiers.spec(frame.tier);
-            cost += self.platform.cost.miss_cost(spec, false);
+            cost += self.tiers.miss_cost(frame.tier, false);
             if self.core.pebs.on_read_miss(va) {
                 cost += self.platform.cost.sample_cost();
             }
@@ -588,17 +576,6 @@ impl<'a> CoreHandle<'a> {
         // TLB touches per element: the RMW write half folds its lookup into
         // the read's run, exactly like `read_modify_write`.
         let tlb_per_elem = if OP == OP_RMW { 2 } else { 1 };
-        // Per-tier miss costs, computed once: `miss_cost` divides by the
-        // tier bandwidth, which is too expensive for the per-miss loop. A
-        // stack array, not a Vec — small windows are frequent enough that a
-        // per-call heap allocation would dominate them.
-        let mut tier_miss = [SimDuration::ZERO; MAX_TIERS];
-        for (i, slot) in tier_miss.iter_mut().enumerate().take(self.tiers.len()) {
-            *slot = self
-                .platform
-                .cost
-                .miss_cost(self.tiers.spec_at(i), write_probe);
-        }
         // Guaranteed-hit element cost, composed once exactly as the scalar
         // loop composes it per element (`ZERO + hit_cost`).
         let mut rest_cost = SimDuration::ZERO;
@@ -754,7 +731,7 @@ impl<'a> CoreHandle<'a> {
             if outcome.is_hit() {
                 cost += hit_cost;
             } else {
-                cost += tier_miss[frame.tier.index()];
+                cost += self.tiers.miss_cost(frame.tier, write_probe);
                 if !write_probe && self.core.pebs.on_read_miss(va) {
                     cost += sample_cost;
                 }
@@ -870,10 +847,7 @@ impl<'a> CoreHandle<'a> {
                 len: chunk_len,
             };
             segments.extend(piece.chunks());
-            let miss_cost = self
-                .platform
-                .cost
-                .miss_cost(self.tiers.spec(frame.tier), write);
+            let miss_cost = self.tiers.miss_cost(frame.tier, write);
 
             let mut unit_va = va;
             while unit_va < chunk_end {

@@ -5,6 +5,7 @@ use std::ops::Range;
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use crate::addr::{PAGE_SHIFT, PAGE_SIZE};
+use crate::cost::{CostModel, SimDuration};
 use crate::frame::FrameRun;
 use crate::shard::{BlockSegment, Chunk, CHUNK_SHIFT, CHUNK_SIZE};
 
@@ -561,12 +562,17 @@ impl Drop for TierStorage {
 pub(crate) struct Tier {
     pub(crate) spec: TierSpec,
     pub(crate) frames: crate::frame::FrameAllocator,
+    /// [`CostModel::miss_cost`] of this tier, `[read, write]`: evaluated
+    /// once per machine, because it divides by the bandwidth and the access
+    /// engines pay it on every LLC miss.
+    pub(crate) miss: [SimDuration; 2],
 }
 
 impl Tier {
-    pub(crate) fn new(spec: TierSpec) -> Self {
+    pub(crate) fn new(spec: TierSpec, cost: &CostModel) -> Self {
         let frames = crate::frame::FrameAllocator::new(spec.frame_count());
-        Tier { spec, frames }
+        let miss = [cost.miss_cost(&spec, false), cost.miss_cost(&spec, true)];
+        Tier { spec, frames, miss }
     }
 }
 

@@ -11,10 +11,13 @@
 //!
 //! Outside the measured region — loading inputs, resetting state, copying
 //! results out — the **unaccounted** calls apply: [`TrackedVec::peek`] /
-//! [`TrackedVec::poke`] per element, and [`TrackedVec::fill_from`],
-//! [`TrackedVec::fill`], [`TrackedVec::fill_with`] and
-//! [`TrackedVec::to_vec`] for whole arrays. They change bytes in tier
-//! storage and nothing else: no counter, TLB, LLC, clock or PEBS effect.
+//! [`TrackedVec::poke`] per element, [`TrackedVec::peek_run`] for a run of
+//! them, and [`TrackedVec::fill_from`], [`TrackedVec::fill`],
+//! [`TrackedVec::fill_with`] and [`TrackedVec::to_vec`] for whole arrays.
+//! They read or change bytes in tier storage and nothing else: no counter,
+//! TLB, LLC, clock or PEBS effect. Inside the measured region `peek_run`
+//! alone applies, to read back in bounded chunks what a kernel has already
+//! read accounted (see its docs).
 
 use std::marker::PhantomData;
 
@@ -98,11 +101,27 @@ impl<T: Scalar> TrackedVec<T> {
     ///
     /// # Panics
     ///
-    /// Panics if `i >= len` in debug builds.
+    /// Panics (naming the vec) if `i >= len` — in release builds too: the
+    /// allocation is rounded up to whole pages, so an address past the end
+    /// would otherwise silently reach its tail padding.
     #[inline]
     pub fn addr_of(&self, i: usize) -> VirtAddr {
-        debug_assert!(i < self.len, "index {i} out of bounds (len {})", self.len);
+        if i >= self.len {
+            self.index_out_of_bounds(i);
+        }
         self.range.start.add((i * T::SIZE) as u64)
+    }
+
+    /// The panic of a failed [`addr_of`](TrackedVec::addr_of) check, out of
+    /// line so the scalar accessors stay small enough to inline.
+    #[cold]
+    #[inline(never)]
+    fn index_out_of_bounds(&self, i: usize) -> ! {
+        panic!(
+            "tracked vec `{}`: index {i} out of bounds (len {})",
+            self.label(),
+            self.len
+        )
     }
 
     /// Accounted read of element `i`.
@@ -365,8 +384,45 @@ impl<T: Scalar> TrackedVec<T> {
             .expect("tracked element unmapped");
     }
 
-    /// The storage segments backing the whole array, each inside one chunk of
-    /// host memory, resolved without accounting.
+    /// Unaccounted bulk read of `out.len()` consecutive elements starting at
+    /// element `start`: what [`read_slice`](TrackedVec::read_slice) copies,
+    /// with nothing charged — as [`fill_from`](TrackedVec::fill_from) is to
+    /// [`write_slice`](TrackedVec::write_slice).
+    ///
+    /// Inside a measured region this is only for bytes the kernel has
+    /// already read through an accounted call and not written since: the
+    /// accounted read charges the access once, in sequence order, and this
+    /// call reads the same values back in bounded chunks, so no host copy
+    /// of a whole stream has to be held in between.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `start + out.len() > self.len()`, or (naming the vec) if
+    /// the range is unmapped.
+    pub fn peek_run(&self, machine: &mut impl MemPort, start: usize, out: &mut [T]) {
+        assert!(
+            start + out.len() <= self.len,
+            "tracked vec `{}`: peek_run [{start}, {}) out of bounds (len {})",
+            self.label(),
+            start + out.len(),
+            self.len
+        );
+        machine.with_core(|core| {
+            let mut rest = &mut out[..];
+            for seg in self.resolve(core.mappings(), start, rest.len()) {
+                let (head, tail) = rest.split_at_mut(seg.len / T::SIZE);
+                let bytes = core.storage_slice(seg.tier, seg.offset, seg.len);
+                for (slot, chunk) in head.iter_mut().zip(bytes.chunks_exact(T::SIZE)) {
+                    *slot = T::from_le_slice(chunk);
+                }
+                rest = tail;
+            }
+            debug_assert!(rest.is_empty());
+        });
+    }
+
+    /// The storage segments backing elements `start..start + len`, each
+    /// inside one chunk of host memory, resolved without accounting.
     ///
     /// Segments end only at page boundaries (mappings are page-granular)
     /// and elements are naturally aligned, so a segment always holds a
@@ -375,8 +431,11 @@ impl<T: Scalar> TrackedVec<T> {
     /// # Panics
     ///
     /// Panics (naming the vec) if the array is unmapped (use-after-free).
-    fn resolve(&self, mappings: &MappingTable) -> Vec<BlockSegment> {
-        let range = VirtRange::new(self.range.start, self.len * T::SIZE);
+    fn resolve(&self, mappings: &MappingTable, start: usize, len: usize) -> Vec<BlockSegment> {
+        let range = VirtRange::new(
+            self.range.start.add((start * T::SIZE) as u64),
+            len * T::SIZE,
+        );
         resolve_block(mappings, range)
             .unwrap_or_else(|e| panic!("tracked vec `{}` unmapped: {e}", self.label()))
             .into_iter()
@@ -399,7 +458,7 @@ impl<T: Scalar> TrackedVec<T> {
     pub fn fill_with(&self, machine: &mut impl MemPort, mut f: impl FnMut(usize) -> T) {
         machine.with_core(|core| {
             let mut i = 0;
-            for seg in self.resolve(core.mappings()) {
+            for seg in self.resolve(core.mappings(), 0, self.len) {
                 let bytes = core.storage_slice_mut(seg.tier, seg.offset, seg.len);
                 for chunk in bytes.chunks_exact_mut(T::SIZE) {
                     f(i).write_le_slice(chunk);
@@ -421,7 +480,7 @@ impl<T: Scalar> TrackedVec<T> {
         assert_eq!(values.len(), self.len, "length mismatch in fill_from");
         machine.with_core(|core| {
             let mut rest = values;
-            for seg in self.resolve(core.mappings()) {
+            for seg in self.resolve(core.mappings(), 0, self.len) {
                 let (head, tail) = rest.split_at(seg.len / T::SIZE);
                 let bytes = core.storage_slice_mut(seg.tier, seg.offset, seg.len);
                 for (&value, chunk) in head.iter().zip(bytes.chunks_exact_mut(T::SIZE)) {
@@ -456,7 +515,7 @@ impl<T: Scalar> TrackedVec<T> {
     where
         T: 'a,
     {
-        let segments = self.resolve(machine.mappings());
+        let segments = self.resolve(machine.mappings(), 0, self.len);
         segments.into_iter().flat_map(move |seg| {
             machine
                 .storage_slice(seg.tier, seg.offset, seg.len)
@@ -474,7 +533,7 @@ impl<T: Scalar> TrackedVec<T> {
     pub fn to_vec(&self, machine: &mut impl MemPort) -> Vec<T> {
         let mut out = Vec::with_capacity(self.len);
         machine.with_core(|core| {
-            for seg in self.resolve(core.mappings()) {
+            for seg in self.resolve(core.mappings(), 0, self.len) {
                 let bytes = core.storage_slice(seg.tier, seg.offset, seg.len);
                 out.extend(bytes.chunks_exact(T::SIZE).map(T::from_le_slice));
             }
@@ -897,6 +956,11 @@ mod tests {
         }
         assert!(order.iter().copied().eq(0..n), "fill_with visits 0..n");
         assert_eq!(peeked(bulk, vb), peeked(looped, vs), "fill_with image");
+        for (start, len) in [(0, n), (1, n - 1), (4_095, 2_049), (n, 0)] {
+            let mut run = vec![0; len];
+            vb.peek_run(bulk, start, &mut run);
+            assert_eq!(run, peeked(looped, vs)[start..start + len], "peek_run");
+        }
         assert_eq!(
             vb.to_vec(bulk),
             peeked(looped, vs),
@@ -905,7 +969,7 @@ mod tests {
     }
 
     /// "Unaccounted" is checked, not assumed: the segment-wise
-    /// `fill_from` / `fill` / `fill_with` / `to_vec` / `values` produce the
+    /// `fill_from` / `fill` / `fill_with` / `to_vec` / `values` / `peek_run` produce the
     /// images of the per-element `poke`/`peek` loops, and leave counters, clock,
     /// TLB/LLC contents and the PEBS buffer untouched — on a fresh contiguous allocation, across `mbind`-splintered per-page
     /// mappings on two tiers, and through a `CoreHandle` of a sharded phase.
@@ -973,6 +1037,9 @@ mod tests {
                 let values: Vec<u32> = (0..v.len() as u32).map(|i| i ^ 0x5555).collect();
                 v.fill_from(h, &values);
                 assert_eq!(v.to_vec(h), values);
+                let mut run = vec![0; 1_000];
+                v.peek_run(h, 2_000, &mut run);
+                assert_eq!(run, values[2_000..3_000]);
                 v.fill(h, 9);
                 v.fill_with(h, |i| 3 * i as u32);
                 assert_eq!(h.elapsed(), before, "a bulk call advanced a core clock");
@@ -1026,6 +1093,56 @@ mod tests {
             assert!(msg.contains("`spmv.y` unmapped"), "anonymous panic: {msg}");
         }
         let _ = v.to_vec(&mut m);
+    }
+
+    /// A three-element vec named like a kernel array: its allocation is a
+    /// whole page, so an index past the end still lands in mapped memory.
+    fn short_vec(m: &mut Machine) -> TrackedVec<u64> {
+        let mut v = TrackedVec::<u64>::new(m, 3, Placement::Slow).unwrap();
+        v.set_name("pr.rank");
+        v
+    }
+
+    #[test]
+    #[should_panic(expected = "tracked vec `pr.rank`: index 3 out of bounds (len 3)")]
+    fn scalar_index_past_the_end_get_is_a_hard_check() {
+        let mut m = machine();
+        short_vec(&mut m).get(&mut m, 3);
+    }
+
+    #[test]
+    #[should_panic(expected = "tracked vec `pr.rank`: index 5 out of bounds (len 3)")]
+    fn scalar_index_past_the_end_set_is_a_hard_check() {
+        let mut m = machine();
+        short_vec(&mut m).set(&mut m, 5, 42);
+    }
+
+    #[test]
+    #[should_panic(expected = "tracked vec `pr.rank`: index 4 out of bounds (len 3)")]
+    fn scalar_index_past_the_end_update_is_a_hard_check() {
+        let mut m = machine();
+        short_vec(&mut m).update(&mut m, 4, |x| x + 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "tracked vec `pr.rank`: index 5 out of bounds (len 3)")]
+    fn scalar_index_past_the_end_peek_is_a_hard_check() {
+        let mut m = machine();
+        short_vec(&mut m).peek(&mut m, 5);
+    }
+
+    #[test]
+    #[should_panic(expected = "tracked vec `pr.rank`: index 3 out of bounds (len 3)")]
+    fn scalar_index_past_the_end_poke_is_a_hard_check() {
+        let mut m = machine();
+        short_vec(&mut m).poke(&mut m, 3, 7);
+    }
+
+    #[test]
+    #[should_panic(expected = "tracked vec `pr.rank`: peek_run [2, 4) out of bounds (len 3)")]
+    fn peek_run_past_the_end_is_a_hard_check() {
+        let mut m = machine();
+        short_vec(&mut m).peek_run(&mut m, 2, &mut [0; 2]);
     }
 
     #[test]

@@ -34,9 +34,16 @@
 //! every op. The warm second pass: a hit or write miss charged to the
 //! wrong line leaves other LLC and TLB contents behind, which pass 2's
 //! counters, clock and read-miss stream then expose.
+//!
+//! A second property checks what the streaming kernels rest on: one block
+//! or window call cut into consecutive calls — at drawn points, at a point
+//! that splits a line and at one that splits a page — leaves the same
+//! simulated state as the uncut call.
+
+use std::ops::Range;
 
 use atmem_apps::MemCtx;
-use atmem_hms::{Machine, PageKind, Placement, Platform, TierId, TrackedVec, VirtRange};
+use atmem_hms::{Machine, MemPort, PageKind, Placement, Platform, TierId, TrackedVec, VirtRange};
 use atmem_prop::prelude::*;
 
 const PAGE: usize = 4096;
@@ -315,5 +322,219 @@ proptest! {
         );
         prop_assert!(oracle.m.audit().is_empty(), "{:?}", oracle.m.audit());
         prop_assert!(engine.m.audit().is_empty(), "{:?}", engine.m.audit());
+    }
+}
+
+/// One accounted call of the cut-equivalence property: a block read or
+/// write over elements `start..start + count`, or an index window.
+#[derive(Debug, Clone)]
+enum Call {
+    Read {
+        start: usize,
+        count: usize,
+    },
+    Write {
+        start: usize,
+        count: usize,
+        salt: u64,
+    },
+    Gather(Vec<u32>),
+    Scatter(Vec<u32>, u64),
+    Update(Vec<u32>, u64),
+}
+
+impl Call {
+    /// Elements (block calls) or window slots (window calls).
+    fn len(&self) -> usize {
+        match self {
+            Call::Read { count, .. } | Call::Write { count, .. } => *count,
+            Call::Gather(ix) | Call::Scatter(ix, _) | Call::Update(ix, _) => ix.len(),
+        }
+    }
+
+    /// Runs positions `part` of the call on `port` as one call of its own,
+    /// returning what it read. Written values and update functions depend
+    /// on the position in the whole call, so every cut writes the same.
+    fn run_part(
+        &self,
+        v: &TrackedVec<u64>,
+        port: &mut impl MemPort,
+        part: Range<usize>,
+    ) -> Vec<u64> {
+        let mut ctx = MemCtx::bulk(port);
+        let salted = |salt: u64| -> Vec<u64> {
+            part.clone()
+                .map(|j| (j as u64).wrapping_mul(salt))
+                .collect()
+        };
+        match self {
+            Call::Read { start, .. } => {
+                let mut out = vec![0; part.len()];
+                ctx.read_run(v, start + part.start, &mut out);
+                out
+            }
+            Call::Write { start, salt, .. } => {
+                ctx.write_run(v, start + part.start, &salted(*salt));
+                Vec::new()
+            }
+            Call::Gather(ix) => {
+                let mut out = vec![0; part.len()];
+                ctx.gather(v, &ix[part], &mut out);
+                out
+            }
+            Call::Scatter(ix, salt) => {
+                ctx.scatter(v, &ix[part.clone()], &salted(*salt));
+                Vec::new()
+            }
+            Call::Update(ix, salt) => {
+                let base = part.start;
+                ctx.gather_update(v, &ix[part], |k, x| {
+                    x.wrapping_mul(0x100_0000_01b3)
+                        .wrapping_add((base + k) as u64 ^ salt)
+                });
+                Vec::new()
+            }
+        }
+    }
+
+    /// Runs the call cut at `bounds` (ascending, from 0 to `len`) as
+    /// consecutive calls, then reads one element of every line of the
+    /// array: what the probe hits and misses exposes the TLB and LLC
+    /// contents the call left behind.
+    fn run_cut(&self, v: &TrackedVec<u64>, port: &mut impl MemPort, bounds: &[usize]) -> Vec<u64> {
+        let mut read: Vec<u64> = bounds
+            .windows(2)
+            .flat_map(|b| self.run_part(v, port, b[0]..b[1]))
+            .collect();
+        read.extend(probe(v, port));
+        read
+    }
+}
+
+/// One accounted read of every line of `v`, in address order.
+fn probe(v: &TrackedVec<u64>, port: &mut impl MemPort) -> Vec<u64> {
+    let lines: Vec<u32> = (0..v.len() as u32).step_by(8).collect();
+    let mut out = vec![0; lines.len()];
+    MemCtx::bulk(port).gather(v, &lines, &mut out);
+    out
+}
+
+/// Decodes a call whose block ranges span up to three pages and whose
+/// windows mix same-line runs, duplicates, same-page strides and jumps.
+fn decode_call(kind: u32, a: u64, b: u64, len: usize) -> Call {
+    let start = (a % len as u64) as usize;
+    let count = (1 + (b % (3 * ELEMS_PER_PAGE) as u64) as usize).min(len - start);
+    let mut state = a ^ b.rotate_left(17);
+    let mut next = move || {
+        state = state
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        (state >> 33) as usize
+    };
+    let mut window = Vec::new();
+    let target = 1 + (b % 600) as usize;
+    while window.len() < target {
+        let i = next() % len;
+        match next() % 4 {
+            0 => window.extend((i..len.min(i + 1 + next() % 12)).map(|j| j as u32)),
+            1 => window.extend([i as u32; 2]),
+            2 => window.extend((0..4).map(|k| ((i + 16 * k) % len) as u32)),
+            _ => window.push(i as u32),
+        }
+    }
+    window.truncate(target);
+    match kind {
+        0 => Call::Read { start, count },
+        1 => Call::Write {
+            start,
+            count,
+            salt: b | 1,
+        },
+        2 => Call::Gather(window),
+        3 => Call::Scatter(window, a | 1),
+        _ => Call::Update(window, b),
+    }
+}
+
+/// Cut points for `call`: the drawn ones, plus the first position that
+/// splits a line and the first that splits a page between its parts
+/// (a same-line and a same-page pair of consecutive window slots).
+fn cut_bounds(call: &Call, drawn: &[u64]) -> Vec<usize> {
+    let len = call.len();
+    let line = |e: usize| e / 8;
+    let page = |e: usize| e / ELEMS_PER_PAGE;
+    let mut bounds: Vec<usize> = drawn
+        .iter()
+        .map(|&d| (d % (len as u64 + 1)) as usize)
+        .collect();
+    let structural = |split: &dyn Fn(usize, usize) -> bool| -> Option<usize> {
+        let elem = |k: usize| match call {
+            Call::Read { start, .. } | Call::Write { start, .. } => start + k,
+            Call::Gather(ix) | Call::Scatter(ix, _) | Call::Update(ix, _) => ix[k] as usize,
+        };
+        (1..len).find(|&k| split(elem(k - 1), elem(k)))
+    };
+    bounds.extend(structural(&|x, y| line(x) == line(y)));
+    bounds.extend(structural(&|x, y| page(x) == page(y) && line(x) != line(y)));
+    bounds.extend([0, len]);
+    bounds.sort_unstable();
+    bounds
+}
+
+/// Everything simulated the cut and the uncut call must agree on.
+fn observed(m: &mut Machine) -> (atmem_hms::MachineStats, u64, Vec<atmem_hms::SampleRecord>) {
+    (m.stats(), m.now().as_ns().to_bits(), m.pebs_drain())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(prop_cases(24)))]
+
+    /// A block or window call cut into consecutive calls at any points —
+    /// mid-line and mid-page included — is the uncut call: equal reads,
+    /// counters, clock bits, PEBS stream (off, sampled, every read miss),
+    /// TLB/LLC contents (probed) and data image, through the machine, its
+    /// resident core and a forked core. This is what lets a kernel stream
+    /// an edge array in bounded chunks without moving a simulated bit.
+    #[test]
+    fn cut_calls_equal_the_uncut_call(
+        warm in prop::collection::vec((0u32..9, any::<u64>(), any::<u64>()), 0..8),
+        call in (0u32..5, any::<u64>(), any::<u64>()),
+        drawn in prop::collection::vec(any::<u64>(), 0..6),
+        pebs in 0u32..3,
+        port in 0u32..3,
+        pages in 1usize..7,
+        huge in any::<bool>(),
+        coalesce_8 in any::<bool>(),
+    ) {
+        let pages = if huge { HUGE_PAGES + pages } else { pages };
+        let len = pages * ELEMS_PER_PAGE;
+        let tlb_coalesce = if coalesce_8 { 8 } else { 1 };
+        let call = decode_call(call.0, call.1, call.2, len);
+        let cut = cut_bounds(&call, &drawn);
+        let mut runs = Vec::new();
+        for bounds in [vec![0, call.len()], cut.clone()] {
+            // Same warm-up on both: mixed placement, warm TLB/LLC, drained PEBS.
+            let mut h = Harness::new(pages, Placement::Preferred(TierId::FAST), tlb_coalesce, false);
+            for &(kind, a, b) in &warm {
+                h.apply(&decode(kind, a, b, len, pages));
+            }
+            h.m.pebs_drain();
+            match pebs {
+                0 => h.m.pebs_disable(),
+                1 => h.m.pebs_enable(64, 16),
+                _ => h.m.pebs_enable(1, 0),
+            }
+            let v = &h.v;
+            let read = match port {
+                0 => call.run_cut(v, &mut h.m, &bounds),
+                1 => h.m.run_cores(1, |_, core| call.run_cut(v, core, &bounds)).concat(),
+                _ => h.m.run_cores(2, |c, core| {
+                    if c == 0 { call.run_cut(v, core, &bounds) } else { Vec::new() }
+                }).concat(),
+            };
+            let image = h.v.to_vec(&mut h.m);
+            runs.push((read, observed(&mut h.m), image));
+        }
+        prop_assert_eq!(&runs[0], &runs[1], "cut at {:?}: {:?}", cut, call);
     }
 }
