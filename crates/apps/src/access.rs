@@ -24,13 +24,13 @@
 //! [`run_cores`](MemCtx::run_cores) runs one such phase, handing every
 //! core a context over that core. The
 //! regular kernels split their streaming phases by contiguous range; the
-//! traversal kernels (BFS, BFS-dir, SSSP, BC) partition each frontier
-//! level, routing discovered vertices through per-owner queues
+//! traversal kernels (BFS, SSSP, BC) partition each frontier level,
+//! routing discovered vertices through per-owner queues
 //! (`atmem_hms::OwnerQueues`) so every property write stays single-writer
-//! and the next frontier is canonical for any core count. PageRank, SpMV,
-//! CC, k-core and triangle counting have one body each: one core is the
-//! degenerate partition, which `Machine::run_cores` runs on the resident
-//! core with no fork, merge or barrier.
+//! and the next frontier is canonical for any core count. PageRank, SpMV
+//! and CC have one body each: one core is the degenerate partition, which
+//! `Machine::run_cores` runs on the resident core with no fork, merge or
+//! barrier.
 
 use std::ops::Range;
 use std::sync::Mutex;

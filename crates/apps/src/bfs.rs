@@ -14,7 +14,7 @@ use crate::par;
 use atmem_hms::{merge_owner_queues, OwnerQueues, TrackedVec};
 
 /// Distance value for unreached vertices.
-pub const UNREACHED: u32 = u32::MAX;
+pub(crate) const UNREACHED: u32 = u32::MAX;
 
 /// BFS kernel state.
 #[derive(Debug)]

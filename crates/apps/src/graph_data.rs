@@ -97,31 +97,6 @@ impl HmsGraph {
         (ctx.get(&self.offsets, v), ctx.get(&self.offsets, v + 1))
     }
 
-    /// Accounted read of the destination of edge `e`.
-    #[inline]
-    pub fn neighbor<M: MemPort>(&self, ctx: &mut MemCtx<'_, M>, e: u64) -> u32 {
-        ctx.get(&self.neighbors, e as usize)
-    }
-
-    /// Accounted read of the weight of edge `e`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the graph is unweighted.
-    #[inline]
-    pub fn weight<M: MemPort>(&self, ctx: &mut MemCtx<'_, M>, e: u64) -> f32 {
-        let w = self.weights.as_ref().expect("graph loaded without weights");
-        ctx.get(w, e as usize)
-    }
-
-    /// Accounted sequential read of all `n + 1` CSR row bounds into `out`,
-    /// reusing its allocation (kernels that stream the offsets every
-    /// iteration keep one scratch buffer instead of reallocating).
-    pub fn bounds_into<M: MemPort>(&self, ctx: &mut MemCtx<'_, M>, out: &mut Vec<u64>) {
-        out.resize(self.num_vertices + 1, 0);
-        ctx.read_run(&self.offsets, 0, out);
-    }
-
     /// Accounted sequential read of `out.len()` row bounds starting at
     /// vertex `start` (sharded kernels stream just their partition's
     /// slice; a core covering `lo..hi` reads `hi - lo + 1` bounds).
@@ -155,13 +130,6 @@ impl HmsGraph {
     pub fn weight_run<M: MemPort>(&self, ctx: &mut MemCtx<'_, M>, start: u64, buf: &mut [f32]) {
         let w = self.weights.as_ref().expect("graph loaded without weights");
         ctx.read_run(w, start as usize, buf);
-    }
-
-    /// Total bytes of the resident CSR arrays.
-    pub fn footprint(&self) -> usize {
-        self.offsets.range().len
-            + self.neighbors.range().len
-            + self.weights.as_ref().map_or(0, |w| w.range().len)
     }
 }
 
@@ -198,8 +166,9 @@ mod tests {
         let mut ctx = MemCtx::bulk(rt.machine_mut());
         let (s, e) = g.edge_bounds(&mut ctx, 0);
         assert_eq!((s, e), (0, 2));
-        assert_eq!(g.neighbor(&mut ctx, 0), 1);
-        assert_eq!(g.neighbor(&mut ctx, 2), 3);
+        let mut nbrs = [0u32; 3];
+        g.neighbor_run(&mut ctx, 0, &mut nbrs);
+        assert_eq!(nbrs, [1, 2, 3]);
     }
 
     #[test]
@@ -210,7 +179,9 @@ mod tests {
         let mut rt = runtime();
         let g = HmsGraph::load(&mut rt, &csr).unwrap();
         assert!(g.is_weighted());
-        assert_eq!(g.weight(&mut MemCtx::bulk(rt.machine_mut()), 1), 2.5);
+        let mut ws = [0f32; 2];
+        g.weight_run(&mut MemCtx::bulk(rt.machine_mut()), 0, &mut ws);
+        assert_eq!(ws, [1.5, 2.5]);
     }
 
     #[test]
@@ -219,7 +190,8 @@ mod tests {
         let mut rt = runtime();
         let g = HmsGraph::load(&mut rt, &csr).unwrap();
         assert_eq!(rt.registry().len(), 2); // offsets + neighbors
-        assert_eq!(rt.registry().total_bytes(), g.footprint());
+        let footprint = g.offsets.range().len + g.neighbors.range().len;
+        assert_eq!(rt.registry().total_bytes(), footprint);
     }
 
     #[test]

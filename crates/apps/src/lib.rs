@@ -31,38 +31,30 @@
 #![warn(missing_debug_implementations)]
 #![warn(unreachable_pub)]
 
-pub mod access;
-pub mod bc;
-pub mod bfs;
-pub mod bfs_dir;
-pub mod cc;
-pub mod graph_data;
-pub mod kcore;
-pub mod kernel;
+mod access;
+mod bc;
+mod bfs;
+mod cc;
+mod graph_data;
+mod kernel;
 mod overlay;
-pub mod pagerank;
-pub mod pagerank_pull;
-pub mod par;
-pub mod runner;
-pub mod serve;
-pub mod spmv;
-pub mod sssp;
-pub mod synth;
-pub mod triangles;
+mod pagerank;
+mod par;
+mod runner;
+mod serve;
+mod spmv;
+mod sssp;
+mod synth;
 
 pub use access::MemCtx;
-pub use bc::Bc;
-pub use bfs::Bfs;
-pub use bfs_dir::BfsDir;
-pub use cc::Cc;
+pub use bc::{reference_bc, Bc};
+pub use bfs::{reference_bfs, Bfs};
+pub use cc::{reference_components, Cc};
 pub use graph_data::HmsGraph;
-pub use kcore::KCore;
 pub use kernel::{App, Kernel};
-pub use pagerank::PageRank;
-pub use pagerank_pull::PageRankPull;
+pub use pagerank::{reference_pagerank, PageRank};
 pub use runner::{run_protocol, run_protocol_cores, run_protocol_rounds, Mode, ProtocolResult};
 pub use serve::{serve_protocols, ServeReport, TenantReport, TenantSpec};
-pub use spmv::Spmv;
-pub use sssp::Sssp;
+pub use spmv::{reference_spmv, Spmv};
+pub use sssp::{reference_sssp, Sssp};
 pub use synth::{drive_zipf, HotWindow, Zipf};
-pub use triangles::Triangles;

@@ -15,7 +15,7 @@ use crate::kernel::Kernel;
 use crate::par;
 
 /// Damping factor (the classic 0.85).
-pub const DAMPING: f64 = 0.85;
+pub(crate) const DAMPING: f64 = 0.85;
 
 /// One source core's phase-A staging, reused across iterations: the row
 /// bounds of its vertex range and each vertex's share, `rank / degree`.

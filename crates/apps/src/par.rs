@@ -27,7 +27,7 @@
 /// # Panics
 ///
 /// Panics if `cores == 0`.
-pub fn even_cuts(n: usize, cores: usize) -> Vec<usize> {
+pub(crate) fn even_cuts(n: usize, cores: usize) -> Vec<usize> {
     assert!(cores >= 1, "core count must be positive");
     (0..=cores).map(|c| n * c / cores).collect()
 }
@@ -43,7 +43,7 @@ pub fn even_cuts(n: usize, cores: usize) -> Vec<usize> {
 /// # Panics
 ///
 /// Panics if `cores == 0`.
-pub fn edge_cuts(n: usize, mut bound: impl FnMut(usize) -> u64, cores: usize) -> Vec<usize> {
+pub(crate) fn edge_cuts(n: usize, mut bound: impl FnMut(usize) -> u64, cores: usize) -> Vec<usize> {
     assert!(cores >= 1, "core count must be positive");
     let first = bound(0);
     let total = bound(n) - first;
@@ -79,7 +79,7 @@ pub fn edge_cuts(n: usize, mut bound: impl FnMut(usize) -> u64, cores: usize) ->
 /// range: a silently misrouted index would be folded by the wrong core,
 /// corrupting the deterministic merge with no diagnostic, so the check
 /// must survive release builds.
-pub fn owner(cuts: &[usize], i: usize) -> usize {
+pub(crate) fn owner(cuts: &[usize], i: usize) -> usize {
     assert!(cuts.len() >= 2, "partition needs at least one range");
     assert!(
         i < *cuts.last().expect("cuts is non-empty"),
@@ -100,7 +100,7 @@ pub fn owner(cuts: &[usize], i: usize) -> usize {
 /// # Panics
 ///
 /// Panics if `frontier` is not sorted in ascending order.
-pub fn frontier_cuts(cuts: &[usize], frontier: &[u32]) -> Vec<usize> {
+pub(crate) fn frontier_cuts(cuts: &[usize], frontier: &[u32]) -> Vec<usize> {
     assert!(
         frontier.windows(2).all(|w| w[0] <= w[1]),
         "frontier must be sorted for contiguous owner slices"

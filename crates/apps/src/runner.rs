@@ -100,7 +100,7 @@ pub fn run_protocol(
 /// Like [`run_protocol`], but drives both measured iterations with
 /// `par_cores` simulated cores. Every protocol app is sharded-capable:
 /// the regular kernels (PageRank, CC, SpMV) partition their streaming
-/// phases and the traversal kernels (BFS, BFS-dir, SSSP, BC) partition
+/// phases and the traversal kernels (BFS, SSSP, BC) partition
 /// each frontier level with owner-routed next-frontier queues, all under
 /// the deterministic reduction contract. The
 /// profiler consumes the merged (core-order-concatenated) PEBS stream

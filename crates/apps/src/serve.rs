@@ -107,7 +107,7 @@ pub struct ServeReport {
 
 /// Serves `tenants` over one machine: per-tenant profiled warm-up, one
 /// server-wide optimize round, then a seeded interleaved query stream.
-/// See the [module docs](self) for the phase structure.
+/// The module docs of `crates/apps/src/serve.rs` give the phase structure.
 ///
 /// # Errors
 ///

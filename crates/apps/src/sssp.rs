@@ -15,6 +15,10 @@ use crate::overlay::WindowOverlay;
 use crate::par;
 
 /// SSSP kernel state.
+///
+/// Edge weights must be non-negative and not NaN: a negative cycle keeps
+/// improving a distance, so the frontier never empties and an iteration
+/// never ends.
 #[derive(Debug)]
 pub struct Sssp {
     graph: HmsGraph,

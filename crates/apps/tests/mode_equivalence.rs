@@ -1,17 +1,17 @@
-//! Pinned kernel digests: one per kernel, for all ten kernels, plus three
+//! Pinned kernel digests: one per kernel, for all six kernels, plus three
 //! multi-chunk runs of the streaming kernels.
 //!
 //! Each digest folds a kernel's checksum, every `MachineStats` counter, the
 //! simulated clock and the drained PEBS stream (order-sensitive, so it
 //! catches reorderings the aggregate counters would miss) after a fixed
 //! number of iterations at one simulated core, PEBS on at period 7 with
-//! jitter 3. The table was captured while the kernels still had a
-//! per-element scalar access mode, on the commit where that mode was proved
-//! bit-identical to the bulk engines for each of these ten runs; it then
-//! held unchanged while the serial PR/SpMV/CC/kCore bodies were folded
-//! into their one-core partitions and the mode was deleted. So each test
-//! says the kernel's one body, on the engines, still produces the stream
-//! the per-element loop produced. (The test names keep their historical
+//! jitter 3. The six kernel rows were captured while the kernels still had
+//! a per-element scalar access mode, on the commit where that mode was
+//! proved bit-identical to the bulk engines for each of these runs; they
+//! then held unchanged while the serial PR/SpMV/CC bodies were folded into
+//! their one-core partitions and the mode was deleted. So each test says
+//! the kernel's one body, on the engines, still produces the stream the
+//! per-element loop produced. (The test names keep their historical
 //! `_modes_agree` form.)
 //!
 //! The three `-chunks` rows run PageRank, SpMV and CC on a graph of many
@@ -20,16 +20,12 @@
 //! edge streams to the host, and say the streaming bodies produce the same
 //! stream across chunk boundaries.
 //!
-//! kCore runs in no benchmark workload and in no other pinned digest: this
-//! table is what pins it. Regenerate with `print_current_digests` only when
-//! an intentional simulation change lands, and say so in the changelog.
+//! Regenerate with `print_current_digests` only when an intentional
+//! simulation change lands, and say so in the changelog.
 
 use atmem::{Atmem, AtmemConfig};
-use atmem_apps::{
-    Bc, Bfs, BfsDir, Cc, HmsGraph, KCore, Kernel, MemCtx, PageRank, PageRankPull, Spmv, Sssp,
-    Triangles,
-};
-use atmem_graph::{rmat, Csr, Dataset};
+use atmem_apps::{Bc, Bfs, Cc, HmsGraph, Kernel, MemCtx, PageRank, Spmv, Sssp};
+use atmem_graph::{Csr, Dataset};
 use atmem_hms::Platform;
 
 /// FNV-1a over a stream of u64 words.
@@ -64,28 +60,19 @@ fn multi_chunk_graph() -> Csr {
     Dataset::Twitter.build_small(4) // 16384 vertices, skewed
 }
 
-fn symmetric_graph() -> Csr {
-    let mut config = Dataset::Pokec.config();
-    config.scale = 9;
-    config.symmetrize = true;
-    rmat(&config, 11)
-}
-
 fn load(rt: &mut Atmem, csr: &Csr) -> HmsGraph {
     HmsGraph::load(rt, csr).unwrap()
 }
 
 type Build = fn(&mut Atmem, &Csr) -> Box<dyn Kernel>;
 
-/// The ten kernels: name, input graph, iterations, constructor.
+/// The six kernels, then the three multi-chunk runs: name, input graph,
+/// iterations, constructor.
 fn kernels() -> Vec<(&'static str, Csr, usize, Build)> {
     vec![
         ("PR", plain_graph(), 2, |rt, csr| {
             let g = load(rt, csr);
             Box::new(PageRank::new(rt, g).unwrap())
-        }),
-        ("PR-pull", plain_graph(), 2, |rt, csr| {
-            Box::new(PageRankPull::new(rt, csr).unwrap())
         }),
         ("SpMV", weighted_graph(), 2, |rt, csr| {
             let g = load(rt, csr);
@@ -94,9 +81,6 @@ fn kernels() -> Vec<(&'static str, Csr, usize, Build)> {
         ("BFS", plain_graph(), 1, |rt, csr| {
             let g = load(rt, csr);
             Box::new(Bfs::new(rt, g, 0).unwrap())
-        }),
-        ("BFS-dir", symmetric_graph(), 1, |rt, csr| {
-            Box::new(BfsDir::new(rt, csr, 0).unwrap())
         }),
         ("SSSP", weighted_graph(), 1, |rt, csr| {
             let g = load(rt, csr);
@@ -109,14 +93,6 @@ fn kernels() -> Vec<(&'static str, Csr, usize, Build)> {
         ("BC", plain_graph(), 2, |rt, csr| {
             let g = load(rt, csr);
             Box::new(Bc::new(rt, g, 0).unwrap())
-        }),
-        ("kCore", symmetric_graph(), 1, |rt, csr| {
-            let g = load(rt, csr);
-            Box::new(KCore::new(rt, g).unwrap())
-        }),
-        ("TC", symmetric_graph(), 1, |rt, csr| {
-            let g = load(rt, csr);
-            Box::new(Triangles::new(rt, g).unwrap())
         }),
         ("PR-chunks", multi_chunk_graph(), 1, |rt, csr| {
             let g = load(rt, csr);
@@ -187,15 +163,11 @@ fn kernel_digest(csr: &Csr, iters: usize, build: Build) -> u64 {
 /// equalled the bulk engines on each of these runs (see the module docs).
 const PINNED: &[(&str, u64)] = &[
     ("PR", 0xbbb68869abd42b9f),
-    ("PR-pull", 0x7e57f118f8a9e093),
     ("SpMV", 0xb8417390216c13c8),
     ("BFS", 0x373967533f635d57),
-    ("BFS-dir", 0x67f1dec1f928210d),
     ("SSSP", 0xe0ecfc52c99fd76a),
     ("CC", 0x57805b5f4308fee3),
     ("BC", 0xe4bbbf6c46d7d70a),
-    ("kCore", 0x73afca7e5fde5a6d),
-    ("TC", 0x8208653a5d77ca9b),
     ("PR-chunks", 0x39b5889fbb132c5a),
     ("SpMV-chunks", 0xa43e7a419de5d18b),
     ("CC-chunks", 0xd851154d4eb1bd3f),
@@ -234,11 +206,6 @@ fn pagerank_modes_agree() {
 }
 
 #[test]
-fn pagerank_pull_modes_agree() {
-    assert_pinned("PR-pull");
-}
-
-#[test]
 fn spmv_modes_agree() {
     assert_pinned("SpMV");
 }
@@ -246,11 +213,6 @@ fn spmv_modes_agree() {
 #[test]
 fn bfs_modes_agree() {
     assert_pinned("BFS");
-}
-
-#[test]
-fn bfs_dir_modes_agree() {
-    assert_pinned("BFS-dir");
 }
 
 #[test]
@@ -266,16 +228,6 @@ fn cc_modes_agree() {
 #[test]
 fn bc_modes_agree() {
     assert_pinned("BC");
-}
-
-#[test]
-fn kcore_modes_agree() {
-    assert_pinned("kCore");
-}
-
-#[test]
-fn triangles_modes_agree() {
-    assert_pinned("TC");
 }
 
 #[test]

@@ -170,6 +170,22 @@ fn parse_options() -> Options {
     opts
 }
 
+/// An edge weight SSSP cannot run on: negative or NaN.
+#[derive(Debug)]
+struct BadSsspWeight {
+    edge: (u32, u32),
+    weight: f32,
+}
+
+impl std::fmt::Display for BadSsspWeight {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let ((u, v), w) = (self.edge, self.weight);
+        write!(f, "edge {u} -> {v} has weight {w}: SSSP needs weights >= 0")
+    }
+}
+
+impl std::error::Error for BadSsspWeight {}
+
 fn load_graph(opts: &Options) -> Result<Csr, Box<dyn std::error::Error>> {
     let csr = match &opts.edge_list {
         Some(path) => {
@@ -178,7 +194,19 @@ fn load_graph(opts: &Options) -> Result<Csr, Box<dyn std::error::Error>> {
         }
         None => opts.dataset.build_small(opts.shrink),
     };
-    Ok(if opts.app.needs_weights() && !csr.is_weighted() {
+    Ok(weigh_for(opts.app, csr)?)
+}
+
+/// Gives `csr` random weights if `app` needs them and it has none, and
+/// rejects a negative or NaN weight for SSSP (SpMV keeps signed values).
+fn weigh_for(app: App, csr: Csr) -> Result<Csr, BadSsspWeight> {
+    if app == App::Sssp {
+        let ws = csr.weights().unwrap_or_default();
+        if let Some((edge, &weight)) = csr.edges().zip(ws).find(|(_, w)| w.is_nan() || **w < 0.0) {
+            return Err(BadSsspWeight { edge, weight });
+        }
+    }
+    Ok(if app.needs_weights() && !csr.is_weighted() {
         csr.with_random_weights(64.0, 7)
     } else {
         csr
@@ -339,5 +367,44 @@ fn main() -> ExitCode {
             eprintln!("error: {e}");
             ExitCode::FAILURE
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A two-edge negative cycle (0 -> 1 -> 0) before a positive edge.
+    const NEGATIVE_CYCLE: &str = "0 1 -1\n1 0 -1\n1 2 1\n";
+
+    fn parse(text: &str) -> Csr {
+        atmem_graph::read_edge_list(text.as_bytes()).unwrap()
+    }
+
+    #[test]
+    fn sssp_rejects_a_negative_cycle_by_edge() {
+        let err = weigh_for(App::Sssp, parse(NEGATIVE_CYCLE)).unwrap_err();
+        assert_eq!((err.edge, err.weight), ((0, 1), -1.0));
+        assert!(
+            err.to_string().contains("edge 0 -> 1 has weight -1"),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn sssp_rejects_a_nan_weight() {
+        let err = weigh_for(App::Sssp, parse("0 1 2\n1 2 nan\n")).unwrap_err();
+        assert_eq!(err.edge, (1, 2));
+        assert!(err.weight.is_nan());
+    }
+
+    #[test]
+    fn spmv_keeps_signed_weights_and_sssp_takes_non_negative_ones() {
+        let csr = weigh_for(App::Spmv, parse(NEGATIVE_CYCLE)).unwrap();
+        assert_eq!(csr.weights(), Some(&[-1.0, -1.0, 1.0][..]));
+        assert!(weigh_for(App::Sssp, parse("0 1 0\n1 2 3.5\n")).is_ok());
+        assert!(weigh_for(App::Sssp, parse("0 1\n1 2\n"))
+            .unwrap()
+            .is_weighted());
     }
 }

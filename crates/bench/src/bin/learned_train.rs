@@ -21,11 +21,10 @@
 
 use std::process::ExitCode;
 
-use atmem::analyzer::features::FEATURE_NAMES;
-use atmem::analyzer::train::{
+use atmem::train::{
     pairwise_accuracy, parse, record_examples, serialize, train, TraceGroup, TrainOptions,
 };
-use atmem::{Atmem, AtmemConfig, LearnedModel};
+use atmem::{Atmem, AtmemConfig, LearnedModel, FEATURE_NAMES};
 use atmem_apps::{App, HmsGraph, MemCtx};
 use atmem_graph::{Csr, Dataset};
 use atmem_hms::{FaultPlan, FaultSite, Platform, TrackedVec};

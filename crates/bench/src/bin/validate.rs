@@ -14,9 +14,8 @@ use std::process::ExitCode;
 
 use atmem::{Atmem, AtmemConfig};
 use atmem_apps::{
-    bc::reference_bc, bfs::reference_bfs, cc::reference_components, pagerank::reference_pagerank,
-    spmv::reference_spmv, sssp::reference_sssp, App, Bc, Bfs, Cc, HmsGraph, Kernel, MemCtx, Mode,
-    PageRank, Spmv, Sssp,
+    reference_bc, reference_bfs, reference_components, reference_pagerank, reference_spmv,
+    reference_sssp, App, Bc, Bfs, Cc, HmsGraph, Kernel, MemCtx, Mode, PageRank, Spmv, Sssp,
 };
 use atmem_graph::{Csr, Dataset};
 use atmem_hms::Platform;

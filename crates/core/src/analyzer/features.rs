@@ -14,10 +14,10 @@ use crate::object::DataObject;
 use crate::registry::Registry;
 
 /// Number of features per chunk.
-pub const NUM_FEATURES: usize = 9;
+pub(crate) const NUM_FEATURES: usize = 9;
 
 /// Human-readable feature names, index-aligned with the vectors produced
-/// by [`object_features`] (and with [`LearnedModel::weights`]).
+/// by `object_features` (and with [`LearnedModel::weights`]).
 ///
 /// [`LearnedModel::weights`]: crate::analyzer::learned::LearnedModel
 pub const FEATURE_NAMES: [&str; NUM_FEATURES] = [
@@ -34,7 +34,7 @@ pub const FEATURE_NAMES: [&str; NUM_FEATURES] = [
 
 /// Registry-wide normalisers shared by every object's feature vectors.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct FeatureContext {
+pub(crate) struct FeatureContext {
     /// The hottest chunk density (samples per byte) across all objects.
     pub max_density: f64,
     /// Total samples attributed across all objects this round.
@@ -42,7 +42,7 @@ pub struct FeatureContext {
 }
 
 /// Computes the global normalisers over all live objects.
-pub fn feature_context(registry: &Registry) -> FeatureContext {
+pub(crate) fn feature_context(registry: &Registry) -> FeatureContext {
     let mut max_density = 0.0f64;
     let mut total_samples = 0u64;
     for obj in registry.iter() {
@@ -70,7 +70,10 @@ fn prev_density(obj: &DataObject, i: usize) -> f64 {
 /// Extracts one feature vector per chunk of `object`. Every component is
 /// finite and bounded: the first eight lie in `[0, 1]`, the phase delta in
 /// `[-1, 1]`.
-pub fn object_features(object: &DataObject, ctx: &FeatureContext) -> Vec<[f64; NUM_FEATURES]> {
+pub(crate) fn object_features(
+    object: &DataObject,
+    ctx: &FeatureContext,
+) -> Vec<[f64; NUM_FEATURES]> {
     let n = object.num_chunks();
     let densities: Vec<f64> = (0..n).map(|i| density(object, i)).collect();
     let obj_max = densities.iter().cloned().fold(0.0, f64::max);

@@ -96,14 +96,14 @@ impl Default for LearnedModel {
 }
 
 /// The logistic function.
-pub fn sigmoid(x: f64) -> f64 {
+pub(crate) fn sigmoid(x: f64) -> f64 {
     1.0 / (1.0 + (-x).exp())
 }
 
 /// Runs the learned analyzer over every live object. Same interface and
 /// output shape as [`analyze`](crate::analyzer::analyze) with the paper
 /// pipeline; see the module docs for how the fields are populated.
-pub fn analyze_learned(registry: &Registry, config: &AnalyzerConfig) -> Analysis {
+pub(crate) fn analyze_learned(registry: &Registry, config: &AnalyzerConfig) -> Analysis {
     let ctx = feature_context(registry);
     let model = &config.learned.model;
 

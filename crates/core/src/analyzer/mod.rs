@@ -5,20 +5,24 @@
 //! criticality bitmap (sampled ∪ estimated) plus the numbers the reports
 //! need.
 
-pub mod features;
-pub mod learned;
-pub mod local;
-pub mod promote;
+mod features;
+mod learned;
+mod local;
+mod promote;
 pub mod train;
-pub mod tree;
+mod tree;
 
 use crate::config::{AnalyzerConfig, AnalyzerKind};
 use crate::object::ObjectId;
 use crate::registry::Registry;
 
-use local::{local_selection, LocalSelection};
-use promote::{adaptive_thresholds, estimated_only, object_weight, promote};
-use tree::MaryTree;
+pub use features::FEATURE_NAMES;
+pub use learned::LearnedModel;
+pub use local::{local_selection, LocalSelection};
+pub use promote::{adaptive_thresholds, promote};
+pub use tree::MaryTree;
+
+use promote::{estimated_only, object_weight};
 
 /// Analyzer outcome for one data object.
 #[derive(Debug, Clone, PartialEq)]

@@ -24,7 +24,7 @@ use crate::config::AnalyzerConfig;
 
 /// Weight of one data object (Eq. 4): the average priority of its
 /// sampled-critical chunks, or 0 when it has none.
-pub fn object_weight(selection: &LocalSelection) -> f64 {
+pub(crate) fn object_weight(selection: &LocalSelection) -> f64 {
     let mut sum = 0.0;
     let mut count = 0u64;
     for (p, &c) in selection.priorities.iter().zip(&selection.critical) {
@@ -96,7 +96,7 @@ pub fn promote(tree: &MaryTree, sampled: &[bool], threshold: f64) -> Vec<bool> {
 }
 
 /// Chunks promoted by estimation only (in `promoted` but not `sampled`).
-pub fn estimated_only(sampled: &[bool], promoted: &[bool]) -> usize {
+pub(crate) fn estimated_only(sampled: &[bool], promoted: &[bool]) -> usize {
     sampled
         .iter()
         .zip(promoted)

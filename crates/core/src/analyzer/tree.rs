@@ -56,19 +56,9 @@ impl MaryTree {
         MaryTree { arity, levels }
     }
 
-    /// The tree arity `m`.
-    pub fn arity(&self) -> usize {
-        self.arity
-    }
-
     /// Number of real leaves (chunks).
     pub fn leaf_count(&self) -> usize {
         self.levels[0].len()
-    }
-
-    /// Number of levels (1 for a single-leaf tree).
-    pub fn height(&self) -> usize {
-        self.levels.len()
     }
 
     /// The root node.
@@ -131,7 +121,6 @@ mod tests {
     #[test]
     fn single_leaf_tree() {
         let t = MaryTree::build(&[true], 4);
-        assert_eq!(t.height(), 1);
         assert_eq!(t.root(), NodeId { level: 0, index: 0 });
         assert_eq!(t.tree_ratio(t.root()), 1.0);
         assert!(t.children(t.root()).is_empty());
@@ -143,8 +132,8 @@ mod tests {
         // leaves [1,1,1,0, 0,0,0,0] — the left half has TR 3/4.
         let leaves = [true, true, true, false, false, false, false, false];
         let t = MaryTree::build(&leaves, 2);
-        assert_eq!(t.height(), 4);
         let root = t.root();
+        assert_eq!(root.level, 3);
         assert_eq!(t.value(root), 3);
         assert_eq!(t.leaves_under(root), 8);
         assert!((t.tree_ratio(root) - 3.0 / 8.0).abs() < 1e-12);

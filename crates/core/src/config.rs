@@ -8,7 +8,7 @@
 
 use atmem_hms::Placement;
 
-use crate::analyzer::learned::LearnedModel;
+use crate::analyzer::LearnedModel;
 use crate::error::{AtmemError, Result};
 
 /// Chunking policy (paper §4.1, "Adaptive Data Chunks").
@@ -66,9 +66,9 @@ pub enum AnalyzerKind {
     /// plus the m-ary promotion tree.
     #[default]
     Paper,
-    /// The learning-to-rank scorer of
-    /// [`analyzer::learned`](crate::analyzer::learned): a linear model over
-    /// bounded chunk features, trained offline by pairwise ranking.
+    /// The learning-to-rank scorer of [`LearnedModel`](crate::LearnedModel):
+    /// a linear model over bounded chunk features, trained offline by
+    /// pairwise ranking.
     Learned,
 }
 

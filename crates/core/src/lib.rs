@@ -4,9 +4,9 @@
 //! Adaptive Data Placement in Graph Applications on Heterogeneous
 //! Memories"* (CGO 2020). The runtime has the paper's three components:
 //!
-//! * a **profiler** ([`profiler`]) using PEBS-like precise address sampling
+//! * a **profiler** ([`Profiler`]) using PEBS-like precise address sampling
 //!   of LLC read misses, with an empirically auto-tuned sampling period;
-//! * an **analyzer** ([`analyzer`]) that (1) selects *sampled-critical*
+//! * an **analyzer** ([`analyze`]) that (1) selects *sampled-critical*
 //!   chunks per data object via a hybrid local ranking — Eq. 1 priority
 //!   (misses/size), Eq. 2 threshold (percentile ∨ derivative knee ∨
 //!   sampling floor), Eq. 3 classification — and (2) *promotes* prospective
@@ -14,11 +14,12 @@
 //!   (Eq. 4 weight, Eq. 5 threshold), patching information lost to sampling
 //!   and merging fragments into contiguous regions — or, when configured
 //!   with [`AnalyzerKind::Learned`], a learning-to-rank scorer over bounded
-//!   chunk features ([`analyzer::learned`]) producing the same bitmaps;
-//! * an **optimizer** ([`migrate`]) that plans page-aligned regions under a
-//!   fast-tier budget and migrates them with the paper's three-stage
-//!   multi-threaded mechanism (stage to target → remap → move), preserving
-//!   huge mappings where `mbind` would splinter them.
+//!   chunk features ([`LearnedModel`]) producing the same bitmaps;
+//! * an **optimizer** ([`build_plan`], [`execute_plan`]) that plans
+//!   page-aligned regions under a fast-tier budget and migrates them with
+//!   the paper's three-stage multi-threaded mechanism (stage to target →
+//!   remap → move), preserving huge mappings where `mbind` would splinter
+//!   them.
 //!
 //! The machine underneath is the [`atmem_hms`] simulator; see that crate
 //! for the hardware substitution rationale.
@@ -49,21 +50,23 @@
 #![warn(missing_debug_implementations)]
 #![warn(unreachable_pub)]
 
-pub mod analyzer;
+mod analyzer;
 mod autonuma;
-pub mod chunk;
-pub mod config;
-pub mod error;
-pub mod migrate;
-pub mod object;
-pub mod profiler;
-pub mod registry;
-pub mod report;
-pub mod runtime;
-pub mod serve;
+mod chunk;
+mod config;
+mod error;
+mod migrate;
+mod object;
+mod profiler;
+mod registry;
+mod report;
+mod runtime;
+mod serve;
 
-pub use analyzer::learned::LearnedModel;
-pub use analyzer::{analyze, analyze_paper, Analysis, ObjectAnalysis};
+pub use analyzer::{
+    adaptive_thresholds, analyze, analyze_paper, local_selection, promote, train, Analysis,
+    LearnedModel, LocalSelection, MaryTree, ObjectAnalysis, FEATURE_NAMES,
+};
 pub use chunk::{chunk_geometry, ChunkGeometry};
 pub use config::{
     AnalyzerConfig, AnalyzerKind, AtmemConfig, AutonumaConfig, ChunkConfig, LearnedConfig,

@@ -162,7 +162,7 @@ pub(crate) fn plan_from(mut candidates: Vec<PlannedRegion>, budget_bytes: usize)
 /// headroom`. Since `headroom ≤ free_bytes`, a plan that fills the budget
 /// exactly still executes without staging-allocation pressure on a
 /// quiescent machine.
-pub fn promotion_budget(free_bytes: usize, config: &MigrationConfig) -> usize {
+pub(crate) fn promotion_budget(free_bytes: usize, config: &MigrationConfig) -> usize {
     let headroom = (free_bytes as f64 * config.budget_frac) as usize;
     let staging_reserve = config.max_region_bytes.min(headroom / 2);
     headroom - staging_reserve
@@ -384,7 +384,7 @@ fn region_from_run(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::analyzer::local::LocalSelection;
+    use crate::analyzer::LocalSelection;
     use crate::analyzer::ObjectAnalysis;
     use crate::chunk::chunk_geometry;
     use crate::config::ChunkConfig;

@@ -120,7 +120,7 @@ pub enum RegionStatus {
 
 /// Executes `plan`, migrating each region to `dst_tier`.
 ///
-/// The plan's byte budget ([`promotion_budget`](crate::migrate::plan::promotion_budget))
+/// The plan's byte budget (`promotion_budget`)
 /// already reserves headroom for the largest staging buffer, so on a
 /// quiescent machine every admitted region fits together with its staging
 /// run; skips and failures arise only from pressure that developed after

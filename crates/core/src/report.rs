@@ -235,7 +235,7 @@ mod tests {
     fn heatmap_marks_promoted_unsampled_buckets() {
         // Hand-build a registry where promotion adds chunks that were never
         // sampled: the heatmap must show them as '|'.
-        use crate::analyzer::local::LocalSelection;
+        use crate::analyzer::LocalSelection;
         use crate::analyzer::{Analysis, ObjectAnalysis};
         use crate::chunk::chunk_geometry;
         use crate::config::ChunkConfig;

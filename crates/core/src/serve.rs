@@ -100,8 +100,8 @@ pub struct RoundReport {
 }
 
 /// Deterministic multi-tenant scheduler: N protocol instances, one
-/// machine, one shared fast tier. See the [module docs](self) for the
-/// model.
+/// machine, one shared fast tier. The module docs of
+/// `crates/core/src/serve.rs` give the model.
 #[derive(Debug)]
 pub struct Scheduler {
     machine: Option<Machine>,

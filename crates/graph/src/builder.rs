@@ -16,7 +16,7 @@ pub enum SelfLoops {
 /// Builds a [`Csr`] from an edge list with configurable clean-up.
 ///
 /// ```
-/// use atmem_graph::builder::GraphBuilder;
+/// use atmem_graph::GraphBuilder;
 ///
 /// let g = GraphBuilder::new(4)
 ///     .edges([(0, 1), (1, 2), (2, 3), (0, 1)]) // duplicate collapsed

@@ -19,19 +19,19 @@
 #![warn(missing_debug_implementations)]
 #![warn(unreachable_pub)]
 
-pub mod builder;
-pub mod csr;
-pub mod datasets;
-pub mod gen {
+mod builder;
+mod csr;
+mod datasets;
+mod gen {
     //! Graph generators.
-    pub mod community;
-    pub mod er;
-    pub mod rmat;
+    pub(crate) mod community;
+    pub(crate) mod er;
+    pub(crate) mod rmat;
 }
-pub mod io;
+mod io;
 mod par;
-pub mod stats;
-pub mod transform;
+mod stats;
+mod transform;
 
 pub use builder::{GraphBuilder, SelfLoops};
 pub use csr::Csr;
@@ -41,4 +41,4 @@ pub use gen::er::erdos_renyi;
 pub use gen::rmat::{rmat, RmatConfig};
 pub use io::{read_edge_list, write_edge_list, ParseGraphError};
 pub use stats::{degree_stats, DegreeStats};
-pub use transform::{degree_order, relabel, transpose};
+pub use transform::{degree_order, relabel};

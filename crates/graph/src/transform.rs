@@ -1,43 +1,8 @@
-//! Structural graph transformations.
-//!
-//! Used by the pull-direction kernels (transpose) and by the locality
-//! baseline in the ablations (degree-ordered relabelling, the classic
-//! alternative to placement: instead of moving hot data to fast memory,
-//! pack hot vertices together).
+//! Vertex relabelling, for the locality baseline in the ablations:
+//! degree-ordered relabelling is the classic alternative to placement —
+//! instead of moving hot data to fast memory, pack hot vertices together.
 
 use crate::csr::Csr;
-
-/// Transposes a directed graph: edge `(u, v)` becomes `(v, u)`. Weights
-/// follow their edges. Adjacency stays sorted.
-pub fn transpose(g: &Csr) -> Csr {
-    let n = g.num_vertices();
-    let m = g.num_edges();
-    let mut offsets = vec![0u64; n + 1];
-    for &v in g.neighbors() {
-        offsets[v as usize + 1] += 1;
-    }
-    for i in 0..n {
-        offsets[i + 1] += offsets[i];
-    }
-    let mut cursor = offsets.clone();
-    let mut neighbors = vec![0u32; m];
-    let mut weights = g.weights().map(|_| vec![0.0f32; m]);
-    // Iterate sources in ascending order, so each reversed adjacency list
-    // is filled with ascending sources: output stays sorted.
-    for u in 0..n {
-        let nbrs = g.neighbors_of(u);
-        let ws = g.weights().map(|_| g.weights_of(u));
-        for (i, &v) in nbrs.iter().enumerate() {
-            let slot = cursor[v as usize] as usize;
-            neighbors[slot] = u as u32;
-            if let (Some(w), Some(ws)) = (&mut weights, &ws) {
-                w[slot] = ws[i];
-            }
-            cursor[v as usize] += 1;
-        }
-    }
-    Csr::from_parts(n, offsets, neighbors, weights)
-}
 
 /// Relabels vertices by descending out-degree: vertex 0 of the result is
 /// the highest-degree vertex of the input. Returns the relabelled graph
@@ -108,36 +73,6 @@ mod tests {
         GraphBuilder::new(4)
             .weighted_edges([(0, 1, 1.0), (0, 2, 2.0), (1, 3, 3.0), (2, 3, 4.0)])
             .build()
-    }
-
-    #[test]
-    fn transpose_reverses_every_edge() {
-        let g = diamond();
-        let t = transpose(&g);
-        assert_eq!(t.num_edges(), g.num_edges());
-        for (u, v) in g.edges() {
-            assert!(t.neighbors_of(v as usize).contains(&u));
-        }
-        // Weights follow edges: 1->3 weight 3.0 becomes 3->1.
-        let pos = t.neighbors_of(3).iter().position(|&x| x == 1).unwrap();
-        assert_eq!(t.weights_of(3)[pos], 3.0);
-    }
-
-    #[test]
-    fn transpose_twice_is_identity() {
-        let g = Dataset::Pokec.build_small(7);
-        let tt = transpose(&transpose(&g));
-        assert_eq!(g, tt);
-    }
-
-    #[test]
-    fn transpose_output_is_sorted() {
-        let g = Dataset::Rmat24.build_small(9);
-        let t = transpose(&g);
-        t.validate();
-        for v in 0..t.num_vertices() {
-            assert!(t.neighbors_of(v).windows(2).all(|w| w[0] <= w[1]));
-        }
     }
 
     #[test]

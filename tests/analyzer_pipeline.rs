@@ -1,10 +1,10 @@
 //! Integration tests of the profiler → analyzer pipeline, including
 //! property-based tests of the analyzer invariants.
 
-use atmem::analyzer::local::local_selection;
-use atmem::analyzer::promote::{adaptive_thresholds, promote};
-use atmem::analyzer::tree::MaryTree;
-use atmem::{analyze, AnalyzerConfig, Atmem, AtmemConfig};
+use atmem::{
+    adaptive_thresholds, analyze, local_selection, promote, AnalyzerConfig, Atmem, AtmemConfig,
+    MaryTree,
+};
 use atmem_hms::Platform;
 use atmem_prop::prelude::*;
 
@@ -167,7 +167,7 @@ proptest! {
     fn local_selection_respects_sampling(
         counts in prop::collection::vec(0u64..500, 2..128),
     ) {
-        use atmem::chunk::chunk_geometry;
+        use atmem::chunk_geometry;
         use atmem::{ChunkConfig, Registry};
         use atmem_hms::{VirtAddr, VirtRange};
 

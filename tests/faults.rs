@@ -20,10 +20,9 @@
 //!
 //! [`Machine::audit`]: atmem_hms::Machine::audit
 
-use atmem::migrate::plan::{MigrationPlan, PlannedRegion};
-use atmem::migrate::staged::execute_plan;
 use atmem::{
-    AnalyzerKind, Atmem, AtmemConfig, MigrationConfig, MigrationMechanism, ObjectId, Scheduler,
+    execute_plan, AnalyzerKind, Atmem, AtmemConfig, MigrationConfig, MigrationMechanism,
+    MigrationPlan, ObjectId, PlannedRegion, Scheduler,
 };
 use atmem_apps::{App, Bfs, HmsGraph, Kernel, MemCtx};
 use atmem_graph::{Dataset, GraphBuilder, SelfLoops};

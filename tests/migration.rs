@@ -1,11 +1,8 @@
 //! Integration and property tests of both migration mechanisms.
 
-use atmem::analyzer::local::LocalSelection;
-use atmem::migrate::plan::{MigrationPlan, PlannedRegion};
-use atmem::migrate::staged::execute_plan;
 use atmem::{
-    build_demotion_cascade, chunk_geometry, Analysis, ChunkConfig, MigrationConfig, ObjectAnalysis,
-    ObjectId, Registry,
+    build_demotion_cascade, chunk_geometry, execute_plan, Analysis, ChunkConfig, LocalSelection,
+    MigrationConfig, MigrationPlan, ObjectAnalysis, ObjectId, PlannedRegion, Registry,
 };
 use atmem_hms::{Machine, MemPort, Placement, Platform, TierId, VirtRange};
 use atmem_prop::prelude::*;

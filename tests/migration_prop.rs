@@ -21,8 +21,7 @@
 //! [`Machine::alloc_frames`]: atmem_hms::Machine::alloc_frames
 //! [`Machine::free_frames`]: atmem_hms::Machine::free_frames
 
-use atmem::migrate::plan::PlannedRegion;
-use atmem::{execute_regions, MigrationConfig, MigrationMechanism, ObjectId};
+use atmem::{execute_regions, MigrationConfig, MigrationMechanism, ObjectId, PlannedRegion};
 use atmem_hms::{FaultPlan, FaultSite, Machine, MemPort, Placement, Platform, TierId, VirtRange};
 use atmem_prop::prelude::*;
 

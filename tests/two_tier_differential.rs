@@ -16,7 +16,7 @@
 //! placement on a two-tier machine shows up here.
 
 use atmem::AtmemConfig;
-use atmem_apps::{runner::run_protocol_cores, App, Mode};
+use atmem_apps::{run_protocol_cores, App, Mode};
 use atmem_graph::Dataset;
 use atmem_hms::{Machine, MemPort, Placement, Platform};
 
