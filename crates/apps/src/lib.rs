@@ -57,4 +57,4 @@ pub use runner::{run_protocol, run_protocol_cores, run_protocol_rounds, Mode, Pr
 pub use serve::{serve_protocols, ServeReport, TenantReport, TenantSpec};
 pub use spmv::{reference_spmv, Spmv};
 pub use sssp::{reference_sssp, Sssp};
-pub use synth::{drive_zipf, HotWindow, Zipf};
+pub use synth::HotWindow;

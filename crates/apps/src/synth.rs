@@ -2,53 +2,13 @@
 //!
 //! Graph kernels are the paper's evaluation vehicle, but controlled
 //! synthetic patterns are what isolate the runtime's behaviour in tests,
-//! examples, and microbenchmarks: a Zipf-distributed pointer chase, a
-//! hot-window pattern with a configurable skew, and a phased variant whose
-//! window moves. All run over a [`TrackedVec`] through the accounted path.
+//! examples, and microbenchmarks: [`HotWindow`] is a hot-window pattern
+//! with a configurable skew, run over a [`TrackedVec`] through the
+//! accounted path.
 
-use atmem::{Atmem, Result};
+use atmem::Atmem;
 use atmem_hms::TrackedVec;
 use atmem_rng::SmallRng;
-
-/// Approximate Zipf(θ) sampler over `0..n` via inverse-CDF on a power-law
-/// envelope — standard for memory-trace synthesis (exact Zipf needs the
-/// harmonic normaliser; the envelope keeps the same tail shape).
-#[derive(Debug)]
-pub struct Zipf {
-    n: usize,
-    exponent: f64,
-    rng: SmallRng,
-}
-
-impl Zipf {
-    /// Creates a sampler over `0..n` with skew `theta` in `(0, 1)`
-    /// (higher = more skewed toward low indices).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n` is zero or `theta` is outside `(0, 1)`.
-    pub fn new(n: usize, theta: f64, seed: u64) -> Self {
-        assert!(n > 0, "domain must be non-empty");
-        assert!(
-            (0.0..1.0).contains(&theta) && theta > 0.0,
-            "theta in (0, 1)"
-        );
-        Zipf {
-            n,
-            exponent: 1.0 / (1.0 - theta),
-            rng: SmallRng::seed_from_u64(seed),
-        }
-    }
-
-    /// Draws the next index.
-    pub fn next_index(&mut self) -> usize {
-        let u: f64 = self.rng.gen_range(f64::EPSILON..1.0);
-        // Inverse CDF of p(x) ~ x^(-theta) on [1, n].
-        let x = (self.n as f64).powf(1.0 - 1.0 / self.exponent);
-        let v = u.powf(self.exponent) * x.max(1.0);
-        ((v as usize).min(self.n - 1) * 2654435761) % self.n
-    }
-}
 
 /// A hot-window pattern: `hot_fraction` of accesses land uniformly in the
 /// window, the rest uniformly over the whole array.
@@ -83,22 +43,6 @@ impl HotWindow {
     }
 }
 
-/// Drives `accesses` Zipf-distributed reads over `v`.
-pub fn drive_zipf(
-    rt: &mut Atmem,
-    v: &TrackedVec<u64>,
-    accesses: usize,
-    theta: f64,
-    seed: u64,
-) -> Result<()> {
-    let mut zipf = Zipf::new(v.len(), theta, seed);
-    for _ in 0..accesses {
-        let idx = zipf.next_index();
-        let _ = v.get(rt.machine_mut(), idx);
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -107,34 +51,6 @@ mod tests {
 
     fn runtime() -> Atmem {
         Atmem::new(Platform::testing(), AtmemConfig::default()).unwrap()
-    }
-
-    #[test]
-    fn zipf_is_skewed_and_in_range() {
-        let mut z = Zipf::new(10_000, 0.8, 7);
-        let mut counts = vec![0u32; 10];
-        for _ in 0..100_000 {
-            let i = z.next_index();
-            assert!(i < 10_000);
-            counts[i * 10 / 10_000] += 1;
-        }
-        let total: u32 = counts.iter().sum();
-        let max = *counts.iter().max().unwrap();
-        // Skew: some decile holds far more than its uniform share.
-        assert!(
-            max as f64 > 2.0 * total as f64 / 10.0,
-            "no skew visible: {counts:?}"
-        );
-    }
-
-    #[test]
-    fn zipf_is_deterministic() {
-        let collect = |seed| {
-            let mut z = Zipf::new(1000, 0.7, seed);
-            (0..100).map(|_| z.next_index()).collect::<Vec<_>>()
-        };
-        assert_eq!(collect(3), collect(3));
-        assert_ne!(collect(3), collect(4));
     }
 
     #[test]
@@ -159,16 +75,6 @@ mod tests {
             in_window as f64 > 0.5 * total as f64,
             "window {window_chunks:?} got {in_window}/{total}"
         );
-    }
-
-    #[test]
-    fn drive_zipf_runs_through_the_accounted_path() {
-        let mut rt = runtime();
-        let v = rt.malloc::<u64>(16 * 1024, "zipf").unwrap();
-        let t0 = rt.now();
-        drive_zipf(&mut rt, &v, 10_000, 0.6, 3).unwrap();
-        assert!(rt.now() > t0);
-        assert_eq!(rt.machine().stats().reads, 10_000);
     }
 
     #[test]

@@ -80,7 +80,7 @@ pub fn budget_config() -> AtmemConfig {
     config.migration.max_region_bytes = 16 * 1024;
     // The learned scorer's own selection cap is opened up the same way ε
     // is for the paper pipeline, so the machine budget does the capping.
-    config.analyzer.learned.select_frac = 0.5;
+    config.analyzer.learned_select_frac = 0.5;
     config
 }
 

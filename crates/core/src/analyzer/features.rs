@@ -8,7 +8,7 @@
 //! *relative* (ranks, normalised densities, neighbourhood occupancy)
 //! rather than absolute counts: a ranking over relative features is
 //! invariant to uniform sampling loss, which is exactly where the static
-//! thresholds (the `min_samples` floor, the derivative knee) lose signal.
+//! thresholds (the `MIN_SAMPLES` floor, the derivative knee) lose signal.
 
 use crate::object::DataObject;
 use crate::registry::Registry;

@@ -61,6 +61,10 @@ const PRETRAINED: LearnedModel = LearnedModel {
     bias: -0.0238,
 };
 
+/// Minimum model confidence (`sigmoid(score)`) for a chunk to be a
+/// selection candidate at all.
+const MIN_CONFIDENCE: f64 = 0.5;
+
 impl LearnedModel {
     /// The shipped pretrained model.
     pub fn pretrained() -> Self {
@@ -82,11 +86,6 @@ impl LearnedModel {
     pub fn confidence(&self, features: &[f64; NUM_FEATURES]) -> f64 {
         sigmoid(self.score(features))
     }
-
-    /// Whether every parameter is finite (validation hook).
-    pub fn is_finite(&self) -> bool {
-        self.weights.iter().all(|w| w.is_finite()) && self.bias.is_finite()
-    }
 }
 
 impl Default for LearnedModel {
@@ -105,7 +104,6 @@ pub(crate) fn sigmoid(x: f64) -> f64 {
 /// pipeline; see the module docs for how the fields are populated.
 pub(crate) fn analyze_learned(registry: &Registry, config: &AnalyzerConfig) -> Analysis {
     let ctx = feature_context(registry);
-    let model = &config.learned.model;
 
     // Score every chunk. A chunk is *eligible* only when its ±2-chunk
     // neighbourhood saw at least one sample (feature 4): the model may
@@ -121,11 +119,11 @@ pub(crate) fn analyze_learned(registry: &Registry, config: &AnalyzerConfig) -> A
     let mut candidates: Vec<Scored> = Vec::new();
     for obj in registry.iter() {
         let features = object_features(obj, &ctx);
-        let confidences: Vec<f64> = features.iter().map(|f| model.confidence(f)).collect();
+        let confidences: Vec<f64> = features.iter().map(|f| PRETRAINED.confidence(f)).collect();
         let sampled: Vec<bool> = obj.samples().iter().map(|&s| s > 0).collect();
         if ctx.total_samples > 0 {
             for (chunk, f) in features.iter().enumerate() {
-                if f[4] > 0.0 && confidences[chunk] >= config.learned.min_confidence {
+                if f[4] > 0.0 && confidences[chunk] >= MIN_CONFIDENCE {
                     candidates.push(Scored {
                         object: per_object.len(),
                         chunk,
@@ -147,7 +145,7 @@ pub(crate) fn analyze_learned(registry: &Registry, config: &AnalyzerConfig) -> A
             .then(a.object.cmp(&b.object))
             .then(a.chunk.cmp(&b.chunk))
     });
-    let budget = (registry.total_bytes() as f64 * config.learned.select_frac) as usize;
+    let budget = (registry.total_bytes() as f64 * config.learned_select_frac) as usize;
     let mut admitted: Vec<Vec<usize>> = vec![Vec::new(); per_object.len()];
     let mut taken = 0usize;
     let mut cutoff = f64::INFINITY;
@@ -254,7 +252,7 @@ mod tests {
         let picked = a.objects[0].critical_count();
         let frac = picked as f64 / 64.0;
         assert!(
-            frac <= cfg.learned.select_frac + 0.05,
+            frac <= cfg.learned_select_frac + 0.05,
             "selected {frac} of a uniform object"
         );
         assert!(picked > 0, "a hot object must select something");
@@ -297,11 +295,7 @@ mod tests {
 
     #[test]
     fn pretrained_model_is_finite() {
-        assert!(LearnedModel::pretrained().is_finite());
-        let broken = LearnedModel {
-            bias: f64::NAN,
-            ..LearnedModel::pretrained()
-        };
-        assert!(!broken.is_finite());
+        assert!(PRETRAINED.weights.iter().all(|w| w.is_finite()));
+        assert!(PRETRAINED.bias.is_finite());
     }
 }

@@ -10,15 +10,41 @@
 //!   the top-N percentile `P_n`, a derivative-based knee relative to
 //!   `max PR` (a 1-D analogue of 2-means clustering), and a theoretical
 //!   floor derived from the sampling frequency (a chunk observed fewer
-//!   times than `min_samples` carries no signal);
+//!   times than [`MIN_SAMPLES`] carries no signal);
 //! * Eq. 3 — `CAT(DC) = 1` iff `PR(DC) > θ`.
 //!
 //! The hybrid of percentile and knee handles both failure modes of a fixed
 //! top-N: highly skewed objects (where top-N would drag in cold chunks) and
 //! flat objects (where more than N% deserve selection).
 
-use crate::config::AnalyzerConfig;
 use crate::object::DataObject;
+
+/// Minimum samples a chunk must receive for its priority to be considered
+/// real (the `min PR / Freq_sample` floor of Eq. 2).
+const MIN_SAMPLES: u64 = 2;
+
+/// Top-N fraction for the percentile candidate of Eq. 2 (`P_n`): the local
+/// selection picks at least the top `TOP_N_FRAC` of chunks by priority.
+const TOP_N_FRAC: f64 = 0.08;
+
+/// The derivative-based candidate of Eq. 2: walking the descending
+/// priority curve, selection stops at the first chunk whose priority falls
+/// below `DERIVATIVE_ALPHA` times the running average of the chunks
+/// selected so far (the boundary of the hot cluster).
+const DERIVATIVE_ALPHA: f64 = 0.1;
+
+/// The mass-coverage candidate of the derivative search: selection stops
+/// once the chosen chunks cover this fraction of the object's total
+/// priority mass — the direct expression of the paper's "maximum
+/// performance gain per byte" objective (§1).
+const MASS_COVERAGE: f64 = 0.70;
+
+/// Upper bound on the fraction of an object's chunks the local stage may
+/// select when no knee is found (flat distributions extend past the
+/// `TOP_N_FRAC` percentile up to this cap; boundary ties may exceed it).
+/// Together with promotion this lands the overall data ratio in the
+/// paper's 5%-18% band (Figures 7/8).
+const MAX_SELECT_FRAC: f64 = 0.12;
 
 /// Per-object outcome of the local selection stage.
 #[derive(Debug, Clone, PartialEq)]
@@ -39,16 +65,16 @@ impl LocalSelection {
 }
 
 /// Runs the local selection for one object.
-pub fn local_selection(object: &DataObject, config: &AnalyzerConfig) -> LocalSelection {
+pub fn local_selection(object: &DataObject) -> LocalSelection {
     let n = object.num_chunks();
     // The sampling floor is count-based: a chunk observed fewer than
-    // `min_samples` times carries no signal, *whatever its size*. Applying
+    // `MIN_SAMPLES` times carries no signal, *whatever its size*. Applying
     // the floor to the normalised priority would let a tiny final partial
     // chunk turn one stray sample into an enormous priority.
     let priorities: Vec<f64> = (0..n)
         .map(|i| {
             let samples = object.samples()[i];
-            if samples < config.min_samples {
+            if samples < MIN_SAMPLES {
                 0.0
             } else {
                 samples as f64 / object.chunk_bytes(i) as f64
@@ -56,7 +82,7 @@ pub fn local_selection(object: &DataObject, config: &AnalyzerConfig) -> LocalSel
         })
         .collect();
 
-    let theta = select_threshold(&priorities, config);
+    let theta = select_threshold(&priorities);
     let critical = priorities.iter().map(|&p| p > theta).collect();
     LocalSelection {
         priorities,
@@ -67,7 +93,7 @@ pub fn local_selection(object: &DataObject, config: &AnalyzerConfig) -> LocalSel
 
 /// Eq. 2: `θ = max(P_n, derivative knee, sampling floor)`. The floor has
 /// already been applied (floor-failing chunks carry priority zero).
-fn select_threshold(priorities: &[f64], config: &AnalyzerConfig) -> f64 {
+fn select_threshold(priorities: &[f64]) -> f64 {
     let max_pr = priorities.iter().cloned().fold(0.0, f64::max);
     if max_pr == 0.0 {
         // No samples: nothing can be critical. Any positive threshold works.
@@ -84,9 +110,9 @@ fn select_threshold(priorities: &[f64], config: &AnalyzerConfig) -> f64 {
 
     // The derivative-based search walks the descending priority curve
     // looking for a *cliff*: the first chunk whose marginal priority falls
-    // below `derivative_alpha` of the running average — the hot-cluster
+    // below `DERIVATIVE_ALPHA` of the running average — the hot-cluster
     // boundary, a 1-D analogue of a 2-means split. Along the way it also
-    // notes where the prefix covers `mass_coverage` of the total priority
+    // notes where the prefix covers `MASS_COVERAGE` of the total priority
     // mass — beyond that point, extra chunks buy almost no gain per byte
     // (§1's objective), so selection never extends past it.
     let total_mass: f64 = sorted.iter().sum();
@@ -94,10 +120,10 @@ fn select_threshold(priorities: &[f64], config: &AnalyzerConfig) -> f64 {
     let mut k_mass = sorted.len();
     let mut mass = sorted[0];
     for (i, &p) in sorted.iter().enumerate().skip(1) {
-        if k_mass == sorted.len() && mass >= config.mass_coverage * total_mass {
+        if k_mass == sorted.len() && mass >= MASS_COVERAGE * total_mass {
             k_mass = i;
         }
-        if cliff.is_none() && p < config.derivative_alpha * (mass / i as f64) {
+        if cliff.is_none() && p < DERIVATIVE_ALPHA * (mass / i as f64) {
             cliff = Some(i);
             break;
         }
@@ -106,13 +132,11 @@ fn select_threshold(priorities: &[f64], config: &AnalyzerConfig) -> f64 {
 
     // The percentile candidate bounds how far a *cliff-less* (flat)
     // selection may extend: at least the top-N count, at most
-    // `max_select_frac`. A detected cliff is trusted even beyond the cap —
+    // `MAX_SELECT_FRAC`. A detected cliff is trusted even beyond the cap —
     // truncating a real hot cluster would strand critical chunks on the
     // slow tier — but never past the mass bound.
-    let k_pn = ((n as f64) * config.top_n_frac).floor() as usize;
-    let cap = k_pn
-        .max((n as f64 * config.max_select_frac) as usize)
-        .max(1);
+    let k_pn = ((n as f64) * TOP_N_FRAC).floor() as usize;
+    let cap = k_pn.max((n as f64 * MAX_SELECT_FRAC) as usize).max(1);
     let mut k = match cliff {
         Some(c) => c.min(k_mass),
         None => k_mass.min(cap),
@@ -166,14 +190,10 @@ mod tests {
         o
     }
 
-    fn config() -> AnalyzerConfig {
-        AnalyzerConfig::default()
-    }
-
     #[test]
     fn unsampled_object_selects_nothing() {
         let o = object_with_samples(&[0; 16]);
-        let sel = local_selection(&o, &config());
+        let sel = local_selection(&o);
         assert_eq!(sel.critical_count(), 0);
     }
 
@@ -186,7 +206,7 @@ mod tests {
         counts[3] = 500;
         counts[11] = 450;
         let o = object_with_samples(&counts);
-        let sel = local_selection(&o, &config());
+        let sel = local_selection(&o);
         assert!(sel.critical[3] && sel.critical[11]);
         assert_eq!(sel.critical_count(), 2);
     }
@@ -194,11 +214,11 @@ mod tests {
     #[test]
     fn flat_distribution_extends_to_the_cap() {
         // A smooth gradient: no cliff, so selection extends past the
-        // percentile up to the max_select_frac cap (the paper's "more than
+        // percentile up to the MAX_SELECT_FRAC cap (the paper's "more than
         // N% should be selected" case for even distributions).
         let counts: Vec<u64> = (0..100u64).map(|i| 100 + i).collect();
         let o = object_with_samples(&counts);
-        let sel = local_selection(&o, &config());
+        let sel = local_selection(&o);
         let picked = sel.critical_count();
         assert!(
             (10..=16).contains(&picked),
@@ -218,7 +238,7 @@ mod tests {
         // (paper §9): boundary ties extend selection to the full object.
         let counts = vec![50u64; 64];
         let o = object_with_samples(&counts);
-        let sel = local_selection(&o, &config());
+        let sel = local_selection(&o);
         assert_eq!(sel.critical_count(), 64);
     }
 
@@ -227,18 +247,18 @@ mod tests {
         // Every chunk saw at most one sample: nothing is significant.
         let counts = vec![1u64, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0];
         let o = object_with_samples(&counts);
-        let sel = local_selection(&o, &config());
+        let sel = local_selection(&o);
         assert_eq!(
             sel.critical_count(),
             0,
-            "single-sample chunks are noise under min_samples=2"
+            "single-sample chunks are noise under MIN_SAMPLES=2"
         );
     }
 
     #[test]
     fn priorities_are_normalized_by_size() {
         let o = object_with_samples(&[10, 0, 0, 0]);
-        let sel = local_selection(&o, &config());
+        let sel = local_selection(&o);
         assert!((sel.priorities[0] - 10.0 / 4096.0).abs() < 1e-12);
     }
 
@@ -257,7 +277,7 @@ mod tests {
                 counts in prop::collection::vec(0u64..60, 1..80),
             ) {
                 let o = object_with_samples(&counts);
-                let sel = local_selection(&o, &config());
+                let sel = local_selection(&o);
                 let mut idx: Vec<usize> = (0..sel.priorities.len()).collect();
                 idx.sort_by(|&a, &b| {
                     sel.priorities[b].partial_cmp(&sel.priorities[a]).unwrap()
@@ -285,7 +305,7 @@ mod tests {
                 counts in prop::collection::vec(0u64..8, 1..80),
             ) {
                 let o = object_with_samples(&counts);
-                let sel = local_selection(&o, &config());
+                let sel = local_selection(&o);
                 let boundary = sel
                     .priorities
                     .iter()
@@ -302,16 +322,15 @@ mod tests {
                 }
             }
 
-            /// θ is finite iff at least one chunk clears the `min_samples`
+            /// θ is finite iff at least one chunk clears the `MIN_SAMPLES`
             /// floor — and then at least one chunk is selected.
             #[test]
             fn theta_finite_iff_some_chunk_clears_the_floor(
                 counts in prop::collection::vec(0u64..5, 1..80),
             ) {
-                let cfg = config();
                 let o = object_with_samples(&counts);
-                let sel = local_selection(&o, &cfg);
-                let any_signal = counts.iter().any(|&c| c >= cfg.min_samples);
+                let sel = local_selection(&o);
+                let any_signal = counts.iter().any(|&c| c >= MIN_SAMPLES);
                 prop_assert_eq!(
                     sel.theta.is_finite(),
                     any_signal,
@@ -327,10 +346,10 @@ mod tests {
     #[test]
     fn threshold_is_infinite_only_when_unsampled() {
         let o = object_with_samples(&[0; 8]);
-        let sel = local_selection(&o, &config());
+        let sel = local_selection(&o);
         assert!(sel.theta.is_infinite());
         let o = object_with_samples(&[9; 8]);
-        let sel = local_selection(&o, &config());
+        let sel = local_selection(&o);
         assert!(sel.theta.is_finite());
     }
 }

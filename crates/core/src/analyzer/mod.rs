@@ -19,10 +19,10 @@ use crate::registry::Registry;
 pub use features::FEATURE_NAMES;
 pub use learned::LearnedModel;
 pub use local::{local_selection, LocalSelection};
-pub use promote::{adaptive_thresholds, promote};
+pub use promote::promote;
 pub use tree::MaryTree;
 
-use promote::{estimated_only, object_weight};
+use promote::{adaptive_thresholds, estimated_only, object_weight};
 
 /// Analyzer outcome for one data object.
 #[derive(Debug, Clone, PartialEq)]
@@ -85,10 +85,10 @@ pub fn analyze(registry: &Registry, config: &AnalyzerConfig) -> Analysis {
 
 /// The paper's Eq. 1–5 pipeline (§4.2–§4.3): local selection, then
 /// weight-adapted tree promotion.
-pub fn analyze_paper(registry: &Registry, config: &AnalyzerConfig) -> Analysis {
+pub(crate) fn analyze_paper(registry: &Registry, config: &AnalyzerConfig) -> Analysis {
     let mut selections: Vec<(ObjectId, LocalSelection)> = registry
         .iter()
-        .map(|o| (o.id(), local_selection(o, config)))
+        .map(|o| (o.id(), local_selection(o)))
         .collect();
 
     let weights: Vec<f64> = selections.iter().map(|(_, s)| object_weight(s)).collect();

@@ -22,6 +22,10 @@ use crate::analyzer::local::LocalSelection;
 use crate::analyzer::tree::MaryTree;
 use crate::config::AnalyzerConfig;
 
+/// The base tree-ratio threshold `Θ(TR)` of Eq. 5 that the global adaption
+/// scales per object.
+const BASE_TR: f64 = 0.5;
+
 /// Weight of one data object (Eq. 4): the average priority of its
 /// sampled-critical chunks, or 0 when it has none.
 pub(crate) fn object_weight(selection: &LocalSelection) -> f64 {
@@ -44,11 +48,11 @@ pub(crate) fn object_weight(selection: &LocalSelection) -> f64 {
 /// weights of all objects.
 ///
 /// With `adaptive_tr` disabled (ablation), every object gets the fixed
-/// `ε + base_tr` value regardless of weight.
-pub fn adaptive_thresholds(weights: &[f64], config: &AnalyzerConfig) -> Vec<f64> {
+/// `ε + BASE_TR` value regardless of weight.
+pub(crate) fn adaptive_thresholds(weights: &[f64], config: &AnalyzerConfig) -> Vec<f64> {
     let epsilon = config.effective_epsilon();
     if !config.adaptive_tr {
-        return vec![(epsilon + config.base_tr).min(1.0); weights.len()];
+        return vec![(epsilon + BASE_TR).min(1.0); weights.len()];
     }
     let max_w = weights.iter().cloned().fold(f64::MIN, f64::max);
     let min_w = weights.iter().cloned().fold(f64::MAX, f64::min);
@@ -57,7 +61,7 @@ pub fn adaptive_thresholds(weights: &[f64], config: &AnalyzerConfig) -> Vec<f64>
         .iter()
         .map(|&w| {
             let scale = if span > 0.0 { (max_w - w) / span } else { 0.0 };
-            (epsilon + config.base_tr * scale).min(1.0)
+            (epsilon + BASE_TR * scale).min(1.0)
         })
         .collect()
 }
@@ -131,7 +135,7 @@ mod tests {
         let eps = config.effective_epsilon();
         assert!((th[0] - eps).abs() < 1e-12, "max-weight object sits at ε");
         assert!(th[0] < th[1] && th[1] < th[2]);
-        assert!((th[2] - (eps + config.base_tr)).abs() < 1e-12);
+        assert!((th[2] - (eps + BASE_TR)).abs() < 1e-12);
     }
 
     #[test]
@@ -212,5 +216,33 @@ mod tests {
             assert!(!h | l, "lower threshold must be a superset");
         }
         assert!(lo.iter().filter(|&&b| b).count() >= hi.iter().filter(|&&b| b).count());
+    }
+
+    mod properties {
+        use super::*;
+        use atmem_prop::prelude::*;
+
+        proptest! {
+            /// Eq. 5 thresholds always land in [ε, ε + BASE_TR] and order
+            /// inversely to weight.
+            #[test]
+            fn thresholds_bounded_and_inverse_to_weight(
+                weights in prop::collection::vec(0.0f64..1e6, 1..20),
+            ) {
+                let config = AnalyzerConfig::default();
+                let th = adaptive_thresholds(&weights, &config);
+                let eps = config.effective_epsilon();
+                for &t in &th {
+                    prop_assert!(t >= eps - 1e-12 && t <= eps + BASE_TR + 1e-12);
+                }
+                for i in 0..weights.len() {
+                    for j in 0..weights.len() {
+                        if weights[i] > weights[j] {
+                            prop_assert!(th[i] <= th[j] + 1e-12);
+                        }
+                    }
+                }
+            }
+        }
     }
 }

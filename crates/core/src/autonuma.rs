@@ -13,30 +13,53 @@
 //! * the raw PEBS sample stream stands in for access-bit scans, split into
 //!   equal **epochs** by stream position (the simulator's clock does not
 //!   timestamp samples);
-//! * a page touched in [`promote_touches`](crate::config::AutonumaConfig)
-//!   consecutive epochs is **promoted one hop hotter** (never straight to
+//! * a page touched in [`PROMOTE_TOUCHES`] consecutive epochs is
+//!   **promoted one hop hotter** (never straight to
 //!   the top — the kernel ladders pages up tier by tier);
-//! * after promotion, every tier above its
-//!   [`high_watermark`](crate::config::AutonumaConfig) **demotes** its
-//!   coldest (untouched) pages to the next-colder tier until it drains to
-//!   the low watermark;
+//! * after promotion, every tier above its [`HIGH_WATERMARK`] **demotes**
+//!   its coldest (untouched) pages to the next-colder tier until it drains
+//!   to the [`LOW_WATERMARK`];
 //! * all movement goes through the **`mbind` service** — page-granular
 //!   splintered remapping, the same mechanism the OS would use — so the
 //!   baseline also pays `mbind`'s TLB and mapping costs (Table 4).
 //!
 //! Everything iterates in virtual-address order over plain collections, so
-//! the policy is as deterministic as the rest of the simulator.
+//! the policy is as deterministic as the rest of the simulator. Its knobs
+//! are the constants below, which mirror the kernel's shape: short scan
+//! epochs, promotion on the second touch, demotion when a tier crosses its
+//! high watermark.
 
 use std::collections::{BTreeMap, BTreeSet};
 
 use atmem_hms::PAGE_SIZE;
 use atmem_hms::{HmsError, Machine, SampleRecord, SimDuration, TierId, VirtAddr, VirtRange};
 
-use crate::config::AutonumaConfig;
 use crate::error::Result;
 use crate::migrate::{MigrationOutcome, MigrationPlan, PlannedRegion};
 use crate::object::ObjectId;
 use crate::registry::Registry;
+
+/// Number of scan epochs the raw sample stream is split into (the analogue
+/// of NUMA-balancing scan periods). The stream has no timestamps, so
+/// epochs are equal slices by stream position.
+const EPOCHS: usize = 4;
+
+/// Consecutive epochs a page must be touched in before it is promoted one
+/// tier hotter (2 = the kernel's promote-on-second-touch).
+const PROMOTE_TOUCHES: u32 = 2;
+
+/// Occupancy fraction above which a tier demotes cold pages to the
+/// next-colder tier (the kernel's high watermark).
+const HIGH_WATERMARK: f64 = 0.95;
+
+/// Occupancy fraction demotion drains a tier down to (the low watermark;
+/// hysteresis keeps consecutive optimize calls from thrashing around the
+/// high mark).
+const LOW_WATERMARK: f64 = 0.85;
+
+/// Upper bound on bytes promoted per optimize call (the kernel's promotion
+/// rate limit).
+const PROMOTE_CAP_BYTES: usize = 64 * 1024 * 1024;
 
 /// What one AutoNUMA optimize pass did, in the solo optimizer's terms.
 pub(crate) struct AutonumaOutcome {
@@ -55,7 +78,6 @@ pub(crate) fn run(
     machine: &mut Machine,
     registry: &Registry,
     records: &[SampleRecord],
-    config: &AutonumaConfig,
 ) -> Result<AutonumaOutcome> {
     let objects: Vec<(VirtRange, ObjectId)> = {
         let mut v: Vec<(VirtRange, ObjectId)> =
@@ -63,15 +85,15 @@ pub(crate) fn run(
         v.sort_by_key(|(r, _)| r.start);
         v
     };
-    let hot = hot_pages(records, &objects, config);
+    let hot = hot_pages(records, &objects);
 
     let promo_start = machine.now();
-    let (plan, promotion) = promote(machine, &objects, &hot, config)?;
+    let (plan, promotion) = promote(machine, &objects, &hot)?;
     let mut promotion = promotion;
     promotion.time = SimDuration::from_ns(machine.now().as_ns() - promo_start.as_ns());
 
     let demo_start = machine.now();
-    let demotion = demote_over_watermarks(machine, &objects, &hot, config)?;
+    let demotion = demote_over_watermarks(machine, &objects, &hot)?;
     let demotion = demotion.map(|mut d| {
         d.time = SimDuration::from_ns(machine.now().as_ns() - demo_start.as_ns());
         d
@@ -84,15 +106,11 @@ pub(crate) fn run(
     })
 }
 
-/// Pages (by base address) touched in `promote_touches` consecutive
+/// Pages (by base address) touched in [`PROMOTE_TOUCHES`] consecutive
 /// epochs, restricted to registered objects. The BTreeSet gives the
 /// address-ordered iteration every later stage relies on.
-fn hot_pages(
-    records: &[SampleRecord],
-    objects: &[(VirtRange, ObjectId)],
-    config: &AutonumaConfig,
-) -> BTreeSet<u64> {
-    let epoch_len = records.len().div_ceil(config.epochs).max(1);
+fn hot_pages(records: &[SampleRecord], objects: &[(VirtRange, ObjectId)]) -> BTreeSet<u64> {
+    let epoch_len = records.len().div_ceil(EPOCHS).max(1);
     // page -> (last epoch touched, consecutive-epoch streak)
     let mut touch: BTreeMap<u64, (usize, u32)> = BTreeMap::new();
     let mut hot = BTreeSet::new();
@@ -117,7 +135,7 @@ fn hot_pages(
                 *streak
             }
         };
-        if streak >= config.promote_touches {
+        if streak >= PROMOTE_TOUCHES {
             hot.insert(page);
         }
     }
@@ -133,17 +151,16 @@ fn owner_of(objects: &[(VirtRange, ObjectId)], page: u64) -> Option<ObjectId> {
 }
 
 /// Promotes hot pages one hop hotter, coalescing address-adjacent pages
-/// with the same source tier into single `mbind` calls, up to the
-/// configured byte cap.
+/// with the same source tier into single `mbind` calls, up to
+/// [`PROMOTE_CAP_BYTES`].
 fn promote(
     machine: &mut Machine,
     objects: &[(VirtRange, ObjectId)],
     hot: &BTreeSet<u64>,
-    config: &AutonumaConfig,
 ) -> Result<(MigrationPlan, MigrationOutcome)> {
     // Coalesce runs first: (start page, pages, src tier).
     let mut runs: Vec<(u64, usize, TierId)> = Vec::new();
-    let mut budget = config.promote_cap_bytes / PAGE_SIZE;
+    let mut budget = PROMOTE_CAP_BYTES / PAGE_SIZE;
     for &page in hot {
         if budget == 0 {
             break;
@@ -171,7 +188,7 @@ fn promote(
         plan.regions.push(PlannedRegion {
             object: owner_of(objects, start).expect("hot pages belong to registered objects"),
             range,
-            priority: config.promote_touches as f64,
+            priority: PROMOTE_TOUCHES as f64,
             dst: Some(dst),
         });
         plan.total_bytes += range.len;
@@ -201,17 +218,16 @@ fn demote_over_watermarks(
     machine: &mut Machine,
     objects: &[(VirtRange, ObjectId)],
     hot: &BTreeSet<u64>,
-    config: &AutonumaConfig,
 ) -> Result<Option<MigrationOutcome>> {
     let mut outcome: Option<MigrationOutcome> = None;
     for t in 0..machine.num_tiers().saturating_sub(1) {
         let tier = TierId::new(t);
         let capacity = machine.capacity(tier) as f64;
         let used = capacity - machine.free_bytes(tier) as f64;
-        if used <= capacity * config.high_watermark {
+        if used <= capacity * HIGH_WATERMARK {
             continue;
         }
-        let mut need = (used - capacity * config.low_watermark) as usize;
+        let mut need = (used - capacity * LOW_WATERMARK) as usize;
         let out = outcome.get_or_insert_with(MigrationOutcome::default);
         // Cold candidate runs on this tier, in address order.
         let mut runs: Vec<(u64, usize)> = Vec::new();
@@ -289,7 +305,6 @@ mod tests {
             VirtRange::new(VirtAddr::new(0x1000), 8 * PAGE_SIZE),
             ObjectId(0),
         )];
-        let config = AutonumaConfig::default();
         // 8 records -> epoch length 2 with 4 epochs. Page A is touched in
         // epochs 0 and 1 (hot); page B only in epoch 0; page C in epochs 0
         // and 2 (streak resets, not hot).
@@ -301,10 +316,10 @@ mod tests {
                 .iter()
                 .map(|&vaddr| SampleRecord { vaddr })
                 .collect();
-        let hot = hot_pages(&records[..6], &objects, &config);
+        let hot = hot_pages(&records[..6], &objects);
         assert!(hot.contains(&0x1000));
         assert!(!hot.contains(&0x2000));
-        let hot = hot_pages(&records, &objects, &config);
+        let hot = hot_pages(&records, &objects);
         assert!(!hot.contains(&0x3000), "a gap epoch resets the streak");
     }
 
@@ -316,7 +331,7 @@ mod tests {
         )];
         let stray = VirtAddr::new(0x8000);
         let records: Vec<SampleRecord> = (0..8).map(|_| SampleRecord { vaddr: stray }).collect();
-        let hot = hot_pages(&records, &objects, &AutonumaConfig::default());
+        let hot = hot_pages(&records, &objects);
         assert!(hot.is_empty());
     }
 }

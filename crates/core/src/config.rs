@@ -1,14 +1,17 @@
 //! Runtime configuration.
 //!
-//! Every knob the paper describes — chunk granularity, sampling rate,
-//! local-selection percentile, tree arity `m`, the tree-ratio floor `ε`,
-//! migration concurrency — is an explicit field here, so the sensitivity
-//! experiments (Figures 9 and 10 sweep `ε`; our ablations sweep the rest)
-//! are plain configuration sweeps.
+//! The knobs something sweeps — chunk granularity, sampling period and
+//! seed, tree arity `m`, the tree-ratio floor `ε`, the analyzer and
+//! policy choices, the ablation switches, migration concurrency and
+//! budget — are fields here, so the sensitivity experiments (Figures 9
+//! and 10 sweep `ε`) are plain configuration sweeps. Every other
+//! parameter (the Eq. 2 selection fractions, the Eq. 5 base threshold,
+//! the sampling jitter, the learned scorer's confidence floor, the
+//! AutoNUMA baseline's epochs and watermarks) is a named constant beside
+//! the code that reads it.
 
 use atmem_hms::Placement;
 
-use crate::analyzer::LearnedModel;
 use crate::error::{AtmemError, Result};
 
 /// Chunking policy (paper §4.1, "Adaptive Data Chunks").
@@ -40,9 +43,6 @@ pub struct SamplingConfig {
     /// `None` to let the runtime choose an empirical period from the total
     /// chunk count and thread count, as the paper's runtime does.
     pub period: Option<u64>,
-    /// Random jitter added to each sampling interval, as a fraction of the
-    /// period, to avoid aliasing with strided accesses.
-    pub jitter_frac: f64,
     /// Seed of the jitter RNG. The paper repeats every experiment ten
     /// times and reports the average; sweeping this seed is how the
     /// harness reproduces that methodology on the deterministic simulator.
@@ -53,7 +53,6 @@ impl Default for SamplingConfig {
     fn default() -> Self {
         SamplingConfig {
             period: None,
-            jitter_frac: 0.25,
             rng_seed: 0xA7_3E3,
         }
     }
@@ -72,78 +71,27 @@ pub enum AnalyzerKind {
     Learned,
 }
 
-/// Knobs of the [`AnalyzerKind::Learned`] scorer.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct LearnedConfig {
-    /// The scoring model. Defaults to the shipped pretrained weights.
-    pub model: LearnedModel,
-    /// Fraction of the registered bytes the scorer may mark critical —
-    /// the learned analogue of `max_select_frac` + promotion, targeting
-    /// the paper's 5%–18% data-ratio band. Default 0.15.
-    pub select_frac: f64,
-    /// Minimum model confidence (`sigmoid(score)`) for a chunk to be a
-    /// selection candidate at all. Default 0.5.
-    pub min_confidence: f64,
-}
-
-impl Default for LearnedConfig {
-    fn default() -> Self {
-        LearnedConfig {
-            model: LearnedModel::pretrained(),
-            select_frac: 0.15,
-            min_confidence: 0.5,
-        }
-    }
-}
-
 /// Analyzer configuration (paper §4.2–§4.3).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AnalyzerConfig {
     /// Which analyzer [`analyze`](crate::analyzer::analyze) dispatches to.
-    /// The remaining fields configure the paper pipeline; `learned`
-    /// configures the learning-to-rank alternative.
     pub kind: AnalyzerKind,
-    /// Knobs of the learned scorer (used only when `kind` is
-    /// [`AnalyzerKind::Learned`]).
-    pub learned: LearnedConfig,
-    /// Top-N fraction for the percentile candidate of Eq. 2 (`P_n`): the
-    /// local selection picks at least the top `top_n_frac` of chunks by
-    /// priority. Default 0.08.
-    pub top_n_frac: f64,
-    /// The derivative-based candidate of Eq. 2: walking the descending
-    /// priority curve, selection stops at the first chunk whose priority
-    /// falls below `derivative_alpha` times the running average of the
-    /// chunks selected so far (the boundary of the hot cluster). Default
-    /// 0.1.
-    pub derivative_alpha: f64,
-    /// The mass-coverage candidate of the derivative search: selection
-    /// stops once the chosen chunks cover this fraction of the object's
-    /// total priority mass — the direct expression of the paper's
-    /// "maximum performance gain per byte" objective (§1). Default 0.70.
-    pub mass_coverage: f64,
-    /// Upper bound on the fraction of an object's chunks the local stage
-    /// may select when no knee is found (flat distributions extend past the
-    /// `top_n_frac` percentile up to this cap; boundary ties may exceed
-    /// it). Default 0.12 — together with promotion this lands the overall
-    /// data ratio in the paper's 5%-18% band (Figures 7/8).
-    pub max_select_frac: f64,
-    /// Minimum samples a chunk must receive for its priority to be
-    /// considered real (the `min PR / Freq_sample` floor of Eq. 2).
-    pub min_samples: u64,
+    /// Fraction of the registered bytes the learned scorer may mark
+    /// critical (used only when `kind` is [`AnalyzerKind::Learned`]),
+    /// targeting the paper's 5%–18% data-ratio band. Default 0.15.
+    pub learned_select_frac: f64,
     /// Arity `m` of the promotion tree (paper Figure 3 shows a ternary
     /// tree; an octree gives `ε = 0.125` as a natural floor). Default 4.
     pub arity: usize,
     /// The floor `ε` of Eq. 5. Figures 9/10 sweep this value. Default
     /// `1/arity`, set at build time when left as `None`.
     pub epsilon: Option<f64>,
-    /// The base tree-ratio threshold `Θ(TR)` of Eq. 5 that the global
-    /// adaption scales per object. Default 0.5.
-    pub base_tr: f64,
     /// Disables the tree-based global promotion entirely (ablation:
     /// sampled selection only).
     pub promotion_enabled: bool,
-    /// Uses `base_tr` as a fixed threshold for every object instead of the
-    /// globally adapted Eq. 5 value (ablation: "naive design" of §4.3.2).
+    /// Uses Eq. 5's base threshold `Θ(TR)` as a fixed threshold for every
+    /// object instead of the globally adapted value (ablation: "naive
+    /// design" of §4.3.2).
     pub adaptive_tr: bool,
 }
 
@@ -151,15 +99,9 @@ impl Default for AnalyzerConfig {
     fn default() -> Self {
         AnalyzerConfig {
             kind: AnalyzerKind::Paper,
-            learned: LearnedConfig::default(),
-            top_n_frac: 0.08,
-            derivative_alpha: 0.1,
-            mass_coverage: 0.70,
-            max_select_frac: 0.12,
-            min_samples: 2,
+            learned_select_frac: 0.15,
             arity: 4,
             epsilon: None,
-            base_tr: 0.5,
             promotion_enabled: true,
             adaptive_tr: true,
         }
@@ -217,6 +159,28 @@ impl Default for MigrationConfig {
     }
 }
 
+impl MigrationConfig {
+    /// Validates the migration fields against the chunk size of the
+    /// registry they will migrate.
+    ///
+    /// # Errors
+    ///
+    /// [`AtmemError::InvalidConfig`] naming the first offending field.
+    pub(crate) fn validate(&self, min_chunk_bytes: usize) -> Result<()> {
+        if !(0.0..=1.0).contains(&self.budget_frac) {
+            return invalid("migration.budget_frac", "must be in [0, 1]");
+        }
+        if self.max_region_bytes < min_chunk_bytes {
+            return invalid("migration.max_region_bytes", "must be at least one chunk");
+        }
+        Ok(())
+    }
+}
+
+fn invalid(what: &'static str, reason: &'static str) -> Result<()> {
+    Err(AtmemError::InvalidConfig { what, reason })
+}
+
 /// Which placement policy [`Atmem::optimize`](crate::Atmem::optimize)
 /// runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -231,42 +195,6 @@ pub enum OptimizePolicy {
     /// Models what Linux kernel tiering (NUMA balancing + reclaim-based
     /// demotion) would do with the same access information.
     Autonuma,
-}
-
-/// Knobs of the [`OptimizePolicy::Autonuma`] baseline. The defaults mirror
-/// the kernel's shape: short scan epochs, promotion on the second touch,
-/// demotion when a tier crosses its high watermark.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct AutonumaConfig {
-    /// Number of scan epochs the raw sample stream is split into (the
-    /// analogue of NUMA-balancing scan periods). The stream has no
-    /// timestamps, so epochs are equal slices by stream position.
-    pub epochs: usize,
-    /// Consecutive epochs a page must be touched in before it is promoted
-    /// one tier hotter (2 = the kernel's promote-on-second-touch).
-    pub promote_touches: u32,
-    /// Occupancy fraction above which a tier demotes cold pages to the
-    /// next-colder tier (the kernel's high watermark).
-    pub high_watermark: f64,
-    /// Occupancy fraction demotion drains a tier down to (the low
-    /// watermark; hysteresis keeps consecutive optimize calls from
-    /// thrashing around the high mark).
-    pub low_watermark: f64,
-    /// Upper bound on bytes promoted per optimize call (the kernel's
-    /// promotion rate limit).
-    pub promote_cap_bytes: usize,
-}
-
-impl Default for AutonumaConfig {
-    fn default() -> Self {
-        AutonumaConfig {
-            epochs: 4,
-            promote_touches: 2,
-            high_watermark: 0.95,
-            low_watermark: 0.85,
-            promote_cap_bytes: 64 * 1024 * 1024,
-        }
-    }
 }
 
 /// Complete ATMem runtime configuration.
@@ -285,9 +213,6 @@ pub struct AtmemConfig {
     pub analyzer: AnalyzerConfig,
     /// Migration policy.
     pub migration: MigrationConfig,
-    /// Knobs of the AutoNUMA baseline (used only when `policy` is
-    /// [`OptimizePolicy::Autonuma`]).
-    pub autonuma: AutonumaConfig,
 }
 
 /// Initial placement policy for `atmem_malloc` allocations.
@@ -321,78 +246,36 @@ impl AtmemConfig {
     ///
     /// [`AtmemError::InvalidConfig`] naming the first offending field.
     pub fn validate(&self) -> Result<()> {
-        fn bad(what: &'static str, reason: &'static str) -> Result<()> {
-            Err(AtmemError::InvalidConfig { what, reason })
-        }
         if self.chunks.target_chunks == 0 {
-            return bad("chunks.target_chunks", "must be positive");
+            return invalid("chunks.target_chunks", "must be positive");
         }
         if self.chunks.min_chunk_bytes == 0 || !self.chunks.min_chunk_bytes.is_power_of_two() {
-            return bad("chunks.min_chunk_bytes", "must be a positive power of two");
+            return invalid("chunks.min_chunk_bytes", "must be a positive power of two");
         }
         if let Some(p) = self.sampling.period {
             if p == 0 {
-                return bad("sampling.period", "must be positive");
+                return invalid("sampling.period", "must be positive");
             }
         }
-        if !(0.0..1.0).contains(&self.sampling.jitter_frac) {
-            return bad("sampling.jitter_frac", "must be in [0, 1)");
-        }
-        if !(0.0..=1.0).contains(&self.analyzer.top_n_frac) {
-            return bad("analyzer.top_n_frac", "must be in [0, 1]");
-        }
-        if !(0.0..=1.0).contains(&self.analyzer.max_select_frac) {
-            return bad("analyzer.max_select_frac", "must be in [0, 1]");
-        }
-        if !(0.0..=1.0).contains(&self.analyzer.mass_coverage) {
-            return bad("analyzer.mass_coverage", "must be in [0, 1]");
-        }
         if self.analyzer.arity < 2 {
-            return bad("analyzer.arity", "must be at least 2");
+            return invalid("analyzer.arity", "must be at least 2");
         }
         if let Some(e) = self.analyzer.epsilon {
             if !(0.0..=1.0).contains(&e) {
-                return bad("analyzer.epsilon", "must be in [0, 1]");
+                return invalid("analyzer.epsilon", "must be in [0, 1]");
             }
         }
-        if !(0.0..=1.0).contains(&self.analyzer.base_tr) {
-            return bad("analyzer.base_tr", "must be in [0, 1]");
-        }
-        if !(0.0..=1.0).contains(&self.analyzer.learned.select_frac) {
-            return bad("analyzer.learned.select_frac", "must be in [0, 1]");
-        }
-        if !(0.0..=1.0).contains(&self.analyzer.learned.min_confidence) {
-            return bad("analyzer.learned.min_confidence", "must be in [0, 1]");
-        }
-        if !self.analyzer.learned.model.is_finite() {
-            return bad("analyzer.learned.model", "weights must be finite");
+        if !(0.0..=1.0).contains(&self.analyzer.learned_select_frac) {
+            return invalid("analyzer.learned_select_frac", "must be in [0, 1]");
         }
         if self.policy == OptimizePolicy::Autonuma && self.analyzer.kind != AnalyzerKind::Paper {
-            return bad(
+            return invalid(
                 "analyzer.kind",
                 "the AutoNUMA baseline works from the raw sample stream and \
                  never consults the chunk analyzer",
             );
         }
-        if !(0.0..=1.0).contains(&self.migration.budget_frac) {
-            return bad("migration.budget_frac", "must be in [0, 1]");
-        }
-        if self.migration.max_region_bytes < self.chunks.min_chunk_bytes {
-            return bad("migration.max_region_bytes", "must be at least one chunk");
-        }
-        if self.autonuma.epochs == 0 {
-            return bad("autonuma.epochs", "must be positive");
-        }
-        if self.autonuma.promote_touches == 0 {
-            return bad("autonuma.promote_touches", "must be positive");
-        }
-        if !(0.0..=1.0).contains(&self.autonuma.high_watermark) {
-            return bad("autonuma.high_watermark", "must be in [0, 1]");
-        }
-        if !(0.0..=self.autonuma.high_watermark).contains(&self.autonuma.low_watermark) {
-            return bad("autonuma.low_watermark", "must be in [0, high_watermark]");
-        }
-        Ok(())
+        self.migration.validate(self.chunks.min_chunk_bytes)
     }
 
     /// Sets the initial placement policy.
@@ -443,34 +326,6 @@ impl AtmemConfig {
         self.chunks.target_chunks = target;
         self
     }
-
-    /// A preset that trades fast-tier capacity for performance: permissive
-    /// promotion (low ε), generous selection caps, denser sampling, and
-    /// phase-adaptive demotion on. Use when the fast tier is plentiful or
-    /// the application alternates hot sets.
-    pub fn aggressive() -> Self {
-        let mut config = AtmemConfig::default();
-        config.analyzer.epsilon = Some(0.1);
-        config.analyzer.max_select_frac = 0.30;
-        config.analyzer.mass_coverage = 0.90;
-        config.sampling.period = Some(16);
-        config.migration.allow_demotion = true;
-        config
-    }
-
-    /// A preset that minimises fast-tier pressure and profiling cost:
-    /// strict promotion, tight selection, sparse sampling. Use on shared
-    /// machines where the fast tier is contended (the server scenario the
-    /// paper motivates in §1).
-    pub fn conservative() -> Self {
-        let mut config = AtmemConfig::default();
-        config.analyzer.epsilon = Some(0.6);
-        config.analyzer.max_select_frac = 0.08;
-        config.analyzer.mass_coverage = 0.55;
-        config.sampling.period = Some(256);
-        config.migration.budget_frac = 0.5;
-        config
-    }
 }
 
 #[cfg(test)]
@@ -493,29 +348,54 @@ mod tests {
         assert!((a.effective_epsilon() - 0.125).abs() < 1e-12);
     }
 
+    /// The `what` of the error `validate` returns.
+    fn rejected_field(c: &AtmemConfig) -> &'static str {
+        match c.validate() {
+            Err(AtmemError::InvalidConfig { what, .. }) => what,
+            other => panic!("expected InvalidConfig, got {other:?}"),
+        }
+    }
+
     #[test]
     fn invalid_fields_are_named() {
-        let mut c = AtmemConfig::default();
-        c.analyzer.arity = 1;
-        let err = c.validate().unwrap_err();
-        assert!(err.to_string().contains("arity"));
-
-        let mut c = AtmemConfig::default();
-        c.chunks.min_chunk_bytes = 1000; // not a power of two
-        assert!(c.validate().is_err());
-
-        let c = AtmemConfig::default().with_epsilon(1.5);
-        assert!(c.validate().is_err());
-
-        let mut c = AtmemConfig::default();
-        c.analyzer.learned.select_frac = 1.5;
-        let err = c.validate().unwrap_err();
-        assert!(err.to_string().contains("select_frac"));
-
-        let mut c = AtmemConfig::default();
-        c.analyzer.learned.model.bias = f64::NAN;
-        let err = c.validate().unwrap_err();
-        assert!(err.to_string().contains("finite"));
+        type Edit = fn(&mut AtmemConfig);
+        let cases: [(Edit, &str); 12] = [
+            (|c| c.chunks.target_chunks = 0, "chunks.target_chunks"),
+            (
+                |c| c.chunks.min_chunk_bytes = 1000,
+                "chunks.min_chunk_bytes",
+            ),
+            (|c| c.sampling.period = Some(0), "sampling.period"),
+            (|c| c.analyzer.arity = 1, "analyzer.arity"),
+            (|c| c.analyzer.epsilon = Some(1.5), "analyzer.epsilon"),
+            (|c| c.analyzer.epsilon = Some(f64::NAN), "analyzer.epsilon"),
+            (
+                |c| c.analyzer.learned_select_frac = 1.5,
+                "analyzer.learned_select_frac",
+            ),
+            (
+                |c| {
+                    c.policy = OptimizePolicy::Autonuma;
+                    c.analyzer.kind = AnalyzerKind::Learned;
+                },
+                "analyzer.kind",
+            ),
+            (|c| c.migration.budget_frac = -1.0, "migration.budget_frac"),
+            (|c| c.migration.budget_frac = 1.5, "migration.budget_frac"),
+            (
+                |c| c.migration.budget_frac = f64::NAN,
+                "migration.budget_frac",
+            ),
+            (
+                |c| c.migration.max_region_bytes = 2048,
+                "migration.max_region_bytes",
+            ),
+        ];
+        for (edit, what) in cases {
+            let mut c = AtmemConfig::default();
+            edit(&mut c);
+            assert_eq!(rejected_field(&c), what);
+        }
     }
 
     #[test]
@@ -534,18 +414,6 @@ mod tests {
             .with_analyzer(AnalyzerKind::Learned)
             .validate()
             .unwrap();
-    }
-
-    #[test]
-    fn presets_are_valid_and_ordered() {
-        let a = AtmemConfig::aggressive();
-        let c = AtmemConfig::conservative();
-        a.validate().unwrap();
-        c.validate().unwrap();
-        assert!(a.analyzer.effective_epsilon() < c.analyzer.effective_epsilon());
-        assert!(a.analyzer.max_select_frac > c.analyzer.max_select_frac);
-        assert!(a.sampling.period.unwrap() < c.sampling.period.unwrap());
-        assert!(a.migration.allow_demotion && !c.migration.allow_demotion);
     }
 
     #[test]

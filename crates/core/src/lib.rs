@@ -64,13 +64,13 @@ mod runtime;
 mod serve;
 
 pub use analyzer::{
-    adaptive_thresholds, analyze, analyze_paper, local_selection, promote, train, Analysis,
-    LearnedModel, LocalSelection, MaryTree, ObjectAnalysis, FEATURE_NAMES,
+    analyze, local_selection, promote, train, Analysis, LearnedModel, LocalSelection, MaryTree,
+    ObjectAnalysis, FEATURE_NAMES,
 };
 pub use chunk::{chunk_geometry, ChunkGeometry};
 pub use config::{
-    AnalyzerConfig, AnalyzerKind, AtmemConfig, AutonumaConfig, ChunkConfig, LearnedConfig,
-    MigrationConfig, MigrationMechanism, OptimizePolicy, PlacementPolicy, SamplingConfig,
+    AnalyzerConfig, AnalyzerKind, AtmemConfig, ChunkConfig, MigrationConfig, MigrationMechanism,
+    OptimizePolicy, PlacementPolicy, SamplingConfig,
 };
 pub use error::{AtmemError, Result};
 pub use migrate::{

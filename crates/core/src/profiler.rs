@@ -11,6 +11,10 @@ use atmem_hms::{Machine, SampleRecord};
 use crate::config::SamplingConfig;
 use crate::registry::Registry;
 
+/// Random jitter added to each sampling interval, as a fraction of the
+/// period, to avoid aliasing with strided accesses.
+const JITTER_FRAC: f64 = 0.25;
+
 /// Outcome of one profiling session.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ProfileSummary {
@@ -88,7 +92,7 @@ impl Profiler {
         let period = config
             .period
             .unwrap_or_else(|| Self::auto_period(registry, machine.platform().cost.app_threads));
-        let jitter = (period as f64 * config.jitter_frac) as u64;
+        let jitter = (period as f64 * JITTER_FRAC) as u64;
         machine.pebs_reseed(config.rng_seed);
         machine.pebs_enable(period, jitter);
         self.active = true;
@@ -147,7 +151,6 @@ mod tests {
             &registry,
             &SamplingConfig {
                 period: Some(4),
-                jitter_frac: 0.0,
                 rng_seed: 1,
             },
         );
@@ -195,7 +198,6 @@ mod tests {
             &registry,
             &SamplingConfig {
                 period: Some(2),
-                jitter_frac: 0.0,
                 rng_seed: 1,
             },
         );

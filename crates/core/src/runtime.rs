@@ -104,8 +104,8 @@ impl std::fmt::Display for OptimizeReport {
 /// A solo [`Atmem`] bundles one `TenantRt` with a private machine. The
 /// multi-tenant [`Scheduler`](crate::serve::Scheduler) instead keeps many
 /// `TenantRt`s and time-shares a single machine between them, assembling a
-/// full `Atmem` for the duration of one quantum via [`Atmem::from_parts`]
-/// and taking it apart again with [`Atmem::into_parts`].
+/// full `Atmem` for the duration of one quantum and taking it apart again
+/// afterwards.
 #[derive(Debug)]
 pub struct TenantRt {
     pub(crate) registry: Registry,
@@ -124,7 +124,7 @@ impl TenantRt {
     /// # Errors
     ///
     /// [`AtmemError::InvalidConfig`] if `config` fails validation.
-    pub fn new(config: AtmemConfig, tag: u32) -> Result<Self> {
+    pub(crate) fn new(config: AtmemConfig, tag: u32) -> Result<Self> {
         config.validate()?;
         Ok(TenantRt {
             registry: Registry::new(),
@@ -133,11 +133,6 @@ impl TenantRt {
             handles: Vec::new(),
             tag,
         })
-    }
-
-    /// The allocation tag the machine attributes this tenant's bytes to.
-    pub fn tag(&self) -> u32 {
-        self.tag
     }
 
     /// The tenant's data-object registry.
@@ -176,20 +171,15 @@ impl Atmem {
     /// the machine's allocation tagging at the tenant. The scheduler calls
     /// this at the start of every quantum; pairing it with
     /// [`Atmem::into_parts`] round-trips both halves unchanged.
-    pub fn from_parts(mut machine: Machine, tenant: TenantRt) -> Self {
+    pub(crate) fn from_parts(mut machine: Machine, tenant: TenantRt) -> Self {
         machine.set_alloc_tag(tenant.tag);
         Atmem { machine, tenant }
     }
 
     /// Disassembles the runtime into the machine and the tenant state (the
     /// inverse of [`Atmem::from_parts`]).
-    pub fn into_parts(self) -> (Machine, TenantRt) {
+    pub(crate) fn into_parts(self) -> (Machine, TenantRt) {
         (self.machine, self.tenant)
-    }
-
-    /// The tenant half of the runtime.
-    pub fn tenant(&self) -> &TenantRt {
-        &self.tenant
     }
 
     /// The runtime configuration.
@@ -319,7 +309,6 @@ impl Atmem {
                     &mut self.machine,
                     &tenant.registry,
                     tenant.profiler.last_records(),
-                    &tenant.config.autonuma,
                 )?;
                 let analysis = Analysis {
                     objects: Vec::new(),
@@ -578,7 +567,7 @@ mod tests {
         assert_eq!(ratio, rescan as f64 / total as f64);
         // Disassemble and reassemble: nothing observable changes.
         let (machine, tenant) = rt.into_parts();
-        assert_eq!(tenant.tag(), 0);
+        assert_eq!(tenant.tag, 0);
         let rt = Atmem::from_parts(machine, tenant);
         assert_eq!(rt.fast_data_ratio(), ratio);
     }

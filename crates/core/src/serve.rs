@@ -114,7 +114,8 @@ impl Scheduler {
     /// Creates a scheduler on a fresh machine. `migration` is the
     /// *server's* policy for the shared fast tier (budget fraction,
     /// region cap, mechanism, demotion) — tenant configs govern only
-    /// their own chunking, sampling and analysis.
+    /// their own chunking, sampling and analysis. It is validated against
+    /// each tenant's chunk size in [`Scheduler::add_tenant`].
     pub fn new(platform: Platform, migration: MigrationConfig) -> Self {
         Scheduler {
             machine: Some(Machine::new(platform)),
@@ -130,9 +131,10 @@ impl Scheduler {
     ///
     /// # Errors
     ///
-    /// [`AtmemError::InvalidConfig`] if `config` fails validation, or if
-    /// it asks for an optimize policy other than
-    /// [`OptimizePolicy::Atmem`] — the one the server's round runs.
+    /// [`AtmemError::InvalidConfig`] if `config` fails validation, if it
+    /// asks for an optimize policy other than [`OptimizePolicy::Atmem`] —
+    /// the one the server's round runs — or if the server's migration
+    /// policy is invalid for this tenant's chunks.
     pub fn add_tenant(&mut self, config: AtmemConfig) -> Result<usize> {
         if config.policy != OptimizePolicy::Atmem {
             return Err(AtmemError::InvalidConfig {
@@ -141,6 +143,7 @@ impl Scheduler {
                          leave the policy at the default to add a tenant",
             });
         }
+        self.migration.validate(config.chunks.min_chunk_bytes)?;
         let idx = self.tenants.len();
         let tenant = TenantRt::new(config, idx as u32 + 1)?;
         self.tenants.push(Some(tenant));
@@ -449,6 +452,42 @@ mod tests {
             Err(AtmemError::InvalidConfig { what: "policy", .. })
         ));
         assert_eq!(sched.num_tenants(), 0);
+    }
+
+    #[test]
+    fn add_tenant_rejects_an_invalid_server_migration_policy() {
+        let tenant = AtmemConfig::default();
+        let cases = [
+            (f64::NAN, 8 << 20, "migration.budget_frac"),
+            (-1.0, 8 << 20, "migration.budget_frac"),
+            (1.5, 8 << 20, "migration.budget_frac"),
+            (
+                0.9,
+                tenant.chunks.min_chunk_bytes / 2,
+                "migration.max_region_bytes",
+            ),
+        ];
+        for (budget_frac, max_region_bytes, what) in cases {
+            let migration = MigrationConfig {
+                budget_frac,
+                max_region_bytes,
+                ..MigrationConfig::default()
+            };
+            let mut sched = Scheduler::new(Platform::testing(), migration);
+            match sched.add_tenant(tenant.clone()) {
+                Err(AtmemError::InvalidConfig { what: got, .. }) => assert_eq!(got, what),
+                other => panic!("{migration:?}: expected InvalidConfig, got {other:?}"),
+            }
+            assert_eq!(sched.num_tenants(), 0);
+        }
+        // The all-slow reference promotes nothing, by design.
+        let all_slow = MigrationConfig {
+            budget_frac: 0.0,
+            ..MigrationConfig::default()
+        };
+        let mut sched = Scheduler::new(Platform::testing(), all_slow);
+        sched.add_tenant(tenant).unwrap();
+        assert_eq!(sched.num_tenants(), 1);
     }
 
     #[test]

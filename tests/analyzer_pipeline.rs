@@ -1,10 +1,7 @@
 //! Integration tests of the profiler → analyzer pipeline, including
 //! property-based tests of the analyzer invariants.
 
-use atmem::{
-    adaptive_thresholds, analyze, local_selection, promote, AnalyzerConfig, Atmem, AtmemConfig,
-    MaryTree,
-};
+use atmem::{analyze, local_selection, promote, Atmem, AtmemConfig, MaryTree};
 use atmem_hms::Platform;
 use atmem_prop::prelude::*;
 
@@ -75,27 +72,6 @@ proptest! {
         // (unless threshold is 0, which promotes everything by definition).
         if leaves.iter().all(|&b| !b) && threshold > 0.0 {
             prop_assert!(out.iter().all(|&b| !b));
-        }
-    }
-
-    /// Eq. 5 thresholds always land in [ε, ε + base] and order inversely
-    /// to weight.
-    #[test]
-    fn thresholds_bounded_and_inverse_to_weight(
-        weights in prop::collection::vec(0.0f64..1e6, 1..20),
-    ) {
-        let config = AnalyzerConfig::default();
-        let th = adaptive_thresholds(&weights, &config);
-        let eps = config.effective_epsilon();
-        for &t in &th {
-            prop_assert!(t >= eps - 1e-12 && t <= eps + config.base_tr + 1e-12);
-        }
-        for i in 0..weights.len() {
-            for j in 0..weights.len() {
-                if weights[i] > weights[j] {
-                    prop_assert!(th[i] <= th[j] + 1e-12);
-                }
-            }
         }
     }
 }
@@ -188,10 +164,7 @@ proptest! {
                 registry.attribute(va).unwrap();
             }
         }
-        let sel = local_selection(
-            registry.get(id).unwrap(),
-            &AnalyzerConfig::default(),
-        );
+        let sel = local_selection(registry.get(id).unwrap());
         for (i, &critical) in sel.critical.iter().enumerate() {
             if critical {
                 prop_assert!(counts[i] > 0, "chunk {i} selected without samples");

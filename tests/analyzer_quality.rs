@@ -51,7 +51,7 @@ fn learned_matches_paper_across_the_kernel_grid() {
 
 /// One manual protocol run with `SampleLoss` installed for the profiled
 /// iteration. Sparse sampling (large period) plus heavy record loss is
-/// exactly where the paper's `min_samples` floor starts discarding real
+/// exactly where the paper's `MIN_SAMPLES` floor starts discarding real
 /// signal. Returns (data ratio, second-iteration ns, checksum).
 fn run_with_sample_loss(
     csr: &Csr,
@@ -91,7 +91,7 @@ fn run_with_sample_loss(
 
 /// The strict-win gate: under heavy sampling noise the learned ranker's
 /// relative features (ranks, neighbourhood occupancy) keep more of the
-/// true hot set than the paper's absolute `min_samples` floor, so it ends
+/// true hot set than the paper's absolute `MIN_SAMPLES` floor, so it ends
 /// the round with a faster measured iteration.
 #[test]
 fn learned_strictly_beats_paper_under_heavy_sample_loss() {

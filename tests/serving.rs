@@ -163,7 +163,9 @@ fn shared_tier_beats_a_static_partition() {
     let hot_csr = Dataset::Twitter.build_small(6);
     let mild_csr = erdos_renyi(512, 2048, 9);
     let hot_cfg = AtmemConfig::default().with_epsilon(0.1);
-    let mild_cfg = AtmemConfig::conservative();
+    let mild_cfg = AtmemConfig::default()
+        .with_epsilon(0.6)
+        .with_sampling_period(256);
 
     // Baseline: N solo runs, each confined to a static half of the tier.
     let mut solo_fast = 0.0;
