@@ -19,8 +19,6 @@ pub struct Cc {
     graph: HmsGraph,
     labels: TrackedVec<u32>,
     changed_last: u64,
-    /// Each core's slice of the row bounds, reused across iterations.
-    bounds: Vec<Vec<u64>>,
     /// The propagation phase's buffers, reused across iterations: one
     /// `EDGE_CHUNK` of neighbour ids, the labels gathered for a part of it,
     /// and one vertex's accepted lowerings (indices, values).
@@ -39,7 +37,6 @@ impl Cc {
             graph,
             labels,
             changed_last: 0,
-            bounds: Vec::new(),
             staging: Default::default(),
         })
     }
@@ -65,8 +62,9 @@ impl Cc {
         self.labels.to_vec(rt.machine_mut())
     }
 
-    /// The propagation phase, vertex by vertex in ascending order (core
-    /// `c`'s bounds hold `cuts[c]..cuts[c + 1]`). Label lowering is
+    /// The propagation phase, vertex by vertex in ascending order, the row
+    /// bounds of each core's range `cuts[c]..cuts[c + 1]` read back through
+    /// a [`RowCursor`](crate::graph_data::RowCursor). Label lowering is
     /// Gauss–Seidel: every vertex observes lowerings made earlier *in the
     /// same pass*, a sequential dependency chain that admits no
     /// deterministic partition — so this phase always runs on the resident
@@ -83,31 +81,31 @@ impl Cc {
         let labels = &self.labels;
         let [nbrs, lbuf, widx, wvals] = &mut self.staging;
         let mut overlay = WindowOverlay::<u32>::new(self.graph.num_vertices());
-        for (bounds, range) in self.bounds.iter().zip(cuts.windows(2)) {
-            let lo = range[0];
-            if lo == range[1] {
+        for range in cuts.windows(2) {
+            if range[0] == range[1] {
                 continue;
             }
+            let mut rows = self.graph.rows(ctx.machine(), range[0]..range[1]);
             // The ids of edges `held..held + nbrs.len()`.
-            let (mut held, range_end) = (bounds[0] as usize, bounds[range[1] - lo] as usize);
+            let mut held = rows.edges.start;
             nbrs.clear();
-            for v in lo..range[1] {
-                let (start, end) = (bounds[v - lo] as usize, bounds[v - lo + 1] as usize);
-                if start == end {
+            for v in range[0]..range[1] {
+                let edges = rows.edges_of(ctx.machine(), v);
+                if edges.is_empty() {
                     continue;
                 }
                 let mut lv = ctx.get(labels, v);
                 widx.clear();
                 wvals.clear();
                 overlay.next_window();
-                let mut e = start;
-                while e < end {
+                let mut e = edges.start;
+                while e < edges.end {
                     if e == held + nbrs.len() {
                         held = e;
-                        nbrs.resize(EDGE_CHUNK.min(range_end - e), 0);
+                        nbrs.resize(EDGE_CHUNK.min(rows.edges.end - e), 0);
                         self.graph.neighbors.peek_run(ctx.machine(), e, nbrs);
                     }
-                    let window = &nbrs[e - held..(end - held).min(nbrs.len())];
+                    let window = &nbrs[e - held..(edges.end - held).min(nbrs.len())];
                     lbuf.resize(window.len(), 0);
                     ctx.gather(labels, window, lbuf);
                     for (&u, &read) in window.iter().zip(lbuf.iter()) {
@@ -143,24 +141,22 @@ impl Kernel for Cc {
     }
 
     /// One pass with the CSR streams partitioned over `ctx.par_cores()`
-    /// simulated cores (each core reads its edge-balanced slice of the
-    /// bounds and neighbour arrays through its own accounted core, keeping
-    /// the bounds), then the sequential [`propagate`](Cc::propagate) phase
-    /// on the resident core, which reads the neighbour ids back
-    /// unaccounted. One core is the degenerate partition: both streams
-    /// whole, on the resident core.
+    /// simulated cores (each core charges its edge-balanced slice of the
+    /// bounds and neighbour arrays to its own accounted core, keeping
+    /// nothing), then the sequential propagation phase on the resident
+    /// core, which reads both back unaccounted. One core is the degenerate
+    /// partition: both streams whole, on the resident core.
     fn run_iteration(&mut self, ctx: &mut MemCtx) {
         let cores = ctx.par_cores();
         let cuts = self.graph.edge_cuts(ctx.machine(), cores);
         let graph = &self.graph;
-        ctx.run_cores_with(&mut self.bounds, |c, mut ctx, bounds| {
+        ctx.run_cores(|c, mut ctx| {
             let (lo, hi) = (cuts[c], cuts[c + 1]);
             if lo == hi {
                 return;
             }
-            bounds.resize(hi - lo + 1, 0);
-            graph.bounds_run(&mut ctx, lo, bounds);
-            let edges = bounds[0] as usize..bounds[hi - lo] as usize;
+            ctx.charge_run(&graph.offsets, lo..hi + 1);
+            let edges = graph.rows(ctx.machine(), lo..hi).edges;
             ctx.charge_run(&graph.neighbors, edges);
         });
         self.propagate(ctx, &cuts);
@@ -254,14 +250,16 @@ mod tests {
         assert_eq!(cc.changed_last(), 0);
     }
 
-    /// No staging buffer grows with the edge count: on a graph of six
-    /// chunks of edges, at one and two cores, every buffer stays within
-    /// the vertex count or one chunk (and the labels are the same).
+    /// No staging buffer grows with the graph: on a graph of three chunks
+    /// of vertices and nine of edges, degree 3 so that rows cross chunk
+    /// boundaries (`EDGE_CHUNK` is not a multiple of 3), at one and two
+    /// cores, every buffer stays within one chunk (the vertex-sized overlay
+    /// lives only for one propagation phase; the labels are the same).
     #[test]
     fn staging_is_bounded_by_vertices_or_one_chunk() {
-        let csr = crate::graph_data::dense_graph(1024, 96);
+        let csr = crate::graph_data::dense_graph(3 * EDGE_CHUNK as u32, 3);
         assert!(csr.num_edges() > 4 * EDGE_CHUNK);
-        let bound = (csr.num_vertices() + 1).max(EDGE_CHUNK);
+        assert!(!csr.offsets().contains(&(EDGE_CHUNK as u64)));
         let mut outputs = Vec::new();
         for cores in [1, 2] {
             let mut rt = runtime();
@@ -270,9 +268,11 @@ mod tests {
             cc.reset(&mut rt);
             cc.run_iteration(&mut MemCtx::bulk(rt.machine_mut()).with_cores(cores));
             outputs.push(cc.labels(&mut rt));
-            let mut caps: Vec<usize> = cc.bounds.iter().map(Vec::capacity).collect();
-            caps.extend(cc.staging.iter().map(Vec::capacity));
-            assert!(caps.iter().all(|&c| c <= bound), "{cores} cores: {caps:?}");
+            let caps: Vec<usize> = cc.staging.iter().map(Vec::capacity).collect();
+            assert!(
+                caps.iter().all(|&c| c <= EDGE_CHUNK),
+                "{cores} cores: {caps:?}"
+            );
         }
         assert_eq!(outputs[0], outputs[1]);
     }

@@ -27,12 +27,50 @@ pub(crate) fn edge_chunks(edges: Range<usize>) -> impl Iterator<Item = Range<usi
         .map(move |s| s..(s + EDGE_CHUNK).min(end))
 }
 
+/// The row bounds of a vertex range, read back from tier storage
+/// unaccounted ([`TrackedVec::peek_run`]) in windows of at most
+/// [`EDGE_CHUNK`] after the caller has charged them
+/// (`MemCtx::charge_run(&graph.offsets, lo..hi + 1)`).
+#[derive(Debug)]
+pub(crate) struct RowCursor<'a> {
+    /// The edges of the whole range.
+    pub(crate) edges: Range<usize>,
+    offsets: &'a TrackedVec<u64>,
+    /// `offsets[first..first + window.len()]`.
+    window: Vec<u64>,
+    first: usize,
+    /// The range's last row, plus one.
+    end: usize,
+}
+
+impl RowCursor<'_> {
+    /// The edges of row `v`, which is in the range and no smaller than any
+    /// earlier call's. Inlined into the kernels' per-edge loops; the window
+    /// refill is not.
+    #[inline]
+    pub(crate) fn edges_of(&mut self, machine: &mut impl MemPort, v: usize) -> Range<usize> {
+        if v + 1 >= self.first + self.window.len() {
+            self.refill(machine, v);
+        }
+        let i = v - self.first;
+        self.window[i] as usize..self.window[i + 1] as usize
+    }
+
+    #[inline(never)]
+    fn refill(&mut self, machine: &mut impl MemPort, v: usize) {
+        self.window.resize((self.end + 1 - v).min(EDGE_CHUNK), 0);
+        self.offsets.peek_run(machine, v, &mut self.window);
+        self.first = v;
+    }
+}
+
 /// A CSR graph whose arrays live in simulated memory.
 #[derive(Debug)]
 pub struct HmsGraph {
     num_vertices: usize,
     num_edges: usize,
-    offsets: TrackedVec<u64>,
+    /// Row bounds; SpMV, PageRank and CC stream them via a [`RowCursor`].
+    pub(crate) offsets: TrackedVec<u64>,
     /// Neighbour ids; SpMV, PageRank and CC stream it in [`EDGE_CHUNK`]s
     /// ([`MemCtx::charge_run`], then [`TrackedVec::peek_run`]).
     pub(crate) neighbors: TrackedVec<u32>,
@@ -97,22 +135,27 @@ impl HmsGraph {
         (ctx.get(&self.offsets, v), ctx.get(&self.offsets, v + 1))
     }
 
-    /// Accounted sequential read of `out.len()` row bounds starting at
-    /// vertex `start` (sharded kernels stream just their partition's
-    /// slice; a core covering `lo..hi` reads `hi - lo + 1` bounds).
-    pub fn bounds_run<M: MemPort>(&self, ctx: &mut MemCtx<'_, M>, start: usize, out: &mut [u64]) {
-        ctx.read_run(&self.offsets, start, out);
-    }
-
     /// The edge-balanced split of the vertex range over `cores`
     /// ([`par::edge_cuts`]), binary-searched over unaccounted peeks of the
     /// row bounds: no simulated effect and no host copy of the offsets.
     /// Partitioning metadata for the kernels: the split points must be
-    /// known *before* the cores fork, and the cores then re-read their own
-    /// slices through the accounted path
-    /// ([`bounds_run`](HmsGraph::bounds_run)).
+    /// known *before* the cores fork, and the cores then charge their own
+    /// slices of the bounds through the accounted path.
     pub(crate) fn edge_cuts(&self, machine: &mut impl MemPort, cores: usize) -> Vec<usize> {
         par::edge_cuts(self.num_vertices, |i| self.offsets.peek(machine, i), cores)
+    }
+
+    /// A [`RowCursor`] over the rows `rows`, its edge span from two
+    /// unaccounted peeks.
+    pub(crate) fn rows(&self, machine: &mut impl MemPort, rows: Range<usize>) -> RowCursor<'_> {
+        RowCursor {
+            edges: self.offsets.peek(machine, rows.start) as usize
+                ..self.offsets.peek(machine, rows.end) as usize,
+            offsets: &self.offsets,
+            window: Vec::new(),
+            first: rows.start,
+            end: rows.end,
+        }
     }
 
     /// Accounted sequential read of `buf.len()` neighbour ids starting at

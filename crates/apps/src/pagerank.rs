@@ -10,31 +10,22 @@ use atmem::{Atmem, Result};
 use atmem_hms::TrackedVec;
 
 use crate::access::MemCtx;
-use crate::graph_data::{edge_chunks, HmsGraph};
+use crate::graph_data::{edge_chunks, HmsGraph, EDGE_CHUNK};
 use crate::kernel::Kernel;
 use crate::par;
 
 /// Damping factor (the classic 0.85).
 pub(crate) const DAMPING: f64 = 0.85;
 
-/// One source core's phase-A staging, reused across iterations: the row
-/// bounds of its vertex range and each vertex's share, `rank / degree`.
-#[derive(Debug, Default)]
-struct Source {
-    bounds: Vec<u64>,
-    shares: Vec<f64>,
-}
-
-/// One destination core's phase-B staging, reused across iterations: one
-/// `EDGE_CHUNK` of neighbour ids, the contributions among them it owns, and
-/// its damping sweep (`zeros` is only ever grown with zeros).
+/// One destination core's phase-B staging, reused across iterations, each
+/// at most one `EDGE_CHUNK`: neighbour ids, the contributions among them it
+/// owns, and its damping sweep.
 #[derive(Debug, Default)]
 struct Sweep {
     nbrs: Vec<u32>,
     indices: Vec<u32>,
     shares: Vec<f64>,
     accs: Vec<f64>,
-    zeros: Vec<f64>,
 }
 
 /// PageRank kernel state.
@@ -44,7 +35,10 @@ pub struct PageRank {
     rank: TrackedVec<f64>,
     next: TrackedVec<f64>,
     iterations_run: usize,
-    sources: Vec<Source>,
+    /// Each source core's phase-A shares, `rank / degree` per vertex, reused
+    /// across iterations. Vertex-sized: at two cores a phase-B re-read of
+    /// `rank` would race another core's damping write.
+    sources: Vec<Vec<f64>>,
     sweep: Vec<Sweep>,
 }
 
@@ -117,23 +111,22 @@ impl Kernel for PageRank {
         let (graph, rank, next) = (&self.graph, &self.rank, &self.next);
 
         // Phase A: partitioned streams, shares per source vertex.
-        ctx.run_cores_with(&mut self.sources, |c, mut ctx, src| {
+        ctx.run_cores_with(&mut self.sources, |c, mut ctx, shares| {
             let (lo, hi) = (src_cuts[c], src_cuts[c + 1]);
             if lo == hi {
                 return;
             }
-            let Source { bounds, shares } = src;
-            bounds.resize(hi - lo + 1, 0);
-            graph.bounds_run(&mut ctx, lo, bounds);
+            ctx.charge_run(&graph.offsets, lo..hi + 1);
             shares.resize(hi - lo, 0.0);
             ctx.read_run(rank, lo, shares);
-            for (share, b) in shares.iter_mut().zip(bounds.windows(2)) {
-                if b[0] != b[1] {
-                    *share /= (b[1] - b[0]) as f64;
+            let mut rows = graph.rows(ctx.machine(), lo..hi);
+            for (v, share) in (lo..hi).zip(shares.iter_mut()) {
+                let degree = rows.edges_of(ctx.machine(), v).len();
+                if degree != 0 {
+                    *share /= degree as f64;
                 }
             }
-            let edges = bounds[0] as usize..bounds[hi - lo] as usize;
-            ctx.charge_run(&graph.neighbors, edges);
+            ctx.charge_run(&graph.neighbors, rows.edges);
         });
 
         // Phase B: owned accumulation in global edge order, then damping.
@@ -145,28 +138,26 @@ impl Kernel for PageRank {
                 indices,
                 shares,
                 accs,
-                zeros,
             } = s;
             let owned = dst_cuts[c]..dst_cuts[c + 1];
             for (src, range) in sources.iter().zip(src_cuts.windows(2)) {
-                let len = range[1] - range[0];
-                if len == 0 {
+                let (lo, hi) = (range[0], range[1]);
+                if lo == hi {
                     continue;
                 }
-                let bounds = &src.bounds;
-                let mut v = 0;
-                for chunk in edge_chunks(bounds[0] as usize..bounds[len] as usize) {
+                let (mut rows, mut v) = (graph.rows(ctx.machine(), lo..hi), lo);
+                for chunk in edge_chunks(rows.edges.clone()) {
                     nbrs.resize(chunk.len(), 0);
                     graph.neighbors.peek_run(ctx.machine(), chunk.start, nbrs);
                     indices.clear();
                     shares.clear();
                     for (e, &u) in chunk.zip(nbrs.iter()) {
-                        while bounds[v + 1] as usize <= e {
-                            v += 1;
-                        }
                         if owned.contains(&(u as usize)) {
+                            while rows.edges_of(ctx.machine(), v).end <= e {
+                                v += 1;
+                            }
                             indices.push(u);
-                            shares.push(src.shares[v]);
+                            shares.push(src[v - lo]);
                         }
                     }
                     ctx.gather_update(next, indices, |k, acc| acc + shares[k]);
@@ -175,14 +166,21 @@ impl Kernel for PageRank {
             if owned.is_empty() {
                 return;
             }
-            accs.resize(owned.len(), 0.0);
-            ctx.read_run(next, owned.start, accs);
-            for acc in accs.iter_mut() {
-                *acc = base + DAMPING * *acc;
+            // Damping: charge `next` whole, then peek, damp and zero it by chunk.
+            ctx.charge_run(next, owned.clone());
+            for chunk in edge_chunks(owned.clone()) {
+                accs.resize(chunk.len(), 0.0);
+                next.peek_run(ctx.machine(), chunk.start, accs);
+                for acc in accs.iter_mut() {
+                    *acc = base + DAMPING * *acc;
+                }
+                ctx.write_run(rank, chunk.start, accs);
             }
-            ctx.write_run(rank, owned.start, accs);
-            zeros.resize(owned.len(), 0.0);
-            ctx.write_run(next, owned.start, zeros);
+            accs.clear();
+            accs.resize(owned.len().min(EDGE_CHUNK), 0.0);
+            for chunk in edge_chunks(owned) {
+                ctx.write_run(next, chunk.start, &accs[..chunk.len()]);
+            }
         });
         self.iterations_run += 1;
     }
@@ -277,14 +275,16 @@ mod tests {
         assert!(ranks[0] > ranks[2] * 2.0, "hub rank {:?}", ranks);
     }
 
-    /// No staging buffer grows with the edge count: on a graph of six
-    /// chunks of edges, at one and two cores, every buffer stays within
-    /// the vertex count or one chunk (and the ranks are the same).
+    /// No staging buffer grows with the graph: on a graph of three chunks
+    /// of vertices and nine of edges, degree 3 so that rows cross chunk
+    /// boundaries (`EDGE_CHUNK` is not a multiple of 3), at one and two
+    /// cores, every buffer stays within one chunk except the vertex-sized
+    /// `shares` of phase A (and the ranks are the same).
     #[test]
     fn staging_is_bounded_by_vertices_or_one_chunk() {
-        let csr = crate::graph_data::dense_graph(1024, 96);
+        let csr = crate::graph_data::dense_graph(3 * EDGE_CHUNK as u32, 3);
         assert!(csr.num_edges() > 4 * EDGE_CHUNK);
-        let bound = (csr.num_vertices() + 1).max(EDGE_CHUNK);
+        assert!(!csr.offsets().contains(&(EDGE_CHUNK as u64)));
         let mut outputs = Vec::new();
         for cores in [1, 2] {
             let mut rt = runtime();
@@ -293,20 +293,22 @@ mod tests {
             pr.reset(&mut rt);
             pr.run_iteration(&mut MemCtx::bulk(rt.machine_mut()).with_cores(cores));
             outputs.push(pr.ranks(&mut rt));
-            let mut caps = Vec::new();
-            for s in &pr.sources {
-                caps.extend([s.bounds.capacity(), s.shares.capacity()]);
+            for shares in &pr.sources {
+                assert!(shares.capacity() <= csr.num_vertices());
             }
+            let mut caps = Vec::new();
             for s in &pr.sweep {
                 caps.extend([
                     s.nbrs.capacity(),
                     s.indices.capacity(),
                     s.shares.capacity(),
                     s.accs.capacity(),
-                    s.zeros.capacity(),
                 ]);
             }
-            assert!(caps.iter().all(|&c| c <= bound), "{cores} cores: {caps:?}");
+            assert!(
+                caps.iter().all(|&c| c <= EDGE_CHUNK),
+                "{cores} cores: {caps:?}"
+            );
         }
         assert_eq!(outputs[0], outputs[1]);
     }

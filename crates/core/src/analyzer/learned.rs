@@ -88,12 +88,6 @@ impl LearnedModel {
     }
 }
 
-impl Default for LearnedModel {
-    fn default() -> Self {
-        PRETRAINED
-    }
-}
-
 /// The logistic function.
 pub(crate) fn sigmoid(x: f64) -> f64 {
     1.0 / (1.0 + (-x).exp())

@@ -152,9 +152,9 @@ impl GraphBuilder {
         }
 
         // Originals first, mirrored copies second, each in input order:
-        // the order a stable sort by source leaves them in.
+        // the order a stable sort by source leaves them in. `offsets[row]`
+        // is the row's fill cursor; shifting by one slot makes it the bound.
         let m = offsets[n] as usize;
-        let mut cursor: Vec<usize> = offsets[..n].iter().map(|&o| o as usize).collect();
         let mut neighbors = vec![0u32; m];
         let mut weights = self.weights.as_ref().map(|_| vec![0.0f32; m]);
         let mut scatter = |mirrored: bool| {
@@ -163,10 +163,10 @@ impl GraphBuilder {
                     continue;
                 }
                 let (row, nbr) = if mirrored { (v, u) } else { (u, v) };
-                let slot = &mut cursor[row as usize];
-                neighbors[*slot] = nbr;
+                let slot = &mut offsets[row as usize];
+                neighbors[*slot as usize] = nbr;
                 if let (Some(out), Some(ws)) = (&mut weights, &self.weights) {
-                    out[*slot] = ws[i];
+                    out[*slot as usize] = ws[i];
                 }
                 *slot += 1;
             }
@@ -175,6 +175,8 @@ impl GraphBuilder {
         if self.symmetrize {
             scatter(true);
         }
+        offsets.copy_within(0..n, 1);
+        offsets[0] = 0;
 
         // Worker `k` sorts rows `row_cuts[k]..row_cuts[k + 1]`: the rows
         // where the `k`-th equal share of the edges starts and ends.

@@ -1,8 +1,12 @@
 //! Compressed sparse row (CSR) graph representation.
 
 use std::fmt;
+use std::sync::Arc;
 
 /// A directed graph in CSR form, optionally edge-weighted.
+///
+/// The arrays are shared: [`Clone`] copies pointers, and a weighted twin
+/// ([`with_random_weights`](Csr::with_random_weights)) shares the structure.
 ///
 /// Invariants (checked by [`Csr::validate`] and maintained by
 /// [`GraphBuilder`](crate::builder::GraphBuilder)):
@@ -15,9 +19,9 @@ use std::fmt;
 #[derive(Debug, Clone, PartialEq)]
 pub struct Csr {
     num_vertices: usize,
-    offsets: Vec<u64>,
-    neighbors: Vec<u32>,
-    weights: Option<Vec<f32>>,
+    offsets: Arc<Vec<u64>>,
+    neighbors: Arc<Vec<u32>>,
+    weights: Option<Arc<Vec<f32>>>,
 }
 
 impl Csr {
@@ -32,11 +36,12 @@ impl Csr {
         neighbors: Vec<u32>,
         weights: Option<Vec<f32>>,
     ) -> Self {
+        // `Arc::new` moves each `Vec` in; `Arc<[T]>::from` would copy it.
         let csr = Csr {
             num_vertices,
-            offsets,
-            neighbors,
-            weights,
+            offsets: Arc::new(offsets),
+            neighbors: Arc::new(neighbors),
+            weights: weights.map(Arc::new),
         };
         csr.validate();
         csr
@@ -96,7 +101,7 @@ impl Csr {
 
     /// The edge weights, if present.
     pub fn weights(&self) -> Option<&[f32]> {
-        self.weights.as_deref()
+        self.weights.as_deref().map(Vec::as_slice)
     }
 
     /// Whether the graph carries edge weights.
@@ -144,11 +149,11 @@ impl Csr {
     pub fn with_random_weights(mut self, max_weight: f32, seed: u64) -> Self {
         use atmem_rng::SmallRng;
         let mut rng = SmallRng::seed_from_u64(seed);
-        self.weights = Some(
+        self.weights = Some(Arc::new(
             (0..self.neighbors.len())
                 .map(|_| rng.gen_range(1.0..max_weight.max(1.0 + f32::EPSILON)))
                 .collect(),
-        );
+        ));
         self
     }
 
@@ -222,6 +227,20 @@ mod tests {
             .iter()
             .all(|&w| (1.0..10.0).contains(&w)));
         assert_eq!(a.weights_of(0).len(), 2);
+    }
+
+    #[test]
+    fn a_weighted_twin_shares_the_structure() {
+        let g = diamond();
+        let w = g.clone().with_random_weights(10.0, 7);
+        assert_eq!(g.offsets().as_ptr(), w.offsets().as_ptr());
+        assert_eq!(g.neighbors().as_ptr(), w.neighbors().as_ptr());
+        assert!(w.is_weighted() && !g.is_weighted());
+        assert_eq!(
+            (w.num_vertices(), w.offsets(), w.neighbors()),
+            (g.num_vertices(), g.offsets(), g.neighbors())
+        );
+        assert_eq!(w, diamond().with_random_weights(10.0, 7));
     }
 
     #[test]

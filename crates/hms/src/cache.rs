@@ -96,8 +96,8 @@ struct TagRow([u32; LANES]);
 ///
 /// A just-probed line is the top nibble of its set, and touching the top
 /// nibble again changes nothing: that is why the guaranteed-hit re-touches
-/// the batched engines coalesce ([`rehit_run`](Cache::rehit_run), the tail
-/// of [`access_run`](Cache::access_run)) only move counters.
+/// the batched engines coalesce (`rehit_run`, the tail of
+/// [`access_run`](Cache::access_run)) only move counters.
 #[derive(Debug, Clone)]
 pub struct Cache {
     config: CacheConfig,

@@ -58,7 +58,7 @@ use crate::tier::{Tier, TierId, TierStorage};
 use crate::tlb::Tlb;
 
 /// Maximum number of tiers a machine (and the residency caches, and a
-/// [`TiersView`]) can carry. Platform presets range from two (the paper
+/// `TiersView`) can carry. Platform presets range from two (the paper
 /// testbeds) to four (HBM-DRAM-CXL-NVM).
 pub const MAX_TIERS: usize = 8;
 

@@ -158,7 +158,7 @@ pub mod collection {
     use std::ops::Range;
 
     /// Strategy for vectors of strategy-generated elements; created by
-    /// [`vec`].
+    /// [`vec()`].
     #[derive(Debug, Clone)]
     pub struct VecStrategy<S> {
         element: S,
