@@ -57,6 +57,12 @@ echo "==> release-mode soundness (window and scalar bounds, u32 guards, chunk bo
 # and an unaccounted run read past it, must panic naming the vec in
 # optimized builds too: the allocation is whole pages, so the address would
 # otherwise land in its tail padding and be charged without an error.
+# An adopted array's whole chunks are the caller's buffer itself: every
+# write to an adopted vec (set, update, write_slice, scatter, gather_update,
+# and the unaccounted ones) must panic naming it before any simulated state
+# changes, and a raw MemPort::write into a read-only chunk must panic in the
+# per-core view, in optimized builds too, or it would write the caller's
+# buffer.
 # Run the regression tests under --release so a future debug_assert!
 # demotion fails CI instead of shipping.
 cargo test -q --release -p atmem-hms window_bounds_check_is_a_hard_check
@@ -74,6 +80,8 @@ cargo test -q --release -p atmem-hms fresh_alloc_over_a_pinned_frame_panics
 cargo test -q --release -p atmem-hms mbind_copy_onto_a_pinned_frame_panics
 cargo test -q --release -p atmem-hms scalar_index_past_the_end_
 cargo test -q --release -p atmem-hms peek_run_past_the_end_is_a_hard_check
+cargo test -q --release -p atmem-hms write_to_an_adopted_vec_
+cargo test -q --release -p atmem-hms write_to_a_read_only_chunk_is_a_hard_check
 # The branch-free R-MAT descent is the code whose debug and optimised builds
 # differ most (comparisons folded into shifts, f64 expressions the optimiser
 # may contract): the datasets must be the pinned ones, and the descent must
@@ -92,8 +100,10 @@ cargo test -q --release -p atmem-graph split_size_output_is_pinned
 
 echo "==> unsafe guard (the migration copy engine, the chunk pool and the generators stay safe code)"
 # PR 16 replaced the raw-pointer copy engine with copy_from_slice loops;
-# the one unsafe seam left is shard.rs's TiersView and the Chunk it reads
-# (tier.rs's chunk table, pool and mapped-frame counts are safe code).
+# the one unsafe seam left is shard.rs's TiersView and the Chunk it reads,
+# and beside them scalar_bytes, the byte view of a Scalar slice whose
+# stretches an adopted array's read-only chunks alias (tier.rs's chunk
+# table, pool, read-only flags and mapped-frame counts are safe code).
 # The generator's workers write disjoint parts of one buffer through
 # split_at_mut under thread::scope: safe code too.
 if guard_grep -rn 'unsafe' crates/hms/src/machine.rs crates/hms/src/mbind.rs crates/hms/src/tier.rs crates/core/src crates/graph/src crates/rng/src; then echo "unsafe is back in the migration path or the generators (lines above)" >&2; exit 1; fi
@@ -161,7 +171,7 @@ echo "==> line ratchet (non-test lines per crate stay under their ceilings)"
 # must grow a crate raises its ceiling here, in its own diff, and gives the
 # reason in its change log.
 ratchet_ok=1
-for entry in hms:7118 core:4063 apps:2642 graph:1304 bench:1966 rng:307 prop:261; do
+for entry in hms:7516 core:4086 apps:2639 graph:1324 bench:1966 rng:307 prop:261; do
   crate="${entry%%:*}"
   ceiling="${entry#*:}"
   lines="$(find "crates/$crate/src" -name '*.rs' -exec awk 'FNR == 1 { skip = 0 } /^#\[cfg\(test\)\]/ { skip = 1 } !skip { n++ } END { print n + 0 }' {} + | awk '{ s += $1 } END { print s + 0 }')"
@@ -216,7 +226,9 @@ echo "==> tier storage: chunked, recycled backing vs a flat byte array per tier"
 # hand-staged and mbind migrations, sharded phases) on tiers that end in a
 # partial chunk, run once on the chunk pool as it is and once on a pool just
 # filled with another machine's 0xA5 bytes: equal data images (and equal to a flat
-# Vec<u8> per tier), equal counters, clock and PEBS stream, audit clean.
+# Vec<u8> per tier), equal counters, clock and PEBS stream, audit clean; and
+# an adopted buffer unchanged after its machine is dropped and the pool
+# poisoned again (a read-only chunk never reaches the pool).
 # Already part of tier-1 above; named so a backing bug is named in CI
 # output. Same knob as the sweeps around it.
 ATMEM_PROP_CASES="${ATMEM_PROP_CASES:-8}" cargo test -q -p atmem-hms --test storage chunked_storage_matches_a_flat_shadow
@@ -235,7 +247,8 @@ echo "==> migration data-image property sweep"
 # fragmented two- and three-tier machines, a scripted fault at each gate
 # of the migration path, checked against a shadow image after every
 # region; the hand-staged regions assert the tier bytes under a staging
-# run never change. Same knob as above.
+# run never change. An adopted allocation's regions are among them, and its
+# host buffer must be byte-unchanged after each. Same knob as above.
 ATMEM_PROP_CASES="${ATMEM_PROP_CASES:-8}" cargo test -q -p atmem-bench --test migration_prop
 
 echo "==> serving smoke (multi-tenant scheduler anchors)"

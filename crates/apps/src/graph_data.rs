@@ -1,7 +1,8 @@
 //! CSR graph resident in simulated heterogeneous memory.
 //!
 //! [`HmsGraph`] registers the three CSR arrays as ATMem data objects
-//! (`atmem_malloc`), so the profiler sees accesses to them and the
+//! (`atmem_malloc`, as [`Atmem::adopt`]: the tier storage is the `Csr`'s
+//! own buffers, read-only), so the profiler sees accesses to them and the
 //! optimizer can migrate their hot regions. Neighbour arrays of skewed
 //! graphs are exactly the "massive data structures with skewed access
 //! patterns" the paper targets.
@@ -82,27 +83,23 @@ impl HmsGraph {
     /// Loads `csr` into simulated memory through the runtime, registering
     /// each array as a data object (`offsets`, `neighbors`, `weights`).
     ///
-    /// Bulk initialisation is unaccounted (it happens before the measured
-    /// region in every experiment).
+    /// The arrays are adopted ([`Atmem::adopt`]), not copied: the tier
+    /// storage of every whole 256 KiB chunk of them is the `Csr`'s own
+    /// buffer, read-only, kept alive by a clone of its `Arc`, and only the
+    /// partial chunks at each array's ends are copied. So a loaded graph
+    /// costs the host one copy, the `Csr`'s, where it used to cost two;
+    /// frames, mappings and every simulated bit are those a copying load
+    /// makes. Loading is unaccounted (it happens before the measured region
+    /// in every experiment), and the kernels never write the arrays.
     ///
     /// # Errors
     ///
     /// Allocation failures from the memory system.
     pub fn load(rt: &mut Atmem, csr: &Csr) -> Result<Self> {
-        let offsets = rt.malloc::<u64>(csr.offsets().len(), "csr.offsets")?;
-        offsets.fill_from(rt.machine_mut(), csr.offsets());
-        let neighbors = rt.malloc::<u32>(csr.num_edges().max(1), "csr.neighbors")?;
-        if csr.num_edges() > 0 {
-            neighbors.fill_from(rt.machine_mut(), csr.neighbors());
-        }
-        let weights = match csr.weights() {
-            Some(ws) => {
-                let w = rt.malloc::<f32>(ws.len().max(1), "csr.weights")?;
-                if !ws.is_empty() {
-                    w.fill_from(rt.machine_mut(), ws);
-                }
-                Some(w)
-            }
+        let offsets = rt.adopt(csr.shared_offsets().clone(), "csr.offsets")?;
+        let neighbors = rt.adopt(csr.shared_neighbors().clone(), "csr.neighbors")?;
+        let weights = match csr.shared_weights() {
+            Some(ws) => Some(rt.adopt(ws.clone(), "csr.weights")?),
             None => None,
         };
         Ok(HmsGraph {

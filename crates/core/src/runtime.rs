@@ -4,7 +4,7 @@
 //!
 //! | paper                     | here                         |
 //! |---------------------------|------------------------------|
-//! | `atmem_malloc(size)`      | [`Atmem::malloc`]            |
+//! | `atmem_malloc(size)`      | [`Atmem::malloc`] ([`Atmem::adopt`] for an input held elsewhere) |
 //! | `atmem_free(ptr)`         | [`Atmem::free`]              |
 //! | `atmem_profiling_start()` | [`Atmem::profiling_start`]   |
 //! | `atmem_profiling_stop()`  | [`Atmem::profiling_stop`]    |
@@ -16,6 +16,8 @@
 //! the paper's experimental protocol (§6). Under the paper's policy,
 //! `optimize` is the one-tenant call of the optimize body a multi-tenant
 //! [`Scheduler`](crate::serve::Scheduler) round runs for all its tenants.
+
+use std::sync::Arc;
 
 use atmem_hms::{Machine, Platform, Scalar, SimDuration, TierId, TrackedVec, VirtRange};
 
@@ -213,12 +215,33 @@ impl Atmem {
     /// Allocation failures from the memory system.
     pub fn malloc<T: Scalar>(&mut self, len: usize, name: &str) -> Result<TrackedVec<T>> {
         let placement = self.tenant.config.default_placement.placement();
-        let mut vec = TrackedVec::<T>::new(&mut self.machine, len, placement)?;
+        let vec = TrackedVec::<T>::new(&mut self.machine, len, placement)?;
+        Ok(self.register(vec, name))
+    }
+
+    /// Allocates and registers a **read-only** array holding `values`, as
+    /// [`malloc`](Atmem::malloc) does, without copying them into tier
+    /// storage where it can ([`TrackedVec::adopt`]): the array's whole
+    /// 256 KiB chunks are `values` itself, kept alive by the `Arc`. The
+    /// profiler and optimizer see it like any malloc'd array, and every
+    /// simulated bit is the same; writes to it panic naming it.
+    ///
+    /// # Errors
+    ///
+    /// Allocation failures from the memory system.
+    pub fn adopt<T: Scalar>(&mut self, values: Arc<Vec<T>>, name: &str) -> Result<TrackedVec<T>> {
+        let placement = self.tenant.config.default_placement.placement();
+        let vec = TrackedVec::adopt(&mut self.machine, values, placement)?;
+        Ok(self.register(vec, name))
+    }
+
+    /// Names `vec` and registers it as a data object.
+    fn register<T: Scalar>(&mut self, mut vec: TrackedVec<T>, name: &str) -> TrackedVec<T> {
         vec.set_name(name);
         let geometry = chunk_geometry(vec.range().len, &self.tenant.config.chunks);
         self.tenant.registry.register(name, vec.range(), geometry);
         self.tenant.handles.push(vec.range());
-        Ok(vec)
+        vec
     }
 
     /// Frees and unregisters an array (`atmem_free`).

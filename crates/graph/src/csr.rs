@@ -5,8 +5,13 @@ use std::sync::Arc;
 
 /// A directed graph in CSR form, optionally edge-weighted.
 ///
-/// The arrays are shared: [`Clone`] copies pointers, and a weighted twin
-/// ([`with_random_weights`](Csr::with_random_weights)) shares the structure.
+/// The arrays are shared: [`Clone`] copies pointers, a weighted twin
+/// ([`with_random_weights`](Csr::with_random_weights)) shares the structure,
+/// and [`shared_offsets`](Csr::shared_offsets),
+/// [`shared_neighbors`](Csr::shared_neighbors) and
+/// [`shared_weights`](Csr::shared_weights) lend the `Arc`s out, so a
+/// simulated-memory copy of the graph can hold the arrays themselves
+/// (`HmsGraph::load` in `atmem-apps` does).
 ///
 /// Invariants (checked by [`Csr::validate`] and maintained by
 /// [`GraphBuilder`](crate::builder::GraphBuilder)):
@@ -102,6 +107,21 @@ impl Csr {
     /// The edge weights, if present.
     pub fn weights(&self) -> Option<&[f32]> {
         self.weights.as_deref().map(Vec::as_slice)
+    }
+
+    /// The offsets array's `Arc`, to share it.
+    pub fn shared_offsets(&self) -> &Arc<Vec<u64>> {
+        &self.offsets
+    }
+
+    /// The neighbour array's `Arc`, to share it.
+    pub fn shared_neighbors(&self) -> &Arc<Vec<u32>> {
+        &self.neighbors
+    }
+
+    /// The weights array's `Arc`, if present, to share it.
+    pub fn shared_weights(&self) -> Option<&Arc<Vec<f32>>> {
+        self.weights.as_ref()
     }
 
     /// Whether the graph carries edge weights.

@@ -126,20 +126,37 @@ impl CostModel {
     ///
     /// # Panics
     ///
-    /// Panics if any constant is non-positive.
+    /// Panics if a latency is not finite and positive, or `app_threads` is
+    /// zero.
     pub fn new(llc_hit_ns: f64, walk_ns: f64, app_threads: usize) -> Self {
-        assert!(
-            llc_hit_ns > 0.0 && walk_ns > 0.0,
-            "latencies must be positive"
-        );
-        assert!(app_threads > 0, "thread count must be positive");
-        CostModel {
+        let model = CostModel {
             llc_hit_ns,
             walk_ns,
             app_threads,
             pebs_sample_ns: 300.0,
             barrier_ns: 500.0,
+        };
+        model.check();
+        model
+    }
+
+    /// The checks of [`new`](CostModel::new), and that the sample and
+    /// barrier costs are finite and non-negative, naming the value that
+    /// fails.
+    pub(crate) fn check(&self) {
+        for (what, ns, zero_ok) in [
+            ("llc_hit_ns", self.llc_hit_ns, false),
+            ("walk_ns", self.walk_ns, false),
+            ("pebs_sample_ns", self.pebs_sample_ns, true),
+            ("barrier_ns", self.barrier_ns, true),
+        ] {
+            let sign = if zero_ok { "non-negative" } else { "positive" };
+            assert!(
+                ns.is_finite() && (ns > 0.0 || zero_ok && ns == 0.0),
+                "cost.{what} {ns} must be finite and {sign}"
+            );
         }
+        assert!(self.app_threads > 0, "cost.app_threads must be positive");
     }
 
     /// Cost of one phase barrier synchronising `cores` simulated cores:

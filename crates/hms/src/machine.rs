@@ -22,7 +22,7 @@ use crate::shard::{
     resolve_block, BlockSegment, CoreCtx, CoreHandle, MemPort, TiersView, MAX_TIERS,
 };
 use crate::stats::MachineStats;
-use crate::tier::{Tier, TierId, TierStorage};
+use crate::tier::{KeepAlive, Tier, TierId, TierStorage};
 
 /// Where an allocation's physical frames should come from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -61,6 +61,19 @@ pub struct AllocationInfo {
     /// Always byte-exact: equal to [`Machine::resident_bytes`] over
     /// `range`.
     pub resident: [usize; MAX_TIERS],
+    /// Whether the allocation adopted a caller's buffer
+    /// ([`TrackedVec::adopt`](crate::TrackedVec::adopt)): its bytes are
+    /// read-only.
+    read_only: bool,
+}
+
+/// What a fresh allocation adopts: the caller's bytes, what keeps them
+/// alive, and the allocation's first virtual page.
+#[derive(Debug, Clone, Copy)]
+struct Adoption<'a> {
+    bytes: &'a [u8],
+    keep: &'a KeepAlive,
+    vpage: u64,
 }
 
 /// Result of a migration operation.
@@ -122,21 +135,12 @@ impl Machine {
     ///
     /// # Panics
     ///
-    /// Panics if the platform has no tiers, more than [`MAX_TIERS`], or a
-    /// link-bandwidth matrix whose dimensions do not match the tier count.
+    /// Panics, naming the value, if the platform fails its check: no tiers
+    /// or more than [`MAX_TIERS`], a link-bandwidth matrix whose dimensions
+    /// do not match the tier count, or any capacity, latency, bandwidth or
+    /// count out of range (the list is on `Platform`'s check).
     pub fn new(platform: Platform) -> Self {
-        assert!(
-            !platform.tiers.is_empty() && platform.tiers.len() <= MAX_TIERS,
-            "platform must have 1..={MAX_TIERS} tiers"
-        );
-        assert!(
-            platform.link_bw.len() == platform.tiers.len()
-                && platform
-                    .link_bw
-                    .iter()
-                    .all(|r| r.len() == platform.tiers.len()),
-            "link_bw matrix must be tier-count square"
-        );
+        platform.check();
         let tiers: Vec<Tier> = platform
             .tiers
             .iter()
@@ -407,12 +411,33 @@ impl Machine {
     /// [`HmsError::ZeroSizedAllocation`] for `bytes == 0`;
     /// [`HmsError::OutOfMemory`] when the policy cannot be satisfied.
     pub fn alloc(&mut self, bytes: usize, placement: Placement) -> Result<VirtRange> {
+        self.alloc_from(bytes, placement, None)
+    }
+
+    /// [`alloc`](Machine::alloc), or with `adopt = Some((src, keep))` an
+    /// allocation holding `src` (at most `bytes` long; the rest reads zero)
+    /// that copies it only where it must: a 256 KiB chunk of tier storage
+    /// that the allocation's frames cover whole, in address order, over
+    /// bytes inside `src` *is* that stretch of `src`, read-only, and holds
+    /// `keep` ([`TierStorage::adopt_frames`]). Frames and mappings are
+    /// those `alloc` would make.
+    pub(crate) fn alloc_from(
+        &mut self,
+        bytes: usize,
+        placement: Placement,
+        adopt: Option<(&[u8], &KeepAlive)>,
+    ) -> Result<VirtRange> {
         if bytes == 0 {
             return Err(HmsError::ZeroSizedAllocation);
         }
         let pages = bytes.div_ceil(PAGE_SIZE);
         let vstart = self.next_vaddr;
         debug_assert_eq!(vstart % (HUGE_PAGE_FRAMES << PAGE_SHIFT) as u64, 0);
+        let adoption = adopt.map(|(bytes, keep)| Adoption {
+            bytes,
+            keep,
+            vpage: vstart >> PAGE_SHIFT,
+        });
 
         let plan: Vec<(TierId, usize)> = match placement {
             Placement::Fast => vec![(TierId::FAST, pages)],
@@ -463,7 +488,7 @@ impl Machine {
             if tier_pages == 0 {
                 continue;
             }
-            match self.map_pages(tier, vpage, tier_pages, &mut created) {
+            match self.map_pages(tier, vpage, tier_pages, &mut created, adoption) {
                 Ok(()) => vpage += tier_pages as u64,
                 Err(e) => {
                     // Roll back everything created so far.
@@ -485,13 +510,17 @@ impl Machine {
                 pages,
                 tag: self.alloc_tag,
                 resident: [0; MAX_TIERS],
+                read_only: adoption.is_some(),
             },
         );
         for m in created {
-            // Fresh memory reads zero, whatever the chunk under it held.
+            // Fresh memory reads zero, whatever the chunk under it held
+            // (an adoption zeroed what it did not copy or alias).
             let run = FrameRun::new(m.frame_start, m.pages);
             self.assert_unpinned(m.tier, run, "a fresh allocation");
-            self.storage.zero_frames(m.tier, run);
+            if adoption.is_none() {
+                self.storage.zero_frames(m.tier, run);
+            }
             self.note_mapped(m.vrange(), m.tier);
             self.mappings.insert(m);
         }
@@ -503,13 +532,15 @@ impl Machine {
     }
 
     /// Maps `pages` pages starting at `vpage` onto frames of `tier`,
-    /// pushing created mappings into `out` (not yet inserted).
+    /// pushing created mappings into `out` (not yet inserted), their frames
+    /// backed with `adoption`'s bytes if there is one.
     fn map_pages(
         &mut self,
         tier: TierId,
         mut vpage: u64,
         mut pages: usize,
         out: &mut Vec<Mapping>,
+        adoption: Option<Adoption<'_>>,
     ) -> Result<()> {
         if self.fault_fires(FaultSite::FrameAlloc) {
             return Err(self.oom_error(tier, pages * PAGE_SIZE));
@@ -528,7 +559,7 @@ impl Machine {
                         let run = self
                             .try_alloc_base_run(tier, head)
                             .ok_or_else(|| self.oom_error(tier, head * PAGE_SIZE))?;
-                        out.push(self.back_mapping(vpage, tier, run, PageKind::Base4K));
+                        out.push(self.back_mapping(vpage, tier, run, PageKind::Base4K, adoption));
                         vpage += run.count as u64;
                         pages -= run.count as usize;
                         continue;
@@ -541,7 +572,7 @@ impl Machine {
                 // one mapping; fall back unit-by-unit, then to base pages.
                 if let Some(run) = self.try_alloc_huge_run(tier, units) {
                     let mapped_pages = run.count as usize;
-                    out.push(self.back_mapping(vpage, tier, run, PageKind::Huge2M));
+                    out.push(self.back_mapping(vpage, tier, run, PageKind::Huge2M, adoption));
                     vpage += mapped_pages as u64;
                     pages -= mapped_pages;
                     continue;
@@ -553,7 +584,7 @@ impl Machine {
             let run = self
                 .try_alloc_base_run(tier, want)
                 .ok_or_else(|| self.oom_error(tier, pages * PAGE_SIZE))?;
-            out.push(self.back_mapping(vpage, tier, run, PageKind::Base4K));
+            out.push(self.back_mapping(vpage, tier, run, PageKind::Base4K, adoption));
             vpage += run.count as u64;
             pages -= run.count as usize;
         }
@@ -561,9 +592,24 @@ impl Machine {
     }
 
     /// The mapping of `run.count` pages from `vpage` onto `run`, its frames
-    /// backed by host memory (undone by [`Machine::unmap_one`]).
-    fn back_mapping(&mut self, vpage: u64, tier: TierId, run: FrameRun, kind: PageKind) -> Mapping {
-        self.storage.map_frames(tier, run);
+    /// backed by host memory (undone by [`Machine::unmap_one`]): by what
+    /// `adoption` holds for those pages, if there is one.
+    fn back_mapping(
+        &mut self,
+        vpage: u64,
+        tier: TierId,
+        run: FrameRun,
+        kind: PageKind,
+        adoption: Option<Adoption<'_>>,
+    ) -> Mapping {
+        match adoption {
+            Some(a) => {
+                let from = ((vpage - a.vpage) as usize * PAGE_SIZE).min(a.bytes.len());
+                self.storage
+                    .adopt_frames(tier, run, &a.bytes[from..], a.keep);
+            }
+            None => self.storage.map_frames(tier, run),
+        }
         Mapping {
             vpage_start: vpage,
             pages: run.count,
@@ -1133,7 +1179,7 @@ impl Machine {
         let vpage = range.start.page_index();
         let pages = range.len / PAGE_SIZE;
         let mut created = Vec::new();
-        match self.map_pages(dst_tier, vpage, pages, &mut created) {
+        match self.map_pages(dst_tier, vpage, pages, &mut created, None) {
             Ok(()) => {
                 for m in &old {
                     self.note_unmapped(m.vrange(), m.tier);
@@ -1293,7 +1339,9 @@ impl Machine {
     ///    places in it, its pinned-frame count the frames the outstanding
     ///    staging runs' recorded sources place in it, and a chunk is backed
     ///    exactly while one of the two is non-zero — so no mapped or pinned
-    ///    frame is unbacked (and no staging run backed on its own account).
+    ///    frame is unbacked (and no staging run backed on its own account);
+    ///    a read-only chunk (an adopted buffer) maps frames of read-only
+    ///    allocations only and holds its keep-alive.
     ///
     /// Needs `&mut self` only to store the counter snapshot for the next
     /// monotonicity check.
@@ -1305,6 +1353,8 @@ impl Machine {
         // `(frame_start, pages, owning vpage)`, `None` for a staging run;
         // rendered only inside a violation.
         let mut owners: Vec<Vec<(u32, u32, Option<u64>)>> = vec![Vec::new(); self.tiers.len()];
+        // In-bounds mapped runs, and whether their allocation is read-only.
+        let mut mapped = Vec::new();
         let mut prev_end: Option<u64> = None;
         for m in self.mappings.iter() {
             if let Some(end) = prev_end {
@@ -1347,6 +1397,10 @@ impl Machine {
                 ));
             }
             owners[m.tier.index()].push((m.frame_start, m.pages, Some(m.vpage_start)));
+            let read_only = (self.allocations.range(..=m.vpage_start << PAGE_SHIFT))
+                .next_back()
+                .is_some_and(|(_, a)| a.read_only);
+            mapped.push((m.tier, FrameRun::new(m.frame_start, m.pages), read_only));
         }
         for &(tier, run) in &self.staged_runs {
             let frames = &self.tiers[tier.index()].frames;
@@ -1368,12 +1422,9 @@ impl Machine {
             owners[tier.index()].push((run.start, run.count, None));
         }
         // Invariant 9: chunks are backed by, and only by, mapped and
-        // pinned frames.
+        // pinned frames; read-only chunks by read-only allocations only.
         violations.extend(self.storage.check(
-            owners.iter().enumerate().flat_map(|(ti, owned)| {
-                let mapped = owned.iter().filter(|(_, _, vpage)| vpage.is_some());
-                mapped.map(move |&(start, count, _)| (TierId::new(ti), FrameRun::new(start, count)))
-            }),
+            mapped.into_iter(),
             self.staged_sources.iter().flatten().copied(),
         ));
 
@@ -1609,7 +1660,7 @@ fn copy_ns(platform: &Platform, src: TierId, dst: TierId, len: usize, threads: u
 ///
 /// This trait is sealed: the simulator supports exactly the primitive
 /// numeric types below.
-pub trait Scalar: Copy + private::Sealed {
+pub trait Scalar: Copy + Send + Sync + 'static + private::Sealed {
     /// Size of the encoded scalar in bytes.
     const SIZE: usize;
     /// Decodes from little-endian bytes (`bytes.len() == SIZE`).
@@ -2011,6 +2062,57 @@ mod tests {
     fn assert_clean(m: &mut Machine) {
         let violations = m.audit();
         assert!(violations.is_empty(), "audit violations: {violations:#?}");
+    }
+
+    /// An adopted array from slow frame 0: 2 MiB (one huge mapping) plus a
+    /// chunk and a half (a base run). Its nine whole chunks alias the
+    /// buffer, through a staged migration (whole chunks change hands, flag
+    /// and all) and an `mbind` (a slot whose frames all left is dropped);
+    /// its tenth is a copy. Freeing it lets the buffer go, untouched.
+    #[test]
+    fn adoption_aliases_whole_chunks_through_migrations_and_free() {
+        use crate::shard::CHUNK_SIZE;
+        use crate::tracked::TrackedVec;
+        use std::sync::Arc;
+        let mut m = machine();
+        let words = ((2 << 20) + CHUNK_SIZE + CHUNK_SIZE / 2) / 8;
+        let pattern = || (0..words as u64).map(|i| i.wrapping_mul(0x9E37_79B9_7F4A_7C15));
+        let buffer: Arc<Vec<u64>> = Arc::new(pattern().collect());
+        let v = TrackedVec::adopt(&mut m, Arc::clone(&buffer), Placement::Slow).unwrap();
+        let aliased = |m: &Machine| m.storage.read_only().iter().filter(|&&r| r).count();
+        let reads_back = |m: &mut Machine| {
+            let mut tail = vec![0; 1000];
+            v.read_slice(m, words - 1000, &mut tail);
+            v.values(m).eq(pattern()) && tail[..] == buffer[words - 1000..]
+        };
+        assert_eq!(aliased(&m), 9);
+        assert!(reads_back(&mut m));
+        assert_clean(&mut m);
+
+        let region = VirtRange::new(v.range().start, 2 << 20);
+        let run = m.alloc_frames(TierId::FAST, 512).unwrap();
+        m.copy_region_to_frames(region, TierId::FAST, run, 4)
+            .unwrap();
+        m.remap_region(region, TierId::FAST).unwrap();
+        m.copy_frames_to_region(TierId::FAST, run, region, 4)
+            .unwrap();
+        m.free_frames(TierId::FAST, run);
+        assert_eq!(m.resident_bytes(region, TierId::FAST), 2 << 20);
+        assert_eq!(aliased(&m), 9, "the staged chunks were handed over");
+        assert!(reads_back(&mut m));
+        assert_clean(&mut m);
+
+        let whole = VirtRange::new(region.end(), CHUNK_SIZE);
+        m.migrate_mbind(whole, TierId::FAST).unwrap();
+        assert_eq!(aliased(&m), 8, "the emptied slot let its chunk go");
+        assert!(reads_back(&mut m));
+        assert_clean(&mut m);
+
+        v.free(&mut m).unwrap();
+        assert_eq!(aliased(&m), 0);
+        assert_eq!(Arc::strong_count(&buffer), 1);
+        assert!(buffer.iter().copied().eq(pattern()));
+        assert_clean(&mut m);
     }
 
     #[test]

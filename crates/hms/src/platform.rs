@@ -22,6 +22,7 @@
 
 use crate::cache::CacheConfig;
 use crate::cost::CostModel;
+use crate::shard::MAX_TIERS;
 use crate::tier::{TierId, TierSpec};
 
 /// A complete description of a simulated heterogeneous memory machine.
@@ -397,6 +398,46 @@ impl Platform {
         self
     }
 
+    /// Checks every value a machine is built from, naming the first bad
+    /// one: [`with_capacities`](Platform::with_capacities),
+    /// [`with_tier_capacities`](Platform::with_tier_capacities) and the
+    /// public fields bypass [`TierSpec::new`] and [`CostModel::new`], so
+    /// [`Machine::new`](crate::Machine::new) runs their checks again here,
+    /// and those of the machine-wide values: 1 to
+    /// [`MAX_TIERS`](crate::MAX_TIERS) tiers, a positive `mbind_copy_bw`, a
+    /// finite non-negative `mbind_page_overhead_ns`, a tier-count square
+    /// `link_bw` of positive entries (`+∞` = uncapped) and at least one
+    /// migration thread.
+    pub(crate) fn check(&self) {
+        let n = self.tiers.len();
+        assert!(
+            (1..=MAX_TIERS).contains(&n),
+            "platform `{}` must have 1..={MAX_TIERS} tiers",
+            self.name
+        );
+        self.tiers.iter().for_each(TierSpec::check);
+        self.cost.check();
+        let (bw, overhead) = (self.mbind_copy_bw, self.mbind_page_overhead_ns);
+        assert!(bw > 0.0, "mbind_copy_bw {bw} must be positive");
+        assert!(
+            overhead.is_finite() && overhead >= 0.0,
+            "mbind_page_overhead_ns {overhead} must be finite and non-negative"
+        );
+        assert!(
+            self.link_bw.len() == n && self.link_bw.iter().all(|row| row.len() == n),
+            "link_bw matrix must be tier-count square"
+        );
+        for (src, row) in self.link_bw.iter().enumerate() {
+            for (dst, &bw) in row.iter().enumerate() {
+                assert!(bw > 0.0, "link_bw[{src}][{dst}] {bw} must be positive");
+            }
+        }
+        assert!(
+            self.migration_threads >= 1,
+            "migration_threads must be at least 1"
+        );
+    }
+
     /// Returns a copy with a different LLC geometry.
     #[must_use]
     pub fn with_llc(mut self, llc: CacheConfig) -> Self {
@@ -408,6 +449,70 @@ impl Platform {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Machine;
+
+    /// `Machine::new` on the testing platform after `edit`.
+    fn build(edit: impl FnOnce(&mut Platform)) -> Machine {
+        let mut p = Platform::testing();
+        edit(&mut p);
+        Machine::new(p)
+    }
+
+    #[test]
+    #[should_panic(expected = "tier `fastmem` capacity 36865 must be positive and page-aligned")]
+    fn an_unaligned_tier_capacity_is_rejected() {
+        let p = Platform::testing().with_capacities(36865, 1 << 20);
+        let _ = Machine::new(p);
+    }
+
+    #[test]
+    #[should_panic(expected = "tier `slowmem` write_bw 0 must be positive")]
+    fn a_tier_rate_must_be_positive() {
+        build(|p| p.tiers[1].write_bw = 0.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "cost.llc_hit_ns -5 must be finite and positive")]
+    fn a_negative_hit_latency_is_rejected() {
+        build(|p| p.cost.llc_hit_ns = -5.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "cost.barrier_ns NaN must be finite and non-negative")]
+    fn a_nan_barrier_cost_is_rejected() {
+        build(|p| p.cost.barrier_ns = f64::NAN);
+    }
+
+    #[test]
+    #[should_panic(expected = "mbind_copy_bw 0 must be positive")]
+    fn a_zero_mbind_bandwidth_is_rejected() {
+        build(|p| p.mbind_copy_bw = 0.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "mbind_page_overhead_ns -1 must be finite and non-negative")]
+    fn a_negative_mbind_page_overhead_is_rejected() {
+        build(|p| p.mbind_page_overhead_ns = -1.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "link_bw[0][1] NaN must be positive")]
+    fn a_nan_link_bandwidth_is_rejected() {
+        build(|p| p.link_bw[0][1] = f64::NAN);
+    }
+
+    #[test]
+    #[should_panic(expected = "migration_threads must be at least 1")]
+    fn zero_migration_threads_are_rejected() {
+        build(|p| p.migration_threads = 0);
+    }
+
+    #[test]
+    fn every_preset_passes_the_check() {
+        for name in Platform::PRESET_NAMES {
+            let _ = Machine::new(Platform::by_name(name).unwrap());
+        }
+    }
 
     #[test]
     fn presets_reflect_paper_ratios() {

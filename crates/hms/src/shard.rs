@@ -176,8 +176,9 @@ pub(crate) const CHUNK_SIZE: usize = 1 << CHUNK_SHIFT;
 /// `regular_sweep`.)
 const SLAB_SIZE: usize = 32 << 20;
 
-/// One [`CHUNK_SIZE`] block of host memory backing simulated frames: an
-/// exclusive stretch of a slab that lives as long as the process.
+/// One [`CHUNK_SIZE`] block of host memory backing simulated frames: either
+/// an exclusive stretch of a slab that lives as long as the process, or a
+/// read-only stretch of an adopted buffer ([`Chunk::alias`]).
 ///
 /// The block is held as a raw pointer rather than a `&'static mut [u8]` so
 /// that the per-core [`TiersView`]s and the owner's own
@@ -186,18 +187,21 @@ const SLAB_SIZE: usize = 32 << 20;
 /// borrowed the chunk in between.
 #[derive(Debug)]
 pub(crate) struct Chunk {
-    /// Start of `CHUNK_SIZE` bytes of a leaked slab that no other chunk
-    /// covers (chunks are made by [`Chunk::slab`] alone and are not `Clone`).
+    /// Start of `CHUNK_SIZE` bytes: of a leaked slab that no other chunk
+    /// covers (slab chunks are made by [`Chunk::slab`] alone and are not
+    /// `Clone`), or of an adopted buffer that the owning `TierStorage` keeps
+    /// alive and never writes.
     ptr: NonNull<u8>,
 }
 
-// SAFETY: a chunk is the only handle to its bytes (no other owner, no
-// thread-affine state), so moving it to another thread moves plain bytes.
+// SAFETY: a slab chunk is the only handle to its bytes, and an alias chunk's
+// bytes are an immutable buffer of `Sync` scalars; neither has thread-affine
+// state, so moving a chunk to another thread moves plain bytes.
 unsafe impl Send for Chunk {}
 // SAFETY: `&Chunk` exposes reads only (`bytes`). The one way to write through
-// a shared chunk is `TiersView::bytes_mut`, which exists only while the
-// owning storage is mutably borrowed for the view and is governed by the
-// partition contract (module docs).
+// a shared chunk is `TiersView::bytes_mut`, which refuses read-only slots,
+// exists only while the owning storage is mutably borrowed for the view and
+// is governed by the partition contract (module docs).
 unsafe impl Sync for Chunk {}
 
 impl Chunk {
@@ -210,20 +214,54 @@ impl Chunk {
         })
     }
 
+    /// A read-only chunk over `bytes`, exactly [`CHUNK_SIZE`] of an adopted
+    /// buffer. The caller keeps the buffer alive and unwritten for as long
+    /// as the chunk lives, and never asks it for
+    /// [`bytes_mut`](Chunk::bytes_mut): `TierStorage` holds the buffer's
+    /// keep-alive beside the chunk and trades the chunk for an owned copy
+    /// before any write, and `TiersView::bytes_mut` refuses it.
+    pub(crate) fn alias(bytes: &[u8]) -> Chunk {
+        assert_eq!(bytes.len(), CHUNK_SIZE, "an alias chunk covers one chunk");
+        Chunk {
+            ptr: NonNull::from(bytes).cast(),
+        }
+    }
+
     /// The chunk's bytes.
     pub(crate) fn bytes(&self) -> &[u8] {
-        // SAFETY: `ptr` starts CHUNK_SIZE bytes of a leaked allocation that
-        // only `self` covers. The only writer through a shared chunk is a
+        // SAFETY: `ptr` starts CHUNK_SIZE bytes that live as long as `self`:
+        // a leaked allocation only `self` covers, or an adopted buffer its
+        // storage keeps alive. The only writer through a shared chunk is a
         // `TiersView`, and one exists only while the owning storage is
         // mutably borrowed for it, so no `&Chunk` from outside this module
-        // coexists with one.
+        // coexists with one; an alias chunk is never written at all.
         unsafe { std::slice::from_raw_parts(self.ptr.as_ptr(), CHUNK_SIZE) }
     }
 
-    /// The chunk's bytes, mutably.
+    /// The chunk's bytes, mutably. Slab chunks only: `TierStorage` reaches
+    /// this through its one write gate, which first trades a read-only
+    /// chunk for an owned copy.
     pub(crate) fn bytes_mut(&mut self) -> &mut [u8] {
-        // SAFETY: as `bytes`, and `&mut self` is exclusive.
+        // SAFETY: as `bytes`, `&mut self` is exclusive, and a slab chunk's
+        // bytes belong to no one else.
         unsafe { std::slice::from_raw_parts_mut(self.ptr.as_ptr(), CHUNK_SIZE) }
+    }
+}
+
+/// The bytes of a scalar slice as they sit in host memory, which on a
+/// little-endian host is exactly their little-endian encoding: what an
+/// adopted buffer's chunks alias. `None` on a big-endian host, whose
+/// adoptions copy instead.
+pub(crate) fn scalar_bytes<T: Scalar>(values: &[T]) -> Option<&[u8]> {
+    if cfg!(target_endian = "little") {
+        // SAFETY: every `Scalar` is a primitive integer or float: no
+        // padding, every byte initialised, and `u8` has alignment 1. The
+        // view borrows `values`, so it lives no longer than they do.
+        Some(unsafe {
+            std::slice::from_raw_parts(values.as_ptr().cast::<u8>(), std::mem::size_of_val(values))
+        })
+    } else {
+        None
     }
 }
 
@@ -239,13 +277,16 @@ impl Chunk {
 /// (module docs): concurrent reads of any byte are fine; bytes written by
 /// one core in a phase must not be accessed by another. `bytes`/`bytes_mut`
 /// materialise references only over the exact requested range, so disjoint
-/// accesses never create aliasing references.
+/// accesses never create aliasing references, and `bytes_mut` refuses a
+/// read-only slot (an adopted buffer's bytes) in every build.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct TiersView<'a> {
     tiers: &'a [Tier],
     /// [`TierStorage::table`]: slot `tier * stride + (offset >> CHUNK_SHIFT)`
     /// holds the chunk backing that stretch of the tier, if any.
     table: &'a [Option<Chunk>],
+    /// [`TierStorage::read_only`], index for index with `table`.
+    read_only: &'a [bool],
     stride: usize,
 }
 
@@ -255,6 +296,7 @@ impl<'a> TiersView<'a> {
         TiersView {
             tiers,
             table: storage.table(),
+            read_only: storage.read_only(),
             stride: storage.stride(),
         }
     }
@@ -268,18 +310,23 @@ impl<'a> TiersView<'a> {
 
     /// Host address of byte `offset` of `tier`, checked — in release builds
     /// too — to lie, with the `len - 1` bytes after it, inside one backed
-    /// chunk of that tier: an access that fails the check would read or
-    /// write host memory no simulated frame owns.
+    /// chunk of that tier, and for a `WRITE` one that is not read-only: an
+    /// access that fails the check would read or write host memory no
+    /// simulated frame owns, or write an adopted buffer. A read pays no
+    /// load for the read-only flag.
     #[inline]
-    fn ptr(&self, tier: TierId, offset: usize, len: usize) -> *mut u8 {
+    fn ptr<const WRITE: bool>(&self, tier: TierId, offset: usize, len: usize) -> *mut u8 {
         let (chunk, within) = (offset >> CHUNK_SHIFT, offset & (CHUNK_SIZE - 1));
         // `chunk < stride`, or an offset past the tier's end would land in
         // the next tier's slots.
         if within + len <= CHUNK_SIZE && chunk < self.stride {
-            if let Some(Some(backing)) = self.table.get(tier.index() * self.stride + chunk) {
-                // SAFETY: `within + len <= CHUNK_SIZE` (checked), so the
-                // offset pointer stays inside the chunk's allocation.
-                return unsafe { backing.ptr.as_ptr().add(within) };
+            let slot = tier.index() * self.stride + chunk;
+            if let Some(Some(backing)) = self.table.get(slot) {
+                if !WRITE || self.read_only.get(slot) == Some(&false) {
+                    // SAFETY: `within + len <= CHUNK_SIZE` (checked), so the
+                    // offset pointer stays inside the chunk's allocation.
+                    return unsafe { backing.ptr.as_ptr().add(within) };
+                }
             }
         }
         self.bad_access(tier, offset, len)
@@ -300,13 +347,16 @@ impl<'a> TiersView<'a> {
         if chunk >= self.stride || tier.index() >= self.tiers.len() {
             panic!("tier storage access beyond the tier: byte {offset} of {tier}");
         }
+        if let Some(Some(_)) = self.table.get(tier.index() * self.stride + chunk) {
+            panic!("tier storage write to a read-only chunk (an adopted buffer): byte {offset} of {tier}");
+        }
         panic!("tier storage access to an unbacked chunk: byte {offset} of {tier}");
     }
 
     /// Borrows `len` bytes of `tier`'s storage starting at `offset`.
     #[inline]
     pub(crate) fn bytes(&self, tier: TierId, offset: usize, len: usize) -> &[u8] {
-        let ptr = self.ptr(tier, offset, len);
+        let ptr = self.ptr::<false>(tier, offset, len);
         // SAFETY: `ptr..ptr + len` lies inside a live chunk (checked by
         // `ptr`), the storage outlives 'a, and the partition contract
         // forbids concurrent writes to these bytes.
@@ -315,11 +365,16 @@ impl<'a> TiersView<'a> {
 
     /// Mutably borrows `len` bytes of `tier`'s storage starting at
     /// `offset`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the bytes lie in a read-only chunk, besides
+    /// [`ptr`](TiersView::ptr)'s other checks.
     #[allow(clippy::mut_from_ref)] // the view is a shared window over storage owned elsewhere
     #[inline]
     pub(crate) fn bytes_mut(&self, tier: TierId, offset: usize, len: usize) -> &mut [u8] {
-        let ptr = self.ptr(tier, offset, len);
-        // SAFETY: `ptr..ptr + len` lies inside a live chunk (checked by
+        let ptr = self.ptr::<true>(tier, offset, len);
+        // SAFETY: `ptr..ptr + len` lies inside a live slab chunk (checked by
         // `ptr`), the storage outlives 'a and is mutably borrowed for it, and
         // the partition contract guarantees no other core touches bytes this
         // core writes during a phase; the reference covers only the
@@ -496,8 +551,9 @@ impl<'a> CoreHandle<'a> {
     ) -> Result<()> {
         assert_eq!(indices.len(), out.len(), "index/output length mismatch");
         check_window_width(elem_count);
-        self.access_window::<T, OP_READ>(base, elem_count, indices, |k, bytes| {
-            out[k] = T::from_le_slice(bytes);
+        let tiers = self.tiers;
+        self.access_window::<T, OP_READ>(base, elem_count, indices, |k, tier, offset| {
+            out[k] = T::from_le_slice(tiers.bytes(tier, offset, T::SIZE));
         })
     }
 
@@ -511,8 +567,9 @@ impl<'a> CoreHandle<'a> {
     ) -> Result<()> {
         assert_eq!(indices.len(), values.len(), "index/value length mismatch");
         check_window_width(elem_count);
-        self.access_window::<T, OP_WRITE>(base, elem_count, indices, |k, bytes| {
-            values[k].write_le_slice(bytes);
+        let tiers = self.tiers;
+        self.access_window::<T, OP_WRITE>(base, elem_count, indices, |k, tier, offset| {
+            values[k].write_le_slice(tiers.bytes_mut(tier, offset, T::SIZE));
         })
     }
 
@@ -525,7 +582,9 @@ impl<'a> CoreHandle<'a> {
         mut f: impl FnMut(usize, T) -> T,
     ) -> Result<()> {
         check_window_width(elem_count);
-        self.access_window::<T, OP_RMW>(base, elem_count, indices, |k, bytes| {
+        let tiers = self.tiers;
+        self.access_window::<T, OP_RMW>(base, elem_count, indices, |k, tier, offset| {
+            let bytes = tiers.bytes_mut(tier, offset, T::SIZE);
             let old = T::from_le_slice(bytes);
             f(k, old).write_le_slice(bytes);
         })
@@ -559,14 +618,16 @@ impl<'a> CoreHandle<'a> {
     /// composition — so all simulated state ends bit-identical to the
     /// scalar loop.
     ///
-    /// `data` is invoked once per element, in order, on the element's
-    /// backing storage bytes (after accounting).
+    /// `data` is invoked once per element, in order, with the element's
+    /// window slot and its `(tier, storage offset)` (after accounting): the
+    /// caller borrows the bytes, shared for a read and mutably for a write,
+    /// so a read never claims `&mut` over an adopted buffer.
     fn access_window<T: Scalar, const OP: u8>(
         &mut self,
         base: VirtAddr,
         elem_count: usize,
         indices: &[u32],
-        mut data: impl FnMut(usize, &mut [u8]),
+        mut data: impl FnMut(usize, TierId, usize),
     ) -> Result<()> {
         let coalesce = self.platform.tlb_coalesce;
         let walk_cost = self.platform.cost.walk_cost();
@@ -641,10 +702,7 @@ impl<'a> CoreHandle<'a> {
                     }
                 }
                 let (frame, offset) = mapping.translate(va);
-                let bytes = self
-                    .tiers
-                    .bytes_mut(frame.tier, frame.byte_offset() + offset, T::SIZE);
-                data(k, bytes);
+                data(k, frame.tier, frame.byte_offset() + offset);
                 continue;
             }
 
@@ -743,10 +801,7 @@ impl<'a> CoreHandle<'a> {
                 pending_writes += 1;
                 self.core.clock.advance(rest_cost);
             }
-            let bytes = self
-                .tiers
-                .bytes_mut(frame.tier, frame.byte_offset() + offset, T::SIZE);
-            data(k, bytes);
+            data(k, frame.tier, frame.byte_offset() + offset);
         }
 
         // Window end: flush whatever is still deferred.
@@ -1306,6 +1361,19 @@ mod tests {
         let mut m = machine();
         let _v = TrackedVec::<u8>::new(&mut m, 2 * CHUNK_SIZE, Placement::Slow).unwrap();
         m.with_core(|core| core.storage_slice(TierId::SLOW, CHUNK_SIZE - 8, 16).len());
+    }
+
+    /// The per-core backstop behind an adopted vec's own refusals: a raw
+    /// accounted write into a chunk that aliases an adopted buffer is a
+    /// hard panic in every profile. (Also run under `--release` by ci.sh.)
+    #[test]
+    #[should_panic(expected = "write to a read-only chunk")]
+    fn write_to_a_read_only_chunk_is_a_hard_check() {
+        let mut m = machine();
+        let buffer = std::sync::Arc::new(vec![7u32; CHUNK_SIZE / 4]);
+        let v = TrackedVec::adopt(&mut m, buffer, Placement::Slow).unwrap();
+        assert_eq!(m.read::<u32>(v.range().start), Ok(7));
+        let _ = m.write::<u32>(v.range().start, 1);
     }
 
     /// The u32-truncation fix: a window over an object wider than the u32

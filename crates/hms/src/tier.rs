@@ -1,8 +1,9 @@
 //! Memory tiers: identifiers, performance specifications, and backing storage.
 
+use std::any::Any;
 use std::fmt;
 use std::ops::Range;
-use std::sync::{Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use crate::addr::{PAGE_SHIFT, PAGE_SIZE};
 use crate::cost::{CostModel, SimDuration};
@@ -103,8 +104,8 @@ impl TierSpec {
     ///
     /// # Panics
     ///
-    /// Panics if `capacity` is zero or not page-aligned, or if any rate is
-    /// non-positive.
+    /// Panics if `capacity` is zero or not page-aligned, the latency is not
+    /// finite and positive, or any rate is non-positive.
     pub fn new(
         name: impl Into<String>,
         capacity: usize,
@@ -113,18 +114,7 @@ impl TierSpec {
         write_bw: f64,
         per_thread_copy_bw: f64,
     ) -> Self {
-        assert!(capacity > 0, "tier capacity must be positive");
-        assert_eq!(
-            capacity % PAGE_SIZE,
-            0,
-            "tier capacity must be page-aligned"
-        );
-        assert!(load_latency_ns > 0.0, "latency must be positive");
-        assert!(
-            read_bw > 0.0 && write_bw > 0.0 && per_thread_copy_bw > 0.0,
-            "bandwidths must be positive"
-        );
-        TierSpec {
+        let spec = TierSpec {
             name: name.into(),
             capacity,
             load_latency_ns,
@@ -132,7 +122,36 @@ impl TierSpec {
             write_bw,
             per_thread_copy_bw,
             random_bw_factor: 1.0,
+        };
+        spec.check();
+        spec
+    }
+
+    /// The checks of [`new`](TierSpec::new) and
+    /// [`with_random_bw_factor`](TierSpec::with_random_bw_factor), naming
+    /// the tier and the value that fails.
+    pub(crate) fn check(&self) {
+        let (tier, capacity, latency) = (&self.name, self.capacity, self.load_latency_ns);
+        assert!(
+            capacity > 0 && capacity.is_multiple_of(PAGE_SIZE),
+            "tier `{tier}` capacity {capacity} must be positive and page-aligned"
+        );
+        assert!(
+            latency.is_finite() && latency > 0.0,
+            "tier `{tier}` load latency {latency} must be finite and positive"
+        );
+        let rates = [("read_bw", self.read_bw), ("write_bw", self.write_bw)];
+        for (what, bw) in rates
+            .into_iter()
+            .chain([("per_thread_copy_bw", self.per_thread_copy_bw)])
+        {
+            assert!(bw > 0.0, "tier `{tier}` {what} {bw} must be positive");
         }
+        let factor = self.random_bw_factor;
+        assert!(
+            factor > 0.0 && factor <= 1.0,
+            "tier `{tier}` random_bw_factor {factor} must be in (0, 1]"
+        );
     }
 
     /// Sets the random-access bandwidth factor (see the field docs).
@@ -163,7 +182,11 @@ impl TierSpec {
     }
 }
 
-/// Chunks no machine is using. Chunks carry no tier and no offset, and a new
+/// What keeps an adopted buffer alive while read-only chunks alias it: the
+/// caller's own `Arc`, type-erased.
+pub(crate) type KeepAlive = Arc<dyn Any + Send + Sync>;
+
+/// Slab chunks no machine is using. Chunks carry no tier and no offset, and a new
 /// slab is cut only while the pool is empty, so the process never holds
 /// more than the peak number of chunks live at once, rounded up to a slab.
 /// One pool for the process, not one per thread: slab memory is never
@@ -201,7 +224,8 @@ fn acquire() -> (Chunk, bool) {
     (pool.fresh.pop().expect("a slab holds chunks"), false)
 }
 
-/// Returns chunks to the pool.
+/// Returns slab chunks to the pool (never a read-only one: see
+/// [`TierStorage::unback`]).
 fn release(chunks: impl IntoIterator<Item = Chunk>) {
     pool().recycled.extend(chunks);
 }
@@ -262,12 +286,24 @@ fn pieces(
 /// are *pinned* until their bytes are replayed, and keep their chunk backed
 /// after a remap unmaps them. A staging run's own frames are never mapped
 /// or pinned, hence never backed.
+///
+/// A slot may instead be *read-only*: backed by a stretch of a buffer the
+/// caller handed over ([`adopt_frames`](TierStorage::adopt_frames)), kept
+/// alive beside the table. Every write path here first trades such a chunk
+/// for an owned copy of its bytes ([`owned`](TierStorage::owned)); the
+/// per-core views refuse to write it; it is dropped, never pooled.
 #[derive(Debug)]
 pub(crate) struct TierStorage {
     /// Slot `tier * stride + chunk index within the tier`; the slots past
     /// a tier's last chunk stay empty. The per-core views read it directly
     /// (`shard::TiersView`).
     table: Vec<Option<Chunk>>,
+    /// Index for index with `table`: whether the slot's chunk aliases an
+    /// adopted buffer. The per-core views read it before a write.
+    read_only: Vec<bool>,
+    /// Index for index with `table`: the adopted buffer a read-only slot's
+    /// chunk aliases, kept alive for as long as the chunk is in the table.
+    keep: Vec<Option<KeepAlive>>,
     /// Index for index with `table`.
     state: Vec<ChunkState>,
     /// Slots per tier: the widest tier's chunk count.
@@ -282,6 +318,8 @@ impl TierStorage {
         let slots = specs.len() * stride;
         TierStorage {
             table: (0..slots).map(|_| None).collect(),
+            read_only: vec![false; slots],
+            keep: (0..slots).map(|_| None).collect(),
             state: vec![ChunkState::default(); slots],
             stride,
         }
@@ -290,6 +328,11 @@ impl TierStorage {
     /// The chunk table (see the field docs).
     pub(crate) fn table(&self) -> &[Option<Chunk>] {
         &self.table
+    }
+
+    /// The read-only flags (see the field docs).
+    pub(crate) fn read_only(&self) -> &[bool] {
+        &self.read_only
     }
 
     /// The table's slots per tier.
@@ -302,13 +345,92 @@ impl TierStorage {
     /// [`zero_frames`](TierStorage::zero_frames)).
     pub(crate) fn map_frames(&mut self, tier: TierId, run: FrameRun) {
         for (slot, bytes) in pieces(self.stride, tier, run) {
-            let state = &mut self.state[slot];
-            if !state.backed() {
-                let (chunk, dirty) = acquire();
-                state.dirty = dirty;
-                self.table[slot] = Some(chunk);
+            self.map_piece(slot, bytes.len());
+        }
+    }
+
+    /// [`map_frames`](TierStorage::map_frames) within one slot: `len` bytes
+    /// of frames. A new frame in a read-only slot belongs to an allocation
+    /// that may write it, so the slot trades its chunk for an owned copy.
+    fn map_piece(&mut self, slot: usize, len: usize) {
+        if !self.state[slot].backed() {
+            let (chunk, dirty) = acquire();
+            self.state[slot].dirty = dirty;
+            self.table[slot] = Some(chunk);
+        } else if self.read_only[slot] {
+            self.owned(slot);
+        }
+        self.state[slot].mapped += (len >> PAGE_SHIFT) as u32;
+    }
+
+    /// Maps the frames of `run`, a run of a fresh allocation, onto `src`:
+    /// the allocation's bytes from the run's first page on (shorter than
+    /// the run at the allocation's end; its pages past `src` read zero).
+    /// A slot whose whole chunk the run covers, with bytes wholly inside
+    /// `src`, takes no pool chunk: it aliases `src`, read-only, and holds
+    /// `keep`. The other slots are mapped as usual and `src` copied in.
+    pub(crate) fn adopt_frames(
+        &mut self,
+        tier: TierId,
+        run: FrameRun,
+        mut src: &[u8],
+        keep: &KeepAlive,
+    ) {
+        for (slot, bytes) in pieces(self.stride, tier, run) {
+            let take = src.len().min(bytes.len());
+            if take == CHUNK_SIZE && !self.state[slot].backed() {
+                self.table[slot] = Some(Chunk::alias(&src[..take]));
+                self.read_only[slot] = true;
+                self.keep[slot] = Some(Arc::clone(keep));
+                let state = &mut self.state[slot];
+                // The frames hold the buffer's bytes, not zero.
+                (state.mapped, state.dirty) = (CHUNK_FRAMES, true);
+            } else {
+                self.map_piece(slot, bytes.len());
+                let dirty = self.state[slot].dirty;
+                let (head, tail) = self.owned(slot).bytes_mut()[bytes].split_at_mut(take);
+                head.copy_from_slice(&src[..take]);
+                if dirty {
+                    tail.fill(0);
+                }
             }
-            state.mapped += (bytes.len() >> PAGE_SHIFT) as u32;
+            src = &src[take..];
+        }
+    }
+
+    /// The chunk of `slot`, to write: the one gate to
+    /// [`Chunk::bytes_mut`]. A read-only slot first trades its chunk for a
+    /// pool chunk holding a copy of its bytes, and lets the adopted buffer
+    /// go.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the slot is not backed.
+    fn owned(&mut self, slot: usize) -> &mut Chunk {
+        if self.read_only[slot] {
+            let (mut copy, _) = acquire();
+            let alias = self.table[slot]
+                .as_ref()
+                .expect("a read-only slot is backed");
+            copy.bytes_mut().copy_from_slice(alias.bytes());
+            self.table[slot] = Some(copy);
+            self.read_only[slot] = false;
+            self.keep[slot] = None;
+            self.state[slot].dirty = true;
+        }
+        self.table[slot]
+            .as_mut()
+            .expect("tier storage access to an unbacked chunk")
+    }
+
+    /// Empties `slot`: a slab chunk goes back to the pool, a read-only one
+    /// is dropped with its keep-alive.
+    fn unback(&mut self, slot: usize) {
+        let chunk = self.table[slot].take();
+        if std::mem::take(&mut self.read_only[slot]) {
+            self.keep[slot] = None;
+        } else {
+            release(chunk);
         }
     }
 
@@ -327,7 +449,7 @@ impl TierStorage {
                 .expect("unmapped more frames than the chunk had mapped");
             state.dirty = true;
             if !state.backed() {
-                release(self.table[slot].take());
+                self.unback(slot);
             }
         }
     }
@@ -361,7 +483,7 @@ impl TierStorage {
             .checked_sub((piece.len >> PAGE_SHIFT) as u32)
             .expect("unpinned more frames than the chunk had pinned");
         if !state.backed() {
-            release(self.table[slot].take());
+            self.unback(slot);
         }
     }
 
@@ -371,8 +493,7 @@ impl TierStorage {
     pub(crate) fn zero_frames(&mut self, tier: TierId, run: FrameRun) {
         for (slot, bytes) in pieces(self.stride, tier, run) {
             if self.state[slot].dirty {
-                let chunk = self.table[slot].as_mut().expect("mapped frames are backed");
-                chunk.bytes_mut()[bytes].fill(0);
+                self.owned(slot).bytes_mut()[bytes].fill(0);
             }
         }
     }
@@ -409,10 +530,7 @@ impl TierStorage {
     /// As [`slice`](TierStorage::slice).
     pub(crate) fn slice_mut(&mut self, tier: TierId, offset: usize, len: usize) -> &mut [u8] {
         let (slot, within) = self.locate(tier, offset);
-        let chunk = self.table[slot]
-            .as_mut()
-            .expect("tier storage access to an unbacked chunk");
-        &mut chunk.bytes_mut()[within..within + len]
+        &mut self.owned(slot).bytes_mut()[within..within + len]
     }
 
     /// Copies `len` bytes from byte `src` to byte `dst`, each a `(tier,
@@ -421,6 +539,7 @@ impl TierStorage {
     pub(crate) fn copy(&mut self, src: (TierId, usize), dst: (TierId, usize), len: usize) {
         let (src_slot, from) = self.locate(src.0, src.1);
         let (dst_slot, to) = self.locate(dst.0, dst.1);
+        self.owned(dst_slot);
         // Lift the destination chunk out of the table for the copy: one
         // `&mut` chunk beside a `&` to the rest.
         let mut chunk = self.table[dst_slot]
@@ -439,7 +558,8 @@ impl TierStorage {
     ///
     /// A whole destination chunk whose bytes are a whole source chunk that
     /// nothing maps and only this move pins takes that chunk: the two table
-    /// slots swap. Other pieces are copied. With `bounce` (the destination
+    /// slots swap, read-only flag and keep-alive with them. Other pieces are
+    /// copied. With `bounce` (the destination
     /// overlaps the source, whose pages it may permute in a cycle no copy
     /// order resolves) the whole source is read before anything is written.
     pub(crate) fn replay(&mut self, src: &[BlockSegment], dst: &[BlockSegment], bounce: bool) {
@@ -466,6 +586,8 @@ impl TierStorage {
                 let (source, target) = (self.state[from], self.state[to]);
                 if source.mapped == 0 && source.pinned == CHUNK_FRAMES && target.pinned == 0 {
                     self.table.swap(from, to);
+                    self.read_only.swap(from, to);
+                    self.keep.swap(from, to);
                     at += 1;
                     continue;
                 }
@@ -501,20 +623,25 @@ impl TierStorage {
     }
 
     /// Checks the chunk invariants against `mapped`, every in-bounds frame
-    /// run a mapping owns, and `pinned`, every segment the outstanding
-    /// staging runs have pinned: each chunk's mapped-frame and pinned-frame
-    /// counts equal the frames those place in it, and a chunk is backed
-    /// exactly when one of the counts is non-zero — so no mapped or pinned
-    /// frame is unbacked. Returns the violations.
+    /// run a mapping owns (and whether its allocation is read-only), and
+    /// `pinned`, every segment the outstanding staging runs have pinned:
+    /// each chunk's mapped-frame and pinned-frame counts equal the frames
+    /// those place in it, and a chunk is backed exactly when one of the
+    /// counts is non-zero — so no mapped or pinned frame is unbacked. A
+    /// read-only slot maps frames of read-only allocations only and holds
+    /// its keep-alive; no other slot holds one. Returns the violations.
     pub(crate) fn check(
         &self,
-        mapped: impl Iterator<Item = (TierId, FrameRun)>,
+        mapped: impl Iterator<Item = (TierId, FrameRun, bool)>,
         pinned: impl Iterator<Item = BlockSegment>,
     ) -> Vec<String> {
         let mut placed = vec![ChunkState::default(); self.state.len()];
-        for (tier, run) in mapped {
+        // Slots in which a frame of a writable allocation is mapped.
+        let mut writable = vec![false; self.state.len()];
+        for (tier, run, read_only) in mapped {
             for (slot, bytes) in pieces(self.stride, tier, run) {
                 placed[slot].mapped += (bytes.len() >> PAGE_SHIFT) as u32;
+                writable[slot] |= !read_only;
             }
         }
         for piece in pinned {
@@ -545,6 +672,26 @@ impl TierStorage {
                     state.pinned
                 ));
             }
+            if self.read_only[slot] != self.keep[slot].is_some() {
+                violations.push(format!(
+                    "chunk {chunk} of {tier} is {} but {} an adopted buffer alive",
+                    if self.read_only[slot] {
+                        "read-only"
+                    } else {
+                        "writable"
+                    },
+                    if self.keep[slot].is_some() {
+                        "keeps"
+                    } else {
+                        "does not keep"
+                    }
+                ));
+            }
+            if self.read_only[slot] && writable[slot] {
+                violations.push(format!(
+                    "read-only chunk {chunk} of {tier} maps a frame of a writable allocation"
+                ));
+            }
         }
         violations
     }
@@ -552,7 +699,9 @@ impl TierStorage {
 
 impl Drop for TierStorage {
     fn drop(&mut self) {
-        release(self.table.drain(..).flatten());
+        // Read-only chunks are dropped here, their keep-alives after.
+        let slab = self.table.drain(..).zip(&self.read_only);
+        release(slab.filter_map(|(chunk, &read_only)| chunk.filter(|_| !read_only)));
     }
 }
 
@@ -651,7 +800,7 @@ mod tests {
         assert_eq!(backed(&s), 1, "frame 0 keeps chunk 0");
         assert!(s
             .check(
-                [(TierId::FAST, FrameRun::new(0, 1))].into_iter(),
+                [(TierId::FAST, FrameRun::new(0, 1), false)].into_iter(),
                 [].into_iter()
             )
             .is_empty());
@@ -804,8 +953,120 @@ mod tests {
         for piece in src {
             s.unpin(piece);
         }
-        let mapped = [(TierId::FAST, FrameRun::new(0, frames as u32 + 2))];
+        let mapped = [(TierId::FAST, FrameRun::new(0, frames as u32 + 2), false)];
         assert!(s.check(mapped.into_iter(), [].into_iter()).is_empty());
+    }
+
+    /// A storage whose slow slot 0 aliases the first chunk of a buffer a
+    /// chunk and 100 bytes long, and whose slot 1 holds a copy of the rest.
+    fn adopted() -> (TierStorage, Arc<Vec<u8>>) {
+        let buffer: Arc<Vec<u8>> =
+            Arc::new((0..CHUNK_SIZE + 100).map(|i| (i * 7 % 251) as u8).collect());
+        let keep: KeepAlive = Arc::clone(&buffer) as KeepAlive;
+        let mut s = storage();
+        s.adopt_frames(
+            TierId::SLOW,
+            FrameRun::new(0, CHUNK_FRAMES + 1),
+            &buffer,
+            &keep,
+        );
+        (s, buffer)
+    }
+
+    #[test]
+    fn adoption_aliases_whole_chunks_and_copies_the_rest() {
+        let (s, buffer) = adopted();
+        let slot = s.stride;
+        assert!(s.read_only()[slot] && !s.read_only()[slot + 1]);
+        assert_eq!(
+            s.table[slot].as_ref().map(|c| c.bytes().as_ptr()),
+            Some(buffer.as_ptr()),
+            "a whole chunk is the buffer itself"
+        );
+        assert_eq!(Arc::strong_count(&buffer), 2, "the storage keeps it alive");
+        let image = s.to_vec(TierId::SLOW, 0, CHUNK_SIZE + PAGE_SIZE);
+        assert_eq!(image[..buffer.len()], buffer[..]);
+        assert!(
+            image[buffer.len()..].iter().all(|&b| b == 0),
+            "the tail reads zero"
+        );
+        let mapped = [(TierId::SLOW, FrameRun::new(0, CHUNK_FRAMES + 1), true)];
+        assert!(s.check(mapped.into_iter(), [].into_iter()).is_empty());
+        let mapped = [(TierId::SLOW, FrameRun::new(0, CHUNK_FRAMES + 1), false)];
+        let violations = s.check(mapped.into_iter(), [].into_iter());
+        assert!(
+            violations[0].contains("read-only chunk 0 of tier1 maps a frame of a writable"),
+            "{violations:#?}"
+        );
+    }
+
+    /// Every write path of the storage trades a read-only chunk for an owned
+    /// copy first: the buffer is never written, and the storage reads what
+    /// the write left on top of the buffer's bytes.
+    #[test]
+    fn every_write_copies_a_read_only_chunk_first() {
+        type Write = fn(&mut TierStorage);
+        type Effect = fn(&mut [u8]);
+        let writes: [(&str, Write, Effect); 5] = [
+            (
+                "slice_mut",
+                |s| s.slice_mut(TierId::SLOW, 8, 4).fill(0),
+                |b| b[8..12].fill(0),
+            ),
+            (
+                "zero_frames",
+                |s| s.zero_frames(TierId::SLOW, FrameRun::new(1, 1)),
+                |b| b[PAGE_SIZE..2 * PAGE_SIZE].fill(0),
+            ),
+            (
+                "copy",
+                |s| s.copy((TierId::SLOW, CHUNK_SIZE), (TierId::SLOW, 0), 4),
+                |b| b.copy_within(CHUNK_SIZE..CHUNK_SIZE + 4, 0),
+            ),
+            (
+                "map_frames",
+                |s| {
+                    s.unmap_frames(TierId::SLOW, FrameRun::new(3, 1));
+                    s.map_frames(TierId::SLOW, FrameRun::new(3, 1));
+                },
+                |_| {},
+            ),
+            (
+                "replay",
+                |s| {
+                    let page = |frame| segment(TierId::SLOW, frame, 1);
+                    s.replay(&[page(2), page(1)], &[page(1), page(2)], true);
+                },
+                |b| b[PAGE_SIZE..3 * PAGE_SIZE].rotate_left(PAGE_SIZE),
+            ),
+        ];
+        for (name, write, effect) in writes {
+            let (mut s, buffer) = adopted();
+            let original = buffer.to_vec();
+            let mut expect = original.clone();
+            effect(&mut expect);
+            write(&mut s);
+            assert!(!s.read_only()[s.stride], "{name} wrote a read-only chunk");
+            assert_eq!(
+                Arc::strong_count(&buffer),
+                1,
+                "{name} kept the buffer alive"
+            );
+            assert!(*buffer == original, "{name} wrote the buffer");
+            assert!(s.to_vec(TierId::SLOW, 0, buffer.len()) == expect, "{name}");
+        }
+    }
+
+    #[test]
+    fn an_unbacked_read_only_chunk_is_dropped_with_its_buffer() {
+        let (mut s, buffer) = adopted();
+        s.unmap_frames(TierId::SLOW, FrameRun::new(0, CHUNK_FRAMES + 1));
+        assert!(s.table.iter().all(Option::is_none));
+        assert!(!s.read_only().contains(&true));
+        assert_eq!(Arc::strong_count(&buffer), 1);
+        let (s, buffer) = adopted();
+        drop(s);
+        assert_eq!(Arc::strong_count(&buffer), 1);
     }
 
     #[test]

@@ -20,12 +20,14 @@
 //! read accounted (see its docs).
 
 use std::marker::PhantomData;
+use std::sync::Arc;
 
 use crate::addr::{VirtAddr, VirtRange};
 use crate::error::Result;
 use crate::machine::{Machine, Placement, Scalar};
 use crate::mapping::MappingTable;
-use crate::shard::{resolve_block, BlockSegment, MemPort};
+use crate::shard::{resolve_block, scalar_bytes, BlockSegment, MemPort};
+use crate::tier::KeepAlive;
 
 /// A fixed-length typed array living in simulated memory.
 #[derive(Debug)]
@@ -33,6 +35,8 @@ pub struct TrackedVec<T> {
     range: VirtRange,
     len: usize,
     name: Option<Box<str>>,
+    /// Made by [`adopt`](TrackedVec::adopt): every write is refused.
+    read_only: bool,
     _marker: PhantomData<T>,
 }
 
@@ -48,8 +52,71 @@ impl<T: Scalar> TrackedVec<T> {
             range,
             len,
             name: None,
+            read_only: false,
             _marker: PhantomData,
         })
+    }
+
+    /// Allocates a **read-only** tracked array holding `values`, copying
+    /// only the partial 256 KiB chunks of tier storage at its ends: every
+    /// whole chunk *is* that stretch of `values` (all of it is copied on a
+    /// big-endian host). Frames, mappings and every simulated bit of every
+    /// later access are those [`new`](TrackedVec::new) +
+    /// [`fill_from`](TrackedVec::fill_from) give.
+    ///
+    /// Reads and migrations work as on any array. Every write through the
+    /// vec (`set`, `update`, `write_slice`, `scatter`, `gather_update`,
+    /// `poke`, the fills) panics naming it, before any simulated state
+    /// changes; a raw [`MemPort::write`] into an aliased chunk panics too.
+    ///
+    /// # Errors
+    ///
+    /// Propagates allocation failures from [`Machine::alloc`].
+    pub fn adopt(machine: &mut Machine, values: Arc<Vec<T>>, placement: Placement) -> Result<Self> {
+        let len = values.len();
+        let bytes = len.max(1) * T::SIZE;
+        let src = scalar_bytes(&values);
+        let range = match src {
+            Some(src) => {
+                let keep = values.clone() as KeepAlive;
+                machine.alloc_from(bytes, placement, Some((src, &keep)))?
+            }
+            None => machine.alloc(bytes, placement)?,
+        };
+        let vec = TrackedVec {
+            range,
+            len,
+            name: None,
+            read_only: false,
+            _marker: PhantomData,
+        };
+        if src.is_none() {
+            vec.fill_from(machine, &values);
+        }
+        Ok(TrackedVec {
+            read_only: true,
+            ..vec
+        })
+    }
+
+    /// Panics, naming the vec, if it refuses writes: called by every write
+    /// before it touches anything.
+    #[inline]
+    fn check_writable(&self, what: &str) {
+        if self.read_only {
+            self.refuse_write(what);
+        }
+    }
+
+    /// The panic of [`check_writable`](TrackedVec::check_writable), out of
+    /// line so the scalar accessors stay small enough to inline.
+    #[cold]
+    #[inline(never)]
+    fn refuse_write(&self, what: &str) -> ! {
+        panic!(
+            "tracked vec `{}`: {what} to a read-only (adopted) array",
+            self.label()
+        )
     }
 
     /// Attaches a display name, used in panic messages for out-of-bounds
@@ -141,9 +208,11 @@ impl<T: Scalar> TrackedVec<T> {
     ///
     /// # Panics
     ///
-    /// Panics if the element is unmapped.
+    /// Panics if the element is unmapped, or (naming the vec) if it was
+    /// [adopted](TrackedVec::adopt).
     #[inline]
     pub fn set(&self, machine: &mut impl MemPort, i: usize, value: T) {
+        self.check_writable("set");
         machine
             .write::<T>(self.addr_of(i), value)
             .expect("tracked element unmapped");
@@ -157,9 +226,11 @@ impl<T: Scalar> TrackedVec<T> {
     ///
     /// # Panics
     ///
-    /// Panics if the element is unmapped.
+    /// Panics if the element is unmapped, or (naming the vec) if it was
+    /// [adopted](TrackedVec::adopt).
     #[inline]
     pub fn update(&self, machine: &mut impl MemPort, i: usize, f: impl FnOnce(T) -> T) -> T {
+        self.check_writable("update");
         machine
             .read_modify_write::<T>(self.addr_of(i), f)
             .expect("tracked element unmapped")
@@ -213,8 +284,9 @@ impl<T: Scalar> TrackedVec<T> {
     /// # Panics
     ///
     /// Panics if `start + values.len() > self.len()` or if the range is
-    /// unmapped.
+    /// unmapped, or (naming the vec) if it was [adopted](TrackedVec::adopt).
     pub fn write_slice(&self, machine: &mut impl MemPort, start: usize, values: &[T]) {
+        self.check_writable("write_slice");
         assert!(
             start + values.len() <= self.len,
             "slice [{start}, {}) out of bounds (len {})",
@@ -323,9 +395,10 @@ impl<T: Scalar> TrackedVec<T> {
     ///
     /// Panics if `indices` and `values` differ in length, an index is out of
     /// bounds (the message names the vec, and the window is rejected before
-    /// any simulated state changes), or the array is unmapped
-    /// (use-after-free).
+    /// any simulated state changes), the array is unmapped
+    /// (use-after-free), or (naming the vec) it was [adopted](TrackedVec::adopt).
     pub fn scatter(&self, machine: &mut impl MemPort, indices: &[u32], values: &[T]) {
+        self.check_writable("scatter");
         self.check_window("scatter", indices);
         machine
             .write_scatter::<T>(self.range.start, self.len, indices, values)
@@ -347,14 +420,16 @@ impl<T: Scalar> TrackedVec<T> {
     /// # Panics
     ///
     /// Panics if an index is out of bounds (the message names the vec, and
-    /// the window is rejected before any simulated state changes) or the
-    /// array is unmapped (use-after-free).
+    /// the window is rejected before any simulated state changes), the
+    /// array is unmapped (use-after-free), or (naming the vec) it was
+    /// [adopted](TrackedVec::adopt).
     pub fn gather_update(
         &self,
         machine: &mut impl MemPort,
         indices: &[u32],
         f: impl FnMut(usize, T) -> T,
     ) {
+        self.check_writable("gather_update");
         self.check_window("gather_update", indices);
         machine
             .gather_update::<T>(self.range.start, self.len, indices, f)
@@ -377,8 +452,14 @@ impl<T: Scalar> TrackedVec<T> {
     /// state change, no PEBS sample — invisible to the profiler and the
     /// clock. For bulk initialisation outside the timed region; the
     /// accounted counterpart is [`set`](TrackedVec::set).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the element is unmapped, or (naming the vec) if it was
+    /// [adopted](TrackedVec::adopt).
     #[doc(alias = "set")]
     pub fn poke(&self, machine: &mut impl MemPort, i: usize, value: T) {
+        self.check_writable("poke");
         machine
             .poke::<T>(self.addr_of(i), value)
             .expect("tracked element unmapped");
@@ -454,8 +535,10 @@ impl<T: Scalar> TrackedVec<T> {
     ///
     /// # Panics
     ///
-    /// Panics (naming the vec) if the array is unmapped (use-after-free).
+    /// Panics (naming the vec) if the array is unmapped (use-after-free) or
+    /// was [adopted](TrackedVec::adopt).
     pub fn fill_with(&self, machine: &mut impl MemPort, mut f: impl FnMut(usize) -> T) {
+        self.check_writable("fill");
         machine.with_core(|core| {
             let mut i = 0;
             for seg in self.resolve(core.mappings(), 0, self.len) {
@@ -475,8 +558,9 @@ impl<T: Scalar> TrackedVec<T> {
     /// # Panics
     ///
     /// Panics if `values.len() != self.len()`, or (naming the vec) if the
-    /// array is unmapped.
+    /// array is unmapped or was [adopted](TrackedVec::adopt).
     pub fn fill_from(&self, machine: &mut impl MemPort, values: &[T]) {
+        self.check_writable("fill_from");
         assert_eq!(values.len(), self.len, "length mismatch in fill_from");
         machine.with_core(|core| {
             let mut rest = values;
@@ -497,7 +581,8 @@ impl<T: Scalar> TrackedVec<T> {
     ///
     /// # Panics
     ///
-    /// Panics (naming the vec) if the array is unmapped.
+    /// Panics (naming the vec) if the array is unmapped or was
+    /// [adopted](TrackedVec::adopt).
     pub fn fill(&self, machine: &mut impl MemPort, value: T) {
         self.fill_with(machine, |_| value);
     }
@@ -1093,6 +1178,105 @@ mod tests {
             assert!(msg.contains("`spmv.y` unmapped"), "anonymous panic: {msg}");
         }
         let _ = v.to_vec(&mut m);
+    }
+
+    /// Runs `write` on an adopted vec named `csr.neighbors`: it must panic
+    /// naming the vec and the operation, leave every simulated observable
+    /// and the buffer as they were, and the machine audit-clean.
+    fn assert_refused(what: &str, write: impl FnOnce(&TrackedVec<u32>, &mut Machine)) {
+        let mut m = machine();
+        m.pebs_enable(1, 0);
+        let buffer = Arc::new((0..70_000u32).collect::<Vec<_>>());
+        let mut v = TrackedVec::adopt(&mut m, Arc::clone(&buffer), Placement::Slow).unwrap();
+        v.set_name("csr.neighbors");
+        let _ = v.get(&mut m, 5);
+        let before = observables(&m);
+        let panic = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| write(&v, &mut m)))
+            .expect_err("a write to an adopted vec went through");
+        let msg = panic.downcast_ref::<String>().cloned().unwrap_or_default();
+        assert!(
+            msg.contains(&format!(
+                "tracked vec `csr.neighbors`: {what} to a read-only"
+            )),
+            "{msg}"
+        );
+        assert_eq!(observables(&m), before, "{what} changed simulated state");
+        assert!(buffer.iter().copied().eq(0..70_000));
+        assert!(v.values(&m).eq(0..70_000));
+        assert_eq!(m.audit(), Vec::<String>::new());
+    }
+
+    #[test]
+    fn write_to_an_adopted_vec_set_panics_naming_it() {
+        assert_refused("set", |v, m| v.set(m, 5, 1));
+    }
+
+    #[test]
+    fn write_to_an_adopted_vec_update_panics_naming_it() {
+        assert_refused("update", |v, m| {
+            v.update(m, 5, |x| x + 1);
+        });
+    }
+
+    #[test]
+    fn write_to_an_adopted_vec_write_slice_panics_naming_it() {
+        assert_refused("write_slice", |v, m| v.write_slice(m, 0, &[1, 2, 3]));
+    }
+
+    #[test]
+    fn write_to_an_adopted_vec_scatter_panics_naming_it() {
+        assert_refused("scatter", |v, m| v.scatter(m, &[1, 70_000 - 1], &[1, 2]));
+    }
+
+    #[test]
+    fn write_to_an_adopted_vec_gather_update_panics_naming_it() {
+        assert_refused("gather_update", |v, m| {
+            v.gather_update(m, &[1, 2], |_, x| x)
+        });
+    }
+
+    #[test]
+    fn write_to_an_adopted_vec_unaccounted_panics_naming_it() {
+        assert_refused("poke", |v, m| v.poke(m, 5, 1));
+        assert_refused("fill", |v, m| v.fill(m, 1));
+        assert_refused("fill_from", |v, m| v.fill_from(m, &vec![1; 70_000]));
+    }
+
+    /// An adopted vec reads as its buffer through every read path, on one
+    /// core and two, and costs exactly what a copied one costs.
+    #[test]
+    fn an_adopted_vec_reads_and_costs_as_a_copied_one() {
+        let platform = || Platform::testing().with_capacities(256 * 1024, 8 * 1024 * 1024);
+        let values: Vec<u64> = (0..300_000u64)
+            .map(|i| i.wrapping_mul(2654435761))
+            .collect();
+        let mut adopted = Machine::new(platform());
+        let mut copied = Machine::new(platform());
+        let va =
+            TrackedVec::adopt(&mut adopted, Arc::new(values.clone()), Placement::Slow).unwrap();
+        let vc = TrackedVec::new(&mut copied, values.len(), Placement::Slow).unwrap();
+        vc.fill_from(&mut copied, &values);
+        let indices: Vec<u32> = (0..5_000u32)
+            .map(|k| k.wrapping_mul(40_503) % 300_000)
+            .collect();
+        let mut reads = Vec::new();
+        for (m, v) in [(&mut adopted, &va), (&mut copied, &vc)] {
+            m.pebs_enable(7, 3);
+            let mut block = vec![0; 100_000];
+            v.read_slice(m, 123, &mut block);
+            let mut gathered = vec![0; indices.len()];
+            v.gather(m, &indices, &mut gathered);
+            let sums = m.run_cores(2, |core, h| {
+                let mut sum = 0u64;
+                v.scan(h, core * 150_000, 150_000, |_, x| sum = sum.wrapping_add(x));
+                sum.wrapping_add(v.get(h, core))
+            });
+            reads.push((block, gathered, sums, v.to_vec(m), v.peek(m, 299_999)));
+        }
+        assert!(reads[0] == reads[1], "an adopted vec reads differently");
+        assert_eq!(reads[0].3, values);
+        assert_eq!(observables(&adopted), observables(&copied));
+        assert_eq!(adopted.pebs_drain(), copied.pebs_drain());
     }
 
     /// A three-element vec named like a kernel array: its allocation is a

@@ -9,6 +9,8 @@
 //!
 //! `ATMEM_PROP_CASES` overrides the property's case count (see `ci.sh`).
 
+use std::sync::Arc;
+
 use atmem_hms::{
     Machine, MachineStats, Placement, Platform, SampleRecord, TierId, TrackedVec, VirtRange,
     PAGE_SIZE,
@@ -238,11 +240,22 @@ struct Observables {
 /// Runs `ops` — on the pool as it is, or freshly [poisoned](poison_pool) —
 /// checking the machine against the flat model after every migration and
 /// at the end.
+///
+/// The machine first adopts a buffer of two and a half chunks (two of them
+/// aliased, read-only), which reads as the buffer throughout. Once the
+/// machine is dropped, the pool is poisoned again: were a read-only chunk
+/// in it, the `0xA5` would land in the buffer.
 fn run(ops: &[(u32, usize, usize, u64)], poisoned: bool) -> Observables {
     if poisoned {
         poison_pool();
     }
+    let original: Vec<u64> = (0..(5 * CHUNK / 2 / 8) as u64)
+        .map(|i| i ^ 0x5A5A)
+        .collect();
+    let buffer = Arc::new(original.clone());
     let mut model = Model::new();
+    let adopted = TrackedVec::adopt(&mut model.m, Arc::clone(&buffer), Placement::Slow).unwrap();
+    assert!(adopted.values(&model.m).eq(original.iter().copied()));
     for (step, &op) in ops.iter().enumerate() {
         model.apply(op);
         if matches!(op.0, 1 | 5 | 6) {
@@ -250,13 +263,18 @@ fn run(ops: &[(u32, usize, usize, u64)], poisoned: bool) -> Observables {
         }
     }
     model.check(&format!("end of program, poisoned pool: {poisoned}"));
+    assert!(adopted.values(&model.m).eq(original.iter().copied()));
     let Model { mut m, vecs, .. } = model;
-    Observables {
+    let observables = Observables {
         stats: m.stats(),
         clock_bits: m.now().as_ns().to_bits(),
         samples: m.pebs_drain(),
         images: vecs.iter().map(|v| v.to_vec(&mut m)).collect(),
-    }
+    };
+    drop(m);
+    poison_pool();
+    assert!(*buffer == original, "a read-only chunk reached the pool");
+    observables
 }
 
 proptest! {

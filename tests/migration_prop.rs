@@ -8,9 +8,16 @@
 //! status check). The data is rewritten between regions, so a replay of
 //! stale bytes cannot pass for the live image.
 //!
+//! A second allocation adopts a host buffer ([`TrackedVec::adopt`]): its
+//! whole 256 KiB chunks of tier storage are the buffer itself, read-only, so
+//! every migration of it must trade them for owned copies or hand them over
+//! whole. Its regions are drawn among the others, larger (up to 200 pages,
+//! so whole chunks move), and never rewritten.
+//!
 //! After every region: the whole allocation reads back equal to a shadow
-//! `Vec<u64>`, no staging run is outstanding, and [`Machine::audit`] is
-//! clean. The hand-driven regions also prove where staged bytes live: the
+//! `Vec<u64>`, the adopted one equal to its buffer's first contents, the
+//! buffer is byte-unchanged, no staging run is outstanding, and
+//! [`Machine::audit`] is clean. The hand-driven regions also prove where staged bytes live: the
 //! tier storage under a staging run is bit-identical before
 //! [`Machine::alloc_frames`] and after [`Machine::free_frames`] wherever the
 //! tier has storage at all, and the run itself never gives it any.
@@ -20,9 +27,14 @@
 //! [`Machine::audit`]: atmem_hms::Machine::audit
 //! [`Machine::alloc_frames`]: atmem_hms::Machine::alloc_frames
 //! [`Machine::free_frames`]: atmem_hms::Machine::free_frames
+//! [`TrackedVec::adopt`]: atmem_hms::TrackedVec::adopt
+
+use std::sync::Arc;
 
 use atmem::{execute_regions, MigrationConfig, MigrationMechanism, ObjectId, PlannedRegion};
-use atmem_hms::{FaultPlan, FaultSite, Machine, MemPort, Placement, Platform, TierId, VirtRange};
+use atmem_hms::{
+    FaultPlan, FaultSite, Machine, MemPort, Placement, Platform, TierId, TrackedVec, VirtRange,
+};
 use atmem_prop::prelude::*;
 
 const PAGE: usize = 4096;
@@ -66,11 +78,19 @@ const FAULTS: [(FaultSite, u64); 8] = [
     (FaultSite::PageStatus, 2),
 ];
 
-/// One machine, one allocation, and the words it must hold.
+/// Pages of the adopted allocation: three whole chunks and a partial one
+/// after the first allocation, so two to three of them alias the buffer.
+const ADOPTED_PAGES: usize = 200;
+
+/// One machine, one allocation, and the words it must hold; and an adopted
+/// allocation, the buffer it adopted, and what that buffer held.
 struct Image {
     m: Machine,
     range: VirtRange,
     shadow: Vec<u64>,
+    adopted: TrackedVec<u64>,
+    buffer: Arc<Vec<u64>>,
+    original: Vec<u64>,
 }
 
 impl Image {
@@ -78,6 +98,11 @@ impl Image {
         let tiers = platform.tiers.len();
         let mut m = Machine::new(platform);
         let range = m.alloc(pages * PAGE, Placement::Slow).unwrap();
+        let original: Vec<u64> = (0..(ADOPTED_PAGES * WORDS_PER_PAGE) as u64)
+            .map(|i| !i.wrapping_mul(seed.rotate_left(17) | 1))
+            .collect();
+        let buffer = Arc::new(original.clone());
+        let adopted = TrackedVec::adopt(&mut m, Arc::clone(&buffer), Placement::Slow).unwrap();
         // Fragment every tier: fill its free space with pinned 1..8-page
         // allocations, then release every other one (holes of at most 8
         // pages) and the first dozen outright (one hole of 50-odd pages).
@@ -110,11 +135,23 @@ impl Image {
         for (i, &w) in shadow.iter().enumerate() {
             m.poke::<u64>(range.start.add(i as u64 * 8), w).unwrap();
         }
-        Image { m, range, shadow }
+        Image {
+            m,
+            range,
+            shadow,
+            adopted,
+            buffer,
+            original,
+        }
     }
 
     fn pages(&self, start: usize, count: usize) -> VirtRange {
         VirtRange::new(self.range.start.add((start * PAGE) as u64), count * PAGE)
+    }
+
+    fn adopted_pages(&self, start: usize, count: usize) -> VirtRange {
+        let first = self.adopted.range().start;
+        VirtRange::new(first.add((start * PAGE) as u64), count * PAGE)
     }
 
     /// Rewrites one word in every page of `start..start + count`.
@@ -141,6 +178,16 @@ impl Image {
                 i / WORDS_PER_PAGE
             );
         }
+        assert!(
+            self.adopted
+                .values(&self.m)
+                .eq(self.original.iter().copied()),
+            "{context}: the adopted allocation no longer reads as its buffer did"
+        );
+        assert!(
+            *self.buffer == self.original,
+            "{context}: the adopted buffer was written"
+        );
         assert!(
             self.m.outstanding_staging().is_empty(),
             "{context}: staging leaked {:?}",
@@ -214,12 +261,20 @@ proptest! {
         let tiers = platform.tiers.len();
         let mut image = Image::new(platform, pages, seed);
         for (step, &((kind, start, count, dst), (fault, salt))) in ops.iter().enumerate() {
-            let start = start % pages;
-            let count = count.min(pages - start);
             let dst = TierId::new(dst % tiers);
-            let range = image.pages(start, count);
-            let context = format!("step {step}: kind {kind}, pages {start}+{count} -> {dst}");
-            image.scribble(start, count, salt);
+            // A third of the regions lie in the adopted allocation.
+            let (range, context) = if salt % 3 == 0 {
+                let start = start * ADOPTED_PAGES / 80;
+                let count = (5 * count).min(ADOPTED_PAGES - start);
+                let context = format!("step {step}: kind {kind}, adopted pages {start}+{count} -> {dst}");
+                (image.adopted_pages(start, count), context)
+            } else {
+                let start = start % pages;
+                let count = count.min(pages - start);
+                image.scribble(start, count, salt);
+                let context = format!("step {step}: kind {kind}, pages {start}+{count} -> {dst}");
+                (image.pages(start, count), context)
+            };
             if kind == 2 {
                 image.stage_by_hand(range, dst, &context);
                 image.check(&context);
