@@ -35,7 +35,7 @@ cargo build --release
 echo "==> tier-1: cargo test -q"
 cargo test -q
 
-echo "==> release-mode soundness (window and scalar bounds, u32 guards, chunk bounds, mapping overlap, LLC geometry and tag width, staging ownership stay hard checks; the generated datasets stay the pinned ones)"
+echo "==> release-mode soundness (window and scalar bounds, u32 guards, page bounds, mapping overlap, LLC geometry and tag width, staging ownership stay hard checks; the generated datasets stay the pinned ones)"
 # The window engine's bounds and index-width guards, the mapping table's
 # overlap guard and the LLC's associativity and tag-width guards are plain
 # asserts, not debug_assert!: they must fire in optimized builds too, where
@@ -48,19 +48,23 @@ echo "==> release-mode soundness (window and scalar bounds, u32 guards, chunk bo
 # a migration would silently install stale bytes or free a mapped frame.
 # A staged region's source frames stay pinned until the replay moves them
 # off: a fresh allocation or an mbind page copy landing on one must panic
-# in optimized builds, or it would silently overwrite the staged bytes.
-# Tier storage is 256 KiB chunks of host memory that exist only under mapped
-# frames: an access to a chunk nothing backs, or a slice running off the
-# end of one into its neighbour in the slab, must panic in optimized builds
-# — it is the check the one unsafe seam's pointer arithmetic rests on.
+# in optimized builds, or it would silently overwrite the staged bytes, and
+# a second staging run must be refused frames another run has staged, or
+# its replay would read a page the first one handed away.
+# Tier storage is one 4 KiB page of host memory per mapped or pinned frame:
+# an access to a page nothing backs, or a slice running off the end of one
+# into its neighbour in the slab, must panic in optimized builds — it is
+# the check the one unsafe seam's pointer arithmetic rests on. And host
+# memory must be exactly those pages, with no staged or mbind page move
+# copying a byte, through rounds of migrations of unaligned regions.
 # A scalar TrackedVec access (get, set, update, peek, poke) past the end,
 # and an unaccounted run read past it, must panic naming the vec in
 # optimized builds too: the allocation is whole pages, so the address would
 # otherwise land in its tail padding and be charged without an error.
-# An adopted array's whole chunks are the caller's buffer itself: every
+# An adopted array's whole pages are the caller's buffer itself: every
 # write to an adopted vec (set, update, write_slice, scatter, gather_update,
 # and the unaccounted ones) must panic naming it before any simulated state
-# changes, and a raw MemPort::write into a read-only chunk must panic in the
+# changes, and a raw MemPort::write into a read-only page must panic in the
 # per-core view, in optimized builds too, or it would write the caller's
 # buffer.
 # Run the regression tests under --release so a future debug_assert!
@@ -78,6 +82,8 @@ cargo test -q --release -p atmem-hms double_free_of_staging_panics
 cargo test -q --release -p atmem-hms free_frames_of_a_mapped_frame_panics
 cargo test -q --release -p atmem-hms fresh_alloc_over_a_pinned_frame_panics
 cargo test -q --release -p atmem-hms mbind_copy_onto_a_pinned_frame_panics
+cargo test -q --release -p atmem-hms staging_frames_another_run_has_staged_is_rejected
+cargo test -q --release -p atmem-bench --test migration_prop host_pages_are_exactly_the_mapped_and_pinned_frames
 cargo test -q --release -p atmem-hms scalar_index_past_the_end_
 cargo test -q --release -p atmem-hms peek_run_past_the_end_is_a_hard_check
 cargo test -q --release -p atmem-hms write_to_an_adopted_vec_
@@ -98,12 +104,12 @@ cargo test -q --release -p atmem-rng characteristic_polynomial_is_rederived
 cargo test -q --release -p atmem-graph rmat_does_not_depend_on_the_worker_count
 cargo test -q --release -p atmem-graph split_size_output_is_pinned
 
-echo "==> unsafe guard (the migration copy engine, the chunk pool and the generators stay safe code)"
+echo "==> unsafe guard (the migration copy engine, the page pool and the generators stay safe code)"
 # PR 16 replaced the raw-pointer copy engine with copy_from_slice loops;
 # the one unsafe seam left is shard.rs's TiersView and the Chunk it reads,
-# and beside them scalar_bytes, the byte view of a Scalar slice whose
-# stretches an adopted array's read-only chunks alias (tier.rs's chunk
-# table, pool, read-only flags and mapped-frame counts are safe code).
+# and beside them scalar_bytes, the byte view of a Scalar slice whose pages
+# an adopted array's read-only pages alias (tier.rs's page table, pool,
+# per-page flags and held buffers are safe code).
 # The generator's workers write disjoint parts of one buffer through
 # split_at_mut under thread::scope: safe code too.
 if guard_grep -rn 'unsafe' crates/hms/src/machine.rs crates/hms/src/mbind.rs crates/hms/src/tier.rs crates/core/src crates/graph/src crates/rng/src; then echo "unsafe is back in the migration path or the generators (lines above)" >&2; exit 1; fi
@@ -171,7 +177,7 @@ echo "==> line ratchet (non-test lines per crate stay under their ceilings)"
 # must grow a crate raises its ceiling here, in its own diff, and gives the
 # reason in its change log.
 ratchet_ok=1
-for entry in hms:7516 core:4086 apps:2639 graph:1324 bench:1966 rng:307 prop:261; do
+for entry in hms:7516 core:4086 apps:2626 graph:1324 bench:1966 rng:307 prop:261; do
   crate="${entry%%:*}"
   ceiling="${entry#*:}"
   lines="$(find "crates/$crate/src" -name '*.rs' -exec awk 'FNR == 1 { skip = 0 } /^#\[cfg\(test\)\]/ { skip = 1 } !skip { n++ } END { print n + 0 }' {} + | awk '{ s += $1 } END { print s + 0 }')"
@@ -221,14 +227,14 @@ echo "==> unaccounted data path: segment-wise fill/load/copy-out vs poke/peek lo
 # contents and the PEBS buffer untouched by every bulk call.
 cargo test -q -p atmem-hms --lib bulk_unaccounted_ops_match_poke_peek_loops
 
-echo "==> tier storage: chunked, recycled backing vs a flat byte array per tier"
+echo "==> tier storage: paged, recycled backing vs a flat byte array per tier"
 # Random programs (allocations, frees, scalar / block / window writes,
-# hand-staged and mbind migrations, sharded phases) on tiers that end in a
-# partial chunk, run once on the chunk pool as it is and once on a pool just
-# filled with another machine's 0xA5 bytes: equal data images (and equal to a flat
-# Vec<u8> per tier), equal counters, clock and PEBS stream, audit clean; and
-# an adopted buffer unchanged after its machine is dropped and the pool
-# poisoned again (a read-only chunk never reaches the pool).
+# hand-staged and mbind migrations, sharded phases) run once on the page
+# pool as it is and once on a pool just filled with another machine's 0xA5
+# bytes: equal data images (and equal to a flat Vec<u8> per tier), equal
+# counters, clock and PEBS stream, audit clean; and an adopted buffer
+# unchanged after its machine is dropped and the pool poisoned again (a
+# read-only page never reaches the pool).
 # Already part of tier-1 above; named so a backing bug is named in CI
 # output. Same knob as the sweeps around it.
 ATMEM_PROP_CASES="${ATMEM_PROP_CASES:-8}" cargo test -q -p atmem-hms --test storage chunked_storage_matches_a_flat_shadow

@@ -7,7 +7,7 @@
 //! the heaviest of the five kernels.
 
 use atmem::{Atmem, Result};
-use atmem_hms::{merge_owner_queues, OwnerQueues, TrackedVec};
+use atmem_hms::{merge_owner_queues, MemPort, OwnerQueues, TrackedVec};
 
 use crate::access::MemCtx;
 use crate::graph_data::HmsGraph;
@@ -52,6 +52,49 @@ impl Bc {
         self.bc.to_vec(rt.machine_mut())
     }
 
+    /// The backward step for vertex `v`, on one core or on a core's slab
+    /// slice alike: gathers the neighbours' depths in one window, filters
+    /// the children (depth == dv + 1), gathers their sigma and delta
+    /// windows, accumulates host-side in window order, and writes
+    /// `delta[v]` and — but for the source — `bc[v]`.
+    fn backward<M: MemPort>(&self, ctx: &mut MemCtx<'_, M>, v: usize, bufs: &mut BackwardBufs) {
+        let BackwardBufs {
+            nbrs,
+            dbuf,
+            matched,
+            sbuf,
+            delbuf,
+        } = bufs;
+        let dv = ctx.get(&self.depth, v);
+        let sv = ctx.get(&self.sigma, v);
+        let (start, end) = self.graph.edge_bounds(ctx, v);
+        nbrs.resize((end - start) as usize, 0);
+        self.graph.neighbor_run(ctx, start, nbrs);
+        let mut acc = ctx.get(&self.delta, v);
+        dbuf.resize(nbrs.len(), 0);
+        ctx.gather(&self.depth, nbrs, dbuf);
+        matched.clear();
+        matched.extend(
+            nbrs.iter()
+                .zip(dbuf.iter())
+                .filter(|&(_, &d)| d == dv + 1)
+                .map(|(&u, _)| u),
+        );
+        sbuf.resize(matched.len(), 0.0);
+        ctx.gather(&self.sigma, matched, sbuf);
+        delbuf.resize(matched.len(), 0.0);
+        ctx.gather(&self.delta, matched, delbuf);
+        for (&su, &du) in sbuf.iter().zip(delbuf.iter()) {
+            if su > 0.0 {
+                acc += sv / su * (1.0 + du);
+            }
+        }
+        ctx.set(&self.delta, v, acc);
+        if v != self.source as usize {
+            ctx.update(&self.bc, v, |b| b + acc);
+        }
+    }
+
     /// One Brandes source partitioned over `ctx.par_cores()` simulated
     /// cores.
     ///
@@ -69,7 +112,7 @@ impl Bc {
     /// cross-vertex dependencies go through `delta` of *strictly deeper*
     /// vertices — finalized a phase earlier — and every slab vertex is
     /// visited exactly once, so each core can sweep a contiguous slab
-    /// slice with the scalar per-vertex body, writing only its own
+    /// slice with the one per-vertex body (`backward`), writing only its own
     /// `delta[v]`/`bc[v]` entries. Each vertex folds its children in edge
     /// order either way, so the scores are bit-identical to scalar too.
     fn run_iteration_sharded(&mut self, ctx: &mut MemCtx) {
@@ -81,7 +124,6 @@ impl Bc {
         let sigma = &self.sigma;
         let depth = &self.depth;
         let delta = &self.delta;
-        let bc = &self.bc;
         let src = self.source as usize;
 
         // Accounted re-init, partitioned, with the source seeded by its
@@ -147,49 +189,28 @@ impl Bc {
         }
 
         // Backward: one phase per slab, deepest first; cores sweep
-        // contiguous slab slices with the scalar per-vertex body.
+        // contiguous slab slices with the one per-vertex body.
+        let this = &*self;
         for slab in levels.iter().rev() {
             let slab_cuts = par::even_cuts(slab.len(), cores);
             ctx.run_cores(|c, mut cctx| {
-                let mut nbrs: Vec<u32> = Vec::new();
-                let mut dbuf: Vec<i32> = Vec::new();
-                let mut matched: Vec<u32> = Vec::new();
-                let mut sbuf: Vec<f64> = Vec::new();
-                let mut delbuf: Vec<f64> = Vec::new();
+                let mut bufs = BackwardBufs::default();
                 for &v in &slab[slab_cuts[c]..slab_cuts[c + 1]] {
-                    let v = v as usize;
-                    let dv = cctx.get(depth, v);
-                    let sv = cctx.get(sigma, v);
-                    let (start, end) = graph.edge_bounds(&mut cctx, v);
-                    nbrs.resize((end - start) as usize, 0);
-                    graph.neighbor_run(&mut cctx, start, &mut nbrs);
-                    let mut acc = cctx.get(delta, v);
-                    dbuf.resize(nbrs.len(), 0);
-                    cctx.gather(depth, &nbrs, &mut dbuf);
-                    matched.clear();
-                    matched.extend(
-                        nbrs.iter()
-                            .zip(&dbuf)
-                            .filter(|&(_, &d)| d == dv + 1)
-                            .map(|(&u, _)| u),
-                    );
-                    sbuf.resize(matched.len(), 0.0);
-                    cctx.gather(sigma, &matched, &mut sbuf);
-                    delbuf.resize(matched.len(), 0.0);
-                    cctx.gather(delta, &matched, &mut delbuf);
-                    for (&su, &du) in sbuf.iter().zip(&delbuf) {
-                        if su > 0.0 {
-                            acc += sv / su * (1.0 + du);
-                        }
-                    }
-                    cctx.set(delta, v, acc);
-                    if v != src {
-                        cctx.update(bc, v, |b| b + acc);
-                    }
+                    this.backward(&mut cctx, v as usize, &mut bufs);
                 }
             });
         }
     }
+}
+
+/// The backward step's host buffers, reused from vertex to vertex.
+#[derive(Debug, Default)]
+struct BackwardBufs {
+    nbrs: Vec<u32>,
+    dbuf: Vec<i32>,
+    matched: Vec<u32>,
+    sbuf: Vec<f64>,
+    delbuf: Vec<f64>,
 }
 
 impl Kernel for Bc {
@@ -225,10 +246,6 @@ impl Kernel for Bc {
         let mut frontier = vec![self.source];
         let mut level = 0i32;
         let mut nbrs: Vec<u32> = Vec::new();
-        let mut dbuf: Vec<i32> = Vec::new();
-        let mut matched: Vec<u32> = Vec::new();
-        let mut sbuf: Vec<f64> = Vec::new();
-        let mut delbuf: Vec<f64> = Vec::new();
         while !frontier.is_empty() {
             order.extend_from_slice(&frontier);
             level += 1;
@@ -253,40 +270,10 @@ impl Kernel for Bc {
             }
             frontier = next;
         }
-        // Backward phase: accumulate dependencies in reverse BFS order. Each
-        // vertex gathers its neighbours' depths in one window, filters the
-        // children (depth == dv + 1), then gathers their sigma and delta
-        // windows and accumulates host-side in window order.
+        // Backward phase: accumulate dependencies in reverse BFS order.
+        let mut bufs = BackwardBufs::default();
         for &v in order.iter().rev() {
-            let v = v as usize;
-            let dv = ctx.get(&self.depth, v);
-            let sv = ctx.get(&self.sigma, v);
-            let (start, end) = self.graph.edge_bounds(ctx, v);
-            nbrs.resize((end - start) as usize, 0);
-            self.graph.neighbor_run(ctx, start, &mut nbrs);
-            let mut acc = ctx.get(&self.delta, v);
-            dbuf.resize(nbrs.len(), 0);
-            ctx.gather(&self.depth, &nbrs, &mut dbuf);
-            matched.clear();
-            matched.extend(
-                nbrs.iter()
-                    .zip(&dbuf)
-                    .filter(|&(_, &d)| d == dv + 1)
-                    .map(|(&u, _)| u),
-            );
-            sbuf.resize(matched.len(), 0.0);
-            ctx.gather(&self.sigma, &matched, &mut sbuf);
-            delbuf.resize(matched.len(), 0.0);
-            ctx.gather(&self.delta, &matched, &mut delbuf);
-            for (&su, &du) in sbuf.iter().zip(&delbuf) {
-                if su > 0.0 {
-                    acc += sv / su * (1.0 + du);
-                }
-            }
-            ctx.set(&self.delta, v, acc);
-            if v != s {
-                ctx.update(&self.bc, v, |b| b + acc);
-            }
+            self.backward(ctx, v as usize, &mut bufs);
         }
     }
 

@@ -84,9 +84,9 @@ impl HmsGraph {
     /// each array as a data object (`offsets`, `neighbors`, `weights`).
     ///
     /// The arrays are adopted ([`Atmem::adopt`]), not copied: the tier
-    /// storage of every whole 256 KiB chunk of them is the `Csr`'s own
-    /// buffer, read-only, kept alive by a clone of its `Arc`, and only the
-    /// partial chunks at each array's ends are copied. So a loaded graph
+    /// storage of every whole 4 KiB page of them is the `Csr`'s own buffer,
+    /// read-only, kept alive by a clone of its `Arc`, and only each array's
+    /// partial last page is copied. So a loaded graph
     /// costs the host one copy, the `Csr`'s, where it used to cost two;
     /// frames, mappings and every simulated bit are those a copying load
     /// makes. Loading is unaccounted (it happens before the measured region

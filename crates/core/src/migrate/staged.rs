@@ -12,8 +12,8 @@
 //!
 //! The thread count is a parameter of the simulated copy-time model only.
 //! On the host, stage 1 pins the source frames instead of copying them and
-//! stage 3 hands whole 256 KiB chunks of them to the new mapping, copying
-//! only the rest (see [`Machine::copy_frames_to_region`]).
+//! stage 3 hands each of their 4 KiB pages to the new mapping, copying
+//! nothing (see [`Machine::copy_frames_to_region`]).
 //!
 //! Data crosses the tier boundary exactly once (stage 1); stage 3 runs at
 //! the target tier's bandwidth. Compared to the `mbind` baseline the engine
@@ -255,8 +255,8 @@ fn migrate_region_staged(
             return Err(e.into());
         }
     }
-    // A small fixed remap cost: page-table update + one range shootdown.
-    machine.advance_clock(SimDuration::from_ns(2_000.0));
+    // The fixed remap cost: page-table update + one range shootdown.
+    machine.charge_remap();
     // Stage 3: parallel copy staging -> final frames (same-tier copy).
     let outcome = match machine.copy_frames_to_region(dst_tier, staging, range, threads) {
         Ok(_) => Ok(RegionStatus::Moved),

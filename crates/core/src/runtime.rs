@@ -222,7 +222,7 @@ impl Atmem {
     /// Allocates and registers a **read-only** array holding `values`, as
     /// [`malloc`](Atmem::malloc) does, without copying them into tier
     /// storage where it can ([`TrackedVec::adopt`]): the array's whole
-    /// 256 KiB chunks are `values` itself, kept alive by the `Arc`. The
+    /// 4 KiB pages are `values` itself, kept alive by the `Arc`. The
     /// profiler and optimizer see it like any malloc'd array, and every
     /// simulated bit is the same; writes to it panic naming it.
     ///

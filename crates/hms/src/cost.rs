@@ -119,6 +119,10 @@ pub struct CostModel {
     /// simulated cores, nanoseconds. A barrier over `n` cores is modelled
     /// as a log2-depth combining tree (see [`CostModel::barrier_cost`]).
     pub barrier_ns: f64,
+    /// Fixed cost of remapping one migrated region, nanoseconds: the
+    /// page-table update plus its one range TLB shootdown, which a staged
+    /// migration pays per region on top of its copies.
+    pub remap_ns: f64,
 }
 
 impl CostModel {
@@ -135,13 +139,14 @@ impl CostModel {
             app_threads,
             pebs_sample_ns: 300.0,
             barrier_ns: 500.0,
+            remap_ns: 2_000.0,
         };
         model.check();
         model
     }
 
-    /// The checks of [`new`](CostModel::new), and that the sample and
-    /// barrier costs are finite and non-negative, naming the value that
+    /// The checks of [`new`](CostModel::new), and that the sample, barrier
+    /// and remap costs are finite and non-negative, naming the value that
     /// fails.
     pub(crate) fn check(&self) {
         for (what, ns, zero_ok) in [
@@ -149,6 +154,7 @@ impl CostModel {
             ("walk_ns", self.walk_ns, false),
             ("pebs_sample_ns", self.pebs_sample_ns, true),
             ("barrier_ns", self.barrier_ns, true),
+            ("remap_ns", self.remap_ns, true),
         ] {
             let sign = if zero_ok { "non-negative" } else { "positive" };
             assert!(

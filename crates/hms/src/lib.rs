@@ -22,7 +22,7 @@
 //!   [`Machine::free_frames`]).
 //!
 //! Data written through the simulator actually lives in tier storage
-//! (256 KiB chunks of host memory under the mapped frames, recycled across
+//! (a 4 KiB page of host memory under each mapped frame, recycled across
 //! machines), so migrations really move bytes and correctness is externally
 //! checkable. The one exception is a migration's staging run: its frames
 //! are held on the target tier but hold no bytes; the bytes in flight stay

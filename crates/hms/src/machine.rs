@@ -76,6 +76,16 @@ struct Adoption<'a> {
     vpage: u64,
 }
 
+/// What the frames of a new mapping hold: zeros (a fresh allocation), a
+/// caller's adopted bytes, or unspecified bytes (a remap, whose caller
+/// copies data in).
+#[derive(Debug, Clone, Copy)]
+enum Backing<'a> {
+    Zero,
+    Adopt(Adoption<'a>),
+    Remap,
+}
+
 /// Result of a migration operation.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MigrationReport {
@@ -114,10 +124,10 @@ pub struct Machine {
     /// yet released — the auditor's account of legitimate unmapped usage.
     staged_runs: Vec<(TierId, FrameRun)>,
     /// What each staging run has staged, index for index with
-    /// `staged_runs`: the region's storage pieces (one per chunk a segment
-    /// touches) in region order, pinned until a replay consumes them or the
-    /// run is freed; empty while nothing is staged. The run's own frames
-    /// hold no bytes.
+    /// `staged_runs`: the region's physically contiguous storage segments
+    /// in region order, their frames pinned until a replay consumes them or
+    /// the run is freed; empty while nothing is staged. The run's own
+    /// frames hold no bytes.
     staged_sources: Vec<Vec<BlockSegment>>,
     /// Counter snapshot from the previous [`Machine::audit`], for the
     /// monotonicity check.
@@ -279,6 +289,14 @@ impl Machine {
         self.core.clock.advance(d);
     }
 
+    /// Charges the platform's fixed cost of remapping one migrated region
+    /// ([`CostModel::remap_ns`](crate::CostModel::remap_ns)) to the clock:
+    /// what a staged migration pays for each region it remaps.
+    pub fn charge_remap(&mut self) {
+        let remap = SimDuration::from_ns(self.platform.cost.remap_ns);
+        self.core.clock.advance(remap);
+    }
+
     // ------------------------------------------------------------------
     // Sharded execution
     // ------------------------------------------------------------------
@@ -416,11 +434,10 @@ impl Machine {
 
     /// [`alloc`](Machine::alloc), or with `adopt = Some((src, keep))` an
     /// allocation holding `src` (at most `bytes` long; the rest reads zero)
-    /// that copies it only where it must: a 256 KiB chunk of tier storage
-    /// that the allocation's frames cover whole, in address order, over
-    /// bytes inside `src` *is* that stretch of `src`, read-only, and holds
-    /// `keep` ([`TierStorage::adopt_frames`]). Frames and mappings are
-    /// those `alloc` would make.
+    /// that copies it only where it must: the page of tier storage under a
+    /// frame whose bytes lie wholly inside `src` *is* that stretch of `src`,
+    /// read-only, held alive by `keep` ([`TierStorage::adopt_frames`]).
+    /// Frames and mappings are those `alloc` would make.
     pub(crate) fn alloc_from(
         &mut self,
         bytes: usize,
@@ -438,6 +455,7 @@ impl Machine {
             keep,
             vpage: vstart >> PAGE_SHIFT,
         });
+        let backing = adoption.map_or(Backing::Zero, Backing::Adopt);
 
         let plan: Vec<(TierId, usize)> = match placement {
             Placement::Fast => vec![(TierId::FAST, pages)],
@@ -488,7 +506,7 @@ impl Machine {
             if tier_pages == 0 {
                 continue;
             }
-            match self.map_pages(tier, vpage, tier_pages, &mut created, adoption) {
+            match self.map_pages(tier, vpage, tier_pages, &mut created, backing) {
                 Ok(()) => vpage += tier_pages as u64,
                 Err(e) => {
                     // Roll back everything created so far.
@@ -514,13 +532,6 @@ impl Machine {
             },
         );
         for m in created {
-            // Fresh memory reads zero, whatever the chunk under it held
-            // (an adoption zeroed what it did not copy or alias).
-            let run = FrameRun::new(m.frame_start, m.pages);
-            self.assert_unpinned(m.tier, run, "a fresh allocation");
-            if adoption.is_none() {
-                self.storage.zero_frames(m.tier, run);
-            }
             self.note_mapped(m.vrange(), m.tier);
             self.mappings.insert(m);
         }
@@ -533,14 +544,14 @@ impl Machine {
 
     /// Maps `pages` pages starting at `vpage` onto frames of `tier`,
     /// pushing created mappings into `out` (not yet inserted), their frames
-    /// backed with `adoption`'s bytes if there is one.
+    /// backed as `backing` says.
     fn map_pages(
         &mut self,
         tier: TierId,
         mut vpage: u64,
         mut pages: usize,
         out: &mut Vec<Mapping>,
-        adoption: Option<Adoption<'_>>,
+        backing: Backing<'_>,
     ) -> Result<()> {
         if self.fault_fires(FaultSite::FrameAlloc) {
             return Err(self.oom_error(tier, pages * PAGE_SIZE));
@@ -559,7 +570,7 @@ impl Machine {
                         let run = self
                             .try_alloc_base_run(tier, head)
                             .ok_or_else(|| self.oom_error(tier, head * PAGE_SIZE))?;
-                        out.push(self.back_mapping(vpage, tier, run, PageKind::Base4K, adoption));
+                        out.push(self.back_mapping(vpage, tier, run, PageKind::Base4K, backing));
                         vpage += run.count as u64;
                         pages -= run.count as usize;
                         continue;
@@ -572,7 +583,7 @@ impl Machine {
                 // one mapping; fall back unit-by-unit, then to base pages.
                 if let Some(run) = self.try_alloc_huge_run(tier, units) {
                     let mapped_pages = run.count as usize;
-                    out.push(self.back_mapping(vpage, tier, run, PageKind::Huge2M, adoption));
+                    out.push(self.back_mapping(vpage, tier, run, PageKind::Huge2M, backing));
                     vpage += mapped_pages as u64;
                     pages -= mapped_pages;
                     continue;
@@ -584,7 +595,7 @@ impl Machine {
             let run = self
                 .try_alloc_base_run(tier, want)
                 .ok_or_else(|| self.oom_error(tier, pages * PAGE_SIZE))?;
-            out.push(self.back_mapping(vpage, tier, run, PageKind::Base4K, adoption));
+            out.push(self.back_mapping(vpage, tier, run, PageKind::Base4K, backing));
             vpage += run.count as u64;
             pages -= run.count as usize;
         }
@@ -592,23 +603,25 @@ impl Machine {
     }
 
     /// The mapping of `run.count` pages from `vpage` onto `run`, its frames
-    /// backed by host memory (undone by [`Machine::unmap_one`]): by what
-    /// `adoption` holds for those pages, if there is one.
+    /// backed by host memory (undone by [`Machine::unmap_one`]) holding what
+    /// `backing` says. A fresh allocation's frames must not be pinned
+    /// ([`TierStorage::map_frames`] panics).
     fn back_mapping(
         &mut self,
         vpage: u64,
         tier: TierId,
         run: FrameRun,
         kind: PageKind,
-        adoption: Option<Adoption<'_>>,
+        backing: Backing<'_>,
     ) -> Mapping {
-        match adoption {
-            Some(a) => {
+        match backing {
+            Backing::Adopt(a) => {
                 let from = ((vpage - a.vpage) as usize * PAGE_SIZE).min(a.bytes.len());
                 self.storage
                     .adopt_frames(tier, run, &a.bytes[from..], a.keep);
             }
-            None => self.storage.map_frames(tier, run),
+            Backing::Zero => self.storage.map_frames(tier, run, true),
+            Backing::Remap => self.storage.map_frames(tier, run, false),
         }
         Mapping {
             vpage_start: vpage,
@@ -753,7 +766,7 @@ impl Machine {
     }
 
     /// Borrows `len` bytes of `tier`'s backing storage at byte `offset`,
-    /// inside one backed chunk (a segment of
+    /// inside one backed page (a segment of
     /// [`resolve_block`](crate::shard::resolve_block)), for
     /// [`TrackedVec::values`](crate::TrackedVec::values).
     pub(crate) fn storage_slice(&self, tier: TierId, offset: usize, len: usize) -> &[u8] {
@@ -763,10 +776,8 @@ impl Machine {
     /// Copies `len` bytes of `tier`'s backing storage at byte `offset` out,
     /// as they are: no translation, no accounting. For verification (what
     /// do the frames under a staging run hold?). Only mapped frames, and
-    /// the pinned source of a staged region, have bytes of their own: a
-    /// chunk of the tier (256 KiB) in which no frame is mapped or pinned
-    /// reads as zero, an unmapped frame beside one as whatever was last
-    /// left there.
+    /// the pinned source of a staged region, have bytes of their own: every
+    /// other frame reads as zero.
     ///
     /// # Panics
     ///
@@ -777,6 +788,20 @@ impl Machine {
             "tier storage range out of bounds"
         );
         self.storage.to_vec(tier, offset, len)
+    }
+
+    /// Pages of host memory backing tier storage (a diagnostic): one per
+    /// mapped frame and per pinned source of a staging run, adopted pages
+    /// (the caller's buffer) included.
+    pub fn storage_backed_pages(&self) -> usize {
+        self.storage.backed()
+    }
+
+    /// Bytes tier storage has copied from one host page into another (a
+    /// diagnostic): a staged replay or an `mbind` move hands pages over and
+    /// adds nothing.
+    pub fn storage_copied_bytes(&self) -> u64 {
+        self.storage.copied
     }
 
     /// The tier currently backing `va`.
@@ -905,79 +930,32 @@ impl Machine {
         runs.filter_map(move |(slot, pieces)| pieces.iter().any(overlaps).then_some(slot))
     }
 
-    /// The contract that keeps staged bytes: a pinned frame is written only
-    /// by its own replay.
-    ///
-    /// # Panics
-    ///
-    /// Panics, naming `writer`, if a frame of `run` is pinned.
-    fn assert_unpinned(&self, tier: TierId, run: FrameRun, writer: &str) {
-        let offset = (run.start as usize) << PAGE_SHIFT;
-        let bytes = BlockSegment {
-            tier,
-            offset,
-            len: run.bytes(),
-        };
-        assert!(
-            self.pinning_runs(bytes).next().is_none(),
-            "{writer} would overwrite pinned frames {}..{} of {tier}: \
-             an outstanding staging run is yet to replay them",
-            run.start,
-            run.start + run.count
-        );
-    }
-
-    /// Allocates one frame destined to back a mapping immediately (the
-    /// `mbind` per-page path). Unlike [`Machine::alloc_frames`] the frame is
-    /// *not* tracked as staging — it becomes mapped within the same
-    /// operation — and the fault site is [`FaultSite::FrameAlloc`].
-    pub(crate) fn alloc_page_frame(&mut self, tier: TierId) -> Result<FrameRun> {
-        if self.fault_fires(FaultSite::FrameAlloc) {
-            return Err(self.oom_error(tier, PAGE_SIZE));
-        }
-        let run = self.tiers[tier.index()]
-            .frames
-            .alloc_run(1)
-            .ok_or_else(|| self.oom_error(tier, PAGE_SIZE))?;
-        self.storage.map_frames(tier, run);
-        Ok(run)
-    }
-
-    /// Releases the frame a mapping stops using within the same operation
-    /// (the `mbind` per-page path; counterpart of
-    /// [`Machine::alloc_page_frame`]). Its LLC lines stay: the caller
-    /// back-invalidates every frame it freed in one
-    /// [`invalidate_llc_frames`](Machine::invalidate_llc_frames) pass before
-    /// the LLC is used again.
-    pub(crate) fn free_page_frame(&mut self, tier: TierId, frame: u32) {
-        let run = FrameRun::new(frame, 1);
-        self.tiers[tier.index()].frames.free_run(run);
-        self.storage.unmap_frames(tier, run);
-    }
-
-    /// Copies one 4 KiB page from a frame of `src_tier` to a frame of a
-    /// *different* tier (the `mbind` per-page path, which leaves pages
-    /// already on the destination tier in place), without simulated-time
-    /// accounting — the caller accounts it.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the destination frame is pinned by a staging run.
-    pub(crate) fn copy_page_frame(
+    /// The `mbind` per-page path: moves the page of a mapped frame of
+    /// `src_tier` to a new frame of another tier (the fault site is
+    /// [`FaultSite::FrameAlloc`]; an error moves nothing), frees the source
+    /// frame, and returns the new one. The caller accounts the time, maps
+    /// the frame, and back-invalidates the freed frames' LLC lines in one
+    /// [`invalidate_llc_frames`](Machine::invalidate_llc_frames) pass. On
+    /// the host the page is handed over ([`TierStorage::move_page`], which
+    /// panics if the new frame is pinned).
+    pub(crate) fn move_page_frame(
         &mut self,
         src_tier: TierId,
         src_frame: u32,
         dst_tier: TierId,
-        dst_frame: u32,
-    ) {
-        assert_ne!(src_tier, dst_tier, "page copy within one tier");
-        self.assert_unpinned(dst_tier, FrameRun::new(dst_frame, 1), "an mbind page copy");
-        let at = |frame: u32| (frame as usize) << PAGE_SHIFT;
-        self.storage.copy(
-            (src_tier, at(src_frame)),
-            (dst_tier, at(dst_frame)),
-            PAGE_SIZE,
-        );
+    ) -> Result<u32> {
+        assert_ne!(src_tier, dst_tier, "page move within one tier");
+        let faulted = self.fault_fires(FaultSite::FrameAlloc);
+        let run = (!faulted).then(|| self.tiers[dst_tier.index()].frames.alloc_run(1));
+        let dst = run
+            .flatten()
+            .ok_or_else(|| self.oom_error(dst_tier, PAGE_SIZE))?
+            .start;
+        self.storage
+            .move_page((src_tier, src_frame), (dst_tier, dst));
+        let source = FrameRun::new(src_frame, 1);
+        self.tiers[src_tier.index()].frames.free_run(source);
+        Ok(dst)
     }
 
     /// Stage 1 of a staged migration: stages the page-aligned virtual
@@ -998,7 +976,8 @@ impl Machine {
     /// # Errors
     ///
     /// [`HmsError::InvalidRange`] if `range` is not page-aligned, `dst` is
-    /// too small, or `(dst_tier, dst)` is not an outstanding staging run;
+    /// too small, `(dst_tier, dst)` is not an outstanding staging run, or
+    /// another staging run has a frame of `range` staged;
     /// [`HmsError::Unmapped`] for holes in `range`;
     /// [`HmsError::FaultInjected`] under an armed [`FaultPlan`] (nothing is
     /// staged and no state changes in that case).
@@ -1013,6 +992,10 @@ impl Machine {
         let slot = self
             .staging_slot(dst_tier, dst)
             .filter(|_| range.len <= dst.bytes())
+            .filter(|&slot| {
+                let mut pins = segments.iter().flat_map(|&s| self.pinning_runs(s));
+                pins.all(|owner| owner == slot)
+            })
             .ok_or(HmsError::InvalidRange {
                 start: range.start,
                 len: range.len,
@@ -1024,15 +1007,15 @@ impl Machine {
         for segment in &segments {
             ns += copy_ns(&self.platform, segment.tier, dst_tier, segment.len, threads);
         }
-        let sources: Vec<BlockSegment> = segments.iter().flat_map(|s| s.chunks()).collect();
-        // Pin before unpinning what the run held, so a chunk both share is
-        // never released in between.
-        for &piece in &sources {
-            self.storage.pin(piece);
-        }
-        for piece in std::mem::replace(&mut self.staged_sources[slot], sources) {
+        // Unpin what the run held before pinning anew: a frame both share
+        // is mapped, so it keeps its page in between.
+        for piece in std::mem::take(&mut self.staged_sources[slot]) {
             self.storage.unpin(piece);
         }
+        for &piece in &segments {
+            self.storage.pin(piece);
+        }
+        self.staged_sources[slot] = segments;
         let time = SimDuration::from_ns(ns);
         self.core.clock.advance(time);
         Ok(time)
@@ -1046,8 +1029,9 @@ impl Machine {
     /// replay, not at staging time: the simulated copy happens at stage 1,
     /// but ATMem migrates with the application stopped, so nothing writes
     /// the region in between. A replay consumes what was staged (the pins
-    /// go), so replaying the run again is refused. Whole 256 KiB chunks the
-    /// remap freed are handed to the destination instead of copied.
+    /// go), so replaying the run again is refused. On the host every staged
+    /// page is handed to its destination frame, not copied
+    /// ([`storage_copied_bytes`](Machine::storage_copied_bytes) stays put).
     ///
     /// # Errors
     ///
@@ -1078,7 +1062,6 @@ impl Machine {
             return Err(HmsError::FaultInjected(FaultSite::Move));
         }
         let mut ns = 0.0;
-        let mut bounce = false;
         for segment in &segments {
             ns += copy_ns(&self.platform, src_tier, segment.tier, segment.len, threads);
             for owner in self.pinning_runs(*segment) {
@@ -1086,15 +1069,10 @@ impl Machine {
                     owner, slot,
                     "a replay would overwrite pinned frames of another staging run"
                 );
-                bounce = true;
             }
         }
         let sources = std::mem::take(&mut self.staged_sources[slot]);
-        let targets: Vec<BlockSegment> = segments.iter().flat_map(|s| s.chunks()).collect();
-        self.storage.replay(&sources, &targets, bounce);
-        for piece in sources {
-            self.storage.unpin(piece);
-        }
+        self.storage.replay(&sources, &segments);
         let time = SimDuration::from_ns(ns);
         self.core.clock.advance(time);
         Ok(time)
@@ -1179,7 +1157,7 @@ impl Machine {
         let vpage = range.start.page_index();
         let pages = range.len / PAGE_SIZE;
         let mut created = Vec::new();
-        match self.map_pages(dst_tier, vpage, pages, &mut created, None) {
+        match self.map_pages(dst_tier, vpage, pages, &mut created, Backing::Remap) {
             Ok(()) => {
                 for m in &old {
                     self.note_unmapped(m.vrange(), m.tier);
@@ -1334,14 +1312,15 @@ impl Machine {
     ///    bytes) never run backwards between audits;
     /// 8. the incremental residency cache (per-allocation and per-tag
     ///    resident-byte counters) matches a full mapping rescan;
-    /// 9. host backing follows the mappings and the staged sources: every
-    ///    chunk's mapped-frame count equals the frames the mapping table
-    ///    places in it, its pinned-frame count the frames the outstanding
-    ///    staging runs' recorded sources place in it, and a chunk is backed
-    ///    exactly while one of the two is non-zero — so no mapped or pinned
+    /// 9. host backing follows the mappings and the staged sources: the
+    ///    frames tier storage flags mapped are the frames the mapping table
+    ///    maps, those it flags pinned the frames the outstanding staging
+    ///    runs' recorded sources hold, and a frame has a host page exactly
+    ///    while it is flagged one or the other — so no mapped or pinned
     ///    frame is unbacked (and no staging run backed on its own account);
-    ///    a read-only chunk (an adopted buffer) maps frames of read-only
-    ///    allocations only and holds its keep-alive.
+    ///    a read-only page (an adopted buffer) maps frames of read-only
+    ///    allocations only, and each adopted buffer is held alive for
+    ///    exactly the pages that alias it.
     ///
     /// Needs `&mut self` only to store the counter snapshot for the next
     /// monotonicity check.
@@ -1421,8 +1400,8 @@ impl Machine {
             }
             owners[tier.index()].push((run.start, run.count, None));
         }
-        // Invariant 9: chunks are backed by, and only by, mapped and
-        // pinned frames; read-only chunks by read-only allocations only.
+        // Invariant 9: pages back mapped and pinned frames and nothing
+        // else; read-only pages map read-only allocations only.
         violations.extend(self.storage.check(
             mapped.into_iter(),
             self.staged_sources.iter().flatten().copied(),
@@ -1641,10 +1620,9 @@ impl MemPort for Machine {
 /// that thread count, further capped by the platform's per-pair link
 /// bandwidth (infinite on every two-tier preset, so the `min` is exact
 /// identity there); a same-tier copy halves the budget (read and write
-/// share the channel). The thread count feeds this model only: the host
-/// copies each segment with one `copy_from_slice` per chunk of host memory
-/// it spans (charged per segment, not per chunk: the callers' `f64` sum is
-/// not associative).
+/// share the channel). The thread count feeds this model only: on the host
+/// a staged region's pages change hands, one charge per segment (not per
+/// page: the callers' `f64` sum is not associative).
 fn copy_ns(platform: &Platform, src: TierId, dst: TierId, len: usize, threads: usize) -> f64 {
     let mut bw = platform.tiers[src.index()]
         .copy_read_bw(threads)
@@ -2064,14 +2042,15 @@ mod tests {
         assert!(violations.is_empty(), "audit violations: {violations:#?}");
     }
 
-    /// An adopted array from slow frame 0: 2 MiB (one huge mapping) plus a
-    /// chunk and a half (a base run). Its nine whole chunks alias the
-    /// buffer, through a staged migration (whole chunks change hands, flag
-    /// and all) and an `mbind` (a slot whose frames all left is dropped);
-    /// its tenth is a copy. Freeing it lets the buffer go, untouched.
+    /// An adopted array from slow frame 0: 2 MiB (huge mappings) plus a
+    /// page and a half (a base run). Its 513 whole pages alias the buffer,
+    /// through a staged migration and an `mbind` (whole pages change
+    /// hands, flag and all, and nothing is copied); its last is a copy.
+    /// Freeing it lets the buffer go, untouched.
     #[test]
     fn adoption_aliases_whole_chunks_through_migrations_and_free() {
         use crate::shard::CHUNK_SIZE;
+        use crate::tier::READ_ONLY;
         use crate::tracked::TrackedVec;
         use std::sync::Arc;
         let mut m = machine();
@@ -2079,13 +2058,18 @@ mod tests {
         let pattern = || (0..words as u64).map(|i| i.wrapping_mul(0x9E37_79B9_7F4A_7C15));
         let buffer: Arc<Vec<u64>> = Arc::new(pattern().collect());
         let v = TrackedVec::adopt(&mut m, Arc::clone(&buffer), Placement::Slow).unwrap();
-        let aliased = |m: &Machine| m.storage.read_only().iter().filter(|&&r| r).count();
+        let aliased = |m: &Machine| {
+            let flags = m.storage.dir.iter().flatten().flat_map(|leaf| leaf.flags);
+            flags.filter(|&f| f & READ_ONLY != 0).count()
+        };
+        let copied = m.storage_copied_bytes();
+        assert_eq!(copied, CHUNK_SIZE as u64 / 2, "the half page");
         let reads_back = |m: &mut Machine| {
             let mut tail = vec![0; 1000];
             v.read_slice(m, words - 1000, &mut tail);
             v.values(m).eq(pattern()) && tail[..] == buffer[words - 1000..]
         };
-        assert_eq!(aliased(&m), 9);
+        assert_eq!(aliased(&m), 513);
         assert!(reads_back(&mut m));
         assert_clean(&mut m);
 
@@ -2098,13 +2082,18 @@ mod tests {
             .unwrap();
         m.free_frames(TierId::FAST, run);
         assert_eq!(m.resident_bytes(region, TierId::FAST), 2 << 20);
-        assert_eq!(aliased(&m), 9, "the staged chunks were handed over");
+        assert_eq!(aliased(&m), 513, "the staged pages were handed over");
         assert!(reads_back(&mut m));
         assert_clean(&mut m);
 
         let whole = VirtRange::new(region.end(), CHUNK_SIZE);
         m.migrate_mbind(whole, TierId::FAST).unwrap();
-        assert_eq!(aliased(&m), 8, "the emptied slot let its chunk go");
+        assert_eq!(aliased(&m), 513, "the mbind page was handed over");
+        assert_eq!(
+            m.storage_copied_bytes(),
+            copied,
+            "no migration copied a byte"
+        );
         assert!(reads_back(&mut m));
         assert_clean(&mut m);
 
@@ -2220,17 +2209,17 @@ mod tests {
         assert_clean(&mut m);
         // A chunk backed behind the mapping table's back...
         let stray = FrameRun::new(1024, 4);
-        m.storage.map_frames(TierId::SLOW, stray);
+        m.storage.map_frames(TierId::SLOW, stray, false);
         let violations = m.audit();
         assert!(
             violations
                 .iter()
-                .any(|v| v.contains("counts 4 mapped frames, the mappings place 0")),
+                .any(|v| v.contains("[20, 0] frames are flagged mapped and pinned, the mappings and staged sources place [16, 0]")),
             "stray backing not flagged: {violations:#?}"
         );
         m.storage.unmap_frames(TierId::SLOW, stray);
         assert_clean(&mut m);
-        // ...and mapped frames whose chunk was released.
+        // ...and mapped frames whose pages were released.
         let mapped = m.mappings_in(r)[0];
         let run = FrameRun::new(mapped.frame_start, mapped.pages);
         m.storage.unmap_frames(mapped.tier, run);
@@ -2238,10 +2227,10 @@ mod tests {
         assert!(
             violations
                 .iter()
-                .any(|v| v.contains("counts 0 mapped frames, the mappings place 16")),
+                .any(|v| v.contains("is given but not flagged 0b1")),
             "unbacked mapping not flagged: {violations:#?}"
         );
-        m.storage.map_frames(mapped.tier, run);
+        m.storage.map_frames(mapped.tier, run, false);
         assert_clean(&mut m);
     }
 
@@ -2487,14 +2476,14 @@ mod tests {
             .unwrap();
         assert_clean(&mut m);
         // A pin dropped behind the run's back (the frames are still mapped,
-        // so the chunk stays backed)...
+        // so they stay backed)...
         let source = m.staged_sources[0][0];
         m.storage.unpin(source);
         let violations = m.audit();
         assert!(
             violations
                 .iter()
-                .any(|v| v.contains("counts 0 pinned frames, the staged sources place 16")),
+                .any(|v| v.contains("[20, 0] frames are flagged mapped and pinned, the mappings and staged sources place [20, 16]")),
             "dropped pin not flagged: {violations:#?}"
         );
         m.storage.pin(source);
@@ -2506,7 +2495,7 @@ mod tests {
         assert!(
             violations
                 .iter()
-                .any(|v| v.contains("counts 20 pinned frames, the staged sources place 16")),
+                .any(|v| v.contains("[20, 20] frames are flagged mapped and pinned, the mappings and staged sources place [20, 16]")),
             "stray pin not flagged: {violations:#?}"
         );
         m.storage.unpin(stray);
@@ -2517,6 +2506,39 @@ mod tests {
         m.free_frames(TierId::FAST, staging);
         assert_filled(&mut m, r, 0x44);
         assert_filled(&mut m, other, 0x45);
+        assert_clean(&mut m);
+    }
+
+    /// A frame is staged by one run at a time: its page goes to that run's
+    /// replay, so a second run could only replay what the first left
+    /// behind. The refusal, like the ownership checks, comes before the
+    /// fault gate and in optimized builds too. (Also run under `--release`
+    /// by ci.sh.)
+    #[test]
+    fn staging_frames_another_run_has_staged_is_rejected() {
+        let mut m = machine();
+        let r = filled(&mut m, 16, 0x66);
+        let first = m.alloc_frames(TierId::FAST, 16).unwrap();
+        let second = m.alloc_frames(TierId::FAST, 16).unwrap();
+        m.copy_region_to_frames(r, TierId::FAST, first, 4).unwrap();
+        m.set_fault_plan(Some(FaultPlan::new().fail_at(FaultSite::Move, 0)));
+        let tail = VirtRange::new(r.start.add(8 * PAGE_SIZE as u64), 8 * PAGE_SIZE);
+        assert!(matches!(
+            m.copy_region_to_frames(tail, TierId::FAST, second, 4),
+            Err(HmsError::InvalidRange { .. })
+        ));
+        assert_eq!(m.fault_plan().unwrap().consults(FaultSite::Move), 0);
+        m.set_fault_plan(None);
+        // Staging into the run that holds the frames replaces what it held.
+        m.copy_region_to_frames(tail, TierId::FAST, first, 4)
+            .unwrap();
+        m.copy_region_to_frames(r, TierId::FAST, first, 4).unwrap();
+        assert_clean(&mut m);
+        m.remap_region(r, TierId::FAST).unwrap();
+        m.copy_frames_to_region(TierId::FAST, first, r, 4).unwrap();
+        m.free_frames(TierId::FAST, first);
+        m.free_frames(TierId::FAST, second);
+        assert_filled(&mut m, r, 0x66);
         assert_clean(&mut m);
     }
 

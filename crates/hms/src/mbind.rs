@@ -91,8 +91,8 @@ impl Machine {
                     total_ns += page_overhead * 0.25; // status check only
                     continue;
                 }
-                let dst_frame = match self.alloc_page_frame(dst_tier) {
-                    Ok(run) => run.start,
+                let dst_frame = match self.move_page_frame(src_tier, src_frame, dst_tier) {
+                    Ok(frame) => frame,
                     Err(e) => {
                         // Out of destination memory mid-stream: commit what
                         // moved, restore the rest as base mappings on src.
@@ -117,8 +117,6 @@ impl Machine {
                         return Err(e);
                     }
                 };
-                self.copy_page_frame(src_tier, src_frame, dst_tier, dst_frame);
-                self.free_page_frame(src_tier, src_frame);
                 freed.push((src_tier, FrameRun::new(src_frame, 1)));
                 new_maps.push(Mapping {
                     vpage_start: vpage,

@@ -484,6 +484,12 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "cost.remap_ns -2000 must be finite and non-negative")]
+    fn a_negative_remap_cost_is_rejected() {
+        build(|p| p.cost.remap_ns = -2_000.0);
+    }
+
+    #[test]
     #[should_panic(expected = "mbind_copy_bw 0 must be positive")]
     fn a_zero_mbind_bandwidth_is_rejected() {
         build(|p| p.mbind_copy_bw = 0.0);

@@ -54,7 +54,7 @@ use crate::machine::Scalar;
 use crate::mapping::{Mapping, MappingTable, PageKind};
 use crate::pebs::Pebs;
 use crate::platform::Platform;
-use crate::tier::{Tier, TierId, TierStorage};
+use crate::tier::{Leaf, Tier, TierId, TierStorage, LEAF, LEAF_SHIFT, READ_ONLY};
 use crate::tlb::Tlb;
 
 /// Maximum number of tiers a machine (and the residency caches, and a
@@ -159,12 +159,12 @@ impl CoreCtx {
 }
 
 /// log2 of [`CHUNK_SIZE`].
-pub(crate) const CHUNK_SHIFT: u32 = PAGE_SHIFT + HUGE_PAGE_FRAMES.trailing_zeros();
-/// Size of one [`Chunk`] of host backing: 256 KiB, the frames of one
-/// simulated huge page. A chunk kept alive by one mapped frame is resident
-/// whole once it has been recycled: at 2 MiB the unmapped remainders — the
-/// holes freed staging runs leave between migrated regions — cost
-/// `regular_sweep` and `sharded_2core` 14–17 % of resident memory.
+pub(crate) const CHUNK_SHIFT: u32 = PAGE_SHIFT;
+/// Size of one [`Chunk`] of host backing: 4 KiB, one frame, so host memory
+/// is exactly the mapped and pinned frames. At 256 KiB a chunk stayed
+/// resident while any of its frames was mapped (a quarter of `serve_mixed`'s
+/// memory) and a migrated page sharing one with a frame left behind was
+/// copied, where a page of its own is handed over.
 pub(crate) const CHUNK_SIZE: usize = 1 << CHUNK_SHIFT;
 
 /// Chunks are carved from allocations this large: glibc serves a request of
@@ -176,15 +176,15 @@ pub(crate) const CHUNK_SIZE: usize = 1 << CHUNK_SHIFT;
 /// `regular_sweep`.)
 const SLAB_SIZE: usize = 32 << 20;
 
-/// One [`CHUNK_SIZE`] block of host memory backing simulated frames: either
+/// One [`CHUNK_SIZE`] page of host memory backing a simulated frame: either
 /// an exclusive stretch of a slab that lives as long as the process, or a
 /// read-only stretch of an adopted buffer ([`Chunk::alias`]).
 ///
-/// The block is held as a raw pointer rather than a `&'static mut [u8]` so
+/// The page is held as a raw pointer rather than a `&'static mut [u8]` so
 /// that the per-core [`TiersView`]s and the owner's own
 /// [`bytes`](Chunk::bytes) / [`bytes_mut`](Chunk::bytes_mut) all derive from
 /// one root pointer: a view stays valid however often safe code has
-/// borrowed the chunk in between.
+/// borrowed the page in between.
 #[derive(Debug)]
 pub(crate) struct Chunk {
     /// Start of `CHUNK_SIZE` bytes: of a leaked slab that no other chunk
@@ -206,20 +206,38 @@ unsafe impl Sync for Chunk {}
 
 impl Chunk {
     /// Allocates a slab of zero bytes (left to the allocator to zero
-    /// lazily) for the life of the process and cuts it into chunks.
-    pub(crate) fn slab() -> impl Iterator<Item = Chunk> {
-        let slab: &'static mut [u8] = Box::leak(vec![0u8; SLAB_SIZE].into_boxed_slice());
-        slab.chunks_exact_mut(CHUNK_SIZE).map(|bytes| Chunk {
-            ptr: NonNull::from(bytes).cast(),
+    /// lazily) for the life of the process and cuts it into chunks in
+    /// address order, each pointer derived from the slab's. Its last chunk
+    /// stays uncut, so chunks lying back to back lie in one slab.
+    pub(crate) fn slab() -> impl DoubleEndedIterator<Item = Chunk> {
+        let root = Box::leak(vec![0u8; SLAB_SIZE].into_boxed_slice()).as_mut_ptr();
+        (0..SLAB_SIZE / CHUNK_SIZE - 1).map(move |k| Chunk {
+            ptr: NonNull::new(root.wrapping_add(k * CHUNK_SIZE)).expect("a slab is not at null"),
         })
+    }
+
+    /// Zeroes `chunks`, slab chunks no table holds, sorted into address
+    /// order with one `fill` per stretch of them lying back to back: a
+    /// `fill` per 4 KiB chunk takes about twice the memory time.
+    pub(crate) fn zero(chunks: &mut [Chunk]) {
+        chunks.sort_unstable_by_key(|chunk| chunk.ptr);
+        let at = |chunk: &Chunk| chunk.ptr.as_ptr() as usize;
+        for stretch in chunks.chunk_by_mut(|a, b| at(b) == at(a) + CHUNK_SIZE) {
+            // SAFETY: the stretch is chunks lying back to back, so inside
+            // one slab (`Chunk::slab`), the one leaked allocation the first
+            // chunk's pointer derives from; they are slab chunks this call
+            // holds `&mut` and no table holds, so no one else's bytes.
+            let len = stretch.len() * CHUNK_SIZE;
+            unsafe { std::slice::from_raw_parts_mut(stretch[0].ptr.as_ptr(), len) }.fill(0);
+        }
     }
 
     /// A read-only chunk over `bytes`, exactly [`CHUNK_SIZE`] of an adopted
     /// buffer. The caller keeps the buffer alive and unwritten for as long
     /// as the chunk lives, and never asks it for
     /// [`bytes_mut`](Chunk::bytes_mut): `TierStorage` holds the buffer's
-    /// keep-alive beside the chunk and trades the chunk for an owned copy
-    /// before any write, and `TiersView::bytes_mut` refuses it.
+    /// keep-alive while any page aliases it and trades the chunk for an
+    /// owned copy before any write, and `TiersView::bytes_mut` refuses it.
     pub(crate) fn alias(bytes: &[u8]) -> Chunk {
         assert_eq!(bytes.len(), CHUNK_SIZE, "an alias chunk covers one chunk");
         Chunk {
@@ -265,7 +283,7 @@ pub(crate) fn scalar_bytes<T: Scalar>(values: &[T]) -> Option<&[u8]> {
     }
 }
 
-/// A `Copy`, thread-shareable view of the tiers: their specs and the chunk
+/// A `Copy`, thread-shareable view of the tiers: their specs and the page
 /// table of the machine's [`TierStorage`], no frame allocators (cores never
 /// allocate).
 ///
@@ -282,11 +300,10 @@ pub(crate) fn scalar_bytes<T: Scalar>(values: &[T]) -> Option<&[u8]> {
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct TiersView<'a> {
     tiers: &'a [Tier],
-    /// [`TierStorage::table`]: slot `tier * stride + (offset >> CHUNK_SHIFT)`
-    /// holds the chunk backing that stretch of the tier, if any.
-    table: &'a [Option<Chunk>],
-    /// [`TierStorage::read_only`], index for index with `table`.
-    read_only: &'a [bool],
+    /// [`TierStorage::dir`]: slot `tier * stride + (offset >> CHUNK_SHIFT)`
+    /// of the page table holds the page backing that frame of the tier, if
+    /// any, and its flags.
+    dir: &'a [Option<Box<Leaf>>],
     stride: usize,
 }
 
@@ -295,9 +312,8 @@ impl<'a> TiersView<'a> {
         let storage: &'a TierStorage = storage;
         TiersView {
             tiers,
-            table: storage.table(),
-            read_only: storage.read_only(),
-            stride: storage.stride(),
+            dir: &storage.dir,
+            stride: storage.stride,
         }
     }
 
@@ -321,11 +337,15 @@ impl<'a> TiersView<'a> {
         // the next tier's slots.
         if within + len <= CHUNK_SIZE && chunk < self.stride {
             let slot = tier.index() * self.stride + chunk;
-            if let Some(Some(backing)) = self.table.get(slot) {
-                if !WRITE || self.read_only.get(slot) == Some(&false) {
-                    // SAFETY: `within + len <= CHUNK_SIZE` (checked), so the
-                    // offset pointer stays inside the chunk's allocation.
-                    return unsafe { backing.ptr.as_ptr().add(within) };
+            if let Some(Some(leaf)) = self.dir.get(slot >> LEAF_SHIFT) {
+                let i = slot & (LEAF - 1);
+                if let Some(backing) = &leaf.pages[i] {
+                    if !WRITE || leaf.flags[i] & READ_ONLY == 0 {
+                        // SAFETY: `within + len <= CHUNK_SIZE` (checked), so
+                        // the offset pointer stays inside the chunk's
+                        // allocation.
+                        return unsafe { backing.ptr.as_ptr().add(within) };
+                    }
                 }
             }
         }
@@ -347,8 +367,11 @@ impl<'a> TiersView<'a> {
         if chunk >= self.stride || tier.index() >= self.tiers.len() {
             panic!("tier storage access beyond the tier: byte {offset} of {tier}");
         }
-        if let Some(Some(_)) = self.table.get(tier.index() * self.stride + chunk) {
-            panic!("tier storage write to a read-only chunk (an adopted buffer): byte {offset} of {tier}");
+        let slot = tier.index() * self.stride + chunk;
+        if let Some(Some(leaf)) = self.dir.get(slot >> LEAF_SHIFT) {
+            if leaf.pages[slot & (LEAF - 1)].is_some() {
+                panic!("tier storage write to a read-only chunk (an adopted buffer): byte {offset} of {tier}");
+            }
         }
         panic!("tier storage access to an unbacked chunk: byte {offset} of {tier}");
     }

@@ -182,16 +182,15 @@ impl TierSpec {
     }
 }
 
-/// What keeps an adopted buffer alive while read-only chunks alias it: the
+/// What keeps an adopted buffer alive while read-only pages alias it: the
 /// caller's own `Arc`, type-erased.
 pub(crate) type KeepAlive = Arc<dyn Any + Send + Sync>;
 
-/// Slab chunks no machine is using. Chunks carry no tier and no offset, and a new
+/// Pages no machine is using, locked once per [`TierStorage`] call. A new
 /// slab is cut only while the pool is empty, so the process never holds
-/// more than the peak number of chunks live at once, rounded up to a slab.
-/// One pool for the process, not one per thread: slab memory is never
-/// returned to the allocator, so a pool that died with its thread would
-/// strand it.
+/// more than the peak number of pages live at once, rounded up to a slab.
+/// One pool for the process: slab memory is never returned to the
+/// allocator, so a pool that died with its thread would strand it.
 static POOL: Mutex<Pool> = Mutex::new(Pool {
     recycled: Vec::new(),
     fresh: Vec::new(),
@@ -199,10 +198,11 @@ static POOL: Mutex<Pool> = Mutex::new(Pool {
 
 #[derive(Debug)]
 struct Pool {
-    /// Released by a machine: holding whatever their last frames held, and
-    /// already touched — handed out first.
+    /// Released by a machine, holding what their last frame held: handed
+    /// out first.
     recycled: Vec<Chunk>,
-    /// Cut from a slab and never handed out: known zero.
+    /// Cut from a slab and never handed out: known zero. Popped in address
+    /// order, so the pages of a run backed at once lie back to back.
     fresh: Vec<Chunk>,
 }
 
@@ -212,484 +212,473 @@ fn pool() -> MutexGuard<'static, Pool> {
     POOL.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// Takes a chunk out of the pool, and whether it may hold non-zero bytes.
-fn acquire() -> (Chunk, bool) {
-    let mut pool = pool();
-    if let Some(chunk) = pool.recycled.pop() {
-        return (chunk, true);
+impl Pool {
+    /// Takes `n` pages, recycled ones first; with `zero` they read zero
+    /// (and come in address order), without their bytes are unspecified.
+    fn take(&mut self, n: usize, zero: bool) -> Vec<Chunk> {
+        let mut pages = self
+            .recycled
+            .split_off(self.recycled.len().saturating_sub(n));
+        if zero {
+            Chunk::zero(&mut pages);
+        }
+        while pages.len() < n {
+            if self.fresh.is_empty() {
+                self.fresh.extend(Chunk::slab().rev());
+            }
+            pages.extend(self.fresh.pop());
+        }
+        pages
     }
-    if pool.fresh.is_empty() {
-        pool.fresh.extend(Chunk::slab());
-    }
-    (pool.fresh.pop().expect("a slab holds chunks"), false)
-}
 
-/// Returns slab chunks to the pool (never a read-only one: see
-/// [`TierStorage::unback`]).
-fn release(chunks: impl IntoIterator<Item = Chunk>) {
-    pool().recycled.extend(chunks);
-}
-
-/// Frames per chunk.
-const CHUNK_FRAMES: u32 = (CHUNK_SIZE >> PAGE_SHIFT) as u32;
-
-/// Bookkeeping of one chunk slot of a [`TierStorage`].
-#[derive(Debug, Clone, Copy, Default)]
-struct ChunkState {
-    /// Frames of the chunk that back a mapping.
-    mapped: u32,
-    /// Frames of the chunk whose bytes an outstanding staging run is yet to
-    /// replay (see [`TierStorage::pin`]). The chunk is backed exactly while
-    /// `mapped` or `pinned` is non-zero.
-    pinned: u32,
-    /// Whether an unmapped frame of the backed chunk may hold non-zero
-    /// bytes: set for a recycled chunk and by every unmap. A fresh
-    /// allocation zeroes the frames it takes from a dirty chunk only, so a
-    /// slab's lazily zeroed memory is never touched just to clear it.
-    dirty: bool,
-}
-
-impl ChunkState {
-    fn backed(self) -> bool {
-        self.mapped > 0 || self.pinned > 0
+    /// One page, its bytes unspecified.
+    fn page(&mut self) -> Chunk {
+        self.take(1, false).pop().expect("one page taken")
     }
 }
 
-/// Splits `run` on `tier` at chunk boundaries: the table slot and the byte
-/// range within the chunk, for every chunk the run touches.
-fn pieces(
-    stride: usize,
-    tier: TierId,
-    run: FrameRun,
-) -> impl Iterator<Item = (usize, Range<usize>)> {
-    let bytes = BlockSegment {
-        tier,
-        offset: (run.start as usize) << PAGE_SHIFT,
-        len: run.bytes(),
-    };
-    bytes.chunks().map(move |piece| {
-        let within = piece.offset & (CHUNK_SIZE - 1);
-        let slot = tier.index() * stride + (piece.offset >> CHUNK_SHIFT);
-        (slot, within..within + piece.len)
-    })
+/// The slot's frame backs a mapping (a [`TierStorage`] flag).
+const MAPPED: u8 = 1;
+/// The slot's bytes are a staging run's, until its replay
+/// ([`TierStorage::pin`]). A slot is backed exactly while mapped or pinned.
+const PINNED: u8 = 2;
+/// The slot's page is a stretch of an adopted buffer: never written, never
+/// pooled.
+pub(crate) const READ_ONLY: u8 = 4;
+
+/// log2 of [`LEAF`].
+pub(crate) const LEAF_SHIFT: u32 = 9;
+/// Slots per [`Leaf`] of the page table: 512 frames, 2 MiB of a tier.
+pub(crate) const LEAF: usize = 1 << LEAF_SHIFT;
+
+/// The pages and flags of [`LEAF`] consecutive slots of the page table,
+/// made the first time one of them is backed.
+#[derive(Debug)]
+pub(crate) struct Leaf {
+    pub(crate) pages: [Option<Chunk>; LEAF],
+    /// [`MAPPED`], [`PINNED`] and [`READ_ONLY`], slot for slot.
+    pub(crate) flags: [u8; LEAF],
 }
 
-/// Host backing of every tier of one machine. Data written through the
-/// simulator *actually lives here*, so migration really moves bytes and
-/// correctness is observable from the outside.
+/// The page and flags of `slot` in `dir`, its leaf made if it has none.
+fn entry(dir: &mut [Option<Box<Leaf>>], slot: usize) -> (&mut Option<Chunk>, &mut u8) {
+    let leaf = dir[slot >> LEAF_SHIFT].get_or_insert_with(|| {
+        Box::new(Leaf {
+            pages: [const { None }; LEAF],
+            flags: [0; LEAF],
+        })
+    });
+    let i = slot & (LEAF - 1);
+    (&mut leaf.pages[i], &mut leaf.flags[i])
+}
+
+/// An adopted buffer: the host addresses its read-only pages span (inside
+/// it, so disjoint from every other's), how many there are, and the
+/// keep-alive held once for all of them.
+#[derive(Debug)]
+struct Held {
+    span: Range<usize>,
+    pages: usize,
+    keep: KeepAlive,
+}
+
+/// Host backing of every tier of one machine: data written through the
+/// simulator *actually lives here*, so migration really moves bytes.
 ///
-/// Frame numbers are the simulated address space; chunks are host memory.
-/// A tier is a row of chunk slots ([`CHUNK_SIZE`] each), and a slot holds a [`Chunk`]
-/// exactly while a frame in it backs a mapping: the first mapped frame
-/// takes a chunk from the pool, the last unmapped frame returns it,
-/// dropping the machine returns the rest. A staged region's source frames
-/// are *pinned* until their bytes are replayed, and keep their chunk backed
-/// after a remap unmaps them. A staging run's own frames are never mapped
-/// or pinned, hence never backed.
-///
-/// A slot may instead be *read-only*: backed by a stretch of a buffer the
-/// caller handed over ([`adopt_frames`](TierStorage::adopt_frames)), kept
-/// alive beside the table. Every write path here first trades such a chunk
-/// for an owned copy of its bytes ([`owned`](TierStorage::owned)); the
-/// per-core views refuse to write it; it is dropped, never pooled.
+/// A tier is a row of slots, one per 4 KiB frame, and a slot holds a page
+/// ([`Chunk`]) exactly while its frame backs a mapping or is *pinned* (a
+/// staged region's source frame, until its replay); a staging run's own
+/// frames never are. A page may be *read-only*, a stretch of a buffer the
+/// caller handed over ([`adopt_frames`](TierStorage::adopt_frames)): every
+/// write path first trades it for an owned copy
+/// ([`owned`](TierStorage::owned)), the per-core views refuse to write it,
+/// and it is dropped, never pooled.
 #[derive(Debug)]
 pub(crate) struct TierStorage {
-    /// Slot `tier * stride + chunk index within the tier`; the slots past
-    /// a tier's last chunk stay empty. The per-core views read it directly
-    /// (`shard::TiersView`).
-    table: Vec<Option<Chunk>>,
-    /// Index for index with `table`: whether the slot's chunk aliases an
-    /// adopted buffer. The per-core views read it before a write.
-    read_only: Vec<bool>,
-    /// Index for index with `table`: the adopted buffer a read-only slot's
-    /// chunk aliases, kept alive for as long as the chunk is in the table.
-    keep: Vec<Option<KeepAlive>>,
-    /// Index for index with `table`.
-    state: Vec<ChunkState>,
-    /// Slots per tier: the widest tier's chunk count.
-    stride: usize,
+    /// The page table's directory: leaf `slot >> LEAF_SHIFT` holds slot
+    /// `tier * stride + frame`. A leaf is made only once one of its frames
+    /// is backed, so a machine costs host memory for the frames it backs,
+    /// not for its capacity. The per-core views read it (`shard::TiersView`).
+    pub(crate) dir: Vec<Option<Box<Leaf>>>,
+    /// The adopted buffers the read-only pages alias.
+    held: Vec<Held>,
+    /// Bytes copied from one page into another: a copy-on-write, an
+    /// adoption's partial page, an `mbind` move off a pinned frame.
+    pub(crate) copied: u64,
+    /// Slots per tier: the widest tier's frame count.
+    pub(crate) stride: usize,
 }
 
 impl TierStorage {
     /// Storage for the given tiers, nothing backed yet.
     pub(crate) fn new(specs: &[TierSpec]) -> Self {
-        let chunks = specs.iter().map(|s| s.capacity.div_ceil(CHUNK_SIZE));
-        let stride = chunks.max().unwrap_or(0);
-        let slots = specs.len() * stride;
+        let stride = specs.iter().map(TierSpec::frame_count).max().unwrap_or(0);
+        let leaves = (specs.len() * stride).div_ceil(LEAF);
         TierStorage {
-            table: (0..slots).map(|_| None).collect(),
-            read_only: vec![false; slots],
-            keep: (0..slots).map(|_| None).collect(),
-            state: vec![ChunkState::default(); slots],
+            dir: (0..leaves).map(|_| None).collect(),
+            held: Vec::new(),
+            copied: 0,
             stride,
         }
     }
 
-    /// The chunk table (see the field docs).
-    pub(crate) fn table(&self) -> &[Option<Chunk>] {
-        &self.table
+    /// Slots backed by a page.
+    pub(crate) fn backed(&self) -> usize {
+        let leaves = self.dir.iter().flatten();
+        leaves.map(|leaf| leaf.pages.iter().flatten().count()).sum()
     }
 
-    /// The read-only flags (see the field docs).
-    pub(crate) fn read_only(&self) -> &[bool] {
-        &self.read_only
+    /// The page of `slot`, if it is backed.
+    fn page(&self, slot: usize) -> Option<&Chunk> {
+        let leaf = self.dir[slot >> LEAF_SHIFT].as_ref()?;
+        leaf.pages[slot & (LEAF - 1)].as_ref()
     }
 
-    /// The table's slots per tier.
-    pub(crate) fn stride(&self) -> usize {
-        self.stride
+    /// The flags of `slot`.
+    fn flags(&self, slot: usize) -> u8 {
+        let leaf = self.dir[slot >> LEAF_SHIFT].as_ref();
+        leaf.map_or(0, |leaf| leaf.flags[slot & (LEAF - 1)])
     }
 
-    /// Notes that the frames of `run` now back a mapping, backing every
-    /// chunk that was not backed. Their bytes are unspecified (see
-    /// [`zero_frames`](TierStorage::zero_frames)).
-    pub(crate) fn map_frames(&mut self, tier: TierId, run: FrameRun) {
-        for (slot, bytes) in pieces(self.stride, tier, run) {
-            self.map_piece(slot, bytes.len());
+    /// `slot` named as a frame of a tier, for a message.
+    fn frame(&self, slot: usize) -> String {
+        let tier = TierId::new(slot / self.stride);
+        format!("frame {} of {tier}", slot % self.stride)
+    }
+
+    /// The table slots of `run` on `tier`.
+    fn slots(&self, tier: TierId, run: FrameRun) -> Range<usize> {
+        let first = tier.index() * self.stride + run.start as usize;
+        first..first + run.count as usize
+    }
+
+    /// The table slots of `piece`, a page-aligned segment.
+    fn segment_slots(&self, piece: &BlockSegment) -> Range<usize> {
+        let first = piece.tier.index() * self.stride + (piece.offset >> PAGE_SHIFT);
+        first..first + (piece.len >> PAGE_SHIFT)
+    }
+
+    /// Panics, naming `writer`, if `slot` is pinned: a pinned frame is
+    /// written by its own replay alone.
+    fn assert_unpinned(&self, slot: usize, writer: &str) {
+        assert!(
+            self.flags(slot) & PINNED == 0,
+            "{writer} would overwrite pinned frames: {} is yet to be replayed",
+            self.frame(slot)
+        );
+    }
+
+    /// Notes that the frames of `run` now back a mapping, backing each one
+    /// that was not. With `zero` (a fresh allocation, which panics on a
+    /// pinned frame) they read zero; without (a migration destination) their
+    /// bytes are unspecified, and a pinned frame keeps its page, or an owned
+    /// copy of a read-only one.
+    pub(crate) fn map_frames(&mut self, tier: TierId, run: FrameRun, zero: bool) {
+        let mut pool = pool();
+        let slots = self.slots(tier, run);
+        let mut pages = pool.take(slots.len(), zero).into_iter();
+        for slot in slots {
+            if zero {
+                self.assert_unpinned(slot, "a fresh allocation");
+            }
+            let (page, flags) = entry(&mut self.dir, slot);
+            *flags |= MAPPED;
+            if page.is_none() {
+                *page = pages.next();
+            } else {
+                self.owned(slot, &mut pool);
+            }
         }
-    }
-
-    /// [`map_frames`](TierStorage::map_frames) within one slot: `len` bytes
-    /// of frames. A new frame in a read-only slot belongs to an allocation
-    /// that may write it, so the slot trades its chunk for an owned copy.
-    fn map_piece(&mut self, slot: usize, len: usize) {
-        if !self.state[slot].backed() {
-            let (chunk, dirty) = acquire();
-            self.state[slot].dirty = dirty;
-            self.table[slot] = Some(chunk);
-        } else if self.read_only[slot] {
-            self.owned(slot);
-        }
-        self.state[slot].mapped += (len >> PAGE_SHIFT) as u32;
+        pool.recycled.extend(pages);
     }
 
     /// Maps the frames of `run`, a run of a fresh allocation, onto `src`:
-    /// the allocation's bytes from the run's first page on (shorter than
-    /// the run at the allocation's end; its pages past `src` read zero).
-    /// A slot whose whole chunk the run covers, with bytes wholly inside
-    /// `src`, takes no pool chunk: it aliases `src`, read-only, and holds
-    /// `keep`. The other slots are mapped as usual and `src` copied in.
+    /// the allocation's bytes from the run's first page on (past `src` they
+    /// read zero). A page wholly inside `src` aliases it, read-only, with
+    /// `keep` held; a partial one is a pool page with `src` copied in.
+    /// Panics on a pinned frame.
     pub(crate) fn adopt_frames(
         &mut self,
         tier: TierId,
         run: FrameRun,
-        mut src: &[u8],
+        src: &[u8],
         keep: &KeepAlive,
     ) {
-        for (slot, bytes) in pieces(self.stride, tier, run) {
-            let take = src.len().min(bytes.len());
-            if take == CHUNK_SIZE && !self.state[slot].backed() {
-                self.table[slot] = Some(Chunk::alias(&src[..take]));
-                self.read_only[slot] = true;
-                self.keep[slot] = Some(Arc::clone(keep));
-                let state = &mut self.state[slot];
-                // The frames hold the buffer's bytes, not zero.
-                (state.mapped, state.dirty) = (CHUNK_FRAMES, true);
-            } else {
-                self.map_piece(slot, bytes.len());
-                let dirty = self.state[slot].dirty;
-                let (head, tail) = self.owned(slot).bytes_mut()[bytes].split_at_mut(take);
-                head.copy_from_slice(&src[..take]);
-                if dirty {
-                    tail.fill(0);
+        for (k, slot) in self.slots(tier, run).enumerate() {
+            self.assert_unpinned(slot, "a fresh allocation");
+            let rest = src.get(k * PAGE_SIZE..).unwrap_or_default();
+            let bytes = &rest[..rest.len().min(PAGE_SIZE)];
+            let (page, flags) = entry(&mut self.dir, slot);
+            if bytes.len() < PAGE_SIZE {
+                let mut copy = pool().take(1, true).pop().expect("one page taken");
+                copy.bytes_mut()[..bytes.len()].copy_from_slice(bytes);
+                (*page, *flags) = (Some(copy), MAPPED);
+                self.copied += bytes.len() as u64;
+                continue;
+            }
+            (*page, *flags) = (Some(Chunk::alias(bytes)), MAPPED | READ_ONLY);
+            let at = bytes.as_ptr() as usize;
+            match self.held.iter_mut().find(|h| Arc::ptr_eq(&h.keep, keep)) {
+                Some(h) => {
+                    h.span = h.span.start.min(at)..h.span.end.max(at + PAGE_SIZE);
+                    h.pages += 1;
+                }
+                None => self.held.push(Held {
+                    span: at..at + PAGE_SIZE,
+                    pages: 1,
+                    keep: Arc::clone(keep),
+                }),
+            }
+        }
+    }
+
+    /// The page of backed `slot`, to write: the one gate to
+    /// [`Chunk::bytes_mut`] on a slot. A read-only page is first traded for
+    /// a pool page holding a copy of its bytes.
+    fn owned(&mut self, slot: usize, pool: &mut Pool) -> &mut Chunk {
+        if self.flags(slot) & READ_ONLY != 0 {
+            let (alias, _) = self.take(slot).expect("a read-only slot is backed");
+            let mut copy = pool.page();
+            copy.bytes_mut().copy_from_slice(alias.bytes());
+            *entry(&mut self.dir, slot).0 = Some(copy);
+            self.copied += PAGE_SIZE as u64;
+            self.release(alias, true, pool);
+        }
+        let page = entry(&mut self.dir, slot).0.as_mut();
+        page.expect("tier storage access to an unbacked chunk")
+    }
+
+    /// Takes the page out of `slot`, if it holds one, with whether it was
+    /// read-only.
+    fn take(&mut self, slot: usize) -> Option<(Chunk, bool)> {
+        let (page, flags) = entry(&mut self.dir, slot);
+        let read_only = *flags & READ_ONLY != 0;
+        *flags &= !READ_ONLY;
+        page.take().map(|page| (page, read_only))
+    }
+
+    /// Gives back a page taken out of the table: a pool page to the pool; a
+    /// read-only one is dropped, and its buffer's keep-alive with the last
+    /// page that aliases it.
+    fn release(&mut self, page: Chunk, read_only: bool, pool: &mut Pool) {
+        if !read_only {
+            return pool.recycled.push(page);
+        }
+        let at = page.bytes().as_ptr() as usize;
+        let held = self.held.iter().position(|h| h.span.contains(&at));
+        let held = held.expect("a read-only page's buffer is held");
+        self.held[held].pages -= 1;
+        if self.held[held].pages == 0 {
+            self.held.swap_remove(held);
+        }
+    }
+
+    /// Clears `flag`, which every slot of `slots` must have, releasing the
+    /// page of each then neither mapped nor pinned.
+    fn clear(&mut self, slots: Range<usize>, flag: u8, what: &str) {
+        let mut pool = pool();
+        for slot in slots {
+            let (_, flags) = entry(&mut self.dir, slot);
+            assert!(*flags & flag != 0, "{what} a frame that was not");
+            *flags &= !flag;
+            if *flags & (MAPPED | PINNED) == 0 {
+                if let Some((page, read_only)) = self.take(slot) {
+                    self.release(page, read_only, &mut pool);
                 }
             }
-            src = &src[take..];
-        }
-    }
-
-    /// The chunk of `slot`, to write: the one gate to
-    /// [`Chunk::bytes_mut`]. A read-only slot first trades its chunk for a
-    /// pool chunk holding a copy of its bytes, and lets the adopted buffer
-    /// go.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the slot is not backed.
-    fn owned(&mut self, slot: usize) -> &mut Chunk {
-        if self.read_only[slot] {
-            let (mut copy, _) = acquire();
-            let alias = self.table[slot]
-                .as_ref()
-                .expect("a read-only slot is backed");
-            copy.bytes_mut().copy_from_slice(alias.bytes());
-            self.table[slot] = Some(copy);
-            self.read_only[slot] = false;
-            self.keep[slot] = None;
-            self.state[slot].dirty = true;
-        }
-        self.table[slot]
-            .as_mut()
-            .expect("tier storage access to an unbacked chunk")
-    }
-
-    /// Empties `slot`: a slab chunk goes back to the pool, a read-only one
-    /// is dropped with its keep-alive.
-    fn unback(&mut self, slot: usize) {
-        let chunk = self.table[slot].take();
-        if std::mem::take(&mut self.read_only[slot]) {
-            self.keep[slot] = None;
-        } else {
-            release(chunk);
         }
     }
 
     /// Notes that the frames of `run` no longer back a mapping, releasing
-    /// every chunk left with neither a mapped nor a pinned frame.
-    ///
-    /// # Panics
-    ///
-    /// Panics if more frames are unmapped from a chunk than were mapped.
+    /// the page of every one that is not pinned.
     pub(crate) fn unmap_frames(&mut self, tier: TierId, run: FrameRun) {
-        for (slot, bytes) in pieces(self.stride, tier, run) {
-            let state = &mut self.state[slot];
-            state.mapped = state
-                .mapped
-                .checked_sub((bytes.len() >> PAGE_SHIFT) as u32)
-                .expect("unmapped more frames than the chunk had mapped");
-            state.dirty = true;
-            if !state.backed() {
-                self.unback(slot);
-            }
-        }
+        self.clear(self.slots(tier, run), MAPPED, "unmapped");
     }
 
-    /// Pins the frames of `piece`, a page-aligned segment within one chunk
-    /// whose frames back a mapping: their chunk stays backed, bytes and
-    /// all, until [`unpin`](TierStorage::unpin), whether or not they stay
-    /// mapped.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the chunk is not backed.
+    /// Pins the frames of `piece`, mapped and unpinned: they keep their
+    /// pages until [`unpin`](TierStorage::unpin) or
+    /// [`replay`](TierStorage::replay), mapped or not.
     pub(crate) fn pin(&mut self, piece: BlockSegment) {
-        let (slot, _) = self.locate(piece.tier, piece.offset);
-        let state = &mut self.state[slot];
-        assert!(state.backed(), "pinned frames of an unbacked chunk");
-        state.pinned += (piece.len >> PAGE_SHIFT) as u32;
+        for slot in self.segment_slots(&piece) {
+            let (_, flags) = entry(&mut self.dir, slot);
+            assert!(
+                *flags & (MAPPED | PINNED) == MAPPED,
+                "pinned an unmapped or pinned frame"
+            );
+            *flags |= PINNED;
+        }
     }
 
-    /// Undoes one [`pin`](TierStorage::pin) of `piece`, releasing its chunk
-    /// if that leaves it with neither a mapped nor a pinned frame.
-    ///
-    /// # Panics
-    ///
-    /// Panics if more frames are unpinned from a chunk than were pinned.
+    /// Undoes [`pin`](TierStorage::pin), releasing the page of every frame
+    /// that is not mapped.
     pub(crate) fn unpin(&mut self, piece: BlockSegment) {
-        let (slot, _) = self.locate(piece.tier, piece.offset);
-        let state = &mut self.state[slot];
-        state.pinned = state
-            .pinned
-            .checked_sub((piece.len >> PAGE_SHIFT) as u32)
-            .expect("unpinned more frames than the chunk had pinned");
-        if !state.backed() {
-            self.unback(slot);
-        }
+        self.clear(self.segment_slots(&piece), PINNED, "unpinned");
     }
 
-    /// Makes the mapped frames of `run` read zero: what a fresh allocation
-    /// owes its caller, and a migration destination (whose caller copies
-    /// data in) does not.
-    pub(crate) fn zero_frames(&mut self, tier: TierId, run: FrameRun) {
-        for (slot, bytes) in pieces(self.stride, tier, run) {
-            if self.state[slot].dirty {
-                self.owned(slot).bytes_mut()[bytes].fill(0);
-            }
-        }
-    }
-
-    /// Table slot of the chunk holding byte `offset` of `tier`, and the
-    /// byte's offset within the chunk.
-    fn locate(&self, tier: TierId, offset: usize) -> (usize, usize) {
-        let chunk = offset >> CHUNK_SHIFT;
-        assert!(chunk < self.stride, "offset {offset} is beyond {tier}");
-        (
-            tier.index() * self.stride + chunk,
-            offset & (CHUNK_SIZE - 1),
-        )
-    }
-
-    /// Immutable view of the byte range `[offset, offset + len)` of `tier`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the range crosses a chunk boundary or its chunk is not
-    /// backed.
-    pub(crate) fn slice(&self, tier: TierId, offset: usize, len: usize) -> &[u8] {
-        let (slot, within) = self.locate(tier, offset);
-        let chunk = self.table[slot]
-            .as_ref()
-            .expect("tier storage access to an unbacked chunk");
-        &chunk.bytes()[within..within + len]
-    }
-
-    /// Mutable view of the byte range `[offset, offset + len)` of `tier`.
-    ///
-    /// # Panics
-    ///
-    /// As [`slice`](TierStorage::slice).
+    /// Mutable view of the byte range `[offset, offset + len)` of `tier`,
+    /// through the write gate.
+    #[cfg(test)]
     pub(crate) fn slice_mut(&mut self, tier: TierId, offset: usize, len: usize) -> &mut [u8] {
         let (slot, within) = self.locate(tier, offset);
-        &mut self.owned(slot).bytes_mut()[within..within + len]
+        &mut self.owned(slot, &mut pool()).bytes_mut()[within..within + len]
     }
 
-    /// Copies `len` bytes from byte `src` to byte `dst`, each a `(tier,
-    /// offset)` pair whose range lies within one backed chunk. Within one
-    /// chunk the two ranges may overlap (memmove).
-    pub(crate) fn copy(&mut self, src: (TierId, usize), dst: (TierId, usize), len: usize) {
-        let (src_slot, from) = self.locate(src.0, src.1);
-        let (dst_slot, to) = self.locate(dst.0, dst.1);
-        self.owned(dst_slot);
-        // Lift the destination chunk out of the table for the copy: one
-        // `&mut` chunk beside a `&` to the rest.
-        let mut chunk = self.table[dst_slot]
-            .take()
-            .expect("tier storage access to an unbacked chunk");
-        if src_slot == dst_slot {
-            chunk.bytes_mut().copy_within(from..from + len, to);
-        } else {
-            chunk.bytes_mut()[to..to + len].copy_from_slice(self.slice(src.0, src.1, len));
-        }
-        self.table[dst_slot] = Some(chunk);
+    /// Table slot of the page holding byte `offset` of `tier`, and the
+    /// byte's offset within the page.
+    fn locate(&self, tier: TierId, offset: usize) -> (usize, usize) {
+        let frame = offset >> CHUNK_SHIFT;
+        assert!(frame < self.stride, "offset {offset} is beyond {tier}");
+        let slot = tier.index() * self.stride + frame;
+        (slot, offset & (CHUNK_SIZE - 1))
     }
 
-    /// Moves the bytes of `src` into `dst`, in order: two lists of
-    /// page-aligned pieces, each within one chunk, `dst` no longer in total.
-    ///
-    /// A whole destination chunk whose bytes are a whole source chunk that
-    /// nothing maps and only this move pins takes that chunk: the two table
-    /// slots swap, read-only flag and keep-alive with them. Other pieces are
-    /// copied. With `bounce` (the destination
-    /// overlaps the source, whose pages it may permute in a cycle no copy
-    /// order resolves) the whole source is read before anything is written.
-    pub(crate) fn replay(&mut self, src: &[BlockSegment], dst: &[BlockSegment], bounce: bool) {
-        if bounce {
-            let mut image = Vec::new();
-            for s in src {
-                image.extend_from_slice(self.slice(s.tier, s.offset, s.len));
+    /// Immutable view of the byte range `[offset, offset + len)` of `tier`,
+    /// inside one backed page.
+    pub(crate) fn slice(&self, tier: TierId, offset: usize, len: usize) -> &[u8] {
+        let (slot, within) = self.locate(tier, offset);
+        let page = self.page(slot);
+        &page
+            .expect("tier storage access to an unbacked chunk")
+            .bytes()[within..within + len]
+    }
+
+    /// Moves the pages of `src`, one staging run's pinned sources, into the
+    /// mapped frames of `dst` (no longer), in order, and unpins `src`. Each
+    /// destination takes its source's page, read-only flag and all: no byte
+    /// is copied. Every source page is taken out before any is placed, so a
+    /// destination overlapping the source (a rollback remapped onto its own
+    /// pinned frames, in any permutation) needs no bounce. A source frame
+    /// still mapped but no destination gets a pool page back.
+    pub(crate) fn replay(&mut self, src: &[BlockSegment], dst: &[BlockSegment]) {
+        let mut pool = pool();
+        let sources: Vec<usize> = src.iter().flat_map(|s| self.segment_slots(s)).collect();
+        let targets: Vec<usize> = dst.iter().flat_map(|d| self.segment_slots(d)).collect();
+        let moving = sources[..targets.len()].iter();
+        let pages: Vec<_> = moving.map(|&slot| self.take(slot)).collect();
+        for (&slot, page) in targets.iter().zip(pages) {
+            let (page, read_only) = page.expect("a pinned frame is backed");
+            if let Some((own, read_only)) = self.take(slot) {
+                self.release(own, read_only, &mut pool);
             }
-            let mut done = 0;
-            for d in dst {
-                self.slice_mut(d.tier, d.offset, d.len)
-                    .copy_from_slice(&image[done..done + d.len]);
-                done += d.len;
-            }
-            return;
+            let (target, flags) = entry(&mut self.dir, slot);
+            *target = Some(page);
+            *flags |= if read_only { READ_ONLY } else { 0 };
         }
-        // The source piece under the cursor and the bytes of it consumed.
-        let (mut at, mut used) = (0, 0);
-        for d in dst {
-            let s = src[at];
-            if used == 0 && d.len == CHUNK_SIZE && s.len == CHUNK_SIZE {
-                let (from, _) = self.locate(s.tier, s.offset);
-                let (to, _) = self.locate(d.tier, d.offset);
-                let (source, target) = (self.state[from], self.state[to]);
-                if source.mapped == 0 && source.pinned == CHUNK_FRAMES && target.pinned == 0 {
-                    self.table.swap(from, to);
-                    self.read_only.swap(from, to);
-                    self.keep.swap(from, to);
-                    at += 1;
-                    continue;
-                }
-            }
-            let mut done = 0;
-            while done < d.len {
-                let s = src[at];
-                let len = (s.len - used).min(d.len - done);
-                self.copy((s.tier, s.offset + used), (d.tier, d.offset + done), len);
-                done += len;
-                used += len;
-                if used == s.len {
-                    (at, used) = (at + 1, 0);
-                }
+        for &slot in &sources {
+            if self.flags(slot) & MAPPED != 0 && self.page(slot).is_none() {
+                *entry(&mut self.dir, slot).0 = Some(pool.page());
             }
         }
+        drop(pool);
+        for &piece in src {
+            self.unpin(piece);
+        }
+    }
+
+    /// Moves the page of mapped frame `src` to `dst`, an unbacked, unpinned
+    /// frame that replaces it in a mapping (an `mbind` page move): `dst`
+    /// takes the page, read-only flag and all, and `src` is unmapped. A
+    /// pinned `src` keeps its page for its replay; `dst` gets a copy.
+    pub(crate) fn move_page(&mut self, src: (TierId, u32), dst: (TierId, u32)) {
+        let from = self.slots(src.0, FrameRun::new(src.1, 1)).start;
+        let to = self.slots(dst.0, FrameRun::new(dst.1, 1)).start;
+        self.assert_unpinned(to, "an mbind page copy");
+        assert!(
+            self.flags(from) & MAPPED != 0 && self.page(to).is_none(),
+            "a page move needs a mapped source and an unbacked destination"
+        );
+        let (page, read_only) = match self.page(from) {
+            Some(pinned) if self.flags(from) & PINNED != 0 => {
+                let mut copy = pool().page();
+                copy.bytes_mut().copy_from_slice(pinned.bytes());
+                self.copied += PAGE_SIZE as u64;
+                (copy, false)
+            }
+            _ => self.take(from).expect("a mapped frame is backed"),
+        };
+        *entry(&mut self.dir, from).1 &= !MAPPED;
+        let (target, flags) = entry(&mut self.dir, to);
+        *target = Some(page);
+        *flags = MAPPED | if read_only { READ_ONLY } else { 0 };
     }
 
     /// Copies the byte range `[offset, offset + len)` of `tier` out, across
-    /// chunks; an unbacked chunk reads as zero.
+    /// pages; an unbacked page reads as zero.
     pub(crate) fn to_vec(&self, tier: TierId, offset: usize, len: usize) -> Vec<u8> {
         let mut out = vec![0u8; len];
         let mut done = 0;
         for piece in (BlockSegment { tier, offset, len }).chunks() {
             let (slot, within) = self.locate(tier, piece.offset);
-            if let Some(chunk) = &self.table[slot] {
+            if let Some(page) = self.page(slot) {
                 out[done..done + piece.len]
-                    .copy_from_slice(&chunk.bytes()[within..within + piece.len]);
+                    .copy_from_slice(&page.bytes()[within..within + piece.len]);
             }
             done += piece.len;
         }
         out
     }
 
-    /// Checks the chunk invariants against `mapped`, every in-bounds frame
-    /// run a mapping owns (and whether its allocation is read-only), and
-    /// `pinned`, every segment the outstanding staging runs have pinned:
-    /// each chunk's mapped-frame and pinned-frame counts equal the frames
-    /// those place in it, and a chunk is backed exactly when one of the
-    /// counts is non-zero — so no mapped or pinned frame is unbacked. A
-    /// read-only slot maps frames of read-only allocations only and holds
-    /// its keep-alive; no other slot holds one. Returns the violations.
+    /// Checks the pages against `mapped`, every frame run a mapping owns
+    /// (and whether its allocation is read-only), and `pinned`, every
+    /// staged segment: exactly those frames are flagged mapped and pinned
+    /// (each is, and no more are), a frame is backed exactly when flagged,
+    /// and a read-only page maps a read-only allocation and aliases a held
+    /// buffer, held for exactly its pages. Returns the violations.
     pub(crate) fn check(
         &self,
         mapped: impl Iterator<Item = (TierId, FrameRun, bool)>,
         pinned: impl Iterator<Item = BlockSegment>,
     ) -> Vec<String> {
-        let mut placed = vec![ChunkState::default(); self.state.len()];
-        // Slots in which a frame of a writable allocation is mapped.
-        let mut writable = vec![false; self.state.len()];
-        for (tier, run, read_only) in mapped {
-            for (slot, bytes) in pieces(self.stride, tier, run) {
-                placed[slot].mapped += (bytes.len() >> PAGE_SHIFT) as u32;
-                writable[slot] |= !read_only;
-            }
-        }
-        for piece in pinned {
-            placed[self.locate(piece.tier, piece.offset).0].pinned +=
-                (piece.len >> PAGE_SHIFT) as u32;
-        }
         let mut violations = Vec::new();
-        for (slot, (state, placed)) in self.state.iter().zip(placed).enumerate() {
-            let (tier, chunk) = (TierId::new(slot / self.stride), slot % self.stride);
-            let backed = self.table[slot].is_some();
-            if state.mapped != placed.mapped {
-                violations.push(format!(
-                    "chunk {chunk} of {tier} counts {} mapped frames, the mappings place {} in it",
-                    state.mapped, placed.mapped
-                ));
+        let mut given = [0usize; 2];
+        let mapped =
+            mapped.map(|(tier, run, read_only)| (self.slots(tier, run), read_only, MAPPED));
+        let pinned = pinned.map(|piece| (self.segment_slots(&piece), true, PINNED));
+        for (slots, read_only, flag) in mapped.chain(pinned) {
+            given[usize::from(flag == PINNED)] += slots.len();
+            for slot in slots {
+                let (flags, frame) = (self.flags(slot), || self.frame(slot));
+                if flags & flag == 0 {
+                    violations.push(format!("{} is given but not flagged {flag:#b}", frame()));
+                }
+                if !read_only && flags & READ_ONLY != 0 {
+                    violations.push(format!("read-only {} maps a writable allocation", frame()));
+                }
             }
-            if state.pinned != placed.pinned {
-                violations.push(format!(
-                    "chunk {chunk} of {tier} counts {} pinned frames, the staged sources place {} in it",
-                    state.pinned, placed.pinned
-                ));
+        }
+        let mut flagged = [0usize; 2];
+        let mut aliasing = vec![0usize; self.held.len()];
+        for (first, leaf) in self.dir.iter().enumerate() {
+            let Some(leaf) = leaf else { continue };
+            for (i, (page, &flags)) in leaf.pages.iter().zip(&leaf.flags).enumerate() {
+                let frame = || self.frame(first * LEAF + i);
+                flagged[0] += usize::from(flags & MAPPED != 0);
+                flagged[1] += usize::from(flags & PINNED != 0);
+                if page.is_some() != (flags & (MAPPED | PINNED) != 0) {
+                    violations.push(format!("{} has flags {flags:#b}", frame()));
+                }
+                if flags & READ_ONLY == 0 {
+                    continue;
+                }
+                let at = page
+                    .as_ref()
+                    .map_or(0, |page| page.bytes().as_ptr() as usize);
+                match self.held.iter().position(|h| h.span.contains(&at)) {
+                    Some(held) => aliasing[held] += 1,
+                    None => violations.push(format!("read-only {} aliases nothing", frame())),
+                }
             }
-            if backed != state.backed() {
+        }
+        if flagged != given {
+            violations.push(format!(
+                "{flagged:?} frames are flagged mapped and pinned, the mappings and staged sources place {given:?}"
+            ));
+        }
+        for (held, aliasing) in self.held.iter().zip(aliasing) {
+            if held.pages != aliasing || aliasing == 0 {
+                let pages = held.pages;
                 violations.push(format!(
-                    "chunk {chunk} of {tier} is {} with {} mapped and {} pinned frames counted",
-                    if backed { "backed" } else { "unbacked" },
-                    state.mapped,
-                    state.pinned
-                ));
-            }
-            if self.read_only[slot] != self.keep[slot].is_some() {
-                violations.push(format!(
-                    "chunk {chunk} of {tier} is {} but {} an adopted buffer alive",
-                    if self.read_only[slot] {
-                        "read-only"
-                    } else {
-                        "writable"
-                    },
-                    if self.keep[slot].is_some() {
-                        "keeps"
-                    } else {
-                        "does not keep"
-                    }
-                ));
-            }
-            if self.read_only[slot] && writable[slot] {
-                violations.push(format!(
-                    "read-only chunk {chunk} of {tier} maps a frame of a writable allocation"
+                    "a buffer held for {pages} pages is aliased by {aliasing}"
                 ));
             }
         }
@@ -699,9 +688,14 @@ impl TierStorage {
 
 impl Drop for TierStorage {
     fn drop(&mut self) {
-        // Read-only chunks are dropped here, their keep-alives after.
-        let slab = self.table.drain(..).zip(&self.read_only);
-        release(slab.filter_map(|(chunk, &read_only)| chunk.filter(|_| !read_only)));
+        // Read-only pages are dropped here, their keep-alives after.
+        let mut pool = pool();
+        for leaf in self.dir.iter_mut().flatten() {
+            for (page, flags) in leaf.pages.iter_mut().zip(leaf.flags) {
+                pool.recycled
+                    .extend(page.take().filter(|_| flags & READ_ONLY == 0));
+            }
+        }
     }
 }
 
@@ -767,120 +761,9 @@ mod tests {
     }
 
     fn storage() -> TierStorage {
-        let fast = TierSpec::new("f", 3 * CHUNK_SIZE / 2, 80.0, 104.0, 80.0, 6.0);
-        let slow = TierSpec::new("s", 5 * CHUNK_SIZE, 80.0, 104.0, 80.0, 6.0);
+        let fast = TierSpec::new("f", 96 * PAGE_SIZE, 80.0, 104.0, 80.0, 6.0);
+        let slow = TierSpec::new("s", 320 * PAGE_SIZE, 80.0, 104.0, 80.0, 6.0);
         TierStorage::new(&[fast, slow])
-    }
-
-    #[test]
-    fn storage_round_trips_bytes() {
-        let mut s = storage();
-        s.map_frames(TierId::SLOW, FrameRun::new(0, 2));
-        // A mapped frame's bytes are unspecified until zeroed: the chunk
-        // may come back from another test through the pool.
-        s.zero_frames(TierId::SLOW, FrameRun::new(0, 2));
-        s.slice_mut(TierId::SLOW, 100, 4)
-            .copy_from_slice(&[1, 2, 3, 4]);
-        assert_eq!(s.slice(TierId::SLOW, 100, 4), &[1, 2, 3, 4]);
-        assert_eq!(s.to_vec(TierId::SLOW, 98, 8), [0, 0, 1, 2, 3, 4, 0, 0]);
-    }
-
-    #[test]
-    fn chunks_are_backed_by_their_first_frame_and_released_by_their_last() {
-        let mut s = storage();
-        let frames = (CHUNK_SIZE / PAGE_SIZE) as u32;
-        let backed = |s: &TierStorage| s.table.iter().filter(|c| c.is_some()).count();
-        // A run over the tail of chunk 0 and the head of the fast tier's
-        // partial chunk 1.
-        let run = FrameRun::new(frames - 3, 5);
-        s.map_frames(TierId::FAST, run);
-        assert_eq!(backed(&s), 2);
-        s.map_frames(TierId::FAST, FrameRun::new(0, 1));
-        s.unmap_frames(TierId::FAST, run);
-        assert_eq!(backed(&s), 1, "frame 0 keeps chunk 0");
-        assert!(s
-            .check(
-                [(TierId::FAST, FrameRun::new(0, 1), false)].into_iter(),
-                [].into_iter()
-            )
-            .is_empty());
-        s.unmap_frames(TierId::FAST, FrameRun::new(0, 1));
-        assert_eq!(backed(&s), 0);
-        assert!(s.check([].into_iter(), [].into_iter()).is_empty());
-    }
-
-    #[test]
-    fn a_dirty_chunk_is_zeroed_where_asked_and_only_there() {
-        let mut s = storage();
-        s.map_frames(TierId::SLOW, FrameRun::new(0, 3));
-        s.slice_mut(TierId::SLOW, 0, 3 * PAGE_SIZE).fill(0xA5);
-        // Frame 1 goes and comes back while its neighbours keep the chunk.
-        s.unmap_frames(TierId::SLOW, FrameRun::new(1, 1));
-        s.map_frames(TierId::SLOW, FrameRun::new(1, 1));
-        let page = |s: &TierStorage, frame: usize| {
-            let bytes = s.slice(TierId::SLOW, frame * PAGE_SIZE, PAGE_SIZE);
-            (bytes[0], bytes.iter().all(|&b| b == bytes[0]))
-        };
-        assert_eq!(
-            page(&s, 1),
-            (0xA5, true),
-            "a re-mapped frame is as it was left"
-        );
-        s.zero_frames(TierId::SLOW, FrameRun::new(1, 1));
-        assert_eq!(page(&s, 1), (0, true));
-        assert_eq!((page(&s, 0), page(&s, 2)), ((0xA5, true), (0xA5, true)));
-    }
-
-    #[test]
-    fn copy_out_spans_chunks_and_reads_unbacked_ones_as_zero() {
-        let mut s = storage();
-        let frames = (CHUNK_SIZE / PAGE_SIZE) as u32;
-        s.map_frames(TierId::SLOW, FrameRun::new(frames - 1, 1));
-        s.map_frames(TierId::SLOW, FrameRun::new(2 * frames, 1));
-        s.slice_mut(TierId::SLOW, CHUNK_SIZE - 2, 2).fill(7);
-        s.slice_mut(TierId::SLOW, 2 * CHUNK_SIZE, 2).fill(9);
-        let out = s.to_vec(TierId::SLOW, CHUNK_SIZE - 2, CHUNK_SIZE + 4);
-        assert_eq!(out[..2], [7, 7]);
-        assert!(out[2..CHUNK_SIZE + 2].iter().all(|&b| b == 0));
-        assert_eq!(out[CHUNK_SIZE + 2..], [9, 9]);
-    }
-
-    #[test]
-    #[should_panic(expected = "unbacked chunk")]
-    fn slice_of_an_unbacked_chunk_panics() {
-        let _ = storage().slice(TierId::SLOW, CHUNK_SIZE, 8);
-    }
-
-    #[test]
-    fn copy_page_moves_one_page_between_tiers() {
-        let mut s = storage();
-        s.map_frames(TierId::SLOW, FrameRun::new(5, 1));
-        s.map_frames(TierId::FAST, FrameRun::new(2, 1));
-        s.slice_mut(TierId::SLOW, 5 * PAGE_SIZE, PAGE_SIZE).fill(3);
-        s.copy(
-            (TierId::SLOW, 5 * PAGE_SIZE),
-            (TierId::FAST, 2 * PAGE_SIZE),
-            PAGE_SIZE,
-        );
-        assert!(s
-            .slice(TierId::FAST, 2 * PAGE_SIZE, PAGE_SIZE)
-            .iter()
-            .all(|&b| b == 3));
-    }
-
-    #[test]
-    fn copy_within_one_chunk_is_a_memmove() {
-        let mut s = storage();
-        s.map_frames(TierId::SLOW, FrameRun::new(5, 1));
-        let ramp: Vec<u8> = (0..16).collect();
-        s.slice_mut(TierId::SLOW, 5 * PAGE_SIZE, 16)
-            .copy_from_slice(&ramp);
-        s.copy(
-            (TierId::SLOW, 5 * PAGE_SIZE),
-            (TierId::SLOW, 5 * PAGE_SIZE + 4),
-            12,
-        );
-        assert_eq!(s.slice(TierId::SLOW, 5 * PAGE_SIZE + 4, 12), &ramp[..12]);
     }
 
     /// `pages` frames from `frame` of `tier` as one segment.
@@ -892,152 +775,246 @@ mod tests {
         }
     }
 
+    /// Fills frame `frame` of `tier` with `byte`.
+    fn fill(s: &mut TierStorage, tier: TierId, frame: usize, byte: u8) {
+        s.slice_mut(tier, frame * PAGE_SIZE, PAGE_SIZE).fill(byte);
+    }
+
+    /// The first byte of frame `frame` of `tier`, if the whole page holds it.
+    fn page(s: &TierStorage, tier: TierId, frame: usize) -> Option<u8> {
+        let bytes = s.slice(tier, frame * PAGE_SIZE, PAGE_SIZE);
+        bytes.iter().all(|&b| b == bytes[0]).then_some(bytes[0])
+    }
+
+    /// Where frame `frame` of `tier` lives in host memory.
+    fn host(s: &TierStorage, tier: TierId, frame: usize) -> *const u8 {
+        s.slice(tier, frame * PAGE_SIZE, PAGE_SIZE).as_ptr()
+    }
+
+    #[test]
+    fn storage_round_trips_bytes() {
+        let mut s = storage();
+        s.map_frames(TierId::SLOW, FrameRun::new(0, 2), true);
+        s.slice_mut(TierId::SLOW, 100, 4)
+            .copy_from_slice(&[1, 2, 3, 4]);
+        assert_eq!(s.slice(TierId::SLOW, 100, 4), &[1, 2, 3, 4]);
+        assert_eq!(s.to_vec(TierId::SLOW, 98, 8), [0, 0, 1, 2, 3, 4, 0, 0]);
+    }
+
+    #[test]
+    fn chunks_are_backed_by_their_first_frame_and_released_by_their_last() {
+        // One frame per chunk: a page is backed exactly while its frame is.
+        let mut s = storage();
+        let run = FrameRun::new(61, 5);
+        s.map_frames(TierId::FAST, run, false);
+        assert_eq!(s.backed(), 5);
+        s.map_frames(TierId::FAST, FrameRun::new(0, 1), false);
+        s.unmap_frames(TierId::FAST, run);
+        assert_eq!(s.backed(), 1, "frame 0 keeps its page");
+        assert!(s
+            .check(
+                [(TierId::FAST, FrameRun::new(0, 1), false)].into_iter(),
+                [].into_iter()
+            )
+            .is_empty());
+        s.unmap_frames(TierId::FAST, FrameRun::new(0, 1));
+        assert_eq!(s.backed(), 0);
+        assert!(s.check([].into_iter(), [].into_iter()).is_empty());
+    }
+
+    #[test]
+    fn a_dirty_chunk_is_zeroed_where_asked_and_only_there() {
+        let mut s = storage();
+        s.map_frames(TierId::SLOW, FrameRun::new(0, 3), false);
+        for frame in 0..3 {
+            fill(&mut s, TierId::SLOW, frame, 0xA5);
+        }
+        // Frame 1's page goes back to the pool, dirty, and the frame comes
+        // back as a fresh allocation's: zero, whatever page it got.
+        s.unmap_frames(TierId::SLOW, FrameRun::new(1, 1));
+        s.map_frames(TierId::SLOW, FrameRun::new(1, 1), true);
+        assert_eq!(page(&s, TierId::SLOW, 1), Some(0));
+        assert_eq!(
+            [0, 2].map(|frame| page(&s, TierId::SLOW, frame)),
+            [Some(0xA5); 2]
+        );
+    }
+
+    #[test]
+    fn copy_out_spans_chunks_and_reads_unbacked_ones_as_zero() {
+        let mut s = storage();
+        s.map_frames(TierId::SLOW, FrameRun::new(0, 1), false);
+        s.map_frames(TierId::SLOW, FrameRun::new(2, 1), false);
+        s.slice_mut(TierId::SLOW, PAGE_SIZE - 2, 2).fill(7);
+        s.slice_mut(TierId::SLOW, 2 * PAGE_SIZE, 2).fill(9);
+        let out = s.to_vec(TierId::SLOW, PAGE_SIZE - 2, PAGE_SIZE + 4);
+        assert_eq!(out[..2], [7, 7]);
+        assert!(out[2..PAGE_SIZE + 2].iter().all(|&b| b == 0));
+        assert_eq!(out[PAGE_SIZE + 2..], [9, 9]);
+    }
+
+    #[test]
+    #[should_panic(expected = "unbacked chunk")]
+    fn slice_of_an_unbacked_chunk_panics() {
+        let _ = storage().slice(TierId::SLOW, CHUNK_SIZE, 8);
+    }
+
+    /// An `mbind` page move hands the page over; off a pinned frame, which
+    /// must keep its bytes for the replay, it copies them.
+    #[test]
+    fn copy_page_moves_one_page_between_tiers() {
+        let mut s = storage();
+        s.map_frames(TierId::SLOW, FrameRun::new(5, 2), false);
+        fill(&mut s, TierId::SLOW, 5, 3);
+        fill(&mut s, TierId::SLOW, 6, 4);
+        let five = host(&s, TierId::SLOW, 5);
+        s.move_page((TierId::SLOW, 5), (TierId::FAST, 2));
+        assert_eq!(host(&s, TierId::FAST, 2), five, "the page changed hands");
+        assert_eq!((page(&s, TierId::FAST, 2), s.copied), (Some(3), 0));
+
+        let pinned = segment(TierId::SLOW, 6, 1);
+        s.pin(pinned);
+        s.move_page((TierId::SLOW, 6), (TierId::FAST, 3));
+        assert_eq!(page(&s, TierId::FAST, 3), Some(4));
+        assert_eq!(page(&s, TierId::SLOW, 6), Some(4), "the pinned page stays");
+        assert_eq!(s.copied, PAGE_SIZE as u64);
+        s.unpin(pinned);
+        let mapped = [(TierId::FAST, FrameRun::new(2, 2), false)];
+        assert!(s.check(mapped.into_iter(), [].into_iter()).is_empty());
+        assert_eq!(s.backed(), 2);
+    }
+
     #[test]
     fn a_pinned_chunk_outlives_its_mappings_until_unpinned() {
         let mut s = storage();
-        s.map_frames(TierId::SLOW, FrameRun::new(0, 4));
-        s.slice_mut(TierId::SLOW, PAGE_SIZE, PAGE_SIZE).fill(7);
+        s.map_frames(TierId::SLOW, FrameRun::new(0, 4), false);
+        fill(&mut s, TierId::SLOW, 1, 7);
         let pinned = segment(TierId::SLOW, 1, 2);
         s.pin(pinned);
         s.unmap_frames(TierId::SLOW, FrameRun::new(0, 4));
         assert_eq!(s.slice(TierId::SLOW, PAGE_SIZE, 2), [7, 7], "still backed");
+        assert_eq!(s.backed(), 2);
         assert!(s.check([].into_iter(), [pinned].into_iter()).is_empty());
         let violations = s.check([].into_iter(), [].into_iter());
         assert!(
             violations
                 .iter()
-                .any(|v| v.contains("counts 2 pinned frames, the staged sources place 0")),
+                .any(|v| v.contains("[0, 2] frames are flagged mapped and pinned")),
             "{violations:#?}"
         );
         s.unpin(pinned);
-        assert!(s.table.iter().all(Option::is_none));
+        assert_eq!(s.backed(), 0);
         assert!(s.check([].into_iter(), [].into_iter()).is_empty());
     }
 
     #[test]
-    fn replay_hands_over_whole_free_chunks_and_copies_the_rest() {
+    fn replay_hands_over_every_staged_page() {
         let mut s = storage();
-        let frames = CHUNK_SIZE / PAGE_SIZE;
-        // A source of a whole chunk plus two pages, unmapped but pinned...
-        let src = [
-            segment(TierId::SLOW, 0, frames),
-            segment(TierId::SLOW, 3 * frames, 2),
-        ];
-        s.map_frames(TierId::SLOW, FrameRun::new(0, frames as u32));
-        s.map_frames(TierId::SLOW, FrameRun::new(3 * frames as u32, 2));
-        s.slice_mut(TierId::SLOW, 0, CHUNK_SIZE).fill(1);
-        s.slice_mut(TierId::SLOW, 3 * CHUNK_SIZE, 2 * PAGE_SIZE)
-            .fill(2);
+        // A source of five pages in two segments, pinned, then unmapped...
+        let src = [segment(TierId::SLOW, 0, 3), segment(TierId::SLOW, 10, 2)];
+        s.map_frames(TierId::SLOW, FrameRun::new(0, 3), false);
+        s.map_frames(TierId::SLOW, FrameRun::new(10, 2), false);
+        let frames = [0, 1, 2, 10, 11];
+        for (k, frame) in frames.into_iter().enumerate() {
+            fill(&mut s, TierId::SLOW, frame, k as u8 + 1);
+        }
+        let pages = frames.map(|frame| host(&s, TierId::SLOW, frame));
         for piece in src {
             s.pin(piece);
         }
-        s.unmap_frames(TierId::SLOW, FrameRun::new(0, frames as u32));
-        s.unmap_frames(TierId::SLOW, FrameRun::new(3 * frames as u32, 2));
-        // ...into a whole fast chunk and two pages of the next one.
-        let dst = [
-            segment(TierId::FAST, 0, frames),
-            segment(TierId::FAST, frames, 2),
-        ];
-        s.map_frames(TierId::FAST, FrameRun::new(0, frames as u32 + 2));
-        let whole = s.table[0].as_ref().map(|c| c.bytes().as_ptr());
-        let source = s.table[s.stride].as_ref().map(|c| c.bytes().as_ptr());
-        s.replay(&src, &dst, false);
-        assert_eq!(s.table[0].as_ref().map(|c| c.bytes().as_ptr()), source);
-        assert_eq!(
-            s.table[s.stride].as_ref().map(|c| c.bytes().as_ptr()),
-            whole
-        );
-        let image = s.to_vec(TierId::FAST, 0, CHUNK_SIZE + 2 * PAGE_SIZE);
-        assert!(image[..CHUNK_SIZE].iter().all(|&b| b == 1));
-        assert!(image[CHUNK_SIZE..].iter().all(|&b| b == 2));
-        for piece in src {
-            s.unpin(piece);
+        s.unmap_frames(TierId::SLOW, FrameRun::new(0, 3));
+        s.unmap_frames(TierId::SLOW, FrameRun::new(10, 2));
+        // ...into two fast segments the remap mapped.
+        let dst = [segment(TierId::FAST, 0, 4), segment(TierId::FAST, 7, 1)];
+        s.map_frames(TierId::FAST, FrameRun::new(0, 4), false);
+        s.map_frames(TierId::FAST, FrameRun::new(7, 1), false);
+        s.replay(&src, &dst);
+        for (k, frame) in [0, 1, 2, 3, 7].into_iter().enumerate() {
+            assert_eq!(host(&s, TierId::FAST, frame), pages[k], "page {k}");
+            assert_eq!(page(&s, TierId::FAST, frame), Some(k as u8 + 1));
         }
-        let mapped = [(TierId::FAST, FrameRun::new(0, frames as u32 + 2), false)];
+        assert_eq!(s.copied, 0);
+        assert_eq!(s.backed(), 5, "the sources are unpinned and unbacked");
+        let mapped = [
+            (TierId::FAST, FrameRun::new(0, 4), false),
+            (TierId::FAST, FrameRun::new(7, 1), false),
+        ];
         assert!(s.check(mapped.into_iter(), [].into_iter()).is_empty());
     }
 
-    /// A storage whose slow slot 0 aliases the first chunk of a buffer a
-    /// chunk and 100 bytes long, and whose slot 1 holds a copy of the rest.
+    /// A storage whose slow frame 0 aliases the first page of a buffer a
+    /// page and 100 bytes long, and whose frame 1 holds a copy of the rest.
     fn adopted() -> (TierStorage, Arc<Vec<u8>>) {
         let buffer: Arc<Vec<u8>> =
-            Arc::new((0..CHUNK_SIZE + 100).map(|i| (i * 7 % 251) as u8).collect());
+            Arc::new((0..PAGE_SIZE + 100).map(|i| (i * 7 % 251) as u8).collect());
         let keep: KeepAlive = Arc::clone(&buffer) as KeepAlive;
         let mut s = storage();
-        s.adopt_frames(
-            TierId::SLOW,
-            FrameRun::new(0, CHUNK_FRAMES + 1),
-            &buffer,
-            &keep,
-        );
+        s.adopt_frames(TierId::SLOW, FrameRun::new(0, 2), &buffer, &keep);
         (s, buffer)
     }
 
     #[test]
     fn adoption_aliases_whole_chunks_and_copies_the_rest() {
-        let (s, buffer) = adopted();
+        let buffer: Arc<Vec<u8>> = Arc::new((0..3 * PAGE_SIZE + 100).map(|i| i as u8).collect());
+        let keep: KeepAlive = Arc::clone(&buffer) as KeepAlive;
+        let mut s = storage();
+        s.adopt_frames(TierId::SLOW, FrameRun::new(0, 5), &buffer, &keep);
+        drop(keep);
         let slot = s.stride;
-        assert!(s.read_only()[slot] && !s.read_only()[slot + 1]);
+        let read_only = |k: usize| s.flags(slot + k) & READ_ONLY != 0;
         assert_eq!(
-            s.table[slot].as_ref().map(|c| c.bytes().as_ptr()),
-            Some(buffer.as_ptr()),
-            "a whole chunk is the buffer itself"
+            (0..5).map(read_only).collect::<Vec<_>>(),
+            [true, true, true, false, false]
         );
-        assert_eq!(Arc::strong_count(&buffer), 2, "the storage keeps it alive");
-        let image = s.to_vec(TierId::SLOW, 0, CHUNK_SIZE + PAGE_SIZE);
+        for k in 0..3 {
+            assert_eq!(
+                host(&s, TierId::SLOW, k),
+                buffer[k * PAGE_SIZE..].as_ptr(),
+                "a whole page is the buffer itself"
+            );
+        }
+        assert_eq!(Arc::strong_count(&buffer), 2, "held once for three pages");
+        assert_eq!(s.copied, 100, "only the partial page is copied");
+        let image = s.to_vec(TierId::SLOW, 0, 5 * PAGE_SIZE);
         assert_eq!(image[..buffer.len()], buffer[..]);
         assert!(
             image[buffer.len()..].iter().all(|&b| b == 0),
             "the tail reads zero"
         );
-        let mapped = [(TierId::SLOW, FrameRun::new(0, CHUNK_FRAMES + 1), true)];
+        let mapped = [(TierId::SLOW, FrameRun::new(0, 5), true)];
         assert!(s.check(mapped.into_iter(), [].into_iter()).is_empty());
-        let mapped = [(TierId::SLOW, FrameRun::new(0, CHUNK_FRAMES + 1), false)];
+        let mapped = [(TierId::SLOW, FrameRun::new(0, 5), false)];
         let violations = s.check(mapped.into_iter(), [].into_iter());
         assert!(
-            violations[0].contains("read-only chunk 0 of tier1 maps a frame of a writable"),
+            violations[0].contains("read-only frame 0 of tier1 maps a writable allocation"),
             "{violations:#?}"
         );
     }
 
-    /// Every write path of the storage trades a read-only chunk for an owned
-    /// copy first: the buffer is never written, and the storage reads what
-    /// the write left on top of the buffer's bytes.
+    /// Every write path of the storage trades a read-only page for an owned
+    /// copy first: the buffer is never written, the storage lets it go, and
+    /// reads what the write left on top of the buffer's bytes.
     #[test]
     fn every_write_copies_a_read_only_chunk_first() {
         type Write = fn(&mut TierStorage);
         type Effect = fn(&mut [u8]);
-        let writes: [(&str, Write, Effect); 5] = [
+        let writes: [(&str, Write, Effect); 2] = [
             (
                 "slice_mut",
                 |s| s.slice_mut(TierId::SLOW, 8, 4).fill(0),
                 |b| b[8..12].fill(0),
             ),
             (
-                "zero_frames",
-                |s| s.zero_frames(TierId::SLOW, FrameRun::new(1, 1)),
-                |b| b[PAGE_SIZE..2 * PAGE_SIZE].fill(0),
-            ),
-            (
-                "copy",
-                |s| s.copy((TierId::SLOW, CHUNK_SIZE), (TierId::SLOW, 0), 4),
-                |b| b.copy_within(CHUNK_SIZE..CHUNK_SIZE + 4, 0),
-            ),
-            (
                 "map_frames",
                 |s| {
-                    s.unmap_frames(TierId::SLOW, FrameRun::new(3, 1));
-                    s.map_frames(TierId::SLOW, FrameRun::new(3, 1));
+                    // A pinned page remapped: the new mapping may write it.
+                    let pinned = segment(TierId::SLOW, 0, 1);
+                    s.pin(pinned);
+                    s.unmap_frames(TierId::SLOW, FrameRun::new(0, 1));
+                    s.map_frames(TierId::SLOW, FrameRun::new(0, 1), false);
+                    s.unpin(pinned);
                 },
                 |_| {},
-            ),
-            (
-                "replay",
-                |s| {
-                    let page = |frame| segment(TierId::SLOW, frame, 1);
-                    s.replay(&[page(2), page(1)], &[page(1), page(2)], true);
-                },
-                |b| b[PAGE_SIZE..3 * PAGE_SIZE].rotate_left(PAGE_SIZE),
             ),
         ];
         for (name, write, effect) in writes {
@@ -1046,7 +1023,11 @@ mod tests {
             let mut expect = original.clone();
             effect(&mut expect);
             write(&mut s);
-            assert!(!s.read_only()[s.stride], "{name} wrote a read-only chunk");
+            assert_eq!(
+                s.flags(s.stride) & READ_ONLY,
+                0,
+                "{name} wrote a read-only page"
+            );
             assert_eq!(
                 Arc::strong_count(&buffer),
                 1,
@@ -1060,26 +1041,35 @@ mod tests {
     #[test]
     fn an_unbacked_read_only_chunk_is_dropped_with_its_buffer() {
         let (mut s, buffer) = adopted();
-        s.unmap_frames(TierId::SLOW, FrameRun::new(0, CHUNK_FRAMES + 1));
-        assert!(s.table.iter().all(Option::is_none));
-        assert!(!s.read_only().contains(&true));
+        s.unmap_frames(TierId::SLOW, FrameRun::new(0, 2));
+        assert_eq!(s.backed(), 0);
+        assert!((0..2 * s.stride).all(|slot| s.flags(slot) == 0));
         assert_eq!(Arc::strong_count(&buffer), 1);
         let (s, buffer) = adopted();
         drop(s);
         assert_eq!(Arc::strong_count(&buffer), 1);
     }
 
+    /// A replay takes every source page out before it places any, so a
+    /// permutation of the source's own frames needs no bounce buffer.
     #[test]
     fn a_bounced_replay_resolves_a_cycle() {
         let mut s = storage();
         // Pages 0 and 1 trade places: no copy order does that in place.
-        s.map_frames(TierId::FAST, FrameRun::new(0, 2));
-        s.slice_mut(TierId::FAST, 0, PAGE_SIZE).fill(1);
-        s.slice_mut(TierId::FAST, PAGE_SIZE, PAGE_SIZE).fill(2);
+        s.map_frames(TierId::FAST, FrameRun::new(0, 2), false);
+        fill(&mut s, TierId::FAST, 0, 1);
+        fill(&mut s, TierId::FAST, 1, 2);
         let src = [segment(TierId::FAST, 1, 1), segment(TierId::FAST, 0, 1)];
-        s.replay(&src, &[segment(TierId::FAST, 0, 2)], true);
-        let image = s.to_vec(TierId::FAST, 0, 2 * PAGE_SIZE);
-        assert!(image[..PAGE_SIZE].iter().all(|&b| b == 2));
-        assert!(image[PAGE_SIZE..].iter().all(|&b| b == 1));
+        for piece in src {
+            s.pin(piece);
+        }
+        s.replay(&src, &[segment(TierId::FAST, 0, 2)]);
+        assert_eq!(
+            [0, 1].map(|f| page(&s, TierId::FAST, f)),
+            [Some(2), Some(1)]
+        );
+        assert_eq!(s.copied, 0);
+        let mapped = [(TierId::FAST, FrameRun::new(0, 2), false)];
+        assert!(s.check(mapped.into_iter(), [].into_iter()).is_empty());
     }
 }

@@ -58,9 +58,9 @@ impl<T: Scalar> TrackedVec<T> {
     }
 
     /// Allocates a **read-only** tracked array holding `values`, copying
-    /// only the partial 256 KiB chunks of tier storage at its ends: every
-    /// whole chunk *is* that stretch of `values` (all of it is copied on a
-    /// big-endian host). Frames, mappings and every simulated bit of every
+    /// only its partial last 4 KiB page into tier storage: every whole page
+    /// *is* that stretch of `values` (all of it is copied on a big-endian
+    /// host). Frames, mappings and every simulated bit of every
     /// later access are those [`new`](TrackedVec::new) +
     /// [`fill_from`](TrackedVec::fill_from) give.
     ///

@@ -1,10 +1,12 @@
-//! Tier storage: chunked, recycled host backing against a flat model.
+//! Tier storage: paged, recycled host backing against a flat model.
 //!
-//! A machine's frames are backed by 256 KiB chunks of host memory that come
-//! from, and return to, a process-wide pool. None of that may be visible:
+//! A machine's frames are backed by 4 KiB pages of host memory (one per
+//! mapped or pinned frame) that come from, and return to, a process-wide
+//! pool; an adopted buffer's whole pages are the buffer itself. None of
+//! that may be visible:
 //! the data image must be the one a flat, zero-initialised byte array per
 //! tier would hold, fresh memory must read zero whatever the recycled
-//! chunk under it held, and no simulated observable may depend on whether
+//! page under it held, and no simulated observable may depend on whether
 //! the pool was empty or full of another machine's bytes.
 //!
 //! `ATMEM_PROP_CASES` overrides the property's case count (see `ci.sh`).
@@ -17,10 +19,13 @@ use atmem_hms::{
 };
 use atmem_prop::prelude::*;
 
+/// The unit these tests lay allocations out in: 64 frames, one simulated
+/// huge page. Tier storage backs every frame with a page of its own, so a
+/// span crossing one of these boundaries crosses 64 host pages too.
 const CHUNK: usize = 256 << 10;
 const WORDS_PER_PAGE: usize = PAGE_SIZE / 8;
-/// Twelve and a half chunks of fast memory, thirty-six and a half of slow:
-/// both tiers end in a partial chunk.
+/// Twelve and a half spans of fast memory, thirty-six and a half of slow:
+/// both tiers end in a partial span.
 const CAPACITIES: (usize, usize) = ((3 << 20) + CHUNK / 2, (9 << 20) + CHUNK / 2);
 
 fn platform() -> Platform {
@@ -32,7 +37,7 @@ fn assert_clean(m: &mut Machine, context: &str) {
     assert!(violations.is_empty(), "{context}: audit {violations:#?}");
 }
 
-/// Leaves the chunk pool holding every chunk a machine of [`platform`] can
+/// Leaves the page pool holding every page a machine of [`platform`] can
 /// back, each full of `0xA5`, on top of whatever it held. (The pool is the
 /// process's: tests running beside this one take from it and add to it,
 /// which only varies what "whatever" is.)
@@ -143,7 +148,7 @@ impl Model {
                 Placement::Fast,
                 Placement::Preferred(TierId::FAST),
             ][b % 3];
-            // Up to 2.7 MiB: ten chunks, so runs span chunks and a few
+            // Up to 2.7 MiB: ten spans, so runs cross spans and a few
             // allocations fill a tier.
             let Ok(v) = TrackedVec::<u64>::new(&mut self.m, 1 + a % 350_000, placement) else {
                 return;
@@ -241,10 +246,10 @@ struct Observables {
 /// checking the machine against the flat model after every migration and
 /// at the end.
 ///
-/// The machine first adopts a buffer of two and a half chunks (two of them
-/// aliased, read-only), which reads as the buffer throughout. Once the
-/// machine is dropped, the pool is poisoned again: were a read-only chunk
-/// in it, the `0xA5` would land in the buffer.
+/// The machine first adopts a buffer of two and a half spans (all its
+/// 160 pages aliased, read-only), which reads as the buffer throughout.
+/// Once the machine is dropped, the pool is poisoned again: were a
+/// read-only page in it, the `0xA5` would land in the buffer.
 fn run(ops: &[(u32, usize, usize, u64)], poisoned: bool) -> Observables {
     if poisoned {
         poison_pool();
@@ -273,7 +278,7 @@ fn run(ops: &[(u32, usize, usize, u64)], poisoned: bool) -> Observables {
     };
     drop(m);
     poison_pool();
-    assert!(*buffer == original, "a read-only chunk reached the pool");
+    assert!(*buffer == original, "a read-only page reached the pool");
     observables
 }
 
@@ -299,7 +304,7 @@ proptest! {
 }
 
 /// Fill a machine with `0xA5`, drop it, build another: it is backed by
-/// chunks the first one dirtied, and every fresh allocation still reads
+/// pages the first one dirtied, and every fresh allocation still reads
 /// zero.
 #[test]
 fn fresh_memory_reads_zero_on_a_poisoned_pool() {
@@ -331,12 +336,13 @@ fn fresh_memory_reads_zero_on_a_poisoned_pool() {
     assert_clean(&mut m, "after the re-allocations");
 }
 
-/// Blocks, windows and region copies across a chunk boundary, and in the
-/// partial last chunk of a tier.
+/// Blocks, windows and region copies across a span boundary (and the 64
+/// page boundaries of host memory around it), and in the partial last span
+/// of a tier.
 #[test]
 fn accesses_straddle_chunk_boundaries_and_the_partial_last_chunk() {
     let mut m = Machine::new(platform());
-    // A chunk and a half from frame 0 of the slow tier.
+    // A span and a half from frame 0 of the slow tier.
     let n = (CHUNK + CHUNK / 2) / 8;
     let v = TrackedVec::<u64>::new(&mut m, n, Placement::Slow).unwrap();
     let boundary = CHUNK / 8;
@@ -372,8 +378,8 @@ fn accesses_straddle_chunk_boundaries_and_the_partial_last_chunk() {
     let expect = v.to_vec(&mut m);
 
     // A staged region copy of 12 pages around the boundary, into the fast
-    // tier's partial last chunk: pin every whole chunk of the tier so the
-    // staging run and the destination share the half chunk that is left.
+    // tier's partial last span: fill every whole span of the tier so the
+    // staging run and the destination share the half span that is left.
     let whole = CAPACITIES.0 - CHUNK / 2;
     let pin = m.alloc(whole, Placement::Fast).unwrap();
     let region = VirtRange::new(
@@ -395,7 +401,7 @@ fn accesses_straddle_chunk_boundaries_and_the_partial_last_chunk() {
         "staged copy across the boundary"
     );
 
-    // The same pages back with `mbind`, then everything freed: the chunks
+    // The same pages back with `mbind`, then everything freed: the pages
     // all go back to the pool.
     m.migrate_mbind(region, TierId::SLOW).unwrap();
     assert!(v.to_vec(&mut m) == expect, "mbind back across the boundary");
@@ -406,7 +412,7 @@ fn accesses_straddle_chunk_boundaries_and_the_partial_last_chunk() {
     for (tier, capacity) in [(TierId::FAST, CAPACITIES.0), (TierId::SLOW, CAPACITIES.1)] {
         assert!(
             m.storage_to_vec(tier, 0, capacity).iter().all(|&b| b == 0),
-            "an empty machine backs no chunk"
+            "an empty machine backs no page"
         );
     }
 }

@@ -9,10 +9,10 @@
 //! stale bytes cannot pass for the live image.
 //!
 //! A second allocation adopts a host buffer ([`TrackedVec::adopt`]): its
-//! whole 256 KiB chunks of tier storage are the buffer itself, read-only, so
-//! every migration of it must trade them for owned copies or hand them over
-//! whole. Its regions are drawn among the others, larger (up to 200 pages,
-//! so whole chunks move), and never rewritten.
+//! whole 4 KiB pages of tier storage are the buffer itself, read-only, so
+//! every migration of it must hand them over whole or trade them for owned
+//! copies. Its regions are drawn among the others, larger (up to 200
+//! pages), and never rewritten.
 //!
 //! After every region: the whole allocation reads back equal to a shadow
 //! `Vec<u64>`, the adopted one equal to its buffer's first contents, the
@@ -21,6 +21,11 @@
 //! tier storage under a staging run is bit-identical before
 //! [`Machine::alloc_frames`] and after [`Machine::free_frames`] wherever the
 //! tier has storage at all, and the run itself never gives it any.
+//!
+//! A deterministic companion, `host_pages_are_exactly_the_mapped_and_pinned_frames`,
+//! runs rounds of the three kinds of migration over regions that start and
+//! end anywhere and checks the host side: tier storage holds a page for
+//! exactly the mapped and pinned frames, and no page move copies a byte.
 //!
 //! `ATMEM_PROP_CASES` overrides the case count (see `ci.sh`).
 //!
@@ -33,31 +38,33 @@ use std::sync::Arc;
 
 use atmem::{execute_regions, MigrationConfig, MigrationMechanism, ObjectId, PlannedRegion};
 use atmem_hms::{
-    FaultPlan, FaultSite, Machine, MemPort, Placement, Platform, TierId, TrackedVec, VirtRange,
+    FaultPlan, FaultSite, Machine, Mapping, MemPort, Placement, Platform, TierId, TrackedVec,
+    VirtRange,
 };
 use atmem_prop::prelude::*;
 
 const PAGE: usize = 4096;
 const WORDS_PER_PAGE: usize = PAGE / 8;
-/// Tier storage's unit of host backing (DESIGN.md "Tier storage").
-const CHUNK: usize = 256 << 10;
 
-/// Per chunk of `tier`, whether a mapping has a frame in it — which is when,
-/// and only when, the tier has bytes there.
-fn backed_chunks(m: &Machine, tier: TierId) -> Vec<bool> {
-    let mut backed = vec![false; m.capacity(tier).div_ceil(CHUNK)];
+/// Every mapping of every live allocation.
+fn mappings(m: &Machine) -> Vec<Mapping> {
     let allocated: Vec<VirtRange> = m
         .allocations()
         .map(|a| VirtRange::new(a.range.start, a.pages * PAGE))
         .collect();
-    for mapping in allocated.into_iter().flat_map(|r| m.mappings_in(r)) {
-        if mapping.tier == tier {
-            let frames =
-                mapping.frame_start as usize..(mapping.frame_start + mapping.pages) as usize;
-            for frame in frames {
-                backed[frame * PAGE / CHUNK] = true;
-            }
-        }
+    allocated
+        .into_iter()
+        .flat_map(|r| m.mappings_in(r))
+        .collect()
+}
+
+/// Per frame of `tier`, whether a mapping maps it — the frames that, with a
+/// staged region's pinned sources, have bytes (a page of host memory).
+fn backed_frames(m: &Machine, tier: TierId) -> Vec<bool> {
+    let mut backed = vec![false; m.capacity(tier) / PAGE];
+    for mapping in mappings(m).into_iter().filter(|mp| mp.tier == tier) {
+        let frames = mapping.frame_start as usize..(mapping.frame_start + mapping.pages) as usize;
+        backed[frames].fill(true);
     }
     backed
 }
@@ -78,8 +85,8 @@ const FAULTS: [(FaultSite, u64); 8] = [
     (FaultSite::PageStatus, 2),
 ];
 
-/// Pages of the adopted allocation: three whole chunks and a partial one
-/// after the first allocation, so two to three of them alias the buffer.
+/// Pages of the adopted allocation: each a page of the buffer itself,
+/// read-only, which a migration hands over whole.
 const ADOPTED_PAGES: usize = 200;
 
 /// One machine, one allocation, and the words it must hold; and an adopted
@@ -202,29 +209,27 @@ impl Image {
     fn stage_by_hand(&mut self, range: VirtRange, dst: TierId, context: &str) {
         let m = &mut self.m;
         let tier_before = m.storage_to_vec(dst, 0, m.capacity(dst));
-        let backed_before = backed_chunks(m, dst);
+        let backed_before = backed_frames(m, dst);
         let Ok(run) = m.alloc_frames(dst, range.len / PAGE) else {
             return;
         };
-        // A tier has bytes only where a chunk of it is backed, and a chunk
-        // is backed only by a *mapped* frame in it — never by the staging
-        // run (the audit, mid-flight, checks exactly that). So wherever the
-        // tier has bytes under the run both before and after a stage, they
-        // must be the same bytes; where it has none, a write would have
-        // panicked. `assert!`, not `assert_eq!`: a failure must not print
-        // the run.
+        // A tier has bytes only under a mapped (or a staged region's
+        // pinned) frame — never under the staging run (the audit,
+        // mid-flight, checks exactly that). So wherever the tier has bytes
+        // under the run both before and after a stage, they must be the
+        // same bytes; where it has none, a write would have panicked.
+        // `assert!`, not `assert_eq!`: a failure must not print the run.
         let untouched = |m: &mut Machine, stage: &str| {
             let violations = m.audit();
             assert!(
                 violations.is_empty(),
                 "{context}: audit after {stage}: {violations:#?}"
             );
-            let backed_now = backed_chunks(m, dst);
+            let backed_now = backed_frames(m, dst);
             for frame in run.start as usize..(run.start + run.count) as usize {
-                let chunk = frame * PAGE / CHUNK;
                 let at = frame * PAGE;
                 assert!(
-                    !(backed_before[chunk] && backed_now[chunk])
+                    !(backed_before[frame] && backed_now[frame])
                         || m.storage_to_vec(dst, at, PAGE) == tier_before[at..at + PAGE],
                     "{context}: tier bytes under the staging run changed by {stage}"
                 );
@@ -303,5 +308,94 @@ proptest! {
             );
             image.check(&context);
         }
+    }
+}
+
+/// Pages of every live mapping.
+fn mapped_pages(m: &Machine) -> usize {
+    mappings(m).iter().map(|mp| mp.pages as usize).sum()
+}
+
+/// Rounds of staged (through the migration engine and by hand) and `mbind`
+/// migrations of regions that start and end on any page, in a written
+/// allocation and in an adopted one, to either tier. Tier storage must hold
+/// a host page for exactly the mapped frames after every round, and for the
+/// mapped frames plus a staged region's pinned sources mid-flight — so host
+/// memory cannot grow with frames a region boundary leaves behind — and no
+/// staged or `mbind` page move may copy a byte: pages change hands.
+#[test]
+fn host_pages_are_exactly_the_mapped_and_pinned_frames() {
+    let mut m = Machine::new(Platform::testing());
+    let words: Vec<u64> = (0..(300 * WORDS_PER_PAGE) as u64)
+        .map(|i| i.wrapping_mul(0x9E37_79B9_7F4A_7C15))
+        .collect();
+    let written = TrackedVec::<u64>::new(&mut m, words.len(), Placement::Slow).unwrap();
+    written.fill_from(&mut m, &words);
+    let buffer: Arc<Vec<u64>> =
+        Arc::new(words[..200 * WORDS_PER_PAGE].iter().map(|w| !w).collect());
+    let adopted = TrackedVec::adopt(&mut m, Arc::clone(&buffer), Placement::Slow).unwrap();
+    let host_pages = |m: &Machine, pinned: usize, context: &str| {
+        assert_eq!(
+            m.storage_backed_pages(),
+            mapped_pages(m) + pinned,
+            "{context}: host pages are not the mapped and pinned frames"
+        );
+    };
+    host_pages(&m, 0, "set-up");
+    let mut k = 0x2545_F491_4F6C_DD1Du64;
+    for round in 0..60 {
+        k ^= k << 13;
+        k ^= k >> 7;
+        k ^= k << 17;
+        let vec = if round / 3 % 2 == 0 {
+            &written
+        } else {
+            &adopted
+        };
+        let pages = vec.range().len.div_ceil(PAGE);
+        let start = (k % pages as u64) as usize;
+        let count = 1 + (k >> 32) as usize % 97.min(pages - start);
+        let region = VirtRange::new(vec.range().start.add((start * PAGE) as u64), count * PAGE);
+        let dst = TierId::new((k >> 16) as usize % 2);
+        let context = format!("round {round}: pages {start}+{count} -> {dst}");
+        let copied = m.storage_copied_bytes();
+        if round % 3 == 2 {
+            let run = m.alloc_frames(dst, count).unwrap();
+            m.copy_region_to_frames(region, dst, run, 4).unwrap();
+            host_pages(&m, 0, &format!("{context}, staged"));
+            if m.remap_region(region, dst).is_ok() {
+                host_pages(&m, count, &format!("{context}, remapped"));
+                m.copy_frames_to_region(dst, run, region, 4).unwrap();
+            }
+            m.free_frames(dst, run);
+        } else {
+            let config = MigrationConfig {
+                mechanism: [MigrationMechanism::Staged, MigrationMechanism::Mbind][round % 3],
+                ..MigrationConfig::default()
+            };
+            let region = PlannedRegion {
+                object: ObjectId::from_index(0),
+                range: region,
+                priority: 1.0,
+                dst: None,
+            };
+            execute_regions(&mut m, &[region], &config, dst).unwrap();
+        }
+        assert_eq!(
+            m.storage_copied_bytes(),
+            copied,
+            "{context}: a page move copied bytes"
+        );
+        host_pages(&m, 0, &context);
+        assert!(
+            written.values(&m).eq(words.iter().copied()),
+            "{context}: data"
+        );
+        assert!(
+            adopted.values(&m).eq(buffer.iter().copied()),
+            "{context}: adopted data"
+        );
+        let violations = m.audit();
+        assert!(violations.is_empty(), "{context}: audit {violations:#?}");
     }
 }
