@@ -25,8 +25,8 @@
 //! core a context over that core. The
 //! regular kernels split their streaming phases by contiguous range; the
 //! traversal kernels (BFS, SSSP, BC) partition each frontier level,
-//! routing discovered vertices through per-owner queues
-//! (`atmem_hms::OwnerQueues`) so every property write stays single-writer
+//! routing discovered vertices into one plain `Vec` per owner (folded by
+//! `par::merge_owners`) so every property write stays single-writer
 //! and the next frontier is canonical for any core count. PageRank, SpMV
 //! and CC have one body each: one core is the degenerate partition, which
 //! `Machine::run_cores` runs on the resident core with no fork, merge or

@@ -7,7 +7,7 @@
 //! the heaviest of the five kernels.
 
 use atmem::{Atmem, Result};
-use atmem_hms::{merge_owner_queues, MemPort, OwnerQueues, TrackedVec};
+use atmem_hms::{MemPort, TrackedVec};
 
 use crate::access::MemCtx;
 use crate::graph_data::HmsGraph;
@@ -149,7 +149,7 @@ impl Bc {
             let slices = par::frontier_cuts(&cuts, &frontier);
             let cur = &frontier;
             let per_core = ctx.run_cores(|c, mut cctx| {
-                let mut queues = OwnerQueues::new(cores);
+                let mut queues = vec![Vec::new(); cores];
                 let mut nbrs: Vec<u32> = Vec::new();
                 let mut dbuf: Vec<i32> = Vec::new();
                 for &v in &cur[slices[c]..slices[c + 1]] {
@@ -161,13 +161,13 @@ impl Bc {
                     cctx.gather(depth, &nbrs, &mut dbuf);
                     for (&u, &du) in nbrs.iter().zip(&dbuf) {
                         if du < 0 {
-                            queues.push(par::owner(&cuts, u as usize), (u, sv));
+                            queues[par::owner(&cuts, u as usize)].push((u, sv));
                         }
                     }
                 }
                 queues
             });
-            let routed = merge_owner_queues(per_core);
+            let routed = par::merge_owners(per_core);
             let routed = &routed;
             let discovered = ctx.run_cores(|c, mut cctx| {
                 let mut new: Vec<u32> = Vec::new();

@@ -11,7 +11,7 @@ use crate::access::MemCtx;
 use crate::graph_data::HmsGraph;
 use crate::kernel::Kernel;
 use crate::par;
-use atmem_hms::{merge_owner_queues, OwnerQueues, TrackedVec};
+use atmem_hms::TrackedVec;
 
 /// Distance value for unreached vertices.
 pub(crate) const UNREACHED: u32 = u32::MAX;
@@ -112,7 +112,7 @@ impl Bfs {
             let cur = &frontier;
             // Expand: owned frontier slices -> owner-routed candidates.
             let per_core = ctx.run_cores(|c, mut cctx| {
-                let mut queues = OwnerQueues::new(cores);
+                let mut queues = vec![Vec::new(); cores];
                 let mut nbrs: Vec<u32> = Vec::new();
                 let mut dbuf: Vec<u32> = Vec::new();
                 for &v in &cur[slices[c]..slices[c + 1]] {
@@ -123,13 +123,13 @@ impl Bfs {
                     cctx.gather(dist, &nbrs, &mut dbuf);
                     for (&u, &du) in nbrs.iter().zip(&dbuf) {
                         if du == UNREACHED {
-                            queues.push(par::owner(&cuts, u as usize), u);
+                            queues[par::owner(&cuts, u as usize)].push(u);
                         }
                     }
                 }
                 queues
             });
-            let routed = merge_owner_queues(per_core);
+            let routed = par::merge_owners(per_core);
             let routed = &routed;
             // Settle: owners dedup first-touch, write the level, and emit
             // their slice of the next frontier in canonical order.

@@ -110,9 +110,52 @@ pub(crate) fn frontier_cuts(cuts: &[usize], frontier: &[u32]) -> Vec<usize> {
         .collect()
 }
 
+/// Folds each core's per-owner queues (`per_core[c][o]`: what core `c`
+/// routed to owner `o`) into one queue per owner, in `(core, emission)`
+/// order. The order depends only on each core's own emissions, so a
+/// deterministic partition gives the same queues run to run.
+///
+/// # Panics
+///
+/// Panics if the cores disagree on the owner count.
+pub(crate) fn merge_owners<T>(per_core: Vec<Vec<Vec<T>>>) -> Vec<Vec<T>> {
+    let mut per_core = per_core.into_iter();
+    let mut merged = per_core.next().unwrap_or_default();
+    for queues in per_core {
+        assert_eq!(queues.len(), merged.len(), "owner count mismatch");
+        for (into, mut queue) in merged.iter_mut().zip(queues) {
+            into.append(&mut queue);
+        }
+    }
+    merged
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn merge_folds_in_core_then_emission_order() {
+        let core0 = vec![vec!["c0a", "c0c"], vec!["c0b"]];
+        let core1 = vec![vec!["c1b"], vec!["c1a"]];
+        let merged = merge_owners(vec![core0, core1]);
+        assert_eq!(merged[0], vec!["c0a", "c0c", "c1b"]);
+        assert_eq!(merged[1], vec!["c0b", "c1a"]);
+    }
+
+    #[test]
+    fn merge_of_empty_queues_yields_empty_owners() {
+        let empty = || vec![Vec::<u32>::new(); 3];
+        let merged = merge_owners(vec![empty(), empty()]);
+        assert_eq!(merged.len(), 3);
+        assert!(merged.iter().all(Vec::is_empty));
+    }
+
+    #[test]
+    #[should_panic(expected = "owner count")]
+    fn merge_rejects_mismatched_owner_counts() {
+        let _ = merge_owners(vec![vec![Vec::<u32>::new(); 2], vec![Vec::new(); 3]]);
+    }
 
     fn cuts_of(bounds: &[u64], cores: usize) -> Vec<usize> {
         edge_cuts(bounds.len() - 1, |i| bounds[i], cores)

@@ -6,7 +6,7 @@
 //! through the accounted path.
 
 use atmem::{Atmem, Result};
-use atmem_hms::{merge_owner_queues, OwnerQueues, TrackedVec};
+use atmem_hms::TrackedVec;
 
 use crate::access::MemCtx;
 use crate::graph_data::HmsGraph;
@@ -104,7 +104,7 @@ impl Sssp {
             let cur = &frontier;
             // Relax-scan: emit owner-routed improving candidates.
             let per_core = ctx.run_cores(|c, mut cctx| {
-                let mut queues = OwnerQueues::new(cores);
+                let mut queues = vec![Vec::new(); cores];
                 let mut nbrs: Vec<u32> = Vec::new();
                 let mut ws: Vec<f32> = Vec::new();
                 let mut dbuf: Vec<f32> = Vec::new();
@@ -121,13 +121,13 @@ impl Sssp {
                     for ((&u, &w), &du) in nbrs.iter().zip(&ws).zip(&dbuf) {
                         let candidate = dv + w;
                         if candidate < du {
-                            queues.push(par::owner(&cuts, u as usize), (u, candidate));
+                            queues[par::owner(&cuts, u as usize)].push((u, candidate));
                         }
                     }
                 }
                 queues
             });
-            let routed = merge_owner_queues(per_core);
+            let routed = par::merge_owners(per_core);
             let routed = &routed;
             // Tighten: owners replay their queue single-writer.
             let settled = ctx.run_cores(|c, mut cctx| {

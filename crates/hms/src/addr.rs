@@ -58,7 +58,7 @@ impl VirtAddr {
     }
 
     /// Address rounded down to the start of its cache line.
-    pub const fn line_aligned(self) -> Self {
+    pub(crate) const fn line_aligned(self) -> Self {
         VirtAddr(self.0 & !(LINE_SIZE as u64 - 1))
     }
 
@@ -93,22 +93,22 @@ impl From<VirtAddr> for u64 {
 
 /// A physical frame: a 4 KiB unit of storage on a particular tier.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct Frame {
+pub(crate) struct Frame {
     /// Tier holding the frame.
-    pub tier: TierId,
+    pub(crate) tier: TierId,
     /// Frame index within the tier (frame `i` covers bytes
     /// `i * PAGE_SIZE .. (i + 1) * PAGE_SIZE` of the tier storage).
-    pub index: u32,
+    pub(crate) index: u32,
 }
 
 impl Frame {
     /// Creates a frame handle.
-    pub const fn new(tier: TierId, index: u32) -> Self {
+    pub(crate) const fn new(tier: TierId, index: u32) -> Self {
         Frame { tier, index }
     }
 
     /// Byte offset of the frame start within its tier's storage.
-    pub const fn byte_offset(self) -> usize {
+    pub(crate) const fn byte_offset(self) -> usize {
         (self.index as usize) << PAGE_SHIFT
     }
 
@@ -116,7 +116,7 @@ impl Frame {
     ///
     /// Distinct tiers occupy distinct 1 TiB windows of the synthetic space so
     /// that physical cache indexing never aliases across tiers.
-    pub const fn phys_addr(self, offset: usize) -> PhysAddr {
+    pub(crate) const fn phys_addr(self, offset: usize) -> PhysAddr {
         PhysAddr(
             ((self.tier.index() as u64) << 40)
                 | (((self.index as u64) << PAGE_SHIFT) + offset as u64),
@@ -141,12 +141,12 @@ impl PhysAddr {
     }
 
     /// Returns the raw address value.
-    pub const fn raw(self) -> u64 {
+    pub(crate) const fn raw(self) -> u64 {
         self.0
     }
 
     /// Address rounded down to the start of its cache line.
-    pub const fn line_aligned(self) -> Self {
+    pub(crate) const fn line_aligned(self) -> Self {
         PhysAddr(self.0 & !(LINE_SIZE as u64 - 1))
     }
 }
@@ -182,13 +182,8 @@ impl VirtRange {
         va >= self.start && va < self.end()
     }
 
-    /// Whether this range overlaps `other` (empty ranges overlap nothing).
-    pub fn overlaps(self, other: VirtRange) -> bool {
-        self.len > 0 && other.len > 0 && self.start < other.end() && other.start < self.end()
-    }
-
     /// Intersection of two ranges, or `None` if disjoint.
-    pub fn intersect(self, other: VirtRange) -> Option<VirtRange> {
+    pub(crate) fn intersect(self, other: VirtRange) -> Option<VirtRange> {
         let start = self.start.max(other.start);
         let end = self.end().min(other.end());
         if start < end {
@@ -196,16 +191,6 @@ impl VirtRange {
         } else {
             None
         }
-    }
-
-    /// Number of 4 KiB pages spanned by the range (counting partial pages).
-    pub fn page_count(self) -> usize {
-        if self.len == 0 {
-            return 0;
-        }
-        let first = self.start.page_index();
-        let last = (self.end().raw() - 1) >> PAGE_SHIFT;
-        (last - first + 1) as usize
     }
 }
 
@@ -251,8 +236,6 @@ mod tests {
         let a = VirtRange::new(VirtAddr::new(0x1000), 0x1000);
         let b = VirtRange::new(VirtAddr::new(0x1800), 0x1000);
         let c = VirtRange::new(VirtAddr::new(0x3000), 0x1000);
-        assert!(a.overlaps(b));
-        assert!(!a.overlaps(c));
         let i = a.intersect(b).unwrap();
         assert_eq!(i.start.raw(), 0x1800);
         assert_eq!(i.len, 0x800);
@@ -263,17 +246,7 @@ mod tests {
     fn empty_range_overlaps_nothing() {
         let empty = VirtRange::new(VirtAddr::new(0x1000), 0);
         let a = VirtRange::new(VirtAddr::new(0x0), 0x10000);
-        assert!(!empty.overlaps(a));
-        assert!(!a.overlaps(empty));
-    }
-
-    #[test]
-    fn page_count_counts_partial_pages() {
-        let r = VirtRange::new(VirtAddr::new(0xfff), 2);
-        assert_eq!(r.page_count(), 2);
-        let r = VirtRange::new(VirtAddr::new(0x1000), PAGE_SIZE);
-        assert_eq!(r.page_count(), 1);
-        let r = VirtRange::new(VirtAddr::new(0x1000), 0);
-        assert_eq!(r.page_count(), 0);
+        assert!(empty.intersect(a).is_none());
+        assert!(a.intersect(empty).is_none());
     }
 }

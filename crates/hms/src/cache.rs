@@ -22,11 +22,11 @@ const ASCENDING_WAYS: u64 = 0xFEDC_BA98_7654_3210;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CacheConfig {
     /// Total capacity in bytes.
-    pub size: usize,
+    pub(crate) size: usize,
     /// Associativity (ways per set).
-    pub assoc: usize,
+    pub(crate) assoc: usize,
     /// Line size in bytes.
-    pub line: usize,
+    pub(crate) line: usize,
 }
 
 impl CacheConfig {
@@ -55,7 +55,7 @@ impl CacheConfig {
     }
 
     /// Number of sets.
-    pub fn sets(&self) -> usize {
+    pub(crate) fn sets(&self) -> usize {
         self.size / (self.assoc * self.line)
     }
 }
@@ -71,7 +71,7 @@ pub enum CacheOutcome {
 
 impl CacheOutcome {
     /// Whether the outcome is a hit.
-    pub fn is_hit(self) -> bool {
+    pub(crate) fn is_hit(self) -> bool {
         matches!(self, CacheOutcome::Hit)
     }
 }
@@ -91,13 +91,12 @@ struct TagRow([u32; LANES]);
 /// last touch is oldest, which is what a minimum scan over per-way last-use
 /// ticks would pick. Empty ways sit at the low end in ascending way order
 /// (they are "older" than any resident line, lowest way first), so fills
-/// after a [`flush`](Cache::flush) or an
-/// [`invalidate_where`](Cache::invalidate_where) take them in that order.
+/// after a flush or an invalidation take them in that order.
 ///
 /// A just-probed line is the top nibble of its set, and touching the top
 /// nibble again changes nothing: that is why the guaranteed-hit re-touches
-/// the batched engines coalesce (`rehit_run`, the tail of
-/// [`access_run`](Cache::access_run)) only move counters.
+/// the batched engines coalesce (`rehit_run`, the tail of `access_run`)
+/// only move counters.
 #[derive(Debug, Clone)]
 pub struct Cache {
     config: CacheConfig,
@@ -191,7 +190,7 @@ impl Cache {
     }
 
     /// The cache geometry.
-    pub fn config(&self) -> CacheConfig {
+    pub(crate) fn config(&self) -> CacheConfig {
         self.config
     }
 
@@ -275,7 +274,7 @@ impl Cache {
     /// # Panics
     ///
     /// Panics in debug builds if `count` is zero.
-    pub fn access_run(&mut self, pa: PhysAddr, write: bool, count: usize) -> CacheOutcome {
+    pub(crate) fn access_run(&mut self, pa: PhysAddr, write: bool, count: usize) -> CacheOutcome {
         debug_assert!(count > 0, "empty cache run");
         let outcome = self.access_slot(pa, write).0;
         self.counts[counter(write, false)] += (count - 1) as u64;
@@ -283,7 +282,7 @@ impl Cache {
     }
 
     /// Drops every line (used when a machine resets between experiments).
-    pub fn flush(&mut self) {
+    pub(crate) fn flush(&mut self) {
         self.tags.fill(TagRow([EMPTY; LANES]));
         self.order
             .fill(ASCENDING_WAYS & (u64::MAX >> (60 - self.mru_shift)));
@@ -293,7 +292,7 @@ impl Cache {
     /// back-invalidation for reclaimed physical frames would. The vacated
     /// ways become the set's next eviction victims, lowest way first, ahead
     /// of every line that stays; counters are untouched.
-    pub fn invalidate_where(&mut self, mut pred: impl FnMut(u64) -> bool) {
+    pub(crate) fn invalidate_where(&mut self, mut pred: impl FnMut(u64) -> bool) {
         let assoc = self.config.assoc;
         for (set, (row, order)) in self.tags.iter_mut().zip(&mut self.order).enumerate() {
             let mut vacated = false;
@@ -320,7 +319,7 @@ impl Cache {
     /// the scan, and an untouched set is left alone by both, so the cache
     /// state afterwards is identical. Wider spans take the scan, which then
     /// costs less than a probe per line.
-    pub fn invalidate_lines(&mut self, first: u64, last: u64) {
+    pub(crate) fn invalidate_lines(&mut self, first: u64, last: u64) {
         debug_assert!(first <= last, "empty line span");
         if last - first >= self.tags.len() as u64 {
             return self.invalidate_where(|line| (first..=last).contains(&line));
@@ -346,7 +345,7 @@ impl Cache {
     /// The line id of every resident line, in unspecified order. Used by the
     /// machine invariant auditor to check that no line references a freed
     /// frame.
-    pub fn live_lines(&self) -> Vec<u64> {
+    pub(crate) fn live_lines(&self) -> Vec<u64> {
         let mut lines = Vec::new();
         for (set, row) in self.tags.iter().enumerate() {
             for &tag in row.0.iter().filter(|&&tag| tag != EMPTY) {
@@ -400,38 +399,33 @@ impl Cache {
 
     /// Reconstructs the physical byte address of the first byte of a line id
     /// produced by [`Cache::live_lines`].
-    pub fn line_base_addr(&self, line_id: u64) -> u64 {
+    pub(crate) fn line_base_addr(&self, line_id: u64) -> u64 {
         line_id << self.line_shift
     }
 
     /// The line id containing physical byte address `raw`.
-    pub fn line_id_of(&self, raw: u64) -> u64 {
+    pub(crate) fn line_id_of(&self, raw: u64) -> u64 {
         raw >> self.line_shift
     }
 
-    /// Read hits since creation or the last counter reset.
+    /// Read hits since creation.
     pub fn read_hits(&self) -> u64 {
         self.counts[counter(false, false)]
     }
 
-    /// Read misses since creation or the last counter reset.
+    /// Read misses since creation.
     pub fn read_misses(&self) -> u64 {
         self.counts[counter(false, true)]
     }
 
-    /// Write hits since creation or the last counter reset.
-    pub fn write_hits(&self) -> u64 {
+    /// Write hits since creation.
+    pub(crate) fn write_hits(&self) -> u64 {
         self.counts[counter(true, false)]
     }
 
-    /// Write misses since creation or the last counter reset.
-    pub fn write_misses(&self) -> u64 {
+    /// Write misses since creation.
+    pub(crate) fn write_misses(&self) -> u64 {
         self.counts[counter(true, true)]
-    }
-
-    /// Zeroes all hit/miss counters, keeping contents.
-    pub fn reset_counters(&mut self) {
-        self.counts = [0; 4];
     }
 }
 
@@ -614,7 +608,7 @@ mod tests {
                     oracle.flush();
                 }
                 _ if pick % 16 == 0 => {
-                    cache.reset_counters();
+                    cache.counts = [0; 4];
                     oracle.counts = [0; 4];
                 }
                 _ => {}

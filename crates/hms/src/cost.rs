@@ -24,7 +24,7 @@ pub struct SimDuration(f64);
 
 impl SimDuration {
     /// Zero duration.
-    pub const ZERO: SimDuration = SimDuration(0.0);
+    pub(crate) const ZERO: SimDuration = SimDuration(0.0);
 
     /// Creates a duration from nanoseconds.
     pub fn from_ns(ns: f64) -> Self {
@@ -43,7 +43,7 @@ impl SimDuration {
     }
 
     /// The duration in seconds.
-    pub fn as_secs(self) -> f64 {
+    pub(crate) fn as_secs(self) -> f64 {
         self.0 / 1e9
     }
 }
@@ -102,10 +102,10 @@ impl SimClock {
 #[derive(Debug, Clone, PartialEq)]
 pub struct CostModel {
     /// Latency of an LLC hit, nanoseconds.
-    pub llc_hit_ns: f64,
+    pub(crate) llc_hit_ns: f64,
     /// Page-walk penalty on a TLB miss, nanoseconds (walk entries are
     /// assumed cached; the penalty is the extra pipeline stall).
-    pub walk_ns: f64,
+    pub(crate) walk_ns: f64,
     /// Number of concurrently running application threads whose aggregate
     /// demand queues on the memory controller (48 on the Optane testbed,
     /// 64 modelled for KNL). The simulation executes kernels sequentially
@@ -114,15 +114,15 @@ pub struct CostModel {
     /// Cost of taking one PEBS sample (PMU interrupt + record drain,
     /// amortised), nanoseconds. This is what makes the paper's §7.4
     /// profiling-overhead claim measurable.
-    pub pebs_sample_ns: f64,
+    pub(crate) pebs_sample_ns: f64,
     /// Per-rendezvous cost of one stage of a phase barrier between
     /// simulated cores, nanoseconds. A barrier over `n` cores is modelled
     /// as a log2-depth combining tree (see [`CostModel::barrier_cost`]).
-    pub barrier_ns: f64,
+    pub(crate) barrier_ns: f64,
     /// Fixed cost of remapping one migrated region, nanoseconds: the
     /// page-table update plus its one range TLB shootdown, which a staged
     /// migration pays per region on top of its copies.
-    pub remap_ns: f64,
+    pub(crate) remap_ns: f64,
 }
 
 impl CostModel {
@@ -132,7 +132,7 @@ impl CostModel {
     ///
     /// Panics if a latency is not finite and positive, or `app_threads` is
     /// zero.
-    pub fn new(llc_hit_ns: f64, walk_ns: f64, app_threads: usize) -> Self {
+    pub(crate) fn new(llc_hit_ns: f64, walk_ns: f64, app_threads: usize) -> Self {
         let model = CostModel {
             llc_hit_ns,
             walk_ns,
@@ -171,19 +171,19 @@ impl CostModel {
     /// sequence does not vanish at n=1). Integer-exact: the stage count is
     /// computed on integers, so equal core counts always produce
     /// bit-identical durations.
-    pub fn barrier_cost(&self, cores: usize) -> SimDuration {
+    pub(crate) fn barrier_cost(&self, cores: usize) -> SimDuration {
         debug_assert!(cores > 0, "barrier over zero cores");
         let stages = cores.next_power_of_two().trailing_zeros().max(1);
         SimDuration(stages as f64 * self.barrier_ns)
     }
 
     /// Cost of depositing one PEBS record.
-    pub fn sample_cost(&self) -> SimDuration {
+    pub(crate) fn sample_cost(&self) -> SimDuration {
         SimDuration(self.pebs_sample_ns)
     }
 
     /// Cost of an access that hit in the LLC.
-    pub fn hit_cost(&self) -> SimDuration {
+    pub(crate) fn hit_cost(&self) -> SimDuration {
         SimDuration(self.llc_hit_ns)
     }
 
@@ -191,7 +191,7 @@ impl CostModel {
     ///
     /// `write` selects the write bandwidth (NVM writes are far slower than
     /// reads: 13 vs 39 GB/s on Optane).
-    pub fn miss_cost(&self, tier: &TierSpec, write: bool) -> SimDuration {
+    pub(crate) fn miss_cost(&self, tier: &TierSpec, write: bool) -> SimDuration {
         let bw = if write { tier.write_bw } else { tier.read_bw };
         // Demand misses are random line-granular traffic; the tier only
         // delivers its random-access fraction of the peak to them.
@@ -200,7 +200,7 @@ impl CostModel {
     }
 
     /// Page-walk penalty added on a TLB miss.
-    pub fn walk_cost(&self) -> SimDuration {
+    pub(crate) fn walk_cost(&self) -> SimDuration {
         SimDuration(self.walk_ns)
     }
 }

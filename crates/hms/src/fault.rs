@@ -110,9 +110,9 @@ impl std::fmt::Display for FaultSite {
 ///   draw per-consultation failures from a seeded [`SmallRng`], so a whole
 ///   fuzzing schedule is reproducible from one `u64`.
 ///
-/// Consultation counters keep counting while the plan is
-/// [suspended](FaultPlan::suspend) — suspension masks *injection*, not
-/// *numbering* — so a scripted step index refers to the same crossing
+/// Consultation counters keep counting while the plan is suspended (as the
+/// machine suspends it around a rollback) — suspension masks *injection*,
+/// not *numbering* — so a scripted step index refers to the same crossing
 /// whether or not a rollback ran in between.
 #[derive(Debug, Clone)]
 pub struct FaultPlan {
@@ -159,11 +159,6 @@ impl FaultPlan {
         self
     }
 
-    /// How many times `site` has been consulted so far.
-    pub fn consults(&self, site: FaultSite) -> u64 {
-        self.consults[site.index()]
-    }
-
     /// Every fault actually injected, as `(site, consultation index)` in
     /// injection order.
     pub fn injected(&self) -> &[(FaultSite, u64)] {
@@ -172,18 +167,18 @@ impl FaultPlan {
 
     /// Masks injection (consultations still count). Recovery code runs
     /// under suspension so a rollback cannot itself be faulted.
-    pub fn suspend(&mut self) {
+    pub(crate) fn suspend(&mut self) {
         self.suspended = true;
     }
 
     /// Re-enables injection after [`FaultPlan::suspend`].
-    pub fn resume(&mut self) {
+    pub(crate) fn resume(&mut self) {
         self.suspended = false;
     }
 
     /// Consults the plan at `site`: advances the site's counter and reports
     /// whether this crossing must fail. Called by `Machine` internals.
-    pub fn should_fail(&mut self, site: FaultSite) -> bool {
+    pub(crate) fn should_fail(&mut self, site: FaultSite) -> bool {
         let idx = self.consults[site.index()];
         self.consults[site.index()] += 1;
         // The RNG must advance on every consultation — suspended or not —
@@ -231,9 +226,9 @@ mod tests {
         let mut plan = FaultPlan::new().fail_at(FaultSite::Move, 0);
         assert!(!plan.should_fail(FaultSite::StagingAlloc));
         assert!(plan.should_fail(FaultSite::Move));
-        assert_eq!(plan.consults(FaultSite::StagingAlloc), 1);
-        assert_eq!(plan.consults(FaultSite::Move), 1);
-        assert_eq!(plan.consults(FaultSite::FrameAlloc), 0);
+        assert_eq!(plan.consults[FaultSite::StagingAlloc.index()], 1);
+        assert_eq!(plan.consults[FaultSite::Move.index()], 1);
+        assert_eq!(plan.consults[FaultSite::FrameAlloc.index()], 0);
     }
 
     #[test]

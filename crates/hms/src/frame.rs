@@ -27,12 +27,12 @@ pub struct FrameRun {
 
 impl FrameRun {
     /// Creates a run descriptor.
-    pub const fn new(start: u32, count: u32) -> Self {
+    pub(crate) const fn new(start: u32, count: u32) -> Self {
         FrameRun { start, count }
     }
 
     /// Total bytes covered by the run.
-    pub const fn bytes(self) -> usize {
+    pub(crate) const fn bytes(self) -> usize {
         (self.count as usize) << crate::addr::PAGE_SHIFT
     }
 }

@@ -84,7 +84,7 @@ pub use machine::{AllocationInfo, Machine, MigrationReport, Placement, Scalar};
 pub use mapping::{Mapping, PageKind};
 pub use pebs::{Pebs, SampleRecord};
 pub use platform::Platform;
-pub use shard::{merge_owner_queues, CoreHandle, MemPort, OwnerQueues, MAX_TIERS};
+pub use shard::{CoreHandle, MemPort};
 pub use stats::MachineStats;
 pub use tier::{TierId, TierSpec};
 pub use tlb::Tlb;

@@ -16,7 +16,7 @@ use crate::error::{HmsError, Result};
 use crate::fault::{FaultPlan, FaultSite};
 use crate::frame::FrameRun;
 use crate::mapping::{huge_eligible, Mapping, MappingTable, PageKind};
-use crate::pebs::{Pebs, SampleRecord};
+use crate::pebs::SampleRecord;
 use crate::platform::Platform;
 use crate::shard::{
     resolve_block, BlockSegment, CoreCtx, CoreHandle, MemPort, TiersView, MAX_TIERS,
@@ -53,14 +53,14 @@ pub struct AllocationInfo {
     /// Owner tag stamped at allocation time (the ambient
     /// [`Machine::set_alloc_tag`] value; a multi-tenant scheduler sets one
     /// tag per tenant so residency accounting never rescans the world).
-    pub tag: u32,
+    pub(crate) tag: u32,
     /// Cached bytes of `range` resident per tier (indexed by
     /// [`TierId::index`]; entries past the machine's tier count stay zero),
     /// maintained incrementally on every map, remap and free, and checked
     /// against a full mapping rescan by [`Machine::audit`] (invariant 8).
     /// Always byte-exact: equal to [`Machine::resident_bytes`] over
     /// `range`.
-    pub resident: [usize; MAX_TIERS],
+    pub(crate) resident: [usize; MAX_TIERS],
     /// Whether the allocation adopted a caller's buffer
     /// ([`TrackedVec::adopt`](crate::TrackedVec::adopt)): its bytes are
     /// read-only.
@@ -97,7 +97,7 @@ pub struct MigrationReport {
     pub time: SimDuration,
     /// Mappings present for the moved range afterwards (1 per huge unit for
     /// a remap, 1 per page for an `mbind` splinter).
-    pub mappings_after: usize,
+    pub(crate) mappings_after: usize,
 }
 
 /// The simulated machine. See the [crate docs](crate) for an overview.
@@ -146,7 +146,7 @@ impl Machine {
     /// # Panics
     ///
     /// Panics, naming the value, if the platform fails its check: no tiers
-    /// or more than [`MAX_TIERS`], a link-bandwidth matrix whose dimensions
+    /// or more than eight, a link-bandwidth matrix whose dimensions
     /// do not match the tier count, or any capacity, latency, bandwidth or
     /// count out of range (the list is on `Platform`'s check).
     pub fn new(platform: Platform) -> Self {
@@ -290,8 +290,8 @@ impl Machine {
     }
 
     /// Charges the platform's fixed cost of remapping one migrated region
-    /// ([`CostModel::remap_ns`](crate::CostModel::remap_ns)) to the clock:
-    /// what a staged migration pays for each region it remaps.
+    /// (the cost model's `remap_ns`) to the clock: what a staged migration
+    /// pays for each region it remaps.
     pub fn charge_remap(&mut self) {
         let remap = SimDuration::from_ns(self.platform.cost.remap_ns);
         self.core.clock.advance(remap);
@@ -738,11 +738,6 @@ impl Machine {
         }
         self.invalidate_tlb_range(full);
         Ok(())
-    }
-
-    /// The allocation registry entry starting at `start`, if any.
-    pub fn allocation(&self, start: VirtAddr) -> Option<AllocationInfo> {
-        self.allocations.get(&start.raw()).copied()
     }
 
     /// All live allocations in address order.
@@ -1208,7 +1203,7 @@ impl Machine {
     // PEBS
     // ------------------------------------------------------------------
 
-    /// Enables LLC read-miss sampling (see [`Pebs::enable`]).
+    /// Enables LLC read-miss sampling (see [`Pebs::enable`](crate::Pebs::enable)).
     pub fn pebs_enable(&mut self, period: u64, jitter: u64) {
         self.core.pebs.enable(period, jitter);
     }
@@ -1218,7 +1213,9 @@ impl Machine {
         self.core.pebs.disable();
     }
 
-    /// Reseeds the sampling jitter RNG (see [`Pebs::reseed`]).
+    /// Reseeds the sampling jitter RNG. The paper repeats every experiment
+    /// ten times; varying the sampling seed is the simulator's source of
+    /// run-to-run variation.
     pub fn pebs_reseed(&mut self, seed: u64) {
         self.core.pebs.reseed(seed);
     }
@@ -1247,7 +1244,8 @@ impl Machine {
     }
 
     /// The sampling unit, for inspection.
-    pub fn pebs(&self) -> &Pebs {
+    #[cfg(test)]
+    pub(crate) fn pebs(&self) -> &crate::pebs::Pebs {
         &self.core.pebs
     }
 
@@ -2166,25 +2164,31 @@ mod tests {
 
     #[test]
     fn sample_loss_fault_drops_drained_records() {
-        let mut m = machine();
-        let r = m.alloc(1024 * 1024, Placement::Slow).unwrap();
-        m.pebs_enable(4, 0);
-        for i in 0..2048u64 {
-            let _ = m.read::<u64>(r.start.add((i * 8) % (1024 * 1024))).unwrap();
-        }
-        m.pebs_disable();
-        let buffered = m.pebs().samples_taken() as usize;
+        let sampled = || {
+            let mut m = machine();
+            let r = m.alloc(1024 * 1024, Placement::Slow).unwrap();
+            m.pebs_enable(4, 0);
+            for i in 0..2048u64 {
+                let _ = m.read::<u64>(r.start.add((i * 8) % (1024 * 1024))).unwrap();
+            }
+            m.pebs_disable();
+            m
+        };
+        let buffered = sampled().pebs_drain().len();
         assert!(buffered > 8, "need samples to lose, got {buffered}");
+        let mut m = sampled();
         m.set_fault_plan(Some(
             FaultPlan::new()
                 .fail_at(FaultSite::SampleLoss, 0)
-                .fail_at(FaultSite::SampleLoss, 2),
+                .fail_at(FaultSite::SampleLoss, 2)
+                .fail_at(FaultSite::SampleLoss, buffered as u64),
         ));
         let drained = m.pebs_drain().len();
         assert_eq!(drained, buffered - 2, "exactly two records dropped");
-        let plan = m.fault_plan().unwrap();
-        assert_eq!(plan.consults(FaultSite::SampleLoss), buffered as u64);
+        let mut plan = m.fault_plan().unwrap().clone();
         assert_eq!(plan.injected().len(), 2);
+        // One consult per buffered record: the next is number `buffered`.
+        assert!(plan.should_fail(FaultSite::SampleLoss));
         assert_clean(&mut m);
     }
 
@@ -2242,9 +2246,8 @@ mod tests {
         assert_clean(&mut m);
         // Tear the mapping down without a shootdown (simulating the bug
         // class the auditor exists to catch).
-        let info = m.allocation(r.start).unwrap();
+        let info = m.allocations.remove(&r.start.raw()).unwrap();
         let full = VirtRange::new(info.range.start, info.pages * PAGE_SIZE);
-        m.allocations.remove(&r.start.raw());
         for mp in m.mappings.take_overlapping(full) {
             m.unmap_one(&mp);
         }
@@ -2405,7 +2408,11 @@ mod tests {
             ));
         }
         assert_eq!(m.now(), before);
-        assert_eq!(m.fault_plan().unwrap().consults(FaultSite::Move), 0);
+        assert!(m
+            .fault_plan()
+            .cloned()
+            .unwrap()
+            .should_fail(FaultSite::Move));
         m.set_fault_plan(None);
         m.free_frames(TierId::FAST, staging);
         assert_filled(&mut m, r, 0x11);
@@ -2527,7 +2534,11 @@ mod tests {
             m.copy_region_to_frames(tail, TierId::FAST, second, 4),
             Err(HmsError::InvalidRange { .. })
         ));
-        assert_eq!(m.fault_plan().unwrap().consults(FaultSite::Move), 0);
+        assert!(m
+            .fault_plan()
+            .cloned()
+            .unwrap()
+            .should_fail(FaultSite::Move));
         m.set_fault_plan(None);
         // Staging into the run that holds the frames replaces what it held.
         m.copy_region_to_frames(tail, TierId::FAST, first, 4)

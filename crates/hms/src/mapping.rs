@@ -42,7 +42,7 @@ pub struct Mapping {
 
 impl Mapping {
     /// Virtual byte range covered by the mapping.
-    pub fn vrange(&self) -> VirtRange {
+    pub(crate) fn vrange(&self) -> VirtRange {
         VirtRange::new(
             VirtAddr::new(self.vpage_start << PAGE_SHIFT),
             (self.pages as usize) << PAGE_SHIFT,
@@ -55,7 +55,7 @@ impl Mapping {
     /// # Panics
     ///
     /// Panics in debug builds if `va` is outside the mapping.
-    pub fn translate(&self, va: VirtAddr) -> (Frame, usize) {
+    pub(crate) fn translate(&self, va: VirtAddr) -> (Frame, usize) {
         let vpage = va.page_index();
         debug_assert!(
             vpage >= self.vpage_start && vpage < self.vpage_start + self.pages as u64,
@@ -74,7 +74,7 @@ impl Mapping {
     /// covered by one mapping* shares a key — contiguous remapped regions
     /// coalesce, `mbind`-splintered per-page mappings do not. Kind and
     /// grouping are tag-encoded so keys never alias across granularities.
-    pub fn tlb_key(&self, va: VirtAddr, coalesce: usize) -> u64 {
+    pub(crate) fn tlb_key(&self, va: VirtAddr, coalesce: usize) -> u64 {
         let vpage = va.page_index();
         match self.kind {
             PageKind::Huge2M => {
@@ -93,34 +93,6 @@ impl Mapping {
                     }
                 }
                 vpage << 2
-            }
-        }
-    }
-
-    /// Number of TLB entries required to cover the whole mapping, given the
-    /// platform's coalescing factor (1 = none).
-    pub fn tlb_entry_count(&self, coalesce: usize) -> usize {
-        match self.kind {
-            PageKind::Huge2M => (self.pages as usize).div_ceil(HUGE_PAGE_FRAMES),
-            PageKind::Base4K => {
-                if coalesce > 1 {
-                    // Whole groups covered by the mapping coalesce; edge
-                    // pages outside full groups take one entry each.
-                    let start = self.vpage_start;
-                    let end = start + self.pages as u64;
-                    let first_full = start.next_multiple_of(coalesce as u64);
-                    let last_full = (end / coalesce as u64) * coalesce as u64;
-                    if first_full < last_full {
-                        let groups = ((last_full - first_full) / coalesce as u64) as usize;
-                        let head = (first_full - start) as usize;
-                        let tail = (end - last_full) as usize;
-                        groups + head + tail
-                    } else {
-                        self.pages as usize
-                    }
-                } else {
-                    self.pages as usize
-                }
             }
         }
     }
@@ -520,18 +492,25 @@ mod tests {
 
     #[test]
     fn tlb_entry_counts() {
+        // Distinct TLB keys over every page of the mapping.
+        let entries = |map: Mapping, coalesce: usize| {
+            (0..u64::from(map.pages))
+                .map(|p| map.tlb_key(VirtAddr::new((map.vpage_start + p) << PAGE_SHIFT), coalesce))
+                .collect::<std::collections::HashSet<_>>()
+                .len()
+        };
         let unit = HUGE_PAGE_FRAMES as u32;
-        assert_eq!(m(0, unit, 0, PageKind::Huge2M).tlb_entry_count(1), 1);
-        assert_eq!(m(0, 4 * unit, 0, PageKind::Huge2M).tlb_entry_count(1), 4);
-        assert_eq!(m(0, 512, 0, PageKind::Base4K).tlb_entry_count(1), 512);
-        assert_eq!(m(0, 3, 0, PageKind::Base4K).tlb_entry_count(1), 3);
+        assert_eq!(entries(m(0, unit, 0, PageKind::Huge2M), 1), 1);
+        assert_eq!(entries(m(0, 4 * unit, 0, PageKind::Huge2M), 1), 4);
+        assert_eq!(entries(m(0, 512, 0, PageKind::Base4K), 1), 512);
+        assert_eq!(entries(m(0, 3, 0, PageKind::Base4K), 1), 3);
         // Coalescing: 512 contiguous pages at factor 8 -> 64 entries.
-        assert_eq!(m(0, 512, 0, PageKind::Base4K).tlb_entry_count(8), 64);
+        assert_eq!(entries(m(0, 512, 0, PageKind::Base4K), 8), 64);
         // Unaligned head/tail pages count individually: [3, 20) at 8
         // -> head 8-3=5, one full group [8,16), tail 20-16=4 -> 10.
-        assert_eq!(m(3, 17, 0, PageKind::Base4K).tlb_entry_count(8), 10);
+        assert_eq!(entries(m(3, 17, 0, PageKind::Base4K), 8), 10);
         // Too short to cover any group.
-        assert_eq!(m(1, 4, 0, PageKind::Base4K).tlb_entry_count(8), 4);
+        assert_eq!(entries(m(1, 4, 0, PageKind::Base4K), 8), 4);
     }
 
     #[test]

@@ -29,8 +29,6 @@ pub struct Pebs {
     seed: u64,
     rng: SmallRng,
     buffer: Vec<SampleRecord>,
-    events_seen: u64,
-    samples_taken: u64,
 }
 
 impl Pebs {
@@ -44,8 +42,6 @@ impl Pebs {
             seed,
             rng: SmallRng::seed_from_u64(seed),
             buffer: Vec::new(),
-            events_seen: 0,
-            samples_taken: 0,
         }
     }
 
@@ -70,11 +66,9 @@ impl Pebs {
 
     /// Merges a forked core's sampler back: records are appended in call
     /// order (the caller absorbs cores in core order, making the merged
-    /// stream deterministic) and event/sample totals are summed.
+    /// stream deterministic).
     pub(crate) fn absorb(&mut self, child: Pebs) {
         self.buffer.extend(child.buffer);
-        self.events_seen += child.events_seen;
-        self.samples_taken += child.samples_taken;
     }
 
     /// Enables sampling: one record per `period` LLC read misses, with a
@@ -92,36 +86,16 @@ impl Pebs {
     }
 
     /// Disables sampling, keeping buffered records.
-    pub fn disable(&mut self) {
+    pub(crate) fn disable(&mut self) {
         self.enabled = false;
     }
 
     /// Reseeds the jitter RNG. The paper repeats every experiment ten
     /// times; varying the sampling seed is the simulator's source of
     /// run-to-run variation.
-    pub fn reseed(&mut self, seed: u64) {
+    pub(crate) fn reseed(&mut self, seed: u64) {
         self.seed = seed;
         self.rng = SmallRng::seed_from_u64(seed);
-    }
-
-    /// Whether sampling is currently enabled.
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
-    }
-
-    /// The configured sampling period.
-    pub fn period(&self) -> u64 {
-        self.period
-    }
-
-    /// Total qualifying events observed while enabled.
-    pub fn events_seen(&self) -> u64 {
-        self.events_seen
-    }
-
-    /// Total records deposited while enabled.
-    pub fn samples_taken(&self) -> u64 {
-        self.samples_taken
     }
 
     fn next_interval(&mut self) -> u64 {
@@ -140,11 +114,9 @@ impl Pebs {
         if !self.enabled {
             return false;
         }
-        self.events_seen += 1;
         self.countdown -= 1;
         if self.countdown == 0 {
             self.buffer.push(SampleRecord { vaddr });
-            self.samples_taken += 1;
             self.countdown = self.next_interval();
             return true;
         }
@@ -152,13 +124,8 @@ impl Pebs {
     }
 
     /// Drains and returns all buffered records.
-    pub fn drain(&mut self) -> Vec<SampleRecord> {
+    pub(crate) fn drain(&mut self) -> Vec<SampleRecord> {
         std::mem::take(&mut self.buffer)
-    }
-
-    /// Number of undrained records.
-    pub fn buffered(&self) -> usize {
-        self.buffer.len()
     }
 }
 
@@ -172,8 +139,7 @@ mod tests {
         for i in 0..100 {
             p.on_read_miss(VirtAddr::new(i));
         }
-        assert_eq!(p.buffered(), 0);
-        assert_eq!(p.events_seen(), 0);
+        assert!(p.drain().is_empty());
     }
 
     #[test]
@@ -183,11 +149,11 @@ mod tests {
         for i in 0..100 {
             p.on_read_miss(VirtAddr::new(i));
         }
-        assert_eq!(p.buffered(), 10);
         let records = p.drain();
+        assert_eq!(records.len(), 10);
         assert_eq!(records[0].vaddr, VirtAddr::new(9));
         assert_eq!(records[1].vaddr, VirtAddr::new(19));
-        assert_eq!(p.buffered(), 0);
+        assert!(p.drain().is_empty());
     }
 
     #[test]
@@ -197,7 +163,7 @@ mod tests {
         for i in 0..1000 {
             p.on_read_miss(VirtAddr::new(i));
         }
-        let n = p.buffered();
+        let n = p.drain().len();
         // Period in [10, 15] => between 1000/15 and 1000/10 samples.
         assert!((66..=100).contains(&n), "unexpected sample count {n}");
     }

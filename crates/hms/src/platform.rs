@@ -43,7 +43,7 @@ pub struct Platform {
     /// `dst`, on top of the endpoint tiers' own copy bandwidths.
     /// `f64::INFINITY` (the default everywhere on the two-tier presets)
     /// means no interconnect cap.
-    pub link_bw: Vec<Vec<f64>>,
+    pub(crate) link_bw: Vec<Vec<f64>>,
     /// Last-level cache geometry.
     pub llc: CacheConfig,
     /// TLB entry count.
@@ -54,15 +54,15 @@ pub struct Platform {
     /// testbed runs with transparent huge pages; on KNL the flat-mode
     /// MCDRAM experiments in the paper show a much smaller TLB effect
     /// (Table 4), which we reproduce by restricting huge mappings there.
-    pub huge_pages: bool,
+    pub(crate) huge_pages: bool,
     /// Single-thread copy bandwidth of the `mbind`-style system service in
     /// bytes/ns, including kernel bookkeeping. Calibrated so that the
     /// staged-migration speedups land in the paper's reported bands
     /// (Table 4: 1.3–2.7x on NVM-DRAM, 3.0–8.2x on MCDRAM-DRAM).
-    pub mbind_copy_bw: f64,
+    pub(crate) mbind_copy_bw: f64,
     /// Fixed per-page overhead of the system service, nanoseconds
     /// (page allocation, rmap update, TLB shootdown IPI).
-    pub mbind_page_overhead_ns: f64,
+    pub(crate) mbind_page_overhead_ns: f64,
     /// TLB coalescing factor: contiguous base pages covered by one mapping
     /// share a TLB entry in groups of this many pages (1 = no coalescing).
     /// Models the limited coalescing of KNL-class cores, which is what
@@ -233,7 +233,7 @@ impl Platform {
     /// below it, for capacity-cliff experiments where even the expander
     /// overflows. Peer-to-peer copies that skip DRAM are capped harder the
     /// further apart the endpoints sit.
-    pub fn hbm_dram_cxl_nvm() -> Self {
+    pub(crate) fn hbm_dram_cxl_nvm() -> Self {
         let mut link_bw = uncapped_links(4);
         link_bw[0][2] = 18.0;
         link_bw[2][0] = 18.0;
@@ -315,11 +315,6 @@ impl Platform {
     pub const PRESET_NAMES: &'static [&'static str] =
         &["nvm", "knl", "cxl", "hbm", "quad", "testing", "testing3"];
 
-    /// Number of tiers.
-    pub fn num_tiers(&self) -> usize {
-        self.tiers.len()
-    }
-
     /// The spec of the hottest tier (`tiers[0]`).
     pub fn fast(&self) -> &TierSpec {
         &self.tiers[0]
@@ -330,24 +325,10 @@ impl Platform {
         self.tiers.last().expect("platform has no tiers")
     }
 
-    /// The id of the coldest tier.
-    pub fn coldest(&self) -> TierId {
-        TierId::new(self.tiers.len() - 1)
-    }
-
-    /// The spec of `tier`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `tier` is out of range for this platform.
-    pub fn tier(&self, tier: TierId) -> &TierSpec {
-        &self.tiers[tier.index()]
-    }
-
     /// The display name of `tier`, from its [`TierSpec`]; falls back to the
     /// positional `tier{i}` form when the index is out of range (e.g. a
     /// stale id carried across platforms).
-    pub fn tier_name(&self, tier: TierId) -> String {
+    pub(crate) fn tier_name(&self, tier: TierId) -> String {
         self.tiers
             .get(tier.index())
             .map_or_else(|| tier.to_string(), |spec| spec.name.clone())
@@ -355,7 +336,7 @@ impl Platform {
 
     /// The migration-path bandwidth cap between `src` and `dst`, bytes/ns.
     /// `f64::INFINITY` when the pair is uncapped or out of range.
-    pub fn link_cap(&self, src: TierId, dst: TierId) -> f64 {
+    pub(crate) fn link_cap(&self, src: TierId, dst: TierId) -> f64 {
         self.link_bw
             .get(src.index())
             .and_then(|row| row.get(dst.index()))
@@ -572,7 +553,7 @@ mod tests {
             Platform::cxl_dram(),
             Platform::testing(),
         ] {
-            assert_eq!(p.num_tiers(), 2);
+            assert_eq!(p.tiers.len(), 2);
             for s in 0..2 {
                 for d in 0..2 {
                     assert_eq!(
@@ -593,7 +574,7 @@ mod tests {
             Platform::hbm_dram_cxl_nvm(),
             Platform::testing_three(),
         ] {
-            assert!(p.num_tiers() >= 3, "{}", p.name);
+            assert!(p.tiers.len() >= 3, "{}", p.name);
             for w in p.tiers.windows(2) {
                 // Hotness is not one-dimensional (Optane out-reads a CXL
                 // expander but writes far slower); write bandwidth orders
@@ -611,9 +592,8 @@ mod tests {
             }
             // The peer-to-peer hot↔cold path is capped below the hop
             // through the middle tier — the reason cascades exist.
-            let hot = TierId::new(0);
-            let cold = p.coldest();
-            assert!(p.link_cap(hot, cold) < p.tier(cold).write_bw.max(p.tier(hot).write_bw));
+            let (hot, cold) = (TierId::new(0), TierId::new(p.tiers.len() - 1));
+            assert!(p.link_cap(hot, cold) < p.slow().write_bw.max(p.fast().write_bw));
         }
     }
 
@@ -624,8 +604,8 @@ mod tests {
             assert!(!p.tiers.is_empty());
         }
         assert!(Platform::by_name("unknown").is_none());
-        assert_eq!(Platform::by_name("hbm").unwrap().num_tiers(), 3);
-        assert_eq!(Platform::by_name("quad").unwrap().num_tiers(), 4);
+        assert_eq!(Platform::by_name("hbm").unwrap().tiers.len(), 3);
+        assert_eq!(Platform::by_name("quad").unwrap().tiers.len(), 4);
     }
 
     #[test]

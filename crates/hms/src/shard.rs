@@ -49,7 +49,9 @@ use crate::addr::{
 };
 use crate::cache::Cache;
 use crate::cost::{SimClock, SimDuration};
-use crate::error::{HmsError, Result};
+#[cfg(doc)]
+use crate::error::HmsError;
+use crate::error::Result;
 use crate::machine::Scalar;
 use crate::mapping::{Mapping, MappingTable, PageKind};
 use crate::pebs::Pebs;
@@ -60,7 +62,7 @@ use crate::tlb::Tlb;
 /// Maximum number of tiers a machine (and the residency caches, and a
 /// `TiersView`) can carry. Platform presets range from two (the paper
 /// testbeds) to four (HBM-DRAM-CXL-NVM).
-pub const MAX_TIERS: usize = 8;
+pub(crate) const MAX_TIERS: usize = 8;
 
 /// What each element of a batched index window does, for
 /// [`CoreHandle::access_window`]. Passed as a const generic so each op's
@@ -89,11 +91,11 @@ pub(crate) struct Counters {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct BlockSegment {
     /// Tier whose storage backs this piece.
-    pub tier: TierId,
+    pub(crate) tier: TierId,
     /// Byte offset into the tier storage.
-    pub offset: usize,
+    pub(crate) offset: usize,
     /// Length in bytes.
-    pub len: usize,
+    pub(crate) len: usize,
 }
 
 impl BlockSegment {
@@ -457,26 +459,38 @@ impl<'a> CoreHandle<'a> {
             self.core.counters.reads += 1;
         }
 
-        let mut cost = SimDuration::ZERO;
-        if !self
+        let tlb_hit = self
             .core
             .tlb
-            .access(mapping.tlb_key(va, self.platform.tlb_coalesce))
-        {
-            cost += self.platform.cost.walk_cost();
-        }
+            .access(mapping.tlb_key(va, self.platform.tlb_coalesce));
         let (frame, offset) = mapping.translate(va);
         let pa = frame.phys_addr(offset).line_aligned();
-        if self.core.llc.access(pa, write).is_hit() {
-            cost += self.platform.cost.hit_cost();
+        let llc_hit = self.core.llc.access(pa, write).is_hit();
+        self.charge_probe(!tlb_hit, llc_hit, frame.tier, write, va);
+        Ok((frame.tier, frame.byte_offset() + offset))
+    }
+
+    /// Charges one probe the caller has just made of the TLB and the LLC:
+    /// the page walk if `walk`, then the LLC hit, or the miss to `tier`
+    /// and, on a read miss that PEBS samples (at `va`), the sample. Every
+    /// accounted path composes a probe's cost here, so the f64 adds run in
+    /// one order and the engines stay bit-identical to the scalar loop.
+    #[inline]
+    fn charge_probe(&mut self, walk: bool, hit: bool, tier: TierId, write: bool, va: VirtAddr) {
+        let cost_model = &self.platform.cost;
+        let mut cost = SimDuration::ZERO;
+        if walk {
+            cost += cost_model.walk_cost();
+        }
+        if hit {
+            cost += cost_model.hit_cost();
         } else {
-            cost += self.tiers.miss_cost(frame.tier, write);
+            cost += self.tiers.miss_cost(tier, write);
             if !write && self.core.pebs.on_read_miss(va) {
-                cost += self.platform.cost.sample_cost();
+                cost += cost_model.sample_cost();
             }
         }
         self.core.clock.advance(cost);
-        Ok((frame.tier, frame.byte_offset() + offset))
     }
 
     /// [`MemPort::read`].
@@ -507,26 +521,14 @@ impl<'a> CoreHandle<'a> {
         let (frame, offset) = mapping.translate(va);
         let pa = frame.phys_addr(offset).line_aligned();
 
-        // Read half: composed exactly as `access(va, _, false)`. The write
-        // half's TLB lookup is folded into the run.
-        let mut cost = SimDuration::ZERO;
-        if !self
+        // Read half: charged as `access(va, _, false)`. The write half's
+        // TLB lookup is folded into the run.
+        let tlb_hit = self
             .core
             .tlb
-            .access_run(mapping.tlb_key(va, self.platform.tlb_coalesce), 2)
-        {
-            cost += self.platform.cost.walk_cost();
-        }
+            .access_run(mapping.tlb_key(va, self.platform.tlb_coalesce), 2);
         let (outcome, slot) = self.core.llc.access_slot(pa, false);
-        if outcome.is_hit() {
-            cost += self.platform.cost.hit_cost();
-        } else {
-            cost += self.tiers.miss_cost(frame.tier, false);
-            if self.core.pebs.on_read_miss(va) {
-                cost += self.platform.cost.sample_cost();
-            }
-        }
-        self.core.clock.advance(cost);
+        self.charge_probe(!tlb_hit, outcome.is_hit(), frame.tier, false, va);
 
         // Write half: a guaranteed hit on the just-probed line, which is
         // already its set's most recently used way — a counter bump.
@@ -653,9 +655,7 @@ impl<'a> CoreHandle<'a> {
         mut data: impl FnMut(usize, TierId, usize),
     ) -> Result<()> {
         let coalesce = self.platform.tlb_coalesce;
-        let walk_cost = self.platform.cost.walk_cost();
         let hit_cost = self.platform.cost.hit_cost();
-        let sample_cost = self.platform.cost.sample_cost();
         let write_probe = OP == OP_WRITE;
         // TLB touches per element: the RMW write half folds its lookup into
         // the read's run, exactly like `read_modify_write`.
@@ -804,20 +804,7 @@ impl<'a> CoreHandle<'a> {
             cur_vline = vline;
             line_valid = true;
 
-            // Cost composition identical to the scalar path.
-            let mut cost = SimDuration::ZERO;
-            if pay_walk {
-                cost += walk_cost;
-            }
-            if outcome.is_hit() {
-                cost += hit_cost;
-            } else {
-                cost += self.tiers.miss_cost(frame.tier, write_probe);
-                if !write_probe && self.core.pebs.on_read_miss(va) {
-                    cost += sample_cost;
-                }
-            }
-            self.core.clock.advance(cost);
+            self.charge_probe(pay_walk, outcome.is_hit(), frame.tier, write_probe, va);
             if OP == OP_RMW {
                 // Write half: a guaranteed rehit of the just-probed line —
                 // deferred like any other same-line touch.
@@ -891,9 +878,7 @@ impl<'a> CoreHandle<'a> {
         }
 
         let coalesce = self.platform.tlb_coalesce;
-        let walk_cost = self.platform.cost.walk_cost();
         let hit_cost = self.platform.cost.hit_cost();
-        let sample_cost = self.platform.cost.sample_cost();
         // Non-first elements of a line run each cost exactly one LLC hit;
         // composed once here, identically to the scalar loop's
         // `ZERO + hit_cost` per element.
@@ -925,7 +910,6 @@ impl<'a> CoreHandle<'a> {
                 len: chunk_len,
             };
             segments.extend(piece.chunks());
-            let miss_cost = self.tiers.miss_cost(frame.tier, write);
 
             let mut unit_va = va;
             while unit_va < chunk_end {
@@ -947,22 +931,11 @@ impl<'a> CoreHandle<'a> {
                     let count = line_end.offset_from(line_va) as usize / elem;
                     let hit = self.core.llc.access_run(pa, write, count).is_hit();
 
-                    // The first element of the run replicates the scalar
-                    // cost composition: only it can pay the walk, the fill
-                    // and the PEBS sample.
-                    let mut first_cost = SimDuration::ZERO;
-                    if line_va == unit_va && !tlb_hit {
-                        first_cost += walk_cost;
-                    }
-                    if hit {
-                        first_cost += hit_cost;
-                    } else {
-                        first_cost += miss_cost;
-                        if !write && self.core.pebs.on_read_miss(line_va) {
-                            first_cost += sample_cost;
-                        }
-                    }
-                    self.core.clock.advance(first_cost);
+                    // The first element of the run is the scalar probe:
+                    // only it can pay the walk, the fill and the PEBS
+                    // sample.
+                    let walk = line_va == unit_va && !tlb_hit;
+                    self.charge_probe(walk, hit, frame.tier, write, line_va);
                     // The remaining elements are guaranteed hits with a warm
                     // TLB entry: one clock advance each, exactly as the
                     // scalar loop performs them.
@@ -1247,95 +1220,6 @@ impl MemPort for CoreHandle<'_> {
     }
 }
 
-/// Per-owner routing buckets for owner-routed fan-out phases.
-///
-/// A sharded expansion phase discovers work items (frontier vertices,
-/// relaxation candidates, rank contributions) that belong to other cores'
-/// partitions. Each core pushes every item it discovers into its own
-/// `OwnerQueues`, keyed by the owning core; items land in **emission
-/// order**, which for a core streaming its owned range sequentially is the
-/// global traversal order restricted to that range.
-///
-/// [`merge_owner_queues`] then folds the per-core queues into one queue
-/// per owner, concatenating in `(core, emission)` order. Because each
-/// core's emissions are a deterministic function of its owned input slice,
-/// the merged per-owner queues are deterministic too — the receiving
-/// phase can replay them single-writer without any cross-core ordering
-/// hazard.
-#[derive(Debug)]
-pub struct OwnerQueues<T> {
-    queues: Vec<Vec<T>>,
-}
-
-impl<T> OwnerQueues<T> {
-    /// Creates empty queues for `owners` receiving cores.
-    pub fn new(owners: usize) -> Self {
-        Self {
-            queues: (0..owners).map(|_| Vec::new()).collect(),
-        }
-    }
-
-    /// Appends `item` to the queue bound for `owner`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `owner` is out of range — a misrouted item would be
-    /// replayed by the wrong core and silently corrupt the merge.
-    pub fn push(&mut self, owner: usize, item: T) {
-        self.queues[owner].push(item);
-    }
-
-    /// The number of receiving cores.
-    pub fn owners(&self) -> usize {
-        self.queues.len()
-    }
-
-    /// Total items across all queues.
-    pub fn len(&self) -> usize {
-        self.queues.iter().map(Vec::len).sum()
-    }
-
-    /// Whether no items have been routed.
-    pub fn is_empty(&self) -> bool {
-        self.queues.iter().all(Vec::is_empty)
-    }
-
-    /// Consumes the queues, yielding one `Vec` per owner.
-    pub(crate) fn into_queues(self) -> Vec<Vec<T>> {
-        self.queues
-    }
-}
-
-/// Merges per-core [`OwnerQueues`] into one queue per owner, folding in
-/// `(core, emission)` order: owner `o` receives core 0's items for `o`
-/// first (in the order core 0 emitted them), then core 1's, and so on.
-///
-/// The order is a pure function of each core's emissions, so as long as
-/// the emitting phase partitions its input deterministically the merged
-/// queues are identical run to run.
-///
-/// # Panics
-///
-/// Panics if the per-core queue sets disagree on the owner count.
-pub fn merge_owner_queues<T>(per_core: Vec<OwnerQueues<T>>) -> Vec<Vec<T>> {
-    let owners = per_core.first().map_or(0, OwnerQueues::owners);
-    let mut merged: Vec<Vec<T>> = (0..owners).map(|_| Vec::new()).collect();
-    for core_queues in per_core {
-        assert_eq!(
-            core_queues.owners(),
-            owners,
-            "per-core queue sets must agree on the owner count"
-        );
-        for (owner, mut queue) in core_queues.into_queues().into_iter().enumerate() {
-            merged[owner].append(&mut queue);
-        }
-    }
-    merged
-}
-
-// Silence an unused-import false positive when error docs reference it.
-const _: fn(HmsError) = |_| {};
-
 #[cfg(test)]
 mod tests {
     use crate::machine::{Machine, Placement};
@@ -1409,57 +1293,5 @@ mod tests {
         let v = TrackedVec::<u32>::new(&mut m, 1024, Placement::Slow).unwrap();
         let mut out = [0u32; 1];
         let _ = m.read_gather::<u32>(v.range().start, (1usize << 32) + 2, &[0], &mut out);
-    }
-}
-
-#[cfg(test)]
-mod owner_queue_tests {
-    use super::*;
-
-    #[test]
-    fn merge_folds_in_core_then_emission_order() {
-        let mut core0 = OwnerQueues::new(2);
-        core0.push(0, "c0a");
-        core0.push(1, "c0b");
-        core0.push(0, "c0c");
-        let mut core1 = OwnerQueues::new(2);
-        core1.push(1, "c1a");
-        core1.push(0, "c1b");
-        let merged = merge_owner_queues(vec![core0, core1]);
-        assert_eq!(merged[0], vec!["c0a", "c0c", "c1b"]);
-        assert_eq!(merged[1], vec!["c0b", "c1a"]);
-    }
-
-    #[test]
-    fn merge_of_empty_queues_yields_empty_owners() {
-        let queues: Vec<OwnerQueues<u32>> = vec![OwnerQueues::new(3), OwnerQueues::new(3)];
-        assert!(queues.iter().all(OwnerQueues::is_empty));
-        let merged = merge_owner_queues(queues);
-        assert_eq!(merged.len(), 3);
-        assert!(merged.iter().all(Vec::is_empty));
-    }
-
-    #[test]
-    fn len_counts_across_owners() {
-        let mut q = OwnerQueues::new(4);
-        assert!(q.is_empty());
-        q.push(0, 1u32);
-        q.push(3, 2);
-        q.push(3, 3);
-        assert_eq!(q.len(), 3);
-        assert!(!q.is_empty());
-    }
-
-    #[test]
-    #[should_panic]
-    fn push_to_unknown_owner_panics() {
-        let mut q = OwnerQueues::new(2);
-        q.push(2, 0u32);
-    }
-
-    #[test]
-    #[should_panic(expected = "owner count")]
-    fn merge_rejects_mismatched_owner_counts() {
-        let _ = merge_owner_queues(vec![OwnerQueues::<u32>::new(2), OwnerQueues::new(3)]);
     }
 }

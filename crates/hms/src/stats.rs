@@ -1,6 +1,5 @@
 //! Machine-wide counters and snapshots.
 
-use crate::cost::SimDuration;
 use crate::shard::MAX_TIERS;
 
 /// A point-in-time snapshot of every counter a [`Machine`](crate::Machine)
@@ -59,31 +58,6 @@ impl MachineStats {
             bytes_migrated: self.bytes_migrated - earlier.bytes_migrated,
         }
     }
-
-    /// Simulated time as a [`SimDuration`].
-    pub fn time(&self) -> SimDuration {
-        SimDuration::from_ns(self.time_ns)
-    }
-
-    /// LLC read miss ratio in `[0, 1]`; zero when there were no reads.
-    pub fn llc_read_miss_ratio(&self) -> f64 {
-        let total = self.llc_read_hits + self.llc_read_misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.llc_read_misses as f64 / total as f64
-        }
-    }
-
-    /// TLB miss ratio in `[0, 1]`; zero when there were no accesses.
-    pub fn tlb_miss_ratio(&self) -> f64 {
-        let total = self.tlb_hits + self.tlb_misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.tlb_misses as f64 / total as f64
-        }
-    }
 }
 
 #[cfg(test)]
@@ -112,25 +86,5 @@ mod tests {
         assert!((d.time_ns - 15.0).abs() < 1e-12);
         // The gauge keeps the later value, on every tier.
         assert_eq!(d.bytes_used, later.bytes_used);
-    }
-
-    #[test]
-    fn ratios_handle_zero_denominators() {
-        let s = MachineStats::default();
-        assert_eq!(s.llc_read_miss_ratio(), 0.0);
-        assert_eq!(s.tlb_miss_ratio(), 0.0);
-    }
-
-    #[test]
-    fn ratios_compute() {
-        let s = MachineStats {
-            llc_read_hits: 3,
-            llc_read_misses: 1,
-            tlb_hits: 9,
-            tlb_misses: 1,
-            ..MachineStats::default()
-        };
-        assert!((s.llc_read_miss_ratio() - 0.25).abs() < 1e-12);
-        assert!((s.tlb_miss_ratio() - 0.1).abs() < 1e-12);
     }
 }

@@ -47,24 +47,12 @@ impl TierId {
             i => Some(TierId(i - 1)),
         }
     }
-
-    /// The id one tier colder (higher index) on a machine with `num_tiers`
-    /// tiers, or `None` at the coldest tier.
-    pub const fn colder(self, num_tiers: usize) -> Option<TierId> {
-        if (self.0 as usize) + 1 < num_tiers {
-            Some(TierId(self.0 + 1))
-        } else {
-            None
-        }
-    }
 }
 
 impl fmt::Display for TierId {
     /// Positional form, `tier{i}`. Ids carry no machine context, so the
-    /// human-readable tier name must come from the platform:
-    /// [`Platform::tier_name`](crate::platform::Platform::tier_name) resolves
-    /// an id against the tier set (e.g. `"HBM"`, `"DRAM"`), falling back to
-    /// this positional form for out-of-range ids.
+    /// human-readable tier name (e.g. `"HBM"`, `"DRAM"`) must come from the
+    /// platform's [`TierSpec`]s.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "tier{}", self.0)
     }
@@ -80,23 +68,23 @@ pub struct TierSpec {
     /// Human-readable name, e.g. `"DRAM"` or `"Optane-NVM"`.
     pub name: String,
     /// Capacity in bytes. Must be a multiple of [`PAGE_SIZE`].
-    pub capacity: usize,
+    pub(crate) capacity: usize,
     /// Idle load-to-use latency of one cache-line fill, in nanoseconds.
-    pub load_latency_ns: f64,
+    pub(crate) load_latency_ns: f64,
     /// Peak sequential read bandwidth, bytes/ns (== GB/s).
-    pub read_bw: f64,
+    pub(crate) read_bw: f64,
     /// Peak sequential write bandwidth, bytes/ns (== GB/s).
-    pub write_bw: f64,
+    pub(crate) write_bw: f64,
     /// Copy bandwidth achievable by a single thread, bytes/ns. Multi-threaded
     /// copies scale linearly in thread count until the tier peak is reached.
-    pub per_thread_copy_bw: f64,
+    pub(crate) per_thread_copy_bw: f64,
     /// Fraction of the peak bandwidth available to *random* (cache-line
     /// granular) demand accesses, in (0, 1]. Optane NVM collapses under
     /// random concurrent reads to well below its sequential figure (Peng et
     /// al., MEMSYS'19, cited by the paper), which is where the >3x
     /// application slowdowns of Figure 1a come from despite the 3x latency
     /// gap. Sequential copy engines (migration) still see the full peak.
-    pub random_bw_factor: f64,
+    pub(crate) random_bw_factor: f64,
 }
 
 impl TierSpec {
@@ -106,7 +94,7 @@ impl TierSpec {
     ///
     /// Panics if `capacity` is zero or not page-aligned, the latency is not
     /// finite and positive, or any rate is non-positive.
-    pub fn new(
+    pub(crate) fn new(
         name: impl Into<String>,
         capacity: usize,
         load_latency_ns: f64,
@@ -160,24 +148,24 @@ impl TierSpec {
     ///
     /// Panics unless `factor` is in (0, 1].
     #[must_use]
-    pub fn with_random_bw_factor(mut self, factor: f64) -> Self {
+    pub(crate) fn with_random_bw_factor(mut self, factor: f64) -> Self {
         assert!(factor > 0.0 && factor <= 1.0, "factor must be in (0, 1]");
         self.random_bw_factor = factor;
         self
     }
 
     /// Number of 4 KiB frames on the tier.
-    pub fn frame_count(&self) -> usize {
+    pub(crate) fn frame_count(&self) -> usize {
         self.capacity / PAGE_SIZE
     }
 
     /// Effective copy read bandwidth with `threads` copier threads.
-    pub fn copy_read_bw(&self, threads: usize) -> f64 {
+    pub(crate) fn copy_read_bw(&self, threads: usize) -> f64 {
         (self.per_thread_copy_bw * threads.max(1) as f64).min(self.read_bw)
     }
 
     /// Effective copy write bandwidth with `threads` copier threads.
-    pub fn copy_write_bw(&self, threads: usize) -> f64 {
+    pub(crate) fn copy_write_bw(&self, threads: usize) -> f64 {
         (self.per_thread_copy_bw * threads.max(1) as f64).min(self.write_bw)
     }
 }
@@ -735,8 +723,7 @@ mod tests {
     fn hotter_and_colder_walk_the_tier_order() {
         assert_eq!(TierId::new(0).hotter(), None);
         assert_eq!(TierId::new(2).hotter(), Some(TierId::new(1)));
-        assert_eq!(TierId::new(0).colder(3), Some(TierId::new(1)));
-        assert_eq!(TierId::new(2).colder(3), None);
+        assert_eq!(TierId::new(1).hotter(), Some(TierId::FAST));
     }
 
     #[test]

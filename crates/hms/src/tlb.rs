@@ -180,31 +180,12 @@ impl Tlb {
         self.len -= 1;
     }
 
-    /// Number of entries the TLB can hold.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// Number of live entries.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Whether the TLB holds no entries.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Total hits recorded since creation or the last [`reset_counters`].
-    ///
-    /// [`reset_counters`]: Tlb::reset_counters
+    /// Total hits recorded since creation.
     pub fn hits(&self) -> u64 {
         self.hits
     }
 
-    /// Total misses recorded since creation or the last [`reset_counters`].
-    ///
-    /// [`reset_counters`]: Tlb::reset_counters
+    /// Total misses recorded since creation.
     pub fn misses(&self) -> u64 {
         self.misses
     }
@@ -237,7 +218,7 @@ impl Tlb {
     ///
     /// Panics in debug builds if `count` is zero.
     #[inline]
-    pub fn access_run(&mut self, key: u64, count: usize) -> bool {
+    pub(crate) fn access_run(&mut self, key: u64, count: usize) -> bool {
         debug_assert!(count > 0, "empty TLB run");
         let hit = self.access(key);
         self.hits += (count - 1) as u64;
@@ -259,15 +240,8 @@ impl Tlb {
         }
     }
 
-    /// Invalidates a single entry, as a TLB shootdown for one unit would.
-    pub fn invalidate(&mut self, key: u64) {
-        if let Some(n) = self.find(key) {
-            self.remove(n);
-        }
-    }
-
     /// Invalidates every entry whose key satisfies `pred` (range shootdown).
-    pub fn invalidate_where(&mut self, mut pred: impl FnMut(u64) -> bool) {
+    pub(crate) fn invalidate_where(&mut self, mut pred: impl FnMut(u64) -> bool) {
         let mut n = self.head;
         while n != NIL {
             let Node { key, next, .. } = self.nodes[n as usize];
@@ -280,7 +254,7 @@ impl Tlb {
 
     /// The keys of every resident entry, most recently used first. Used by
     /// the machine invariant auditor.
-    pub fn keys(&self) -> impl Iterator<Item = u64> + '_ {
+    pub(crate) fn keys(&self) -> impl Iterator<Item = u64> + '_ {
         let mut n = self.head;
         std::iter::from_fn(move || {
             let node = self.nodes.get(n as usize)?;
@@ -290,20 +264,13 @@ impl Tlb {
     }
 
     /// Drops all entries (full flush), keeping the counters.
-    pub fn flush(&mut self) {
+    pub(crate) fn flush(&mut self) {
         self.nodes.clear();
         self.buckets.fill(NIL);
         self.head = NIL;
         self.tail = NIL;
         self.free = NIL;
         self.len = 0;
-    }
-
-    /// Zeroes the hit/miss counters, keeping the entries. Used to scope the
-    /// post-migration TLB-miss measurement to one application iteration.
-    pub fn reset_counters(&mut self) {
-        self.hits = 0;
-        self.misses = 0;
     }
 
     /// Adds another TLB's hit/miss counters into this one (deterministic
@@ -479,7 +446,7 @@ mod tests {
         let mut last: Option<u64> = None;
         for (step, &(op, pick, count)) in script.iter().enumerate() {
             let key = pool[pick % pool.len()];
-            let (was_full, misses_before) = (tlb.len() == capacity, tlb.misses());
+            let (was_full, misses_before) = (tlb.len == capacity, tlb.misses());
             match (op, last) {
                 (0..=2, _) => {
                     assert_eq!(tlb.access(key), oracle.access(key), "step {step}");
@@ -502,7 +469,7 @@ mod tests {
                     last = Some(key);
                 }
                 (7, _) => {
-                    tlb.invalidate(key);
+                    tlb.invalidate_where(|k| k == key);
                     oracle.stamps.remove(&key);
                     last = None;
                 }
@@ -524,7 +491,7 @@ mod tests {
             }
             assert_eq!(tlb.hits(), oracle.hits, "hits after step {step}");
             assert_eq!(tlb.misses(), oracle.misses, "misses after step {step}");
-            assert_eq!(tlb.len(), oracle.stamps.len(), "len after step {step}");
+            assert_eq!(tlb.len, oracle.stamps.len(), "len after step {step}");
             assert_eq!(sorted_keys(&tlb), oracle.sorted_keys(), "keys, step {step}");
             assert_eq!(tlb.check(), Vec::<String>::new(), "self-check, step {step}");
             if was_full && tlb.misses() > misses_before {
@@ -582,14 +549,14 @@ mod tests {
         for k in 0..100 {
             tlb.access(k);
         }
-        assert_eq!(tlb.len(), 8);
+        assert_eq!(tlb.len, 8);
     }
 
     #[test]
     fn invalidate_forces_miss() {
         let mut tlb = Tlb::new(4);
         tlb.access(7);
-        tlb.invalidate(7);
+        tlb.invalidate_where(|k| k == 7);
         assert!(!tlb.access(7));
     }
 
@@ -600,7 +567,7 @@ mod tests {
             tlb.access(k);
         }
         tlb.invalidate_where(|k| k % 2 == 0);
-        assert_eq!(tlb.len(), 3);
+        assert_eq!(tlb.len, 3);
         assert!(tlb.access(1));
         assert!(!tlb.access(0));
     }
@@ -702,14 +669,5 @@ mod tests {
             violations.iter().any(|v| v.contains("not hashed")),
             "planted fault not reported: {violations:?}"
         );
-    }
-
-    #[test]
-    fn reset_counters_keeps_entries() {
-        let mut tlb = Tlb::new(4);
-        tlb.access(1);
-        tlb.reset_counters();
-        assert_eq!(tlb.misses(), 0);
-        assert!(tlb.access(1), "entry should have survived the reset");
     }
 }

@@ -126,11 +126,6 @@ impl<T: Scalar> TrackedVec<T> {
         self.name = Some(name.into());
     }
 
-    /// The display name, if one was set.
-    pub fn name(&self) -> Option<&str> {
-        self.name.as_deref()
-    }
-
     /// Name used in diagnostics.
     fn label(&self) -> &str {
         self.name.as_deref().unwrap_or("<unnamed>")
@@ -984,18 +979,10 @@ mod tests {
     }
 
     /// Everything simulated that an access could disturb, read without
-    /// draining: counters and occupancy, the clock, the PEBS unit's event
-    /// count and buffer.
+    /// draining: counters and occupancy, the clock, the PEBS unit's state
+    /// (countdown, jitter stream and buffer).
     fn observables(m: &Machine) -> impl PartialEq + std::fmt::Debug {
-        (
-            m.stats(),
-            m.now(),
-            (
-                m.pebs().events_seen(),
-                m.pebs().samples_taken(),
-                m.pebs().buffered(),
-            ),
-        )
+        (m.stats(), m.now(), format!("{:?}", m.pebs()))
     }
 
     /// Runs every bulk unaccounted call on `vb` (through `bulk`) and the
