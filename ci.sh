@@ -150,6 +150,18 @@ echo "==> one optimize body guard (the solo optimizer and the server's round sha
 # of its building blocks called from either facade is a second copy.
 if guard_grep -nE 'build_demotion_cascade\(|evict_coldest_until\(|plan_from\(|execute_regions\(|fn optimize_atmem' crates/core/src/runtime.rs crates/core/src/serve.rs; then echo "runtime.rs or serve.rs plans, cascades, admits or executes on its own again (lines above)" >&2; exit 1; fi
 
+echo "==> one protocol guard (the Protocol session is the one copy of the paper's protocol, and the scheduler lends nothing out)"
+# The mode rules live in Protocol::start alone (runner.rs); atmem_run's
+# single run and validate drive a Protocol session and print or check
+# between its steps instead of running a profile/optimize loop of their
+# own. The Scheduler owns its Atmem and points it at a tenant per quantum:
+# the machine and the tenants are never checked out of an Option and put
+# back.
+rules="$(guard_grep -rl 'only the atmem mode' crates tests examples || true)"
+if [ "$rules" != "crates/apps/src/runner.rs" ]; then echo "the mode rules' text must appear in crates/apps/src/runner.rs alone, found in: ${rules:-no file}" >&2; exit 1; fi
+if guard_grep -n 'profiling_start' crates/bench/src/bin/atmem_run.rs crates/bench/src/bin/validate.rs; then echo "atmem_run or validate runs a protocol loop of its own again (lines above)" >&2; exit 1; fi
+if guard_grep -rnE 'from_parts|into_parts|checked out' crates/core/src; then echo "the scheduler lends the runtime out of Options again (lines above)" >&2; exit 1; fi
+
 echo "==> access-ladder guard (the compiled-plan rung and the access mode stay deleted, one body per regular kernel)"
 # PR 15 removed the fourth access rung; any of its names coming back under
 # crates/, tests/ or examples/ fails the gate.
@@ -186,7 +198,7 @@ echo "==> line ratchet (non-test lines per crate stay under their ceilings)"
 # must grow a crate raises its ceiling here, in its own diff, and gives the
 # reason in its change log.
 ratchet_ok=1
-for entry in hms:7215 core:4086 apps:2646 graph:1324 bench:1966 rng:307 prop:261; do
+for entry in hms:7215 core:4069 apps:2717 graph:1324 bench:1880 rng:307 prop:261; do
   crate="${entry%%:*}"
   ceiling="${entry#*:}"
   lines="$(find "crates/$crate/src" -name '*.rs' -exec awk 'FNR == 1 { skip = 0 } /^#\[cfg\(test\)\]/ { skip = 1 } !skip { n++ } END { print n + 0 }' {} + | awk '{ s += $1 } END { print s + 0 }')"
@@ -300,6 +312,18 @@ echo "==> analyzer-quality smoke (learned vs paper placement gates)"
 # ahead on hot-tier data ratio and no slower). Already part of tier-1
 # above; dedicated step so a quality regression is named in CI output.
 cargo test -q --release -p atmem-bench --test analyzer_quality
+
+echo "==> single-run CLI and validate smoke (a multi-round run with the heatmap, a refused mode/policy pair, the correctness matrix)"
+# The parameterised single run drives a Protocol session and prints
+# between its steps: it must run two rounds with the heatmap, and refuse
+# an optimize policy under a mode that never optimizes, naming the policy.
+# validate checks every kernel's output under three placements against
+# the host oracles (0.5 s at shrink 6).
+cargo run -q --release -p atmem-bench --bin atmem_run -- --app PR --dataset pokec --shrink 6 --rounds 2 --heatmap > /dev/null
+if refusal="$(cargo run -q --release -p atmem-bench --bin atmem_run -- --app BFS --dataset pokec --shrink 6 --mode baseline --policy autonuma 2>&1 > /dev/null)"; then echo "atmem_run accepted --policy autonuma under --mode baseline" >&2; exit 1; fi
+case "$refusal" in *policy*) ;; *) echo "atmem_run refused --mode baseline --policy autonuma without naming the policy: $refusal" >&2; exit 1 ;; esac
+summary="$(ATMEM_BENCH_SHRINK=6 cargo run -q --release -p atmem-bench --bin validate | tail -n 1)" || { echo "validate failed at shrink 6" >&2; exit 1; }
+if [ "$summary" != "60 checks, 0 failures" ]; then echo "validate at shrink 6 printed \"$summary\", not \"60 checks, 0 failures\"" >&2; exit 1; fi
 
 echo "==> experiment entry-point smoke and drift detector (atmem_run all at shrink 6 reproduces results/shrink6/ byte for byte)"
 # Every figure and table driver through the one entry point, datasets

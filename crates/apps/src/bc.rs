@@ -47,11 +47,6 @@ impl Bc {
         })
     }
 
-    /// Copies the centrality scores out of simulated memory (unaccounted).
-    pub fn scores(&self, rt: &mut Atmem) -> Vec<f64> {
-        self.bc.to_vec(rt.machine_mut())
-    }
-
     /// The backward step for vertex `v`, on one core or on a core's slab
     /// slice alike: gathers the neighbours' depths in one window, filters
     /// the children (depth == dv + 1), gathers their sigma and delta
@@ -280,6 +275,10 @@ impl Kernel for Bc {
     fn checksum(&self, rt: &mut Atmem) -> f64 {
         self.bc.values(rt.machine_mut()).sum()
     }
+
+    fn output(&self, rt: &mut Atmem) -> Vec<f64> {
+        self.bc.to_vec(rt.machine_mut())
+    }
 }
 
 /// Host-side reference Brandes (single source) for validation.
@@ -348,8 +347,8 @@ mod tests {
         let mut bc = Bc::new(&mut rt, g, 0).unwrap();
         bc.reset(&mut rt);
         bc.run_iteration(&mut MemCtx::bulk(rt.machine_mut()));
-        assert_eq!(bc.scores(&mut rt), reference_bc(&csr, 0));
-        assert_eq!(bc.scores(&mut rt), vec![0.0, 2.0, 1.0, 0.0]);
+        assert_eq!(bc.output(&mut rt), reference_bc(&csr, 0));
+        assert_eq!(bc.output(&mut rt), vec![0.0, 2.0, 1.0, 0.0]);
     }
 
     #[test]
@@ -360,7 +359,7 @@ mod tests {
         let mut bc = Bc::new(&mut rt, g, 0).unwrap();
         bc.reset(&mut rt);
         bc.run_iteration(&mut MemCtx::bulk(rt.machine_mut()));
-        let got = bc.scores(&mut rt);
+        let got = bc.output(&mut rt);
         let expect = reference_bc(&csr, 0);
         for (v, (a, b)) in got.iter().zip(&expect).enumerate() {
             assert!((a - b).abs() < 1e-6, "vertex {v}: {a} vs {b}");

@@ -226,6 +226,10 @@ impl Kernel for Bfs {
         }
         sum
     }
+
+    fn output(&self, rt: &mut Atmem) -> Vec<f64> {
+        self.distances(rt).into_iter().map(f64::from).collect()
+    }
 }
 
 /// Host-side reference BFS for validation.

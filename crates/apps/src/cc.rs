@@ -165,6 +165,10 @@ impl Kernel for Cc {
     fn checksum(&self, rt: &mut Atmem) -> f64 {
         self.labels.values(rt.machine_mut()).map(f64::from).sum()
     }
+
+    fn output(&self, rt: &mut Atmem) -> Vec<f64> {
+        self.labels(rt).into_iter().map(f64::from).collect()
+    }
 }
 
 /// Host-side reference components via union-find (ignoring direction).

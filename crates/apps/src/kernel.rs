@@ -16,7 +16,7 @@ use crate::sssp::Sssp;
 /// One *iteration* is the unit the paper times: a full traversal for BFS
 /// and SSSP, one power iteration for PageRank, one source for BC, one full
 /// edge pass for CC, one multiply for SpMV.
-pub trait Kernel {
+pub trait Kernel: std::fmt::Debug {
     /// Kernel name as used in the paper's figures.
     fn name(&self) -> &'static str;
 
@@ -32,6 +32,11 @@ pub trait Kernel {
     /// A checksum over the kernel's output arrays, for correctness
     /// comparisons across placements (unaccounted).
     fn checksum(&self, rt: &mut Atmem) -> f64;
+
+    /// The kernel's output vector (distances, ranks, scores, labels or
+    /// the product) as `f64`s, for checks against a host reference
+    /// (unaccounted).
+    fn output(&self, rt: &mut Atmem) -> Vec<f64>;
 }
 
 /// The applications evaluated in the paper (§6) plus SpMV (§9).

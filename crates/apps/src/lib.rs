@@ -53,7 +53,7 @@ pub use cc::{reference_components, Cc};
 pub use graph_data::HmsGraph;
 pub use kernel::{App, Kernel};
 pub use pagerank::{reference_pagerank, PageRank};
-pub use runner::{run_protocol, run_protocol_cores, run_protocol_rounds, Mode, ProtocolResult};
+pub use runner::{run_protocol, run_protocol_cores, Mode, Protocol, ProtocolResult};
 pub use serve::{serve_protocols, ServeReport, TenantReport, TenantSpec};
 pub use spmv::{reference_spmv, Spmv};
 pub use sssp::{reference_sssp, Sssp};

@@ -66,11 +66,6 @@ impl PageRank {
     pub fn iterations_run(&self) -> usize {
         self.iterations_run
     }
-
-    /// Copies the rank vector out of simulated memory (unaccounted).
-    pub fn ranks(&self, rt: &mut Atmem) -> Vec<f64> {
-        self.rank.to_vec(rt.machine_mut())
-    }
 }
 
 impl Kernel for PageRank {
@@ -188,6 +183,10 @@ impl Kernel for PageRank {
     fn checksum(&self, rt: &mut Atmem) -> f64 {
         self.rank.values(rt.machine_mut()).sum()
     }
+
+    fn output(&self, rt: &mut Atmem) -> Vec<f64> {
+        self.rank.to_vec(rt.machine_mut())
+    }
 }
 
 /// Host-side reference implementation of one push iteration for validation.
@@ -238,7 +237,7 @@ mod tests {
             pr.run_iteration(&mut MemCtx::bulk(rt.machine_mut()));
         }
         let expect = reference_pagerank(&csr, 3);
-        for (got, want) in pr.ranks(&mut rt).iter().zip(&expect) {
+        for (got, want) in pr.output(&mut rt).iter().zip(&expect) {
             assert!((got - want).abs() < 1e-12, "{got} vs {want}");
         }
         assert_eq!(pr.iterations_run(), 3);
@@ -271,7 +270,7 @@ mod tests {
         for _ in 0..5 {
             pr.run_iteration(&mut MemCtx::bulk(rt.machine_mut()));
         }
-        let ranks = pr.ranks(&mut rt);
+        let ranks = pr.output(&mut rt);
         assert!(ranks[0] > ranks[2] * 2.0, "hub rank {:?}", ranks);
     }
 
@@ -292,7 +291,7 @@ mod tests {
             let mut pr = PageRank::new(&mut rt, g).unwrap();
             pr.reset(&mut rt);
             pr.run_iteration(&mut MemCtx::bulk(rt.machine_mut()).with_cores(cores));
-            outputs.push(pr.ranks(&mut rt));
+            outputs.push(pr.output(&mut rt));
             for shares in &pr.sources {
                 assert!(shares.capacity() <= csr.num_vertices());
             }

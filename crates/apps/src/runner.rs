@@ -5,19 +5,25 @@
 //! uses the benchmark run time from the second iteration as the optimized
 //! execution time."
 //!
-//! [`run_protocol`] reproduces exactly that, for any of the placement
-//! modes the figures compare.
+//! [`Protocol`] is that protocol, written once, for any of the placement
+//! modes the figures compare: [`Protocol::start`] checks the mode rules
+//! and loads the kernel, each [`Protocol::round`] runs one iteration
+//! (profiled, then optimized, under [`Mode::Atmem`]) and
+//! [`Protocol::finish`] the measured one. [`run_protocol`] and
+//! [`run_protocol_cores`] run a one-round session; a multi-round caller,
+//! or one that reports between the steps, drives a session itself. Each
+//! iteration, here and in [`serve_protocols`](crate::serve_protocols), is one `step`.
 
 use atmem::{
     AnalyzerKind, Atmem, AtmemConfig, AtmemError, OptimizePolicy, OptimizeReport, PlacementPolicy,
-    Result,
+    ProfileSummary, Result,
 };
 use atmem_graph::Csr;
 use atmem_hms::{MachineStats, Platform, SimDuration};
 
 use crate::access::MemCtx;
 use crate::graph_data::HmsGraph;
-use crate::kernel::App;
+use crate::kernel::{App, Kernel};
 
 /// Placement strategy of one experimental run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -109,14 +115,8 @@ pub fn run_protocol(
 ///
 /// # Errors
 ///
-/// Same failure modes as [`run_protocol`], plus
-/// [`AtmemError::InvalidConfig`] when the caller's
-/// `config.default_placement` contradicts the placement `mode`
-/// prescribes: each mode *is* a placement experiment, so the runner used
-/// to overwrite the field silently — a caller comparing, say, an
-/// `AllFast` config across modes got `AllSlow` without any indication.
-/// Now the mode's placement applies only when the caller left the field
-/// at its default, and an explicit conflicting policy is an error.
+/// Same failure modes as [`run_protocol`], plus the mode rules of
+/// [`Protocol::start`].
 pub fn run_protocol_cores(
     platform: Platform,
     config: AtmemConfig,
@@ -125,122 +125,187 @@ pub fn run_protocol_cores(
     mode: Mode,
     par_cores: usize,
 ) -> Result<ProtocolResult> {
-    run_protocol_rounds(platform, config, csr, app, mode, par_cores, 1)
+    Protocol::start(platform, config, csr, app, mode, par_cores, 1)?.finish()
 }
 
-/// Like [`run_protocol_cores`], but runs `rounds` profile→optimize rounds
-/// before the measured iteration (the multi-round protocol). One round is
-/// the paper's protocol; more rounds let incremental policies converge —
-/// the AutoNUMA baseline promotes at most one tier per touch-threshold
-/// epoch, so on an N-tier machine it needs up to N−1 rounds to lift the
-/// hot set to the top, and phase-adaptive configurations (demotion on)
-/// get one re-ranking opportunity per round. `round_ratios` in the result
-/// records the fast-data ratio after every round.
-///
-/// # Errors
-///
-/// Same failure modes as [`run_protocol_cores`], plus
-/// [`AtmemError::InvalidConfig`] for `rounds == 0` or multi-round requests
-/// under a mode that never optimizes.
-pub fn run_protocol_rounds(
-    platform: Platform,
-    mut config: AtmemConfig,
-    csr: &Csr,
-    app: App,
+/// One session of the protocol on its own runtime, driven step by step.
+/// The module docs of `crates/apps/src/runner.rs` give the steps.
+#[derive(Debug)]
+pub struct Protocol {
+    rt: Atmem,
+    kernel: Box<dyn Kernel>,
     mode: Mode,
-    par_cores: usize,
-    rounds: usize,
-) -> Result<ProtocolResult> {
-    if rounds == 0 {
-        return Err(AtmemError::InvalidConfig {
-            what: "rounds",
-            reason: "must be positive",
-        });
-    }
-    if mode != Mode::Atmem && rounds != 1 {
-        return Err(AtmemError::InvalidConfig {
-            what: "rounds",
-            reason: "only the atmem mode runs optimize rounds; \
-                     use rounds = 1 for other modes",
-        });
-    }
-    let prescribed = mode.placement_policy();
-    if config.default_placement == PlacementPolicy::default() {
-        config.default_placement = prescribed;
-    } else if config.default_placement != prescribed {
-        return Err(AtmemError::InvalidConfig {
-            what: "default_placement",
-            reason: "conflicts with the placement the mode prescribes; \
-                     leave it at the default to run a mode experiment",
-        });
-    }
-    // Same contract for the optimize policy: only [`Mode::Atmem`] runs an
-    // optimize step, so an explicit non-default policy under any other mode
-    // would be silently ignored — reject it instead.
-    if mode != Mode::Atmem && config.policy != OptimizePolicy::default() {
-        return Err(AtmemError::InvalidConfig {
-            what: "policy",
-            reason: "only the atmem mode runs an optimize step; \
-                     leave the policy at the default for other modes",
-        });
-    }
-    // And for the analyzer choice: no analyzer ever runs outside
-    // [`Mode::Atmem`], so an explicit non-default kind would be silently
-    // ignored — reject it instead.
-    if mode != Mode::Atmem && config.analyzer.kind != AnalyzerKind::default() {
-        return Err(AtmemError::InvalidConfig {
-            what: "analyzer.kind",
-            reason: "only the atmem mode runs the analyzer; \
-                     leave the kind at the default for other modes",
-        });
-    }
-    let mut rt = Atmem::new(platform, config)?;
-    let graph = HmsGraph::load(&mut rt, csr)?;
-    let mut kernel = app.instantiate(&mut rt, graph)?;
+    cores: usize,
+    rounds_left: usize,
+    first_iter: Option<SimDuration>,
+    optimize: Option<OptimizeReport>,
+    round_ratios: Vec<f64>,
+}
 
-    // Profile→optimize rounds (iteration 1 of the paper's protocol; more
-    // when the caller asked for the multi-round variant).
-    let mut first_iter = SimDuration::from_ns(0.0);
-    let mut optimize = None;
-    let mut round_ratios = Vec::new();
-    for round in 0..rounds {
-        kernel.reset(&mut rt);
-        if mode == Mode::Atmem {
-            rt.profiling_start()?;
+impl Protocol {
+    /// Checks the mode rules, then loads `csr` and instantiates `app` on a
+    /// fresh runtime, for `rounds` profile→optimize rounds and the
+    /// measured iteration, each at `cores` simulated cores. One round is
+    /// the paper's protocol; more let incremental policies converge (the
+    /// AutoNUMA baseline lifts a page one tier per round) and give
+    /// phase-adaptive configurations one re-ranking per round.
+    ///
+    /// # Errors
+    ///
+    /// [`AtmemError::InvalidConfig`] for `rounds == 0`, and for a request
+    /// that the mode would silently ignore: more than one round, or an
+    /// optimize policy or analyzer kind other than the default, under a
+    /// mode that never optimizes. Each mode *is* a placement experiment:
+    /// its placement applies when `config.default_placement` is left at
+    /// its default, and an explicit conflicting policy is an error rather
+    /// than silently overwritten. Allocation failures otherwise.
+    pub fn start(
+        platform: Platform,
+        mut config: AtmemConfig,
+        csr: &Csr,
+        app: App,
+        mode: Mode,
+        cores: usize,
+        rounds: usize,
+    ) -> Result<Protocol> {
+        if rounds == 0 {
+            return Err(AtmemError::InvalidConfig {
+                what: "rounds",
+                reason: "must be positive",
+            });
         }
-        let t0 = rt.now();
-        kernel.run_iteration(&mut MemCtx::bulk(rt.machine_mut()).with_cores(par_cores));
-        if round == 0 {
-            first_iter = SimDuration::from_ns(rt.now().as_ns() - t0.as_ns());
+        if mode != Mode::Atmem && rounds != 1 {
+            return Err(AtmemError::InvalidConfig {
+                what: "rounds",
+                reason: "only the atmem mode runs optimize rounds; \
+                         run one round under other modes",
+            });
         }
-        if mode == Mode::Atmem {
-            rt.profiling_stop()?;
-            optimize = Some(rt.optimize()?);
-            round_ratios.push(rt.fast_data_ratio());
+        let prescribed = mode.placement_policy();
+        if config.default_placement == PlacementPolicy::default() {
+            config.default_placement = prescribed;
+        } else if config.default_placement != prescribed {
+            return Err(AtmemError::InvalidConfig {
+                what: "default_placement",
+                reason: "conflicts with the placement the mode prescribes; \
+                         leave it at the default to run a mode experiment",
+            });
         }
+        if mode != Mode::Atmem && config.policy != OptimizePolicy::default() {
+            return Err(AtmemError::InvalidConfig {
+                what: "policy",
+                reason: "only the atmem mode runs an optimize step; \
+                         leave the policy at the default for other modes",
+            });
+        }
+        if mode != Mode::Atmem && config.analyzer.kind != AnalyzerKind::default() {
+            return Err(AtmemError::InvalidConfig {
+                what: "analyzer.kind",
+                reason: "only the atmem mode runs the analyzer; \
+                         leave the kind at the default for other modes",
+            });
+        }
+        let mut rt = Atmem::new(platform, config)?;
+        let graph = HmsGraph::load(&mut rt, csr)?;
+        let kernel = app.instantiate(&mut rt, graph)?;
+        Ok(Protocol {
+            rt,
+            kernel,
+            mode,
+            cores,
+            rounds_left: rounds,
+            first_iter: None,
+            optimize: None,
+            round_ratios: Vec::new(),
+        })
     }
 
-    // Iteration 2 — the measured run.
-    kernel.reset(&mut rt);
+    /// Runs one round: an iteration, profiled and followed by
+    /// [`Atmem::optimize`] under [`Mode::Atmem`]. Returns the iteration's
+    /// simulated time.
+    ///
+    /// # Errors
+    ///
+    /// Profiling and migration failures.
+    pub fn round(&mut self) -> Result<SimDuration> {
+        let atmem = self.mode == Mode::Atmem;
+        let (stats, _) = step(&mut self.rt, self.kernel.as_mut(), self.cores, atmem)?;
+        let time = SimDuration::from_ns(stats.time_ns);
+        self.first_iter.get_or_insert(time);
+        self.rounds_left = self.rounds_left.saturating_sub(1);
+        if atmem {
+            let report = self.rt.optimize()?;
+            self.round_ratios.push(report.data_ratio);
+            self.optimize = Some(report);
+        }
+        Ok(time)
+    }
+
+    /// The optimize report of the last round (under [`Mode::Atmem`], until
+    /// [`Protocol::finish`] moves it into its result).
+    pub fn last_report(&self) -> Option<&OptimizeReport> {
+        self.optimize.as_ref()
+    }
+
+    /// Runs the rounds not yet run, then the measured iteration, and
+    /// collects the result with the kernel's checksum and the machine
+    /// audit. Call it once; the session stays readable afterwards.
+    ///
+    /// # Errors
+    ///
+    /// Profiling and migration failures.
+    pub fn finish(&mut self) -> Result<ProtocolResult> {
+        while self.rounds_left > 0 {
+            self.round()?;
+        }
+        let (second_iter_stats, _) = step(&mut self.rt, self.kernel.as_mut(), self.cores, false)?;
+        Ok(ProtocolResult {
+            first_iter: self.first_iter.unwrap_or_default(),
+            second_iter: SimDuration::from_ns(second_iter_stats.time_ns),
+            optimize: self.optimize.take(),
+            round_ratios: std::mem::take(&mut self.round_ratios),
+            second_iter_stats,
+            data_ratio: self.rt.fast_data_ratio(),
+            checksum: self.kernel.checksum(&mut self.rt),
+            audit: self.rt.machine_mut().audit(),
+        })
+    }
+
+    /// The session's runtime, for reports.
+    pub fn runtime(&self) -> &Atmem {
+        &self.rt
+    }
+
+    /// The kernel's output vector ([`Kernel::output`]).
+    pub fn output(&mut self) -> Vec<f64> {
+        self.kernel.output(&mut self.rt)
+    }
+}
+
+/// One iteration, as every protocol driver runs it: reset the kernel,
+/// start profiling if `profile`, run one iteration at `cores` simulated
+/// cores, stop profiling. Returns the machine counters' delta over the
+/// iteration (its `time_ns` is the iteration's simulated time) and the
+/// profile (the default when not profiling).
+pub(crate) fn step(
+    rt: &mut Atmem,
+    kernel: &mut dyn Kernel,
+    cores: usize,
+    profile: bool,
+) -> Result<(MachineStats, ProfileSummary)> {
+    kernel.reset(rt);
+    if profile {
+        rt.profiling_start()?;
+    }
     let before = rt.machine().stats();
-    let t1 = rt.now();
-    kernel.run_iteration(&mut MemCtx::bulk(rt.machine_mut()).with_cores(par_cores));
-    let second_iter = SimDuration::from_ns(rt.now().as_ns() - t1.as_ns());
-    let second_iter_stats = rt.machine().stats().delta(&before);
-    let data_ratio = rt.fast_data_ratio();
-    let checksum = kernel.checksum(&mut rt);
-    let audit = rt.machine_mut().audit();
-
-    Ok(ProtocolResult {
-        first_iter,
-        second_iter,
-        optimize,
-        round_ratios,
-        second_iter_stats,
-        data_ratio,
-        checksum,
-        audit,
-    })
+    kernel.run_iteration(&mut MemCtx::bulk(rt.machine_mut()).with_cores(cores));
+    let stats = rt.machine().stats().delta(&before);
+    let summary = if profile {
+        rt.profiling_stop()?
+    } else {
+        ProfileSummary::default()
+    };
+    Ok((stats, summary))
 }
 
 #[cfg(test)]
@@ -374,7 +439,7 @@ mod tests {
     #[test]
     fn multi_round_protocol_records_every_round() {
         let csr = small_graph(App::PageRank);
-        let r = run_protocol_rounds(
+        let r = Protocol::start(
             Platform::testing(),
             AtmemConfig::default(),
             &csr,
@@ -383,6 +448,7 @@ mod tests {
             1,
             3,
         )
+        .and_then(|mut p| p.finish())
         .unwrap();
         assert_eq!(r.round_ratios.len(), 3);
         assert!(r.round_ratios.iter().all(|&x| x > 0.0));
@@ -399,7 +465,7 @@ mod tests {
         assert_eq!(one.round_ratios.len(), 1);
         // …and invalid round counts are named errors.
         for (mode, rounds) in [(Mode::Atmem, 0usize), (Mode::Baseline, 2)] {
-            let err = run_protocol_rounds(
+            let err = Protocol::start(
                 Platform::testing(),
                 AtmemConfig::default(),
                 &csr,

@@ -19,9 +19,11 @@
 //! 5. per-tenant accounting is collected: fast-data ratio, migrated
 //!    bytes, and nearest-rank p50/p99 latency.
 //!
-//! The machine audit plus per-tenant byte conservation runs after *every*
-//! query quantum; violations accumulate in [`ServeReport::audit`]. With
-//! one tenant the whole schedule is bit-identical to
+//! Every iteration a quantum runs is the protocol's own step, the one a
+//! [`Protocol`](crate::Protocol) session runs. The machine audit plus
+//! per-tenant byte conservation runs after *every* query quantum;
+//! violations accumulate in [`ServeReport::audit`]. With one tenant the
+//! whole schedule is bit-identical to
 //! [`run_protocol_cores`](crate::run_protocol_cores) under
 //! [`Mode::Atmem`](crate::Mode::Atmem) — same profile, same counters,
 //! same placement, same checksum.
@@ -31,9 +33,9 @@ use atmem_graph::Csr;
 use atmem_hms::{MachineStats, Platform, SimDuration, TierId};
 use atmem_rng::SmallRng;
 
-use crate::access::MemCtx;
 use crate::graph_data::HmsGraph;
 use crate::kernel::App;
+use crate::runner::step;
 
 /// One tenant of a serving run.
 #[derive(Debug, Clone)]
@@ -135,16 +137,8 @@ pub fn serve_protocols(
     let mut first_iters = Vec::with_capacity(tenants.len());
     let mut profiles = Vec::with_capacity(tenants.len());
     for (idx, kernel) in kernels.iter_mut().enumerate() {
-        let (first_iter, profile) = sched.run_quantum(idx, |rt| -> Result<_> {
-            kernel.reset(rt);
-            rt.profiling_start()?;
-            let t0 = rt.now();
-            kernel.run_iteration(&mut MemCtx::bulk(rt.machine_mut()));
-            let first_iter = SimDuration::from_ns(rt.now().as_ns() - t0.as_ns());
-            let profile = rt.profiling_stop()?;
-            Ok((first_iter, profile))
-        })?;
-        first_iters.push(first_iter);
+        let (stats, profile) = sched.run_quantum(idx, |rt| step(rt, kernel.as_mut(), 1, true))?;
+        first_iters.push(SimDuration::from_ns(stats.time_ns));
         profiles.push(profile);
     }
 
@@ -186,12 +180,10 @@ pub fn serve_protocols(
             sched.advance_clock(SimDuration::from_ns(arrival - now));
         }
         let kernel = &mut kernels[idx];
-        let (delta, completion) = sched.run_quantum(idx, |rt| {
-            kernel.reset(rt);
-            let before = rt.machine().stats();
-            kernel.run_iteration(&mut MemCtx::bulk(rt.machine_mut()));
-            (rt.machine().stats().delta(&before), rt.now())
-        });
+        let (delta, completion) = sched.run_quantum(idx, |rt| -> Result<_> {
+            let (delta, _) = step(rt, kernel.as_mut(), 1, false)?;
+            Ok((delta, rt.now()))
+        })?;
         let latency = (completion.as_ns() - arrival).max(0.0);
         sched.record_latency(idx, SimDuration::from_ns(latency));
         first_query_stats[idx].get_or_insert(delta);

@@ -55,11 +55,6 @@ impl Spmv {
             staging: Vec::new(),
         })
     }
-
-    /// Copies the output vector out of simulated memory (unaccounted).
-    pub fn output(&self, rt: &mut Atmem) -> Vec<f64> {
-        self.y.to_vec(rt.machine_mut())
-    }
 }
 
 impl Kernel for Spmv {
@@ -123,6 +118,10 @@ impl Kernel for Spmv {
 
     fn checksum(&self, rt: &mut Atmem) -> f64 {
         self.y.values(rt.machine_mut()).sum()
+    }
+
+    fn output(&self, rt: &mut Atmem) -> Vec<f64> {
+        self.y.to_vec(rt.machine_mut())
     }
 }
 

@@ -251,6 +251,10 @@ impl Kernel for Sssp {
         }
         sum
     }
+
+    fn output(&self, rt: &mut Atmem) -> Vec<f64> {
+        self.distances(rt).into_iter().map(f64::from).collect()
+    }
 }
 
 /// Host-side reference (Dijkstra via binary heap) for validation.

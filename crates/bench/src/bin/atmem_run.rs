@@ -24,7 +24,7 @@ use std::process::ExitCode;
 use atmem::{
     chunk_heatmap, AnalyzerKind, AtmemConfig, MigrationMechanism, OptimizePolicy, ResidencyReport,
 };
-use atmem_apps::{App, HmsGraph, MemCtx, Mode};
+use atmem_apps::{App, Mode, Protocol};
 use atmem_bench::experiments;
 use atmem_graph::{Csr, Dataset};
 use atmem_hms::Platform;
@@ -273,92 +273,49 @@ fn main() -> ExitCode {
         println!("analyzer: learned (learning-to-rank scorer)");
     }
 
-    // Inline protocol (rather than runner::run_protocol) so the runtime
-    // stays available for the residency report and heatmap afterwards.
-    let mut config = opts.config.clone();
-    config.default_placement = match opts.mode {
-        Mode::Baseline | Mode::Atmem => atmem::PlacementPolicy::AllSlow,
-        Mode::Ideal => atmem::PlacementPolicy::AllFast,
-        Mode::Preferred => atmem::PlacementPolicy::PreferFast,
-    };
+    // Drive the protocol session step by step, printing between the steps;
+    // its runtime stays readable for the residency report afterwards.
     let run = || -> atmem::Result<()> {
-        // Same rule as the mode/placement interplay in the runner: only the
-        // atmem mode runs an optimize step, so an explicit non-default
-        // --policy under any other mode is a conflict, not a no-op.
-        if opts.mode != Mode::Atmem && config.policy != OptimizePolicy::default() {
-            return Err(atmem::AtmemError::InvalidConfig {
-                what: "policy",
-                reason: "only the atmem mode runs an optimize step; \
-                         leave the policy at the default for other modes",
-            });
-        }
-        // Same contract for the analyzer choice and the round count.
-        if opts.mode != Mode::Atmem && config.analyzer.kind != AnalyzerKind::default() {
-            return Err(atmem::AtmemError::InvalidConfig {
-                what: "analyzer.kind",
-                reason: "only the atmem mode runs the analyzer; \
-                         leave the kind at the default for other modes",
-            });
-        }
-        if opts.mode != Mode::Atmem && opts.rounds != 1 {
-            return Err(atmem::AtmemError::InvalidConfig {
-                what: "rounds",
-                reason: "only the atmem mode runs optimize rounds; \
-                         use --rounds 1 for other modes",
-            });
-        }
-        let mut rt = atmem::Atmem::new(platform.clone(), config.clone())?;
-        let graph = HmsGraph::load(&mut rt, &csr)?;
-        let mut kernel = opts.app.instantiate(&mut rt, graph)?;
-
-        for round in 0..opts.rounds {
-            kernel.reset(&mut rt);
-            if opts.mode == Mode::Atmem {
-                rt.profiling_start()?;
-            }
-            let t0 = rt.now();
-            kernel.run_iteration(&mut MemCtx::bulk(rt.machine_mut()).with_cores(opts.cores));
-            let first = rt.now().as_ns() - t0.as_ns();
-            if opts.mode == Mode::Atmem {
-                let profile = rt.profiling_stop()?;
-                println!(
-                    "iteration {}: {:9.3} ms   ({} samples @ period {})",
-                    round + 1,
-                    first / 1e6,
-                    profile.samples,
-                    profile.period
-                );
-                let report = rt.optimize()?;
-                println!(
-                    "optimize   : moved {:.2} MiB in {} regions ({} skipped) in {} — data ratio {:.1}%",
-                    report.migration.bytes_moved as f64 / (1 << 20) as f64,
-                    report.migration.regions,
-                    report.migration.regions_skipped,
-                    report.migration.time,
-                    report.data_ratio * 100.0,
-                );
-                if opts.heatmap && round + 1 == opts.rounds {
-                    print!(
-                        "{}",
-                        chunk_heatmap(rt.registry(), Some(&report.analysis), 64)
-                    );
-                }
-            } else {
-                println!("iteration 1: {:9.3} ms", first / 1e6);
+        let mut protocol = Protocol::start(
+            platform,
+            opts.config.clone(),
+            &csr,
+            opts.app,
+            opts.mode,
+            opts.cores,
+            opts.rounds,
+        )?;
+        for round in 1..=opts.rounds {
+            let time = protocol.round()?.as_ns() / 1e6;
+            let Some(report) = protocol.last_report() else {
+                println!("iteration 1: {time:9.3} ms");
+                continue;
+            };
+            println!(
+                "iteration {round}: {time:9.3} ms   ({} samples @ period {})",
+                report.profile.samples, report.profile.period
+            );
+            println!(
+                "optimize   : moved {:.2} MiB in {} regions ({} skipped) in {} — data ratio {:.1}%",
+                report.migration.bytes_moved as f64 / (1 << 20) as f64,
+                report.migration.regions,
+                report.migration.regions_skipped,
+                report.migration.time,
+                report.data_ratio * 100.0,
+            );
+            if opts.heatmap && round == opts.rounds {
+                let registry = protocol.runtime().registry();
+                print!("{}", chunk_heatmap(registry, Some(&report.analysis), 64));
             }
         }
-
-        kernel.reset(&mut rt);
-        let t1 = rt.now();
-        kernel.run_iteration(&mut MemCtx::bulk(rt.machine_mut()).with_cores(opts.cores));
-        let second = rt.now().as_ns() - t1.as_ns();
+        let result = protocol.finish()?;
         println!(
             "iteration {}: {:9.3} ms   (checksum {:.6e})",
             opts.rounds + 1,
-            second / 1e6,
-            kernel.checksum(&mut rt)
+            result.second_iter.as_ns() / 1e6,
+            result.checksum
         );
-        println!("\n{}", ResidencyReport::collect(&rt));
+        println!("\n{}", ResidencyReport::collect(protocol.runtime()));
         Ok(())
     };
     match run() {

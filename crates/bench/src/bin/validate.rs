@@ -12,81 +12,38 @@
 
 use std::process::ExitCode;
 
-use atmem::{Atmem, AtmemConfig};
+use atmem::AtmemConfig;
 use atmem_apps::{
     reference_bc, reference_bfs, reference_components, reference_pagerank, reference_spmv,
-    reference_sssp, App, Bc, Bfs, Cc, HmsGraph, Kernel, MemCtx, Mode, PageRank, Spmv, Sssp,
+    reference_sssp, App, Mode, Protocol,
 };
 use atmem_graph::{Csr, Dataset};
 use atmem_hms::Platform;
 
-/// Runs `app` under `mode` and returns its output vector.
+/// Runs the protocol for `app` under `mode`, as the figures run it, and
+/// returns the kernel's output vector after the measured iteration.
 fn run_app(csr: &Csr, app: App, mode: Mode) -> atmem::Result<Vec<f64>> {
-    let config = AtmemConfig::default().with_placement(match mode {
-        Mode::Baseline | Mode::Atmem => atmem::PlacementPolicy::AllSlow,
-        Mode::Ideal => atmem::PlacementPolicy::AllFast,
-        Mode::Preferred => atmem::PlacementPolicy::PreferFast,
-    });
-    let mut rt = Atmem::new(Platform::nvm_dram(), config)?;
-    let graph = HmsGraph::load(&mut rt, csr)?;
-
-    // Instantiate concretely so outputs can be extracted.
-    enum K {
-        Bfs(Bfs),
-        Sssp(Sssp),
-        Pr(PageRank),
-        Bc(Bc),
-        Cc(Cc),
-        Spmv(Spmv),
-    }
-    let mut kernel = match app {
-        App::Bfs => K::Bfs(Bfs::new(&mut rt, graph, 0)?),
-        App::Sssp => K::Sssp(Sssp::new(&mut rt, graph, 0)?),
-        App::PageRank => K::Pr(PageRank::new(&mut rt, graph)?),
-        App::Bc => K::Bc(Bc::new(&mut rt, graph, 0)?),
-        App::Cc => K::Cc(Cc::new(&mut rt, graph)?),
-        App::Spmv => K::Spmv(Spmv::new(&mut rt, graph)?),
-    };
-    fn as_kernel(k: &mut K) -> &mut dyn Kernel {
-        match k {
-            K::Bfs(x) => x,
-            K::Sssp(x) => x,
-            K::Pr(x) => x,
-            K::Bc(x) => x,
-            K::Cc(x) => x,
-            K::Spmv(x) => x,
-        }
-    }
-
-    as_kernel(&mut kernel).reset(&mut rt);
-    if mode == Mode::Atmem {
-        rt.profiling_start()?;
-    }
-    as_kernel(&mut kernel).run_iteration(&mut MemCtx::bulk(rt.machine_mut()));
-    if mode == Mode::Atmem {
-        rt.profiling_stop()?;
-        rt.optimize()?;
-    }
-    as_kernel(&mut kernel).reset(&mut rt);
-    as_kernel(&mut kernel).run_iteration(&mut MemCtx::bulk(rt.machine_mut()));
-
-    Ok(match &kernel {
-        K::Bfs(x) => x.distances(&mut rt).iter().map(|&d| d as f64).collect(),
-        K::Sssp(x) => x.distances(&mut rt).iter().map(|&d| d as f64).collect(),
-        K::Pr(x) => x.ranks(&mut rt),
-        K::Bc(x) => x.scores(&mut rt),
-        K::Cc(x) => x.labels(&mut rt).iter().map(|&l| l as f64).collect(),
-        K::Spmv(x) => x.output(&mut rt),
-    })
+    let config = AtmemConfig::default();
+    let mut protocol = Protocol::start(Platform::nvm_dram(), config, csr, app, mode, 1, 1)?;
+    protocol.finish()?;
+    Ok(protocol.output())
 }
 
 /// Host-side reference for `app` after one measured iteration.
 fn reference(csr: &Csr, app: App) -> Vec<f64> {
+    // The query source `App::instantiate` gives BFS, SSSP and BC.
+    let source = 0;
     match app {
-        App::Bfs => reference_bfs(csr, 0).iter().map(|&d| d as f64).collect(),
-        App::Sssp => reference_sssp(csr, 0).iter().map(|&d| d as f64).collect(),
+        App::Bfs => reference_bfs(csr, source)
+            .into_iter()
+            .map(f64::from)
+            .collect(),
+        App::Sssp => reference_sssp(csr, source)
+            .into_iter()
+            .map(f64::from)
+            .collect(),
         App::PageRank => reference_pagerank(csr, 1),
-        App::Bc => reference_bc(csr, 0),
+        App::Bc => reference_bc(csr, source),
         App::Cc => {
             // One label-propagation pass is not the fixed point; validate
             // the *partition* after convergence instead (handled below).

@@ -10,16 +10,20 @@
 //! | `atmem_profiling_stop()`  | [`Atmem::profiling_stop`]    |
 //! | `atmem_optimize()`        | [`Atmem::optimize`]          |
 //!
-//! The runtime owns the simulated [`Machine`]; applications allocate their
-//! data structures through it (registering them as data objects), run one
-//! iteration under profiling, call [`Atmem::optimize`], and keep running —
-//! the paper's experimental protocol (§6). Under the paper's policy,
-//! `optimize` is the one-tenant call of the optimize body a multi-tenant
-//! [`Scheduler`](crate::serve::Scheduler) round runs for all its tenants.
+//! The runtime owns the simulated [`Machine`] and its tenants
+//! ([`TenantRt`]: registry, profiler, configuration, allocation tag) and
+//! acts for one of them. A solo runtime has one tenant; the multi-tenant
+//! [`Scheduler`](crate::serve::Scheduler) owns one runtime with a tenant
+//! per protocol instance and points it at one tenant per quantum.
+//! Applications allocate their data structures through it (registering
+//! them as data objects), run one iteration under profiling, call
+//! [`Atmem::optimize`], and keep running — the paper's experimental
+//! protocol (§6). Under the paper's policy, `optimize` is the one-tenant
+//! call of the optimize body a scheduler round runs for all its tenants.
 
 use std::sync::Arc;
 
-use atmem_hms::{Machine, Platform, Scalar, SimDuration, TierId, TrackedVec, VirtRange};
+use atmem_hms::{Machine, Platform, Scalar, SimDuration, TierId, TrackedVec};
 
 use crate::analyzer::{analyze, Analysis};
 use crate::autonuma;
@@ -99,29 +103,26 @@ impl std::fmt::Display for OptimizeReport {
     }
 }
 
-/// The per-tenant half of the runtime: everything one protocol instance
-/// owns — its data-object registry, profiler, configuration and allocation
-/// handles — without the machine underneath.
+/// One protocol instance's state: its data-object registry, profiler,
+/// configuration and allocation tag, without the machine underneath.
 ///
-/// A solo [`Atmem`] bundles one `TenantRt` with a private machine. The
-/// multi-tenant [`Scheduler`](crate::serve::Scheduler) instead keeps many
-/// `TenantRt`s and time-shares a single machine between them, assembling a
-/// full `Atmem` for the duration of one quantum and taking it apart again
-/// afterwards.
+/// An [`Atmem`] owns a machine and its tenants and acts for one of them at
+/// a time: a solo runtime has one tenant (tag 0); the multi-tenant
+/// [`Scheduler`](crate::serve::Scheduler) adds one per protocol instance and
+/// points its runtime at a tenant for each quantum.
 #[derive(Debug)]
 pub struct TenantRt {
     pub(crate) registry: Registry,
     pub(crate) profiler: Profiler,
     pub(crate) config: AtmemConfig,
-    pub(crate) handles: Vec<VirtRange>,
     pub(crate) tag: u32,
 }
 
 impl TenantRt {
     /// Creates tenant state for `config`, tagged `tag`. The machine's
     /// residency accounting attributes every allocation made while this
-    /// tenant holds the machine to `tag`, so per-tenant byte queries never
-    /// rescan the mapping table.
+    /// tenant is active to `tag`, so per-tenant byte queries never rescan
+    /// the mapping table.
     ///
     /// # Errors
     ///
@@ -132,7 +133,6 @@ impl TenantRt {
             registry: Registry::new(),
             profiler: Profiler::new(),
             config,
-            handles: Vec::new(),
             tag,
         })
     }
@@ -149,44 +149,42 @@ impl TenantRt {
 }
 
 /// The ATMem runtime: registry + profiler + analyzer + optimizer over one
-/// simulated machine.
+/// simulated machine. It owns the machine and its tenants, and every
+/// method acts for the active one.
 #[derive(Debug)]
 pub struct Atmem {
-    machine: Machine,
-    tenant: TenantRt,
+    pub(crate) machine: Machine,
+    pub(crate) tenants: Vec<TenantRt>,
+    pub(crate) active: usize,
 }
 
 impl Atmem {
-    /// Creates a runtime on a fresh machine.
+    /// Creates a runtime on a fresh machine, with one tenant (tag 0).
     ///
     /// # Errors
     ///
     /// [`AtmemError::InvalidConfig`] if `config` fails validation.
     pub fn new(platform: Platform, config: AtmemConfig) -> Result<Self> {
-        Ok(Atmem::from_parts(
-            Machine::new(platform),
-            TenantRt::new(config, 0)?,
-        ))
+        let tenant = TenantRt::new(config, 0)?;
+        Ok(Atmem {
+            machine: Machine::new(platform),
+            tenants: vec![tenant],
+            active: 0,
+        })
     }
 
-    /// Assembles a runtime from a machine and one tenant's state, pointing
-    /// the machine's allocation tagging at the tenant. The scheduler calls
-    /// this at the start of every quantum; pairing it with
-    /// [`Atmem::into_parts`] round-trips both halves unchanged.
-    pub(crate) fn from_parts(mut machine: Machine, tenant: TenantRt) -> Self {
-        machine.set_alloc_tag(tenant.tag);
-        Atmem { machine, tenant }
+    fn tenant(&self) -> &TenantRt {
+        &self.tenants[self.active]
     }
 
-    /// Disassembles the runtime into the machine and the tenant state (the
-    /// inverse of [`Atmem::from_parts`]).
-    pub(crate) fn into_parts(self) -> (Machine, TenantRt) {
-        (self.machine, self.tenant)
+    /// The machine and the active tenant, borrowed apart.
+    fn parts(&mut self) -> (&mut Machine, &mut TenantRt) {
+        (&mut self.machine, &mut self.tenants[self.active])
     }
 
     /// The runtime configuration.
     pub fn config(&self) -> &AtmemConfig {
-        &self.tenant.config
+        &self.tenant().config
     }
 
     /// Shared access to the underlying machine.
@@ -202,7 +200,7 @@ impl Atmem {
 
     /// The data-object registry.
     pub fn registry(&self) -> &Registry {
-        &self.tenant.registry
+        &self.tenant().registry
     }
 
     /// Allocates and registers a typed array of `len` elements
@@ -214,7 +212,7 @@ impl Atmem {
     ///
     /// Allocation failures from the memory system.
     pub fn malloc<T: Scalar>(&mut self, len: usize, name: &str) -> Result<TrackedVec<T>> {
-        let placement = self.tenant.config.default_placement.placement();
+        let placement = self.tenant().config.default_placement.placement();
         let vec = TrackedVec::<T>::new(&mut self.machine, len, placement)?;
         Ok(self.register(vec, name))
     }
@@ -230,7 +228,7 @@ impl Atmem {
     ///
     /// Allocation failures from the memory system.
     pub fn adopt<T: Scalar>(&mut self, values: Arc<Vec<T>>, name: &str) -> Result<TrackedVec<T>> {
-        let placement = self.tenant.config.default_placement.placement();
+        let placement = self.tenant().config.default_placement.placement();
         let vec = TrackedVec::adopt(&mut self.machine, values, placement)?;
         Ok(self.register(vec, name))
     }
@@ -238,9 +236,9 @@ impl Atmem {
     /// Names `vec` and registers it as a data object.
     fn register<T: Scalar>(&mut self, mut vec: TrackedVec<T>, name: &str) -> TrackedVec<T> {
         vec.set_name(name);
-        let geometry = chunk_geometry(vec.range().len, &self.tenant.config.chunks);
-        self.tenant.registry.register(name, vec.range(), geometry);
-        self.tenant.handles.push(vec.range());
+        let (_, tenant) = self.parts();
+        let geometry = chunk_geometry(vec.range().len, &tenant.config.chunks);
+        tenant.registry.register(name, vec.range(), geometry);
         vec
     }
 
@@ -251,14 +249,13 @@ impl Atmem {
     /// [`AtmemError::Unregistered`] if the array was not allocated through
     /// this runtime; memory-system failures otherwise.
     pub fn free<T: Scalar>(&mut self, vec: TrackedVec<T>) -> Result<()> {
-        let id = self
-            .tenant
+        let (machine, tenant) = self.parts();
+        let id = tenant
             .registry
             .object_at(vec.range().start)
             .ok_or(AtmemError::Unregistered(vec.range().start))?;
-        self.tenant.registry.unregister(id);
-        self.tenant.handles.retain(|r| r.start != vec.range().start);
-        vec.free(&mut self.machine)?;
+        tenant.registry.unregister(id);
+        vec.free(machine)?;
         Ok(())
     }
 
@@ -268,15 +265,14 @@ impl Atmem {
     ///
     /// [`AtmemError::ProfilingActive`] if already profiling.
     pub fn profiling_start(&mut self) -> Result<()> {
-        if self.tenant.profiler.is_active() {
+        let (machine, tenant) = self.parts();
+        if tenant.profiler.is_active() {
             return Err(AtmemError::ProfilingActive);
         }
-        self.tenant.registry.reset_samples();
-        self.tenant.profiler.start(
-            &mut self.machine,
-            &self.tenant.registry,
-            &self.tenant.config.sampling,
-        );
+        tenant.registry.reset_samples();
+        tenant
+            .profiler
+            .start(machine, &tenant.registry, &tenant.config.sampling);
         Ok(())
     }
 
@@ -286,13 +282,11 @@ impl Atmem {
     ///
     /// [`AtmemError::ProfilingNotActive`] if not profiling.
     pub fn profiling_stop(&mut self) -> Result<ProfileSummary> {
-        if !self.tenant.profiler.is_active() {
+        let (machine, tenant) = self.parts();
+        if !tenant.profiler.is_active() {
             return Err(AtmemError::ProfilingNotActive);
         }
-        Ok(self
-            .tenant
-            .profiler
-            .stop(&mut self.machine, &mut self.tenant.registry))
+        Ok(tenant.profiler.stop(machine, &mut tenant.registry))
     }
 
     /// Analyzes the profile and migrates critical regions toward the hot
@@ -309,15 +303,15 @@ impl Atmem {
     /// [`AtmemError::ProfilingActive`] if called mid-profiling; migration
     /// failures otherwise.
     pub fn optimize(&mut self) -> Result<OptimizeReport> {
-        if self.tenant.profiler.is_active() {
+        let (machine, tenant) = self.parts();
+        if tenant.profiler.is_active() {
             return Err(AtmemError::ProfilingActive);
         }
-        let tenant = &self.tenant;
         let (analysis, plan, migration, demotion) = match tenant.config.policy {
             OptimizePolicy::Atmem => {
                 let analysis = analyze(&tenant.registry, &tenant.config.analyzer);
                 let out = optimize_tenants(
-                    &mut self.machine,
+                    machine,
                     &[(&tenant.registry, &analysis)],
                     &tenant.config.migration,
                 )?;
@@ -328,11 +322,7 @@ impl Atmem {
             // [`OptimizePolicy::Autonuma`]). The OS baseline has no chunk
             // analysis; the report carries an empty one.
             OptimizePolicy::Autonuma => {
-                let out = autonuma::run(
-                    &mut self.machine,
-                    &tenant.registry,
-                    tenant.profiler.last_records(),
-                )?;
+                let out = autonuma::run(machine, &tenant.registry, tenant.profiler.last_records())?;
                 let analysis = Analysis {
                     objects: Vec::new(),
                 };
@@ -346,22 +336,22 @@ impl Atmem {
             plan,
             migration,
             demotion,
-            total_bytes: self.tenant.registry.total_bytes(),
-            profile: self.tenant.profiler.last_summary(),
+            total_bytes: self.tenant().registry.total_bytes(),
+            profile: self.tenant().profiler.last_summary(),
         })
     }
 
     /// Fraction of registered bytes currently resident on the fast tier,
     /// served from the machine's incremental residency counters.
     pub fn fast_data_ratio(&self) -> f64 {
-        residency_ratio(&self.machine, &self.tenant.registry, TierId::FAST)
+        residency_ratio(&self.machine, &self.tenant().registry, TierId::FAST)
     }
 
     /// Fraction of registered bytes resident on each tier, hottest first.
     /// Element 0 is [`Atmem::fast_data_ratio`], bit for bit.
     pub fn data_ratio_vector(&self) -> Vec<f64> {
         (0..self.machine.num_tiers())
-            .map(|t| residency_ratio(&self.machine, &self.tenant.registry, TierId::new(t)))
+            .map(|t| residency_ratio(&self.machine, &self.tenant().registry, TierId::new(t)))
             .collect()
     }
 
@@ -571,7 +561,7 @@ mod tests {
     }
 
     #[test]
-    fn parts_round_trip_preserves_state_and_cached_ratio() {
+    fn cached_ratio_matches_a_residency_rescan() {
         let mut rt = runtime();
         let v = rt.malloc::<u64>(128 * 1024, "data").unwrap();
         rt.profiling_start().unwrap();
@@ -588,11 +578,6 @@ mod tests {
             .sum();
         let total = rt.registry().total_bytes();
         assert_eq!(ratio, rescan as f64 / total as f64);
-        // Disassemble and reassemble: nothing observable changes.
-        let (machine, tenant) = rt.into_parts();
-        assert_eq!(tenant.tag, 0);
-        let rt = Atmem::from_parts(machine, tenant);
-        assert_eq!(rt.fast_data_ratio(), ratio);
     }
 
     #[test]

@@ -7,10 +7,11 @@
 //! single shared resource. [`Scheduler`] multiplexes the instances:
 //!
 //! * **Quantum interleaving** — exactly one tenant holds the machine at a
-//!   time. [`Scheduler::run_quantum`] assembles a full [`Atmem`] from the
-//!   shared machine and that tenant's [`TenantRt`] (registry + profiler +
-//!   config + allocation tag), runs the closure, and takes it apart again.
-//!   The machine's allocation tagging attributes every byte the quantum
+//!   time. The scheduler owns one [`Atmem`] holding the machine and every
+//!   tenant's [`TenantRt`] (registry + profiler + config + allocation
+//!   tag); [`Scheduler::run_quantum`] points it at one tenant and lends it
+//!   to the closure, so a quantum cannot reach the scheduler. The
+//!   machine's allocation tagging attributes every byte the quantum
 //!   touches to the tenant, so per-tenant residency queries are
 //!   constant-time reads of the incremental counters.
 //! * **Shared-tier arbitration** — [`Scheduler::optimize_round`] is the
@@ -104,8 +105,7 @@ pub struct RoundReport {
 /// `crates/core/src/serve.rs` give the model.
 #[derive(Debug)]
 pub struct Scheduler {
-    machine: Option<Machine>,
-    tenants: Vec<Option<TenantRt>>,
+    rt: Atmem,
     stats: Vec<TenantStats>,
     migration: MigrationConfig,
 }
@@ -118,8 +118,11 @@ impl Scheduler {
     /// each tenant's chunk size in [`Scheduler::add_tenant`].
     pub fn new(platform: Platform, migration: MigrationConfig) -> Self {
         Scheduler {
-            machine: Some(Machine::new(platform)),
-            tenants: Vec::new(),
+            rt: Atmem {
+                machine: Machine::new(platform),
+                tenants: Vec::new(),
+                active: 0,
+            },
             stats: Vec::new(),
             migration,
         }
@@ -144,32 +147,25 @@ impl Scheduler {
             });
         }
         self.migration.validate(config.chunks.min_chunk_bytes)?;
-        let idx = self.tenants.len();
+        let idx = self.num_tenants();
         let tenant = TenantRt::new(config, idx as u32 + 1)?;
-        self.tenants.push(Some(tenant));
+        self.rt.tenants.push(tenant);
         self.stats.push(TenantStats::default());
         Ok(idx)
     }
 
-    /// Number of registered tenants.
-    pub fn num_tenants(&self) -> usize {
-        self.tenants.len()
+    fn num_tenants(&self) -> usize {
+        self.rt.tenants.len()
     }
 
-    /// Runs one quantum for tenant `idx`: assembles a full [`Atmem`] from
-    /// the shared machine and the tenant's state, runs `f`, and puts both
-    /// halves back. Panics if `idx` is out of range or if `f` itself
-    /// re-enters the scheduler (the machine is checked out for the
-    /// duration of the quantum).
+    /// Runs one quantum for tenant `idx`: points the runtime and the
+    /// machine's allocation tag at the tenant and runs `f` on the runtime.
+    /// Panics if `idx` is out of range.
     pub fn run_quantum<R>(&mut self, idx: usize, f: impl FnOnce(&mut Atmem) -> R) -> R {
-        let machine = self.machine.take().expect("machine checked out");
-        let tenant = self.tenants[idx].take().expect("tenant checked out");
-        let mut rt = Atmem::from_parts(machine, tenant);
-        let out = f(&mut rt);
-        let (machine, tenant) = rt.into_parts();
-        self.machine = Some(machine);
-        self.tenants[idx] = Some(tenant);
-        out
+        let tag = self.rt.tenants[idx].tag;
+        self.rt.machine.set_alloc_tag(tag);
+        self.rt.active = idx;
+        f(&mut self.rt)
     }
 
     /// One server-wide optimize round. Per tenant, the profile is
@@ -192,11 +188,9 @@ impl Scheduler {
     /// [`AtmemError::ProfilingActive`] if any tenant is mid-profiling;
     /// migration failures otherwise.
     pub fn optimize_round(&mut self) -> Result<RoundReport> {
-        let tenants: Vec<&TenantRt> = self
-            .tenants
-            .iter()
-            .map(|t| t.as_ref().expect("tenant checked out"))
-            .collect();
+        let Atmem {
+            machine, tenants, ..
+        } = &mut self.rt;
         if tenants.iter().any(|t| t.profiler.is_active()) {
             return Err(AtmemError::ProfilingActive);
         }
@@ -209,7 +203,6 @@ impl Scheduler {
             .zip(&analyses)
             .map(|(t, analysis)| (&t.registry, analysis))
             .collect();
-        let machine = self.machine.as_mut().expect("machine checked out");
         let out = optimize_tenants(machine, &views, &self.migration)?;
         let mut rounds = Vec::with_capacity(tenants.len());
         for ((tenant, moves), stats) in tenants.iter().zip(&out.tenants).zip(&mut self.stats) {
@@ -232,12 +225,12 @@ impl Scheduler {
 
     /// Shared access to the machine (outside any quantum).
     pub fn machine(&self) -> &Machine {
-        self.machine.as_ref().expect("machine checked out")
+        &self.rt.machine
     }
 
     /// Mutable access to the machine (outside any quantum).
     pub fn machine_mut(&mut self) -> &mut Machine {
-        self.machine.as_mut().expect("machine checked out")
+        &mut self.rt.machine
     }
 
     /// Current simulated time.
@@ -263,7 +256,7 @@ impl Scheduler {
 
     /// The tenant's runtime state (outside its quantum).
     pub fn tenant(&self, idx: usize) -> &TenantRt {
-        self.tenants[idx].as_ref().expect("tenant checked out")
+        &self.rt.tenants[idx]
     }
 
     /// Fraction of tenant `idx`'s registered bytes on the fast tier.
@@ -286,7 +279,7 @@ impl Scheduler {
     /// Per-tenant byte conservation: every registered byte is resident on
     /// exactly one of the machine's tiers, and the machine's tag counters
     /// agree with the registries. Returns one message per violation.
-    pub fn conservation_violations(&self) -> Vec<String> {
+    fn conservation_violations(&self) -> Vec<String> {
         let mut violations = Vec::new();
         let num_tiers = self.machine().num_tiers();
         for idx in 0..self.num_tenants() {

@@ -69,6 +69,10 @@ impl Kernel for WedgeCount {
     fn checksum(&self, rt: &mut Atmem) -> f64 {
         self.wedges.values(rt.machine_mut()).sum()
     }
+
+    fn output(&self, rt: &mut Atmem) -> Vec<f64> {
+        self.wedges.to_vec(rt.machine_mut())
+    }
 }
 
 fn run(placement: PlacementPolicy, optimize: bool) -> Result<(f64, f64, f64)> {

@@ -7,7 +7,7 @@
 //! sparse/lossy sampling and working-set phase changes.
 
 use atmem::{AnalyzerKind, Atmem, AtmemConfig, OptimizePolicy};
-use atmem_apps::{run_protocol_rounds, App, HmsGraph, MemCtx, Mode};
+use atmem_apps::{App, HmsGraph, MemCtx, Mode, Protocol};
 use atmem_bench::quality::{budget_config, budget_platform, compare_at_budget};
 use atmem_graph::{Csr, Dataset};
 use atmem_hms::{FaultPlan, FaultSite, Platform, TierId, VirtRange};
@@ -198,7 +198,7 @@ fn autonuma_multi_round_protocol_converges() {
     let csr = Dataset::Twitter.build_small(4);
     let platform = Platform::hbm_dram_cxl().with_tier_capacities(&[256 << 10, 4 << 20, 64 << 20]);
     let run = |policy| {
-        let r = run_protocol_rounds(
+        let r = Protocol::start(
             platform.clone(),
             AtmemConfig::default().with_policy(policy),
             &csr,
@@ -207,6 +207,7 @@ fn autonuma_multi_round_protocol_converges() {
             1,
             4,
         )
+        .and_then(|mut p| p.finish())
         .unwrap();
         println!("{policy:?} round ratios: {:?}", r.round_ratios);
         assert!(r.audit.is_empty(), "{policy:?} audit: {:?}", r.audit);

@@ -33,47 +33,58 @@ fn one_tenant<'a>(csr: &'a Csr, app: App, config: AtmemConfig, queries: usize) -
 
 #[test]
 fn one_tenant_schedule_is_bit_identical_to_the_solo_protocol() {
-    let csr = Dataset::Twitter.build_small(7);
+    let unweighted = Dataset::Twitter.build_small(7);
+    let weighted = unweighted.clone().with_random_weights(16.0, 1);
     let config = AtmemConfig::default();
-    let solo = run_protocol_cores(
-        Platform::testing(),
-        config.clone(),
-        &csr,
-        App::PageRank,
-        Mode::Atmem,
-        1,
-    )
-    .unwrap();
-    let served = serve_protocols(
-        Platform::testing(),
-        config.migration,
-        &[one_tenant(&csr, App::PageRank, config, 1)],
-    )
-    .unwrap();
+    for app in App::FIVE.into_iter().chain([App::Spmv]) {
+        let csr = if app.needs_weights() {
+            &weighted
+        } else {
+            &unweighted
+        };
+        let solo = run_protocol_cores(
+            Platform::testing(),
+            config.clone(),
+            csr,
+            app,
+            Mode::Atmem,
+            1,
+        )
+        .unwrap();
+        let served = serve_protocols(
+            Platform::testing(),
+            config.migration,
+            &[one_tenant(csr, app, config.clone(), 1)],
+        )
+        .unwrap();
 
-    let t = &served.tenants[0];
-    let solo_opt = solo.optimize.as_ref().unwrap();
-    assert_eq!(
-        t.first_iter.as_ns(),
-        solo.first_iter.as_ns(),
-        "profiled iteration must replay bit-identically"
-    );
-    assert_eq!(
-        t.profile, solo_opt.profile,
-        "the PEBS stream fed to the analyzer must match"
-    );
-    assert_eq!(
-        t.first_query_stats, solo.second_iter_stats,
-        "optimized-iteration machine counters must match"
-    );
-    assert_eq!(
-        t.bytes_promoted, solo_opt.migration.bytes_moved,
-        "the round must admit exactly the solo plan"
-    );
-    assert_eq!(t.fast_data_ratio, solo.data_ratio, "placement must match");
-    assert_eq!(t.checksum, solo.checksum, "kernel output must match");
-    assert!(solo.audit.is_empty(), "{:?}", solo.audit);
-    assert!(served.audit.is_empty(), "{:?}", served.audit);
+        let t = &served.tenants[0];
+        let solo_opt = solo.optimize.as_ref().unwrap();
+        assert_eq!(
+            t.first_iter.as_ns(),
+            solo.first_iter.as_ns(),
+            "{app}: profiled iteration must replay bit-identically"
+        );
+        assert_eq!(
+            t.profile, solo_opt.profile,
+            "{app}: the PEBS stream fed to the analyzer must match"
+        );
+        assert_eq!(
+            t.first_query_stats, solo.second_iter_stats,
+            "{app}: optimized-iteration machine counters must match"
+        );
+        assert_eq!(
+            t.bytes_promoted, solo_opt.migration.bytes_moved,
+            "{app}: the round must admit exactly the solo plan"
+        );
+        assert_eq!(
+            t.fast_data_ratio, solo.data_ratio,
+            "{app}: placement must match"
+        );
+        assert_eq!(t.checksum, solo.checksum, "{app}: kernel output must match");
+        assert!(solo.audit.is_empty(), "{app}: {:?}", solo.audit);
+        assert!(served.audit.is_empty(), "{app}: {:?}", served.audit);
+    }
 }
 
 #[test]

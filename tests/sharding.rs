@@ -114,7 +114,7 @@ fn kernel_outputs_are_core_count_invariant() {
             let g = HmsGraph::load(rt, csr).unwrap();
             PageRank::new(rt, g).unwrap()
         },
-        |pr, rt| f64_bits(pr.ranks(rt)),
+        |pr, rt| f64_bits(pr.output(rt)),
     );
     assert_output_core_count_invariant(
         "SpMV",
@@ -193,7 +193,7 @@ fn traversal_outputs_match_scalar_elementwise() {
         let mut bc = Bc::new(&mut rt, g, 0).unwrap();
         bc.reset(&mut rt);
         bc.run_iteration(&mut MemCtx::bulk(rt.machine_mut()).with_cores(cores));
-        let bits: Vec<u64> = bc.scores(&mut rt).into_iter().map(f64::to_bits).collect();
+        let bits: Vec<u64> = bc.output(&mut rt).into_iter().map(f64::to_bits).collect();
         bits
     };
 
